@@ -161,21 +161,23 @@ impl SimulatedAcquisition {
     /// campaign and [`TraceError::LengthMismatch`] when `out` is not
     /// `trace_len()` samples.
     pub fn trace_into(&self, index: usize, out: &mut [f64]) -> Result<(), TraceError> {
+        let mut rng = self.trace_rng(index)?;
+        self.chain
+            .measure_into(&self.clean, out, &mut rng)
+            .map_err(into_trace_error)
+    }
+
+    /// The noise stream of trace `index`.
+    fn trace_rng(&self, index: usize) -> Result<ChaCha8Rng, TraceError> {
         if index >= self.num_traces {
             return Err(TraceError::IndexOutOfRange {
                 index,
                 available: self.num_traces,
             });
         }
-        if out.len() != self.clean.len() {
-            return Err(TraceError::LengthMismatch {
-                expected: self.clean.len(),
-                provided: out.len(),
-            });
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.effective_seed ^ splitmix64(index as u64));
-        self.chain.measure_into(&self.clean, out, &mut rng);
-        Ok(())
+        Ok(ChaCha8Rng::seed_from_u64(
+            self.effective_seed ^ splitmix64(index as u64),
+        ))
     }
 
     /// Materializes the whole campaign as an in-memory [`TraceSet`] — the
@@ -293,16 +295,30 @@ impl TraceSource for SimulatedAcquisition {
         self.clean.len()
     }
 
+    /// Synthesizes trace `index` straight into `acc` in one sweep, with no
+    /// per-trace allocation; bit-identical to adding
+    /// [`SimulatedAcquisition::trace`] with `kernels::accumulate`.
     fn accumulate(&self, index: usize, acc: &mut [f64]) -> Result<(), TraceError> {
-        if acc.len() != self.clean.len() {
-            return Err(TraceError::LengthMismatch {
-                expected: self.clean.len(),
-                provided: acc.len(),
-            });
+        let mut rng = self.trace_rng(index)?;
+        self.chain
+            .accumulate_into(&self.clean, acc, &mut rng)
+            .map_err(into_trace_error)
+    }
+}
+
+/// Carries a measurement-chain error into the trace layer. The chain's
+/// sweeps fail only on a buffer of the wrong length, which keeps its typed
+/// form; any other error arrives as the trace error it wraps, or (never,
+/// today) as an empty-trace error.
+fn into_trace_error(e: PowerError) -> TraceError {
+    match e {
+        PowerError::LengthMismatch { expected, provided } => {
+            TraceError::LengthMismatch { expected, provided }
         }
-        let t = self.trace(index)?;
-        ipmark_traces::kernels::accumulate(acc, t.samples());
-        Ok(())
+        PowerError::Trace(e) => e,
+        PowerError::Netlist(_) | PowerError::Config(_) | PowerError::ModelShapeMismatch { .. } => {
+            TraceError::EmptyTrace
+        }
     }
 }
 

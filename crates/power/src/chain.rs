@@ -17,7 +17,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
-use crate::noise::NoiseProfile;
+use crate::noise::{NoiseProfile, NoiseState};
 
 /// How one cycle's energy is distributed over the oscilloscope samples of
 /// that cycle.
@@ -284,61 +284,175 @@ impl MeasurementChain {
         out
     }
 
+    /// The low-pass stage, or `None` at full bandwidth.
+    fn low_pass(&self) -> Option<LowPass> {
+        if self.bandwidth_alpha >= 1.0 {
+            None
+        } else {
+            Some(LowPass::new(self.bandwidth_alpha))
+        }
+    }
+
+    /// The AC-coupling stage, or `None` for DC coupling.
+    fn ac_coupling(&self) -> Option<AcCoupling> {
+        self.ac_alpha.map(AcCoupling::new)
+    }
+
     /// Applies the analog-bandwidth low-pass filter in place.
     pub fn filter_in_place(&self, signal: &mut [f64]) {
-        if self.bandwidth_alpha >= 1.0 {
-            return;
-        }
-        let a = self.bandwidth_alpha;
-        let mut y = signal.first().copied().unwrap_or(0.0);
-        for s in signal.iter_mut() {
-            y += a * (*s - y);
-            *s = y;
+        if let Some(mut stage) = self.low_pass() {
+            for s in signal.iter_mut() {
+                *s = stage.filter(*s);
+            }
         }
     }
 
     /// Applies AC coupling (single-pole high-pass) in place.
     pub fn ac_couple_in_place(&self, signal: &mut [f64]) {
-        let Some(a) = self.ac_alpha else {
-            return;
-        };
-        let mut prev_x = signal.first().copied().unwrap_or(0.0);
-        let mut prev_y = 0.0;
-        for s in signal.iter_mut() {
-            let x = *s;
-            let y = a * (prev_y + x - prev_x);
-            *s = y;
-            prev_x = x;
-            prev_y = y;
+        if let Some(mut stage) = self.ac_coupling() {
+            for s in signal.iter_mut() {
+                *s = stage.couple(*s);
+            }
         }
     }
 
     /// Produces one measured trace from the clean expanded waveform:
     /// add the noise mixture, band-limit, AC-couple, quantize.
     pub fn measure<R: Rng + ?Sized>(&self, clean: &[f64], rng: &mut R) -> Vec<f64> {
-        let mut signal = vec![0.0; clean.len()];
-        self.measure_into(clean, &mut signal, rng);
-        signal
+        let mut sweep = Sweep::new(self);
+        clean.iter().map(|&c| sweep.sample(c, rng)).collect()
     }
 
     /// [`MeasurementChain::measure`] into a caller-provided buffer (e.g. one
     /// row of a preallocated campaign arena), performing no heap
-    /// allocation. Applies the identical transformation sequence, so the
-    /// produced sample bits match `measure` exactly.
+    /// allocation. Runs the same sweep, so the produced sample bits match
+    /// `measure` exactly.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `out.len() != clean.len()` (a programming error at the
-    /// acquisition layer, which sizes the arena from the chain itself).
-    pub fn measure_into<R: Rng + ?Sized>(&self, clean: &[f64], out: &mut [f64], rng: &mut R) {
-        out.copy_from_slice(clean);
-        self.noise.add_into(out, rng);
-        self.filter_in_place(out);
-        self.ac_couple_in_place(out);
-        if let Some(adc) = &self.adc {
-            for s in out.iter_mut() {
-                *s = adc.quantize(*s);
-            }
+    /// Returns [`PowerError::LengthMismatch`] when `out.len() != clean.len()`,
+    /// leaving `out` and `rng` untouched.
+    pub fn measure_into<R: Rng + ?Sized>(
+        &self,
+        clean: &[f64],
+        out: &mut [f64],
+        rng: &mut R,
+    ) -> Result<(), PowerError> {
+        check_len(clean, out)?;
+        let mut sweep = Sweep::new(self);
+        for (o, &c) in out.iter_mut().zip(clean) {
+            *o = sweep.sample(c, rng);
+        }
+        Ok(())
+    }
+
+    /// Adds one measured trace onto `acc` without materializing it: the
+    /// k-average step of an on-demand source. Bit-identical to
+    /// [`MeasurementChain::measure`] followed by an element-wise `acc += trace`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerError::LengthMismatch`] when `acc.len() != clean.len()`,
+    /// leaving `acc` and `rng` untouched.
+    pub fn accumulate_into<R: Rng + ?Sized>(
+        &self,
+        clean: &[f64],
+        acc: &mut [f64],
+        rng: &mut R,
+    ) -> Result<(), PowerError> {
+        check_len(clean, acc)?;
+        let mut sweep = Sweep::new(self);
+        for (a, &c) in acc.iter_mut().zip(clean) {
+            *a += sweep.sample(c, rng);
+        }
+        Ok(())
+    }
+}
+
+fn check_len(clean: &[f64], buf: &[f64]) -> Result<(), PowerError> {
+    if buf.len() == clean.len() {
+        Ok(())
+    } else {
+        Err(PowerError::LengthMismatch {
+            expected: clean.len(),
+            provided: buf.len(),
+        })
+    }
+}
+
+/// Single-pole low-pass `y ← y + α (x − y)`, its state seeded with the
+/// first input.
+#[derive(Debug, Clone, Copy)]
+struct LowPass {
+    alpha: f64,
+    y: Option<f64>,
+}
+
+impl LowPass {
+    fn new(alpha: f64) -> Self {
+        Self { alpha, y: None }
+    }
+
+    fn filter(&mut self, x: f64) -> f64 {
+        let y = self.y.get_or_insert(x);
+        *y += self.alpha * (x - *y);
+        *y
+    }
+}
+
+/// Single-pole high-pass `y ← α (y' + x − x')`, starting from `x' = x₀`
+/// and `y' = 0`.
+#[derive(Debug, Clone, Copy)]
+struct AcCoupling {
+    alpha: f64,
+    prev: Option<(f64, f64)>,
+}
+
+impl AcCoupling {
+    fn new(alpha: f64) -> Self {
+        Self { alpha, prev: None }
+    }
+
+    fn couple(&mut self, x: f64) -> f64 {
+        let (prev_x, prev_y) = self.prev.unwrap_or((x, 0.0));
+        let y = self.alpha * (prev_y + x - prev_x);
+        self.prev = Some((x, y));
+        y
+    }
+}
+
+/// One trace's pass through the chain, one sample at a time: noise,
+/// low-pass, AC coupling, ADC. Each stage sees the samples in order, so
+/// the result and the RNG draws equal running the stages as whole-trace
+/// passes one after another.
+struct Sweep<'c> {
+    chain: &'c MeasurementChain,
+    noise: NoiseState,
+    low_pass: Option<LowPass>,
+    ac: Option<AcCoupling>,
+}
+
+impl<'c> Sweep<'c> {
+    fn new(chain: &'c MeasurementChain) -> Self {
+        Self {
+            chain,
+            noise: NoiseState::default(),
+            low_pass: chain.low_pass(),
+            ac: chain.ac_coupling(),
+        }
+    }
+
+    fn sample<R: Rng + ?Sized>(&mut self, clean: f64, rng: &mut R) -> f64 {
+        let mut x = self.chain.noise.add_sample(clean, &mut self.noise, rng);
+        if let Some(stage) = &mut self.low_pass {
+            x = stage.filter(x);
+        }
+        if let Some(stage) = &mut self.ac {
+            x = stage.couple(x);
+        }
+        match &self.chain.adc {
+            Some(adc) => adc.quantize(x),
+            None => x,
         }
     }
 }
@@ -569,10 +683,32 @@ mod tests {
         let clean = chain.expand(&[2.0, 1.0, 0.5]);
         let owned = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(17));
         let mut buf = vec![9.9; clean.len()];
-        chain.measure_into(&clean, &mut buf, &mut ChaCha8Rng::seed_from_u64(17));
+        chain
+            .measure_into(&clean, &mut buf, &mut ChaCha8Rng::seed_from_u64(17))
+            .unwrap();
         let a: Vec<u64> = owned.iter().map(|s| s.to_bits()).collect();
         let b: Vec<u64> = buf.iter().map(|s| s.to_bits()).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn length_mismatch_is_a_typed_error() {
+        let chain = MeasurementChain::ideal(2).unwrap();
+        let clean = chain.expand(&[1.0, 2.0]);
+        let mut rng = ChaCha8Rng::seed_from_u64(0);
+        let mut short = vec![7.0; 3];
+        assert!(matches!(
+            chain.measure_into(&clean, &mut short, &mut rng),
+            Err(PowerError::LengthMismatch {
+                expected: 4,
+                provided: 3
+            })
+        ));
+        assert!(matches!(
+            chain.accumulate_into(&clean, &mut short, &mut rng),
+            Err(PowerError::LengthMismatch { .. })
+        ));
+        assert_eq!(short, vec![7.0; 3]);
     }
 
     #[test]

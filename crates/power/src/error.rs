@@ -21,6 +21,13 @@ pub enum PowerError {
         /// Components the circuit actually has.
         circuit_components: usize,
     },
+    /// A measurement buffer does not match the clean waveform's length.
+    LengthMismatch {
+        /// Samples in the clean waveform.
+        expected: usize,
+        /// Samples in the caller's buffer.
+        provided: usize,
+    },
 }
 
 impl fmt::Display for PowerError {
@@ -35,6 +42,10 @@ impl fmt::Display for PowerError {
             } => write!(
                 f,
                 "leakage model covers {model_components} components but the circuit has {circuit_components}"
+            ),
+            PowerError::LengthMismatch { expected, provided } => write!(
+                f,
+                "measurement buffer holds {provided} samples but the waveform has {expected}"
             ),
         }
     }
@@ -75,6 +86,10 @@ mod tests {
             PowerError::ModelShapeMismatch {
                 model_components: 1,
                 circuit_components: 2,
+            },
+            PowerError::LengthMismatch {
+                expected: 4,
+                provided: 3,
             },
         ];
         for e in errors {

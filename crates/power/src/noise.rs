@@ -67,21 +67,42 @@ impl NoiseProfile {
         if self.is_silent() {
             return;
         }
-        let mut pink = PinkNoise::new();
-        let mut drift = 0.0f64;
+        let mut state = NoiseState::default();
         for s in signal.iter_mut() {
-            if self.white_sigma > 0.0 {
-                *s += gaussian(rng, 0.0, self.white_sigma);
-            }
-            if self.pink_sigma > 0.0 {
-                *s += self.pink_sigma * pink.next(gaussian(rng, 0.0, 1.0));
-            }
-            if self.drift_sigma > 0.0 {
-                drift += gaussian(rng, 0.0, self.drift_sigma);
-                *s += drift;
-            }
+            *s = self.add_sample(*s, &mut state, rng);
         }
     }
+
+    /// Adds the next sample of one noise realization onto `s`: white, then
+    /// pink, then drift, each drawn only when its σ is non-zero. This is
+    /// the one per-sample step behind [`NoiseProfile::add_into`] and the
+    /// measurement chain's fused sweep.
+    pub(crate) fn add_sample<R: Rng + ?Sized>(
+        &self,
+        mut s: f64,
+        state: &mut NoiseState,
+        rng: &mut R,
+    ) -> f64 {
+        if self.white_sigma > 0.0 {
+            s += gaussian(rng, 0.0, self.white_sigma);
+        }
+        if self.pink_sigma > 0.0 {
+            s += self.pink_sigma * state.pink.next(gaussian(rng, 0.0, 1.0));
+        }
+        if self.drift_sigma > 0.0 {
+            state.drift += gaussian(rng, 0.0, self.drift_sigma);
+            s += state.drift;
+        }
+        s
+    }
+}
+
+/// The running state of one noise realization: the pink filter and the
+/// drift walk, advanced one sample at a time.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct NoiseState {
+    pink: PinkNoise,
+    drift: f64,
 }
 
 impl Default for NoiseProfile {

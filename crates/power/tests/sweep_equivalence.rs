@@ -1,0 +1,172 @@
+//! The fused measurement sweep against its unfused forms, bit for bit.
+//!
+//! `SimulatedAcquisition::accumulate` synthesizes each trace straight into
+//! the caller's k-average row. These properties pin it to the allocating
+//! path (`trace()` then `kernels::accumulate`) over every chain shape, and
+//! pin the chunked stream to the materialized block, so a timing decorator
+//! that splits `accumulate` into those two steps reproduces its bits.
+
+use ipmark_netlist::seq::BinaryCounter;
+use ipmark_netlist::CircuitBuilder;
+use ipmark_power::chain::{AdcConfig, MeasurementChain, PulseShape};
+use ipmark_power::device::DeviceModel;
+use ipmark_power::leakage::{ComponentWeights, WeightedComponentModel};
+use ipmark_power::{NoiseProfile, SimulatedAcquisition};
+use ipmark_traces::{kernels, TraceSource};
+use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A chain shape: each noise component on or off, α = 1 or below, AC
+/// coupling and ADC each on or off.
+fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
+    (
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        (any::<bool>(), 0.05f64..1.0),
+        (any::<bool>(), 0.5f64..0.999),
+        (any::<bool>(), 4u8..14),
+        1usize..5,
+    )
+        .prop_map(
+            |((white, pink, drift), (full, alpha), (ac, ac_alpha), (adc, bits), spc)| {
+                let noise = NoiseProfile {
+                    white_sigma: if white { 0.7 } else { 0.0 },
+                    pink_sigma: if pink { 0.4 } else { 0.0 },
+                    drift_sigma: if drift { 0.02 } else { 0.0 },
+                };
+                let adc = adc.then_some(AdcConfig {
+                    bits,
+                    full_scale_min: -4.0,
+                    full_scale_max: 12.0,
+                });
+                MeasurementChain::with_extras(
+                    PulseShape::exponential(spc, 1.5).unwrap(),
+                    if full { 1.0 } else { alpha },
+                    noise,
+                    ac.then_some(ac_alpha),
+                    adc,
+                )
+                .unwrap()
+            },
+        )
+}
+
+fn acquisition(chain: &MeasurementChain, cycles: usize, traces: usize) -> SimulatedAcquisition {
+    let mut b = CircuitBuilder::new();
+    b.add("cnt", BinaryCounter::new(6, 0).unwrap());
+    let mut circuit = b.build().unwrap();
+    let device = DeviceModel::nominal(
+        "dev",
+        WeightedComponentModel::new(2.0, vec![ComponentWeights::state_toggle(1.0)]),
+    );
+    SimulatedAcquisition::prepare(&mut circuit, &device, chain, cycles, traces, 2014).unwrap()
+}
+
+proptest! {
+    #[test]
+    fn fused_accumulate_equals_measure_then_kernel_add(
+        chain in chain_shape(),
+        clean in prop::collection::vec(-3.0f64..9.0, 1..300),
+        start in -5.0f64..5.0,
+        seed: u64,
+    ) {
+        let row: Vec<f64> = (0..clean.len()).map(|i| start + i as f64 * 0.01).collect();
+        let mut want = row.clone();
+        let trace = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(seed));
+        kernels::accumulate(&mut want, &trace);
+        let mut got = row;
+        chain
+            .accumulate_into(&clean, &mut got, &mut ChaCha8Rng::seed_from_u64(seed))
+            .unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn fused_sweep_equals_the_staged_passes(
+        chain in chain_shape(),
+        clean in prop::collection::vec(-3.0f64..9.0, 1..300),
+        seed: u64,
+    ) {
+        // The four whole-trace passes the sweep replaces, in chain order.
+        let mut staged = clean.clone();
+        chain
+            .noise_profile()
+            .add_into(&mut staged, &mut ChaCha8Rng::seed_from_u64(seed));
+        chain.filter_in_place(&mut staged);
+        chain.ac_couple_in_place(&mut staged);
+        if let Some(adc) = chain.adc() {
+            for s in &mut staged {
+                *s = adc.quantize(*s);
+            }
+        }
+        let mut fused = vec![0.0; clean.len()];
+        chain
+            .measure_into(&clean, &mut fused, &mut ChaCha8Rng::seed_from_u64(seed))
+            .unwrap();
+        prop_assert_eq!(bits(&fused), bits(&staged));
+    }
+
+    #[test]
+    fn source_accumulate_equals_trace_then_kernel_add(
+        chain in chain_shape(),
+        cycles in 1usize..40,
+        index in 0usize..8,
+        start in -5.0f64..5.0,
+    ) {
+        let acq = acquisition(&chain, cycles, 8);
+        let mut want = vec![start; acq.trace_len()];
+        kernels::accumulate(&mut want, acq.trace(index).unwrap().samples());
+        let mut got = vec![start; acq.trace_len()];
+        acq.accumulate(index, &mut got).unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+        // A wrong-length row is a typed error and stays untouched.
+        let mut short = vec![start; acq.trace_len() + 1];
+        prop_assert!(acq.accumulate(index, &mut short).is_err());
+        prop_assert!(short.iter().all(|&s| s == start));
+    }
+
+    #[test]
+    fn chunked_rows_equal_acquire_block_rows(
+        chain in chain_shape(),
+        cycles in 1usize..24,
+        traces in 1usize..20,
+        chunk in 1usize..7,
+    ) {
+        let acq = acquisition(&chain, cycles, traces);
+        let block = acq.acquire_block().unwrap();
+        let mut chunks = acq.chunked(chunk).unwrap();
+        let mut i = 0;
+        while let Some(rows) = chunks.next_chunk().unwrap() {
+            for row in rows.rows() {
+                prop_assert_eq!(bits(row.samples()), bits(block.row(i).unwrap().samples()));
+                i += 1;
+            }
+        }
+        prop_assert_eq!(i, traces);
+    }
+}
+
+#[test]
+fn length_mismatch_reaches_trace_callers_typed() {
+    let chain = MeasurementChain::ideal(2).unwrap();
+    let acq = acquisition(&chain, 4, 3);
+    let mut bad = vec![0.0; 5];
+    assert!(matches!(
+        acq.trace_into(0, &mut bad),
+        Err(ipmark_traces::TraceError::LengthMismatch {
+            expected: 8,
+            provided: 5
+        })
+    ));
+    assert!(matches!(
+        acq.accumulate(0, &mut bad),
+        Err(ipmark_traces::TraceError::LengthMismatch {
+            expected: 8,
+            provided: 5
+        })
+    ));
+}
