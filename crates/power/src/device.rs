@@ -93,22 +93,33 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Standard normal sample via Box–Muller (avoids a dependency on
-/// `rand_distr`).
-fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// Two independent standard normal samples by Marsaglia's polar method —
+/// the workspace's one RNG-driven normal sampler (it avoids a dependency
+/// on `rand_distr`).
+///
+/// `u` and `v` are `2·U − 1` over two 53-bit uniforms; a point outside the
+/// unit disc, or at its centre, is rejected (probability 1 − π/4) and
+/// redrawn. An accepted `s = u² + v²` gives the pair `(u·f, v·f)` with
+/// `f = √(−2 ln s / s)`: one `ln` and one `sqrt` per two samples, where
+/// Box–Muller spends a `ln`, a `sqrt` and a `cos` on each.
+pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     loop {
-        let u1: f64 = rng.gen::<f64>();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
+        let u = 2.0 * rng.gen::<f64>() - 1.0;
+        let v = 2.0 * rng.gen::<f64>() - 1.0;
+        let s = u * u + v * v;
+        if s < 1.0 && s > 0.0 {
+            let f = (-2.0 * s.ln() / s).sqrt();
+            return (u * f, v * f);
         }
-        let u2: f64 = rng.gen::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     }
 }
 
-/// Draws a Gaussian with the given mean and standard deviation.
+/// Draws a Gaussian with the given mean and standard deviation from the
+/// first value of a fresh [`standard_normal_pair`]. For one-off draws
+/// (die sampling, tests); the measurement chain's noise sweep consumes
+/// both values of each pair instead.
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
-    mean + sigma * standard_normal(rng)
+    mean + sigma * standard_normal_pair(rng).0
 }
 
 /// One physical device instance: a nominal leakage model perturbed by
@@ -206,7 +217,9 @@ impl DeviceModel {
             return 0.0;
         }
         // Two independent uniform 64-bit values from the (seed, cycle) pair,
-        // turned into one Gaussian via Box–Muller.
+        // turned into one Gaussian via Box–Muller. This is a pure function
+        // of (die, cycle), not a stream draw, so it keeps the fixed-cost
+        // transform: a rejection sampler would need a retry sequence.
         let u1 = splitmix64(self.fingerprint_seed ^ splitmix64(cycle));
         let u2 = splitmix64(u1 ^ 0xd1b5_4a32_d192_ed03);
         let f1 = (u1 >> 11) as f64 / (1u64 << 53) as f64;

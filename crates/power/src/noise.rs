@@ -8,7 +8,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::device::gaussian;
+use crate::device::standard_normal_pair;
 use crate::error::PowerError;
 
 /// Magnitudes of the per-sample noise components.
@@ -84,25 +84,41 @@ impl NoiseProfile {
         rng: &mut R,
     ) -> f64 {
         if self.white_sigma > 0.0 {
-            s += gaussian(rng, 0.0, self.white_sigma);
+            s += self.white_sigma * state.normal(rng);
         }
         if self.pink_sigma > 0.0 {
-            s += self.pink_sigma * state.pink.next(gaussian(rng, 0.0, 1.0));
+            let z = state.normal(rng);
+            s += self.pink_sigma * state.pink.next(z);
         }
         if self.drift_sigma > 0.0 {
-            state.drift += gaussian(rng, 0.0, self.drift_sigma);
+            state.drift += self.drift_sigma * state.normal(rng);
             s += state.drift;
         }
         s
     }
 }
 
-/// The running state of one noise realization: the pink filter and the
-/// drift walk, advanced one sample at a time.
+/// The running state of one noise realization: the pink filter, the
+/// drift walk, and the unused half of the last normal pair, advanced one
+/// sample at a time.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct NoiseState {
     pink: PinkNoise,
     drift: f64,
+    spare: Option<f64>,
+}
+
+impl NoiseState {
+    /// The next standard normal of this realization: the spare half of the
+    /// last pair if there is one, else the first half of a fresh pair.
+    fn normal<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
+        if let Some(z) = self.spare.take() {
+            return z;
+        }
+        let (z, spare) = standard_normal_pair(rng);
+        self.spare = Some(spare);
+        z
+    }
 }
 
 impl Default for NoiseProfile {
@@ -144,6 +160,7 @@ impl PinkNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::gaussian;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 

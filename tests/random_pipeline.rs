@@ -76,11 +76,16 @@ fn acquire(fsm: Fsm, key: u8, die_seed: u64, cycles: usize, n: usize) -> Simulat
 
 #[test]
 fn random_fsms_verify_across_many_seeds() {
+    // The paper's §III configuration. Every seed must verify, so the
+    // per-seed error rate has to be small: over 40 seeds this size
+    // verified all of them, with the rekeyed variance ≥ 1.9× the matched
+    // one at the lower decile. At n1 = 80, k = 16, m = 10 about 7 in 40
+    // seeds failed, for any noise realization.
     let params = CorrelationParams {
-        n1: 80,
-        n2: 1_600,
-        k: 16,
-        m: 10,
+        n1: 400,
+        n2: 10_000,
+        k: 50,
+        m: 20,
     };
     for seed in 0..4u64 {
         let config = RandomFsmConfig {
