@@ -5,15 +5,16 @@
 //!
 //! * **fused ingest** — slot finalization as one
 //!   `accumulate_scale_sum` sweep against the staged
-//!   `accumulate` → `scale` → `sum` sequence it replaces, for **both**
-//!   always-compiled backends (`scalar` and `wide`) side by side;
-//!   gate: fused ≥ 1.3× staged on each backend;
+//!   `accumulate` → `scale` → `sum` sequence it replaces; gate: fused
+//!   ≥ 1.3× staged;
 //! * **multi-reference screening** — `PearsonRef::correlate_refs`
 //!   sweeping one DUT `TraceBlock` against 8 cached references against
 //!   the baseline of 8 independent `correlate_rows` calls; gate:
-//!   batched ≥ 1.5× looped on the compiled backend. The underlying
-//!   4-row kernel (`sxy_refs_x4` vs looped `sxy`) is also reported per
-//!   backend.
+//!   batched ≥ 1.5× looped. The underlying 4-row kernel (`sxy_refs_x4`
+//!   vs looped `sxy`) is also reported.
+//!
+//! The kernels run on the instruction set their one-time probe selected,
+//! reported as `isa`.
 //!
 //! Every timed pair is asserted bit-identical before any timing is
 //! reported — fusion is a scheduling change, never a numeric one
@@ -73,44 +74,10 @@ fn median_ns<F: FnMut() -> f64>(reps: usize, mut f: F) -> (f64, f64) {
     (times[times.len() / 2], sink)
 }
 
-/// One always-compiled kernel backend, measurable regardless of which
-/// one the crate's `simd` feature wires into the public wrappers.
-#[allow(clippy::type_complexity)]
-struct BackendFns {
-    name: &'static str,
-    sum: fn(&[f64]) -> f64,
-    accumulate: fn(&mut [f64], &[f64]),
-    scale: fn(&mut [f64], f64),
-    accumulate_scale_sum: fn(&mut [f64], &[f64], f64) -> f64,
-    sxy: fn(&[f64], &[f64], f64) -> f64,
-    sxy_refs_x4: fn([&[f64]; 4], &[f64], f64) -> [f64; 4],
-}
-
-const BACKENDS: [BackendFns; 2] = [
-    BackendFns {
-        name: "scalar",
-        sum: kernels::scalar::sum,
-        accumulate: kernels::scalar::accumulate,
-        scale: kernels::scalar::scale,
-        accumulate_scale_sum: kernels::scalar::accumulate_scale_sum,
-        sxy: kernels::scalar::sxy,
-        sxy_refs_x4: kernels::scalar::sxy_refs_x4,
-    },
-    BackendFns {
-        name: "wide",
-        sum: kernels::wide::sum,
-        accumulate: kernels::wide::accumulate,
-        scale: kernels::wide::scale,
-        accumulate_scale_sum: kernels::wide::accumulate_scale_sum,
-        sxy: kernels::wide::sxy,
-        sxy_refs_x4: kernels::wide::sxy_refs_x4,
-    },
-];
-
-/// Measures slot finalization for one backend: staged
-/// `accumulate` → `scale` → `sum` versus the fused single sweep, over
-/// `M` accumulator slots. Returns `(staged_ns, fused_ns)`.
-fn bench_fused_ingest(b: &BackendFns, reps: usize) -> (f64, f64) {
+/// Measures slot finalization: staged `accumulate` → `scale` → `sum`
+/// versus the fused single sweep, over `M` accumulator slots. Returns
+/// `(staged_ns, fused_ns)`.
+fn bench_fused_ingest(reps: usize) -> (f64, f64) {
     // M accumulator slots mid-stream (k - 1 chunks already folded in)
     // plus the final chunk and the 1/k scale factor each slot needs.
     let factor = 1.0 / 7.0;
@@ -122,25 +89,23 @@ fn bench_fused_ingest(b: &BackendFns, reps: usize) -> (f64, f64) {
     // every slot — both the carried sum and the finalized buffer.
     for (acc, xs) in accs.iter().zip(&last) {
         scratch.copy_from_slice(acc);
-        (b.accumulate)(&mut scratch, xs);
-        (b.scale)(&mut scratch, factor);
-        let staged_sum = (b.sum)(&scratch);
+        kernels::accumulate(&mut scratch, xs);
+        kernels::scale(&mut scratch, factor);
+        let staged_sum = kernels::sum(&scratch);
         let staged_buf = scratch.clone();
 
         scratch.copy_from_slice(acc);
-        let fused_sum = (b.accumulate_scale_sum)(&mut scratch, xs, factor);
+        let fused_sum = kernels::accumulate_scale_sum(&mut scratch, xs, factor);
         assert_eq!(
             fused_sum.to_bits(),
             staged_sum.to_bits(),
-            "[{}] fused sum diverged from staged scale -> sum",
-            b.name
+            "fused sum diverged from staged scale -> sum"
         );
         for (f, s) in scratch.iter().zip(&staged_buf) {
             assert_eq!(
                 f.to_bits(),
                 s.to_bits(),
-                "[{}] fused buffer diverged from staged finalization",
-                b.name
+                "fused buffer diverged from staged finalization"
             );
         }
     }
@@ -149,9 +114,9 @@ fn bench_fused_ingest(b: &BackendFns, reps: usize) -> (f64, f64) {
         let mut total = 0.0;
         for (acc, xs) in accs.iter().zip(&last) {
             scratch.copy_from_slice(std::hint::black_box(acc));
-            (b.accumulate)(&mut scratch, std::hint::black_box(xs));
-            (b.scale)(&mut scratch, factor);
-            total += (b.sum)(&scratch);
+            kernels::accumulate(&mut scratch, std::hint::black_box(xs));
+            kernels::scale(&mut scratch, factor);
+            total += kernels::sum(&scratch);
         }
         total
     });
@@ -159,7 +124,7 @@ fn bench_fused_ingest(b: &BackendFns, reps: usize) -> (f64, f64) {
         let mut total = 0.0;
         for (acc, xs) in accs.iter().zip(&last) {
             scratch.copy_from_slice(std::hint::black_box(acc));
-            total += (b.accumulate_scale_sum)(&mut scratch, std::hint::black_box(xs), factor);
+            total += kernels::accumulate_scale_sum(&mut scratch, std::hint::black_box(xs), factor);
         }
         total
     });
@@ -167,34 +132,33 @@ fn bench_fused_ingest(b: &BackendFns, reps: usize) -> (f64, f64) {
     (staged_ns, fused_ns)
 }
 
-/// Measures the 4-row multi-reference kernel for one backend: four
-/// independent `sxy` sweeps versus one `sxy_refs_x4` group sweep.
-/// Returns `(looped_ns, batched_ns)`.
-fn bench_sxy_refs_kernel(b: &BackendFns, reps: usize) -> (f64, f64) {
+/// Measures the 4-row multi-reference kernel: four independent `sxy`
+/// sweeps versus one `sxy_refs_x4` group sweep. Returns
+/// `(looped_ns, batched_ns)`.
+fn bench_sxy_refs_kernel(reps: usize) -> (f64, f64) {
     let refs: Vec<Vec<f64>> = (0..4).map(|i| series(TRACE_LEN, 500 + i as u64)).collect();
     let y = series(TRACE_LEN, 600);
     let my = kernels::sum(&y) / TRACE_LEN as f64;
     let group: [&[f64]; 4] = [&refs[0], &refs[1], &refs[2], &refs[3]];
 
     // Correctness gate before timing.
-    let batched = (b.sxy_refs_x4)(group, &y, my);
+    let batched = kernels::sxy_refs_x4(group, &y, my);
     for (r, want) in refs.iter().zip(batched) {
-        let got = (b.sxy)(r, &y, my);
+        let got = kernels::sxy(r, &y, my);
         assert_eq!(
             got.to_bits(),
             want.to_bits(),
-            "[{}] sxy_refs_x4 diverged from single-reference sxy",
-            b.name
+            "sxy_refs_x4 diverged from single-reference sxy"
         );
     }
 
     let (looped_ns, s1) = median_ns(reps, || {
         refs.iter()
-            .map(|r| (b.sxy)(std::hint::black_box(r.as_slice()), &y, my))
+            .map(|r| kernels::sxy(std::hint::black_box(r.as_slice()), &y, my))
             .sum()
     });
     let (batched_ns, s2) = median_ns(reps, || {
-        (b.sxy_refs_x4)(std::hint::black_box(group), &y, my)
+        kernels::sxy_refs_x4(std::hint::black_box(group), &y, my)
             .iter()
             .sum()
     });
@@ -205,62 +169,31 @@ fn bench_sxy_refs_kernel(b: &BackendFns, reps: usize) -> (f64, f64) {
 fn main() {
     let quick = std::env::var("IPMARK_QUICK").is_ok_and(|v| v == "1");
     let reps = if quick { 11 } else { 201 };
-    let dispatch = kernels::dispatch_label();
+    let isa = kernels::isa_name();
     eprintln!(
-        "fusion benchmark: dispatch = {dispatch}, trace_len = {TRACE_LEN}, m = {M}, \
+        "fusion benchmark: isa = {isa}, trace_len = {TRACE_LEN}, m = {M}, \
          refs = {REFS}, {reps} repetitions (median reported)"
     );
 
-    let mut gates_ok = true;
-
-    // --- Fused ingest finalization, both backends. ------------------------
-    let mut fused_ingest: Vec<(String, serde_json::Value)> = Vec::new();
+    // --- Fused ingest finalization. ----------------------------------------
+    let (staged_ns, fused_ns) = bench_fused_ingest(reps);
+    let fused_speedup = staged_ns / fused_ns;
+    let fused_pass = fused_speedup >= FUSED_INGEST_GATE;
     println!("fused ingest finalization (trace_len = {TRACE_LEN}, m = {M} slots):");
-    for b in &BACKENDS {
-        let (staged_ns, fused_ns) = bench_fused_ingest(b, reps);
-        let speedup = staged_ns / fused_ns;
-        let pass = speedup >= FUSED_INGEST_GATE;
-        gates_ok &= pass;
-        println!(
-            "  [{:<6}] staged {staged_ns:>10.0} ns   fused {fused_ns:>10.0} ns   \
-             speedup {speedup:>5.2}x   gate >= {FUSED_INGEST_GATE}x  {}",
-            b.name,
-            if pass { "PASS" } else { "FAIL" }
-        );
-        fused_ingest.push((
-            b.name.to_owned(),
-            serde_json::json!({
-                "staged_median_ns": staged_ns,
-                "fused_median_ns": fused_ns,
-                "speedup": speedup,
-                "gate": FUSED_INGEST_GATE,
-                "pass": pass,
-                "bit_identical": true,
-            }),
-        ));
-    }
+    println!(
+        "  staged {staged_ns:>10.0} ns   fused {fused_ns:>10.0} ns   \
+         speedup {fused_speedup:>5.2}x   gate >= {FUSED_INGEST_GATE}x  {}",
+        if fused_pass { "PASS" } else { "FAIL" }
+    );
 
-    // --- 4-row multi-reference kernel, both backends. ---------------------
-    let mut sxy_refs: Vec<(String, serde_json::Value)> = Vec::new();
+    // --- 4-row multi-reference kernel. -------------------------------------
+    let (looped_x4_ns, batched_x4_ns) = bench_sxy_refs_kernel(reps);
+    let x4_speedup = looped_x4_ns / batched_x4_ns;
     println!("sxy_refs_x4 kernel (trace_len = {TRACE_LEN}, 4 references):");
-    for b in &BACKENDS {
-        let (looped_ns, batched_ns) = bench_sxy_refs_kernel(b, reps);
-        let speedup = looped_ns / batched_ns;
-        println!(
-            "  [{:<6}] looped {looped_ns:>10.0} ns   batched {batched_ns:>10.0} ns   \
-             speedup {speedup:>5.2}x",
-            b.name
-        );
-        sxy_refs.push((
-            b.name.to_owned(),
-            serde_json::json!({
-                "looped_median_ns": looped_ns,
-                "batched_median_ns": batched_ns,
-                "speedup": speedup,
-                "bit_identical": true,
-            }),
-        ));
-    }
+    println!(
+        "  looped {looped_x4_ns:>10.0} ns   batched {batched_x4_ns:>10.0} ns   \
+         speedup {x4_speedup:>5.2}x"
+    );
 
     // --- Multi-reference screening sweep, compiled backend. ---------------
     let references: Vec<Vec<f64>> = (0..REFS)
@@ -309,7 +242,6 @@ fn main() {
     std::hint::black_box((s1, s2));
     let multi_ref_speedup = looped_ns / batched_ns;
     let multi_ref_pass = multi_ref_speedup >= MULTI_REF_GATE;
-    gates_ok &= multi_ref_pass;
     println!("multi-reference screening (trace_len = {TRACE_LEN}, m = {M}, refs = {REFS}):");
     println!("  per-ref correlate_rows x{REFS}  {looped_ns:>10.0} ns");
     println!("  correlate_refs (batched)      {batched_ns:>10.0} ns");
@@ -325,11 +257,7 @@ fn main() {
 
     let json = serde_json::json!({
         "experiment": "X13-fusion-dispatch",
-        "backends": ["scalar", "wide"],
-        "compiled_backend": kernels::backend_name(),
-        "dispatch": dispatch,
-        "dispatch_width_lanes": kernels::dispatch::width(),
-        "dispatch_isa": kernels::dispatch::isa_name(),
+        "isa": isa,
         "config": {
             "trace_len": TRACE_LEN,
             "m": M,
@@ -337,8 +265,20 @@ fn main() {
             "repetitions": reps,
             "quick": quick,
         },
-        "fused_ingest": serde_json::Value::Object(fused_ingest),
-        "sxy_refs_kernel": serde_json::Value::Object(sxy_refs),
+        "fused_ingest": {
+            "staged_median_ns": staged_ns,
+            "fused_median_ns": fused_ns,
+            "speedup": fused_speedup,
+            "gate": FUSED_INGEST_GATE,
+            "pass": fused_pass,
+            "bit_identical": true,
+        },
+        "sxy_refs_kernel": {
+            "looped_median_ns": looped_x4_ns,
+            "batched_median_ns": batched_x4_ns,
+            "speedup": x4_speedup,
+            "bit_identical": true,
+        },
         "multi_ref_screening": {
             "looped_median_ns": looped_ns,
             "batched_median_ns": batched_ns,
@@ -360,7 +300,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if !gates_ok {
+    if !(fused_pass && multi_ref_pass) {
         eprintln!("speedup gate missed; see the FAIL lines above");
         std::process::exit(1);
     }

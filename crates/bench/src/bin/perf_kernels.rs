@@ -4,10 +4,8 @@
 //!
 //! * raw throughput of the canonical blocked reductions
 //!   (`ipmark_traces::kernels`): `sum`, `dot` and the fused `sxy_syy`
-//!   sweep, in GiB/s of trace data consumed — for **both** always-compiled
-//!   backends (`scalar` and `wide`) side by side in one run, so a
-//!   regression in either is visible regardless of the crate's feature
-//!   selection;
+//!   sweep, in GiB/s of trace data consumed, on the instruction set the
+//!   kernels' one-time probe selected (reported as `isa`);
 //! * the batched arena sweep `PearsonRef::correlate_rows` over a
 //!   `TraceBlock` against the baseline of `m` independent per-row
 //!   `correlate` calls — the ISSUE-5 acceptance comparison
@@ -69,46 +67,16 @@ fn gibps(bytes: usize, ns: f64) -> f64 {
     bytes as f64 / (1 << 30) as f64 / (ns * 1e-9)
 }
 
-/// One always-compiled kernel backend, measurable regardless of which one
-/// the crate's `simd` feature wires into the public wrappers — so every
-/// run reports scalar and wide side by side and a regression in either is
-/// visible in one JSON.
-#[allow(clippy::type_complexity)]
-struct BackendFns {
-    name: &'static str,
-    sum: fn(&[f64]) -> f64,
-    dot: fn(&[f64], &[f64]) -> f64,
-    sxy_syy: fn(&[f64], &[f64], f64) -> (f64, f64),
-    centered_sum_sq: fn(&[f64], f64) -> f64,
-}
-
-const BACKENDS: [BackendFns; 2] = [
-    BackendFns {
-        name: "scalar",
-        sum: kernels::scalar::sum,
-        dot: kernels::scalar::dot,
-        sxy_syy: kernels::scalar::sxy_syy,
-        centered_sum_sq: kernels::scalar::centered_sum_sq,
-    },
-    BackendFns {
-        name: "wide",
-        sum: kernels::wide::sum,
-        dot: kernels::wide::dot,
-        sxy_syy: kernels::wide::sxy_syy,
-        centered_sum_sq: kernels::wide::centered_sum_sq,
-    },
-];
-
 fn main() {
     let quick = std::env::var("IPMARK_QUICK").is_ok_and(|v| v == "1");
     let reps = if quick { 11 } else { 201 };
-    let dispatch = kernels::dispatch_label();
+    let isa = kernels::isa_name();
     eprintln!(
-        "kernel benchmark: dispatch = {dispatch}, trace_len = {TRACE_LEN}, m = {M}, \
+        "kernel benchmark: isa = {isa}, trace_len = {TRACE_LEN}, m = {M}, \
          {reps} repetitions (median reported)"
     );
 
-    // --- Raw kernel throughput over one trace-sized series, both backends. -
+    // --- Raw kernel throughput over one trace-sized series. ---------------
     let x = series(TRACE_LEN, 1);
     let y = series(TRACE_LEN, 2);
     let mx = kernels::sum(&x) / TRACE_LEN as f64;
@@ -116,42 +84,33 @@ fn main() {
     let bytes_one = 8 * TRACE_LEN;
     let centered: Vec<f64> = x.iter().map(|v| v - mx).collect();
 
-    let mut throughput: Vec<(String, serde_json::Value)> = Vec::new();
-    for b in &BACKENDS {
-        let (sum_ns, _) = median_ns(reps, || (b.sum)(std::hint::black_box(&x)));
-        let (dot_ns, _) = median_ns(reps, || {
-            (b.dot)(std::hint::black_box(&x), std::hint::black_box(&y))
-        });
-        let (sxy_ns, _) = median_ns(reps, || {
-            let (sxy, syy) = (b.sxy_syy)(std::hint::black_box(&x), std::hint::black_box(&y), my);
-            sxy + syy
-        });
-        let (css_ns, _) = median_ns(reps, || {
-            (b.centered_sum_sq)(std::hint::black_box(&centered), 0.0)
-        });
+    let (sum_ns, _) = median_ns(reps, || kernels::sum(std::hint::black_box(&x)));
+    let (dot_ns, _) = median_ns(reps, || {
+        kernels::dot(std::hint::black_box(&x), std::hint::black_box(&y))
+    });
+    let (sxy_ns, _) = median_ns(reps, || {
+        let (sxy, syy) = kernels::sxy_syy(std::hint::black_box(&x), std::hint::black_box(&y), my);
+        sxy + syy
+    });
+    let (css_ns, _) = median_ns(reps, || {
+        kernels::centered_sum_sq(std::hint::black_box(&centered), 0.0)
+    });
 
-        let sum_gibps = gibps(bytes_one, sum_ns);
-        let dot_gibps = gibps(2 * bytes_one, dot_ns);
-        let sxy_gibps = gibps(2 * bytes_one, sxy_ns);
-        let css_gibps = gibps(bytes_one, css_ns);
-        println!(
-            "kernel throughput [{}] ({TRACE_LEN} samples/series):",
-            b.name
-        );
-        println!("  sum              {sum_ns:>10.0} ns   {sum_gibps:>6.2} GiB/s");
-        println!("  dot              {dot_ns:>10.0} ns   {dot_gibps:>6.2} GiB/s");
-        println!("  sxy_syy (fused)  {sxy_ns:>10.0} ns   {sxy_gibps:>6.2} GiB/s");
-        println!("  centered_sum_sq  {css_ns:>10.0} ns   {css_gibps:>6.2} GiB/s");
-        throughput.push((
-            b.name.to_owned(),
-            serde_json::json!({
-                "sum": { "median_ns": sum_ns, "gib_per_s": sum_gibps },
-                "dot": { "median_ns": dot_ns, "gib_per_s": dot_gibps },
-                "sxy_syy": { "median_ns": sxy_ns, "gib_per_s": sxy_gibps },
-                "centered_sum_sq": { "median_ns": css_ns, "gib_per_s": css_gibps },
-            }),
-        ));
-    }
+    let sum_gibps = gibps(bytes_one, sum_ns);
+    let dot_gibps = gibps(2 * bytes_one, dot_ns);
+    let sxy_gibps = gibps(2 * bytes_one, sxy_ns);
+    let css_gibps = gibps(bytes_one, css_ns);
+    println!("kernel throughput [{isa}] ({TRACE_LEN} samples/series):");
+    println!("  sum              {sum_ns:>10.0} ns   {sum_gibps:>6.2} GiB/s");
+    println!("  dot              {dot_ns:>10.0} ns   {dot_gibps:>6.2} GiB/s");
+    println!("  sxy_syy (fused)  {sxy_ns:>10.0} ns   {sxy_gibps:>6.2} GiB/s");
+    println!("  centered_sum_sq  {css_ns:>10.0} ns   {css_gibps:>6.2} GiB/s");
+    let throughput = serde_json::json!({
+        "sum": { "median_ns": sum_ns, "gib_per_s": sum_gibps },
+        "dot": { "median_ns": dot_ns, "gib_per_s": dot_gibps },
+        "sxy_syy": { "median_ns": sxy_ns, "gib_per_s": sxy_gibps },
+        "centered_sum_sq": { "median_ns": css_ns, "gib_per_s": css_gibps },
+    });
 
     // --- Acceptance comparison: per-row loop vs the batched arena sweep. --
     let reference = series(TRACE_LEN, 100);
@@ -204,15 +163,14 @@ fn main() {
 
     let json = serde_json::json!({
         "experiment": "X9-blocked-kernels",
-        "backends": ["scalar", "wide"],
-        "dispatch": dispatch,
+        "isa": isa,
         "config": {
             "trace_len": TRACE_LEN,
             "m": M,
             "repetitions": reps,
             "quick": quick,
         },
-        "kernel_throughput": serde_json::Value::Object(throughput),
+        "kernel_throughput": throughput,
         "batched_correlation": {
             "per_row_median_ns": per_row_ns,
             "batched_median_ns": batched_ns,

@@ -158,7 +158,7 @@ fn main() {
     let quick = std::env::var("IPMARK_QUICK").is_ok_and(|v| v == "1");
     let reps = if quick { 11 } else { 101 };
     let backend = default_backend();
-    let kernels = ipmark_traces::kernels::backend_name();
+    let kernels = ipmark_traces::kernels::isa_name();
     eprintln!(
         "pipeline benchmark: backend = {}, kernels = {kernels}, trace_len = {TRACE_LEN}, \
          params = {PARAMS:?}, {reps} repetitions (median reported)",

@@ -27,7 +27,7 @@
 //! loop; [`Pooled`] (with the `parallel` feature) partitions it across an
 //! [`ipmark_parallel::Pool`]. Both collect results in index order with the
 //! lowest-index error winning, so every backend — at every thread count,
-//! under either kernel backend (scalar or `simd`) — produces bit-identical
+//! on every instruction set the kernels select — produces bit-identical
 //! output (DESIGN.md §7/§11). The streaming twin, [`ResumablePlan`], holds
 //! the same stages in incremental form and is chunk-size invariant
 //! (DESIGN.md §9).
@@ -818,9 +818,8 @@ pub fn explain_graph(
         "  DecideStage     CorrelationSet { mean, variance } -> distinguisher (higher mean / lower variance)\n",
     );
     out.push_str(&format!(
-        "  backend: {backend_label}; kernels: {}; dispatch: {}\n",
-        ipmark_traces::kernels::backend_name(),
-        ipmark_traces::kernels::dispatch_label(),
+        "  backend: {backend_label}; kernels: {}\n",
+        ipmark_traces::kernels::isa_name(),
     ));
     out
 }
@@ -1302,7 +1301,6 @@ mod tests {
             "DecideStage",
             "Sequential",
             "kernels:",
-            "dispatch:",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }

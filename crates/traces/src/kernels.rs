@@ -13,26 +13,24 @@
 //! accumulators: element `i` always lands in lane `i % LANES`, and the
 //! lanes are combined in the fixed tree
 //! `((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7))`. Lane assignment depends
-//! only on the element index — never on thread count, CPU features,
-//! chunk sizes, or which implementation below executes — so the result is
-//! deterministic everywhere, while the eight independent dependency chains
-//! let LLVM auto-vectorize what used to be a serial `acc += x` chain.
+//! only on the element index — never on thread count, CPU features, or
+//! chunk sizes — so the result is deterministic everywhere, while the
+//! eight independent dependency chains let LLVM auto-vectorize what used
+//! to be a serial `acc += x` chain.
 //!
-//! # Implementations
+//! # One implementation, runtime ISA selection
 //!
-//! Two implementations of the same contract are always compiled:
-//!
-//! * [`scalar`] — plain blocked loops over `[f64; LANES]` accumulators,
-//!   relying on auto-vectorization.
-//! * [`wide`] — the same kernels written against an explicit-width
-//!   8-lane value type, keeping whole-register operations visible to the
-//!   optimizer.
-//!
-//! The crate-level `simd` feature selects which one backs the public
-//! functions of this module; the other remains available so tests can pin
-//! the two **bit-identical** on arbitrary inputs (per lane, both perform
-//! the same f64 additions in the same order, and no fused multiply-add is
-//! ever emitted — Rust does not contract `a * b + c`).
+//! The [`scalar`] module holds the only implementation: plain blocked
+//! loops over `[f64; LANES]` accumulators, relying on auto-vectorization.
+//! The public functions run those same bodies on the strongest vector
+//! instruction set a one-time CPUID probe confirms ([`isa_name`]): on
+//! x86-64 the bodies are compiled a second and third time inside
+//! `#[target_feature(enable = "avx2")]` and `"avx512f"` trampolines, so
+//! the auto-vectorizer may use wider registers. The Rust source of every
+//! path is the same, per lane every path performs the same f64 operations
+//! in the same order, and Rust never contracts `a * b + c` into a fused
+//! multiply-add, so every path is bit-identical to [`scalar`] (DESIGN.md
+//! §16).
 //!
 //! Element-wise kernels ([`accumulate`], [`scale`]) are included for
 //! completeness of the canonical numeric entry points; their per-element
@@ -67,11 +65,17 @@ fn fold_remainder(lanes: &mut [f64; LANES], rem: &[f64]) {
     }
 }
 
-/// Scalar blocked implementation (auto-vectorized).
+/// Scalar blocked implementation (auto-vectorized) — the only one.
+///
+/// Every body is `#[inline(always)]`: the ISA trampolines behind the
+/// public functions only pay off when LLVM inlines a body into them and
+/// recompiles it with the trampoline's target feature. Left to its cost
+/// model, LLVM turns most trampolines into a jump to the baseline build.
 pub mod scalar {
     use super::{combine, fold_remainder, LANES, TILE};
 
     /// Blocked sum of a series in the canonical lane order.
+    #[inline(always)]
     #[must_use]
     pub fn sum(xs: &[f64]) -> f64 {
         let mut lanes = [0.0; LANES];
@@ -93,6 +97,7 @@ pub mod scalar {
     /// tile a single row runs with register-resident accumulators, and the
     /// four rows of the group share the tile's cache footprint. Rows longer
     /// than the shortest are truncated to its length.
+    #[inline(always)]
     #[must_use]
     pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
         let n = ys.iter().fold(ys[0].len(), |n, y| n.min(y.len()));
@@ -125,6 +130,7 @@ pub mod scalar {
 
     /// Blocked dot product `Σ xᵢ·yᵢ` over the common prefix of the two
     /// series, in the canonical lane order.
+    #[inline(always)]
     #[must_use]
     pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
         let n = xs.len().min(ys.len());
@@ -147,6 +153,7 @@ pub mod scalar {
     }
 
     /// Blocked `Σ (xᵢ − mean)²` in the canonical lane order.
+    #[inline(always)]
     #[must_use]
     pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
         let mut lanes = [0.0; LANES];
@@ -167,6 +174,7 @@ pub mod scalar {
     /// Fused blocked `(Σ cxᵢ·(yᵢ − my), Σ (yᵢ − my)²)` over the common
     /// prefix — the Pearson numerator and DUT-side denominator in one
     /// sweep, each in the canonical lane order.
+    #[inline(always)]
     #[must_use]
     pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
         let n = centered.len().min(y.len());
@@ -201,6 +209,7 @@ pub mod scalar {
     /// accumulators live in registers; they spill to the `sxy`/`syy` arrays
     /// only at tile boundaries. Rows longer than the reference are
     /// truncated to its length.
+    #[inline(always)]
     #[must_use]
     pub fn sxy_syy_x4(centered: &[f64], ys: [&[f64]; 4], mys: [f64; 4]) -> [(f64, f64); 4] {
         let n = ys.iter().fold(centered.len(), |n, y| n.min(y.len()));
@@ -248,6 +257,7 @@ pub mod scalar {
 
     /// Element-wise accumulate `accᵢ += xsᵢ` over the common prefix — the
     /// k-average gather step.
+    #[inline(always)]
     pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
         for (a, &x) in acc.iter_mut().zip(xs) {
             *a += x;
@@ -255,6 +265,7 @@ pub mod scalar {
     }
 
     /// Element-wise scale `accᵢ *= factor` — the k-average divide step.
+    #[inline(always)]
     pub fn scale(acc: &mut [f64], factor: f64) {
         for a in acc {
             *a *= factor;
@@ -266,6 +277,7 @@ pub mod scalar {
     /// path ([`scale`] then [`sum`]) takes two. Per element the multiply
     /// is the staged multiply and the sum reads the same updated value in
     /// the same lane, so the result is bit-identical to the staged calls.
+    #[inline(always)]
     #[must_use]
     pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
         let mut lanes = [0.0; LANES];
@@ -293,6 +305,7 @@ pub mod scalar {
     /// Per element `(a + x)·factor` is the staged add-then-multiply and
     /// the sum reads the same updated values in the same lane order, so
     /// the fusion is bit-identical to the staged calls.
+    #[inline(always)]
     #[must_use]
     pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
         let n = acc.len().min(xs.len());
@@ -328,6 +341,7 @@ pub mod scalar {
     /// multi-reference remainder kernel. Per lane it performs exactly the
     /// `sxy` half of [`sxy_syy`] (same `dy`, same multiply, same order),
     /// so the value is bit-identical to `sxy_syy(..).0`.
+    #[inline(always)]
     #[must_use]
     pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
         let n = centered.len().min(y.len());
@@ -360,6 +374,7 @@ pub mod scalar {
     /// standalone [`sxy`] call, so every numerator is bit-identical to the
     /// single-reference kernel. References longer than the row are
     /// truncated to the common length.
+    #[inline(always)]
     #[must_use]
     pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
         let n = centereds.iter().fold(y.len(), |n, c| n.min(c.len()));
@@ -397,819 +412,110 @@ pub mod scalar {
     }
 }
 
-/// Explicit-width implementation of the same kernels.
+pub use dispatched::{
+    accumulate, accumulate_scale_sum, centered_sum_sq, dot, isa_name, scale, scale_sum, sum,
+    sum_x4, sxy, sxy_refs_x4, sxy_syy, sxy_syy_x4,
+};
+
+/// The public kernels: each one runs the [`scalar`] body on the
+/// instruction set the one-time probe selected.
 ///
-/// Operations go through [`F64xL`], an 8-lane value type whose arithmetic
-/// is element-wise f64 — lane `j` of every operation performs exactly the
-/// addition/multiplication that lane `j` of the [`scalar`] implementation
-/// performs, in the same order, so the two backends are bit-identical by
-/// construction (pinned by the property suite).
-pub mod wide {
-    use super::{combine, fold_remainder, LANES, TILE};
-
-    /// An 8-lane f64 value; arithmetic is element-wise.
-    #[derive(Clone, Copy)]
-    struct F64xL([f64; LANES]);
-
-    impl F64xL {
-        const ZERO: Self = Self([0.0; LANES]);
-
-        #[inline]
-        fn load(chunk: &[f64]) -> Self {
-            let mut v = [0.0; LANES];
-            v.copy_from_slice(&chunk[..LANES]);
-            Self(v)
-        }
-
-        #[inline]
-        fn splat(x: f64) -> Self {
-            Self([x; LANES])
-        }
-
-        #[inline]
-        fn add(self, o: Self) -> Self {
-            let mut v = self.0;
-            for (a, b) in v.iter_mut().zip(o.0) {
-                *a += b;
-            }
-            Self(v)
-        }
-
-        #[inline]
-        fn sub(self, o: Self) -> Self {
-            let mut v = self.0;
-            for (a, b) in v.iter_mut().zip(o.0) {
-                *a -= b;
-            }
-            Self(v)
-        }
-
-        #[inline]
-        fn mul(self, o: Self) -> Self {
-            let mut v = self.0;
-            for (a, b) in v.iter_mut().zip(o.0) {
-                *a *= b;
-            }
-            Self(v)
-        }
-    }
-
-    /// Blocked sum; bit-identical to [`super::scalar::sum`].
-    #[must_use]
-    pub fn sum(xs: &[f64]) -> f64 {
-        let mut acc = F64xL::ZERO;
-        let mut chunks = xs.chunks_exact(LANES);
-        for chunk in chunks.by_ref() {
-            acc = acc.add(F64xL::load(chunk));
-        }
-        let mut lanes = acc.0;
-        fold_remainder(&mut lanes, chunks.remainder());
-        combine(lanes)
-    }
-
-    /// Four blocked sums in one tiled sweep; bit-identical to
-    /// [`super::scalar::sum_x4`].
-    #[must_use]
-    pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
-        let n = ys.iter().fold(ys[0].len(), |n, y| n.min(y.len()));
-        let mut acc = [F64xL::ZERO; 4];
-        let full = n - n % LANES;
-        let mut base = 0;
-        while base < full {
-            let end = (base + TILE).min(full);
-            for (a, y) in acc.iter_mut().zip(ys) {
-                let mut v = *a;
-                for chunk in y[base..end].chunks_exact(LANES) {
-                    v = v.add(F64xL::load(chunk));
-                }
-                *a = v;
-            }
-            base = end;
-        }
-        let mut out = [0.0; 4];
-        for ((o, a), y) in out.iter_mut().zip(acc).zip(ys) {
-            let mut lanes = a.0;
-            fold_remainder(&mut lanes, &y[full..n]);
-            *o = combine(lanes);
-        }
-        out
-    }
-
-    /// Blocked dot product; bit-identical to [`super::scalar::dot`].
-    #[must_use]
-    pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
-        let n = xs.len().min(ys.len());
-        let (xs, ys) = (&xs[..n], &ys[..n]);
-        let mut acc = F64xL::ZERO;
-        let mut xc = xs.chunks_exact(LANES);
-        let mut yc = ys.chunks_exact(LANES);
-        for (cx, cy) in xc.by_ref().zip(yc.by_ref()) {
-            acc = acc.add(F64xL::load(cx).mul(F64xL::load(cy)));
-        }
-        let mut lanes = acc.0;
-        for (lane, (&x, &y)) in lanes
-            .iter_mut()
-            .zip(xc.remainder().iter().zip(yc.remainder()))
-        {
-            *lane += x * y;
-        }
-        combine(lanes)
-    }
-
-    /// Blocked centered sum of squares; bit-identical to
-    /// [`super::scalar::centered_sum_sq`].
-    #[must_use]
-    pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
-        let m = F64xL::splat(mean);
-        let mut acc = F64xL::ZERO;
-        let mut chunks = xs.chunks_exact(LANES);
-        for chunk in chunks.by_ref() {
-            let d = F64xL::load(chunk).sub(m);
-            acc = acc.add(d.mul(d));
-        }
-        let mut lanes = acc.0;
-        for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
-            let d = x - mean;
-            *lane += d * d;
-        }
-        combine(lanes)
-    }
-
-    /// Fused blocked `(sxy, syy)`; bit-identical to
-    /// [`super::scalar::sxy_syy`].
-    #[must_use]
-    pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
-        let n = centered.len().min(y.len());
-        let (centered, y) = (&centered[..n], &y[..n]);
-        let m = F64xL::splat(my);
-        let mut sxy = F64xL::ZERO;
-        let mut syy = F64xL::ZERO;
-        let mut cc = centered.chunks_exact(LANES);
-        let mut yc = y.chunks_exact(LANES);
-        for (cx, cy) in cc.by_ref().zip(yc.by_ref()) {
-            let dy = F64xL::load(cy).sub(m);
-            sxy = sxy.add(F64xL::load(cx).mul(dy));
-            syy = syy.add(dy.mul(dy));
-        }
-        let (mut sxy, mut syy) = (sxy.0, syy.0);
-        for (j, (&x, &b)) in cc.remainder().iter().zip(yc.remainder()).enumerate() {
-            let dy = b - my;
-            sxy[j] += x * dy;
-            syy[j] += dy * dy;
-        }
-        (combine(sxy), combine(syy))
-    }
-
-    /// Four fused `(sxy, syy)` reductions in one tiled sweep; bit-identical
-    /// to [`super::scalar::sxy_syy_x4`].
-    #[must_use]
-    pub fn sxy_syy_x4(centered: &[f64], ys: [&[f64]; 4], mys: [f64; 4]) -> [(f64, f64); 4] {
-        let n = ys.iter().fold(centered.len(), |n, y| n.min(y.len()));
-        let centered = &centered[..n];
-        let m = [
-            F64xL::splat(mys[0]),
-            F64xL::splat(mys[1]),
-            F64xL::splat(mys[2]),
-            F64xL::splat(mys[3]),
-        ];
-        let mut sxy = [F64xL::ZERO; 4];
-        let mut syy = [F64xL::ZERO; 4];
-        let full = n - n % LANES;
-        let mut base = 0;
-        while base < full {
-            let end = (base + TILE).min(full);
-            for r in 0..4 {
-                let mr = m[r];
-                let mut lx = sxy[r];
-                let mut ly = syy[r];
-                let ctile = centered[base..end].chunks_exact(LANES);
-                let ytile = ys[r][base..end].chunks_exact(LANES);
-                for (cx, cy) in ctile.zip(ytile) {
-                    let dy = F64xL::load(cy).sub(mr);
-                    lx = lx.add(F64xL::load(cx).mul(dy));
-                    ly = ly.add(dy.mul(dy));
-                }
-                sxy[r] = lx;
-                syy[r] = ly;
-            }
-            base = end;
-        }
-        let cx = &centered[full..n];
-        let mut out = [(0.0, 0.0); 4];
-        for r in 0..4 {
-            let (mut lx, mut ly) = (sxy[r].0, syy[r].0);
-            let cy = &ys[r][full..n];
-            for j in 0..cx.len() {
-                let dy = cy[j] - mys[r];
-                lx[j] += cx[j] * dy;
-                ly[j] += dy * dy;
-            }
-            out[r] = (combine(lx), combine(ly));
-        }
-        out
-    }
-
-    /// Element-wise accumulate; bit-identical to
-    /// [`super::scalar::accumulate`] (element-wise operations are
-    /// independent of blocking).
-    pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
-        let n = acc.len().min(xs.len());
-        let (acc, xs) = (&mut acc[..n], &xs[..n]);
-        let mut ac = acc.chunks_exact_mut(LANES);
-        let mut xc = xs.chunks_exact(LANES);
-        for (ca, cx) in ac.by_ref().zip(xc.by_ref()) {
-            let v = F64xL::load(ca).add(F64xL::load(cx));
-            ca.copy_from_slice(&v.0);
-        }
-        for (a, &x) in ac.into_remainder().iter_mut().zip(xc.remainder()) {
-            *a += x;
-        }
-    }
-
-    /// Element-wise scale; bit-identical to [`super::scalar::scale`].
-    pub fn scale(acc: &mut [f64], factor: f64) {
-        let f = F64xL::splat(factor);
-        let mut ac = acc.chunks_exact_mut(LANES);
-        for ca in ac.by_ref() {
-            let v = F64xL::load(ca).mul(f);
-            ca.copy_from_slice(&v.0);
-        }
-        for a in ac.into_remainder() {
-            *a *= factor;
-        }
-    }
-
-    /// Fused scale-and-sum; bit-identical to
-    /// [`super::scalar::scale_sum`].
-    #[must_use]
-    pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
-        let f = F64xL::splat(factor);
-        let mut sum = F64xL::ZERO;
-        let mut ac = acc.chunks_exact_mut(LANES);
-        for ca in ac.by_ref() {
-            let v = F64xL::load(ca).mul(f);
-            ca.copy_from_slice(&v.0);
-            sum = sum.add(v);
-        }
-        let mut lanes = sum.0;
-        for (j, a) in ac.into_remainder().iter_mut().enumerate() {
-            let v = *a * factor;
-            *a = v;
-            lanes[j] += v;
-        }
-        combine(lanes)
-    }
-
-    /// Fused k-average finalize; bit-identical to
-    /// [`super::scalar::accumulate_scale_sum`].
-    #[must_use]
-    pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
-        let n = acc.len().min(xs.len());
-        let full = n - n % LANES;
-        let f = F64xL::splat(factor);
-        let mut sum = F64xL::ZERO;
-        {
-            let mut ac = acc[..full].chunks_exact_mut(LANES);
-            let mut xc = xs[..full].chunks_exact(LANES);
-            for (ca, cx) in ac.by_ref().zip(xc.by_ref()) {
-                let v = F64xL::load(ca).add(F64xL::load(cx)).mul(f);
-                ca.copy_from_slice(&v.0);
-                sum = sum.add(v);
-            }
-        }
-        let mut lanes = sum.0;
-        for (j, a) in acc[full..].iter_mut().enumerate() {
-            let v = if full + j < n {
-                (*a + xs[full + j]) * factor
-            } else {
-                *a * factor
-            };
-            *a = v;
-            lanes[j % LANES] += v;
-        }
-        combine(lanes)
-    }
-
-    /// Blocked Pearson numerator alone; bit-identical to
-    /// [`super::scalar::sxy`].
-    #[must_use]
-    pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
-        let n = centered.len().min(y.len());
-        let (centered, y) = (&centered[..n], &y[..n]);
-        let m = F64xL::splat(my);
-        let mut acc = F64xL::ZERO;
-        let mut cc = centered.chunks_exact(LANES);
-        let mut yc = y.chunks_exact(LANES);
-        for (cx, cy) in cc.by_ref().zip(yc.by_ref()) {
-            let dy = F64xL::load(cy).sub(m);
-            acc = acc.add(F64xL::load(cx).mul(dy));
-        }
-        let mut lanes = acc.0;
-        for (j, (&x, &b)) in cc.remainder().iter().zip(yc.remainder()).enumerate() {
-            let dy = b - my;
-            lanes[j] += x * dy;
-        }
-        combine(lanes)
-    }
-
-    /// Four Pearson numerators against four centered references in one
-    /// lockstep sweep; bit-identical to [`super::scalar::sxy_refs_x4`].
-    ///
-    /// The four references advance together through the row, so each row
-    /// chunk is loaded and centered **once** and the register-resident
-    /// `dy` is reused by all four accumulators. `dy` is the identical
-    /// value every per-reference sweep would compute, and each
-    /// reference keeps its own 8-lane accumulator fed in ascending
-    /// index order, so sharing it cannot change a bit of any output.
-    #[must_use]
-    pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
-        let n = centereds.iter().fold(y.len(), |n, c| n.min(c.len()));
-        let y = &y[..n];
-        let m = F64xL::splat(my);
-        let mut sxy = [F64xL::ZERO; 4];
-        let full = n - n % LANES;
-        let mut base = 0;
-        while base < full {
-            let dy = F64xL::load(&y[base..base + LANES]).sub(m);
-            for (row, c) in sxy.iter_mut().zip(centereds) {
-                *row = row.add(F64xL::load(&c[base..base + LANES]).mul(dy));
-            }
-            base += LANES;
-        }
-        let cy = &y[full..n];
-        let mut out = [0.0; 4];
-        for ((o, row), c) in out.iter_mut().zip(sxy).zip(centereds) {
-            let mut lanes = row.0;
-            let cx = &c[full..n];
-            for j in 0..cx.len() {
-                let dy = cy[j] - my;
-                lanes[j] += cx[j] * dy;
-            }
-            *o = combine(lanes);
-        }
-        out
-    }
-
-    /// Const-generic unrolled loop structures over the same 8-lane value
-    /// type — the wide-lane half of the runtime dispatch (DESIGN.md §16).
-    ///
-    /// `G` is the number of [`LANES`]-element groups a loop iteration
-    /// steps over (`G = 2` → 16-lane steps, `G = 4` → 32-lane steps). The
-    /// groups fold into the **one** 8-lane accumulator strictly in index
-    /// order, so lane `j` still receives exactly the elements
-    /// `≡ j (mod LANES)` in ascending order — the canonical blocked
-    /// order. Widening never adds accumulator lanes (that would change the
-    /// combine tree); it only restructures the loop so the
-    /// `#[target_feature]` instantiations in the dispatch layer can keep
-    /// wider registers busy. Every `G` is therefore bit-identical to the
-    /// plain [`wide`](super) kernels, pinned by the property suite.
-    pub mod unrolled {
-        use super::{combine, fold_remainder, F64xL, LANES};
-
-        /// Blocked sum; bit-identical to [`super::sum`] for every `G`.
-        #[must_use]
-        pub fn sum<const G: usize>(xs: &[f64]) -> f64 {
-            let mut acc = F64xL::ZERO;
-            let mut big = xs.chunks_exact(LANES * G);
-            for blk in big.by_ref() {
-                for grp in blk.chunks_exact(LANES) {
-                    acc = acc.add(F64xL::load(grp));
-                }
-            }
-            let mut chunks = big.remainder().chunks_exact(LANES);
-            for chunk in chunks.by_ref() {
-                acc = acc.add(F64xL::load(chunk));
-            }
-            let mut lanes = acc.0;
-            fold_remainder(&mut lanes, chunks.remainder());
-            combine(lanes)
-        }
-
-        /// Blocked dot product; bit-identical to [`super::dot`].
-        #[must_use]
-        pub fn dot<const G: usize>(xs: &[f64], ys: &[f64]) -> f64 {
-            let n = xs.len().min(ys.len());
-            let (xs, ys) = (&xs[..n], &ys[..n]);
-            let mut acc = F64xL::ZERO;
-            let mut xb = xs.chunks_exact(LANES * G);
-            let mut yb = ys.chunks_exact(LANES * G);
-            for (bx, by) in xb.by_ref().zip(yb.by_ref()) {
-                for (cx, cy) in bx.chunks_exact(LANES).zip(by.chunks_exact(LANES)) {
-                    acc = acc.add(F64xL::load(cx).mul(F64xL::load(cy)));
-                }
-            }
-            let mut xc = xb.remainder().chunks_exact(LANES);
-            let mut yc = yb.remainder().chunks_exact(LANES);
-            for (cx, cy) in xc.by_ref().zip(yc.by_ref()) {
-                acc = acc.add(F64xL::load(cx).mul(F64xL::load(cy)));
-            }
-            let mut lanes = acc.0;
-            for (lane, (&x, &y)) in lanes
-                .iter_mut()
-                .zip(xc.remainder().iter().zip(yc.remainder()))
-            {
-                *lane += x * y;
-            }
-            combine(lanes)
-        }
-
-        /// Blocked centered sum of squares; bit-identical to
-        /// [`super::centered_sum_sq`].
-        #[must_use]
-        pub fn centered_sum_sq<const G: usize>(xs: &[f64], mean: f64) -> f64 {
-            let m = F64xL::splat(mean);
-            let mut acc = F64xL::ZERO;
-            let mut big = xs.chunks_exact(LANES * G);
-            for blk in big.by_ref() {
-                for chunk in blk.chunks_exact(LANES) {
-                    let d = F64xL::load(chunk).sub(m);
-                    acc = acc.add(d.mul(d));
-                }
-            }
-            let mut chunks = big.remainder().chunks_exact(LANES);
-            for chunk in chunks.by_ref() {
-                let d = F64xL::load(chunk).sub(m);
-                acc = acc.add(d.mul(d));
-            }
-            let mut lanes = acc.0;
-            for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
-                let d = x - mean;
-                *lane += d * d;
-            }
-            combine(lanes)
-        }
-
-        /// Fused blocked `(sxy, syy)`; bit-identical to
-        /// [`super::sxy_syy`].
-        #[must_use]
-        pub fn sxy_syy<const G: usize>(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
-            let n = centered.len().min(y.len());
-            let (centered, y) = (&centered[..n], &y[..n]);
-            let m = F64xL::splat(my);
-            let mut sxy = F64xL::ZERO;
-            let mut syy = F64xL::ZERO;
-            let mut cb = centered.chunks_exact(LANES * G);
-            let mut yb = y.chunks_exact(LANES * G);
-            for (bx, by) in cb.by_ref().zip(yb.by_ref()) {
-                for (cx, cy) in bx.chunks_exact(LANES).zip(by.chunks_exact(LANES)) {
-                    let dy = F64xL::load(cy).sub(m);
-                    sxy = sxy.add(F64xL::load(cx).mul(dy));
-                    syy = syy.add(dy.mul(dy));
-                }
-            }
-            let mut cc = cb.remainder().chunks_exact(LANES);
-            let mut yc = yb.remainder().chunks_exact(LANES);
-            for (cx, cy) in cc.by_ref().zip(yc.by_ref()) {
-                let dy = F64xL::load(cy).sub(m);
-                sxy = sxy.add(F64xL::load(cx).mul(dy));
-                syy = syy.add(dy.mul(dy));
-            }
-            let (mut lx, mut ly) = (sxy.0, syy.0);
-            for (j, (&x, &b)) in cc.remainder().iter().zip(yc.remainder()).enumerate() {
-                let dy = b - my;
-                lx[j] += x * dy;
-                ly[j] += dy * dy;
-            }
-            (combine(lx), combine(ly))
-        }
-
-        /// Blocked Pearson numerator alone; bit-identical to
-        /// [`super::sxy`].
-        #[must_use]
-        pub fn sxy<const G: usize>(centered: &[f64], y: &[f64], my: f64) -> f64 {
-            let n = centered.len().min(y.len());
-            let (centered, y) = (&centered[..n], &y[..n]);
-            let m = F64xL::splat(my);
-            let mut acc = F64xL::ZERO;
-            let mut cb = centered.chunks_exact(LANES * G);
-            let mut yb = y.chunks_exact(LANES * G);
-            for (bx, by) in cb.by_ref().zip(yb.by_ref()) {
-                for (cx, cy) in bx.chunks_exact(LANES).zip(by.chunks_exact(LANES)) {
-                    let dy = F64xL::load(cy).sub(m);
-                    acc = acc.add(F64xL::load(cx).mul(dy));
-                }
-            }
-            let mut cc = cb.remainder().chunks_exact(LANES);
-            let mut yc = yb.remainder().chunks_exact(LANES);
-            for (cx, cy) in cc.by_ref().zip(yc.by_ref()) {
-                let dy = F64xL::load(cy).sub(m);
-                acc = acc.add(F64xL::load(cx).mul(dy));
-            }
-            let mut lanes = acc.0;
-            for (j, (&x, &b)) in cc.remainder().iter().zip(yc.remainder()).enumerate() {
-                let dy = b - my;
-                lanes[j] += x * dy;
-            }
-            combine(lanes)
-        }
-
-        /// Fused scale-and-sum; bit-identical to [`super::scale_sum`].
-        #[must_use]
-        pub fn scale_sum<const G: usize>(acc: &mut [f64], factor: f64) -> f64 {
-            let f = F64xL::splat(factor);
-            let mut sum = F64xL::ZERO;
-            let mut big = acc.chunks_exact_mut(LANES * G);
-            for blk in big.by_ref() {
-                for ca in blk.chunks_exact_mut(LANES) {
-                    let v = F64xL::load(ca).mul(f);
-                    ca.copy_from_slice(&v.0);
-                    sum = sum.add(v);
-                }
-            }
-            let mut ac = big.into_remainder().chunks_exact_mut(LANES);
-            for ca in ac.by_ref() {
-                let v = F64xL::load(ca).mul(f);
-                ca.copy_from_slice(&v.0);
-                sum = sum.add(v);
-            }
-            let mut lanes = sum.0;
-            for (j, a) in ac.into_remainder().iter_mut().enumerate() {
-                let v = *a * factor;
-                *a = v;
-                lanes[j] += v;
-            }
-            combine(lanes)
-        }
-
-        /// Fused k-average finalize; bit-identical to
-        /// [`super::accumulate_scale_sum`].
-        #[must_use]
-        pub fn accumulate_scale_sum<const G: usize>(
-            acc: &mut [f64],
-            xs: &[f64],
-            factor: f64,
-        ) -> f64 {
-            let n = acc.len().min(xs.len());
-            let full = n - n % LANES;
-            let f = F64xL::splat(factor);
-            let mut sum = F64xL::ZERO;
-            {
-                let mut ab = acc[..full].chunks_exact_mut(LANES * G);
-                let mut xb = xs[..full].chunks_exact(LANES * G);
-                for (ba, bx) in ab.by_ref().zip(xb.by_ref()) {
-                    for (ca, cx) in ba.chunks_exact_mut(LANES).zip(bx.chunks_exact(LANES)) {
-                        let v = F64xL::load(ca).add(F64xL::load(cx)).mul(f);
-                        ca.copy_from_slice(&v.0);
-                        sum = sum.add(v);
-                    }
-                }
-                let mut ac = ab.into_remainder().chunks_exact_mut(LANES);
-                let mut xc = xb.remainder().chunks_exact(LANES);
-                for (ca, cx) in ac.by_ref().zip(xc.by_ref()) {
-                    let v = F64xL::load(ca).add(F64xL::load(cx)).mul(f);
-                    ca.copy_from_slice(&v.0);
-                    sum = sum.add(v);
-                }
-            }
-            let mut lanes = sum.0;
-            for (j, a) in acc[full..].iter_mut().enumerate() {
-                let v = if full + j < n {
-                    (*a + xs[full + j]) * factor
-                } else {
-                    *a * factor
-                };
-                *a = v;
-                lanes[j % LANES] += v;
-            }
-            combine(lanes)
-        }
-    }
-}
-
-/// One-time runtime selection of the explicit-SIMD lane plan
-/// (DESIGN.md §16).
-///
-/// The selection has two independent axes, neither of which may change
-/// results:
-///
-/// * **ISA** — the strongest vector instruction set the one-time CPUID
-///   probe confirmed (`avx512f` / `avx2` on x86-64, the NEON baseline on
-///   aarch64). It picks which `#[target_feature]` instantiation of the
-///   [`wide`] kernels runs; the Rust bodies — per-lane f64 ops in the
-///   canonical order, never FMA (the `fma` feature is never enabled and
-///   Rust does not contract `a*b + c`) — are identical, so so is every
-///   bit of output.
-/// * **Width** — the loop-structure step in f64 lanes (8/16/32), i.e.
-///   how many [`LANES`]-groups the [`wide::unrolled`] variants fold per
-///   iteration. Groups fold into the single 8-lane accumulator in index
-///   order, so the canonical combine tree is untouched. The
-///   [`WIDTH_ENV`](dispatch::WIDTH_ENV) override forces any width on any
-///   machine (the structures are portable Rust) so CI can exercise every
-///   compiled path; the ISA axis always stays clamped to the probe.
-pub mod dispatch {
+/// This module is the workspace's second scoped `unsafe` island (after
+/// `mmap`): calling a `#[target_feature]` function from a caller without
+/// that feature is an unsafe operation. Every such call sits behind the
+/// `Isa` arm that the CPUID probe in `detect` returned, which is exactly
+/// the guard the operation requires.
+#[allow(unsafe_code)]
+mod dispatched {
+    use super::scalar;
     use std::sync::OnceLock;
 
-    /// Loop-structure step width in f64 lanes.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum Width {
-        /// One 8-lane group per step (the classic wide loop).
-        W8,
-        /// Two groups (16 lanes) per step.
-        W16,
-        /// Four groups (32 lanes) per step.
-        W32,
-    }
-
-    impl Width {
-        /// The step width in f64 lanes (8, 16 or 32).
-        #[must_use]
-        pub fn lanes(self) -> usize {
-            match self {
-                Self::W8 => 8,
-                Self::W16 => 16,
-                Self::W32 => 32,
-            }
-        }
-    }
-
-    /// Strongest vector ISA the one-time probe confirmed.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub enum Isa {
-        /// The build target's baseline codegen (includes NEON on
-        /// aarch64).
+    /// Strongest vector instruction set the one-time probe confirmed.
+    #[derive(Clone, Copy)]
+    enum Isa {
+        /// The build target's baseline codegen (includes NEON on aarch64).
         Baseline,
         /// AVX2 (256-bit registers), x86-64 only.
         #[cfg(target_arch = "x86_64")]
-        V256,
+        Avx2,
         /// AVX-512F (512-bit registers), x86-64 only.
         #[cfg(target_arch = "x86_64")]
-        V512,
+        Avx512f,
     }
 
-    /// The dispatched lane plan: ISA instantiation × loop-structure
-    /// width.
-    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-    pub struct Selection {
-        /// ISA axis (probe-clamped; never forced).
-        pub isa: Isa,
-        /// Width axis (probe default, or forced via [`WIDTH_ENV`]).
-        pub width: Width,
-    }
-
-    /// Env var forcing the loop-structure width: `8`, `16` or `32`.
-    /// Scheduling-only — every width is bit-identical — so it exists for
-    /// CI to exercise each structure, never to change numbers. Unknown
-    /// values fall back to detection.
-    pub const WIDTH_ENV: &str = "IPMARK_SIMD_WIDTH";
-
-    static SELECTION: OnceLock<Selection> = OnceLock::new();
-
-    fn forced_width() -> Option<Width> {
-        match std::env::var(WIDTH_ENV).ok()?.trim() {
-            "8" => Some(Width::W8),
-            "16" => Some(Width::W16),
-            "32" => Some(Width::W32),
-            _ => None,
-        }
-    }
+    static ISA: OnceLock<Isa> = OnceLock::new();
 
     #[cfg(target_arch = "x86_64")]
-    fn detect_isa() -> Isa {
+    fn detect() -> Isa {
         if std::arch::is_x86_feature_detected!("avx512f") {
-            Isa::V512
+            Isa::Avx512f
         } else if std::arch::is_x86_feature_detected!("avx2") {
-            Isa::V256
+            Isa::Avx2
         } else {
             Isa::Baseline
         }
     }
 
     #[cfg(not(target_arch = "x86_64"))]
-    fn detect_isa() -> Isa {
+    fn detect() -> Isa {
         Isa::Baseline
     }
 
-    fn default_width(isa: Isa) -> Width {
-        match isa {
-            #[cfg(target_arch = "x86_64")]
-            Isa::V512 => Width::W32,
-            #[cfg(target_arch = "x86_64")]
-            Isa::V256 => Width::W16,
-            Isa::Baseline => {
-                if cfg!(target_arch = "aarch64") {
-                    // NEON is baseline on aarch64: 128-bit registers, so
-                    // an 8-lane group is four q-regs; stepping two groups
-                    // keeps the load pipeline fuller.
-                    Width::W16
-                } else {
-                    Width::W8
-                }
-            }
-        }
+    /// The instruction set, probed once on first use and then fixed for
+    /// the process lifetime.
+    fn isa() -> Isa {
+        *ISA.get_or_init(detect)
     }
 
-    fn detect() -> Selection {
-        let isa = detect_isa();
-        let width = forced_width().unwrap_or_else(|| default_width(isa));
-        Selection { isa, width }
-    }
-
-    /// The lane plan, selected once on first use and then fixed for the
-    /// process lifetime.
-    #[must_use]
-    pub fn selection() -> Selection {
-        *SELECTION.get_or_init(detect)
-    }
-
-    /// Dispatched loop-structure width in f64 lanes (8, 16 or 32).
-    #[must_use]
-    pub fn width() -> usize {
-        selection().width.lanes()
-    }
-
-    /// Name of the dispatched ISA instantiation, for diagnostics.
+    /// Name of the instruction set the kernels run on in this process:
+    /// `"avx512f"` or `"avx2"` when the one-time CPUID probe confirmed it
+    /// on x86-64, `"neon"` on aarch64 (where NEON is baseline), else
+    /// `"portable"`. For diagnostics such as `ipmark plan --explain` and
+    /// bench reports — every selection is bit-identical (DESIGN.md §16).
     #[must_use]
     pub fn isa_name() -> &'static str {
-        match selection().isa {
+        match isa() {
             #[cfg(target_arch = "x86_64")]
-            Isa::V512 => "avx512f",
+            Isa::Avx512f => "avx512f",
             #[cfg(target_arch = "x86_64")]
-            Isa::V256 => "avx2",
-            Isa::Baseline => {
-                if cfg!(target_arch = "aarch64") {
-                    "neon"
-                } else {
-                    "portable"
-                }
-            }
+            Isa::Avx2 => "avx2",
+            Isa::Baseline if cfg!(target_arch = "aarch64") => "neon",
+            Isa::Baseline => "portable",
         }
     }
-}
 
-/// Runtime-dispatched front of the [`wide`] backend.
-///
-/// Every public function here picks, per the one-time
-/// [`dispatch::selection`], one of up to nine bit-identical
-/// instantiations: {baseline, avx2, avx512f} ISA codegen × {8, 16, 32}
-/// lane loop structure. The `#[target_feature]` trampolines below contain
-/// no code of their own — each body is literally the corresponding
-/// [`wide`] / [`wide::unrolled`] kernel, re-code-generated with wider
-/// registers. The arithmetic is unchanged (per-lane f64, canonical order,
-/// no FMA: the `fma` target feature is never enabled and Rust never
-/// contracts `a*b + c`), so all instantiations are bit-identical — pinned
-/// by the unit tests, the property suite, and the CI dispatch matrix.
-///
-/// This module is the workspace's second scoped `unsafe` island (after
-/// `mmap`): calling a `#[target_feature]` function from a caller without
-/// that feature is an unsafe operation. Every such call sits behind the
-/// `Isa` arm that the CPUID probe in [`dispatch`] selected, which is
-/// exactly the guard the operation requires; the width override never
-/// touches the ISA axis, so a forced width cannot reach an unsupported
-/// instruction set.
-#[cfg(feature = "simd")]
-#[allow(unsafe_code)]
-mod dispatched {
-    use super::dispatch::{self, Isa, Width};
-    use super::wide;
-
+    /// One `#[target_feature]` trampoline per kernel. The trampolines
+    /// contain no code of their own: each body is the [`scalar`] kernel,
+    /// inlined and re-code-generated with the feature enabled.
     #[cfg(target_arch = "x86_64")]
     macro_rules! isa_module {
         ($name:ident, $feat:literal) => {
-            mod $name {
-                use super::wide;
+            pub(super) mod $name {
+                use super::scalar;
 
                 #[target_feature(enable = $feat)]
-                pub fn sum<const G: usize>(xs: &[f64]) -> f64 {
-                    wide::unrolled::sum::<G>(xs)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn dot<const G: usize>(xs: &[f64], ys: &[f64]) -> f64 {
-                    wide::unrolled::dot::<G>(xs, ys)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn centered_sum_sq<const G: usize>(xs: &[f64], mean: f64) -> f64 {
-                    wide::unrolled::centered_sum_sq::<G>(xs, mean)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sxy_syy<const G: usize>(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
-                    wide::unrolled::sxy_syy::<G>(centered, y, my)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sxy<const G: usize>(centered: &[f64], y: &[f64], my: f64) -> f64 {
-                    wide::unrolled::sxy::<G>(centered, y, my)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn scale_sum<const G: usize>(acc: &mut [f64], factor: f64) -> f64 {
-                    wide::unrolled::scale_sum::<G>(acc, factor)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn accumulate_scale_sum<const G: usize>(
-                    acc: &mut [f64],
-                    xs: &[f64],
-                    factor: f64,
-                ) -> f64 {
-                    wide::unrolled::accumulate_scale_sum::<G>(acc, xs, factor)
+                pub fn sum(xs: &[f64]) -> f64 {
+                    scalar::sum(xs)
                 }
 
                 #[target_feature(enable = $feat)]
                 pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
-                    wide::sum_x4(ys)
+                    scalar::sum_x4(ys)
+                }
+
+                #[target_feature(enable = $feat)]
+                pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
+                    scalar::dot(xs, ys)
+                }
+
+                #[target_feature(enable = $feat)]
+                pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
+                    scalar::centered_sum_sq(xs, mean)
+                }
+
+                #[target_feature(enable = $feat)]
+                pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
+                    scalar::sxy_syy(centered, y, my)
                 }
 
                 #[target_feature(enable = $feat)]
@@ -1218,233 +524,143 @@ mod dispatched {
                     ys: [&[f64]; 4],
                     mys: [f64; 4],
                 ) -> [(f64, f64); 4] {
-                    wide::sxy_syy_x4(centered, ys, mys)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
-                    wide::sxy_refs_x4(centereds, y, my)
+                    scalar::sxy_syy_x4(centered, ys, mys)
                 }
 
                 #[target_feature(enable = $feat)]
                 pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
-                    wide::accumulate(acc, xs);
+                    scalar::accumulate(acc, xs);
                 }
 
                 #[target_feature(enable = $feat)]
                 pub fn scale(acc: &mut [f64], factor: f64) {
-                    wide::scale(acc, factor);
+                    scalar::scale(acc, factor);
+                }
+
+                #[target_feature(enable = $feat)]
+                pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
+                    scalar::scale_sum(acc, factor)
+                }
+
+                #[target_feature(enable = $feat)]
+                pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
+                    scalar::accumulate_scale_sum(acc, xs, factor)
+                }
+
+                #[target_feature(enable = $feat)]
+                pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
+                    scalar::sxy(centered, y, my)
+                }
+
+                #[target_feature(enable = $feat)]
+                pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
+                    scalar::sxy_refs_x4(centereds, y, my)
                 }
             }
         };
     }
 
     #[cfg(target_arch = "x86_64")]
-    isa_module!(v256, "avx2");
+    isa_module!(avx2, "avx2");
     #[cfg(target_arch = "x86_64")]
-    isa_module!(v512, "avx512f");
+    isa_module!(avx512f, "avx512f");
 
-    /// Dispatches a reduction that has unrolled width variants.
-    /// SAFETY (for the `unsafe` arms): `Isa::V256`/`Isa::V512` are
-    /// constructed only by the CPUID probe in [`dispatch`], which is the
-    /// exact precondition of the `#[target_feature]` call.
-    macro_rules! unrolled_dispatch {
-        ($f:ident ( $($a:expr),* )) => {{
-            let sel = dispatch::selection();
-            match (sel.isa, sel.width) {
-                (Isa::Baseline, Width::W8) => wide::$f($($a),*),
-                (Isa::Baseline, Width::W16) => wide::unrolled::$f::<2>($($a),*),
-                (Isa::Baseline, Width::W32) => wide::unrolled::$f::<4>($($a),*),
+    /// Runs kernel `$f` on the probed instruction set.
+    /// SAFETY (for the `unsafe` arms): `Isa::Avx2` / `Isa::Avx512f` are
+    /// constructed only by the CPUID probe in `detect`, which is the exact
+    /// precondition of the `#[target_feature]` call.
+    macro_rules! dispatch {
+        ($f:ident ( $($a:expr),* )) => {
+            match isa() {
+                Isa::Baseline => scalar::$f($($a),*),
                 #[cfg(target_arch = "x86_64")]
-                (Isa::V256, Width::W8) => unsafe { v256::$f::<1>($($a),*) },
+                Isa::Avx2 => unsafe { avx2::$f($($a),*) },
                 #[cfg(target_arch = "x86_64")]
-                (Isa::V256, Width::W16) => unsafe { v256::$f::<2>($($a),*) },
-                #[cfg(target_arch = "x86_64")]
-                (Isa::V256, Width::W32) => unsafe { v256::$f::<4>($($a),*) },
-                #[cfg(target_arch = "x86_64")]
-                (Isa::V512, Width::W8) => unsafe { v512::$f::<1>($($a),*) },
-                #[cfg(target_arch = "x86_64")]
-                (Isa::V512, Width::W16) => unsafe { v512::$f::<2>($($a),*) },
-                #[cfg(target_arch = "x86_64")]
-                (Isa::V512, Width::W32) => unsafe { v512::$f::<4>($($a),*) },
+                Isa::Avx512f => unsafe { avx512f::$f($($a),*) },
             }
-        }};
+        };
     }
 
-    /// Dispatches a kernel whose loop structure is fixed (tiled `_x4`
-    /// groups and the element-wise pair): only the ISA axis applies.
-    /// SAFETY: as above — the V256/V512 arms are probe-guarded.
-    macro_rules! isa_dispatch {
-        ($f:ident ( $($a:expr),* )) => {{
-            match dispatch::selection().isa {
-                Isa::Baseline => wide::$f($($a),*),
-                #[cfg(target_arch = "x86_64")]
-                Isa::V256 => unsafe { v256::$f($($a),*) },
-                #[cfg(target_arch = "x86_64")]
-                Isa::V512 => unsafe { v512::$f($($a),*) },
-            }
-        }};
-    }
-
+    /// Blocked sum of a series in the canonical lane order.
+    #[must_use]
     pub fn sum(xs: &[f64]) -> f64 {
-        unrolled_dispatch!(sum(xs))
+        dispatch!(sum(xs))
     }
 
-    pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
-        unrolled_dispatch!(dot(xs, ys))
-    }
-
-    pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
-        unrolled_dispatch!(centered_sum_sq(xs, mean))
-    }
-
-    pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
-        unrolled_dispatch!(sxy_syy(centered, y, my))
-    }
-
-    pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
-        unrolled_dispatch!(sxy(centered, y, my))
-    }
-
-    pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
-        unrolled_dispatch!(scale_sum(acc, factor))
-    }
-
-    pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
-        unrolled_dispatch!(accumulate_scale_sum(acc, xs, factor))
-    }
-
+    /// Blocked sums of four equal-length series in one sweep; each result
+    /// is bit-identical to [`sum`] over that row alone.
+    #[must_use]
     pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
-        isa_dispatch!(sum_x4(ys))
+        dispatch!(sum_x4(ys))
     }
 
+    /// Blocked dot product over the common prefix of the two series.
+    #[must_use]
+    pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
+        dispatch!(dot(xs, ys))
+    }
+
+    /// Blocked `Σ (xᵢ − mean)²` in the canonical lane order.
+    #[must_use]
+    pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
+        dispatch!(centered_sum_sq(xs, mean))
+    }
+
+    /// Fused blocked Pearson `(sxy, syy)` pair against a pre-centered
+    /// reference.
+    #[must_use]
+    pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
+        dispatch!(sxy_syy(centered, y, my))
+    }
+
+    /// Four fused `(sxy, syy)` reductions in one register-blocked sweep;
+    /// each pair is bit-identical to [`sxy_syy`] over that row alone.
+    #[must_use]
     pub fn sxy_syy_x4(centered: &[f64], ys: [&[f64]; 4], mys: [f64; 4]) -> [(f64, f64); 4] {
-        isa_dispatch!(sxy_syy_x4(centered, ys, mys))
+        dispatch!(sxy_syy_x4(centered, ys, mys))
     }
 
-    pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
-        isa_dispatch!(sxy_refs_x4(centereds, y, my))
-    }
-
+    /// Element-wise accumulate `accᵢ += xsᵢ` over the common prefix.
     pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
-        isa_dispatch!(accumulate(acc, xs));
+        dispatch!(accumulate(acc, xs));
     }
 
+    /// Element-wise scale `accᵢ *= factor`.
     pub fn scale(acc: &mut [f64], factor: f64) {
-        isa_dispatch!(scale(acc, factor));
+        dispatch!(scale(acc, factor));
     }
-}
 
-#[cfg(feature = "simd")]
-use dispatched as active;
-#[cfg(not(feature = "simd"))]
-use scalar as active;
-
-/// The compiled kernel backend's name (`"scalar"` or `"simd"`), for
-/// diagnostics such as `ipmark plan --explain` and bench reports. The two
-/// backends are bit-identical (DESIGN.md §11); the name only records which
-/// implementation is dispatching.
-#[must_use]
-pub fn backend_name() -> &'static str {
-    if cfg!(feature = "simd") {
-        "simd"
-    } else {
-        "scalar"
+    /// Fused scale-and-sum: `accᵢ *= factor` while summing the scaled
+    /// values in the canonical lane order. Bit-identical to [`scale`]
+    /// followed by [`sum`], in one sweep instead of two.
+    #[must_use]
+    pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
+        dispatch!(scale_sum(acc, factor))
     }
-}
 
-/// One-line description of the dispatched lane plan, for
-/// `ipmark plan --explain` and bench reports: `"scalar"` when the scalar
-/// backend is compiled in, else e.g. `"simd/w32/avx512f"` (loop-structure
-/// width × ISA instantiation). Purely diagnostic — every plan is
-/// bit-identical (DESIGN.md §16).
-#[must_use]
-pub fn dispatch_label() -> String {
-    if cfg!(feature = "simd") {
-        format!("simd/w{}/{}", dispatch::width(), dispatch::isa_name())
-    } else {
-        "scalar".to_owned()
+    /// Fused k-average finalize: `accᵢ = (accᵢ + xsᵢ)·factor` returning
+    /// the blocked sum of the updated buffer. Bit-identical to
+    /// [`accumulate`], [`scale`], then [`sum`], in one sweep instead of
+    /// three.
+    #[must_use]
+    pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
+        dispatch!(accumulate_scale_sum(acc, xs, factor))
     }
-}
 
-/// Blocked sum of a series in the canonical lane order.
-#[must_use]
-pub fn sum(xs: &[f64]) -> f64 {
-    active::sum(xs)
-}
+    /// Blocked Pearson numerator `Σ cxᵢ·(yᵢ − my)` alone; bit-identical to
+    /// [`sxy_syy`]`.0`.
+    #[must_use]
+    pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
+        dispatch!(sxy(centered, y, my))
+    }
 
-/// Blocked sums of four equal-length series in one sweep; each result is
-/// bit-identical to [`sum`] over that row alone.
-#[must_use]
-pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
-    active::sum_x4(ys)
-}
-
-/// Blocked dot product over the common prefix of the two series.
-#[must_use]
-pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
-    active::dot(xs, ys)
-}
-
-/// Blocked `Σ (xᵢ − mean)²` in the canonical lane order.
-#[must_use]
-pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
-    active::centered_sum_sq(xs, mean)
-}
-
-/// Fused blocked Pearson `(sxy, syy)` pair against a pre-centered
-/// reference.
-#[must_use]
-pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
-    active::sxy_syy(centered, y, my)
-}
-
-/// Four fused `(sxy, syy)` reductions in one register-blocked sweep; each
-/// pair is bit-identical to [`sxy_syy`] over that row alone.
-#[must_use]
-pub fn sxy_syy_x4(centered: &[f64], ys: [&[f64]; 4], mys: [f64; 4]) -> [(f64, f64); 4] {
-    active::sxy_syy_x4(centered, ys, mys)
-}
-
-/// Element-wise accumulate `accᵢ += xsᵢ` over the common prefix.
-pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
-    active::accumulate(acc, xs);
-}
-
-/// Element-wise scale `accᵢ *= factor`.
-pub fn scale(acc: &mut [f64], factor: f64) {
-    active::scale(acc, factor);
-}
-
-/// Fused scale-and-sum: `accᵢ *= factor` while summing the scaled values
-/// in the canonical lane order. Bit-identical to [`scale`] followed by
-/// [`sum`], in one sweep instead of two.
-#[must_use]
-pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
-    active::scale_sum(acc, factor)
-}
-
-/// Fused k-average finalize: `accᵢ = (accᵢ + xsᵢ)·factor` returning the
-/// blocked sum of the updated buffer. Bit-identical to [`accumulate`],
-/// [`scale`], then [`sum`], in one sweep instead of three.
-#[must_use]
-pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
-    active::accumulate_scale_sum(acc, xs, factor)
-}
-
-/// Blocked Pearson numerator `Σ cxᵢ·(yᵢ − my)` alone; bit-identical to
-/// [`sxy_syy`]`.0`.
-#[must_use]
-pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
-    active::sxy(centered, y, my)
-}
-
-/// Four Pearson numerators of one DUT row against four centered
-/// references in one tiled sweep; each is bit-identical to [`sxy`] against
-/// that reference alone.
-#[must_use]
-pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
-    active::sxy_refs_x4(centereds, y, my)
+    /// Four Pearson numerators of one DUT row against four centered
+    /// references in one tiled sweep; each is bit-identical to [`sxy`]
+    /// against that reference alone.
+    #[must_use]
+    pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
+        dispatch!(sxy_refs_x4(centereds, y, my))
+    }
 }
 
 #[cfg(test)]
@@ -1456,24 +672,12 @@ mod tests {
             .map(|i| {
                 (((i as u64)
                     .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(salt)
+                    .wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
                     >> 33) as f64
                     / 2.0_f64.powi(30))
                 .sin()
             })
             .collect()
-    }
-
-    #[test]
-    fn scalar_and_wide_sum_are_bit_identical() {
-        for n in [0, 1, 7, 8, 9, 16, 100, 1023] {
-            let xs = series(n, 1);
-            assert_eq!(
-                scalar::sum(&xs).to_bits(),
-                wide::sum(&xs).to_bits(),
-                "n={n}"
-            );
-        }
     }
 
     #[test]
@@ -1492,22 +696,6 @@ mod tests {
             for (r, row) in rows.iter().enumerate() {
                 assert_eq!(batched[r].to_bits(), sum(row).to_bits(), "n={n} r={r}");
             }
-        }
-    }
-
-    #[test]
-    fn dot_and_centered_sum_sq_match_across_backends() {
-        for n in [0, 3, 8, 65, 512] {
-            let xs = series(n, 3);
-            let ys = series(n, 4);
-            assert_eq!(
-                scalar::dot(&xs, &ys).to_bits(),
-                wide::dot(&xs, &ys).to_bits()
-            );
-            assert_eq!(
-                scalar::centered_sum_sq(&xs, 0.25).to_bits(),
-                wide::centered_sum_sq(&xs, 0.25).to_bits()
-            );
         }
     }
 
@@ -1535,27 +723,22 @@ mod tests {
     }
 
     #[test]
-    fn fused_scale_sum_matches_staged_scale_then_sum_on_both_backends() {
+    fn fused_scale_sum_matches_staged_scale_then_sum() {
         for n in [0, 1, 7, 8, 9, 100, 1025] {
             let base = series(n, 8);
             let factor = 1.0 / 7.0;
-            for backend in ["scalar", "wide"] {
-                let mut staged = base.clone();
-                scalar::scale(&mut staged, factor);
-                let want = scalar::sum(&staged);
-                let mut fused = base.clone();
-                let got = match backend {
-                    "scalar" => scalar::scale_sum(&mut fused, factor),
-                    _ => wide::scale_sum(&mut fused, factor),
-                };
-                assert_eq!(got.to_bits(), want.to_bits(), "{backend} n={n}");
-                assert_eq!(fused, staged, "{backend} buffer n={n}");
-            }
+            let mut staged = base.clone();
+            scale(&mut staged, factor);
+            let want = sum(&staged);
+            let mut fused = base.clone();
+            let got = scale_sum(&mut fused, factor);
+            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
+            assert_eq!(fused, staged, "buffer n={n}");
         }
     }
 
     #[test]
-    fn fused_accumulate_scale_sum_matches_staged_path_on_both_backends() {
+    fn fused_accumulate_scale_sum_matches_staged_path() {
         // Equal lengths (the workspace case) plus a longer-acc tail, which
         // the staged path scales and sums without an addend.
         for (na, nx) in [(0, 0), (8, 8), (77, 77), (513, 513), (20, 13), (13, 20)] {
@@ -1563,18 +746,13 @@ mod tests {
             let base = series(na, 10);
             let factor = 0.25;
             let mut staged = base.clone();
-            scalar::accumulate(&mut staged, &xs);
-            scalar::scale(&mut staged, factor);
-            let want = scalar::sum(&staged);
-            for backend in ["scalar", "wide"] {
-                let mut fused = base.clone();
-                let got = match backend {
-                    "scalar" => scalar::accumulate_scale_sum(&mut fused, &xs, factor),
-                    _ => wide::accumulate_scale_sum(&mut fused, &xs, factor),
-                };
-                assert_eq!(got.to_bits(), want.to_bits(), "{backend} na={na} nx={nx}");
-                assert_eq!(fused, staged, "{backend} buffer na={na} nx={nx}");
-            }
+            accumulate(&mut staged, &xs);
+            scale(&mut staged, factor);
+            let want = sum(&staged);
+            let mut fused = base.clone();
+            let got = accumulate_scale_sum(&mut fused, &xs, factor);
+            assert_eq!(got.to_bits(), want.to_bits(), "na={na} nx={nx}");
+            assert_eq!(fused, staged, "buffer na={na} nx={nx}");
         }
     }
 
@@ -1585,8 +763,7 @@ mod tests {
             let y = series(n, 12);
             let my = 0.125;
             let want = sxy_syy(&centered, &y, my).0;
-            assert_eq!(scalar::sxy(&centered, &y, my).to_bits(), want.to_bits());
-            assert_eq!(wide::sxy(&centered, &y, my).to_bits(), want.to_bits());
+            assert_eq!(sxy(&centered, &y, my).to_bits(), want.to_bits());
         }
     }
 
@@ -1596,104 +773,117 @@ mod tests {
             let refs: Vec<Vec<f64>> = (0..4).map(|r| series(n, 30 + r)).collect();
             let y = series(n, 40);
             let my = -0.375;
-            for (module, batched) in [
-                (
-                    "scalar",
-                    scalar::sxy_refs_x4([&refs[0], &refs[1], &refs[2], &refs[3]], &y, my),
-                ),
-                (
-                    "wide",
-                    wide::sxy_refs_x4([&refs[0], &refs[1], &refs[2], &refs[3]], &y, my),
-                ),
-            ] {
-                for (r, c) in refs.iter().enumerate() {
-                    assert_eq!(
-                        batched[r].to_bits(),
-                        scalar::sxy(c, &y, my).to_bits(),
-                        "{module} n={n} r={r}"
-                    );
-                }
+            let batched = sxy_refs_x4([&refs[0], &refs[1], &refs[2], &refs[3]], &y, my);
+            for (r, c) in refs.iter().enumerate() {
+                assert_eq!(
+                    batched[r].to_bits(),
+                    sxy(c, &y, my).to_bits(),
+                    "n={n} r={r}"
+                );
             }
         }
     }
 
-    #[test]
-    fn unrolled_widths_are_bit_identical_to_the_plain_wide_kernels() {
-        for n in [0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 513] {
-            let xs = series(n, 50);
-            let ys = series(n, 51);
-            let m = 0.5;
-            let f = 1.0 / 3.0;
-            macro_rules! pin {
-                ($got:expr, $want:expr, $what:literal) => {
-                    assert_eq!($got.to_bits(), $want.to_bits(), "{} n={n}", $what)
-                };
-            }
-            for g in [2usize, 4] {
-                macro_rules! at {
-                    ($fun:ident ( $($a:expr),* )) => {
-                        match g {
-                            2 => wide::unrolled::$fun::<2>($($a),*),
-                            _ => wide::unrolled::$fun::<4>($($a),*),
-                        }
-                    };
-                }
-                pin!(at!(sum(&xs)), wide::sum(&xs), "sum");
-                pin!(at!(dot(&xs, &ys)), wide::dot(&xs, &ys), "dot");
-                pin!(
-                    at!(centered_sum_sq(&xs, m)),
-                    wide::centered_sum_sq(&xs, m),
-                    "centered_sum_sq"
-                );
-                let (sxy_u, syy_u) = at!(sxy_syy(&xs, &ys, m));
-                let (sxy_w, syy_w) = wide::sxy_syy(&xs, &ys, m);
-                pin!(sxy_u, sxy_w, "sxy_syy.0");
-                pin!(syy_u, syy_w, "sxy_syy.1");
-                pin!(at!(sxy(&xs, &ys, m)), wide::sxy(&xs, &ys, m), "sxy");
-                let mut a_u = xs.clone();
-                let mut a_w = xs.clone();
-                pin!(
-                    at!(scale_sum(&mut a_u, f)),
-                    wide::scale_sum(&mut a_w, f),
-                    "scale_sum"
-                );
-                assert_eq!(a_u, a_w, "scale_sum buffer n={n} g={g}");
-                let mut a_u = xs.clone();
-                let mut a_w = xs.clone();
-                pin!(
-                    at!(accumulate_scale_sum(&mut a_u, &ys, f)),
-                    wide::accumulate_scale_sum(&mut a_w, &ys, f),
-                    "accumulate_scale_sum"
-                );
-                assert_eq!(a_u, a_w, "accumulate_scale_sum buffer n={n} g={g}");
-            }
-        }
+    #[cfg(target_arch = "x86_64")]
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
+    #[cfg(target_arch = "x86_64")]
+    fn pair(p: (f64, f64)) -> (u64, u64) {
+        (p.0.to_bits(), p.1.to_bits())
+    }
+
+    /// Runs all twelve kernels of the `dispatched::$arm` trampolines and
+    /// pins every output, including the buffers the in-place kernels
+    /// rewrite, bitwise to the [`scalar`] body.
+    #[cfg(target_arch = "x86_64")]
+    macro_rules! assert_arm_matches_scalar {
+        ($arm:ident) => {{
+            use super::dispatched::$arm as arm;
+            for n in [0, 1, 7, 8, 9, 63, 64, 65, 513, 1000] {
+                let ctx = format!("{} n={n}", stringify!($arm));
+                let rows: Vec<Vec<f64>> = (0..6).map(|r| series(n, 70 + r)).collect();
+                let (xs, ys) = (&rows[0], &rows[1]);
+                let four = [&rows[2][..], &rows[3][..], &rows[4][..], &rows[5][..]];
+                let (m, f, mys) = (0.25, 1.0 / 3.0, [0.1, -0.3, 0.0, 0.7]);
+                assert_eq!(
+                    unsafe { arm::sum(xs) }.to_bits(),
+                    scalar::sum(xs).to_bits(),
+                    "sum {ctx}"
+                );
+                assert_eq!(
+                    bits(&unsafe { arm::sum_x4(four) }),
+                    bits(&scalar::sum_x4(four)),
+                    "sum_x4 {ctx}"
+                );
+                assert_eq!(
+                    unsafe { arm::dot(xs, ys) }.to_bits(),
+                    scalar::dot(xs, ys).to_bits(),
+                    "dot {ctx}"
+                );
+                assert_eq!(
+                    unsafe { arm::centered_sum_sq(xs, m) }.to_bits(),
+                    scalar::centered_sum_sq(xs, m).to_bits(),
+                    "centered_sum_sq {ctx}"
+                );
+                assert_eq!(
+                    pair(unsafe { arm::sxy_syy(xs, ys, m) }),
+                    pair(scalar::sxy_syy(xs, ys, m)),
+                    "sxy_syy {ctx}"
+                );
+                assert_eq!(
+                    unsafe { arm::sxy_syy_x4(xs, four, mys) }.map(pair),
+                    scalar::sxy_syy_x4(xs, four, mys).map(pair),
+                    "sxy_syy_x4 {ctx}"
+                );
+                assert_eq!(
+                    unsafe { arm::sxy(xs, ys, m) }.to_bits(),
+                    scalar::sxy(xs, ys, m).to_bits(),
+                    "sxy {ctx}"
+                );
+                assert_eq!(
+                    bits(&unsafe { arm::sxy_refs_x4(four, ys, m) }),
+                    bits(&scalar::sxy_refs_x4(four, ys, m)),
+                    "sxy_refs_x4 {ctx}"
+                );
+                let (mut got, mut want) = (xs.clone(), xs.clone());
+                unsafe { arm::accumulate(&mut got, ys) };
+                scalar::accumulate(&mut want, ys);
+                assert_eq!(bits(&got), bits(&want), "accumulate {ctx}");
+                unsafe { arm::scale(&mut got, f) };
+                scalar::scale(&mut want, f);
+                assert_eq!(bits(&got), bits(&want), "scale {ctx}");
+                assert_eq!(
+                    unsafe { arm::scale_sum(&mut got, f) }.to_bits(),
+                    scalar::scale_sum(&mut want, f).to_bits(),
+                    "scale_sum {ctx}"
+                );
+                assert_eq!(bits(&got), bits(&want), "scale_sum buffer {ctx}");
+                assert_eq!(
+                    unsafe { arm::accumulate_scale_sum(&mut got, ys, f) }.to_bits(),
+                    scalar::accumulate_scale_sum(&mut want, ys, f).to_bits(),
+                    "accumulate_scale_sum {ctx}"
+                );
+                assert_eq!(bits(&got), bits(&want), "accumulate_scale_sum buffer {ctx}");
+            }
+        }};
+    }
+
+    /// Calls every `#[target_feature]` instantiation this CPU supports,
+    /// not just the one the probe picked, so an AVX-512 host also checks
+    /// the AVX2 arm. The dispatched front is pinned to [`scalar`] by the
+    /// property suite.
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn dispatched_public_kernels_match_the_scalar_reference() {
-        // Whatever ISA/width the one-time probe (or a CI env override)
-        // selected, the public entry points must reproduce the scalar
-        // backend bit for bit.
-        let width = dispatch::width();
-        assert!(matches!(width, 8 | 16 | 32), "width {width}");
-        for n in [0, 5, 8, 65, 1000] {
-            let xs = series(n, 60);
-            let ys = series(n, 61);
-            assert_eq!(sum(&xs).to_bits(), scalar::sum(&xs).to_bits(), "n={n}");
-            assert_eq!(
-                sxy(&xs, &ys, 0.1).to_bits(),
-                scalar::sxy(&xs, &ys, 0.1).to_bits(),
-                "n={n}"
-            );
-            let mut a = xs.clone();
-            let mut b = xs.clone();
-            assert_eq!(
-                accumulate_scale_sum(&mut a, &ys, 0.5).to_bits(),
-                scalar::accumulate_scale_sum(&mut b, &ys, 0.5).to_bits(),
-                "n={n}"
-            );
-            assert_eq!(a, b, "n={n}");
+    #[allow(unsafe_code)]
+    fn every_supported_isa_arm_matches_the_scalar_bodies() {
+        // SAFETY: each arm runs only when the CPU reports its feature.
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_arm_matches_scalar!(avx2);
+        }
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            assert_arm_matches_scalar!(avx512f);
         }
     }
 

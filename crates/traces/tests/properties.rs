@@ -279,9 +279,9 @@ proptest! {
 
 // --- Blocked reduction kernels (DESIGN.md §11) ----------------------------
 //
-// The two backends (auto-vectorized scalar, explicit-width `wide`) must be
-// bit-identical on *arbitrary* inputs — not just the structured series the
-// unit tests use — and the blocked order must stay numerically close to the
+// The public (ISA-dispatched) kernels must be bit-identical to the `scalar`
+// bodies on *arbitrary* inputs — not just the structured series the unit
+// tests use — and the blocked order must stay numerically close to the
 // naive left-to-right sum it replaced.
 
 use ipmark_traces::kernels;
@@ -294,36 +294,60 @@ fn kernel_series() -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #[test]
-    fn scalar_and_wide_backends_are_bit_identical(
+    fn dispatched_kernels_match_the_scalar_bodies(
         x in kernel_series(),
         y in kernel_series(),
         m in -1e3f64..1e3,
         f in -1e3f64..1e3,
     ) {
+        prop_assert_eq!(kernels::sum(&x).to_bits(), kernels::scalar::sum(&x).to_bits());
         prop_assert_eq!(
-            kernels::scalar::sum(&x).to_bits(),
-            kernels::wide::sum(&x).to_bits()
+            kernels::dot(&x, &y).to_bits(),
+            kernels::scalar::dot(&x, &y).to_bits()
         );
         prop_assert_eq!(
-            kernels::scalar::dot(&x, &y).to_bits(),
-            kernels::wide::dot(&x, &y).to_bits()
-        );
-        prop_assert_eq!(
-            kernels::scalar::centered_sum_sq(&x, m).to_bits(),
-            kernels::wide::centered_sum_sq(&x, m).to_bits()
+            kernels::centered_sum_sq(&x, m).to_bits(),
+            kernels::scalar::centered_sum_sq(&x, m).to_bits()
         );
         let n = x.len().min(y.len());
-        let (sxy_s, syy_s) = kernels::scalar::sxy_syy(&x[..n], &y[..n], m);
-        let (sxy_w, syy_w) = kernels::wide::sxy_syy(&x[..n], &y[..n], m);
-        prop_assert_eq!(sxy_s.to_bits(), sxy_w.to_bits());
-        prop_assert_eq!(syy_s.to_bits(), syy_w.to_bits());
+        let (xn, yn) = (&x[..n], &y[..n]);
+        let (sxy_d, syy_d) = kernels::sxy_syy(xn, yn, m);
+        let (sxy_s, syy_s) = kernels::scalar::sxy_syy(xn, yn, m);
+        prop_assert_eq!(sxy_d.to_bits(), sxy_s.to_bits());
+        prop_assert_eq!(syy_d.to_bits(), syy_s.to_bits());
+        prop_assert_eq!(
+            kernels::sxy(xn, yn, m).to_bits(),
+            kernels::scalar::sxy(xn, yn, m).to_bits()
+        );
+        let four = [xn, yn, yn, xn];
+        let mys = [m, -m, 0.0, f];
+        prop_assert_eq!(
+            kernels::sum_x4(four).map(f64::to_bits),
+            kernels::scalar::sum_x4(four).map(f64::to_bits)
+        );
+        prop_assert_eq!(
+            kernels::sxy_syy_x4(xn, four, mys).map(|(a, b)| (a.to_bits(), b.to_bits())),
+            kernels::scalar::sxy_syy_x4(xn, four, mys).map(|(a, b)| (a.to_bits(), b.to_bits()))
+        );
+        prop_assert_eq!(
+            kernels::sxy_refs_x4(four, yn, m).map(f64::to_bits),
+            kernels::scalar::sxy_refs_x4(four, yn, m).map(f64::to_bits)
+        );
+        let mut acc_d = x.clone();
         let mut acc_s = x.clone();
-        let mut acc_w = x.clone();
-        kernels::scalar::accumulate(&mut acc_s[..n], &y[..n]);
-        kernels::wide::accumulate(&mut acc_w[..n], &y[..n]);
+        kernels::accumulate(&mut acc_d[..n], yn);
+        kernels::scalar::accumulate(&mut acc_s[..n], yn);
+        kernels::scale(&mut acc_d, f);
         kernels::scalar::scale(&mut acc_s, f);
-        kernels::wide::scale(&mut acc_w, f);
-        for (a, b) in acc_s.iter().zip(&acc_w) {
+        prop_assert_eq!(
+            kernels::scale_sum(&mut acc_d, f).to_bits(),
+            kernels::scalar::scale_sum(&mut acc_s, f).to_bits()
+        );
+        prop_assert_eq!(
+            kernels::accumulate_scale_sum(&mut acc_d, yn, f).to_bits(),
+            kernels::scalar::accumulate_scale_sum(&mut acc_s, yn, f).to_bits()
+        );
+        for (a, b) in acc_d.iter().zip(&acc_s) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -380,27 +404,20 @@ proptest! {
     }
 
     #[test]
-    fn fused_kernels_match_their_staged_forms_on_both_backends(
+    fn fused_kernels_match_their_staged_forms(
         x in kernel_series(),
         y in kernel_series(),
         m in -1e3f64..1e3,
         f in -1e3f64..1e3,
     ) {
-        // scale_sum ≡ scale → sum, on both backends, bit for bit —
-        // including the scaled buffer contents.
+        // scale_sum ≡ scale → sum, bit for bit — including the scaled
+        // buffer contents.
         let mut staged = x.clone();
-        kernels::scalar::scale(&mut staged, f);
-        let staged_sum = kernels::scalar::sum(&staged);
-        let mut fused_s = x.clone();
-        let sum_s = kernels::scalar::scale_sum(&mut fused_s, f);
-        let mut fused_w = x.clone();
-        let sum_w = kernels::wide::scale_sum(&mut fused_w, f);
-        prop_assert_eq!(sum_s.to_bits(), staged_sum.to_bits());
-        prop_assert_eq!(sum_w.to_bits(), staged_sum.to_bits());
-        for (a, b) in fused_s.iter().zip(&staged) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in fused_w.iter().zip(&staged) {
+        kernels::scale(&mut staged, f);
+        let staged_sum = kernels::sum(&staged);
+        let mut fused = x.clone();
+        prop_assert_eq!(kernels::scale_sum(&mut fused, f).to_bits(), staged_sum.to_bits());
+        for (a, b) in fused.iter().zip(&staged) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
 
@@ -408,62 +425,19 @@ proptest! {
         // tail case where the accumulator outlives the added samples.
         let n = x.len().min(y.len());
         let mut staged_acc = x.clone();
-        kernels::scalar::accumulate(&mut staged_acc[..n], &y[..n]);
-        kernels::scalar::scale(&mut staged_acc, f);
-        let staged_total = kernels::scalar::sum(&staged_acc);
-        let mut fused_acc_s = x.clone();
-        let total_s = kernels::scalar::accumulate_scale_sum(&mut fused_acc_s, &y[..n], f);
-        let mut fused_acc_w = x.clone();
-        let total_w = kernels::wide::accumulate_scale_sum(&mut fused_acc_w, &y[..n], f);
-        prop_assert_eq!(total_s.to_bits(), staged_total.to_bits());
-        prop_assert_eq!(total_w.to_bits(), staged_total.to_bits());
-        for (a, b) in fused_acc_s.iter().zip(&staged_acc) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in fused_acc_w.iter().zip(&staged_acc) {
+        kernels::accumulate(&mut staged_acc[..n], &y[..n]);
+        kernels::scale(&mut staged_acc, f);
+        let staged_total = kernels::sum(&staged_acc);
+        let mut fused_acc = x.clone();
+        let total = kernels::accumulate_scale_sum(&mut fused_acc, &y[..n], f);
+        prop_assert_eq!(total.to_bits(), staged_total.to_bits());
+        for (a, b) in fused_acc.iter().zip(&staged_acc) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
 
         // sxy alone ≡ the sxy half of the fused pair kernel.
-        let (sxy_ref, _) = kernels::scalar::sxy_syy(&x[..n], &y[..n], m);
-        prop_assert_eq!(kernels::scalar::sxy(&x[..n], &y[..n], m).to_bits(), sxy_ref.to_bits());
-        prop_assert_eq!(kernels::wide::sxy(&x[..n], &y[..n], m).to_bits(), sxy_ref.to_bits());
-    }
-
-    #[test]
-    fn unrolled_widths_are_bit_identical_on_arbitrary_inputs(
-        x in kernel_series(),
-        y in kernel_series(),
-        f in -1e3f64..1e3,
-    ) {
-        // The width axis of the dispatcher (W16 = G2, W32 = G4 loop
-        // unrolls) must never change a result: every unroll factor folds
-        // into the same single 8-lane accumulator in index order.
-        prop_assert_eq!(kernels::wide::unrolled::sum::<2>(&x).to_bits(), kernels::wide::sum(&x).to_bits());
-        prop_assert_eq!(kernels::wide::unrolled::sum::<4>(&x).to_bits(), kernels::wide::sum(&x).to_bits());
-        let n = x.len().min(y.len());
-        prop_assert_eq!(
-            kernels::wide::unrolled::dot::<2>(&x[..n], &y[..n]).to_bits(),
-            kernels::wide::dot(&x[..n], &y[..n]).to_bits()
-        );
-        prop_assert_eq!(
-            kernels::wide::unrolled::dot::<4>(&x[..n], &y[..n]).to_bits(),
-            kernels::wide::dot(&x[..n], &y[..n]).to_bits()
-        );
-        let baseline_total = {
-            let mut acc = x.clone();
-            kernels::wide::accumulate_scale_sum(&mut acc, &y[..n], f)
-        };
-        let mut acc2 = x.clone();
-        prop_assert_eq!(
-            kernels::wide::unrolled::accumulate_scale_sum::<2>(&mut acc2, &y[..n], f).to_bits(),
-            baseline_total.to_bits()
-        );
-        let mut acc4 = x.clone();
-        prop_assert_eq!(
-            kernels::wide::unrolled::accumulate_scale_sum::<4>(&mut acc4, &y[..n], f).to_bits(),
-            baseline_total.to_bits()
-        );
+        let (sxy_ref, _) = kernels::sxy_syy(&x[..n], &y[..n], m);
+        prop_assert_eq!(kernels::sxy(&x[..n], &y[..n], m).to_bits(), sxy_ref.to_bits());
     }
 
     #[test]
@@ -473,12 +447,10 @@ proptest! {
         my in -1e3f64..1e3,
     ) {
         let refs: [&[f64]; 4] = [&centereds[0], &centereds[1], &centereds[2], &centereds[3]];
-        let grouped_s = kernels::scalar::sxy_refs_x4(refs, &y, my);
-        let grouped_w = kernels::wide::sxy_refs_x4(refs, &y, my);
+        let grouped = kernels::sxy_refs_x4(refs, &y, my);
         for i in 0..4 {
-            let single = kernels::scalar::sxy(&centereds[i], &y, my);
-            prop_assert_eq!(grouped_s[i].to_bits(), single.to_bits(), "scalar ref {}", i);
-            prop_assert_eq!(grouped_w[i].to_bits(), single.to_bits(), "wide ref {}", i);
+            let single = kernels::sxy(&centereds[i], &y, my);
+            prop_assert_eq!(grouped[i].to_bits(), single.to_bits(), "ref {}", i);
         }
     }
 

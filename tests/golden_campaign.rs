@@ -2,9 +2,9 @@
 //! 8-cell X10 campaign — every per-cell verdict statistic and every
 //! per-adversary AUC — against `tests/golden/campaign.json`, bit-exactly.
 //!
-//! The same fixture must hold for the scalar and `simd` kernel backends
-//! and for every worker-pool thread count (the CI golden job runs both
-//! backends; the thread sweep is checked inside the test itself).
+//! The same fixture must hold on both execution backends and for every
+//! worker-pool thread count (the CI golden job runs the pooled and
+//! sequential builds; the thread sweep is checked inside the test itself).
 //!
 //! Run with:
 //!

@@ -2,8 +2,7 @@
 //! `#[ignore]`): a committed `.trc3` fixture must keep decoding into a
 //! bit-identical `TraceBlock`, re-encode to byte-identical file content,
 //! stay ≥ 4× smaller than its `IPMKTRC2` rendering, and drive the
-//! correlation process to the pinned coefficients — on both the scalar
-//! and simd kernel backends.
+//! correlation process to the pinned coefficients.
 //!
 //! Run with:
 //!

@@ -1,9 +1,6 @@
 //! Operator-graph equivalence: every legacy entry point must be
 //! **bit-identical** to the explicit [`Plan`]/[`ExecBackend`] graph it now
-//! shims to — across backends, thread counts and chunk sizes. The
-//! scalar/`simd` kernel axis is swept by the CI golden matrix (the kernel
-//! backend is a compile-time choice), so within one binary these tests pin
-//! the remaining axes.
+//! shims to — across backends, thread counts and chunk sizes.
 
 use ipmark::core::verify::{correlation_process, correlation_process_seq, CorrelationParams};
 use ipmark::core::{default_backend, CorrelationSet, Plan, ResumablePlan, Sequential};
