@@ -13,8 +13,8 @@
 //!   batched ≥ 1.5× looped. The underlying 4-row kernel (`sxy_refs_x4`
 //!   vs looped `sxy`) is also reported.
 //!
-//! The kernels run on the instruction set their one-time probe selected,
-//! reported as `isa`.
+//! The kernels run on the instruction set they are compiled for, reported
+//! as `isa`.
 //!
 //! Every timed pair is asserted bit-identical before any timing is
 //! reported — fusion is a scheduling change, never a numeric one

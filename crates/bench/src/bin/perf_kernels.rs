@@ -5,7 +5,7 @@
 //! * raw throughput of the canonical blocked reductions
 //!   (`ipmark_traces::kernels`): `sum`, `dot` and the fused `sxy_syy`
 //!   sweep, in GiB/s of trace data consumed, on the instruction set the
-//!   kernels' one-time probe selected (reported as `isa`);
+//!   kernels are compiled for (reported as `isa`);
 //! * the batched arena sweep `PearsonRef::correlate_rows` over a
 //!   `TraceBlock` against the baseline of `m` independent per-row
 //!   `correlate` calls — the ISSUE-5 acceptance comparison

@@ -18,19 +18,15 @@
 //! eight independent dependency chains let LLVM auto-vectorize what used
 //! to be a serial `acc += x` chain.
 //!
-//! # One implementation, runtime ISA selection
+//! # One implementation
 //!
-//! The [`scalar`] module holds the only implementation: plain blocked
-//! loops over `[f64; LANES]` accumulators, relying on auto-vectorization.
-//! The public functions run those same bodies on the strongest vector
-//! instruction set a one-time CPUID probe confirms ([`isa_name`]): on
-//! x86-64 the bodies are compiled a second and third time inside
-//! `#[target_feature(enable = "avx2")]` and `"avx512f"` trampolines, so
-//! the auto-vectorizer may use wider registers. The Rust source of every
-//! path is the same, per lane every path performs the same f64 operations
-//! in the same order, and Rust never contracts `a * b + c` into a fused
-//! multiply-add, so every path is bit-identical to [`scalar`] (DESIGN.md
-//! §16).
+//! The private `scalar` module holds the only implementation, re-exported
+//! here: plain blocked loops over `[f64; LANES]` accumulators, relying on
+//! auto-vectorization for the build target's vector registers
+//! ([`isa_name`]). Rust never contracts `a * b + c` into a fused
+//! multiply-add, so a build with wider target features performs the same
+//! f64 operations per lane in the same order and gives the same bits
+//! (DESIGN.md §16).
 //!
 //! Element-wise kernels ([`accumulate`], [`scale`]) are included for
 //! completeness of the canonical numeric entry points; their per-element
@@ -66,16 +62,10 @@ fn fold_remainder(lanes: &mut [f64; LANES], rem: &[f64]) {
 }
 
 /// Scalar blocked implementation (auto-vectorized) — the only one.
-///
-/// Every body is `#[inline(always)]`: the ISA trampolines behind the
-/// public functions only pay off when LLVM inlines a body into them and
-/// recompiles it with the trampoline's target feature. Left to its cost
-/// model, LLVM turns most trampolines into a jump to the baseline build.
-pub mod scalar {
+mod scalar {
     use super::{combine, fold_remainder, LANES, TILE};
 
     /// Blocked sum of a series in the canonical lane order.
-    #[inline(always)]
     #[must_use]
     pub fn sum(xs: &[f64]) -> f64 {
         let mut lanes = [0.0; LANES];
@@ -93,11 +83,10 @@ pub mod scalar {
     ///
     /// Each row's lane sequence is identical to [`sum`] over that row
     /// alone, so the results are bit-identical to four separate calls. The
-    /// sweep is tiled ([`TILE`] elements per row between spills): within a
-    /// tile a single row runs with register-resident accumulators, and the
-    /// four rows of the group share the tile's cache footprint. Rows longer
-    /// than the shortest are truncated to its length.
-    #[inline(always)]
+    /// sweep is tiled (`TILE` = 512 elements per row between spills):
+    /// within a tile a single row runs with register-resident accumulators,
+    /// and the four rows of the group share the tile's cache footprint.
+    /// Rows longer than the shortest are truncated to its length.
     #[must_use]
     pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
         let n = ys.iter().fold(ys[0].len(), |n, y| n.min(y.len()));
@@ -130,7 +119,6 @@ pub mod scalar {
 
     /// Blocked dot product `Σ xᵢ·yᵢ` over the common prefix of the two
     /// series, in the canonical lane order.
-    #[inline(always)]
     #[must_use]
     pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
         let n = xs.len().min(ys.len());
@@ -153,7 +141,6 @@ pub mod scalar {
     }
 
     /// Blocked `Σ (xᵢ − mean)²` in the canonical lane order.
-    #[inline(always)]
     #[must_use]
     pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
         let mut lanes = [0.0; LANES];
@@ -174,7 +161,6 @@ pub mod scalar {
     /// Fused blocked `(Σ cxᵢ·(yᵢ − my), Σ (yᵢ − my)²)` over the common
     /// prefix — the Pearson numerator and DUT-side denominator in one
     /// sweep, each in the canonical lane order.
-    #[inline(always)]
     #[must_use]
     pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
         let n = centered.len().min(y.len());
@@ -209,7 +195,6 @@ pub mod scalar {
     /// accumulators live in registers; they spill to the `sxy`/`syy` arrays
     /// only at tile boundaries. Rows longer than the reference are
     /// truncated to its length.
-    #[inline(always)]
     #[must_use]
     pub fn sxy_syy_x4(centered: &[f64], ys: [&[f64]; 4], mys: [f64; 4]) -> [(f64, f64); 4] {
         let n = ys.iter().fold(centered.len(), |n, y| n.min(y.len()));
@@ -257,7 +242,6 @@ pub mod scalar {
 
     /// Element-wise accumulate `accᵢ += xsᵢ` over the common prefix — the
     /// k-average gather step.
-    #[inline(always)]
     pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
         for (a, &x) in acc.iter_mut().zip(xs) {
             *a += x;
@@ -265,7 +249,6 @@ pub mod scalar {
     }
 
     /// Element-wise scale `accᵢ *= factor` — the k-average divide step.
-    #[inline(always)]
     pub fn scale(acc: &mut [f64], factor: f64) {
         for a in acc {
             *a *= factor;
@@ -277,7 +260,6 @@ pub mod scalar {
     /// path ([`scale`] then [`sum`]) takes two. Per element the multiply
     /// is the staged multiply and the sum reads the same updated value in
     /// the same lane, so the result is bit-identical to the staged calls.
-    #[inline(always)]
     #[must_use]
     pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
         let mut lanes = [0.0; LANES];
@@ -305,7 +287,6 @@ pub mod scalar {
     /// Per element `(a + x)·factor` is the staged add-then-multiply and
     /// the sum reads the same updated values in the same lane order, so
     /// the fusion is bit-identical to the staged calls.
-    #[inline(always)]
     #[must_use]
     pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
         let n = acc.len().min(xs.len());
@@ -341,7 +322,6 @@ pub mod scalar {
     /// multi-reference remainder kernel. Per lane it performs exactly the
     /// `sxy` half of [`sxy_syy`] (same `dy`, same multiply, same order),
     /// so the value is bit-identical to `sxy_syy(..).0`.
-    #[inline(always)]
     #[must_use]
     pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
         let n = centered.len().min(y.len());
@@ -374,7 +354,6 @@ pub mod scalar {
     /// standalone [`sxy`] call, so every numerator is bit-identical to the
     /// single-reference kernel. References longer than the row are
     /// truncated to the common length.
-    #[inline(always)]
     #[must_use]
     pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
         let n = centereds.iter().fold(y.len(), |n, c| n.min(c.len()));
@@ -412,254 +391,25 @@ pub mod scalar {
     }
 }
 
-pub use dispatched::{
-    accumulate, accumulate_scale_sum, centered_sum_sq, dot, isa_name, scale, scale_sum, sum,
-    sum_x4, sxy, sxy_refs_x4, sxy_syy, sxy_syy_x4,
+pub use scalar::{
+    accumulate, accumulate_scale_sum, centered_sum_sq, dot, scale, scale_sum, sum, sum_x4, sxy,
+    sxy_refs_x4, sxy_syy, sxy_syy_x4,
 };
 
-/// The public kernels: each one runs the [`scalar`] body on the
-/// instruction set the one-time probe selected.
-///
-/// This module is the workspace's second scoped `unsafe` island (after
-/// `mmap`): calling a `#[target_feature]` function from a caller without
-/// that feature is an unsafe operation. Every such call sits behind the
-/// `Isa` arm that the CPUID probe in `detect` returned, which is exactly
-/// the guard the operation requires.
-#[allow(unsafe_code)]
-mod dispatched {
-    use super::scalar;
-    use std::sync::OnceLock;
-
-    /// Strongest vector instruction set the one-time probe confirmed.
-    #[derive(Clone, Copy)]
-    enum Isa {
-        /// The build target's baseline codegen (includes NEON on aarch64).
-        Baseline,
-        /// AVX2 (256-bit registers), x86-64 only.
-        #[cfg(target_arch = "x86_64")]
-        Avx2,
-        /// AVX-512F (512-bit registers), x86-64 only.
-        #[cfg(target_arch = "x86_64")]
-        Avx512f,
-    }
-
-    static ISA: OnceLock<Isa> = OnceLock::new();
-
-    #[cfg(target_arch = "x86_64")]
-    fn detect() -> Isa {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            Isa::Avx512f
-        } else if std::arch::is_x86_feature_detected!("avx2") {
-            Isa::Avx2
-        } else {
-            Isa::Baseline
-        }
-    }
-
-    #[cfg(not(target_arch = "x86_64"))]
-    fn detect() -> Isa {
-        Isa::Baseline
-    }
-
-    /// The instruction set, probed once on first use and then fixed for
-    /// the process lifetime.
-    fn isa() -> Isa {
-        *ISA.get_or_init(detect)
-    }
-
-    /// Name of the instruction set the kernels run on in this process:
-    /// `"avx512f"` or `"avx2"` when the one-time CPUID probe confirmed it
-    /// on x86-64, `"neon"` on aarch64 (where NEON is baseline), else
-    /// `"portable"`. For diagnostics such as `ipmark plan --explain` and
-    /// bench reports — every selection is bit-identical (DESIGN.md §16).
-    #[must_use]
-    pub fn isa_name() -> &'static str {
-        match isa() {
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512f => "avx512f",
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => "avx2",
-            Isa::Baseline if cfg!(target_arch = "aarch64") => "neon",
-            Isa::Baseline => "portable",
-        }
-    }
-
-    /// One `#[target_feature]` trampoline per kernel. The trampolines
-    /// contain no code of their own: each body is the [`scalar`] kernel,
-    /// inlined and re-code-generated with the feature enabled.
-    #[cfg(target_arch = "x86_64")]
-    macro_rules! isa_module {
-        ($name:ident, $feat:literal) => {
-            pub(super) mod $name {
-                use super::scalar;
-
-                #[target_feature(enable = $feat)]
-                pub fn sum(xs: &[f64]) -> f64 {
-                    scalar::sum(xs)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
-                    scalar::sum_x4(ys)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
-                    scalar::dot(xs, ys)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
-                    scalar::centered_sum_sq(xs, mean)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
-                    scalar::sxy_syy(centered, y, my)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sxy_syy_x4(
-                    centered: &[f64],
-                    ys: [&[f64]; 4],
-                    mys: [f64; 4],
-                ) -> [(f64, f64); 4] {
-                    scalar::sxy_syy_x4(centered, ys, mys)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
-                    scalar::accumulate(acc, xs);
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn scale(acc: &mut [f64], factor: f64) {
-                    scalar::scale(acc, factor);
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
-                    scalar::scale_sum(acc, factor)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
-                    scalar::accumulate_scale_sum(acc, xs, factor)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
-                    scalar::sxy(centered, y, my)
-                }
-
-                #[target_feature(enable = $feat)]
-                pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
-                    scalar::sxy_refs_x4(centereds, y, my)
-                }
-            }
-        };
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    isa_module!(avx2, "avx2");
-    #[cfg(target_arch = "x86_64")]
-    isa_module!(avx512f, "avx512f");
-
-    /// Runs kernel `$f` on the probed instruction set.
-    /// SAFETY (for the `unsafe` arms): `Isa::Avx2` / `Isa::Avx512f` are
-    /// constructed only by the CPUID probe in `detect`, which is the exact
-    /// precondition of the `#[target_feature]` call.
-    macro_rules! dispatch {
-        ($f:ident ( $($a:expr),* )) => {
-            match isa() {
-                Isa::Baseline => scalar::$f($($a),*),
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => unsafe { avx2::$f($($a),*) },
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx512f => unsafe { avx512f::$f($($a),*) },
-            }
-        };
-    }
-
-    /// Blocked sum of a series in the canonical lane order.
-    #[must_use]
-    pub fn sum(xs: &[f64]) -> f64 {
-        dispatch!(sum(xs))
-    }
-
-    /// Blocked sums of four equal-length series in one sweep; each result
-    /// is bit-identical to [`sum`] over that row alone.
-    #[must_use]
-    pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
-        dispatch!(sum_x4(ys))
-    }
-
-    /// Blocked dot product over the common prefix of the two series.
-    #[must_use]
-    pub fn dot(xs: &[f64], ys: &[f64]) -> f64 {
-        dispatch!(dot(xs, ys))
-    }
-
-    /// Blocked `Σ (xᵢ − mean)²` in the canonical lane order.
-    #[must_use]
-    pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
-        dispatch!(centered_sum_sq(xs, mean))
-    }
-
-    /// Fused blocked Pearson `(sxy, syy)` pair against a pre-centered
-    /// reference.
-    #[must_use]
-    pub fn sxy_syy(centered: &[f64], y: &[f64], my: f64) -> (f64, f64) {
-        dispatch!(sxy_syy(centered, y, my))
-    }
-
-    /// Four fused `(sxy, syy)` reductions in one register-blocked sweep;
-    /// each pair is bit-identical to [`sxy_syy`] over that row alone.
-    #[must_use]
-    pub fn sxy_syy_x4(centered: &[f64], ys: [&[f64]; 4], mys: [f64; 4]) -> [(f64, f64); 4] {
-        dispatch!(sxy_syy_x4(centered, ys, mys))
-    }
-
-    /// Element-wise accumulate `accᵢ += xsᵢ` over the common prefix.
-    pub fn accumulate(acc: &mut [f64], xs: &[f64]) {
-        dispatch!(accumulate(acc, xs));
-    }
-
-    /// Element-wise scale `accᵢ *= factor`.
-    pub fn scale(acc: &mut [f64], factor: f64) {
-        dispatch!(scale(acc, factor));
-    }
-
-    /// Fused scale-and-sum: `accᵢ *= factor` while summing the scaled
-    /// values in the canonical lane order. Bit-identical to [`scale`]
-    /// followed by [`sum`], in one sweep instead of two.
-    #[must_use]
-    pub fn scale_sum(acc: &mut [f64], factor: f64) -> f64 {
-        dispatch!(scale_sum(acc, factor))
-    }
-
-    /// Fused k-average finalize: `accᵢ = (accᵢ + xsᵢ)·factor` returning
-    /// the blocked sum of the updated buffer. Bit-identical to
-    /// [`accumulate`], [`scale`], then [`sum`], in one sweep instead of
-    /// three.
-    #[must_use]
-    pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
-        dispatch!(accumulate_scale_sum(acc, xs, factor))
-    }
-
-    /// Blocked Pearson numerator `Σ cxᵢ·(yᵢ − my)` alone; bit-identical to
-    /// [`sxy_syy`]`.0`.
-    #[must_use]
-    pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
-        dispatch!(sxy(centered, y, my))
-    }
-
-    /// Four Pearson numerators of one DUT row against four centered
-    /// references in one tiled sweep; each is bit-identical to [`sxy`]
-    /// against that reference alone.
-    #[must_use]
-    pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
-        dispatch!(sxy_refs_x4(centereds, y, my))
+/// Names the widest vector instruction set the kernels are compiled for:
+/// `avx512f`, `avx2`, `neon`, or `portable` for the target's baseline
+/// (SSE2 on x86-64). The build's target features decide it (for example
+/// `RUSTFLAGS="-C target-cpu=native"`); nothing is selected at run time.
+#[must_use]
+pub const fn isa_name() -> &'static str {
+    if cfg!(target_feature = "avx512f") {
+        "avx512f"
+    } else if cfg!(target_feature = "avx2") {
+        "avx2"
+    } else if cfg!(target_feature = "neon") {
+        "neon"
+    } else {
+        "portable"
     }
 }
 
@@ -781,109 +531,6 @@ mod tests {
                     "n={n} r={r}"
                 );
             }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn pair(p: (f64, f64)) -> (u64, u64) {
-        (p.0.to_bits(), p.1.to_bits())
-    }
-
-    /// Runs all twelve kernels of the `dispatched::$arm` trampolines and
-    /// pins every output, including the buffers the in-place kernels
-    /// rewrite, bitwise to the [`scalar`] body.
-    #[cfg(target_arch = "x86_64")]
-    macro_rules! assert_arm_matches_scalar {
-        ($arm:ident) => {{
-            use super::dispatched::$arm as arm;
-            for n in [0, 1, 7, 8, 9, 63, 64, 65, 513, 1000] {
-                let ctx = format!("{} n={n}", stringify!($arm));
-                let rows: Vec<Vec<f64>> = (0..6).map(|r| series(n, 70 + r)).collect();
-                let (xs, ys) = (&rows[0], &rows[1]);
-                let four = [&rows[2][..], &rows[3][..], &rows[4][..], &rows[5][..]];
-                let (m, f, mys) = (0.25, 1.0 / 3.0, [0.1, -0.3, 0.0, 0.7]);
-                assert_eq!(
-                    unsafe { arm::sum(xs) }.to_bits(),
-                    scalar::sum(xs).to_bits(),
-                    "sum {ctx}"
-                );
-                assert_eq!(
-                    bits(&unsafe { arm::sum_x4(four) }),
-                    bits(&scalar::sum_x4(four)),
-                    "sum_x4 {ctx}"
-                );
-                assert_eq!(
-                    unsafe { arm::dot(xs, ys) }.to_bits(),
-                    scalar::dot(xs, ys).to_bits(),
-                    "dot {ctx}"
-                );
-                assert_eq!(
-                    unsafe { arm::centered_sum_sq(xs, m) }.to_bits(),
-                    scalar::centered_sum_sq(xs, m).to_bits(),
-                    "centered_sum_sq {ctx}"
-                );
-                assert_eq!(
-                    pair(unsafe { arm::sxy_syy(xs, ys, m) }),
-                    pair(scalar::sxy_syy(xs, ys, m)),
-                    "sxy_syy {ctx}"
-                );
-                assert_eq!(
-                    unsafe { arm::sxy_syy_x4(xs, four, mys) }.map(pair),
-                    scalar::sxy_syy_x4(xs, four, mys).map(pair),
-                    "sxy_syy_x4 {ctx}"
-                );
-                assert_eq!(
-                    unsafe { arm::sxy(xs, ys, m) }.to_bits(),
-                    scalar::sxy(xs, ys, m).to_bits(),
-                    "sxy {ctx}"
-                );
-                assert_eq!(
-                    bits(&unsafe { arm::sxy_refs_x4(four, ys, m) }),
-                    bits(&scalar::sxy_refs_x4(four, ys, m)),
-                    "sxy_refs_x4 {ctx}"
-                );
-                let (mut got, mut want) = (xs.clone(), xs.clone());
-                unsafe { arm::accumulate(&mut got, ys) };
-                scalar::accumulate(&mut want, ys);
-                assert_eq!(bits(&got), bits(&want), "accumulate {ctx}");
-                unsafe { arm::scale(&mut got, f) };
-                scalar::scale(&mut want, f);
-                assert_eq!(bits(&got), bits(&want), "scale {ctx}");
-                assert_eq!(
-                    unsafe { arm::scale_sum(&mut got, f) }.to_bits(),
-                    scalar::scale_sum(&mut want, f).to_bits(),
-                    "scale_sum {ctx}"
-                );
-                assert_eq!(bits(&got), bits(&want), "scale_sum buffer {ctx}");
-                assert_eq!(
-                    unsafe { arm::accumulate_scale_sum(&mut got, ys, f) }.to_bits(),
-                    scalar::accumulate_scale_sum(&mut want, ys, f).to_bits(),
-                    "accumulate_scale_sum {ctx}"
-                );
-                assert_eq!(bits(&got), bits(&want), "accumulate_scale_sum buffer {ctx}");
-            }
-        }};
-    }
-
-    /// Calls every `#[target_feature]` instantiation this CPU supports,
-    /// not just the one the probe picked, so an AVX-512 host also checks
-    /// the AVX2 arm. The dispatched front is pinned to [`scalar`] by the
-    /// property suite.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    #[allow(unsafe_code)]
-    fn every_supported_isa_arm_matches_the_scalar_bodies() {
-        // SAFETY: each arm runs only when the CPU reports its feature.
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert_arm_matches_scalar!(avx2);
-        }
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            assert_arm_matches_scalar!(avx512f);
         }
     }
 

@@ -36,12 +36,10 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: two audited unsafe islands carry their own
-// scoped `allow` with safety comments — the mmap module (raw mmap(2) FFI
-// for zero-copy corpus reads) and the kernels' ISA trampolines (calls into
-// `#[target_feature]` code, each behind the one-time CPUID probe that
-// confirmed the feature). Everything else still refuses unsafe code at
-// compile time.
+// `deny` rather than `forbid`: the mmap module is the workspace's single
+// audited unsafe island (raw mmap(2) FFI for zero-copy corpus reads) and
+// carries its own scoped `allow` with per-call safety comments. Everything
+// else still refuses unsafe code at compile time.
 #![deny(unsafe_code)]
 
 pub mod align;
