@@ -185,44 +185,6 @@ impl BitPacker {
     }
 }
 
-/// LSB-first bit unpacker over an in-memory packed stream.
-struct BitUnpacker<'a> {
-    bytes: std::slice::Iter<'a, u8>,
-    acc: u128,
-    nbits: u32,
-}
-
-impl<'a> BitUnpacker<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self {
-            bytes: bytes.iter(),
-            acc: 0,
-            nbits: 0,
-        }
-    }
-
-    /// Extracts the next `width`-bit field. The caller sizes the stream
-    /// via the packed-length formula, so exhaustion cannot occur for the
-    /// widths it requests; a zero-padded tail decodes as zeros.
-    fn pull(&mut self, width: u32) -> u64 {
-        debug_assert!(width <= 64);
-        while self.nbits < width {
-            let byte = self.bytes.next().copied().unwrap_or(0);
-            self.acc |= u128::from(byte) << self.nbits;
-            self.nbits += 8;
-        }
-        let mask = if width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        let value = (self.acc as u64) & mask;
-        self.acc >>= width;
-        self.nbits -= width;
-        value
-    }
-}
-
 /// Zigzag encoding: maps a signed delta onto an unsigned field so small
 /// magnitudes of either sign pack into few bits.
 fn zigzag(v: i64) -> u64 {
@@ -505,19 +467,60 @@ pub(crate) fn write_rows<W: Write>(
     Ok(())
 }
 
+/// Rows read per decode batch: enough to give every worker a few dozen
+/// rows per spawn, few enough that the batch buffer stays near 1 MB for
+/// paper-scale 12-bit rows (4 MiB for raw 2 048-sample rows).
+const BATCH_ROWS: usize = 256;
+
+/// Zero bytes after every payload in the batch buffer, so the 16-byte
+/// window of a row's last field never reads past it.
+const PAD: usize = 16;
+
+/// Batches smaller than this many samples decode on the calling thread:
+/// a few dozen microseconds of decode do not pay for spawning workers.
+#[cfg(feature = "parallel")]
+const PARALLEL_MIN_SAMPLES: usize = 1 << 16;
+
+/// Payload bytes requested per `read_exact`: the batch buffer runs at most
+/// this far ahead of the bytes that have actually arrived.
+const READ_CHUNK: usize = 8192;
+
+/// How one row's payload in the batch buffer decodes.
+#[derive(Clone, Copy)]
+enum RowPayload {
+    /// `trace_len` little-endian `f64`s.
+    Raw,
+    /// `trace_len - 1` packed zigzag deltas of `width` bits each.
+    Quantized {
+        scale: f64,
+        offset: f64,
+        first: u64,
+        width: u32,
+    },
+}
+
 /// Reads `count` rows of `trace_len` samples in the `IPMKTRC3` row layout
 /// into a fresh arena.
 ///
-/// The header is untrusted: every derived size goes through checked
-/// arithmetic, payload bytes stream through bounded buffers, and the arena
-/// grows only as rows actually arrive — a hostile header cannot force a
-/// giant up-front allocation.
+/// The header is untrusted. The arena size (`count × trace_len`, already
+/// checked to be representable in bytes) is reserved fallibly, so a
+/// header no allocator can back is a typed error, not an abort. The arena
+/// itself is then requested zeroed, which the allocator serves as
+/// untouched pages: memory is committed only as decoded rows are written,
+/// and a row is written only after all of its bytes have arrived.
+///
+/// Rows are read serially, in batches of [`BATCH_ROWS`]: each row's flag
+/// and metadata are parsed and its payload is appended to one reused
+/// batch buffer. The batch's rows are then decoded into their arena rows
+/// in parallel (with the `parallel` feature). Rows are independent and the
+/// read order is fixed, so the output and the reported error do not depend
+/// on the thread count.
 ///
 /// # Errors
 ///
-/// Returns [`IoError::Format`] for corrupt flags, over-wide fields or
-/// truncation, never a panic or an `Io` misclassification for in-memory
-/// input.
+/// Returns [`IoError::Format`] for an unallocatable arena, corrupt flags,
+/// over-wide fields or truncation (naming the lowest failing row), never a
+/// panic or an `Io` misclassification for in-memory input.
 pub(crate) fn read_rows<R: BufRead>(
     device: &str,
     r: &mut R,
@@ -527,89 +530,196 @@ pub(crate) fn read_rows<R: BufRead>(
     if count == 0 {
         return Ok(TraceBlock::new(device));
     }
-    let mut data: Vec<f64> = Vec::with_capacity(count.saturating_mul(trace_len).min(1 << 20));
-    let mut packed: Vec<u8> = Vec::new();
-    for t in 0..count {
-        let mut flag = [0u8; 1];
-        r.read_exact(&mut flag)
-            .map_err(|_| IoError::Format(format!("truncated at trace {t}: missing row flag")))?;
-        match flag[0] {
-            FLAG_RAW => {
-                let mut scratch = [0u8; 8192];
-                let mut remaining = trace_len;
-                while remaining > 0 {
-                    let want = (remaining * 8).min(scratch.len());
-                    r.read_exact(&mut scratch[..want]).map_err(|_| {
-                        IoError::Format(format!(
-                            "truncated at trace {t}, sample {}",
-                            trace_len - remaining
-                        ))
-                    })?;
-                    for chunk in scratch[..want].chunks_exact(8) {
-                        let mut sample = [0u8; 8];
-                        sample.copy_from_slice(chunk);
-                        data.push(f64::from_le_bytes(sample));
-                    }
-                    remaining -= want / 8;
-                }
-            }
-            FLAG_QUANTIZED => {
-                let mut head = [0u8; 25];
-                r.read_exact(&mut head).map_err(|_| {
+    let total = count.checked_mul(trace_len).ok_or_else(|| {
+        IoError::Format(format!(
+            "declared size {count} x {trace_len} samples overflows"
+        ))
+    })?;
+    Vec::<f64>::new().try_reserve_exact(total).map_err(|e| {
+        IoError::Format(format!(
+            "declared size {count} x {trace_len} samples cannot be allocated: {e}"
+        ))
+    })?;
+    let mut data = vec![0.0f64; total];
+    let batch_rows = BATCH_ROWS.min(count);
+    let mut batch: Vec<u8> = Vec::new();
+    let mut rows: Vec<(usize, RowPayload)> = Vec::with_capacity(batch_rows);
+    // `batch_rows * trace_len <= total`: no overflow.
+    for (b, arena) in data.chunks_mut(batch_rows * trace_len).enumerate() {
+        batch.clear();
+        rows.clear();
+        let first_row = b * batch_rows;
+        for t in first_row..first_row + arena.len() / trace_len {
+            let start = batch.len();
+            rows.push((start, read_row(r, t, trace_len, &mut batch)?));
+            batch.resize(batch.len() + PAD, 0);
+        }
+        decode_batch(arena, trace_len, &rows, &batch);
+    }
+    Ok(TraceBlock::from_data(device, trace_len, data)?)
+}
+
+/// Reads row `t`'s flag and metadata and appends its payload to `batch`.
+fn read_row<R: BufRead>(
+    r: &mut R,
+    t: usize,
+    trace_len: usize,
+    batch: &mut Vec<u8>,
+) -> Result<RowPayload, IoError> {
+    let mut flag = [0u8; 1];
+    r.read_exact(&mut flag)
+        .map_err(|_| IoError::Format(format!("truncated at trace {t}: missing row flag")))?;
+    match flag[0] {
+        FLAG_RAW => {
+            // `trace_len * 8` is representable: the header was validated.
+            append_exact(r, batch, trace_len * 8).map_err(|arrived| {
+                IoError::Format(format!("truncated at trace {t}, sample {}", arrived / 8))
+            })?;
+            Ok(RowPayload::Raw)
+        }
+        FLAG_QUANTIZED => {
+            // scale f64 | offset f64 | first_code u64, then the width byte.
+            let mut words = [[0u8; 8]; 3];
+            let mut w = 0u8;
+            r.read_exact(words.as_flattened_mut())
+                .and_then(|()| r.read_exact(std::slice::from_mut(&mut w)))
+                .map_err(|_| {
                     IoError::Format(format!("truncated at trace {t}: missing row metadata"))
                 })?;
-                let mut f64buf = [0u8; 8];
-                f64buf.copy_from_slice(&head[0..8]);
-                let scale = f64::from_le_bytes(f64buf);
-                f64buf.copy_from_slice(&head[8..16]);
-                let offset = f64::from_le_bytes(f64buf);
-                f64buf.copy_from_slice(&head[16..24]);
-                let first = u64::from_le_bytes(f64buf);
-                let width = u32::from(head[24]);
-                if width > 64 {
-                    return Err(IoError::Format(format!(
-                        "trace {t}: delta width {width} exceeds 64 bits"
-                    )));
-                }
-                let deltas = trace_len - 1;
-                let packed_len = deltas
-                    .checked_mul(width as usize)
-                    .map(|bits| bits.div_ceil(8))
-                    .ok_or_else(|| {
-                        IoError::Format(format!("trace {t}: packed payload size overflows"))
-                    })?;
-                // Stream the packed bytes through a bounded buffer: the
-                // buffer only ever holds bytes that actually arrived.
-                packed.clear();
-                let mut scratch = [0u8; 8192];
-                let mut remaining = packed_len;
-                while remaining > 0 {
-                    let want = remaining.min(scratch.len());
-                    r.read_exact(&mut scratch[..want]).map_err(|_| {
-                        IoError::Format(format!("truncated at trace {t}: packed payload cut short"))
-                    })?;
-                    packed.extend_from_slice(&scratch[..want]);
-                    remaining -= want;
-                }
-                let mut unpacker = BitUnpacker::new(&packed);
-                // Hostile files may encode arbitrary deltas; reconstruct
-                // with wrapping arithmetic (the sample value is then
-                // whatever the grid maps it to — decoding is total).
-                let mut code = first;
-                data.push(offset + (code as f64) * scale);
-                for _ in 0..deltas {
-                    code = code.wrapping_add(unzigzag(unpacker.pull(width)) as u64);
-                    data.push(offset + (code as f64) * scale);
-                }
-            }
-            other => {
+            let [scale, offset, first] = words;
+            let width = u32::from(w);
+            if width > 64 {
                 return Err(IoError::Format(format!(
-                    "trace {t}: unknown row flag {other} (0 = quantized, 1 = raw)"
+                    "trace {t}: delta width {width} exceeds 64 bits"
                 )));
+            }
+            let packed_len = (trace_len - 1)
+                .checked_mul(width as usize)
+                .map(|bits| bits.div_ceil(8))
+                .ok_or_else(|| {
+                    IoError::Format(format!("trace {t}: packed payload size overflows"))
+                })?;
+            append_exact(r, batch, packed_len).map_err(|_| {
+                IoError::Format(format!("truncated at trace {t}: packed payload cut short"))
+            })?;
+            Ok(RowPayload::Quantized {
+                scale: f64::from_le_bytes(scale),
+                offset: f64::from_le_bytes(offset),
+                first: u64::from_le_bytes(first),
+                width,
+            })
+        }
+        other => Err(IoError::Format(format!(
+            "trace {t}: unknown row flag {other} (0 = quantized, 1 = raw)"
+        ))),
+    }
+}
+
+/// Appends exactly `n` bytes from `r` to `buf`, [`READ_CHUNK`] at a time,
+/// so the buffer grows only as bytes arrive. On truncation, returns how
+/// many bytes had arrived before the chunk that fell short.
+fn append_exact<R: BufRead>(r: &mut R, buf: &mut Vec<u8>, n: usize) -> Result<(), usize> {
+    let mut arrived = 0;
+    while arrived < n {
+        let want = (n - arrived).min(READ_CHUNK);
+        let at = buf.len();
+        buf.resize(at + want, 0);
+        r.read_exact(buf.split_at_mut(at).1).map_err(|_| arrived)?;
+        arrived += want;
+    }
+    Ok(())
+}
+
+/// Decodes one batch: arena row `i` from the payload that `rows[i]`
+/// locates in `batch`.
+fn decode_batch(arena: &mut [f64], trace_len: usize, rows: &[(usize, RowPayload)], batch: &[u8]) {
+    let decode = |i: usize, row: &mut [f64]| {
+        if let Some(&(start, kind)) = rows.get(i) {
+            decode_row(row, kind, batch.get(start..).unwrap_or_default());
+        }
+    };
+    #[cfg(feature = "parallel")]
+    if arena.len() >= PARALLEL_MIN_SAMPLES {
+        let filled: Result<(), std::convert::Infallible> =
+            ipmark_parallel::par_try_fill_rows(arena, trace_len, |i, row| {
+                decode(i, row);
+                Ok(())
+            });
+        let Ok(()) = filled;
+        return;
+    }
+    for (i, row) in arena.chunks_exact_mut(trace_len).enumerate() {
+        decode(i, row);
+    }
+}
+
+/// Decodes one row from `bytes`: its payload followed by at least [`PAD`]
+/// zero bytes.
+fn decode_row(row: &mut [f64], kind: RowPayload, bytes: &[u8]) {
+    match kind {
+        RowPayload::Raw => {
+            for (s, b) in row.iter_mut().zip(bytes.as_chunks::<8>().0) {
+                *s = f64::from_le_bytes(*b);
+            }
+        }
+        RowPayload::Quantized {
+            scale,
+            offset,
+            first,
+            width,
+        } => {
+            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            let step = width as usize;
+            // A window shifted by at most 7 bits keeps 57 (u64) or 121
+            // (u128) valid bits. The encoder's codes stay below 2^53, so its
+            // deltas never need more than 54; only hostile files reach the
+            // wide path.
+            if width <= 57 {
+                fill_codes(row, first, scale, offset, |j| {
+                    window_u64(bytes, j * step) & mask
+                });
+            } else {
+                fill_codes(row, first, scale, offset, |j| {
+                    window_u128(bytes, j * step) & mask
+                });
             }
         }
     }
-    Ok(TraceBlock::from_data(device, trace_len, data)?)
+}
+
+/// Writes one quantized row: code `first`, then the running sum of the
+/// zigzag deltas `delta(j)`, each through the reconstruction expression.
+#[inline]
+fn fill_codes(row: &mut [f64], first: u64, scale: f64, offset: f64, delta: impl Fn(usize) -> u64) {
+    let Some((head, tail)) = row.split_first_mut() else {
+        return;
+    };
+    // Hostile files may encode arbitrary deltas; reconstruct with wrapping
+    // arithmetic (the sample value is then whatever the grid maps it to —
+    // decoding is total).
+    let mut code = first;
+    *head = offset + (code as f64) * scale;
+    for (j, s) in tail.iter_mut().enumerate() {
+        code = code.wrapping_add(unzigzag(delta(j)) as u64);
+        *s = offset + (code as f64) * scale;
+    }
+}
+
+/// Bits `bit..bit + 57` of an LSB-first packed stream: the unaligned
+/// little-endian `u64` at the bit's byte, shifted down.
+#[inline]
+fn window_u64(bytes: &[u8], bit: usize) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[bit >> 3..(bit >> 3) + 8]);
+    u64::from_le_bytes(word) >> (bit & 7)
+}
+
+/// The low 64 of bits `bit..bit + 121`: [`window_u64`] over a `u128`.
+#[inline]
+fn window_u128(bytes: &[u8], bit: usize) -> u64 {
+    let mut word = [0u8; 16];
+    word.copy_from_slice(&bytes[bit >> 3..(bit >> 3) + 16]);
+    (u128::from_le_bytes(word) >> (bit & 7)) as u64
 }
 
 #[cfg(test)]
@@ -648,16 +758,33 @@ mod tests {
     }
 
     #[test]
-    fn bit_packer_round_trips_mixed_widths() {
+    fn bit_windows_read_back_mixed_widths() {
         let mut p = BitPacker::with_capacity(0);
-        let fields: Vec<(u64, u32)> = vec![(5, 3), (0, 1), (1023, 10), (u64::MAX, 64), (1, 13)];
+        let fields: Vec<(u64, u32)> = vec![
+            (5, 3),
+            (0, 1),
+            (1023, 10),
+            (u64::MAX, 64),
+            (1, 13),
+            ((1 << 57) - 1, 57),
+            (0x2aa_aaaa_aaaa_aaaa, 58),
+            ((1 << 56) - 3, 56),
+            (0, 0),
+            (7, 3),
+        ];
         for &(v, w) in &fields {
             p.push(v, w);
         }
-        let bytes = p.finish();
-        let mut u = BitUnpacker::new(&bytes);
+        let mut bytes = p.finish();
+        bytes.resize(bytes.len() + PAD, 0);
+        let mut bit = 0;
         for &(v, w) in &fields {
-            assert_eq!(u.pull(w), v);
+            let mask = u64::MAX.checked_shr(64 - w).unwrap_or(0);
+            assert_eq!(window_u128(&bytes, bit) & mask, v, "u128 window, width {w}");
+            if w <= 57 {
+                assert_eq!(window_u64(&bytes, bit) & mask, v, "u64 window, width {w}");
+            }
+            bit += w as usize;
         }
     }
 

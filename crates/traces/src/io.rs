@@ -328,7 +328,14 @@ pub(crate) fn validate_header(
 /// Shared header + payload reader for every binary version: validates an
 /// untrusted header, then streams the payload into one flat arena — raw
 /// row-major f64s for v1/v2 through a fixed scratch buffer, decoded
-/// quantized rows for v3.
+/// quantized rows for v3 ([`codec`]).
+///
+/// Neither path lets a header commit memory its payload does not back.
+/// The v1/v2 arena starts at no more than 2²⁰ samples and grows only as
+/// payload bytes arrive. The v3 arena is reserved fallibly at its full
+/// declared size (an unallocatable header is an [`IoError::Format`]) and
+/// handed out as untouched zero pages, committed only as decoded rows are
+/// written.
 fn read_block_magics<R: Read>(
     device: &str,
     reader: R,
@@ -350,11 +357,12 @@ fn read_block_magics<R: Read>(
     let len_word = u64::from_le_bytes(u64buf);
     let (count, len) = validate_header(&magic, count_word, len_word, accept)?;
     if &magic == BLOCK_V3_MAGIC {
+        // Fallible reservation, zero pages committed row by row.
         return codec::read_rows(device, &mut r, count, len);
     }
     // `count * len` is representable: validate_header checked ×8. Bounded
-    // pre-allocation: the arena grows towards `total` as payload bytes
-    // actually arrive, so a hostile header cannot force a giant up-front
+    // pre-allocation: the arena grows towards `total` only as payload
+    // bytes arrive, so a hostile header cannot force a giant up-front
     // allocation.
     let total = count * len;
     let mut data: Vec<f64> = Vec::with_capacity(total.min(1 << 20));

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use ipmark_traces::io::{
     read_block_any, read_block_v3, write_binary, write_block, write_block_v3,
-    write_block_v3_with_domain,
+    write_block_v3_with_domain, IoError, BLOCK_V3_MAGIC,
 };
 use ipmark_traces::streaming::ChunkedSource;
 use ipmark_traces::{read_block_mapped, AdcDomain, Trace, TraceBlock, TraceSet};
@@ -72,7 +72,150 @@ fn special(sel: u64, raw: f64) -> f64 {
     }
 }
 
+/// SplitMix64: the hand-built files below draw their contents from one
+/// property-supplied seed.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A bit-at-a-time LSB-first writer, kept apart from the codec's own
+/// packer so the hand-built files check the decoder against a second
+/// rendering of the row layout.
+struct Bits {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl Bits {
+    fn push(&mut self, value: u64, width: u32) {
+        for b in 0..width {
+            if self.len.is_multiple_of(8) {
+                self.bytes.push(0);
+            }
+            if (value >> b) & 1 == 1 {
+                *self.bytes.last_mut().unwrap() |= 1 << (self.len % 8);
+            }
+            self.len += 1;
+        }
+    }
+}
+
+/// An `IPMKTRC3` file built by hand, with the sample bits it must decode
+/// to and the byte offset where each row ends.
+struct Handmade {
+    bytes: Vec<u8>,
+    expected: Vec<u64>,
+    row_ends: Vec<usize>,
+}
+
+/// `count` rows of `trace_len` samples. About one row in four is raw f64
+/// with arbitrary bits (NaN payloads included). The quantized rows cycle
+/// through every delta width 0..=64, starting at `seed % 65`, with random
+/// metadata and random fields, so the wide widths that only hostile files
+/// carry are covered too. The expected samples follow the format's
+/// definition: the wrapping running sum of the zigzag deltas, each code
+/// mapped through `offset + code * scale`.
+fn handmade_v3(count: usize, trace_len: usize, seed: u64) -> Handmade {
+    let mut state = seed;
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(BLOCK_V3_MAGIC);
+    bytes.extend_from_slice(&(count as u64).to_le_bytes());
+    bytes.extend_from_slice(&(trace_len as u64).to_le_bytes());
+    let mut expected = Vec::with_capacity(count * trace_len);
+    let mut row_ends = Vec::with_capacity(count);
+    let mut width = (seed % 65) as u32;
+    for _ in 0..count {
+        if splitmix(&mut state).is_multiple_of(4) {
+            bytes.push(1);
+            for _ in 0..trace_len {
+                let bits = splitmix(&mut state);
+                bytes.extend_from_slice(&bits.to_le_bytes());
+                expected.push(bits);
+            }
+        } else {
+            let scale = f64::from(splitmix(&mut state) as u32) * 2f64.powi(-40);
+            let offset = (splitmix(&mut state) as i64 >> 11) as f64 * 2f64.powi(-30);
+            let mut code = splitmix(&mut state);
+            bytes.push(0);
+            bytes.extend_from_slice(&scale.to_le_bytes());
+            bytes.extend_from_slice(&offset.to_le_bytes());
+            bytes.extend_from_slice(&code.to_le_bytes());
+            bytes.push(width as u8);
+            let mut packed = Bits {
+                bytes: Vec::new(),
+                len: 0,
+            };
+            expected.push((offset + (code as f64) * scale).to_bits());
+            for _ in 1..trace_len {
+                let field = splitmix(&mut state) & u64::MAX.checked_shr(64 - width).unwrap_or(0);
+                packed.push(field, width);
+                let delta = ((field >> 1) as i64) ^ -((field & 1) as i64);
+                code = code.wrapping_add(delta as u64);
+                expected.push((offset + (code as f64) * scale).to_bits());
+            }
+            bytes.extend_from_slice(&packed.bytes);
+            width = (width + 1) % 65;
+        }
+        row_ends.push(bytes.len());
+    }
+    Handmade {
+        bytes,
+        expected,
+        row_ends,
+    }
+}
+
 proptest! {
+    #[test]
+    fn every_width_and_batch_edge_decodes_bit_exactly(
+        count_sel in 0usize..3,
+        len_sel in 0usize..5,
+        seed in any::<u64>(),
+        cut_sel in any::<u64>(),
+    ) {
+        // Row counts straddle the decoder's 256-row read batch; trace
+        // lengths cover a single sample (no deltas), two, and odd ones.
+        let count = [255, 256, 257][count_sel];
+        let trace_len = [1, 2, 3, 17, 255][len_sel];
+        let file = handmade_v3(count, trace_len, seed);
+        let decoded = read_block_v3("prop", file.bytes.as_slice()).unwrap();
+        prop_assert_eq!(decoded.len(), count);
+        prop_assert_eq!(decoded.trace_len(), trace_len);
+        prop_assert_eq!(bits_of(&decoded), file.expected);
+
+        // A truncated file names the lowest row whose bytes fell short:
+        // the row holding the first missing byte.
+        let cut = 24 + (cut_sel % (file.bytes.len() as u64 - 24)) as usize;
+        let row = file.row_ends.iter().position(|&end| end > cut).unwrap();
+        match read_block_v3("prop", &file.bytes[..cut]) {
+            Err(IoError::Format(msg)) => prop_assert!(
+                msg.contains(&format!("at trace {row}:")) || msg.contains(&format!("at trace {row},")),
+                "cut at byte {} (row {}): {}", cut, row, msg
+            ),
+            other => panic!("cut at byte {cut}: expected a format error, got {other:?}"),
+        }
+
+        // The library's own encoder over a mixed block of the same shape:
+        // ADC-grid rows quantize, rows holding a special value stay raw.
+        let adc = AdcDomain::from_range(-1.0, 3.0, 12).unwrap();
+        let mut state = seed;
+        let mut block = TraceBlock::zeros("prop", count, trace_len).unwrap();
+        for (r, mut row) in block.rows_mut().enumerate() {
+            for s in row.samples_mut() {
+                *s = adc.quantize(-1.0 + 4.0 * (splitmix(&mut state) >> 11) as f64 / (1u64 << 53) as f64);
+            }
+            if r % 3 == 0 {
+                row.samples_mut()[0] = special(splitmix(&mut state), 0.5);
+            }
+        }
+        assert_bits_equal(&v3_round_trip(&block, Some(&adc)), &block);
+        assert_bits_equal(&v3_round_trip(&block, None), &block);
+    }
+
     #[test]
     fn adc_grid_blocks_round_trip_bit_exactly(
         bits in 1u32..=16,

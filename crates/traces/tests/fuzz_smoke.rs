@@ -115,14 +115,14 @@ fn mutated_fixture_never_panics_the_block_reader() {
 fn hostile_headers_fail_fast_without_huge_allocations() {
     let mut rng = SmallRng::seed_from_u64(0x4ead_0000_5eed);
     for _ in 0..iters() {
-        // Valid magic (either version), adversarial count/len words chosen
+        // Valid magic (any version), adversarial count/len words chosen
         // to probe the overflow guard: powers of two, usize::MAX-adjacent
         // values, and random giants.
         let mut buf = Vec::new();
-        buf.extend_from_slice(if rng.gen_bool(0.5) {
-            ipmark_traces::io::BINARY_MAGIC
-        } else {
-            ipmark_traces::io::BLOCK_MAGIC
+        buf.extend_from_slice(match rng.gen_range(0u32..3) {
+            0 => ipmark_traces::io::BINARY_MAGIC,
+            1 => ipmark_traces::io::BLOCK_MAGIC,
+            _ => ipmark_traces::io::BLOCK_V3_MAGIC,
         });
         let word = |rng: &mut SmallRng| -> u64 {
             match rng.gen_range(0u32..4) {
@@ -139,6 +139,33 @@ fn hostile_headers_fail_fast_without_huge_allocations() {
         let tail = rng.gen_range(0usize..64);
         buf.extend(std::iter::repeat_with(|| rng.gen::<u8>()).take(tail));
         assert_contained(read_block_any("fuzz", buf.as_slice()), "hostile header");
+    }
+    // v3 headers whose `count x len x 8` fits in u64 (so the overflow guard
+    // passes) but that no allocator can back: the v3 reader reserves its
+    // arena up front and must report the failure as a format error, never
+    // abort.
+    for (count, len) in [
+        (1u64 << 40, 1u64 << 10),
+        (1 << 50, 1),
+        (1, 1 << 55),
+        ((1 << 60) - 1, 1),
+    ] {
+        for tail in [&[][..], &[0u8; 26][..], &[1u8; 9][..]] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(ipmark_traces::io::BLOCK_V3_MAGIC);
+            buf.extend_from_slice(&count.to_le_bytes());
+            buf.extend_from_slice(&len.to_le_bytes());
+            buf.extend_from_slice(tail);
+            for result in [
+                read_block_any("fuzz", buf.as_slice()),
+                read_block_v3("fuzz", buf.as_slice()),
+            ] {
+                match result {
+                    Err(IoError::Format(_)) => {}
+                    other => panic!("{count} x {len}: expected a format error, got {other:?}"),
+                }
+            }
+        }
     }
 }
 
