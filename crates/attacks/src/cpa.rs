@@ -150,9 +150,9 @@ fn score_hypothesis(
 }
 
 /// Evaluates a per-guess function over all 256 key guesses on the default
-/// [`ExecBackend`] (the env-sized pool with the `parallel` feature, inline
-/// otherwise). Results come back in guess order either way, so downstream
-/// ranking is thread-count invariant.
+/// [`ExecBackend`] (the env-sized pool, inline at one worker). Results come
+/// back in guess order either way, so downstream ranking is thread-count
+/// invariant.
 fn guess_map<T, F>(per_guess: F) -> Result<Vec<T>, AttackError>
 where
     T: Send,

@@ -1,12 +1,12 @@
 //! Macrobenchmark: the full correlation computation process — one
 //! (RefD, DUT) verification at the paper's parameters and at a reduced
-//! set — plus the engine (fused kernel + parallel fan-out, when the
-//! `parallel` feature is on) against the sequential reference path.
+//! set — plus the engine on its default pooled backend against the same
+//! plan on the sequential backend.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipmark_core::ip::{default_chain, FabricatedDevice, DEFAULT_CYCLES};
-use ipmark_core::verify::{correlation_process, correlation_process_seq, CorrelationParams};
-use ipmark_core::{ip_b, ip_c};
+use ipmark_core::verify::{correlation_process, CorrelationParams};
+use ipmark_core::{ip_b, ip_c, Plan, Sequential};
 use ipmark_power::ProcessVariation;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -48,9 +48,9 @@ fn bench_correlation_process(c: &mut Criterion) {
     }
     group.finish();
 
-    // Engine vs sequential reference at the paper's parameters: the gap is
-    // the fused reference kernel plus (with the `parallel` feature and more
-    // than one core) the k-averaging/correlation fan-out.
+    // Engine vs sequential backend at the paper's parameters: both run the
+    // same fused plan, so the gap is the k-averaging fan-out (with more
+    // than one core).
     let mut group = c.benchmark_group("correlation-engine");
     group.sample_size(20);
     let params = CorrelationParams::paper();
@@ -70,7 +70,8 @@ fn bench_correlation_process(c: &mut Criterion) {
         |b, params| {
             b.iter(|| {
                 let mut rng = ChaCha8Rng::seed_from_u64(9);
-                black_box(correlation_process_seq(&refd, &dut, params, &mut rng).expect("process"))
+                let mut plan = Plan::correlation(params, &mut rng).expect("plan");
+                black_box(plan.execute(&refd, &dut, &Sequential).expect("process"))
             })
         },
     );

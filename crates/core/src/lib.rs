@@ -72,13 +72,11 @@ pub use ip::{
 pub use key::WatermarkKey;
 pub use matrix::{ExperimentConfig, IdentificationMatrix};
 pub use params::{choose_m, f_alpha, f_limit, p_zeta, ParameterPlan};
-#[cfg(feature = "parallel")]
-pub use pipeline::Pooled;
 pub use pipeline::{
     default_backend, AcquireStage, CorrelateStage, DecideStage, ExecBackend, KAverageStage, Plan,
-    ResumablePlan, Sequential,
+    Pooled, ResumablePlan, Sequential,
 };
 pub use report::{CandidateReport, VerificationReport};
 pub use screen::{CounterfeitScreen, ReferenceBank, ScreeningVerdict};
 pub use session::{EarlyStopRule, SessionOptions, SessionStatus, Verdict, VerificationSession};
-pub use verify::{correlation_process, correlation_process_seq, CorrelationParams, CorrelationSet};
+pub use verify::{correlation_process, CorrelationParams, CorrelationSet};

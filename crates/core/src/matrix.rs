@@ -15,11 +15,6 @@ use ipmark_power::chain::MeasurementChain;
 use ipmark_power::device::ProcessVariation;
 use ipmark_power::SimulatedAcquisition;
 
-use ipmark_traces::average::mean_of_indices_into;
-use ipmark_traces::select::uniform_distinct_indices;
-use ipmark_traces::stats::PearsonRef;
-use ipmark_traces::{TraceBlock, TraceError, TraceSource};
-
 use crate::distinguisher::{delta_mean, delta_v, Decision, Distinguisher};
 use crate::error::CoreError;
 use crate::ip::{default_chain, FabricatedDevice, IpSpec, DEFAULT_CYCLES};
@@ -90,9 +85,9 @@ impl IdentificationMatrix {
     /// per DUT IP (distinct dies, as in the paper's eight FPGAs), measure
     /// `n1` / `n2` traces, and compute every `C_{X,y,k,m}`.
     ///
-    /// With the `parallel` feature the acquisitions and the R×D cells fan
-    /// out across threads (worker count from `RAYON_NUM_THREADS`, else the
-    /// machine). Every die, campaign and cell derives its own seed from
+    /// The acquisitions, the R×D cells and the k-averaging inside each cell
+    /// fan out across threads (worker count from `RAYON_NUM_THREADS`, else
+    /// the machine). Every die, campaign and cell derives its own seed from
     /// `config.seed`, so the matrix is bit-identical to
     /// [`IdentificationMatrix::run_seq`] for every thread count.
     ///
@@ -110,15 +105,13 @@ impl IdentificationMatrix {
     /// [`IdentificationMatrix::run`] with an explicit worker pool, for
     /// callers (and tests) that must not depend on `RAYON_NUM_THREADS`.
     ///
-    /// The pool governs the acquisition and cell fan-out; the correlation
-    /// process inside each cell still sizes itself from the environment,
-    /// which cannot change the result (every stage is thread-count
-    /// invariant by construction).
+    /// The pool governs the acquisition and cell fan-out and the
+    /// k-averaging inside each cell, so a cell's pool nests inside the
+    /// cell fan-out. Every stage is thread-count invariant by construction.
     ///
     /// # Errors
     ///
     /// Same as [`IdentificationMatrix::run`].
-    #[cfg(feature = "parallel")]
     pub fn run_with_pool(
         refd_specs: &[IpSpec],
         dut_specs: &[IpSpec],
@@ -134,9 +127,9 @@ impl IdentificationMatrix {
     }
 
     /// The sequential reference implementation of
-    /// [`IdentificationMatrix::run`]. Compiled unconditionally so
-    /// equivalence tests can compare it against the parallel path in one
-    /// binary.
+    /// [`IdentificationMatrix::run`]: every fan-out, including the
+    /// k-averaging inside each cell, runs as a plain loop on the calling
+    /// thread.
     ///
     /// # Errors
     ///
@@ -151,12 +144,9 @@ impl IdentificationMatrix {
 
     /// The single campaign body behind [`IdentificationMatrix::run`],
     /// [`IdentificationMatrix::run_with_pool`] and
-    /// [`IdentificationMatrix::run_seq`]: the backend only governs the
-    /// acquisition and cell fan-out, so every variant is bit-identical.
-    ///
-    /// The correlation process inside each cell always runs on the default
-    /// backend (as the legacy entry points did), which cannot change the
-    /// result — every stage is thread-count invariant by construction.
+    /// [`IdentificationMatrix::run_seq`]: `backend` runs the acquisition
+    /// and cell fan-out and each cell's [`Plan::execute`]. Backends are
+    /// bit-identical, so every variant is too.
     fn run_with_backend<B: ExecBackend + ?Sized>(
         refd_specs: &[IpSpec],
         dut_specs: &[IpSpec],
@@ -177,12 +167,11 @@ impl IdentificationMatrix {
             })?;
 
         let duts = dut_specs.len();
-        let inner = default_backend();
         let cells = backend.try_map_indexed(refd_specs.len() * duts, |idx| {
             let (i, j) = (idx / duts, idx % duts);
             let mut rng = Self::cell_rng(config, i, j, duts);
             let mut plan = Plan::correlation(&config.params, &mut rng)?;
-            plan.execute(&refd_acqs[i], &dut_acqs[j], &inner)
+            plan.execute(&refd_acqs[i], &dut_acqs[j], backend)
         })?;
         let mut cells = cells.into_iter();
         let sets: Vec<Vec<CorrelationSet>> = (0..refd_specs.len())
@@ -194,143 +183,6 @@ impl IdentificationMatrix {
             dut_names: dut_specs.iter().map(|s| s.name().to_owned()).collect(),
             sets,
         })
-    }
-
-    /// The throughput variant of [`IdentificationMatrix::run`]: every DUT
-    /// column is k-averaged **once** into a shared `m × trace_len` block,
-    /// every reference is centered **once**, and each column's R cells are
-    /// then computed in a single batched multi-reference sweep
-    /// ([`PearsonRef::correlate_refs`]) — `R + 2` row sweeps per column
-    /// instead of the `3R` that per-cell correlation costs, on top of
-    /// averaging each column once instead of R times.
-    ///
-    /// This is a deliberately different experiment design from
-    /// [`IdentificationMatrix::run`]: there every cell draws its own DUT
-    /// selections (the paper's independent-verification layout), here all
-    /// references in a column score the *same* averaged evidence (the
-    /// service layout, where a request's DUT data is fixed and the
-    /// question is which banked reference explains it). Results are
-    /// seed-deterministic, backend-invariant and bit-identical to centering
-    /// each reference alone against the shared column block.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IdentificationMatrix::run`].
-    pub fn run_shared(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-    ) -> Result<Self, CoreError> {
-        Self::run_shared_with_backend(refd_specs, dut_specs, config, &default_backend())
-    }
-
-    /// The sequential reference implementation of
-    /// [`IdentificationMatrix::run_shared`], compiled unconditionally for
-    /// equivalence tests.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IdentificationMatrix::run_shared`].
-    pub fn run_shared_seq(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-    ) -> Result<Self, CoreError> {
-        Self::run_shared_with_backend(refd_specs, dut_specs, config, &Sequential)
-    }
-
-    fn run_shared_with_backend<B: ExecBackend + ?Sized>(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-        backend: &B,
-    ) -> Result<Self, CoreError> {
-        Self::validate_panels(refd_specs, dut_specs, config)?;
-
-        let dut_acqs: Vec<SimulatedAcquisition> = backend
-            .try_map_indexed(dut_specs.len(), |j| {
-                Self::dut_acquisition(&dut_specs[j], j, config)
-            })?;
-        let refd_acqs: Vec<SimulatedAcquisition> = backend
-            .try_map_indexed(refd_specs.len(), |i| {
-                Self::refd_acquisition(&refd_specs[i], i, config)
-            })?;
-
-        // Center every reference once; each draws its own selection stream.
-        let kernels: Vec<PearsonRef> = backend.try_map_indexed(refd_specs.len(), |i| {
-            let mut rng = Self::shared_refd_rng(config, i);
-            let a_refd = crate::verify::k_average_bounded(
-                &refd_acqs[i],
-                config.params.n1,
-                config.params.k,
-                &mut rng,
-            )?;
-            PearsonRef::new(a_refd.samples()).map_err(CoreError::Stats)
-        })?;
-
-        // K-average every DUT column once into the shared evidence block.
-        let blocks: Vec<TraceBlock> = backend.try_map_indexed(dut_specs.len(), |j| {
-            let acq = &dut_acqs[j];
-            if acq.num_traces() < config.params.n2 {
-                return Err(CoreError::InvalidParams {
-                    reason: format!(
-                        "DUT column {j} holds {} traces, n2 = {}",
-                        acq.num_traces(),
-                        config.params.n2
-                    ),
-                });
-            }
-            let mut rng = Self::shared_dut_rng(config, j);
-            let trace_len = acq.trace_len();
-            let mut block =
-                TraceBlock::zeros("", config.params.m, trace_len).map_err(CoreError::Trace)?;
-            for row in block.samples_mut().chunks_exact_mut(trace_len) {
-                let selection =
-                    uniform_distinct_indices(config.params.n2, config.params.k, &mut rng)
-                        .map_err(TraceError::from)
-                        .map_err(CoreError::Trace)?;
-                mean_of_indices_into(acq, &selection, row).map_err(CoreError::Trace)?;
-            }
-            Ok(block)
-        })?;
-
-        // One batched multi-reference sweep per column fills the whole
-        // R-cell column at once.
-        let columns: Vec<Vec<CorrelationSet>> = backend.try_map_indexed(dut_specs.len(), |j| {
-            PearsonRef::correlate_refs(&kernels, &blocks[j])
-                .into_iter()
-                .map(|row| {
-                    let coefficients = row
-                        .into_iter()
-                        .map(|r| r.map_err(CoreError::Stats))
-                        .collect::<Result<Vec<f64>, CoreError>>()?;
-                    CorrelationSet::new(coefficients)
-                })
-                .collect::<Result<Vec<CorrelationSet>, CoreError>>()
-        })?;
-        let sets: Vec<Vec<CorrelationSet>> = (0..refd_specs.len())
-            .map(|i| columns.iter().map(|column| column[i].clone()).collect())
-            .collect();
-
-        Ok(Self {
-            refd_names: refd_specs.iter().map(|s| s.name().to_owned()).collect(),
-            dut_names: dut_specs.iter().map(|s| s.name().to_owned()).collect(),
-            sets,
-        })
-    }
-
-    fn shared_refd_rng(config: &ExperimentConfig, i: usize) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(config.seed.wrapping_mul(6151).wrapping_add(i as u64))
-    }
-
-    fn shared_dut_rng(config: &ExperimentConfig, j: usize) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(
-            config
-                .seed
-                .wrapping_mul(6389)
-                .wrapping_add(j as u64)
-                .wrapping_add(0x5AAD),
-        )
     }
 
     fn validate_panels(
@@ -531,39 +383,6 @@ mod tests {
         let par = IdentificationMatrix::run(&[ip_a()], &[ip_a(), ip_b()], &config).unwrap();
         let seq = IdentificationMatrix::run_seq(&[ip_a()], &[ip_a(), ip_b()], &config).unwrap();
         assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn run_shared_identifies_and_matches_its_sequential_reference() {
-        let config = tiny_config();
-        let specs = [ip_a(), ip_b()];
-        let shared = IdentificationMatrix::run_shared(&specs, &specs, &config).unwrap();
-        assert_eq!(shared.refd_names(), &["IP_A", "IP_B"]);
-        assert_eq!(shared.sets().len(), 2);
-        assert_eq!(shared.sets()[0].len(), 2);
-        assert_eq!(shared.set(0, 1).unwrap().len(), config.params.m);
-        // The shared layout still identifies the IPs. Checked at the
-        // paper's k and m: with the tiny config's m = 12 coefficients the
-        // variance rule misses in several of 30 seeds under any noise
-        // realization, while at k = 50, m = 20 it missed none.
-        let mut paper = tiny_config();
-        paper.params = CorrelationParams::paper();
-        let decisions = IdentificationMatrix::run_shared(&specs, &specs, &paper)
-            .unwrap()
-            .decide(&LowerVariance)
-            .unwrap();
-        assert_eq!(decisions[0].best, 0);
-        assert_eq!(decisions[1].best, 1);
-        // Bit-identical to the sequential backend, and deterministic in
-        // the seed.
-        let seq = IdentificationMatrix::run_shared_seq(&specs, &specs, &config).unwrap();
-        assert_eq!(shared, seq);
-        let again = IdentificationMatrix::run_shared(&specs, &specs, &config).unwrap();
-        assert_eq!(shared, again);
-        let mut other = tiny_config();
-        other.seed = 4242;
-        let reseeded = IdentificationMatrix::run_shared(&specs, &specs, &other).unwrap();
-        assert_ne!(shared, reseeded);
     }
 
     #[test]

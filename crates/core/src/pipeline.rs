@@ -24,16 +24,15 @@
 //!
 //! How the graph runs is a separate, pluggable axis: the [`ExecBackend`]
 //! trait. [`Sequential`] executes every fan-out as a plain index-ordered
-//! loop; [`Pooled`] (with the `parallel` feature) partitions it across an
-//! [`ipmark_parallel::Pool`]. Both collect results in index order with the
-//! lowest-index error winning, so every backend — at every thread count,
-//! on every instruction set the kernels select — produces bit-identical
-//! output (DESIGN.md §7/§11). The streaming twin, [`ResumablePlan`], holds
+//! loop; [`Pooled`] partitions it across an [`ipmark_parallel::Pool`].
+//! Both collect results in index order with the lowest-index error
+//! winning, so every backend — at every thread count, on every
+//! instruction set the kernels select — produces bit-identical output
+//! (DESIGN.md §7/§11). The streaming twin, [`ResumablePlan`], holds
 //! the same stages in incremental form and is chunk-size invariant
 //! (DESIGN.md §9).
 //!
 //! The legacy entry points ([`correlation_process`](crate::correlation_process),
-//! [`correlation_process_seq`](crate::verify::correlation_process_seq),
 //! [`VerificationSession`](crate::session::VerificationSession),
 //! [`CounterfeitScreen`](crate::screen::CounterfeitScreen),
 //! [`IdentificationMatrix`](crate::matrix::IdentificationMatrix)) remain as
@@ -113,8 +112,8 @@ pub trait ExecBackend: Sync {
 
 /// The reference backend: plain index-ordered loops on the calling thread.
 ///
-/// Compiled unconditionally (no feature gates), so equivalence tests can
-/// pit any other backend against it in one binary.
+/// Equivalence tests pit every other backend, at every thread count,
+/// against it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Sequential;
 
@@ -168,14 +167,13 @@ impl ExecBackend for Sequential {
 }
 
 /// Fork-join execution over an [`ipmark_parallel::Pool`] (scoped threads,
-/// index-ordered collection, lowest-index error — DESIGN.md §7).
-#[cfg(feature = "parallel")]
+/// index-ordered collection, lowest-index error — DESIGN.md §7). At one
+/// worker the pool runs [`Sequential`]'s plain loop on the calling thread.
 #[derive(Debug, Clone, Copy)]
 pub struct Pooled {
     pool: ipmark_parallel::Pool,
 }
 
-#[cfg(feature = "parallel")]
 impl Pooled {
     /// Wraps an explicit pool.
     pub fn new(pool: ipmark_parallel::Pool) -> Self {
@@ -194,7 +192,6 @@ impl Pooled {
     }
 }
 
-#[cfg(feature = "parallel")]
 impl ExecBackend for Pooled {
     fn label(&self) -> String {
         format!("Pooled({} threads)", self.pool.threads())
@@ -232,28 +229,11 @@ impl ExecBackend for Pooled {
     }
 }
 
-/// The backend the legacy entry points run on: [`Pooled`] (environment-sized
-/// pool) with the `parallel` feature, [`Sequential`] without it.
-#[cfg(feature = "parallel")]
-pub type DefaultBackend = Pooled;
-
-/// The backend the legacy entry points run on: [`Pooled`] (environment-sized
-/// pool) with the `parallel` feature, [`Sequential`] without it.
-#[cfg(not(feature = "parallel"))]
-pub type DefaultBackend = Sequential;
-
-/// The backend matching the crate's feature selection — exactly what the
-/// pre-refactor `#[cfg(feature = "parallel")]` branches chose at each call
-/// site.
-pub fn default_backend() -> DefaultBackend {
-    #[cfg(feature = "parallel")]
-    {
-        Pooled::from_env()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        Sequential
-    }
+/// The backend the legacy entry points run on: a [`Pooled`] backend sized
+/// from `RAYON_NUM_THREADS` / available parallelism
+/// ([`Pooled::from_env`]).
+pub fn default_backend() -> Pooled {
+    Pooled::from_env()
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +522,7 @@ impl CorrelateStage {
     /// Like [`CorrelateStage::many`], but with precomputed per-row sample
     /// sums — the streaming counterpart of
     /// [`CorrelateStage::rows_with_sums`], fed by
-    /// [`StreamingKAverager::ingest_fused`].
+    /// [`StreamingKAverager::ingest`].
     ///
     /// # Errors
     ///
@@ -696,17 +676,18 @@ impl Plan {
         &self.acquire
     }
 
-    fn ensure_buffers(&mut self, trace_len: usize) -> Result<&mut KAverageStage, CoreError> {
-        let stale = match &self.buffers {
-            Some(b) => b.trace_len() != trace_len,
-            None => true,
+    /// The drawn selections and the k-average buffers, (re)allocating the
+    /// buffers on first use or when `trace_len` changed.
+    fn stages(
+        &mut self,
+        trace_len: usize,
+    ) -> Result<(&AcquireStage, &mut KAverageStage), CoreError> {
+        let Self { acquire, buffers } = self;
+        let stage = match buffers.take() {
+            Some(b) if b.trace_len() == trace_len => b,
+            _ => KAverageStage::allocate(acquire.params.m, trace_len)?,
         };
-        if stale {
-            self.buffers = Some(KAverageStage::allocate(self.acquire.params.m, trace_len)?);
-        }
-        self.buffers
-            .as_mut()
-            .ok_or(CoreError::Invariant("stage buffers allocated before use"))
+        Ok((acquire, buffers.insert(stage)))
     }
 
     /// Runs the graph end to end on `backend`: validate sources, fill the
@@ -731,28 +712,19 @@ impl Plan {
         B: ExecBackend + ?Sized,
     {
         validate_sources(refd, dut, &self.acquire.params)?;
-        let trace_len = refd.trace_len();
-        let Self { acquire, buffers } = self;
-        let stage = match buffers {
-            Some(b) if b.trace_len() == trace_len => b,
-            slot => {
-                *slot = Some(KAverageStage::allocate(acquire.params.m, trace_len)?);
-                slot.as_mut()
-                    .ok_or(CoreError::Invariant("stage buffers allocated before use"))?
-            }
-        };
+        let (acquire, stage) = self.stages(refd.trace_len())?;
         stage.fill(refd, dut, acquire, backend)?;
         let correlate = CorrelateStage::center(stage.reference())?;
         // Fused path: the per-row sums captured by the fill replace the
         // correlation's sum sweep. `execute_seq` keeps the staged
-        // two-sweep sequence as the equivalence oracle.
+        // two-sweep sequence as the reference.
         let coefficients = correlate.rows_with_sums(stage.duts(), stage.dut_sums())?;
         DecideStage.finish(coefficients)
     }
 
-    /// Runs the graph with an in-place sequential k-average loop, for DUT
-    /// sources that are not [`Sync`] — the operator-graph form of the
-    /// legacy [`correlation_process_seq`](crate::verify::correlation_process_seq).
+    /// Runs the graph with an in-place sequential k-average loop and the
+    /// staged (unfused) correlation, for DUT sources that are not [`Sync`]
+    /// and as the reference the fused [`Plan::execute`] is tested against.
     /// Bit-identical to [`Plan::execute`] on any backend.
     ///
     /// # Errors
@@ -764,12 +736,7 @@ impl Plan {
         SD: TraceSource + ?Sized,
     {
         validate_sources(refd, dut, &self.acquire.params)?;
-        let trace_len = refd.trace_len();
-        self.ensure_buffers(trace_len)?;
-        let Self { acquire, buffers } = self;
-        let stage = buffers
-            .as_mut()
-            .ok_or(CoreError::Invariant("stage buffers allocated before use"))?;
+        let (acquire, stage) = self.stages(refd.trace_len())?;
         stage.fill_seq(refd, dut, acquire)?;
         let correlate = CorrelateStage::center(stage.reference())?;
         let coefficients = correlate.rows(stage.duts())?;
@@ -913,81 +880,6 @@ impl ResumablePlan {
     /// [`TraceError::NonFiniteSample`]) and [`CoreError::Stats`] when a
     /// completed average cannot be correlated.
     pub fn ingest<C: TraceChunk + ?Sized>(&mut self, chunk: &C) -> Result<(), CoreError> {
-        self.validate_chunk(chunk)?;
-
-        // The chunk is clean; ingestion can no longer fail. The fused
-        // averager finalizes each completing slot with one
-        // `accumulate_scale_sum` sweep (accumulate + 1/k scale + sample
-        // sum in a single pass) instead of the staged three; the carried
-        // sums then replace the correlation's sum sweep. A finished slot's
-        // average lives as a borrowed row of the averager's preallocated
-        // output arena.
-        let mut finished: Vec<(usize, f64)> = Vec::new();
-        for offset in 0..chunk.chunk_len() {
-            let samples = chunk
-                .chunk_row(offset)
-                .ok_or(CoreError::Invariant("chunk row within chunk_len"))?;
-            finished.extend(
-                self.averager
-                    .ingest_fused(samples)
-                    .map_err(CoreError::Trace)?,
-            );
-        }
-
-        let averages: Vec<&[f64]> = finished
-            .iter()
-            .map(|&(slot, _)| {
-                self.averager
-                    .average(slot)
-                    .ok_or(CoreError::Invariant("finished slot holds an average"))
-            })
-            .collect::<Result<_, CoreError>>()?;
-        let sums: Vec<f64> = finished.iter().map(|&(_, sum)| sum).collect();
-        let coefficients = self.correlate.many_with_sums(averages, &sums)?;
-        let slots: Vec<usize> = finished.into_iter().map(|(slot, _)| slot).collect();
-        self.commit(&slots, coefficients)
-    }
-
-    /// The staged twin of [`ResumablePlan::ingest`]: identical validation,
-    /// then the pre-fusion accumulate → scale → correlate sequence. Kept as
-    /// the executable equivalence oracle for the fused path — same chunk,
-    /// same state, bit-identical coefficients and RNG-free by construction.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ResumablePlan::ingest`].
-    pub fn ingest_staged<C: TraceChunk + ?Sized>(&mut self, chunk: &C) -> Result<(), CoreError> {
-        self.validate_chunk(chunk)?;
-
-        // The chunk is clean; ingestion can no longer fail. A finished
-        // slot's average lives as a borrowed row of the averager's
-        // preallocated output arena.
-        let mut finished: Vec<usize> = Vec::new();
-        for offset in 0..chunk.chunk_len() {
-            let samples = chunk
-                .chunk_row(offset)
-                .ok_or(CoreError::Invariant("chunk row within chunk_len"))?;
-            finished.extend(self.averager.ingest(samples).map_err(CoreError::Trace)?);
-        }
-
-        // Correlate every average the chunk completed in one batched sweep,
-        // reading borrowed arena rows — no per-slot copies, bit-identical
-        // to per-slot `PearsonRef::correlate` calls.
-        let averages: Vec<&[f64]> = finished
-            .iter()
-            .map(|&slot| {
-                self.averager
-                    .average(slot)
-                    .ok_or(CoreError::Invariant("finished slot holds an average"))
-            })
-            .collect::<Result<_, CoreError>>()?;
-        let coefficients = self.correlate.many(averages)?;
-        self.commit(&finished, coefficients)
-    }
-
-    /// The atomic-rejection sweep shared by both ingest paths: the whole
-    /// chunk is validated before any sample touches a partial sum.
-    fn validate_chunk<C: TraceChunk + ?Sized>(&self, chunk: &C) -> Result<(), CoreError> {
         let chunk_len = chunk.chunk_len();
         if chunk_len == 0 {
             return Err(CoreError::Trace(TraceError::EmptyChunk));
@@ -1010,7 +902,33 @@ impl ResumablePlan {
                 }));
             }
         }
-        Ok(())
+
+        // The chunk is clean; ingestion can no longer fail. The averager
+        // finalizes each completing slot with one `accumulate_scale_sum`
+        // sweep (accumulate + 1/k scale + sample sum in a single pass); the
+        // carried sums then replace the correlation's sum sweep. A finished
+        // slot's average lives as a borrowed row of the averager's
+        // preallocated output arena.
+        let mut finished: Vec<(usize, f64)> = Vec::new();
+        for offset in 0..chunk_len {
+            let samples = chunk
+                .chunk_row(offset)
+                .ok_or(CoreError::Invariant("chunk row within chunk_len"))?;
+            finished.extend(self.averager.ingest(samples).map_err(CoreError::Trace)?);
+        }
+
+        let averages: Vec<&[f64]> = finished
+            .iter()
+            .map(|&(slot, _)| {
+                self.averager
+                    .average(slot)
+                    .ok_or(CoreError::Invariant("finished slot holds an average"))
+            })
+            .collect::<Result<_, CoreError>>()?;
+        let sums: Vec<f64> = finished.iter().map(|&(_, sum)| sum).collect();
+        let coefficients = self.correlate.many_with_sums(averages, &sums)?;
+        let slots: Vec<usize> = finished.into_iter().map(|(slot, _)| slot).collect();
+        self.commit(&slots, coefficients)
     }
 
     /// Writes the chunk's freshly correlated coefficients into their slots
@@ -1139,7 +1057,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn pooled_backend_is_thread_count_invariant() {
         let refd = noisy_set("r", 50, 1);
@@ -1170,12 +1087,14 @@ mod tests {
 
     #[test]
     fn resumable_plan_matches_batch_plan_for_every_chunk_size() {
+        // `ingest` runs the fused streaming finalization and sum-reusing
+        // correlation; `execute_seq` is the staged batch reference.
         let refd = noisy_set("r", 50, 1);
         let dut = noisy_set("d", 240, 2);
         let p = params();
         let batch = {
             let mut plan = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
-            plan.execute(&refd, &dut, &Sequential).unwrap()
+            plan.execute_seq(&refd, &dut).unwrap()
         };
         for chunk in [1usize, 7, 53, 240] {
             let mut rp = ResumablePlan::new(&refd, &p, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
@@ -1196,44 +1115,9 @@ mod tests {
                     "chunk {chunk}, slot {slot}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn fused_ingest_matches_staged_ingest_for_every_chunk_size() {
-        let refd = noisy_set("r", 50, 1);
-        let dut = noisy_set("d", 240, 2);
-        let p = params();
-        for chunk in [1usize, 7, 53, 240] {
-            let mut fused =
-                ResumablePlan::new(&refd, &p, &mut ChaCha8Rng::seed_from_u64(9)).unwrap();
-            let mut staged =
-                ResumablePlan::new(&refd, &p, &mut ChaCha8Rng::seed_from_u64(9)).unwrap();
-            let mut delivered = 0;
-            while delivered < p.n2 {
-                let take = chunk.min(p.n2 - delivered);
-                let traces: Vec<Trace> = (delivered..delivered + take)
-                    .map(|i| dut.trace(i).unwrap().clone())
-                    .collect();
-                fused.ingest(&traces).unwrap();
-                staged.ingest_staged(&traces).unwrap();
-                delivered += take;
-                assert_eq!(fused.completed_prefix(), staged.completed_prefix());
-            }
-            assert_eq!(fused.completed_prefix(), p.m, "chunk {chunk}");
-            for slot in 0..p.m {
-                assert_eq!(
-                    fused.coefficient(slot).unwrap().to_bits(),
-                    staged.coefficient(slot).unwrap().to_bits(),
-                    "chunk {chunk}, slot {slot}"
-                );
-            }
-            for round in 1..=p.m {
-                let (fm, fv) = fused.snapshot(round).unwrap();
-                let (sm, sv) = staged.snapshot(round).unwrap();
-                assert_eq!(fm.to_bits(), sm.to_bits(), "chunk {chunk}, round {round}");
-                assert_eq!(fv.to_bits(), sv.to_bits(), "chunk {chunk}, round {round}");
-            }
+            let (mean, variance) = rp.snapshot(p.m).unwrap();
+            assert_eq!(mean.to_bits(), batch.mean().to_bits(), "chunk {chunk}");
+            assert_eq!(variance.to_bits(), batch.variance().to_bits());
         }
     }
 

@@ -233,8 +233,7 @@ impl CounterfeitScreen {
     /// Each device gets its own ChaCha8 stream seeded with
     /// [`CounterfeitScreen::panel_seed`]`(base_seed, index)`, so verdict
     /// `j` equals a standalone [`CounterfeitScreen::screen`] call with that
-    /// seed — whether the panel runs in parallel (the `parallel` feature)
-    /// or one device at a time.
+    /// seed — at any worker count, including one.
     ///
     /// # Errors
     ///

@@ -10,7 +10,8 @@
 //! * [`VerificationSession`] holds, per candidate, the `k`-averaged
 //!   reference `A_RefD` (as a fused
 //!   [`PearsonRef`](ipmark_traces::stats::PearsonRef) kernel) and a
-//!   [`StreamingKAverager`] over the `n2` DUT stream. Memory is
+//!   [`StreamingKAverager`](ipmark_traces::average::StreamingKAverager)
+//!   over the `n2` DUT stream. Memory is
 //!   `O(candidates × m × trace_len)` — the `n2`-trace campaign is never
 //!   materialized.
 //! * After each ingested chunk the session re-evaluates the decision on
@@ -228,7 +229,7 @@ pub enum SessionStatus {
 /// Bit-identity contract: at any point, a candidate's finished coefficient
 /// prefix — and the decision statistics derived from it — are bitwise equal
 /// to what [`correlation_process`](crate::correlation_process) /
-/// [`correlation_process_seq`](crate::verify::correlation_process_seq)
+/// [`Plan::execute_seq`](crate::pipeline::Plan::execute_seq)
 /// produce from clones of the same seeded RNG, regardless of chunk size or
 /// thread count (see DESIGN.md §9 and `tests/streaming_equivalence.rs`).
 #[derive(Debug, Clone)]
@@ -528,7 +529,8 @@ impl VerificationSession {
 mod tests {
     use super::*;
     use crate::distinguisher::Distinguisher;
-    use crate::verify::{correlation_process, correlation_process_seq};
+    use crate::pipeline::Plan;
+    use crate::verify::correlation_process;
     use ipmark_traces::streaming::ChunkedSource;
     use ipmark_traces::{Trace, TraceSet};
     use rand::SeedableRng;
@@ -644,7 +646,10 @@ mod tests {
         drive(&mut session, &[&duts[0], &duts[1]], 23, p.n2).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for (candidate, dut) in duts.iter().enumerate() {
-            let set = correlation_process_seq(&refd, dut, &p, &mut rng).unwrap();
+            let set = Plan::correlation(&p, &mut rng)
+                .unwrap()
+                .execute_seq(&refd, dut)
+                .unwrap();
             for (slot, &expected) in set.coefficients().iter().enumerate() {
                 assert_eq!(
                     session.coefficient(candidate, slot).unwrap().to_bits(),

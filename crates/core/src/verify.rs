@@ -233,38 +233,12 @@ where
     // Thin shim over the operator graph (see `crate::pipeline`): validate
     // before drawing so a failing call leaves the caller's RNG untouched,
     // exactly like the pre-graph implementation, then run the plan on the
-    // feature-selected default backend. The drawn selections, buffer fill
+    // environment-sized default backend. The drawn selections, buffer fill
     // order and batched correlation are bit-identical to the historical
     // hand-rolled body (pinned by the tier-2 golden suites).
     validate_sources(refd, dut, params)?;
     let mut plan = Plan::correlation(params, rng)?;
     plan.execute(refd, dut, &default_backend())
-}
-
-/// The sequential reference entry point of [`correlation_process`], for
-/// DUT sources that are not [`Sync`]. Compiled unconditionally so
-/// equivalence tests can pit it against the fused/parallel path in one
-/// binary; both are shims over the same operator graph and bit-identical
-/// by construction ([`Plan::execute_seq`] performs the same per-row
-/// operation sequence in index order).
-///
-/// # Errors
-///
-/// Same as [`correlation_process`].
-pub fn correlation_process_seq<SR, SD, R>(
-    refd: &SR,
-    dut: &SD,
-    params: &CorrelationParams,
-    rng: &mut R,
-) -> Result<CorrelationSet, CoreError>
-where
-    SR: TraceSource + ?Sized,
-    SD: TraceSource + ?Sized,
-    R: Rng + ?Sized,
-{
-    validate_sources(refd, dut, params)?;
-    let mut plan = Plan::correlation(params, rng)?;
-    plan.execute_seq(refd, dut)
 }
 
 pub(crate) fn validate_sources<SR, SD>(
@@ -541,9 +515,10 @@ mod tests {
             let fused =
                 correlation_process(&refd, &dut, &params, &mut ChaCha8Rng::seed_from_u64(seed))
                     .unwrap();
-            let seq =
-                correlation_process_seq(&refd, &dut, &params, &mut ChaCha8Rng::seed_from_u64(seed))
-                    .unwrap();
+            let seq = Plan::correlation(&params, &mut ChaCha8Rng::seed_from_u64(seed))
+                .unwrap()
+                .execute_seq(&refd, &dut)
+                .unwrap();
             let fused_bits: Vec<u64> = fused.coefficients().iter().map(|c| c.to_bits()).collect();
             let seq_bits: Vec<u64> = seq.coefficients().iter().map(|c| c.to_bits()).collect();
             assert_eq!(fused_bits, seq_bits, "seed {seed}");

@@ -578,4 +578,42 @@ mod tests {
         ran.unwrap();
         assert_eq!(some, vec![2.0; 6]);
     }
+
+    /// At one worker every primitive is the plain index-ordered loop on the
+    /// calling thread: nothing is spawned, so `RAYON_NUM_THREADS=1` runs
+    /// the sequential path.
+    #[test]
+    fn single_worker_pool_runs_on_the_calling_thread() {
+        let pool = Pool::with_threads(1);
+        let caller = std::thread::current().id();
+        let on_caller = || assert_eq!(std::thread::current().id(), caller);
+
+        let mapped = pool.map_indexed(9, |i| {
+            on_caller();
+            i
+        });
+        assert_eq!(mapped, (0..9).collect::<Vec<_>>());
+
+        let tried: Result<Vec<usize>, ()> = pool.try_map_indexed(9, |i| {
+            on_caller();
+            Ok(i)
+        });
+        assert_eq!(tried.unwrap(), (0..9).collect::<Vec<_>>());
+
+        let mut data = vec![0.0; 12];
+        let filled: Result<(), ()> = pool.try_fill_rows(&mut data, 3, |i, row| {
+            on_caller();
+            row.fill(i as f64);
+            Ok(())
+        });
+        filled.unwrap();
+        assert_eq!(data[9..], [3.0; 3]);
+
+        let sums: Result<Vec<f64>, ()> = pool.try_fill_rows_map(&mut data, 3, |i, row| {
+            on_caller();
+            row.fill(1.0 + i as f64);
+            Ok(row.iter().sum())
+        });
+        assert_eq!(sums.unwrap(), vec![3.0, 6.0, 9.0, 12.0]);
+    }
 }

@@ -183,28 +183,21 @@ impl SimulatedAcquisition {
     /// Materializes the whole campaign as an in-memory [`TraceSet`] — the
     /// paper's `T_device = Pw(device, n)`.
     ///
-    /// Every trace regenerates from its own per-index seed, so with the
-    /// `parallel` feature the materialization fans out across threads;
-    /// index-order collection keeps the set identical to
-    /// [`SimulatedAcquisition::acquire_all_seq`] for every thread count.
+    /// Every trace regenerates from its own per-index seed, so the
+    /// materialization fans out across threads; index-order collection
+    /// keeps trace `i` identical to [`SimulatedAcquisition::trace`]`(i)` for
+    /// every thread count.
     ///
     /// # Errors
     ///
     /// Propagates container errors (cannot occur for a valid campaign).
     pub fn acquire_all(&self) -> Result<TraceSet, TraceError> {
-        #[cfg(feature = "parallel")]
-        {
-            let traces = ipmark_parallel::par_try_map_indexed(self.num_traces, |i| self.trace(i))?;
-            let mut set = TraceSet::new(self.device_name.clone());
-            for t in traces {
-                set.push(t)?;
-            }
-            Ok(set)
+        let traces = ipmark_parallel::par_try_map_indexed(self.num_traces, |i| self.trace(i))?;
+        let mut set = TraceSet::new(self.device_name.clone());
+        for t in traces {
+            set.push(t)?;
         }
-        #[cfg(not(feature = "parallel"))]
-        {
-            self.acquire_all_seq()
-        }
+        Ok(set)
     }
 
     /// Streams the campaign as fixed-size chunks — the delivery shape a
@@ -224,27 +217,13 @@ impl SimulatedAcquisition {
         ipmark_traces::streaming::ChunkedSource::new(self, chunk_size)
     }
 
-    /// The sequential reference implementation of
-    /// [`SimulatedAcquisition::acquire_all`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates container errors (cannot occur for a valid campaign).
-    pub fn acquire_all_seq(&self) -> Result<TraceSet, TraceError> {
-        let mut set = TraceSet::new(self.device_name.clone());
-        for i in 0..self.num_traces {
-            set.push(self.trace(i)?)?;
-        }
-        Ok(set)
-    }
-
     /// Materializes the whole campaign into one contiguous [`TraceBlock`]
     /// — the arena-native form of [`SimulatedAcquisition::acquire_all`],
     /// performing exactly one allocation for all `num_traces` traces.
     ///
     /// Each trace regenerates from its own per-index seed directly into its
-    /// arena row, so with the `parallel` feature the workers write disjoint
-    /// row ranges of the shared allocation. The sample bits equal
+    /// arena row, so the workers write disjoint row ranges of the shared
+    /// allocation. The sample bits equal
     /// [`SimulatedAcquisition::trace`]'s for every row and thread count.
     ///
     /// # Errors
@@ -254,34 +233,9 @@ impl SimulatedAcquisition {
         let mut block =
             TraceBlock::zeros(self.device_name.clone(), self.num_traces, self.clean.len())?;
         let trace_len = self.clean.len();
-        #[cfg(feature = "parallel")]
-        {
-            ipmark_parallel::par_try_fill_rows(block.samples_mut(), trace_len, |i, row| {
-                self.trace_into(i, row)
-            })?;
-        }
-        #[cfg(not(feature = "parallel"))]
-        {
-            let _ = trace_len;
-            for (i, mut row) in block.rows_mut().enumerate() {
-                self.trace_into(i, row.samples_mut())?;
-            }
-        }
-        Ok(block)
-    }
-
-    /// The sequential reference implementation of
-    /// [`SimulatedAcquisition::acquire_block`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates container errors (cannot occur for a valid campaign).
-    pub fn acquire_block_seq(&self) -> Result<TraceBlock, TraceError> {
-        let mut block =
-            TraceBlock::zeros(self.device_name.clone(), self.num_traces, self.clean.len())?;
-        for (i, mut row) in block.rows_mut().enumerate() {
-            self.trace_into(i, row.samples_mut())?;
-        }
+        ipmark_parallel::par_try_fill_rows(block.samples_mut(), trace_len, |i, row| {
+            self.trace_into(i, row)
+        })?;
         Ok(block)
     }
 }
@@ -451,13 +405,17 @@ mod tests {
     }
 
     #[test]
-    fn acquire_all_matches_sequential_reference() {
+    fn acquire_all_matches_per_index_traces() {
         let mut circuit = test_circuit();
         let device = test_device();
         let chain =
             MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.15, None).unwrap();
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 17, 5).unwrap();
-        assert_eq!(acq.acquire_all().unwrap(), acq.acquire_all_seq().unwrap());
+        let set = acq.acquire_all().unwrap();
+        assert_eq!(set.len(), 17);
+        for i in 0..17 {
+            assert_eq!(set.trace(i).unwrap(), &acq.trace(i).unwrap(), "trace {i}");
+        }
     }
 
     #[test]
@@ -488,8 +446,6 @@ mod tests {
             MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.2, None).unwrap();
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 13, 4).unwrap();
         let block = acq.acquire_block().unwrap();
-        let block_seq = acq.acquire_block_seq().unwrap();
-        assert_eq!(block, block_seq);
         assert_eq!(block.len(), 13);
         assert_eq!(block.device(), "dev");
         for i in 0..13 {

@@ -113,202 +113,14 @@ pub fn k_average<S: TraceSource + ?Sized, R: Rng + ?Sized>(
     mean_of_indices(source, &indices)
 }
 
-/// Computes `m` independent `k`-averaged traces: the paper's
-/// `A_{device,m} = { mean(U_T(k)) }_m`.
-///
-/// Each of the `m` selections is drawn independently (a trace may appear in
-/// several selections — the probability of that event, `P(ζ)`, is exactly
-/// what the paper's §V.B parameter analysis controls).
-///
-/// All `m` index selections are drawn from `rng` *before* any averaging
-/// work starts. Averaging never touches the RNG, so the consumed stream —
-/// and therefore which traces each `A` averages — is identical to the
-/// interleaved [`k_averages_seq`] loop. With the `parallel` feature the
-/// averages are then built across threads and collected in index order,
-/// which keeps the output bit-identical for every thread count.
-///
-/// # Errors
-///
-/// Returns a selection error when `k` is zero or exceeds the number of
-/// traces, and [`TraceError::EmptySet`] when `m` is zero.
-pub fn k_averages<S: TraceSource + Sync + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    k: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<Vec<Trace>, TraceError> {
-    let selections = draw_selections(source, k, m, rng)?;
-    #[cfg(feature = "parallel")]
-    {
-        ipmark_parallel::par_try_map_indexed(selections.len(), |i| {
-            mean_of_indices(source, &selections[i])
-        })
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        selections
-            .iter()
-            .map(|sel| mean_of_indices(source, sel))
-            .collect()
-    }
-}
-
-/// [`k_averages`] with an explicit worker pool, for callers (and tests)
-/// that must not depend on `RAYON_NUM_THREADS`.
-///
-/// # Errors
-///
-/// Same as [`k_averages`].
-#[cfg(feature = "parallel")]
-pub fn k_averages_with_pool<S: TraceSource + Sync + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    k: usize,
-    m: usize,
-    rng: &mut R,
-    pool: &ipmark_parallel::Pool,
-) -> Result<Vec<Trace>, TraceError> {
-    let selections = draw_selections(source, k, m, rng)?;
-    pool.try_map_indexed(selections.len(), |i| {
-        mean_of_indices(source, &selections[i])
-    })
-}
-
-/// The sequential reference implementation of [`k_averages`]: draw one
-/// selection, average it, repeat. Compiled unconditionally so equivalence
-/// tests can compare it against the parallel path in one binary.
-///
-/// # Errors
-///
-/// Same as [`k_averages`].
-pub fn k_averages_seq<S: TraceSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    k: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<Vec<Trace>, TraceError> {
-    if m == 0 {
-        return Err(TraceError::EmptySet);
-    }
-    (0..m).map(|_| k_average(source, k, rng)).collect()
-}
-
-/// Computes the `m` `k`-averaged traces of [`k_averages`] directly into one
-/// contiguous [`TraceBlock`] (row `i` = average `i`), allocating exactly
-/// one arena for the whole output instead of `m` separate traces.
-///
-/// Selections are pre-drawn exactly as in [`k_averages`] and every row is
-/// produced by [`mean_of_indices_into`] — the same floating-point sequence
-/// as the per-trace path, so `k_averages(..)?[i].samples()` and
-/// `k_averages_block(..)?.row(i)?.samples()` are bit-identical. With the
-/// `parallel` feature the rows are filled by disjoint workers writing into
-/// the shared arena (index-ordered, thread-count invariant).
-///
-/// # Errors
-///
-/// Same as [`k_averages`].
-pub fn k_averages_block<S: TraceSource + Sync + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    k: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<TraceBlock, TraceError> {
-    let selections = draw_selections(source, k, m, rng)?;
-    fill_block_from_selections(source, &selections)
-}
-
-/// [`k_averages_block`] with an explicit worker pool.
-///
-/// # Errors
-///
-/// Same as [`k_averages`].
-#[cfg(feature = "parallel")]
-pub fn k_averages_block_with_pool<S: TraceSource + Sync + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    k: usize,
-    m: usize,
-    rng: &mut R,
-    pool: &ipmark_parallel::Pool,
-) -> Result<TraceBlock, TraceError> {
-    let selections = draw_selections(source, k, m, rng)?;
-    let mut block = TraceBlock::zeros("", selections.len(), source.trace_len())?;
-    let trace_len = source.trace_len();
-    pool.try_fill_rows(block.samples_mut(), trace_len, |i, row| {
-        mean_of_indices_into(source, &selections[i], row)
-    })?;
-    Ok(block)
-}
-
-/// The sequential reference implementation of [`k_averages_block`]:
-/// interleaved draw-then-average, like [`k_averages_seq`], but writing into
-/// one preallocated arena. Compiled unconditionally.
-///
-/// # Errors
-///
-/// Same as [`k_averages`].
-pub fn k_averages_block_seq<S: TraceSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    k: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<TraceBlock, TraceError> {
-    if m == 0 {
-        return Err(TraceError::EmptySet);
-    }
-    let trace_len = source.trace_len();
-    let mut block = TraceBlock::zeros("", m, trace_len)?;
-    for i in 0..m {
-        let indices = uniform_distinct_indices(source.num_traces(), k, rng)?;
-        let mut row = block.row_mut(i)?;
-        mean_of_indices_into(source, &indices, row.samples_mut())?;
-    }
-    Ok(block)
-}
-
-fn fill_block_from_selections<S: TraceSource + Sync + ?Sized>(
-    source: &S,
-    selections: &[Vec<usize>],
-) -> Result<TraceBlock, TraceError> {
-    let trace_len = source.trace_len();
-    let mut block = TraceBlock::zeros("", selections.len(), trace_len)?;
-    #[cfg(feature = "parallel")]
-    {
-        ipmark_parallel::par_try_fill_rows(block.samples_mut(), trace_len, |i, row| {
-            mean_of_indices_into(source, &selections[i], row)
-        })?;
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        for (i, selection) in selections.iter().enumerate() {
-            let mut row = block.row_mut(i)?;
-            mean_of_indices_into(source, selection, row.samples_mut())?;
-        }
-    }
-    Ok(block)
-}
-
-/// Draws the `m` index selections up front, in the order the sequential
-/// loop would draw them.
-fn draw_selections<S: TraceSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    k: usize,
-    m: usize,
-    rng: &mut R,
-) -> Result<Vec<Vec<usize>>, TraceError> {
-    if m == 0 {
-        return Err(TraceError::EmptySet);
-    }
-    (0..m)
-        .map(|_| Ok(uniform_distinct_indices(source.num_traces(), k, rng)?))
-        .collect()
-}
-
 /// Builds the `m` `k`-averaged traces of one device from a stream of traces
 /// arriving in index order, without materializing the backing population.
 ///
-/// The constructor pre-draws the `m` index selections exactly as
-/// [`k_averages`] does, consuming the RNG identically. Because
-/// [`uniform_distinct_indices`] returns selections in ascending order, the
-/// batch path accumulates each average lowest-index-first — which is
+/// The constructor pre-draws the `m` index selections in order, consuming
+/// the RNG exactly as `m` successive [`k_average`] calls over the same
+/// population would. Because [`uniform_distinct_indices`] returns
+/// selections in ascending order, the batch path accumulates each average
+/// lowest-index-first — which is
 /// precisely the order the stream delivers traces. Each arriving trace is
 /// added into every partial average that selected it (`acc[j] += s[j]`,
 /// the same element-wise addition [`mean_of_indices`] performs), and a
@@ -347,9 +159,9 @@ impl StreamingKAverager {
     /// Draws the `m` selections over a population of `population` traces of
     /// `trace_len` samples each.
     ///
-    /// Consumes `rng` exactly as [`k_averages`] over the same population
-    /// does, so a batch and a streaming run from clones of one seeded RNG
-    /// average identical subsets.
+    /// Consumes `rng` exactly as `m` successive [`k_average`] calls over
+    /// the same population do, so a batch and a streaming run from clones
+    /// of one seeded RNG average identical subsets.
     ///
     /// # Errors
     ///
@@ -386,8 +198,17 @@ impl StreamingKAverager {
     }
 
     /// Ingests the next trace of the stream (index [`Self::ingested`]) and
-    /// returns the indices of the slots it completed; their finished
-    /// averages are readable through [`StreamingKAverager::average`].
+    /// returns a `(slot, sum)` pair for every slot it completed; the
+    /// finished averages are readable through
+    /// [`StreamingKAverager::average`].
+    ///
+    /// A slot completed by this trace is finalized with one
+    /// [`kernels::accumulate_scale_sum`] sweep that folds the final
+    /// accumulate, the `1/k` scale **and** the finished row's blocked sum
+    /// (DESIGN.md §16). The finished average is bit-identical to
+    /// [`mean_of_indices`] over the slot's selection, and `sum` is
+    /// bit-identical to [`kernels::sum`] over that row, which is what the
+    /// correlation stage needs for its mean.
     ///
     /// A rejected trace is **not** consumed: the stream index does not
     /// advance and no partial sum is touched, so the caller can re-supply a
@@ -399,7 +220,7 @@ impl StreamingKAverager {
     /// have been ingested, [`TraceError::LengthMismatch`] for a wrong
     /// sample count and [`TraceError::NonFiniteSample`] for NaN/infinite
     /// samples.
-    pub fn ingest(&mut self, samples: &[f64]) -> Result<Vec<usize>, TraceError> {
+    pub fn ingest(&mut self, samples: &[f64]) -> Result<Vec<(usize, f64)>, TraceError> {
         let index = self.next_index;
         if index >= self.population {
             return Err(TraceError::IndexOutOfRange {
@@ -421,83 +242,24 @@ impl StreamingKAverager {
         }
 
         let mut finished = Vec::new();
-        for (slot_idx, selection) in self.selections.iter().enumerate() {
-            let cursor = self.cursors[slot_idx];
-            if cursor >= selection.len() || selection[cursor] != index {
+        let slots = self
+            .selections
+            .iter()
+            .zip(&mut self.cursors)
+            .zip(&mut self.finished);
+        for (slot_idx, ((selection, cursor), done)) in slots.enumerate() {
+            if selection.get(*cursor) != Some(&index) {
                 continue;
             }
             let mut row = self.slots.row_mut(slot_idx)?;
             let acc = row.samples_mut();
-            kernels::accumulate(acc, samples);
-            self.cursors[slot_idx] = cursor + 1;
-            if cursor + 1 == selection.len() {
-                // Same finalization as `mean_of_indices`: scale the sum by
-                // the reciprocal of the selection length.
-                kernels::scale(acc, 1.0 / selection.len() as f64);
-                self.finished[slot_idx] = true;
-                finished.push(slot_idx);
-            }
-        }
-        self.next_index += 1;
-        self.completed += finished.len();
-        Ok(finished)
-    }
-
-    /// Fused variant of [`StreamingKAverager::ingest`] (DESIGN.md §16):
-    /// identical validation (rejection stays atomic and non-consuming) and
-    /// identical accumulation, but a slot completed by this trace is
-    /// finalized with one [`kernels::accumulate_scale_sum`] sweep that
-    /// folds the final accumulate, the `1/k` scale, **and** the finished
-    /// row's blocked sum — which the correlation stage needs for its mean
-    /// — where the staged path sweeps the row three times.
-    ///
-    /// Returns `(slot, sum)` pairs for the slots this trace completed:
-    /// the finished average is bit-identical to what
-    /// [`StreamingKAverager::ingest`] leaves in the slot, and `sum` is
-    /// bit-identical to [`kernels::sum`] over that row. The staged path
-    /// stays compiled as the equivalence oracle, pinned by the property
-    /// suite.
-    ///
-    /// # Errors
-    ///
-    /// As for [`StreamingKAverager::ingest`].
-    pub fn ingest_fused(&mut self, samples: &[f64]) -> Result<Vec<(usize, f64)>, TraceError> {
-        let index = self.next_index;
-        if index >= self.population {
-            return Err(TraceError::IndexOutOfRange {
-                index,
-                available: self.population,
-            });
-        }
-        if samples.len() != self.trace_len {
-            return Err(TraceError::LengthMismatch {
-                expected: self.trace_len,
-                provided: samples.len(),
-            });
-        }
-        if let Some(sample_index) = samples.iter().position(|s| !s.is_finite()) {
-            return Err(TraceError::NonFiniteSample {
-                trace_index: index,
-                sample_index,
-            });
-        }
-
-        let mut finished = Vec::new();
-        for (slot_idx, selection) in self.selections.iter().enumerate() {
-            let cursor = self.cursors[slot_idx];
-            if cursor >= selection.len() || selection[cursor] != index {
-                continue;
-            }
-            let mut row = self.slots.row_mut(slot_idx)?;
-            let acc = row.samples_mut();
-            self.cursors[slot_idx] = cursor + 1;
-            if cursor + 1 == selection.len() {
-                // One sweep for what `ingest` does in three: the final
-                // accumulate, the `mean_of_indices` reciprocal scale, and
-                // the row sum the correlate stage would otherwise
-                // recompute.
+            *cursor += 1;
+            if *cursor == selection.len() {
+                // One sweep for the final accumulate, the
+                // `mean_of_indices` reciprocal scale, and the row sum the
+                // correlate stage would otherwise recompute.
                 let sum = kernels::accumulate_scale_sum(acc, samples, 1.0 / selection.len() as f64);
-                self.finished[slot_idx] = true;
+                *done = true;
                 finished.push((slot_idx, sum));
             } else {
                 kernels::accumulate(acc, samples);
@@ -565,8 +327,9 @@ impl StreamingKAverager {
     /// `m`). Selections are fixed at construction, so this is an exact
     /// prediction, not an estimate.
     pub fn traces_required_for_slots(&self, slots: usize) -> usize {
-        self.selections[..slots.min(self.selections.len())]
+        self.selections
             .iter()
+            .take(slots)
             .filter_map(|sel| sel.last().map(|&last| last + 1))
             .max()
             .unwrap_or(0)
@@ -623,61 +386,6 @@ mod tests {
         assert!(k_average(&set, 0, &mut rng).is_err());
     }
 
-    #[test]
-    fn k_averages_returns_m_traces() {
-        let set = set_of(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0], &[4.0, 4.0]]);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let avgs = k_averages(&set, 2, 5, &mut rng).unwrap();
-        assert_eq!(avgs.len(), 5);
-        for t in &avgs {
-            assert_eq!(t.len(), 2);
-            // Every 2-average of values in [1,4] lies in [1.5, 3.5].
-            assert!(t.samples()[0] >= 1.5 && t.samples()[0] <= 3.5);
-        }
-        assert!(matches!(
-            k_averages(&set, 2, 0, &mut rng),
-            Err(TraceError::EmptySet)
-        ));
-    }
-
-    #[test]
-    fn k_averages_matches_the_sequential_reference() {
-        // Same seed in, bit-identical averages out — the pre-drawn
-        // selections consume the RNG exactly as the interleaved loop does.
-        let set = set_of(&[
-            &[1.0, 2.0],
-            &[3.0, 6.0],
-            &[5.0, 10.0],
-            &[7.0, 14.0],
-            &[9.0, 18.0],
-        ]);
-        for seed in 0..5u64 {
-            let par = k_averages(&set, 2, 7, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
-            let seq = k_averages_seq(&set, 2, 7, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
-            assert_eq!(par, seq, "seed {seed}");
-        }
-        // And the RNG is left in the same state afterwards.
-        let mut r1 = ChaCha8Rng::seed_from_u64(3);
-        let mut r2 = ChaCha8Rng::seed_from_u64(3);
-        k_averages(&set, 2, 4, &mut r1).unwrap();
-        k_averages_seq(&set, 2, 4, &mut r2).unwrap();
-        use rand::RngCore as _;
-        assert_eq!(r1.next_u64(), r2.next_u64());
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn k_averages_is_thread_count_invariant() {
-        let set = set_of(&[&[1.0, 2.0], &[3.0, 6.0], &[5.0, 10.0], &[7.0, 14.0]]);
-        let baseline = k_averages_seq(&set, 2, 6, &mut ChaCha8Rng::seed_from_u64(11)).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = ipmark_parallel::Pool::with_threads(threads);
-            let got = k_averages_with_pool(&set, 2, 6, &mut ChaCha8Rng::seed_from_u64(11), &pool)
-                .unwrap();
-            assert_eq!(got, baseline, "threads = {threads}");
-        }
-    }
-
     fn noisy_test_set(n: usize, len: usize, seed: u64) -> TraceSet {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut set = TraceSet::new("stream");
@@ -695,17 +403,25 @@ mod tests {
 
     #[test]
     fn streaming_averager_is_bitwise_equal_to_batch() {
+        // The batch reference is m interleaved draw-then-average
+        // `k_average` calls on one RNG: no pre-drawn selections and no
+        // fused finalization.
         let set = noisy_test_set(120, 16, 5);
         for seed in 0..4u64 {
-            let batch = k_averages(&set, 9, 7, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let batch: Vec<Trace> = (0..7)
+                .map(|_| k_average(&set, 9, &mut rng).unwrap())
+                .collect();
             let mut streamer =
                 StreamingKAverager::new(set.len(), 16, 9, 7, &mut ChaCha8Rng::seed_from_u64(seed))
                     .unwrap();
             let mut streamed: Vec<Option<Vec<f64>>> = vec![None; 7];
             for trace in set.iter() {
-                for slot in streamer.ingest(trace.samples()).unwrap() {
+                for (slot, sum) in streamer.ingest(trace.samples()).unwrap() {
                     assert!(streamed[slot].is_none(), "slot {slot} completed twice");
                     let avg = streamer.average(slot).expect("slot just finished");
+                    // The carried sum is the canonical sum of the average.
+                    assert_eq!(sum.to_bits(), kernels::sum(avg).to_bits(), "slot {slot}");
                     streamed[slot] = Some(avg.to_vec());
                 }
             }
@@ -720,52 +436,6 @@ mod tests {
                 let row = streamer.output_block().row(slot).unwrap();
                 assert_eq!(row.samples(), got.as_slice());
             }
-        }
-    }
-
-    #[test]
-    fn block_averages_are_bitwise_equal_to_per_trace_averages() {
-        let set = noisy_test_set(90, 12, 3);
-        for seed in 0..4u64 {
-            let traces = k_averages(&set, 8, 6, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
-            let block = k_averages_block(&set, 8, 6, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
-            let block_seq =
-                k_averages_block_seq(&set, 8, 6, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
-            assert_eq!(block.len(), 6);
-            assert_eq!(block, block_seq, "seed {seed}");
-            for (i, trace) in traces.iter().enumerate() {
-                let got: Vec<u64> = block
-                    .row(i)
-                    .unwrap()
-                    .samples()
-                    .iter()
-                    .map(|s| s.to_bits())
-                    .collect();
-                let want: Vec<u64> = trace.samples().iter().map(|s| s.to_bits()).collect();
-                assert_eq!(got, want, "seed {seed}, row {i}");
-            }
-        }
-        assert!(matches!(
-            k_averages_block(&set, 8, 0, &mut ChaCha8Rng::seed_from_u64(0)),
-            Err(TraceError::EmptySet)
-        ));
-        assert!(matches!(
-            k_averages_block_seq(&set, 8, 0, &mut ChaCha8Rng::seed_from_u64(0)),
-            Err(TraceError::EmptySet)
-        ));
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn block_averages_are_thread_count_invariant() {
-        let set = noisy_test_set(70, 9, 6);
-        let baseline = k_averages_block_seq(&set, 5, 8, &mut ChaCha8Rng::seed_from_u64(4)).unwrap();
-        for threads in [1, 2, 8] {
-            let pool = ipmark_parallel::Pool::with_threads(threads);
-            let got =
-                k_averages_block_with_pool(&set, 5, 8, &mut ChaCha8Rng::seed_from_u64(4), &pool)
-                    .unwrap();
-            assert_eq!(got, baseline, "threads = {threads}");
         }
     }
 
@@ -795,7 +465,9 @@ mod tests {
         let set = noisy_test_set(50, 4, 1);
         let mut r1 = ChaCha8Rng::seed_from_u64(8);
         let mut r2 = ChaCha8Rng::seed_from_u64(8);
-        k_averages(&set, 5, 6, &mut r1).unwrap();
+        for _ in 0..6 {
+            k_average(&set, 5, &mut r1).unwrap();
+        }
         StreamingKAverager::new(50, 4, 5, 6, &mut r2).unwrap();
         assert_eq!(r1.next_u64(), r2.next_u64());
     }
@@ -859,7 +531,7 @@ mod tests {
         // slots must all be complete (and not one trace earlier).
         let mut done = [false; 5];
         for i in 0..40 {
-            for slot in s.ingest(&[i as f64, 2.0 * i as f64 + 1.0]).unwrap() {
+            for (slot, _) in s.ingest(&[i as f64, 2.0 * i as f64 + 1.0]).unwrap() {
                 done[slot] = true;
             }
             let fed = i + 1;

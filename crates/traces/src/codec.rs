@@ -478,7 +478,6 @@ const PAD: usize = 16;
 
 /// Batches smaller than this many samples decode on the calling thread:
 /// a few dozen microseconds of decode do not pay for spawning workers.
-#[cfg(feature = "parallel")]
 const PARALLEL_MIN_SAMPLES: usize = 1 << 16;
 
 /// Payload bytes requested per `read_exact`: the batch buffer runs at most
@@ -512,9 +511,8 @@ enum RowPayload {
 /// Rows are read serially, in batches of [`BATCH_ROWS`]: each row's flag
 /// and metadata are parsed and its payload is appended to one reused
 /// batch buffer. The batch's rows are then decoded into their arena rows
-/// in parallel (with the `parallel` feature). Rows are independent and the
-/// read order is fixed, so the output and the reported error do not depend
-/// on the thread count.
+/// in parallel. Rows are independent and the read order is fixed, so the
+/// output and the reported error do not depend on the thread count.
 ///
 /// # Errors
 ///
@@ -638,7 +636,6 @@ fn decode_batch(arena: &mut [f64], trace_len: usize, rows: &[(usize, RowPayload)
             decode_row(row, kind, batch.get(start..).unwrap_or_default());
         }
     };
-    #[cfg(feature = "parallel")]
     if arena.len() >= PARALLEL_MIN_SAMPLES {
         let filled: Result<(), std::convert::Infallible> =
             ipmark_parallel::par_try_fill_rows(arena, trace_len, |i, row| {

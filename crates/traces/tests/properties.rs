@@ -425,54 +425,54 @@ proptest! {
     }
 
     #[test]
-    fn fused_streaming_ingest_matches_staged_ingest_bitwise(
+    fn streaming_ingest_matches_mean_of_indices_bitwise(
         n2 in 4usize..32,
         k_frac in 0.0f64..1.0,
         m in 1usize..5,
         trace_len in 1usize..24,
-        chunk in 1usize..9,
         seed: u64,
     ) {
         use ipmark_traces::average::StreamingKAverager;
-        use rand::RngCore;
 
         let k = ((k_frac * n2 as f64) as usize).clamp(1, n2);
-        let mut rng_staged = ChaCha8Rng::seed_from_u64(seed);
-        let mut rng_fused = ChaCha8Rng::seed_from_u64(seed);
-        let mut staged = StreamingKAverager::new(n2, trace_len, k, m, &mut rng_staged).unwrap();
-        let mut fused = StreamingKAverager::new(n2, trace_len, k, m, &mut rng_fused).unwrap();
-        // Construction consumed both RNG streams identically — ingestion
-        // itself never touches the RNG, so the post-states must agree.
-        prop_assert_eq!(rng_staged.next_u64(), rng_fused.next_u64());
-
-        let trace = |i: usize| -> Vec<f64> {
-            (0..trace_len)
-                .map(|j| ((i * trace_len + j) as f64 * 0.37 + (seed % 97) as f64).sin() * 1e3)
-                .collect()
-        };
-        // Deliver the same stream through both paths; the chunk size only
-        // batches calls, the averagers see identical per-trace input.
-        let mut delivered = 0;
-        while delivered < n2 {
-            let take = chunk.min(n2 - delivered);
-            for i in delivered..delivered + take {
-                let t = trace(i);
-                let finished_staged = staged.ingest(&t).unwrap();
-                let finished_fused = fused.ingest_fused(&t).unwrap();
-                let slots: Vec<usize> = finished_fused.iter().map(|&(s, _)| s).collect();
-                prop_assert_eq!(finished_staged, slots);
-                for &(slot, sum) in &finished_fused {
-                    let avg_fused = fused.average(slot).unwrap();
-                    let avg_staged = staged.average(slot).unwrap();
-                    for (a, b) in avg_fused.iter().zip(avg_staged) {
-                        prop_assert_eq!(a.to_bits(), b.to_bits(), "slot {}", slot);
-                    }
-                    // The carried sum is the canonical sum of the average.
-                    prop_assert_eq!(sum.to_bits(), kernels::sum(avg_fused).to_bits(), "slot {}", slot);
-                }
-            }
-            delivered += take;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut streamer = StreamingKAverager::new(n2, trace_len, k, m, &mut rng).unwrap();
+        // The selections are m successive draws from the stream.
+        let mut rng_ref = ChaCha8Rng::seed_from_u64(seed);
+        for selection in streamer.selections() {
+            prop_assert_eq!(selection, &uniform_distinct_indices(n2, k, &mut rng_ref).unwrap());
         }
-        prop_assert_eq!(staged.ingested(), fused.ingested());
+
+        let set = TraceSet::from_traces(
+            "stream",
+            (0..n2)
+                .map(|i| {
+                    Trace::from_samples(
+                        (0..trace_len)
+                            .map(|j| ((i * trace_len + j) as f64 * 0.37 + (seed % 97) as f64).sin() * 1e3)
+                            .collect(),
+                    )
+                })
+                .collect(),
+        ).unwrap();
+        // Each finished average is bitwise the staged batch average of its
+        // selection, completed by the selection's last index, and carries
+        // the canonical sum of that average.
+        let mut completed = 0;
+        for (i, trace) in set.iter().enumerate() {
+            for (slot, sum) in streamer.ingest(trace.samples()).unwrap() {
+                let selection = &streamer.selections()[slot];
+                prop_assert_eq!(selection.last().copied(), Some(i));
+                let avg = streamer.average(slot).unwrap();
+                let want = mean_of_indices(&set, selection).unwrap();
+                for (a, b) in avg.iter().zip(want.samples()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits(), "slot {}", slot);
+                }
+                prop_assert_eq!(sum.to_bits(), kernels::sum(avg).to_bits(), "slot {}", slot);
+                completed += 1;
+            }
+        }
+        prop_assert_eq!(completed, m);
+        prop_assert!(streamer.is_complete());
     }
 }

@@ -58,7 +58,6 @@ pub use ipmark_core as core;
 pub use ipmark_crypto as crypto;
 pub use ipmark_fsm as fsm;
 pub use ipmark_netlist as netlist;
-#[cfg(feature = "parallel")]
 pub use ipmark_parallel as parallel;
 pub use ipmark_power as power;
 pub use ipmark_traces as traces;

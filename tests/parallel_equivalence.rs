@@ -1,13 +1,14 @@
 //! The determinism contract of the parallel correlation engine (see
-//! DESIGN.md): with the `parallel` feature on or off, and for every worker
-//! count, the engine must produce bit-identical results to the sequential
-//! reference implementations — same seeded RNG trace selections, same
-//! correlation coefficients, same matrices.
+//! DESIGN.md): for every worker count, including one, the engine must
+//! produce bit-identical results to the sequential reference
+//! implementations — same seeded RNG trace selections, same correlation
+//! coefficients, same matrices.
 
 use ipmark::core::matrix::{ExperimentConfig, IdentificationMatrix};
-use ipmark::core::verify::{correlation_process, correlation_process_seq, CorrelationParams};
-use ipmark::core::CounterfeitScreen;
-use ipmark::traces::average::{k_averages, k_averages_seq};
+use ipmark::core::verify::{correlation_process, CorrelationParams};
+use ipmark::core::{AcquireStage, CounterfeitScreen, KAverageStage, Plan, Pooled};
+use ipmark::parallel::Pool;
+use ipmark::traces::average::k_average;
 use ipmark::traces::{Trace, TraceSet};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -65,11 +66,9 @@ fn matrix_equals_sequential_reference_cell_by_cell() {
 
 /// The matrix must not depend on the worker count: 1, 2 and 8 threads all
 /// reproduce the sequential reference bit for bit.
-#[cfg(feature = "parallel")]
 #[test]
 fn matrix_is_invariant_across_thread_counts() {
     use ipmark::core::ip::{ip_a, ip_b};
-    use ipmark::parallel::Pool;
 
     let config = small_config();
     let refs = [ip_a()];
@@ -100,7 +99,9 @@ fn correlation_process_preserves_rng_stream_and_coefficients() {
         let mut rng_par = ChaCha8Rng::seed_from_u64(seed);
         let mut rng_seq = ChaCha8Rng::seed_from_u64(seed);
         let par = correlation_process(&refd, &dut, &params, &mut rng_par).expect("parallel");
-        let seq = correlation_process_seq(&refd, &dut, &params, &mut rng_seq).expect("sequential");
+        let seq = Plan::correlation(&params, &mut rng_seq)
+            .and_then(|mut plan| plan.execute_seq(&refd, &dut))
+            .expect("sequential");
         let par_bits: Vec<u64> = par.coefficients().iter().map(|c| c.to_bits()).collect();
         let seq_bits: Vec<u64> = seq.coefficients().iter().map(|c| c.to_bits()).collect();
         assert_eq!(par_bits, seq_bits, "seed {seed}");
@@ -111,16 +112,41 @@ fn correlation_process_preserves_rng_stream_and_coefficients() {
 }
 
 /// k-averaging — where the selection RNG actually lives — must pre-draw
-/// exactly what the interleaved sequential loop draws.
+/// exactly what the interleaved draw-then-average loop draws: the pooled
+/// fill of the pre-drawn selections equals one `k_average` call per
+/// average, for every worker count.
 #[test]
 fn k_averaging_selects_identical_traces() {
     let set = noisy_set("dev", 64, 9);
+    let params = CorrelationParams {
+        n1: 64,
+        n2: 64,
+        k: 7,
+        m: 9,
+    };
     for seed in [0u64, 7, 2014] {
-        let par = k_averages(&set, 16, 9, &mut ChaCha8Rng::seed_from_u64(seed))
-            .expect("parallel averages");
-        let seq = k_averages_seq(&set, 16, 9, &mut ChaCha8Rng::seed_from_u64(seed))
-            .expect("sequential averages");
-        assert_eq!(par, seq, "seed {seed}");
+        let mut rng_seq = ChaCha8Rng::seed_from_u64(seed);
+        let seq: Vec<Trace> = (0..=params.m)
+            .map(|_| k_average(&set, params.k, &mut rng_seq).expect("sequential average"))
+            .collect();
+        let mut rng_par = ChaCha8Rng::seed_from_u64(seed);
+        let acquire = AcquireStage::draw(&params, &mut rng_par).expect("selections");
+        assert_eq!(rng_par.next_u64(), rng_seq.next_u64(), "seed {seed}");
+        for threads in [1, 2, 8] {
+            let mut stage = KAverageStage::allocate(params.m, set.trace_len()).expect("buffers");
+            let backend = Pooled::new(Pool::with_threads(threads));
+            stage
+                .fill(&set, &set, &acquire, &backend)
+                .expect("parallel averages");
+            assert_eq!(stage.reference(), seq[0].samples(), "seed {seed}");
+            for (i, row) in stage.duts().rows().enumerate() {
+                assert_eq!(
+                    row.samples(),
+                    seq[i + 1].samples(),
+                    "seed {seed}, threads {threads}, average {i}"
+                );
+            }
+        }
     }
 }
 
@@ -181,19 +207,15 @@ fn correlate_rows_equals_per_row_correlate() {
 
     // The single-sweep batch must also match an index-ordered parallel
     // per-row pass, for every worker count.
-    #[cfg(feature = "parallel")]
-    {
-        use ipmark::parallel::Pool;
-        for threads in [1, 2, 8] {
-            let pool = Pool::with_threads(threads);
-            let per_row = pool.map_indexed(block.len(), |i| {
-                let row = block.row(i).expect("in range");
-                kernel.correlate(row.samples()).expect("per-row")
-            });
-            for (lone, got) in per_row.iter().zip(&batched) {
-                let got = *got.as_ref().expect("batched row");
-                assert_eq!(lone.to_bits(), got.to_bits(), "threads = {threads}");
-            }
+    for threads in [1, 2, 8] {
+        let pool = Pool::with_threads(threads);
+        let per_row = pool.map_indexed(block.len(), |i| {
+            let row = block.row(i).expect("in range");
+            kernel.correlate(row.samples()).expect("per-row")
+        });
+        for (lone, got) in per_row.iter().zip(&batched) {
+            let got = *got.as_ref().expect("batched row");
+            assert_eq!(lone.to_bits(), got.to_bits(), "threads = {threads}");
         }
     }
 }

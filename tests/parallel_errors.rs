@@ -4,8 +4,8 @@
 //! normalization in `ipmark-parallel` exists precisely so that fan-out
 //! never changes which error a caller observes.
 
-use ipmark::core::verify::{correlation_process, correlation_process_seq, CorrelationParams};
-use ipmark::core::CoreError;
+use ipmark::core::verify::{correlation_process, CorrelationParams};
+use ipmark::core::{CoreError, Plan};
 use ipmark::traces::{StatsError, Trace, TraceSet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -41,7 +41,8 @@ fn both_paths(
     let par = correlation_process(refd, dut, params, &mut ChaCha8Rng::seed_from_u64(1))
         .map(|c| c.len())
         .map_err(|e| format!("{e:?}"));
-    let seq = correlation_process_seq(refd, dut, params, &mut ChaCha8Rng::seed_from_u64(1))
+    let seq = Plan::correlation(params, &mut ChaCha8Rng::seed_from_u64(1))
+        .and_then(|mut plan| plan.execute_seq(refd, dut))
         .map(|c| c.len())
         .map_err(|e| format!("{e:?}"));
     (par, seq)

@@ -2,8 +2,9 @@
 //! **bit-identical** to the explicit [`Plan`]/[`ExecBackend`] graph it now
 //! shims to — across backends, thread counts and chunk sizes.
 
-use ipmark::core::verify::{correlation_process, correlation_process_seq, CorrelationParams};
-use ipmark::core::{default_backend, CorrelationSet, Plan, ResumablePlan, Sequential};
+use ipmark::core::verify::{correlation_process, CorrelationParams};
+use ipmark::core::{default_backend, CorrelationSet, Plan, Pooled, ResumablePlan, Sequential};
+use ipmark::parallel::Pool;
 use ipmark::traces::{Trace, TraceSet};
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
@@ -65,18 +66,20 @@ proptest! {
             .execute(&refd, &dut, &Sequential)
             .expect("sequential backend");
 
-        let mut rng_legacy_seq = ChaCha8Rng::seed_from_u64(seed);
-        let legacy_seq = correlation_process_seq(&refd, &dut, &params, &mut rng_legacy_seq)
-            .expect("legacy sequential process");
+        let mut rng_staged = ChaCha8Rng::seed_from_u64(seed);
+        let mut plan_staged = Plan::correlation(&params, &mut rng_staged).expect("plan");
+        let staged = plan_staged
+            .execute_seq(&refd, &dut)
+            .expect("staged sequential plan");
 
         prop_assert_eq!(bits(&legacy), bits(&on_default));
         prop_assert_eq!(bits(&legacy), bits(&on_sequential));
-        prop_assert_eq!(bits(&legacy), bits(&legacy_seq));
+        prop_assert_eq!(bits(&legacy), bits(&staged));
         // Identical post-state proves all paths consumed the stream alike.
         let expected = rng_legacy.next_u64();
         prop_assert_eq!(expected, rng_default.next_u64());
         prop_assert_eq!(expected, rng_seq.next_u64());
-        prop_assert_eq!(expected, rng_legacy_seq.next_u64());
+        prop_assert_eq!(expected, rng_staged.next_u64());
     }
 
     /// A [`ResumablePlan`] fed in arbitrary chunk sizes converges to the
@@ -177,26 +180,18 @@ fn matrix_variants_are_bitwise_identical() {
     let baseline = IdentificationMatrix::run_seq(&refs, &duts, &config).expect("sequential");
     let default = IdentificationMatrix::run(&refs, &duts, &config).expect("default");
     assert_eq!(default, baseline);
-    #[cfg(feature = "parallel")]
-    {
-        use ipmark::parallel::Pool;
-        for threads in [1, 2, 8] {
-            let pool = Pool::with_threads(threads);
-            let m = IdentificationMatrix::run_with_pool(&refs, &duts, &config, &pool)
-                .expect("pooled run");
-            assert_eq!(m, baseline, "threads = {threads}");
-        }
+    for threads in [1, 2, 8] {
+        let pool = Pool::with_threads(threads);
+        let m =
+            IdentificationMatrix::run_with_pool(&refs, &duts, &config, &pool).expect("pooled run");
+        assert_eq!(m, baseline, "threads = {threads}");
     }
 }
 
 /// Pooled execution of one plan is thread-count invariant and equal to the
 /// sequential backend — the §7 contract surfaced at the graph level.
-#[cfg(feature = "parallel")]
 #[test]
 fn pooled_plan_is_thread_count_invariant() {
-    use ipmark::core::Pooled;
-    use ipmark::parallel::Pool;
-
     let params = CorrelationParams {
         n1: 36,
         n2: 300,

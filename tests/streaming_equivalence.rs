@@ -1,15 +1,15 @@
 //! Streaming/batch equivalence: a [`VerificationSession`] fed chunk by
 //! chunk must be **bit-identical** to the batch correlation pipeline — at
-//! every chunk boundary, for every chunk size, with the parallel and the
-//! sequential kernel alike — and its verdict must be invariant to how the
-//! campaign was sliced.
+//! every chunk boundary, for every chunk size, against the pooled and the
+//! staged sequential batch plan alike — and its verdict must be invariant
+//! to how the campaign was sliced.
 //!
 //! This is the integration-level counterpart of the unit tests in
 //! `ipmark-core::session`: here the traces come from the real simulated
 //! acquisition pipeline via [`ChunkedSource`], and the property tests sweep
 //! randomized `(k, m, n2, chunk, seed)` configurations.
 
-use ipmark::core::{correlation_process, correlation_process_seq};
+use ipmark::core::{correlation_process, Plan};
 use ipmark::power::SimulatedAcquisition;
 use ipmark::prelude::*;
 use proptest::prelude::*;
@@ -72,7 +72,9 @@ fn batch_sets<S: TraceSource>(
     duts.iter()
         .map(|dut| {
             if sequential {
-                correlation_process_seq(refd, *dut, params, &mut rng).expect("batch correlation")
+                Plan::correlation(params, &mut rng)
+                    .and_then(|mut plan| plan.execute_seq(refd, *dut))
+                    .expect("batch correlation")
             } else {
                 correlation_process(refd, *dut, params, &mut rng).expect("batch correlation")
             }
