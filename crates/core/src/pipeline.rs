@@ -877,45 +877,21 @@ impl ResumablePlan {
     ///
     /// Returns [`CoreError::Trace`] for malformed chunks
     /// ([`TraceError::EmptyChunk`], [`TraceError::LengthMismatch`],
-    /// [`TraceError::NonFiniteSample`]) and [`CoreError::Stats`] when a
-    /// completed average cannot be correlated.
+    /// [`TraceError::NonFiniteSample`], and [`TraceError::IndexOutOfRange`]
+    /// for a chunk that runs past the DUT population) and
+    /// [`CoreError::Stats`] when a completed average cannot be correlated.
     pub fn ingest<C: TraceChunk + ?Sized>(&mut self, chunk: &C) -> Result<(), CoreError> {
-        let chunk_len = chunk.chunk_len();
-        if chunk_len == 0 {
-            return Err(CoreError::Trace(TraceError::EmptyChunk));
-        }
-        let trace_len = self.averager.trace_len();
-        for offset in 0..chunk_len {
-            let samples = chunk
-                .chunk_row(offset)
-                .ok_or(CoreError::Invariant("chunk row within chunk_len"))?;
-            if samples.len() != trace_len {
-                return Err(CoreError::Trace(TraceError::LengthMismatch {
-                    expected: trace_len,
-                    provided: samples.len(),
-                }));
-            }
-            if let Some(sample_index) = samples.iter().position(|s| !s.is_finite()) {
-                return Err(CoreError::Trace(TraceError::NonFiniteSample {
-                    trace_index: self.averager.ingested() + offset,
-                    sample_index,
-                }));
-            }
-        }
-
-        // The chunk is clean; ingestion can no longer fail. The averager
-        // finalizes each completing slot with one `accumulate_scale_sum`
-        // sweep (accumulate + 1/k scale + sample sum in a single pass); the
-        // carried sums then replace the correlation's sum sweep. A finished
-        // slot's average lives as a borrowed row of the averager's
-        // preallocated output arena.
-        let mut finished: Vec<(usize, f64)> = Vec::new();
-        for offset in 0..chunk_len {
-            let samples = chunk
-                .chunk_row(offset)
-                .ok_or(CoreError::Invariant("chunk row within chunk_len"))?;
-            finished.extend(self.averager.ingest(samples).map_err(CoreError::Trace)?);
-        }
+        // The averager checks every row of the chunk (length, finiteness)
+        // before any sample touches a partial sum, then finalizes each
+        // completing slot with one `accumulate_scale_sum` sweep (accumulate
+        // + 1/k scale + sample sum in a single pass); the carried sums then
+        // replace the correlation's sum sweep. A finished slot's average
+        // lives as a borrowed row of the averager's preallocated output
+        // arena.
+        let finished = self
+            .averager
+            .ingest_chunk(chunk)
+            .map_err(CoreError::Trace)?;
 
         let averages: Vec<&[f64]> = finished
             .iter()

@@ -14,7 +14,6 @@
 //! on demand from a per-index seed.
 
 use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use ipmark_netlist::Circuit;
 use ipmark_traces::{Trace, TraceBlock, TraceError, TraceSet, TraceSource};
@@ -22,6 +21,7 @@ use ipmark_traces::{Trace, TraceBlock, TraceError, TraceSet, TraceSource};
 use crate::chain::MeasurementChain;
 use crate::device::DeviceModel;
 use crate::error::PowerError;
+use crate::noise::NoiseRng;
 
 /// Simulates the circuit for `cycles` cycles on the given die and returns
 /// the deterministic per-cycle power waveform.
@@ -167,15 +167,17 @@ impl SimulatedAcquisition {
             .map_err(into_trace_error)
     }
 
-    /// The noise stream of trace `index`.
-    fn trace_rng(&self, index: usize) -> Result<ChaCha8Rng, TraceError> {
+    /// The noise stream of trace `index`: a [`NoiseRng`] seeded from the
+    /// campaign seed and the index, so every path that regenerates trace
+    /// `index` draws the same samples.
+    fn trace_rng(&self, index: usize) -> Result<NoiseRng, TraceError> {
         if index >= self.num_traces {
             return Err(TraceError::IndexOutOfRange {
                 index,
                 available: self.num_traces,
             });
         }
-        Ok(ChaCha8Rng::seed_from_u64(
+        Ok(NoiseRng::seed_from_u64(
             self.effective_seed ^ splitmix64(index as u64),
         ))
     }

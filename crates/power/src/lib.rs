@@ -39,5 +39,5 @@ pub use leakage::{
     ComponentWeights, HammingDistanceModel, HammingWeightModel, LeakageModel,
     WeightedComponentModel,
 };
-pub use noise::{NoiseProfile, PinkNoise};
+pub use noise::{NoiseProfile, NoiseRng, PinkNoise};
 pub use thermal::ThermalDrift;

@@ -3,12 +3,13 @@
 //! Real oscilloscope captures contain more than white Gaussian noise: the
 //! front-end adds 1/f (*pink*) noise, and supply/temperature wander shows
 //! up as low-frequency *drift*. [`NoiseProfile`] describes the mixture;
-//! the measurement chain applies it per trace.
+//! the measurement chain applies it per trace, drawing from one
+//! [`NoiseRng`] stream per trace.
 
-use rand::Rng;
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::device::standard_normal_pair;
+use crate::device::{splitmix64, standard_normal_pair};
 use crate::error::PowerError;
 
 /// Magnitudes of the per-sample noise components.
@@ -124,6 +125,106 @@ impl NoiseState {
 impl Default for NoiseProfile {
     fn default() -> Self {
         Self::none()
+    }
+}
+
+/// The SplitMix64 increment (the 64-bit golden ratio), which
+/// [`splitmix64`] adds before mixing.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The per-trace noise stream: xoshiro256++ (Blackman & Vigna, "Scrambled
+/// Linear Pseudorandom Number Generators", 2021).
+///
+/// Measurement noise needs a well-distributed stream that is reproducible
+/// per trace, not an unpredictable one, so a cryptographic keystream buys
+/// nothing on this path. xoshiro256++ passes BigCrush and PractRand, keeps
+/// 256 bits of state and costs a handful of adds, shifts and rotates per
+/// word.
+///
+/// [`NoiseRng::seed_from_u64`] fills the four state words with four
+/// consecutive SplitMix64 outputs of the seed, the expansion the
+/// generator's authors recommend and the one `SeedableRng::seed_from_u64`
+/// uses. The type is defined here rather than borrowed as
+/// `rand::rngs::SmallRng`, whose algorithm upstream `rand` documents as
+/// non-portable, so that the golden trace fixtures depend only on this
+/// code.
+///
+/// # Examples
+///
+/// ```
+/// use ipmark_power::noise::NoiseRng;
+/// use rand::{RngCore, SeedableRng};
+///
+/// let mut a = NoiseRng::seed_from_u64(7);
+/// let mut b = NoiseRng::seed_from_u64(7);
+/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert_eq!(NoiseRng::from_state([1, 2, 3, 4]).next_u64(), 41_943_041);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NoiseRng {
+    s: [u64; 4],
+}
+
+impl NoiseRng {
+    /// A generator starting from the raw state `s`. The all-zero state,
+    /// which xoshiro cannot leave, is replaced by `[GOLDEN_GAMMA, 0, 0, 0]`.
+    pub fn from_state(s: [u64; 4]) -> Self {
+        if s == [0; 4] {
+            return Self {
+                s: [GOLDEN_GAMMA, 0, 0, 0],
+            };
+        }
+        Self { s }
+    }
+}
+
+impl SeedableRng for NoiseRng {
+    type Seed = [u8; 32];
+
+    /// The four state words are the seed's little-endian 64-bit words.
+    fn from_seed(seed: Self::Seed) -> Self {
+        let mut s = [0u64; 4];
+        for (word, bytes) in s.iter_mut().zip(seed.chunks_exact(8)) {
+            let mut le = [0u8; 8];
+            le.copy_from_slice(bytes);
+            *word = u64::from_le_bytes(le);
+        }
+        Self::from_state(s)
+    }
+
+    /// Four consecutive SplitMix64 outputs of `seed`. Spelled out here so
+    /// that the stream does not depend on the trait's default expansion.
+    fn seed_from_u64(seed: u64) -> Self {
+        let mut s = [0u64; 4];
+        let mut x = seed;
+        for word in &mut s {
+            *word = splitmix64(x);
+            x = x.wrapping_add(GOLDEN_GAMMA);
+        }
+        Self::from_state(s)
+    }
+}
+
+impl RngCore for NoiseRng {
+    /// The high half of the next 64-bit output (xoshiro's low bits are its
+    /// weakest).
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
     }
 }
 

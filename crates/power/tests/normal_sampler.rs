@@ -1,13 +1,24 @@
-//! The normal sampler against the normal law itself.
+//! The normal sampler and the per-trace noise stream against the normal
+//! law itself.
 //!
 //! Nothing here comes from `device.rs`: the reference CDF is a test-local
 //! `erf`, and every statistic is computed from scratch. Each check uses a
 //! stated confidence level on 10⁵ draws from a fixed seed, so a pass is
 //! reproducible and a failure points at the sampler, not at chance.
+//!
+//! Every check runs on both generators the simulator uses: `ChaCha8Rng`
+//! (die sampling, selections, seeds) and [`NoiseRng`] (per-trace noise).
+//! A generator with a planted bias must fail them, which shows the checks
+//! can see a bad stream at all.
 
+use ipmark_netlist::seq::BinaryCounter;
+use ipmark_netlist::CircuitBuilder;
 use ipmark_power::device::standard_normal_pair;
-use ipmark_power::NoiseProfile;
-use rand::SeedableRng;
+use ipmark_power::{
+    ComponentWeights, DeviceModel, MeasurementChain, NoiseProfile, NoiseRng, PulseShape,
+    SimulatedAcquisition, WeightedComponentModel,
+};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const DRAWS: usize = 100_000;
@@ -37,11 +48,8 @@ fn normal_cdf(x: f64) -> f64 {
 }
 
 /// `DRAWS` values, both halves of each pair in order.
-fn pair_draws(seed: u64) -> Vec<(f64, f64)> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..DRAWS / 2)
-        .map(|_| standard_normal_pair(&mut rng))
-        .collect()
+fn pair_draws(rng: &mut dyn RngCore) -> Vec<(f64, f64)> {
+    (0..DRAWS / 2).map(|_| standard_normal_pair(rng)).collect()
 }
 
 fn flatten(pairs: &[(f64, f64)]) -> Vec<f64> {
@@ -68,6 +76,95 @@ fn ks_critical(n: usize) -> f64 {
     1.949 / (n as f64).sqrt()
 }
 
+/// A statistical check of one generator's normals: `Err` describes the
+/// failure.
+type Check = fn(&mut dyn RngCore) -> Result<(), String>;
+
+/// One-sample KS test of the pair sampler's values.
+fn ks_of_pairs(rng: &mut dyn RngCore) -> Result<(), String> {
+    let xs = flatten(&pair_draws(rng));
+    let d = ks_statistic(&xs);
+    (d < ks_critical(xs.len()))
+        .then_some(())
+        .ok_or(format!("KS D = {d:.5}"))
+}
+
+/// One-sample KS test of the noise sweep's stream: unit white noise onto
+/// zeros is its own stream of normals, spare halves included.
+fn ks_of_noise_stream(rng: &mut dyn RngCore) -> Result<(), String> {
+    let mut xs = vec![0.0; DRAWS];
+    NoiseProfile::white(1.0).add_into(&mut xs, rng);
+    let d = ks_statistic(&xs);
+    (d < ks_critical(xs.len()))
+        .then_some(())
+        .ok_or(format!("noise stream KS D = {d:.5}"))
+}
+
+/// Mean, variance and excess kurtosis inside their 4σ intervals.
+fn moments(rng: &mut dyn RngCore) -> Result<(), String> {
+    let xs = flatten(&pair_draws(rng));
+    let n = xs.len() as f64;
+    let mean = xs.iter().sum::<f64>() / n;
+    let m2 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
+    let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n;
+    let excess_kurtosis = m4 / (m2 * m2) - 3.0;
+    // Standard errors under N(0, 1): mean 1/√n, variance √(2/n), excess
+    // kurtosis √(24/n).
+    if mean.abs() >= Z / n.sqrt() {
+        return Err(format!("mean {mean:.5}"));
+    }
+    if (m2 - 1.0).abs() >= Z * (2.0 / n).sqrt() {
+        return Err(format!("variance {m2:.5}"));
+    }
+    if excess_kurtosis.abs() >= Z * (24.0 / n).sqrt() {
+        return Err(format!("excess kurtosis {excess_kurtosis:.5}"));
+    }
+    Ok(())
+}
+
+/// The two halves of a pair are uncorrelated.
+fn pair_correlation(rng: &mut dyn RngCore) -> Result<(), String> {
+    let (a, b): (Vec<f64>, Vec<f64>) = pair_draws(rng).into_iter().unzip();
+    let r = pearson(&a, &b);
+    // Under independence r has standard error ≈ 1/√n.
+    (r.abs() < Z / (a.len() as f64).sqrt())
+        .then_some(())
+        .ok_or(format!("pair correlation {r:.5}"))
+}
+
+/// The mass beyond ±3 lies inside a Wilson interval around N(0, 1)'s.
+fn three_sigma_tail(rng: &mut dyn RngCore) -> Result<(), String> {
+    let xs = flatten(&pair_draws(rng));
+    let n = xs.len() as f64;
+    let hits = xs.iter().filter(|x| x.abs() > 3.0).count() as f64;
+    let p_hat = hits / n;
+    let z2 = Z * Z;
+    let centre = (p_hat + z2 / (2.0 * n)) / (1.0 + z2 / n);
+    let half = Z / (1.0 + z2 / n) * (p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)).sqrt();
+    let p_true = 2.0 * (1.0 - normal_cdf(3.0));
+    (centre - half..=centre + half)
+        .contains(&p_true)
+        .then_some(())
+        .ok_or(format!(
+            "P(|z| > 3) = {p_hat:.5}, Wilson [{:.5}, {:.5}], N(0, 1) {p_true:.5}",
+            centre - half,
+            centre + half
+        ))
+}
+
+/// Runs `check` on `ChaCha8Rng` and on `NoiseRng`, both seeded with
+/// `seed`, and panics with every failure.
+fn on_both_generators(check: Check, seed: u64) {
+    let failures: Vec<String> = [
+        ("ChaCha8Rng", check(&mut ChaCha8Rng::seed_from_u64(seed))),
+        ("NoiseRng", check(&mut NoiseRng::seed_from_u64(seed))),
+    ]
+    .into_iter()
+    .filter_map(|(name, outcome)| outcome.err().map(|e| format!("{name}: {e}")))
+    .collect();
+    assert!(failures.is_empty(), "{failures:?}");
+}
+
 #[test]
 fn erf_reference_is_sound() {
     assert!((normal_cdf(0.0) - 0.5).abs() < 1e-7);
@@ -77,71 +174,160 @@ fn erf_reference_is_sound() {
 
 #[test]
 fn pair_draws_pass_a_one_sample_ks_test() {
-    let xs = flatten(&pair_draws(1));
-    let d = ks_statistic(&xs);
-    assert!(d < ks_critical(xs.len()), "KS D = {d:.5}");
+    on_both_generators(ks_of_pairs, 1);
 }
 
 #[test]
 fn noise_stream_values_pass_a_one_sample_ks_test() {
-    // Unit white noise onto zeros is the noise sweep's own stream of
-    // normals, spare halves included.
-    let mut xs = vec![0.0; DRAWS];
-    NoiseProfile::white(1.0).add_into(&mut xs, &mut ChaCha8Rng::seed_from_u64(2));
-    let d = ks_statistic(&xs);
-    assert!(d < ks_critical(xs.len()), "KS D = {d:.5}");
+    on_both_generators(ks_of_noise_stream, 2);
 }
 
 #[test]
 fn moments_fall_inside_their_confidence_intervals() {
-    let xs = flatten(&pair_draws(3));
-    let n = xs.len() as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let m2 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n;
-    let excess_kurtosis = m4 / (m2 * m2) - 3.0;
-    // Standard errors under N(0, 1): mean 1/√n, variance √(2/n), excess
-    // kurtosis √(24/n).
-    assert!(mean.abs() < Z / n.sqrt(), "mean {mean:.5}");
-    assert!((m2 - 1.0).abs() < Z * (2.0 / n).sqrt(), "variance {m2:.5}");
-    assert!(
-        excess_kurtosis.abs() < Z * (24.0 / n).sqrt(),
-        "excess kurtosis {excess_kurtosis:.5}"
-    );
+    on_both_generators(moments, 3);
 }
 
 #[test]
 fn the_two_halves_of_a_pair_are_uncorrelated() {
-    let pairs = pair_draws(4);
-    let n = pairs.len() as f64;
-    let (ma, mb) = pairs
-        .iter()
-        .fold((0.0, 0.0), |(a, b), &(x, y)| (a + x / n, b + y / n));
-    let (mut sab, mut saa, mut sbb) = (0.0, 0.0, 0.0);
-    for &(x, y) in &pairs {
-        sab += (x - ma) * (y - mb);
-        saa += (x - ma) * (x - ma);
-        sbb += (y - mb) * (y - mb);
-    }
-    let r = sab / (saa * sbb).sqrt();
-    // Under independence r has standard error ≈ 1/√n.
-    assert!(r.abs() < Z / n.sqrt(), "pair correlation {r:.5}");
+    on_both_generators(pair_correlation, 4);
 }
 
 #[test]
 fn three_sigma_tail_mass_is_inside_a_wilson_interval() {
-    let xs = flatten(&pair_draws(5));
-    let n = xs.len() as f64;
-    let hits = xs.iter().filter(|x| x.abs() > 3.0).count() as f64;
-    let p_hat = hits / n;
-    let z2 = Z * Z;
-    let centre = (p_hat + z2 / (2.0 * n)) / (1.0 + z2 / n);
-    let half = Z / (1.0 + z2 / n) * (p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)).sqrt();
-    let p_true = 2.0 * (1.0 - normal_cdf(3.0));
-    assert!(
-        (centre - half..=centre + half).contains(&p_true),
-        "P(|z| > 3) = {p_hat:.5}, Wilson [{:.5}, {:.5}], N(0, 1) {p_true:.5}",
-        centre - half,
-        centre + half
+    on_both_generators(three_sigma_tail, 5);
+}
+
+/// A `NoiseRng` with a planted bias: the top bit of every 16th word is
+/// forced on, so one uniform in 16 lands in `[0.5, 1)`.
+struct TopBitEvery16th {
+    inner: NoiseRng,
+    draws: u64,
+}
+
+impl RngCore for TopBitEvery16th {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        let word = self.inner.next_u64();
+        if self.draws.is_multiple_of(16) {
+            word | 1 << 63
+        } else {
+            word
+        }
+    }
+}
+
+#[test]
+fn a_planted_bias_fails_the_distribution_checks() {
+    // Forcing u ≥ 0 on one uniform in 16 pushes about 1/32 of the normals'
+    // mass to the positive side: a mean shift of ≈ 0.05, some 16 standard
+    // errors at 10⁵ draws.
+    let checks: [(&str, Check, u64); 3] = [
+        ("KS of pairs", ks_of_pairs, 1),
+        ("KS of noise stream", ks_of_noise_stream, 2),
+        ("moments", moments, 3),
+    ];
+    for (name, check, seed) in checks {
+        let mut mutant = TopBitEvery16th {
+            inner: NoiseRng::seed_from_u64(seed),
+            draws: 0,
+        };
+        assert!(check(&mut mutant).is_err(), "{name} passed a biased stream");
+    }
+}
+
+#[test]
+fn noise_rng_matches_the_xoshiro256pp_reference_outputs() {
+    // The reference implementation's first outputs from state [1, 2, 3, 4].
+    let mut rng = NoiseRng::from_state([1, 2, 3, 4]);
+    let words: Vec<u64> = (0..4).map(|_| rng.next_u64()).collect();
+    assert_eq!(
+        words,
+        [
+            41_943_041,
+            58_720_359,
+            3_588_806_011_781_223,
+            3_591_011_842_654_386
+        ]
     );
+    // `next_u32` is the high half of the next word.
+    let mut a = NoiseRng::from_state([1, 2, 3, 4]);
+    let mut b = a.clone();
+    assert_eq!(u64::from(a.next_u32()), b.next_u64() >> 32);
+}
+
+#[test]
+fn noise_rng_seeds_from_four_splitmix64_outputs() {
+    // SplitMix64's published first four outputs from seed 0.
+    assert_eq!(
+        NoiseRng::seed_from_u64(0),
+        NoiseRng::from_state([
+            0xe220_a839_7b1d_cdaf,
+            0x6e78_9e6a_a1b9_65f4,
+            0x06c4_5d18_8009_454f,
+            0xf88b_b8a8_724c_81ec,
+        ])
+    );
+    // `from_seed` reads the same words little-endian.
+    let mut bytes = [0u8; 32];
+    for (chunk, word) in bytes.chunks_exact_mut(8).zip([5u64, 6, 7, 8]) {
+        chunk.copy_from_slice(&word.to_le_bytes());
+    }
+    assert_eq!(
+        NoiseRng::from_seed(bytes),
+        NoiseRng::from_state([5, 6, 7, 8])
+    );
+    // The all-zero state, which xoshiro cannot leave, is replaced.
+    let mut zero = NoiseRng::from_state([0; 4]);
+    assert_ne!((0..4).fold(0, |any, _| any | zero.next_u64()), 0);
+}
+
+/// Pearson correlation of two equal-length series.
+fn pearson(a: &[f64], b: &[f64]) -> f64 {
+    let n = a.len() as f64;
+    let (ma, mb) = (a.iter().sum::<f64>() / n, b.iter().sum::<f64>() / n);
+    let (mut sab, mut saa, mut sbb) = (0.0, 0.0, 0.0);
+    for (&x, &y) in a.iter().zip(b) {
+        sab += (x - ma) * (y - mb);
+        saa += (x - ma) * (x - ma);
+        sbb += (y - mb) * (y - mb);
+    }
+    sab / (saa * sbb).sqrt()
+}
+
+/// A `DRAWS`-sample campaign of pure unit white noise on die `name`: a
+/// zero-power device behind an unfiltered chain with σ = 1.
+fn white_noise_campaign(name: &str, seed: u64) -> SimulatedAcquisition {
+    let mut b = CircuitBuilder::new();
+    b.add("cnt", BinaryCounter::new(4, 0).expect("counter"));
+    let mut circuit = b.build().expect("circuit");
+    let silent = WeightedComponentModel::new(0.0, vec![ComponentWeights::default()]);
+    let device = DeviceModel::nominal(name, silent);
+    let chain = MeasurementChain::new(PulseShape::rectangular(4).expect("pulse"), 1.0, 1.0, None)
+        .expect("chain");
+    SimulatedAcquisition::prepare(&mut circuit, &device, &chain, DRAWS / 4, 4, seed)
+        .expect("campaign")
+}
+
+#[test]
+fn neighbouring_traces_and_dies_draw_independent_streams() {
+    let a = white_noise_campaign("die-a", 7);
+    let b = white_noise_campaign("die-b", 7);
+    assert!(a.clean_waveform().iter().all(|&c| c == 0.0));
+    let trace = |acq: &SimulatedAcquisition, i: usize| acq.trace(i).expect("trace").into_samples();
+    let bound = Z / (DRAWS as f64).sqrt();
+    let pairs = [
+        ("trace 0 vs 1", trace(&a, 0), trace(&a, 1)),
+        ("trace 2 vs 3", trace(&a, 2), trace(&a, 3)),
+        ("die a vs die b, trace 0", trace(&a, 0), trace(&b, 0)),
+        ("die a vs die b, trace 1", trace(&a, 1), trace(&b, 1)),
+    ];
+    for (name, x, y) in pairs {
+        assert_eq!(x.len(), DRAWS);
+        let r = pearson(&x, &y);
+        assert!(r.abs() < bound, "{name}: r = {r:.5}, bound {bound:.5}");
+    }
 }

@@ -6,7 +6,7 @@
 
 use rand::Rng;
 
-use crate::block::TraceBlock;
+use crate::block::{TraceBlock, TraceChunk};
 use crate::error::TraceError;
 use crate::kernels;
 use crate::select::uniform_distinct_indices;
@@ -228,6 +228,57 @@ impl StreamingKAverager {
                 available: self.population,
             });
         }
+        self.check_row(index, samples)?;
+        let mut finished = Vec::new();
+        self.ingest_row(samples, &mut finished);
+        Ok(finished)
+    }
+
+    /// Ingests the next `chunk.chunk_len()` traces of the stream at once and
+    /// returns a `(slot, sum)` pair for every slot the chunk completed, in
+    /// completion order.
+    ///
+    /// The chunk is atomic: every row is checked before any row touches a
+    /// partial sum, so on error nothing was consumed and the caller may
+    /// re-supply a corrected chunk for the same indices. Each row is then
+    /// accumulated by the same step as [`StreamingKAverager::ingest`], so
+    /// the result is bit-identical to ingesting the rows one at a time, and
+    /// each sample is scanned for finiteness exactly once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::EmptyChunk`] for a chunk with no rows, the
+    /// first row's [`TraceError::LengthMismatch`] or
+    /// [`TraceError::NonFiniteSample`] (with its stream index as
+    /// `trace_index`), and [`TraceError::IndexOutOfRange`] when the chunk
+    /// runs past the population.
+    pub fn ingest_chunk<C: TraceChunk + ?Sized>(
+        &mut self,
+        chunk: &C,
+    ) -> Result<Vec<(usize, f64)>, TraceError> {
+        let chunk_len = chunk.chunk_len();
+        if chunk_len == 0 {
+            return Err(TraceError::EmptyChunk);
+        }
+        for offset in 0..chunk_len {
+            self.check_row(self.next_index + offset, chunk_row(chunk, offset)?)?;
+        }
+        if chunk_len > self.population - self.next_index {
+            return Err(TraceError::IndexOutOfRange {
+                index: self.population,
+                available: self.population,
+            });
+        }
+        let mut finished = Vec::new();
+        for offset in 0..chunk_len {
+            self.ingest_row(chunk_row(chunk, offset)?, &mut finished);
+        }
+        Ok(finished)
+    }
+
+    /// Rejects a trace of the wrong length or with a NaN/infinite sample;
+    /// `index` is its stream index, reported in the error.
+    fn check_row(&self, index: usize, samples: &[f64]) -> Result<(), TraceError> {
         if samples.len() != self.trace_len {
             return Err(TraceError::LengthMismatch {
                 expected: self.trace_len,
@@ -240,19 +291,24 @@ impl StreamingKAverager {
                 sample_index,
             });
         }
+        Ok(())
+    }
 
-        let mut finished = Vec::new();
+    /// Adds a checked trace (stream index [`Self::ingested`], below the
+    /// population) into every slot that selected it, finalizing and
+    /// reporting into `finished` each slot it completes.
+    fn ingest_row(&mut self, samples: &[f64], finished: &mut Vec<(usize, f64)>) {
+        let index = self.next_index;
         let slots = self
             .selections
             .iter()
             .zip(&mut self.cursors)
-            .zip(&mut self.finished);
-        for (slot_idx, ((selection, cursor), done)) in slots.enumerate() {
+            .zip(&mut self.finished)
+            .zip(self.slots.samples_mut().chunks_exact_mut(self.trace_len));
+        for (slot_idx, (((selection, cursor), done), acc)) in slots.enumerate() {
             if selection.get(*cursor) != Some(&index) {
                 continue;
             }
-            let mut row = self.slots.row_mut(slot_idx)?;
-            let acc = row.samples_mut();
             *cursor += 1;
             if *cursor == selection.len() {
                 // One sweep for the final accumulate, the
@@ -261,13 +317,12 @@ impl StreamingKAverager {
                 let sum = kernels::accumulate_scale_sum(acc, samples, 1.0 / selection.len() as f64);
                 *done = true;
                 finished.push((slot_idx, sum));
+                self.completed += 1;
             } else {
                 kernels::accumulate(acc, samples);
             }
         }
         self.next_index += 1;
-        self.completed += finished.len();
-        Ok(finished)
     }
 
     /// The finished `k`-average of `slot` — a borrowed row of the output
@@ -334,6 +389,15 @@ impl StreamingKAverager {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Row `offset` of `chunk`; a chunk that has no row below its own
+/// `chunk_len` reports it as out of range.
+fn chunk_row<C: TraceChunk + ?Sized>(chunk: &C, offset: usize) -> Result<&[f64], TraceError> {
+    chunk.chunk_row(offset).ok_or(TraceError::IndexOutOfRange {
+        index: offset,
+        available: chunk.chunk_len(),
+    })
 }
 
 #[cfg(test)]
@@ -504,6 +568,79 @@ mod tests {
                 available: 10
             })
         ));
+    }
+
+    #[test]
+    fn chunk_ingest_equals_row_ingest() {
+        let set = noisy_test_set(60, 8, 2);
+        let traces: Vec<Trace> = set.iter().cloned().collect();
+        let mut by_row =
+            StreamingKAverager::new(60, 8, 5, 4, &mut ChaCha8Rng::seed_from_u64(1)).unwrap();
+        let mut by_chunk = by_row.clone();
+        let mut row_finished = Vec::new();
+        for trace in &traces {
+            row_finished.extend(by_row.ingest(trace.samples()).unwrap());
+        }
+        let mut chunk_finished = Vec::new();
+        for chunk in traces.chunks(7) {
+            chunk_finished.extend(by_chunk.ingest_chunk(chunk).unwrap());
+        }
+        let bits = |f: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            f.iter().map(|&(slot, sum)| (slot, sum.to_bits())).collect()
+        };
+        assert_eq!(bits(&row_finished), bits(&chunk_finished));
+        assert!(by_chunk.is_complete());
+        assert_eq!(by_chunk.completed_slots(), 4);
+        let arena_bits = |s: &StreamingKAverager| -> Vec<u64> {
+            s.output_block()
+                .samples()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(arena_bits(&by_row), arena_bits(&by_chunk));
+    }
+
+    #[test]
+    fn chunk_ingest_rejects_the_whole_chunk_without_consuming() {
+        let row = |v: &[f64]| Trace::from_samples(v.to_vec());
+        let mut s =
+            StreamingKAverager::new(10, 3, 2, 2, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
+        assert!(matches!(
+            s.ingest_chunk(&Vec::<Trace>::new()),
+            Err(TraceError::EmptyChunk)
+        ));
+        // A bad second row rejects the clean first row with it.
+        assert!(matches!(
+            s.ingest_chunk(&vec![row(&[0.0, 1.0, 2.0]), row(&[1.0, f64::NAN, 2.0])]),
+            Err(TraceError::NonFiniteSample {
+                trace_index: 1,
+                sample_index: 1
+            })
+        ));
+        assert!(matches!(
+            s.ingest_chunk(&vec![row(&[0.0, 1.0, 2.0]), row(&[1.0, 2.0])]),
+            Err(TraceError::LengthMismatch {
+                expected: 3,
+                provided: 2
+            })
+        ));
+        assert_eq!(s.ingested(), 0);
+        assert!(s.output_block().samples().iter().all(|&x| x == 0.0));
+        let nine: Vec<Trace> = (0..9).map(|i| row(&[f64::from(i), 1.0, 2.0])).collect();
+        s.ingest_chunk(&nine).unwrap();
+        // A chunk that runs past the population is rejected whole.
+        let two = vec![row(&[9.0, 1.0, 2.0]), row(&[10.0, 1.0, 2.0])];
+        assert!(matches!(
+            s.ingest_chunk(&two),
+            Err(TraceError::IndexOutOfRange {
+                index: 10,
+                available: 10
+            })
+        ));
+        assert_eq!(s.ingested(), 9);
+        s.ingest_chunk(&two[..1]).unwrap();
+        assert!(s.is_complete());
     }
 
     #[test]
