@@ -10,20 +10,31 @@
 //!   bench time is `(n1 + D·n2) × capture_time`, and `n2 = α·k·m`; the
 //!   table shows how the campaign duration scales with `k`;
 //! * **computation measurement** — the correlation process is run for a
-//!   sweep of `m` on a prepared campaign and its wall-clock time reported.
+//!   sweep of `m` on a prepared campaign and its wall-clock time reported;
+//! * **synthesis breakdown** — trace synthesis is nearly all of that
+//!   time, so its pieces are timed one by one on one thread: the
+//!   per-trace noise stream's words, the normal sampler's draws, and the
+//!   whole measurement sweep on the default chain.
+//!
+//! ```text
+//! cargo run --release -p ipmark-bench --bin budget
+//! IPMARK_QUICK=1 cargo run --release -p ipmark-bench --bin budget
+//! ```
 
 // Benchmark binary: measuring wall-clock time is the whole point here.
 // The disallowed-methods rule protects numeric kernels, not timing code.
 #![allow(clippy::disallowed_methods)]
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use ipmark_bench::quick_mode;
 use ipmark_core::ip::{default_chain, FabricatedDevice, DEFAULT_CYCLES};
 use ipmark_core::ip_b;
 use ipmark_core::verify::{correlation_process, CorrelationParams};
-use ipmark_power::ProcessVariation;
-use rand::SeedableRng;
+use ipmark_power::noise::standard_normal;
+use ipmark_power::{MeasurementChain, NoiseRng, ProcessVariation};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Assumed DUT clock for the measurement-time model (the paper's FPGA
@@ -88,8 +99,72 @@ fn main() {
         assert_eq!(c.len(), m);
     }
 
+    synthesis_breakdown(&chain, refd.clean_waveform());
+
     println!();
     println!("# expectation per §V.B: bench time grows linearly in k (the only");
     println!("# reason to keep k small), compute time grows linearly in m (the");
     println!("# reason m is chosen just past the f_alpha(m) knee).");
+}
+
+/// Median wall time of `reps` runs of `f`, in nanoseconds.
+fn median_ns<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
+    let mut times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let t = Instant::now();
+            black_box(f());
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+/// X5c: ns per sample of each synthesis piece over `traces` traces of
+/// `clean.len()` samples, each trace on its own `NoiseRng` stream as in
+/// `SimulatedAcquisition`: one `next_u64` word, one `standard_normal`
+/// draw, and one `accumulate_into` sweep of `chain` (noise, low-pass, AC
+/// coupling, ADC, add).
+fn synthesis_breakdown(chain: &MeasurementChain, clean: &[f64]) {
+    let (reps, traces) = if quick_mode() { (5, 16) } else { (21, 128) };
+    let samples = (traces * clean.len()) as f64;
+    let streams = || (0..traces as u64).map(NoiseRng::seed_from_u64);
+    let words = median_ns(reps, || {
+        let mut x = 0;
+        for mut rng in streams() {
+            for _ in clean {
+                x ^= rng.next_u64();
+            }
+        }
+        x as f64
+    });
+    let normals = median_ns(reps, || {
+        let mut sum = 0.0;
+        for mut rng in streams() {
+            for _ in clean {
+                sum += standard_normal(&mut rng);
+            }
+        }
+        sum
+    });
+    let mut acc = vec![0.0; clean.len()];
+    let sweep = median_ns(reps, || {
+        for mut rng in streams() {
+            chain
+                .accumulate_into(clean, &mut acc, &mut rng)
+                .expect("row matches the waveform");
+        }
+        acc.first().copied().unwrap_or_default()
+    });
+
+    println!();
+    println!(
+        "# X5c: synthesis breakdown, one thread, median of {reps} reps of \
+         {traces} traces x {} samples",
+        clean.len()
+    );
+    println!("piece,ns_per_sample");
+    println!("noise_rng_word,{:.2}", words / samples);
+    println!("standard_normal,{:.2}", normals / samples);
+    println!("accumulate_into_sweep,{:.2}", sweep / samples);
 }

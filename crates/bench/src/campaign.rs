@@ -28,6 +28,8 @@
 //!   negative-class DUTs actually are (honest clone, forged key, masked
 //!   leakage).
 
+use std::cell::RefCell;
+
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -179,11 +181,24 @@ impl TraceSource for ScenarioSource {
                 provided: acc.len(),
             });
         }
-        let mut samples = vec![0.0; self.trace_len()];
-        self.trace_into(index, &mut samples)?;
-        ipmark_traces::kernels::accumulate(acc, &samples);
-        Ok(())
+        // Drift and jitter act on the whole trace, so it is materialized
+        // first, into this thread's reused row.
+        SCRATCH_ROW.with(|row| {
+            let mut row = row.borrow_mut();
+            row.resize(acc.len(), 0.0);
+            self.trace_into(index, &mut row)?;
+            ipmark_traces::kernels::accumulate(acc, &row);
+            Ok(())
+        })
     }
+}
+
+thread_local! {
+    /// One scratch trace row per thread for [`ScenarioSource::accumulate`],
+    /// which runs on pool workers behind `&self`: each worker reuses its
+    /// row across the traces it accumulates instead of allocating one per
+    /// trace.
+    static SCRATCH_ROW: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
 /// A declarative verification campaign: one genuine IP, a scenario grid,
@@ -574,6 +589,55 @@ mod tests {
         assert_eq!(swept.noise_sigma(), default.noise_sigma());
         assert_eq!(swept.bandwidth_alpha(), default.bandwidth_alpha());
         assert_eq!(swept.samples_per_cycle(), default.samples_per_cycle());
+    }
+
+    #[test]
+    fn scenario_accumulate_equals_trace_into_plus_kernel_accumulate() {
+        let campaign = Campaign::reduced();
+        let chain = chain_with_noise(DEFAULT_NOISE_SIGMA).unwrap();
+        let inner = campaign
+            .acquisition(
+                &DutBuild::genuine(&campaign.ip).unwrap(),
+                &ProcessVariation::typical(),
+                &chain,
+                12,
+                3,
+                4,
+            )
+            .unwrap();
+        let source = ScenarioSource::new(inner, ThermalDrift::new(0.15).unwrap(), 5, 2);
+        let len = source.trace_len();
+        // Four k-average rows of three traces each.
+        let groups = 4;
+        let rows_by = |pool: ipmark_parallel::Pool| {
+            pool.map_indexed(groups, |g| {
+                let mut acc = vec![0.0; len];
+                for index in 3 * g..3 * g + 3 {
+                    source.accumulate(index, &mut acc).unwrap();
+                }
+                acc.iter().map(|x| x.to_bits()).collect::<Vec<u64>>()
+            })
+        };
+        let want: Vec<Vec<u64>> = (0..groups)
+            .map(|g| {
+                let mut acc = vec![0.0; len];
+                let mut trace = vec![0.0; len];
+                for index in 3 * g..3 * g + 3 {
+                    source.trace_into(index, &mut trace).unwrap();
+                    ipmark_traces::kernels::accumulate(&mut acc, &trace);
+                }
+                acc.iter().map(|x| x.to_bits()).collect()
+            })
+            .collect();
+        for threads in [1, 2] {
+            let got = rows_by(ipmark_parallel::Pool::with_threads(threads));
+            assert_eq!(got, want, "{threads} thread(s)");
+        }
+        let mut short = vec![0.0; len - 1];
+        assert!(matches!(
+            source.accumulate(0, &mut short),
+            Err(TraceError::LengthMismatch { .. })
+        ));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
 use crate::leakage::{LeakageModel, WeightedComponentModel};
+use crate::noise::standard_normal;
 
 /// Magnitudes of inter-die variation, as relative standard deviations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,33 +94,11 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Two independent standard normal samples by Marsaglia's polar method —
-/// the workspace's one RNG-driven normal sampler (it avoids a dependency
-/// on `rand_distr`).
-///
-/// `u` and `v` are `2·U − 1` over two 53-bit uniforms; a point outside the
-/// unit disc, or at its centre, is rejected (probability 1 − π/4) and
-/// redrawn. An accepted `s = u² + v²` gives the pair `(u·f, v·f)` with
-/// `f = √(−2 ln s / s)`: one `ln` and one `sqrt` per two samples, where
-/// Box–Muller spends a `ln`, a `sqrt` and a `cos` on each.
-pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    loop {
-        let u = 2.0 * rng.gen::<f64>() - 1.0;
-        let v = 2.0 * rng.gen::<f64>() - 1.0;
-        let s = u * u + v * v;
-        if s < 1.0 && s > 0.0 {
-            let f = (-2.0 * s.ln() / s).sqrt();
-            return (u * f, v * f);
-        }
-    }
-}
-
-/// Draws a Gaussian with the given mean and standard deviation from the
-/// first value of a fresh [`standard_normal_pair`]. For one-off draws
-/// (die sampling, tests); the measurement chain's noise sweep consumes
-/// both values of each pair instead.
+/// Draws a Gaussian with the given mean and standard deviation from one
+/// [`standard_normal`] draw. For one-off draws (die sampling, tests); the
+/// measurement chain's noise sweep draws from the same sampler.
 pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
-    mean + sigma * standard_normal_pair(rng).0
+    mean + sigma * standard_normal(rng)
 }
 
 /// One physical device instance: a nominal leakage model perturbed by

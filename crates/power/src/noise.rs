@@ -4,12 +4,14 @@
 //! front-end adds 1/f (*pink*) noise, and supply/temperature wander shows
 //! up as low-frequency *drift*. [`NoiseProfile`] describes the mixture;
 //! the measurement chain applies it per trace, drawing from one
-//! [`NoiseRng`] stream per trace.
+//! [`NoiseRng`] stream per trace through the [`standard_normal`] ziggurat.
+
+use std::sync::OnceLock;
 
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::device::{splitmix64, standard_normal_pair};
+use crate::device::splitmix64;
 use crate::error::PowerError;
 
 /// Magnitudes of the per-sample noise components.
@@ -99,26 +101,31 @@ impl NoiseProfile {
     }
 }
 
-/// The running state of one noise realization: the pink filter, the
-/// drift walk, and the unused half of the last normal pair, advanced one
-/// sample at a time.
-#[derive(Debug, Clone, Copy, Default)]
+/// The running state of one noise realization: the pink filter and the
+/// drift walk, advanced one sample at a time, plus the ziggurat tables,
+/// fetched once per realization rather than once per sample.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct NoiseState {
     pink: PinkNoise,
     drift: f64,
-    spare: Option<f64>,
+    ziggurat: &'static Ziggurat,
+}
+
+impl Default for NoiseState {
+    fn default() -> Self {
+        Self {
+            pink: PinkNoise::default(),
+            drift: 0.0,
+            ziggurat: Ziggurat::tables(),
+        }
+    }
 }
 
 impl NoiseState {
-    /// The next standard normal of this realization: the spare half of the
-    /// last pair if there is one, else the first half of a fresh pair.
+    /// The next standard normal of this realization: one ziggurat draw.
+    #[inline]
     fn normal<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        let (z, spare) = standard_normal_pair(rng);
-        self.spare = Some(spare);
-        z
+        self.ziggurat.sample(rng)
     }
 }
 
@@ -126,6 +133,148 @@ impl Default for NoiseProfile {
     fn default() -> Self {
         Self::none()
     }
+}
+
+/// Right edge `R` of the normal ziggurat's base layer: where Marsaglia &
+/// Tsang's 256-layer table hands over to the exponential tail. The
+/// nearest `f64` to the published 3.654152885361008796.
+pub const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+
+/// Area `V` shared by every layer of the normal ziggurat (the base layer
+/// counts its tail beyond [`ZIGGURAT_R`]), for the unnormalized density
+/// `exp(−x²/2)`.
+pub const ZIGGURAT_V: f64 = 4.928_673_233_99e-3;
+
+/// Number of ziggurat layers; a draw picks one from its low 8 bits.
+const LAYERS: usize = 256;
+
+/// The bits of `2.0`: or-ing 52 mantissa bits under them gives a uniform
+/// value in `[2, 4)`.
+const TWO_BITS: u64 = 0x4000_0000_0000_0000;
+
+/// The tables of the 256-layer ziggurat for the standard normal (Marsaglia
+/// & Tsang, "The Ziggurat Method for Generating Random Variables", 2000),
+/// laid out as in Doornik's ZIGNOR and `rand_distr`.
+///
+/// `x[0] = V / f(R)` is the width of the base layer's rectangle,
+/// `x[1] = R`, each later edge solves `x[i−1] · (f(x[i]) − f(x[i−1])) = V`,
+/// and `x[256] = 0`; `f[i] = exp(−x[i]² / 2)`. Layer `i` spans heights
+/// `f[i]..f[i + 1]` and widths up to `x[i]`.
+#[derive(Debug)]
+pub struct Ziggurat {
+    x: [f64; LAYERS + 1],
+    f: [f64; LAYERS + 1],
+}
+
+impl Ziggurat {
+    /// The workspace's one copy of the tables, built on first use.
+    pub fn tables() -> &'static Self {
+        static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+        TABLES.get_or_init(Self::build)
+    }
+
+    fn build() -> Self {
+        let density = |x: f64| (-0.5 * x * x).exp();
+        // `from_fn` fills in ascending order, so `edge` is always `x[i − 1]`.
+        let mut edge = ZIGGURAT_R;
+        let x = std::array::from_fn(|i| match i {
+            0 => ZIGGURAT_V / density(ZIGGURAT_R),
+            1 => ZIGGURAT_R,
+            LAYERS => 0.0,
+            _ => {
+                edge = (-2.0 * (ZIGGURAT_V / edge + density(edge)).ln()).sqrt();
+                edge
+            }
+        });
+        Self {
+            x,
+            f: x.map(density),
+        }
+    }
+
+    /// The layer edges `x[0..=256]`, strictly decreasing from `V / f(R)`
+    /// through `x[1] = R` to `x[256] = 0`.
+    pub fn x(&self) -> &[f64; LAYERS + 1] {
+        &self.x
+    }
+
+    /// The density at each edge, `f[i] = exp(−x[i]² / 2)`.
+    pub fn f(&self) -> &[f64; LAYERS + 1] {
+        &self.f
+    }
+
+    /// One standard normal draw from these tables ([`standard_normal`]).
+    #[inline]
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        loop {
+            let bits = rng.next_u64();
+            let i = usize::from(bits as u8);
+            let u = f64::from_bits(TWO_BITS | (bits >> 12)) - 3.0;
+            // Always `Some`: a byte indexes one of 256 layers of 257 edges.
+            let (Some(&x_outer), Some(&x_inner)) = (self.x.get(i), self.x.get(i + 1)) else {
+                continue;
+            };
+            let x = u * x_outer;
+            if x.abs() < x_inner {
+                return x;
+            }
+            if i == 0 {
+                return tail(rng, u);
+            }
+            let (Some(&f_outer), Some(&f_inner)) = (self.f.get(i), self.f.get(i + 1)) else {
+                continue;
+            };
+            if f_inner + (f_outer - f_inner) * rng.gen::<f64>() < (-0.5 * x * x).exp() {
+                return x;
+            }
+        }
+    }
+}
+
+/// A normal draw beyond `±R`, signed like `u`: Marsaglia's exponential
+/// tail method, `x = −ln(U₁) / R` kept when `−2 ln(U₂) > x²`.
+#[cold]
+fn tail<R: Rng + ?Sized>(rng: &mut R, u: f64) -> f64 {
+    loop {
+        let x = -open_unit(rng).ln() / ZIGGURAT_R;
+        let y = -open_unit(rng).ln();
+        if 2.0 * y > x * x {
+            return (ZIGGURAT_R + x).copysign(u);
+        }
+    }
+}
+
+/// A uniform in the open interval `(0, 1)`: 53 bits centred in their
+/// cell, so `ln` never sees zero.
+fn open_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    ((rng.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
+}
+
+/// One standard normal draw from `rng`: the workspace's one RNG-driven
+/// normal sampler, a 256-layer ziggurat over the [`Ziggurat`] tables.
+///
+/// The fast path spends one `next_u64`: its low 8 bits pick layer `i`,
+/// its high 52 bits a uniform `u ∈ [−1, 1)`, and `x = u · x[i]` is
+/// returned when `|x| < x[i + 1]`, about 98.5 % of the time. A reject in
+/// the base layer draws from the exponential tail beyond
+/// [`ZIGGURAT_R`] (Marsaglia, 1964); any other reject is kept when a
+/// fresh uniform height inside the layer falls under `exp(−x²/2)`, and
+/// redrawn otherwise.
+///
+/// # Examples
+///
+/// ```
+/// use ipmark_power::noise::{standard_normal, NoiseRng};
+/// use rand::SeedableRng;
+///
+/// let mut a = NoiseRng::seed_from_u64(2014);
+/// let mut b = NoiseRng::seed_from_u64(2014);
+/// let z = standard_normal(&mut a);
+/// assert!(z.is_finite());
+/// assert_eq!(z.to_bits(), standard_normal(&mut b).to_bits());
+/// ```
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    Ziggurat::tables().sample(rng)
 }
 
 /// The SplitMix64 increment (the 64-bit golden ratio), which

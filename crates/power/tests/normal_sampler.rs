@@ -1,9 +1,10 @@
 //! The normal sampler and the per-trace noise stream against the normal
 //! law itself.
 //!
-//! Nothing here comes from `device.rs`: the reference CDF is a test-local
-//! `erf`, and every statistic is computed from scratch. Each check uses a
-//! stated confidence level on 10⁵ draws from a fixed seed, so a pass is
+//! Nothing here comes from the sampler's module but the draws and the
+//! tables: the reference CDF is a test-local `erf`, and every statistic is
+//! computed from scratch. Each check uses a stated confidence level on 10⁵
+//! draws (10⁶ for the tail beyond `R`) from a fixed seed, so a pass is
 //! reproducible and a failure points at the sampler, not at chance.
 //!
 //! Every check runs on both generators the simulator uses: `ChaCha8Rng`
@@ -13,7 +14,7 @@
 
 use ipmark_netlist::seq::BinaryCounter;
 use ipmark_netlist::CircuitBuilder;
-use ipmark_power::device::standard_normal_pair;
+use ipmark_power::noise::{standard_normal, Ziggurat, ZIGGURAT_R, ZIGGURAT_V};
 use ipmark_power::{
     ComponentWeights, DeviceModel, MeasurementChain, NoiseProfile, NoiseRng, PulseShape,
     SimulatedAcquisition, WeightedComponentModel,
@@ -47,13 +48,14 @@ fn normal_cdf(x: f64) -> f64 {
     0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
 }
 
-/// `DRAWS` values, both halves of each pair in order.
-fn pair_draws(rng: &mut dyn RngCore) -> Vec<(f64, f64)> {
-    (0..DRAWS / 2).map(|_| standard_normal_pair(rng)).collect()
+/// `n` consecutive draws.
+fn draws_n(rng: &mut dyn RngCore, n: usize) -> Vec<f64> {
+    (0..n).map(|_| standard_normal(rng)).collect()
 }
 
-fn flatten(pairs: &[(f64, f64)]) -> Vec<f64> {
-    pairs.iter().flat_map(|&(a, b)| [a, b]).collect()
+/// `DRAWS` consecutive draws.
+fn draws(rng: &mut dyn RngCore) -> Vec<f64> {
+    draws_n(rng, DRAWS)
 }
 
 /// One-sample Kolmogorov–Smirnov statistic against the standard normal.
@@ -80,9 +82,9 @@ fn ks_critical(n: usize) -> f64 {
 /// failure.
 type Check = fn(&mut dyn RngCore) -> Result<(), String>;
 
-/// One-sample KS test of the pair sampler's values.
-fn ks_of_pairs(rng: &mut dyn RngCore) -> Result<(), String> {
-    let xs = flatten(&pair_draws(rng));
+/// One-sample KS test of the sampler's draws.
+fn ks_of_draws(rng: &mut dyn RngCore) -> Result<(), String> {
+    let xs = draws(rng);
     let d = ks_statistic(&xs);
     (d < ks_critical(xs.len()))
         .then_some(())
@@ -90,7 +92,7 @@ fn ks_of_pairs(rng: &mut dyn RngCore) -> Result<(), String> {
 }
 
 /// One-sample KS test of the noise sweep's stream: unit white noise onto
-/// zeros is its own stream of normals, spare halves included.
+/// zeros is its own stream of normals.
 fn ks_of_noise_stream(rng: &mut dyn RngCore) -> Result<(), String> {
     let mut xs = vec![0.0; DRAWS];
     NoiseProfile::white(1.0).add_into(&mut xs, rng);
@@ -102,7 +104,7 @@ fn ks_of_noise_stream(rng: &mut dyn RngCore) -> Result<(), String> {
 
 /// Mean, variance and excess kurtosis inside their 4σ intervals.
 fn moments(rng: &mut dyn RngCore) -> Result<(), String> {
-    let xs = flatten(&pair_draws(rng));
+    let xs = draws(rng);
     let n = xs.len() as f64;
     let mean = xs.iter().sum::<f64>() / n;
     let m2 = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
@@ -122,34 +124,46 @@ fn moments(rng: &mut dyn RngCore) -> Result<(), String> {
     Ok(())
 }
 
-/// The two halves of a pair are uncorrelated.
-fn pair_correlation(rng: &mut dyn RngCore) -> Result<(), String> {
-    let (a, b): (Vec<f64>, Vec<f64>) = pair_draws(rng).into_iter().unzip();
-    let r = pearson(&a, &b);
+/// Consecutive draws are uncorrelated (lag-1 autocorrelation).
+fn lag1_correlation(rng: &mut dyn RngCore) -> Result<(), String> {
+    let xs = draws(rng);
+    let (a, b) = (&xs[..xs.len() - 1], &xs[1..]);
+    let r = pearson(a, b);
     // Under independence r has standard error ≈ 1/√n.
     (r.abs() < Z / (a.len() as f64).sqrt())
         .then_some(())
-        .ok_or(format!("pair correlation {r:.5}"))
+        .ok_or(format!("lag-1 correlation {r:.5}"))
 }
 
-/// The mass beyond ±3 lies inside a Wilson interval around N(0, 1)'s.
-fn three_sigma_tail(rng: &mut dyn RngCore) -> Result<(), String> {
-    let xs = flatten(&pair_draws(rng));
+/// The mass of `xs` beyond `±t` lies inside a Wilson interval around
+/// N(0, 1)'s.
+fn tail_mass(xs: &[f64], t: f64) -> Result<(), String> {
     let n = xs.len() as f64;
-    let hits = xs.iter().filter(|x| x.abs() > 3.0).count() as f64;
+    let hits = xs.iter().filter(|x| x.abs() > t).count() as f64;
     let p_hat = hits / n;
     let z2 = Z * Z;
     let centre = (p_hat + z2 / (2.0 * n)) / (1.0 + z2 / n);
     let half = Z / (1.0 + z2 / n) * (p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)).sqrt();
-    let p_true = 2.0 * (1.0 - normal_cdf(3.0));
+    let p_true = 2.0 * (1.0 - normal_cdf(t));
     (centre - half..=centre + half)
         .contains(&p_true)
         .then_some(())
         .ok_or(format!(
-            "P(|z| > 3) = {p_hat:.5}, Wilson [{:.5}, {:.5}], N(0, 1) {p_true:.5}",
+            "P(|z| > {t:.3}) = {p_hat:.6}, Wilson [{:.6}, {:.6}], N(0, 1) {p_true:.6}",
             centre - half,
             centre + half
         ))
+}
+
+/// The mass beyond ±3, within the ziggurat's layers.
+fn three_sigma_tail(rng: &mut dyn RngCore) -> Result<(), String> {
+    tail_mass(&draws(rng), 3.0)
+}
+
+/// The mass beyond ±R, which only the exponential tail path produces:
+/// about 258 of 10⁶ draws.
+fn beyond_r_tail(rng: &mut dyn RngCore) -> Result<(), String> {
+    tail_mass(&draws_n(rng, 1_000_000), ZIGGURAT_R)
 }
 
 /// Runs `check` on `ChaCha8Rng` and on `NoiseRng`, both seeded with
@@ -173,8 +187,8 @@ fn erf_reference_is_sound() {
 }
 
 #[test]
-fn pair_draws_pass_a_one_sample_ks_test() {
-    on_both_generators(ks_of_pairs, 1);
+fn draws_pass_a_one_sample_ks_test() {
+    on_both_generators(ks_of_draws, 1);
 }
 
 #[test]
@@ -188,13 +202,88 @@ fn moments_fall_inside_their_confidence_intervals() {
 }
 
 #[test]
-fn the_two_halves_of_a_pair_are_uncorrelated() {
-    on_both_generators(pair_correlation, 4);
+fn consecutive_draws_are_uncorrelated() {
+    on_both_generators(lag1_correlation, 4);
 }
 
 #[test]
 fn three_sigma_tail_mass_is_inside_a_wilson_interval() {
     on_both_generators(three_sigma_tail, 5);
+}
+
+#[test]
+fn mass_beyond_r_is_inside_a_wilson_interval() {
+    on_both_generators(beyond_r_tail, 6);
+}
+
+/// `∫_a^b exp(−x²/2) dx` by composite Simpson over `n` (even) panels.
+fn simpson_density(a: f64, b: f64, n: usize) -> f64 {
+    let h = (b - a) / n as f64;
+    let f = |x: f64| (-0.5 * x * x).exp();
+    let inner: f64 = (1..n)
+        .map(|i| f(a + i as f64 * h) * if i % 2 == 1 { 4.0 } else { 2.0 })
+        .sum();
+    h / 3.0 * (f(a) + inner + f(b))
+}
+
+#[test]
+fn ziggurat_tables_tile_the_density_in_equal_areas() {
+    let zig = Ziggurat::tables();
+    let (x, f) = (zig.x(), zig.f());
+    assert_eq!(x.len(), 257);
+    assert!(
+        x.windows(2).all(|w| w[1] < w[0]),
+        "edges not strictly decreasing"
+    );
+    assert_eq!(x[1], ZIGGURAT_R);
+    assert_eq!(x[256], 0.0);
+    for (i, (&xi, &fi)) in x.iter().zip(f).enumerate() {
+        assert_eq!(fi, (-0.5 * xi * xi).exp(), "f[{i}]");
+    }
+    let close = |area: f64, what: &str| {
+        let rel = (area - ZIGGURAT_V).abs() / ZIGGURAT_V;
+        assert!(rel < 1e-8, "{what}: area {area:e}, relative error {rel:e}");
+    };
+    // The base layer: the rectangle of width R under f(R), plus the tail
+    // beyond R, equals the rectangle of width x[0] the sampler draws in.
+    let tail = simpson_density(ZIGGURAT_R, ZIGGURAT_R + 12.0, 20_000);
+    close(ZIGGURAT_R * f[1] + tail, "base layer with its tail");
+    close(x[0] * f[1], "base rectangle");
+    // Layer i: width x[i], heights f[i]..f[i + 1].
+    for i in 1..256 {
+        close(x[i] * (f[i + 1] - f[i]), &format!("layer {i}"));
+    }
+}
+
+#[test]
+fn first_draws_from_seed_2014_match_the_reference_vector() {
+    // An independent transcription of xoshiro256++, its SplitMix64
+    // seeding and the ziggurat (tables, fast path, wedge and tail) gives
+    // these first 16 draws from seed 2014.
+    let reference = [
+        1.206_896_058_029_206_5,
+        -1.164_969_522_003_489_2,
+        -0.726_983_809_003_579_4,
+        1.410_627_853_057_425_9,
+        -2.062_346_622_795_483_4,
+        -0.278_418_292_134_319_96,
+        -0.954_563_465_119_203_9,
+        0.414_733_968_921_061_5,
+        1.435_652_692_765_121_2,
+        0.004_604_768_689_161_325,
+        0.258_516_178_583_426_4,
+        -0.621_898_093_725_275_2,
+        -0.107_138_775_481_076_32,
+        -0.536_823_712_982_521_2,
+        -0.926_196_577_075_728_7,
+        0.909_969_519_379_601_1,
+    ];
+    let mut rng = NoiseRng::seed_from_u64(2014);
+    let got: Vec<u64> = (0..16)
+        .map(|_| standard_normal(&mut rng).to_bits())
+        .collect();
+    let want: Vec<u64> = reference.iter().map(|z: &f64| z.to_bits()).collect();
+    assert_eq!(got, want);
 }
 
 /// A `NoiseRng` with a planted bias: the top bit of every 16th word is
@@ -222,11 +311,11 @@ impl RngCore for TopBitEvery16th {
 
 #[test]
 fn a_planted_bias_fails_the_distribution_checks() {
-    // Forcing u ≥ 0 on one uniform in 16 pushes about 1/32 of the normals'
-    // mass to the positive side: a mean shift of ≈ 0.05, some 16 standard
-    // errors at 10⁵ draws.
+    // Forcing u ≥ 0 on one word in 16 makes one draw in 16 positive, which
+    // pushes about 1/32 of the normals' mass to the positive side: a mean
+    // shift of ≈ 0.05, some 16 standard errors at 10⁵ draws.
     let checks: [(&str, Check, u64); 3] = [
-        ("KS of pairs", ks_of_pairs, 1),
+        ("KS of draws", ks_of_draws, 1),
         ("KS of noise stream", ks_of_noise_stream, 2),
         ("moments", moments, 3),
     ];

@@ -102,11 +102,14 @@ pub fn shift_in_place(samples: &mut [f64], shift: isize) {
 /// pair maps to the same offset on every thread and platform.
 ///
 /// `max_shift = 0` always returns `0` — the zero-jitter scenario injects
-/// nothing.
+/// nothing. A window wider than [`MAX_JITTER_SHIFT`] saturates at it, so
+/// the function is total: the window's span and the offset stay
+/// representable for every `max_shift`.
 pub fn jitter_offset(stream_seed: u64, index: u64, max_shift: usize) -> isize {
     if max_shift == 0 {
         return 0;
     }
+    let max_shift = max_shift.min(MAX_JITTER_SHIFT);
     // SplitMix64 finalizer (kept local: this crate sits below ipmark-power
     // in the dependency stack, which hosts the shared public copy).
     fn mix64(mut x: u64) -> u64 {
@@ -115,10 +118,18 @@ pub fn jitter_offset(stream_seed: u64, index: u64, max_shift: usize) -> isize {
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         x ^ (x >> 31)
     }
+    // At most 2 · MAX_JITTER_SHIFT + 1 ≤ isize::MAX, so neither the span
+    // nor the offset below overflows.
     let span = 2 * (max_shift as u64) + 1;
     let draw = mix64(mix64(stream_seed ^ 0x6a69_7474_6572_3031).wrapping_add(index));
     (draw % span) as isize - max_shift as isize
 }
+
+/// The widest trigger-jitter window [`jitter_offset`] draws from, a
+/// quarter of the address space (`2⁶² − 1` on 64-bit targets). Any wider
+/// `max_shift` saturates here; a shift that long already exceeds every
+/// trace, which [`shift_in_place`] clamps to the edge sample.
+pub const MAX_JITTER_SHIFT: usize = usize::MAX >> 2;
 
 /// Aligns every trace of `set` to the set's first trace by
 /// cross-correlation within `±max_shift` samples.
@@ -288,6 +299,18 @@ mod tests {
         let a: Vec<isize> = (0..64).map(|i| jitter_offset(1, i, 4)).collect();
         let b: Vec<isize> = (0..64).map(|i| jitter_offset(2, i, 4)).collect();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn jitter_offset_saturates_huge_windows() {
+        let bound = MAX_JITTER_SHIFT as isize;
+        for max_shift in [usize::MAX, usize::MAX / 2 + 1, MAX_JITTER_SHIFT + 1] {
+            for index in 0..64u64 {
+                let o = jitter_offset(7, index, max_shift);
+                assert!((-bound..=bound).contains(&o), "offset {o} max {max_shift}");
+                assert_eq!(o, jitter_offset(7, index, MAX_JITTER_SHIFT));
+            }
+        }
     }
 
     #[test]
