@@ -1195,46 +1195,64 @@ mod tests {
         ));
     }
 
+    /// Lower end of the 95 % Wilson interval of `hits` successes in `n`.
+    fn wilson_lower(hits: u64, n: u64) -> f64 {
+        let (p, n, z) = (hits as f64 / n as f64, n as f64, 1.96_f64);
+        let z2n = z * z / n;
+        (p + z2n / 2.0 - z * (p * (1.0 - p) / n + z2n / (4.0 * n)).sqrt()) / (1.0 + z2n)
+    }
+
     #[test]
     fn mapped_session_agrees_with_owned_session() {
         let refd = tmp("map_sess_refd.bin");
         let dut_good = tmp("map_sess_good.trc3");
         let dut_bad = tmp("map_sess_bad.bin");
-        for (ip, die, seed, n, path) in [
-            ("b", "1", "1", "60", &refd),
-            ("b", "2", "2", "400", &dut_good),
-            ("c", "3", "3", "400", &dut_bad),
-        ] {
-            run(&[
-                "acquire",
-                "--ip",
-                ip,
-                "--die-seed",
-                die,
-                "--traces",
-                n,
-                "--cycles",
-                "64",
-                "--seed",
-                seed,
-                "--out",
-                path,
-            ])
-            .unwrap();
+        // At k = 15 one session names the genuine DUT only about four
+        // times in five, so the winner is checked as a rate over 64
+        // realizations; owned and mapped must agree on every one.
+        let sets = 64;
+        let mut genuine_wins = 0;
+        for set in 0..sets {
+            for (ip, die, seed, n, path) in [
+                ("b", "1", 10 * set + 1, "60", &refd),
+                ("b", "2", 10 * set + 2, "400", &dut_good),
+                ("c", "3", 10 * set + 3, "400", &dut_bad),
+            ] {
+                run(&[
+                    "acquire",
+                    "--ip",
+                    ip,
+                    "--die-seed",
+                    die,
+                    "--traces",
+                    n,
+                    "--cycles",
+                    "64",
+                    "--seed",
+                    &seed.to_string(),
+                    "--out",
+                    path,
+                ])
+                .unwrap();
+            }
+            let seed = (7 + set).to_string();
+            let common = [
+                "--refd", &refd, "--dut", &dut_good, "--dut", &dut_bad, "--k", "15", "--m", "10",
+                "--seed", &seed, "--json",
+            ];
+            let owned = run(&[&["session"], &common[..]].concat()).unwrap();
+            let mapped = run(&[&["session"], &common[..], &["--mapped"]].concat()).unwrap();
+            // Same campaigns, same seed: the session is source-agnostic, so
+            // the two runs must agree verbatim (scores included).
+            assert_eq!(owned, mapped, "realization {set}");
+            let value: serde_json::Value = serde_json::from_str(&mapped).unwrap();
+            if value.get("winner").and_then(|v| v.as_str()).unwrap() == "map_sess_good" {
+                genuine_wins += 1;
+            }
         }
-        let common = [
-            "--refd", &refd, "--dut", &dut_good, "--dut", &dut_bad, "--k", "15", "--m", "10",
-            "--seed", "7", "--json",
-        ];
-        let owned = run(&[&["session"], &common[..]].concat()).unwrap();
-        let mapped = run(&[&["session"], &common[..], &["--mapped"]].concat()).unwrap();
-        // Same campaigns, same seed: the session is source-agnostic, so the
-        // two runs must agree verbatim (scores included).
-        assert_eq!(owned, mapped);
-        let value: serde_json::Value = serde_json::from_str(&mapped).unwrap();
-        assert_eq!(
-            value.get("winner").and_then(|v| v.as_str()).unwrap(),
-            "map_sess_good"
+        assert!(
+            wilson_lower(genuine_wins, sets) > 0.5,
+            "genuine DUT won {genuine_wins}/{sets} sessions"
         );
     }
 

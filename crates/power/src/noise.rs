@@ -138,12 +138,12 @@ impl Default for NoiseProfile {
 /// Right edge `R` of the normal ziggurat's base layer: where Marsaglia &
 /// Tsang's 256-layer table hands over to the exponential tail. The
 /// nearest `f64` to the published 3.654152885361008796.
-pub const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+pub(crate) const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
 
 /// Area `V` shared by every layer of the normal ziggurat (the base layer
 /// counts its tail beyond [`ZIGGURAT_R`]), for the unnormalized density
 /// `exp(−x²/2)`.
-pub const ZIGGURAT_V: f64 = 4.928_673_233_99e-3;
+pub(crate) const ZIGGURAT_V: f64 = 4.928_673_233_99e-3;
 
 /// Number of ziggurat layers; a draw picks one from its low 8 bits.
 const LAYERS: usize = 256;
@@ -161,14 +161,14 @@ const TWO_BITS: u64 = 0x4000_0000_0000_0000;
 /// and `x[256] = 0`; `f[i] = exp(−x[i]² / 2)`. Layer `i` spans heights
 /// `f[i]..f[i + 1]` and widths up to `x[i]`.
 #[derive(Debug)]
-pub struct Ziggurat {
+pub(crate) struct Ziggurat {
     x: [f64; LAYERS + 1],
     f: [f64; LAYERS + 1],
 }
 
 impl Ziggurat {
     /// The workspace's one copy of the tables, built on first use.
-    pub fn tables() -> &'static Self {
+    pub(crate) fn tables() -> &'static Self {
         static TABLES: OnceLock<Ziggurat> = OnceLock::new();
         TABLES.get_or_init(Self::build)
     }
@@ -190,17 +190,6 @@ impl Ziggurat {
             x,
             f: x.map(density),
         }
-    }
-
-    /// The layer edges `x[0..=256]`, strictly decreasing from `V / f(R)`
-    /// through `x[1] = R` to `x[256] = 0`.
-    pub fn x(&self) -> &[f64; LAYERS + 1] {
-        &self.x
-    }
-
-    /// The density at each edge, `f[i] = exp(−x[i]² / 2)`.
-    pub fn f(&self) -> &[f64; LAYERS + 1] {
-        &self.f
     }
 
     /// One standard normal draw from these tables ([`standard_normal`]).
@@ -251,15 +240,15 @@ fn open_unit<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// One standard normal draw from `rng`: the workspace's one RNG-driven
-/// normal sampler, a 256-layer ziggurat over the [`Ziggurat`] tables.
+/// normal sampler, a 256-layer ziggurat (Marsaglia & Tsang, 2000).
 ///
 /// The fast path spends one `next_u64`: its low 8 bits pick layer `i`,
 /// its high 52 bits a uniform `u ∈ [−1, 1)`, and `x = u · x[i]` is
 /// returned when `|x| < x[i + 1]`, about 98.5 % of the time. A reject in
 /// the base layer draws from the exponential tail beyond
-/// [`ZIGGURAT_R`] (Marsaglia, 1964); any other reject is kept when a
-/// fresh uniform height inside the layer falls under `exp(−x²/2)`, and
-/// redrawn otherwise.
+/// `R = 3.654152885361008796` (Marsaglia, 1964); any other reject is kept
+/// when a fresh uniform height inside the layer falls under `exp(−x²/2)`,
+/// and redrawn otherwise.
 ///
 /// # Examples
 ///
@@ -505,5 +494,43 @@ mod tests {
             accumulated * 2 > seeds as usize,
             "drift accumulated in only {accumulated}/{seeds} walks"
         );
+    }
+
+    /// `∫_a^b exp(−x²/2) dx` by composite Simpson over `n` (even) panels.
+    fn simpson_density(a: f64, b: f64, n: usize) -> f64 {
+        let h = (b - a) / n as f64;
+        let f = |x: f64| (-0.5 * x * x).exp();
+        let inner: f64 = (1..n)
+            .map(|i| f(a + i as f64 * h) * if i % 2 == 1 { 4.0 } else { 2.0 })
+            .sum();
+        h / 3.0 * (f(a) + inner + f(b))
+    }
+
+    #[test]
+    fn ziggurat_tables_tile_the_density_in_equal_areas() {
+        let Ziggurat { x, f } = Ziggurat::tables();
+        assert_eq!(x.len(), 257);
+        assert!(
+            x.windows(2).all(|w| w[1] < w[0]),
+            "edges not strictly decreasing"
+        );
+        assert_eq!(x[1], ZIGGURAT_R);
+        assert_eq!(x[256], 0.0);
+        for (i, (&xi, &fi)) in x.iter().zip(f).enumerate() {
+            assert_eq!(fi, (-0.5 * xi * xi).exp(), "f[{i}]");
+        }
+        let close = |area: f64, what: &str| {
+            let rel = (area - ZIGGURAT_V).abs() / ZIGGURAT_V;
+            assert!(rel < 1e-8, "{what}: area {area:e}, relative error {rel:e}");
+        };
+        // The base layer: the rectangle of width R under f(R), plus the tail
+        // beyond R, equals the rectangle of width x[0] the sampler draws in.
+        let tail = simpson_density(ZIGGURAT_R, ZIGGURAT_R + 12.0, 20_000);
+        close(ZIGGURAT_R * f[1] + tail, "base layer with its tail");
+        close(x[0] * f[1], "base rectangle");
+        // Layer i: width x[i], heights f[i]..f[i + 1].
+        for i in 1..256 {
+            close(x[i] * (f[i + 1] - f[i]), &format!("layer {i}"));
+        }
     }
 }

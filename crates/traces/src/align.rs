@@ -102,9 +102,11 @@ pub fn shift_in_place(samples: &mut [f64], shift: isize) {
 /// pair maps to the same offset on every thread and platform.
 ///
 /// `max_shift = 0` always returns `0` — the zero-jitter scenario injects
-/// nothing. A window wider than [`MAX_JITTER_SHIFT`] saturates at it, so
+/// nothing. A window wider than a quarter of the address space
+/// (`usize::MAX >> 2`, `2⁶² − 1` on 64-bit targets) saturates there, so
 /// the function is total: the window's span and the offset stay
-/// representable for every `max_shift`.
+/// representable for every `max_shift`. A shift that long already exceeds
+/// every trace, which [`shift_in_place`] clamps to the edge sample.
 pub fn jitter_offset(stream_seed: u64, index: u64, max_shift: usize) -> isize {
     if max_shift == 0 {
         return 0;
@@ -125,11 +127,8 @@ pub fn jitter_offset(stream_seed: u64, index: u64, max_shift: usize) -> isize {
     (draw % span) as isize - max_shift as isize
 }
 
-/// The widest trigger-jitter window [`jitter_offset`] draws from, a
-/// quarter of the address space (`2⁶² − 1` on 64-bit targets). Any wider
-/// `max_shift` saturates here; a shift that long already exceeds every
-/// trace, which [`shift_in_place`] clamps to the edge sample.
-pub const MAX_JITTER_SHIFT: usize = usize::MAX >> 2;
+/// The widest trigger-jitter window [`jitter_offset`] draws from.
+const MAX_JITTER_SHIFT: usize = usize::MAX >> 2;
 
 /// Aligns every trace of `set` to the set's first trace by
 /// cross-correlation within `±max_shift` samples.

@@ -285,15 +285,11 @@ impl StreamingKAverager {
                 provided: samples.len(),
             });
         }
-        // One branch-free (vectorizable) pass decides; the position is
-        // looked up only in a row that fails it.
-        if !samples.iter().fold(true, |ok, s| ok & s.is_finite()) {
-            if let Some(sample_index) = samples.iter().position(|s| !s.is_finite()) {
-                return Err(TraceError::NonFiniteSample {
-                    trace_index: index,
-                    sample_index,
-                });
-            }
+        if let Some(sample_index) = samples.iter().position(|s| !s.is_finite()) {
+            return Err(TraceError::NonFiniteSample {
+                trace_index: index,
+                sample_index,
+            });
         }
         Ok(())
     }
