@@ -13,8 +13,11 @@
 //!   sweep of `m` on a prepared campaign and its wall-clock time reported;
 //! * **synthesis breakdown** — trace synthesis is nearly all of that
 //!   time, so its pieces are timed one by one on one thread: the
-//!   per-trace noise stream's words, the normal sampler's draws, and the
-//!   whole measurement sweep on the default chain.
+//!   per-trace noise stream's words, the normal sampler's draws, the
+//!   whole measurement sweep on the default chain, and the two calls a
+//!   verification makes into an on-demand source: one trace's
+//!   `accumulate` through `&dyn TraceSource`, and a k = 50 fill through
+//!   `mean_of_indices_into`.
 //!
 //! ```text
 //! cargo run --release -p ipmark-bench --bin budget
@@ -34,6 +37,8 @@ use ipmark_core::ip_b;
 use ipmark_core::verify::{correlation_process, CorrelationParams};
 use ipmark_power::noise::standard_normal;
 use ipmark_power::{MeasurementChain, NoiseRng, ProcessVariation};
+use ipmark_traces::average::mean_of_indices_into;
+use ipmark_traces::TraceSource;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -99,7 +104,7 @@ fn main() {
         assert_eq!(c.len(), m);
     }
 
-    synthesis_breakdown(&chain, refd.clean_waveform());
+    synthesis_breakdown(&chain, refd.clean_waveform(), &refd);
 
     println!();
     println!("# expectation per §V.B: bench time grows linearly in k (the only");
@@ -124,8 +129,11 @@ fn median_ns<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
 /// `clean.len()` samples, each trace on its own `NoiseRng` stream as in
 /// `SimulatedAcquisition`: one `next_u64` word, one `standard_normal`
 /// draw, and one `accumulate_into` sweep of `chain` (noise, low-pass, AC
-/// coupling, ADC, add).
-fn synthesis_breakdown(chain: &MeasurementChain, clean: &[f64]) {
+/// coupling, ADC, add). Then the paths a verification runs on `source`, a
+/// campaign of the same chain and waveform: its `accumulate` called through
+/// `&dyn TraceSource`, as a non-generic caller does, and one
+/// `mean_of_indices_into` over 50 indices, the k-average fill of §III.
+fn synthesis_breakdown(chain: &MeasurementChain, clean: &[f64], source: &dyn TraceSource) {
     let (reps, traces) = if quick_mode() { (5, 16) } else { (21, 128) };
     let samples = (traces * clean.len()) as f64;
     let streams = || (0..traces as u64).map(NoiseRng::seed_from_u64);
@@ -156,6 +164,19 @@ fn synthesis_breakdown(chain: &MeasurementChain, clean: &[f64]) {
         }
         acc.first().copied().unwrap_or_default()
     });
+    let source_accumulate = median_ns(reps, || {
+        for i in 0..traces {
+            source
+                .accumulate(i, &mut acc)
+                .expect("index inside the campaign");
+        }
+        acc.first().copied().unwrap_or_default()
+    });
+    let fill: Vec<usize> = (0..50).collect();
+    let fill_ns = median_ns(reps, || {
+        mean_of_indices_into(source, &fill, &mut acc).expect("indices inside the campaign");
+        acc.first().copied().unwrap_or_default()
+    });
 
     println!();
     println!(
@@ -167,4 +188,9 @@ fn synthesis_breakdown(chain: &MeasurementChain, clean: &[f64]) {
     println!("noise_rng_word,{:.2}", words / samples);
     println!("standard_normal,{:.2}", normals / samples);
     println!("accumulate_into_sweep,{:.2}", sweep / samples);
+    println!("source_accumulate_dyn,{:.2}", source_accumulate / samples);
+    println!(
+        "mean_of_indices_into_k50,{:.2}",
+        fill_ns / (fill.len() * clean.len()) as f64
+    );
 }

@@ -18,6 +18,9 @@ use ipmark_core::params::{choose_m, f_limit, p_zeta};
 use ipmark_core::report::VerificationReport;
 use ipmark_core::{HigherMean, LowerVariance};
 
+/// The paper's Table II Δv range over its four rows, in percent.
+const PAPER_DV_BAND: (f64, f64) = (44.9, 99.2);
+
 fn main() -> ExitCode {
     let out_path = std::env::args()
         .nth(1)
@@ -91,9 +94,26 @@ fn main() -> ExitCode {
         format!("min Δv = {min_dv:.1}% vs max Δmean = {max_dmean:.1}%"),
     );
     check(
-        "Δv in the paper's band",
+        "Δv > 30 % on every row",
         delta_vs.iter().all(|&d| d > 30.0),
         format!("{delta_vs:?}"),
+    );
+    // Not gated: one seed keeps every row inside the paper's band only
+    // about two times in three (EXPERIMENTS.md, Table II).
+    for (row, &dv) in ('A'..).zip(&delta_vs) {
+        let place = if (PAPER_DV_BAND.0..=PAPER_DV_BAND.1).contains(&dv) {
+            "inside"
+        } else {
+            "outside"
+        };
+        println!(
+            "[info] IP_{row} Δv {dv:.1} % is {place} the paper's {}–{} % band",
+            PAPER_DV_BAND.0, PAPER_DV_BAND.1
+        );
+    }
+    println!(
+        "[info] band rate over master seeds 2014–2413: 264/400 keep every row inside \
+         (95 % Wilson 61.2–70.5 %, EXPERIMENTS.md Table II)"
     );
     check(
         "matched means near the paper's 0.94",

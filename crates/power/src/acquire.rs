@@ -171,15 +171,24 @@ impl SimulatedAcquisition {
     /// campaign seed and the index, so every path that regenerates trace
     /// `index` draws the same samples.
     fn trace_rng(&self, index: usize) -> Result<NoiseRng, TraceError> {
-        if index >= self.num_traces {
-            return Err(TraceError::IndexOutOfRange {
+        self.check_index(index)?;
+        Ok(self.rng_unchecked(index))
+    }
+
+    /// Trace `index`'s stream, for an index already checked.
+    fn rng_unchecked(&self, index: usize) -> NoiseRng {
+        NoiseRng::seed_from_u64(self.effective_seed ^ splitmix64(index as u64))
+    }
+
+    fn check_index(&self, index: usize) -> Result<(), TraceError> {
+        if index < self.num_traces {
+            Ok(())
+        } else {
+            Err(TraceError::IndexOutOfRange {
                 index,
                 available: self.num_traces,
-            });
+            })
         }
-        Ok(NoiseRng::seed_from_u64(
-            self.effective_seed ^ splitmix64(index as u64),
-        ))
     }
 
     /// Materializes the whole campaign as an in-memory [`TraceSet`] — the
@@ -259,6 +268,43 @@ impl TraceSource for SimulatedAcquisition {
         self.chain
             .accumulate_into(&self.clean, acc, &mut rng)
             .map_err(into_trace_error)
+    }
+
+    /// Synthesizes the selected traces two per pass
+    /// ([`MeasurementChain::accumulate_pair_into`]), an odd last one alone:
+    /// bit-identical to the per-index [`TraceSource::accumulate`] loop,
+    /// because each sample still adds the traces onto `acc` one at a time in
+    /// list order. Checks the length and every index first, and on failure
+    /// returns the loop's first error with `acc` untouched.
+    fn accumulate_indices(&self, indices: &[usize], acc: &mut [f64]) -> Result<(), TraceError> {
+        let Some(&first) = indices.first() else {
+            return Ok(());
+        };
+        self.check_index(first)?;
+        if acc.len() != self.clean.len() {
+            return Err(TraceError::LengthMismatch {
+                expected: self.clean.len(),
+                provided: acc.len(),
+            });
+        }
+        for &i in indices {
+            self.check_index(i)?;
+        }
+        let mut pairs = indices.chunks_exact(2);
+        for pair in &mut pairs {
+            if let &[a, b] = pair {
+                let rngs = [&mut self.rng_unchecked(a), &mut self.rng_unchecked(b)];
+                self.chain
+                    .accumulate_pair_into(&self.clean, acc, rngs)
+                    .map_err(into_trace_error)?;
+            }
+        }
+        for &i in pairs.remainder() {
+            self.chain
+                .accumulate_into(&self.clean, acc, &mut self.rng_unchecked(i))
+                .map_err(into_trace_error)?;
+        }
+        Ok(())
     }
 }
 

@@ -13,11 +13,11 @@
 //! 4. **ADC quantization** — the scope digitizes into `bits` levels over a
 //!    fixed full-scale range ([`AdcConfig`]).
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
-use crate::noise::{NoiseProfile, NoiseState};
+use crate::noise::NoiseProfile;
 
 /// How one cycle's energy is distributed over the oscilloscope samples of
 /// that cycle.
@@ -286,11 +286,7 @@ impl MeasurementChain {
 
     /// The low-pass stage, or `None` at full bandwidth.
     fn low_pass(&self) -> Option<LowPass> {
-        if self.bandwidth_alpha >= 1.0 {
-            None
-        } else {
-            Some(LowPass::new(self.bandwidth_alpha))
-        }
+        (self.bandwidth_alpha < 1.0).then(|| LowPass::new(self.bandwidth_alpha))
     }
 
     /// The AC-coupling stage, or `None` for DC coupling.
@@ -300,27 +296,20 @@ impl MeasurementChain {
 
     /// Applies the analog-bandwidth low-pass filter in place.
     pub fn filter_in_place(&self, signal: &mut [f64]) {
-        if let Some(mut stage) = self.low_pass() {
-            for s in signal.iter_mut() {
-                *s = stage.filter(*s);
-            }
-        }
+        run_in_place(self.low_pass(), signal, &mut NoDraws);
     }
 
     /// Applies AC coupling (single-pole high-pass) in place.
     pub fn ac_couple_in_place(&self, signal: &mut [f64]) {
-        if let Some(mut stage) = self.ac_coupling() {
-            for s in signal.iter_mut() {
-                *s = stage.couple(*s);
-            }
-        }
+        run_in_place(self.ac_coupling(), signal, &mut NoDraws);
     }
 
     /// Produces one measured trace from the clean expanded waveform:
     /// add the noise mixture, band-limit, AC-couple, quantize.
     pub fn measure<R: Rng + ?Sized>(&self, clean: &[f64], rng: &mut R) -> Vec<f64> {
-        let mut sweep = Sweep::new(self);
-        clean.iter().map(|&c| sweep.sample(c, rng)).collect()
+        let mut out = vec![0.0; clean.len()];
+        self.write(clean, &mut out, rng);
+        out
     }
 
     /// [`MeasurementChain::measure`] into a caller-provided buffer (e.g. one
@@ -339,10 +328,7 @@ impl MeasurementChain {
         rng: &mut R,
     ) -> Result<(), PowerError> {
         check_len(clean, out)?;
-        let mut sweep = Sweep::new(self);
-        for (o, &c) in out.iter_mut().zip(clean) {
-            *o = sweep.sample(c, rng);
-        }
+        self.write(clean, out, rng);
         Ok(())
     }
 
@@ -361,11 +347,97 @@ impl MeasurementChain {
         rng: &mut R,
     ) -> Result<(), PowerError> {
         check_len(clean, acc)?;
-        let mut sweep = Sweep::new(self);
-        for (a, &c) in acc.iter_mut().zip(clean) {
-            *a += sweep.sample(c, rng);
-        }
+        self.with_shape(Sweep {
+            clean,
+            out: acc,
+            rngs: [rng],
+            put: |a: &mut f64, [y]: [f64; 1]| *a += y,
+        });
         Ok(())
+    }
+
+    /// Adds two measured traces onto `acc` in one pass, the first drawn from
+    /// `rngs[0]` and the second from `rngs[1]`: at every sample
+    /// `acc ← (acc + t₀) + t₁`. That is the operation sequence of two
+    /// [`MeasurementChain::accumulate_into`] calls in that order, so the
+    /// result is bit-identical to them; each trace still draws its noise
+    /// from its own stream in its own order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerError::LengthMismatch`] when `acc.len() != clean.len()`,
+    /// leaving `acc` and both streams untouched.
+    pub fn accumulate_pair_into<R: Rng + ?Sized>(
+        &self,
+        clean: &[f64],
+        acc: &mut [f64],
+        rngs: [&mut R; 2],
+    ) -> Result<(), PowerError> {
+        check_len(clean, acc)?;
+        self.with_shape(Sweep {
+            clean,
+            out: acc,
+            rngs,
+            put: |a: &mut f64, [y0, y1]: [f64; 2]| *a = (*a + y0) + y1,
+        });
+        Ok(())
+    }
+
+    /// The sweep behind `measure` and `measure_into`: writes one trace.
+    fn write<R: Rng + ?Sized>(&self, clean: &[f64], out: &mut [f64], rng: &mut R) {
+        self.with_shape(Sweep {
+            clean,
+            out,
+            rngs: [rng],
+            put: |o: &mut f64, [y]: [f64; 1]| *o = y,
+        });
+    }
+
+    /// Resolves the chain's shape — which noise components, and whether
+    /// low-pass, AC coupling and ADC run — into one [`Stage`] type, and
+    /// hands it to `sweep`. Every stage the chain leaves out is a
+    /// [`Through`], so the per-sample step of the resolved type carries no
+    /// configuration branch; the choice is made here, once per call.
+    fn with_shape<V: ShapeVisitor>(&self, sweep: V) {
+        match self.noise.white_stage() {
+            Some(white) => self.then_pink(sweep, white),
+            None => self.then_pink(sweep, Through),
+        }
+    }
+
+    fn then_pink<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
+        match self.noise.pink_stage() {
+            Some(pink) => self.then_drift(sweep, (head, pink)),
+            None => self.then_drift(sweep, (head, Through)),
+        }
+    }
+
+    fn then_drift<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
+        match self.noise.drift_stage() {
+            Some(drift) => self.then_low_pass(sweep, (head, drift)),
+            None => self.then_low_pass(sweep, (head, Through)),
+        }
+    }
+
+    fn then_low_pass<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
+        match self.low_pass() {
+            Some(low_pass) => self.then_ac(sweep, (head, low_pass)),
+            None => self.then_ac(sweep, (head, Through)),
+        }
+    }
+
+    fn then_ac<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
+        match self.ac_coupling() {
+            Some(ac) => self.then_adc(sweep, (head, ac)),
+            None => self.then_adc(sweep, (head, Through)),
+        }
+    }
+
+    fn then_adc<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
+        match self.adc {
+            Some(adc) => sweep.visit((head, adc)),
+            None => sweep.visit((head, Through)),
+        }
     }
 }
 
@@ -380,23 +452,92 @@ fn check_len(clean: &[f64], buf: &[f64]) -> Result<(), PowerError> {
     }
 }
 
+/// One per-sample stage of the measurement chain: a noise component, the
+/// low-pass, AC coupling or the ADC. A stage sees one trace's samples in
+/// order; stages compose in order as pairs `(A, B)`.
+pub(crate) trait Stage: Copy {
+    /// The trace's first sample: seeds any state from this input, then
+    /// applies.
+    #[inline(always)]
+    fn first<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        self.apply(x, rng)
+    }
+
+    /// Every later sample.
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64;
+}
+
+/// A stage the chain leaves out: the identity, with no state and no draws.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Through;
+
+impl Stage for Through {
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
+        x
+    }
+}
+
+impl<A: Stage, B: Stage> Stage for (A, B) {
+    #[inline(always)]
+    fn first<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        let x = self.0.first(x, rng);
+        self.1.first(x, rng)
+    }
+
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        let x = self.0.apply(x, rng);
+        self.1.apply(x, rng)
+    }
+}
+
+/// A stage picked per sample: the off-path forms (`add_into`,
+/// `filter_in_place`, `ac_couple_in_place`) use it where the sweep picks a
+/// type once per trace.
+impl<S: Stage> Stage for Option<S> {
+    #[inline(always)]
+    fn first<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        match self {
+            Some(stage) => stage.first(x, rng),
+            None => x,
+        }
+    }
+
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        match self {
+            Some(stage) => stage.apply(x, rng),
+            None => x,
+        }
+    }
+}
+
 /// Single-pole low-pass `y ← y + α (x − y)`, its state seeded with the
 /// first input.
 #[derive(Debug, Clone, Copy)]
 struct LowPass {
     alpha: f64,
-    y: Option<f64>,
+    y: f64,
 }
 
 impl LowPass {
     fn new(alpha: f64) -> Self {
-        Self { alpha, y: None }
+        Self { alpha, y: 0.0 }
+    }
+}
+
+impl Stage for LowPass {
+    #[inline(always)]
+    fn first<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        self.y = x;
+        self.apply(x, rng)
     }
 
-    fn filter(&mut self, x: f64) -> f64 {
-        let y = self.y.get_or_insert(x);
-        *y += self.alpha * (x - *y);
-        *y
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
+        self.y += self.alpha * (x - self.y);
+        self.y
     }
 }
 
@@ -405,54 +546,110 @@ impl LowPass {
 #[derive(Debug, Clone, Copy)]
 struct AcCoupling {
     alpha: f64,
-    prev: Option<(f64, f64)>,
+    prev_x: f64,
+    prev_y: f64,
 }
 
 impl AcCoupling {
     fn new(alpha: f64) -> Self {
-        Self { alpha, prev: None }
+        Self {
+            alpha,
+            prev_x: 0.0,
+            prev_y: 0.0,
+        }
+    }
+}
+
+impl Stage for AcCoupling {
+    #[inline(always)]
+    fn first<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        self.prev_x = x;
+        self.prev_y = 0.0;
+        self.apply(x, rng)
     }
 
-    fn couple(&mut self, x: f64) -> f64 {
-        let (prev_x, prev_y) = self.prev.unwrap_or((x, 0.0));
-        let y = self.alpha * (prev_y + x - prev_x);
-        self.prev = Some((x, y));
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
+        let y = self.alpha * (self.prev_y + x - self.prev_x);
+        self.prev_x = x;
+        self.prev_y = y;
         y
     }
 }
 
-/// One trace's pass through the chain, one sample at a time: noise,
-/// low-pass, AC coupling, ADC. Each stage sees the samples in order, so
-/// the result and the RNG draws equal running the stages as whole-trace
-/// passes one after another.
-struct Sweep<'c> {
-    chain: &'c MeasurementChain,
-    noise: NoiseState,
-    low_pass: Option<LowPass>,
-    ac: Option<AcCoupling>,
+impl Stage for AdcConfig {
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
+        self.quantize(x)
+    }
 }
 
-impl<'c> Sweep<'c> {
-    fn new(chain: &'c MeasurementChain) -> Self {
-        Self {
-            chain,
-            noise: NoiseState::default(),
-            low_pass: chain.low_pass(),
-            ac: chain.ac_coupling(),
+/// Runs one stage over `signal` in place.
+pub(crate) fn run_in_place<S: Stage, R: Rng + ?Sized>(
+    mut stage: S,
+    signal: &mut [f64],
+    rng: &mut R,
+) {
+    if let Some((first, rest)) = signal.split_first_mut() {
+        *first = stage.first(*first, rng);
+        for s in rest {
+            *s = stage.apply(*s, rng);
         }
     }
+}
 
-    fn sample<R: Rng + ?Sized>(&mut self, clean: f64, rng: &mut R) -> f64 {
-        let mut x = self.chain.noise.add_sample(clean, &mut self.noise, rng);
-        if let Some(stage) = &mut self.low_pass {
-            x = stage.filter(x);
-        }
-        if let Some(stage) = &mut self.ac {
-            x = stage.couple(x);
-        }
-        match &self.chain.adc {
-            Some(adc) => adc.quantize(x),
-            None => x,
+/// The stream for stages that draw nothing (the filters).
+struct NoDraws;
+
+impl RngCore for NoDraws {
+    fn next_u32(&mut self) -> u32 {
+        0
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        0
+    }
+}
+
+/// Something to run over a chain shape once [`MeasurementChain::with_shape`]
+/// has resolved it to a [`Stage`] type.
+trait ShapeVisitor {
+    fn visit<S: Stage>(self, shape: S);
+}
+
+/// `L` traces of one chain through the resolved shape in one pass, lane
+/// `l` drawing from `rngs[l]`. At every sample each lane steps once, lane
+/// 0 first, and `put` folds the `L` outputs into that sample of `out`. A
+/// lane's draws are its own trace's, in its own order, so a pass over two
+/// lanes draws exactly what two one-lane passes would.
+struct Sweep<'a, const L: usize, R: ?Sized, F> {
+    clean: &'a [f64],
+    out: &'a mut [f64],
+    rngs: [&'a mut R; L],
+    put: F,
+}
+
+impl<const L: usize, R, F> ShapeVisitor for Sweep<'_, L, R, F>
+where
+    R: Rng + ?Sized,
+    F: FnMut(&mut f64, [f64; L]),
+{
+    #[inline]
+    fn visit<S: Stage>(self, shape: S) {
+        let Self {
+            clean,
+            out,
+            rngs,
+            mut put,
+        } = self;
+        let mut lanes = rngs.map(|rng| (shape, rng));
+        let (Some((&c, clean)), Some((o, out))) = (clean.split_first(), out.split_first_mut())
+        else {
+            return;
+        };
+        put(o, lanes.each_mut().map(|(stage, rng)| stage.first(c, *rng)));
+        for (o, &c) in out.iter_mut().zip(clean) {
+            put(o, lanes.each_mut().map(|(stage, rng)| stage.apply(c, *rng)));
         }
     }
 }

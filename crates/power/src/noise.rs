@@ -3,14 +3,16 @@
 //! Real oscilloscope captures contain more than white Gaussian noise: the
 //! front-end adds 1/f (*pink*) noise, and supply/temperature wander shows
 //! up as low-frequency *drift*. [`NoiseProfile`] describes the mixture;
-//! the measurement chain applies it per trace, drawing from one
-//! [`NoiseRng`] stream per trace through the [`standard_normal`] ziggurat.
+//! the measurement chain applies it per trace as one sweep stage per
+//! non-zero component, drawing from one [`NoiseRng`] stream per trace
+//! through the [`standard_normal`] ziggurat.
 
 use std::sync::OnceLock;
 
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::chain::{run_in_place, Stage};
 use crate::device::splitmix64;
 use crate::error::PowerError;
 
@@ -65,67 +67,89 @@ impl NoiseProfile {
         Ok(())
     }
 
-    /// Adds one realization of the noise mixture onto `signal`.
+    /// Adds one realization of the noise mixture onto `signal`: per sample
+    /// white, then pink, then drift, each drawn only when its σ is non-zero.
+    /// Runs the measurement chain's own noise stages, picked per sample
+    /// here rather than once per trace.
     pub fn add_into<R: Rng + ?Sized>(&self, signal: &mut [f64], rng: &mut R) {
-        if self.is_silent() {
-            return;
-        }
-        let mut state = NoiseState::default();
-        for s in signal.iter_mut() {
-            *s = self.add_sample(*s, &mut state, rng);
-        }
+        let stages = ((self.white_stage(), self.pink_stage()), self.drift_stage());
+        run_in_place(stages, signal, rng);
     }
 
-    /// Adds the next sample of one noise realization onto `s`: white, then
-    /// pink, then drift, each drawn only when its σ is non-zero. This is
-    /// the one per-sample step behind [`NoiseProfile::add_into`] and the
-    /// measurement chain's fused sweep.
-    pub(crate) fn add_sample<R: Rng + ?Sized>(
-        &self,
-        mut s: f64,
-        state: &mut NoiseState,
-        rng: &mut R,
-    ) -> f64 {
-        if self.white_sigma > 0.0 {
-            s += self.white_sigma * state.normal(rng);
-        }
-        if self.pink_sigma > 0.0 {
-            let z = state.normal(rng);
-            s += self.pink_sigma * state.pink.next(z);
-        }
-        if self.drift_sigma > 0.0 {
-            state.drift += self.drift_sigma * state.normal(rng);
-            s += state.drift;
-        }
-        s
+    /// The white component as a sweep stage, or `None` when its σ is zero.
+    pub(crate) fn white_stage(&self) -> Option<White> {
+        (self.white_sigma > 0.0).then(|| White {
+            sigma: self.white_sigma,
+            ziggurat: Ziggurat::tables(),
+        })
+    }
+
+    /// The pink component as a sweep stage, or `None` when its σ is zero.
+    pub(crate) fn pink_stage(&self) -> Option<Pink> {
+        (self.pink_sigma > 0.0).then(|| Pink {
+            sigma: self.pink_sigma,
+            filter: PinkNoise::default(),
+            ziggurat: Ziggurat::tables(),
+        })
+    }
+
+    /// The drift component as a sweep stage, or `None` when its σ is zero.
+    pub(crate) fn drift_stage(&self) -> Option<Drift> {
+        (self.drift_sigma > 0.0).then(|| Drift {
+            sigma: self.drift_sigma,
+            level: 0.0,
+            ziggurat: Ziggurat::tables(),
+        })
     }
 }
 
-/// The running state of one noise realization: the pink filter and the
-/// drift walk, advanced one sample at a time, plus the ziggurat tables,
-/// fetched once per realization rather than once per sample.
+/// White Gaussian noise: `x + σ·z`, one normal `z` per sample. Carries the
+/// ziggurat tables, fetched once per realization rather than once per
+/// sample.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct NoiseState {
-    pink: PinkNoise,
-    drift: f64,
+pub(crate) struct White {
+    sigma: f64,
     ziggurat: &'static Ziggurat,
 }
 
-impl Default for NoiseState {
-    fn default() -> Self {
-        Self {
-            pink: PinkNoise::default(),
-            drift: 0.0,
-            ziggurat: Ziggurat::tables(),
-        }
+impl Stage for White {
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        x + self.sigma * self.ziggurat.sample(rng)
     }
 }
 
-impl NoiseState {
-    /// The next standard normal of this realization: one ziggurat draw.
-    #[inline]
-    fn normal<R: Rng + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        self.ziggurat.sample(rng)
+/// Pink noise: `x + σ·pink(z)`, one normal `z` per sample through
+/// [`PinkNoise`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pink {
+    sigma: f64,
+    filter: PinkNoise,
+    ziggurat: &'static Ziggurat,
+}
+
+impl Stage for Pink {
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        let z = self.ziggurat.sample(rng);
+        x + self.sigma * self.filter.next(z)
+    }
+}
+
+/// Random-walk drift: the level takes a step of `σ·z` per sample and is
+/// added to it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Drift {
+    sigma: f64,
+    level: f64,
+    ziggurat: &'static Ziggurat,
+}
+
+impl Stage for Drift {
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        self.level += self.sigma * self.ziggurat.sample(rng);
+        x + self.level
     }
 }
 
@@ -193,31 +217,55 @@ impl Ziggurat {
     }
 
     /// One standard normal draw from these tables ([`standard_normal`]).
-    #[inline]
+    /// Only the fast path is inlined into callers; a rejected word goes to
+    /// [`Ziggurat::sample_slow`].
+    #[inline(always)]
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        loop {
-            let bits = rng.next_u64();
-            let i = usize::from(bits as u8);
-            let u = f64::from_bits(TWO_BITS | (bits >> 12)) - 3.0;
-            // Always `Some`: a byte indexes one of 256 layers of 257 edges.
-            let (Some(&x_outer), Some(&x_inner)) = (self.x.get(i), self.x.get(i + 1)) else {
-                continue;
-            };
-            let x = u * x_outer;
-            if x.abs() < x_inner {
-                return x;
-            }
-            if i == 0 {
-                return tail(rng, u);
-            }
-            let (Some(&f_outer), Some(&f_inner)) = (self.f.get(i), self.f.get(i + 1)) else {
-                continue;
-            };
-            if f_inner + (f_outer - f_inner) * rng.gen::<f64>() < (-0.5 * x * x).exp() {
-                return x;
-            }
+        let bits = rng.next_u64();
+        let (i, u) = layer_and_uniform(bits);
+        match (self.x.get(i), self.x.get(i + 1)) {
+            (Some(&x_outer), Some(&x_inner)) if (u * x_outer).abs() < x_inner => u * x_outer,
+            _ => self.sample_slow(bits, rng),
         }
     }
+
+    /// The draw of a word the fast path rejected, about 1.5 % of draws:
+    /// the tail, the wedge test, and fresh words until one is accepted.
+    #[cold]
+    fn sample_slow<R: Rng + ?Sized>(&self, mut bits: u64, rng: &mut R) -> f64 {
+        loop {
+            if let Some(x) = self.try_word(bits, rng) {
+                return x;
+            }
+            bits = rng.next_u64();
+        }
+    }
+
+    /// The draw of one word, or `None` when the word is rejected.
+    fn try_word<R: Rng + ?Sized>(&self, bits: u64, rng: &mut R) -> Option<f64> {
+        let (i, u) = layer_and_uniform(bits);
+        // Always `Some`: a byte indexes one of 256 layers of 257 edges.
+        let (&x_outer, &x_inner) = (self.x.get(i)?, self.x.get(i + 1)?);
+        let x = u * x_outer;
+        if x.abs() < x_inner {
+            return Some(x);
+        }
+        if i == 0 {
+            return Some(tail(rng, u));
+        }
+        let (&f_outer, &f_inner) = (self.f.get(i)?, self.f.get(i + 1)?);
+        (f_inner + (f_outer - f_inner) * rng.gen::<f64>() < (-0.5 * x * x).exp()).then_some(x)
+    }
+}
+
+/// A word's layer, from its low 8 bits, and its uniform `u ∈ [−1, 1)`,
+/// from its high 52 bits.
+#[inline(always)]
+fn layer_and_uniform(bits: u64) -> (usize, f64) {
+    (
+        usize::from(bits as u8),
+        f64::from_bits(TWO_BITS | (bits >> 12)) - 3.0,
+    )
 }
 
 /// A normal draw beyond `±R`, signed like `u`: Marsaglia's exponential

@@ -1,20 +1,25 @@
 //! The fused measurement sweep against its unfused forms, bit for bit.
 //!
-//! `SimulatedAcquisition::accumulate` synthesizes each trace straight into
-//! the caller's k-average row. These properties pin it to the allocating
-//! path (`trace()` then `kernels::accumulate`) over every chain shape, and
-//! pin the chunked stream to the materialized block, so a timing decorator
-//! that splits `accumulate` into those two steps reproduces its bits.
+//! `measure_into` is pinned to a textbook reference written out below,
+//! one whole-trace stage after another, that shares no code with the
+//! chain's stages or its sweep. `SimulatedAcquisition::accumulate`
+//! synthesizes each trace straight into the caller's k-average row, and
+//! `accumulate_indices` two traces per pass. These properties pin them to
+//! the allocating path (`trace()` then `kernels::accumulate`) and to the
+//! per-index loop over every chain shape, and pin the chunked stream to
+//! the materialized block, so a timing decorator that splits `accumulate`
+//! into those two steps reproduces its bits.
 
 use ipmark_netlist::seq::BinaryCounter;
 use ipmark_netlist::CircuitBuilder;
 use ipmark_power::chain::{AdcConfig, MeasurementChain, PulseShape};
 use ipmark_power::device::DeviceModel;
 use ipmark_power::leakage::{ComponentWeights, WeightedComponentModel};
-use ipmark_power::{NoiseProfile, SimulatedAcquisition};
-use ipmark_traces::{kernels, TraceSource};
+use ipmark_power::noise::standard_normal;
+use ipmark_power::{NoiseProfile, PinkNoise, SimulatedAcquisition};
+use ipmark_traces::{kernels, TraceError, TraceSource};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -53,6 +58,74 @@ fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
                 .unwrap()
             },
         )
+}
+
+/// The measurement chain computed the textbook way, each stage a whole-trace
+/// pass over the previous one's output:
+///
+/// 1. noise: per sample white `σ_w·z`, then pink `σ_p·pink(z)`, then the
+///    drift walk `d ← d + σ_d·z`, each `z` a fresh standard normal from
+///    `rng` and each component skipped when its σ is zero;
+/// 2. low-pass, unless α = 1: `yᵢ = yᵢ₋₁ + α (xᵢ − yᵢ₋₁)` with `y₋₁ = x₀`;
+/// 3. AC coupling: `yᵢ = α (yᵢ₋₁ + xᵢ − xᵢ₋₁)` with `x₋₁ = x₀`, `y₋₁ = 0`;
+/// 4. the ADC's `quantize` on every sample.
+fn reference_measure<R: Rng>(chain: &MeasurementChain, clean: &[f64], rng: &mut R) -> Vec<f64> {
+    let noise = chain.noise_profile();
+    let mut pink = PinkNoise::new();
+    let mut drift = 0.0;
+    let mut x: Vec<f64> = clean
+        .iter()
+        .map(|&c| {
+            let mut s = c;
+            if noise.white_sigma > 0.0 {
+                s += noise.white_sigma * standard_normal(rng);
+            }
+            if noise.pink_sigma > 0.0 {
+                s += noise.pink_sigma * pink.next(standard_normal(rng));
+            }
+            if noise.drift_sigma > 0.0 {
+                drift += noise.drift_sigma * standard_normal(rng);
+                s += drift;
+            }
+            s
+        })
+        .collect();
+    let alpha = chain.bandwidth_alpha();
+    if alpha < 1.0 {
+        let mut y = x[0];
+        for v in &mut x {
+            y += alpha * (*v - y);
+            *v = y;
+        }
+    }
+    if let Some(alpha) = chain.ac_coupling_alpha() {
+        let (mut prev_x, mut prev_y) = (x[0], 0.0);
+        for v in &mut x {
+            let y = alpha * (prev_y + *v - prev_x);
+            prev_x = *v;
+            prev_y = y;
+            *v = y;
+        }
+    }
+    if let Some(adc) = chain.adc() {
+        for v in &mut x {
+            *v = adc.quantize(*v);
+        }
+    }
+    x
+}
+
+/// The k-average fill `accumulate_indices` must reproduce: the trait's
+/// default body, spelled out.
+fn per_index_loop(
+    acq: &SimulatedAcquisition,
+    indices: &[usize],
+    acc: &mut [f64],
+) -> Result<(), TraceError> {
+    for &i in indices {
+        acq.accumulate(i, acc)?;
+    }
+    Ok(())
 }
 
 fn acquisition(chain: &MeasurementChain, cycles: usize, traces: usize) -> SimulatedAcquisition {
@@ -108,6 +181,71 @@ proptest! {
             .measure_into(&clean, &mut fused, &mut ChaCha8Rng::seed_from_u64(seed))
             .unwrap();
         prop_assert_eq!(bits(&fused), bits(&staged));
+    }
+
+    #[test]
+    fn sweep_equals_the_textbook_reference(
+        chain in chain_shape(),
+        clean in prop::collection::vec(-3.0f64..9.0, 1..300),
+        seed: u64,
+    ) {
+        let want = reference_measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(seed));
+        let mut got = vec![0.0; clean.len()];
+        chain
+            .measure_into(&clean, &mut got, &mut ChaCha8Rng::seed_from_u64(seed))
+            .unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    #[test]
+    fn paired_fill_equals_the_per_index_loop(
+        chain in chain_shape(),
+        cycles in 1usize..40,
+        indices in prop::collection::vec(0usize..8, 1..12),
+        start in -5.0f64..5.0,
+    ) {
+        // Every prefix: k = 1, and even and odd k, each with its own tail.
+        let acq = acquisition(&chain, cycles, 8);
+        for k in 1..=indices.len() {
+            let selection = &indices[..k];
+            let mut want = vec![start; acq.trace_len()];
+            per_index_loop(&acq, selection, &mut want).unwrap();
+            let mut got = vec![start; acq.trace_len()];
+            acq.accumulate_indices(selection, &mut got).unwrap();
+            prop_assert_eq!(bits(&got), bits(&want), "k = {}", k);
+        }
+    }
+
+    #[test]
+    fn paired_fill_fails_like_the_loop_and_leaves_acc_untouched(
+        chain in chain_shape(),
+        cycles in 1usize..24,
+        indices in prop::collection::vec(0usize..8, 1..10),
+        bad in 8usize..20,
+        at in 0usize..10,
+        short in any::<bool>(),
+    ) {
+        // An out-of-range index spliced in at any position, with or without
+        // a wrong-length row.
+        let acq = acquisition(&chain, cycles, 8);
+        let mut selection = indices.clone();
+        selection.insert(at.min(indices.len()), bad);
+        let len = acq.trace_len() + usize::from(short);
+        let start: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
+        let mut looped = start.clone();
+        let want = per_index_loop(&acq, &selection, &mut looped).unwrap_err();
+        let mut got = start.clone();
+        let err = acq.accumulate_indices(&selection, &mut got).unwrap_err();
+        prop_assert_eq!(format!("{:?}", err), format!("{:?}", want));
+        prop_assert_eq!(bits(&got), bits(&start));
+        if short {
+            // A wrong-length row alone fails the same way, also untouched.
+            let mut got = start.clone();
+            let err = acq.accumulate_indices(&indices, &mut got).unwrap_err();
+            let want = per_index_loop(&acq, &indices, &mut start.clone()).unwrap_err();
+            prop_assert_eq!(format!("{:?}", err), format!("{:?}", want));
+            prop_assert_eq!(bits(&got), bits(&start));
+        }
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub fn mean_of_indices_into<S: TraceSource + ?Sized>(
         });
     }
     out.fill(0.0);
-    for &i in indices {
-        source.accumulate(i, out)?;
-    }
+    source.accumulate_indices(indices, out)?;
     kernels::scale(out, 1.0 / indices.len() as f64);
     Ok(())
 }
@@ -77,9 +75,7 @@ pub fn mean_of_indices_into_sum<S: TraceSource + ?Sized>(
         });
     }
     out.fill(0.0);
-    for &i in indices {
-        source.accumulate(i, out)?;
-    }
+    source.accumulate_indices(indices, out)?;
     Ok(kernels::scale_sum(out, 1.0 / indices.len() as f64))
 }
 

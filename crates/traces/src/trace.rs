@@ -236,6 +236,22 @@ pub trait TraceSource {
     /// Returns [`TraceError::IndexOutOfRange`] for a bad index and
     /// [`TraceError::LengthMismatch`] when `acc` has the wrong length.
     fn accumulate(&self, index: usize, acc: &mut [f64]) -> Result<(), TraceError>;
+
+    /// Adds the traces at `indices` into `acc`, in list order: the k-average
+    /// fill. The default body calls [`TraceSource::accumulate`] once per
+    /// index. A source may override it to batch the work, as long as `acc`
+    /// ends bit-identical to that loop's result and a failing call returns
+    /// the loop's first error.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TraceSource::accumulate`], for the first index that fails.
+    fn accumulate_indices(&self, indices: &[usize], acc: &mut [f64]) -> Result<(), TraceError> {
+        for &i in indices {
+            self.accumulate(i, acc)?;
+        }
+        Ok(())
+    }
 }
 
 impl TraceSource for TraceSet {
