@@ -270,12 +270,12 @@ impl TraceSource for SimulatedAcquisition {
             .map_err(into_trace_error)
     }
 
-    /// Synthesizes the selected traces two per pass
-    /// ([`MeasurementChain::accumulate_pair_into`]), an odd last one alone:
-    /// bit-identical to the per-index [`TraceSource::accumulate`] loop,
-    /// because each sample still adds the traces onto `acc` one at a time in
-    /// list order. Checks the length and every index first, and on failure
-    /// returns the loop's first error with `acc` untouched.
+    /// Synthesizes the selected traces two per pass through the measurement
+    /// chain's paired sweep, an odd last one alone. Bit-identical to the
+    /// per-index [`TraceSource::accumulate`] loop, because each sample still
+    /// adds the traces onto `acc` one at a time in list order. Checks the
+    /// length and every index first, and on failure returns the loop's first
+    /// error with `acc` untouched.
     fn accumulate_indices(&self, indices: &[usize], acc: &mut [f64]) -> Result<(), TraceError> {
         let Some(&first) = indices.first() else {
             return Ok(());

@@ -12,6 +12,11 @@
 //!    sample;
 //! 4. **ADC quantization** — the scope digitizes into `bits` levels over a
 //!    fixed full-scale range ([`AdcConfig`]).
+//!
+//! [`MeasurementChain`] runs noise, low-pass, AC coupling and ADC as one
+//! per-sample sweep. Which of them run is decided once per call, and the
+//! sweep is compiled for that shape, so its per-sample step carries no
+//! configuration branch.
 
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -367,7 +372,7 @@ impl MeasurementChain {
     ///
     /// Returns [`PowerError::LengthMismatch`] when `acc.len() != clean.len()`,
     /// leaving `acc` and both streams untouched.
-    pub fn accumulate_pair_into<R: Rng + ?Sized>(
+    pub(crate) fn accumulate_pair_into<R: Rng + ?Sized>(
         &self,
         clean: &[f64],
         acc: &mut [f64],
@@ -469,7 +474,7 @@ pub(crate) trait Stage: Copy {
 
 /// A stage the chain leaves out: the identity, with no state and no draws.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Through;
+struct Through;
 
 impl Stage for Through {
     #[inline(always)]
@@ -612,7 +617,9 @@ impl RngCore for NoDraws {
 }
 
 /// Something to run over a chain shape once [`MeasurementChain::with_shape`]
-/// has resolved it to a [`Stage`] type.
+/// has resolved it to a [`Stage`] type. A trait rather than a closure
+/// because the shape's type is known only inside the dispatch, and a
+/// closure cannot be generic over it.
 trait ShapeVisitor {
     fn visit<S: Stage>(self, shape: S);
 }
