@@ -85,7 +85,7 @@ impl TraceBlock {
             device: device.into(),
             trace_len,
             count,
-            data: vec![0.0; total],
+            data: crate::mmap::zeroed_arena(total),
         })
     }
 

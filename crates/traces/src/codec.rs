@@ -472,9 +472,10 @@ pub(crate) fn write_rows<W: Write>(
 /// paper-scale 12-bit rows (4 MiB for raw 2 048-sample rows).
 const BATCH_ROWS: usize = 256;
 
-/// Zero bytes after every payload in the batch buffer, so the 16-byte
-/// window of a row's last field never reads past it.
-const PAD: usize = 16;
+/// Zero bytes after every payload in the batch buffer. A row's last
+/// group of eight fields reads `width + 8` bytes from its start, which is
+/// at most 64 bytes past the payload's end.
+const PAD: usize = 64;
 
 /// Batches smaller than this many samples decode on the calling thread:
 /// a few dozen microseconds of decode do not pay for spawning workers.
@@ -506,7 +507,10 @@ enum RowPayload {
 /// header no allocator can back is a typed error, not an abort. The arena
 /// itself is then requested zeroed, which the allocator serves as
 /// untouched pages: memory is committed only as decoded rows are written,
-/// and a row is written only after all of its bytes have arrived.
+/// and a row is written only after all of its bytes have arrived. An arena
+/// of at least 32 MiB is advised onto transparent huge pages (see
+/// [`crate::mmap`]), so where the kernel honours the advice it is committed
+/// in steps of up to 2 MiB rather than 4 KiB.
 ///
 /// Rows are read serially, in batches of [`BATCH_ROWS`]: each row's flag
 /// and metadata are parsed and its payload is appended to one reused
@@ -538,7 +542,7 @@ pub(crate) fn read_rows<R: BufRead>(
             "declared size {count} x {trace_len} samples cannot be allocated: {e}"
         ))
     })?;
-    let mut data = vec![0.0f64; total];
+    let mut data = crate::mmap::zeroed_arena(total);
     let batch_rows = BATCH_ROWS.min(count);
     let mut batch: Vec<u8> = Vec::new();
     let mut rows: Vec<(usize, RowPayload)> = Vec::with_capacity(batch_rows);
@@ -665,41 +669,91 @@ fn decode_row(row: &mut [f64], kind: RowPayload, bytes: &[u8]) {
             first,
             width,
         } => {
-            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
-            let step = width as usize;
-            // A window shifted by at most 7 bits keeps 57 (u64) or 121
-            // (u128) valid bits. The encoder's codes stay below 2^53, so its
-            // deltas never need more than 54; only hostile files reach the
-            // wide path.
-            if width <= 57 {
-                fill_codes(row, first, scale, offset, |j| {
-                    window_u64(bytes, j * step) & mask
-                });
-            } else {
-                fill_codes(row, first, scale, offset, |j| {
-                    window_u128(bytes, j * step) & mask
-                });
+            // Each arm inlines the group body with a literal width, so its
+            // field offsets, shifts and mask are constants. Widths 0 and
+            // 33..=64, which only hostile files carry, share the same body
+            // with the width known only at run time.
+            macro_rules! by_width {
+                ($($w:literal)+) => {
+                    match width {
+                        $($w => fill_quantized(row, bytes, first, scale, offset, $w),)+
+                        _ => fill_quantized(row, bytes, first, scale, offset, width),
+                    }
+                };
             }
+            by_width!(
+                1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+                17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+            );
         }
     }
 }
 
 /// Writes one quantized row: code `first`, then the running sum of the
-/// zigzag deltas `delta(j)`, each through the reconstruction expression.
-#[inline]
-fn fill_codes(row: &mut [f64], first: u64, scale: f64, offset: f64, delta: impl Fn(usize) -> u64) {
+/// zigzag deltas packed `width` bits each in `bytes`, each code through the
+/// reconstruction expression.
+///
+/// Eight fields of `width` bits fill exactly `width` bytes, so group `g`
+/// starts at byte `g · width` and all its windows lie within the `width + 8`
+/// bytes from there. The row's byte budget (whole groups, plus the 8 bytes
+/// the last window reaches beyond them) is checked once: the payload and
+/// its [`PAD`] zero bytes always cover it.
+#[inline(always)]
+fn fill_quantized(row: &mut [f64], bytes: &[u8], first: u64, scale: f64, offset: f64, width: u32) {
     let Some((head, tail)) = row.split_first_mut() else {
         return;
     };
+    let step = width as usize;
+    let bytes = &bytes[..tail.len().div_ceil(8) * step + 8];
     // Hostile files may encode arbitrary deltas; reconstruct with wrapping
     // arithmetic (the sample value is then whatever the grid maps it to —
     // decoding is total).
     let mut code = first;
     *head = offset + (code as f64) * scale;
-    for (j, s) in tail.iter_mut().enumerate() {
-        code = code.wrapping_add(unzigzag(delta(j)) as u64);
+    let (groups, rest) = tail.as_chunks_mut::<8>();
+    for (g, out) in groups.iter_mut().enumerate() {
+        code = fill_group(out, unpack8(bytes, g * step, width), code, scale, offset);
+    }
+    if !rest.is_empty() {
+        // The last, partial group: its fields past the row's end decode
+        // from pad bytes and are dropped.
+        let fields = unpack8(bytes, groups.len() * step, width);
+        fill_group(rest, fields, code, scale, offset);
+    }
+}
+
+/// Writes `out` from one group's fields: the running sum continued from
+/// `code`, each code through the reconstruction expression. Returns the
+/// last code.
+#[inline(always)]
+fn fill_group(out: &mut [f64], fields: [u64; 8], mut code: u64, scale: f64, offset: f64) -> u64 {
+    for (s, field) in out.iter_mut().zip(fields) {
+        code = code.wrapping_add(unzigzag(field) as u64);
         *s = offset + (code as f64) * scale;
     }
+    code
+}
+
+/// The eight `width`-bit fields of the group that starts at byte `at`,
+/// all read from one bounds-checked slice of `width + 8` bytes. A window
+/// shifted by at most 7 bits keeps 57 (u64) or 121 (u128) valid bits. The
+/// encoder's codes stay below 2^53, so its deltas never need more than 54;
+/// only hostile files reach the wide path.
+#[inline(always)]
+fn unpack8(bytes: &[u8], at: usize, width: u32) -> [u64; 8] {
+    let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+    let step = width as usize;
+    let group = &bytes[at..at + step + 8];
+    let mut fields = [0u64; 8];
+    for (i, field) in fields.iter_mut().enumerate() {
+        let window = if width <= 57 {
+            window_u64(group, i * step)
+        } else {
+            window_u128(group, i * step)
+        };
+        *field = window & mask;
+    }
+    fields
 }
 
 /// Bits `bit..bit + 57` of an LSB-first packed stream: the unaligned

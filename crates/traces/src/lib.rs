@@ -37,9 +37,10 @@
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the mmap module is the workspace's single
-// audited unsafe island (raw mmap(2) FFI for zero-copy corpus reads) and
-// carries its own scoped `allow` with per-call safety comments. Everything
-// else still refuses unsafe code at compile time.
+// audited unsafe island (raw mmap(2) FFI for zero-copy corpus reads and
+// madvise(2) huge-page advice for large sample arenas) and carries its own
+// scoped `allow` with per-call safety comments. Everything else still
+// refuses unsafe code at compile time.
 #![deny(unsafe_code)]
 
 pub mod align;

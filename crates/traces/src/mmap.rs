@@ -21,11 +21,22 @@
 //! and non-Unix or big-endian targets transparently fall back to an owned
 //! decode behind the same type, so callers stay portable.
 //!
+//! The module also owns the crate's sample-arena allocator,
+//! `zeroed_arena`: [`TraceBlock::zeros`] and the `IPMKTRC3` decoder take
+//! their arenas from it. An arena of at least 32 MiB is always a private
+//! anonymous mapping of its own, and on Linux it is advised onto
+//! transparent huge pages before anything touches it, so its first touch
+//! and its unmapping run in 2 MiB steps instead of 4 KiB ones.
+//!
 //! ## Safety boundary
 //!
 //! This is the workspace's single unsafe island (the crate is otherwise
-//! `deny(unsafe_code)` with no allows). The invariants, checked before the
-//! pointer is ever formed:
+//! `deny(unsafe_code)` with no allows). It makes three foreign calls:
+//! `mmap` and `munmap` for file mappings, and `madvise` for arena advice.
+//! The advice is `MADV_HUGEPAGE` only, over a range inside a live, zeroed
+//! allocation that the caller holds by `&mut`; it changes how the kernel
+//! backs those pages, never their contents or their validity. The
+//! file-mapping invariants, checked before the pointer is ever formed:
 //!
 //! * the mapping is `PROT_READ`/`MAP_PRIVATE` over a regular file whose
 //!   length was just validated to cover `24 + count·trace_len·8` bytes
@@ -60,14 +71,21 @@ const HEADER_BYTES: usize = 24;
 #[cfg(all(unix, target_endian = "little"))]
 #[allow(unsafe_code)]
 mod sys {
-    //! Minimal raw `mmap(2)` bindings — the build has no registry access,
-    //! so no `libc`/`memmap2`; these two prototypes are the entire FFI
-    //! surface, with the constants taken from the Linux/BSD ABI.
+    //! Minimal raw `mmap(2)`/`madvise(2)` bindings — the build has no
+    //! registry access, so no `libc`/`memmap2`; these three prototypes are
+    //! the entire FFI surface, with the constants taken from the Linux/BSD
+    //! ABI (`MADV_HUGEPAGE` from Linux's generic `mman-common.h`).
 
     use std::ffi::{c_int, c_void};
 
     pub const PROT_READ: c_int = 1;
     pub const MAP_PRIVATE: c_int = 2;
+    #[cfg(target_os = "linux")]
+    const MADV_HUGEPAGE: c_int = 14;
+
+    /// Transparent huge-page size on the Linux targets this builds for.
+    #[cfg(target_os = "linux")]
+    const HUGE_PAGE: usize = 2 << 20;
 
     unsafe extern "C" {
         pub fn mmap(
@@ -79,6 +97,29 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        #[cfg(target_os = "linux")]
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+
+    /// Advises the kernel to back the 2 MiB-aligned interior of `arena`
+    /// with transparent huge pages. Advice only: where THP is `always` or
+    /// `never`, or the call fails, nothing changes.
+    #[cfg(target_os = "linux")]
+    pub fn advise_huge_pages(arena: &mut [f64]) {
+        let bytes = std::mem::size_of_val(arena);
+        let base = arena.as_mut_ptr().cast::<u8>();
+        let lead = base.align_offset(HUGE_PAGE);
+        let len = bytes.saturating_sub(lead) / HUGE_PAGE * HUGE_PAGE;
+        if len == 0 {
+            return;
+        }
+        // SAFETY: `lead + len <= bytes`, so [base + lead, base + lead +
+        // len) lies inside `arena`, a live allocation held by `&mut` for
+        // the whole call, and the start is page-aligned. MADV_HUGEPAGE only
+        // changes how the kernel backs those pages: it cannot change their
+        // contents or unmap them, so no Rust-visible state changes. The
+        // result is ignored because the advice is optional.
+        let _ = unsafe { madvise(base.wrapping_add(lead).cast(), len, MADV_HUGEPAGE) };
     }
 
     /// An owned read-only mapping; unmapped on drop.
@@ -156,6 +197,27 @@ mod sys {
             let _ = unsafe { munmap(self.base.cast_mut().cast(), self.len) };
         }
     }
+}
+
+/// Arenas of at least this many bytes take the huge-page advice. glibc's
+/// dynamic mmap threshold never rises above 32 MiB, so such an arena is
+/// always a private mapping of its own: it arrives untouched, `free`
+/// unmaps it, and the advice dies with it instead of landing on heap
+/// memory that later small allocations reuse.
+const HUGE_ARENA_MIN_BYTES: usize = 32 << 20;
+
+/// A zeroed arena of `total` samples — the crate's one sample-arena
+/// allocator. Arenas of at least [`HUGE_ARENA_MIN_BYTES`] are advised onto
+/// transparent huge pages on Linux before anything touches them; the
+/// contents are the same zeros either way.
+pub(crate) fn zeroed_arena(total: usize) -> Vec<f64> {
+    #[allow(unused_mut)] // only the Linux build advises the arena
+    let mut data = vec![0.0f64; total];
+    #[cfg(all(target_os = "linux", target_endian = "little"))]
+    if std::mem::size_of_val(data.as_slice()) >= HUGE_ARENA_MIN_BYTES {
+        sys::advise_huge_pages(&mut data);
+    }
+    data
 }
 
 /// How a [`MappedBlock`] holds its samples.
@@ -548,6 +610,112 @@ mod tests {
             read_block_mapped("d", &tmp("does_not_exist.trc2")).unwrap_err(),
             IoError::Io(_)
         ));
+    }
+
+    /// Sample counts on both sides of the 2 MiB huge-page alignment and of
+    /// the 32 MiB advice floor.
+    const ARENA_EDGES: [usize; 8] = [
+        0,
+        1,
+        (2 << 20) / 8 - 1,
+        (2 << 20) / 8,
+        (2 << 20) / 8 + 1,
+        HUGE_ARENA_MIN_BYTES / 8 - 1,
+        HUGE_ARENA_MIN_BYTES / 8,
+        HUGE_ARENA_MIN_BYTES / 8 + 1,
+    ];
+
+    fn all_zero_bits(samples: &[f64]) -> bool {
+        samples.iter().all(|s| s.to_bits() == 0)
+    }
+
+    #[test]
+    fn arenas_at_the_alignment_and_floor_edges_come_back_zeroed() {
+        for total in ARENA_EDGES {
+            let arena = zeroed_arena(total);
+            assert_eq!(arena.len(), total);
+            assert!(all_zero_bits(&arena), "zeroed_arena({total})");
+
+            let block = TraceBlock::zeros("z", total, 1).unwrap();
+            assert_eq!(block.samples().len(), total);
+            assert!(
+                all_zero_bits(block.samples()),
+                "TraceBlock::zeros({total}, 1)"
+            );
+
+            // The v3 decoder takes its arena from the same helper; shape the
+            // block as a few long rows so the file stays small.
+            let trace_len = (1..=4096).rev().find(|l| total % l == 0).unwrap();
+            let block = TraceBlock::zeros("z", total / trace_len, trace_len).unwrap();
+            let mut buf = Vec::new();
+            write_block_v3(&block, &mut buf).unwrap();
+            let decoded = io::read_block_any("z", buf.as_slice()).unwrap();
+            assert_eq!(decoded.samples().len(), total);
+            assert!(all_zero_bits(decoded.samples()), "v3 decode of {total}");
+        }
+    }
+
+    #[test]
+    fn truncated_v3_files_with_giant_counts_keep_their_format_errors() {
+        // Two whole rows under a header that declares an arena twice the
+        // advice floor: the error names the first missing row.
+        let block = TraceBlock::from_data("g", 2048, vec![0.5; 2 * 2048]).unwrap();
+        let mut buf = Vec::new();
+        write_block_v3(&block, &mut buf).unwrap();
+        let count = (2 * HUGE_ARENA_MIN_BYTES / (2048 * 8)) as u64;
+        buf[8..16].copy_from_slice(&count.to_le_bytes());
+        match io::read_block_any("g", buf.as_slice()) {
+            Err(IoError::Format(msg)) => assert_eq!(msg, "truncated at trace 2: missing row flag"),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+
+        // 2^40 x 2^10 samples: beyond any address space, refused before
+        // the arena is requested.
+        buf[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        buf[16..24].copy_from_slice(&(1u64 << 10).to_le_bytes());
+        match io::read_block_any("g", buf.as_slice()) {
+            Err(IoError::Format(msg)) => assert!(
+                msg.starts_with("declared size 1099511627776 x 1024 samples cannot be allocated"),
+                "{msg}"
+            ),
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn arenas_above_the_floor_are_huge_page_eligible() {
+        let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        match &mode {
+            Ok(mode) if !mode.contains("[never]") => {}
+            _ => {
+                eprintln!("skipped: transparent huge pages are disabled or absent ({mode:?})");
+                return;
+            }
+        }
+        let block = TraceBlock::zeros("thp", 2 * HUGE_ARENA_MIN_BYTES / (1024 * 8), 1024).unwrap();
+        // The advice covers the arena's 2 MiB-aligned interior, which the
+        // kernel splits into a mapping of its own: probe its middle.
+        let samples = block.samples();
+        let probe = samples.as_ptr() as usize + std::mem::size_of_val(samples) / 2;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut holds_probe = false;
+        for line in smaps.lines() {
+            let range = line.split_once(' ').map_or(line, |(head, _)| head);
+            if let Some((lo, hi)) = range.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    holds_probe = (lo..hi).contains(&probe);
+                    continue;
+                }
+            }
+            if holds_probe && line.starts_with("THPeligible:") {
+                assert_eq!(line.split_whitespace().nth(1), Some("1"), "{line}");
+                return;
+            }
+        }
+        panic!("no THPeligible line for the mapping at {probe:#x}");
     }
 
     #[test]

@@ -112,14 +112,14 @@ struct Handmade {
     row_ends: Vec<usize>,
 }
 
-/// `count` rows of `trace_len` samples. About one row in four is raw f64
-/// with arbitrary bits (NaN payloads included). The quantized rows cycle
-/// through every delta width 0..=64, starting at `seed % 65`, with random
-/// metadata and random fields, so the wide widths that only hostile files
-/// carry are covered too. The expected samples follow the format's
-/// definition: the wrapping running sum of the zigzag deltas, each code
-/// mapped through `offset + code * scale`.
-fn handmade_v3(count: usize, trace_len: usize, seed: u64) -> Handmade {
+/// `count` rows of `trace_len` samples. With `raw_rows`, about one row in
+/// four is raw f64 with arbitrary bits (NaN payloads included). The
+/// quantized rows cycle through every delta width 0..=64, starting at
+/// `seed % 65`, with random metadata and random fields, so the wide widths
+/// that only hostile files carry are covered too. The expected samples
+/// follow the format's definition: the wrapping running sum of the zigzag
+/// deltas, each code mapped through `offset + code * scale`.
+fn handmade_v3(count: usize, trace_len: usize, seed: u64, raw_rows: bool) -> Handmade {
     let mut state = seed;
     let mut bytes = Vec::new();
     bytes.extend_from_slice(BLOCK_V3_MAGIC);
@@ -129,7 +129,7 @@ fn handmade_v3(count: usize, trace_len: usize, seed: u64) -> Handmade {
     let mut row_ends = Vec::with_capacity(count);
     let mut width = (seed % 65) as u32;
     for _ in 0..count {
-        if splitmix(&mut state).is_multiple_of(4) {
+        if raw_rows && splitmix(&mut state).is_multiple_of(4) {
             bytes.push(1);
             for _ in 0..trace_len {
                 let bits = splitmix(&mut state);
@@ -169,19 +169,42 @@ fn handmade_v3(count: usize, trace_len: usize, seed: u64) -> Handmade {
     }
 }
 
+/// One quantized row per delta width 0..=64 at the paper's trace length,
+/// through the any-reader: every width's unpacker, the constant-width ones
+/// and the run-time ones, against the bit-at-a-time reference.
+#[test]
+fn paper_length_rows_of_every_width_decode_bit_exactly() {
+    let file = handmade_v3(65, 2048, 0, false);
+    let decoded = read_block_any("every-width", file.bytes.as_slice()).unwrap();
+    assert_eq!(decoded.len(), 65);
+    assert_eq!(decoded.trace_len(), 2048);
+    for (width, (got, want)) in decoded
+        .samples()
+        .chunks_exact(2048)
+        .zip(file.expected.chunks_exact(2048))
+        .enumerate()
+    {
+        let got: Vec<u64> = got.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(got, want, "width {width}");
+    }
+}
+
 proptest! {
     #[test]
     fn every_width_and_batch_edge_decodes_bit_exactly(
         count_sel in 0usize..3,
-        len_sel in 0usize..5,
+        len_sel in 0usize..9,
         seed in any::<u64>(),
         cut_sel in any::<u64>(),
     ) {
         // Row counts straddle the decoder's 256-row read batch; trace
         // lengths cover a single sample (no deltas), two, and odd ones.
+        // The decoder unpacks deltas in groups of eight: `(trace_len - 1)
+        // mod 8` takes every value 0..=7, and the longer rows hold at least
+        // three whole groups.
         let count = [255, 256, 257][count_sel];
-        let trace_len = [1, 2, 3, 17, 255][len_sel];
-        let file = handmade_v3(count, trace_len, seed);
+        let trace_len = [1, 2, 3, 4, 13, 17, 30, 32, 255][len_sel];
+        let file = handmade_v3(count, trace_len, seed, true);
         let decoded = read_block_v3("prop", file.bytes.as_slice()).unwrap();
         prop_assert_eq!(decoded.len(), count);
         prop_assert_eq!(decoded.trace_len(), trace_len);
