@@ -14,7 +14,7 @@
 //! the attack collapses — the non-linearity is what keys the signature.
 
 use ipmark_core::ip::{CounterKind, IpSpec, Substitution};
-use ipmark_core::pipeline::{default_backend, CorrelateStage, ExecBackend};
+use ipmark_core::pipeline::{default_backend, CorrelateStage};
 use ipmark_core::WatermarkKey;
 use ipmark_traces::kernels;
 use ipmark_traces::{StatsError, TraceSource};
@@ -150,7 +150,7 @@ fn score_hypothesis(
 }
 
 /// Evaluates a per-guess function over all 256 key guesses on the default
-/// [`ExecBackend`] (the env-sized pool, inline at one worker). Results come
+/// pool (env-sized, inline at one worker). Results come
 /// back in guess order either way, so downstream ranking is thread-count
 /// invariant.
 fn guess_map<T, F>(per_guess: F) -> Result<Vec<T>, AttackError>

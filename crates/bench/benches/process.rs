@@ -6,7 +6,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipmark_core::ip::{default_chain, FabricatedDevice, DEFAULT_CYCLES};
 use ipmark_core::verify::{correlation_process, CorrelationParams};
-use ipmark_core::{ip_b, ip_c, Plan, Sequential};
+use ipmark_core::{ip_b, ip_c, Plan};
+use ipmark_parallel::Pool;
 use ipmark_power::ProcessVariation;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -71,7 +72,10 @@ fn bench_correlation_process(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = ChaCha8Rng::seed_from_u64(9);
                 let mut plan = Plan::correlation(params, &mut rng).expect("plan");
-                black_box(plan.execute(&refd, &dut, &Sequential).expect("process"))
+                black_box(
+                    plan.execute(&refd, &dut, &Pool::with_threads(1))
+                        .expect("process"),
+                )
             })
         },
     );

@@ -1,7 +1,7 @@
 //! Operator-graph overhead benchmark (experiment X12).
 //!
-//! The ISSUE-9 refactor routes every verification path through one typed
-//! `Plan`/`ExecBackend` graph. This binary proves the abstraction is free:
+//! Every verification path runs through one typed `Plan` graph, executed on
+//! an `ipmark_parallel::Pool`. This binary proves the abstraction is free:
 //!
 //! * `CorrelateStage::rows` vs the direct `PearsonRef::correlate_rows`
 //!   sweep it wraps (the X9 `correlate-rows` comparison, re-run against
@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use ipmark_core::verify::CorrelationParams;
-use ipmark_core::{default_backend, CorrelationSet, ExecBackend, Plan};
+use ipmark_core::{default_backend, CorrelationSet, Plan};
 use ipmark_traces::average::mean_of_indices_into;
 use ipmark_traces::select::uniform_distinct_indices;
 use ipmark_traces::stats::PearsonRef;
@@ -157,12 +157,12 @@ fn direct_process(refd: &TraceSet, dut: &TraceSet, seed: u64) -> CorrelationSet 
 fn main() {
     let quick = std::env::var("IPMARK_QUICK").is_ok_and(|v| v == "1");
     let reps = if quick { 11 } else { 101 };
-    let backend = default_backend();
+    let pool = default_backend();
     let kernels = ipmark_traces::kernels::isa_name();
     eprintln!(
-        "pipeline benchmark: backend = {}, kernels = {kernels}, trace_len = {TRACE_LEN}, \
+        "pipeline benchmark: {} pool threads, kernels = {kernels}, trace_len = {TRACE_LEN}, \
          params = {PARAMS:?}, {reps} repetitions (median reported)",
-        backend.label(),
+        pool.threads(),
     );
 
     // --- Stage seam: CorrelateStage::rows vs direct correlate_rows. -------
@@ -220,7 +220,7 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let mut check_plan = Plan::correlation(&PARAMS, &mut rng).expect("plan");
     let got = check_plan
-        .execute(&refd, &dut, &backend)
+        .execute(&refd, &dut, &pool)
         .expect("plan execute");
     assert_eq!(
         want.coefficients()
@@ -240,7 +240,7 @@ fn main() {
         || {
             let mut rng = ChaCha8Rng::seed_from_u64(SEED);
             let mut plan = Plan::correlation(&PARAMS, &mut rng).expect("plan");
-            plan.execute(&refd, &dut, &backend).expect("execute").mean()
+            plan.execute(&refd, &dut, &pool).expect("execute").mean()
         },
     );
     // Buffer reuse: one plan, fresh selections per call, arena kept warm.
@@ -249,10 +249,7 @@ fn main() {
         Plan::correlation(&PARAMS, &mut rng).expect("plan")
     };
     let (proc_reused_ns, _) = median_ns(reps, || {
-        reused
-            .execute(&refd, &dut, &backend)
-            .expect("execute")
-            .mean()
+        reused.execute(&refd, &dut, &pool).expect("execute").mean()
     });
     println!(
         "full correlation process (n1 = {}, n2 = {}, k = {}, m = {}):",
@@ -270,7 +267,7 @@ fn main() {
 
     let json = serde_json::json!({
         "experiment": "X12-operator-graph-parity",
-        "backend": backend.label(),
+        "threads": pool.threads(),
         "kernels": kernels,
         "config": {
             "trace_len": TRACE_LEN,

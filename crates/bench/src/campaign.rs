@@ -40,7 +40,7 @@ use ipmark_core::ip::{
     ip_b, IpSpec, DEFAULT_BANDWIDTH_ALPHA, DEFAULT_NOISE_SIGMA, SAMPLES_PER_CYCLE,
 };
 use ipmark_core::verify::CorrelationParams;
-use ipmark_core::{default_backend, CoreError, DistinguisherKind, Plan};
+use ipmark_core::{CoreError, DistinguisherKind, Plan};
 use ipmark_power::chain::{MeasurementChain, PulseShape};
 use ipmark_power::device::{DeviceModel, ProcessVariation};
 use ipmark_power::{SimulatedAcquisition, ThermalDrift};
@@ -335,7 +335,9 @@ impl Campaign {
     }
 
     /// Runs every cell of the grid, sharded over `pool`, and aggregates the
-    /// outcomes. The result is bit-identical for every thread count.
+    /// outcomes. Each cell's k-averaging runs on the same `pool`, nested
+    /// inside the cell fan-out. The result is bit-identical for every
+    /// thread count.
     ///
     /// # Errors
     ///
@@ -344,7 +346,7 @@ impl Campaign {
     pub fn run(&self, pool: &Pool) -> Result<CampaignReport, CampaignError> {
         self.validate()?;
         let cells = self.grid.cells()?;
-        let outcomes = pool.try_map_indexed(cells.len(), |i| self.run_cell(&cells[i]))?;
+        let outcomes = pool.try_map_indexed(cells.len(), |i| self.run_cell(&cells[i], pool))?;
         Ok(CampaignReport {
             adversary_labels: self
                 .grid
@@ -360,14 +362,14 @@ impl Campaign {
     /// Runs one cell: fabricates the reference die and both DUT dies under
     /// the cell's corner, measures them through the cell's chain (the DUTs
     /// additionally through the drift/jitter scenario), and scores both
-    /// correlation processes.
+    /// correlation processes, k-averaging on `pool`.
     ///
     /// Public so determinism tests can re-run cells in arbitrary orders.
     ///
     /// # Errors
     ///
     /// Propagates pipeline errors.
-    pub fn run_cell(&self, coord: &CellCoord) -> Result<CellOutcome, CampaignError> {
+    pub fn run_cell(&self, coord: &CellCoord, pool: &Pool) -> Result<CellOutcome, CampaignError> {
         let seeds = CellSeeds::derive(self.config.master_seed, coord.index);
         let corner = &self.grid.corners[coord.corner];
         let sigma = self.grid.noise_sigmas[coord.noise];
@@ -419,15 +421,14 @@ impl Campaign {
         );
 
         // Both scenario legs run as explicit operator-graph plans on the
-        // default backend — same stages, same draw order, same bits as the
+        // caller's pool — same stages, same draw order, same bits as the
         // legacy `correlation_process` entry point.
-        let backend = default_backend();
         let mut pos_rng = ChaCha8Rng::seed_from_u64(seeds.positive_selection);
         let mut pos_plan = Plan::correlation(params, &mut pos_rng)?;
-        let pos = pos_plan.execute(&refd, &positive, &backend)?;
+        let pos = pos_plan.execute(&refd, &positive, pool)?;
         let mut neg_rng = ChaCha8Rng::seed_from_u64(seeds.negative_selection);
         let mut neg_plan = Plan::correlation(params, &mut neg_rng)?;
-        let neg = neg_plan.execute(&refd, &negative, &backend)?;
+        let neg = neg_plan.execute(&refd, &negative, pool)?;
 
         Ok(CellOutcome {
             coord: *coord,

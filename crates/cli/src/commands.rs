@@ -19,8 +19,8 @@ use ipmark_core::report::VerificationReport;
 use ipmark_core::screen::CounterfeitScreen;
 use ipmark_core::{
     correlation_process, default_backend, CorrelationParams, CorrelationSet, CounterKind,
-    DistinguisherKind, EarlyStopRule, ExecBackend, Sequential, SessionOptions, SessionStatus,
-    VerificationSession, WatermarkKey,
+    DistinguisherKind, EarlyStopRule, SessionOptions, SessionStatus, VerificationSession,
+    WatermarkKey,
 };
 use ipmark_netlist::vcd::dump_vcd;
 use ipmark_power::ProcessVariation;
@@ -61,10 +61,9 @@ COMMANDS
   params     Plan (alpha, m, k, n2) from a reselection-probability target.
              [--alpha X=10] [--band F=0.05] [--k N=50] [--n1 N=400]
   plan       Explain the verification operator graph: stages, buffer
-             shapes and the execution backend, without running anything.
+             shapes and the worker count, without running anything.
              [--explain] [--paper] [--k N] [--m N] [--n1 N] [--n2 N]
-             [--trace-len N=2048] [--backend auto|sequential]
-             [--streaming]
+             [--trace-len N=2048] [--streaming]
   cpa        Recover the watermark key from a trace campaign.
              --traces FILE --counter binary|gray [--spc N=8] [--limit N]
              [--identity] [--phase-robust]
@@ -600,7 +599,7 @@ fn params(args: &Args) -> Result<String, CliError> {
 
 /// `ipmark plan [--explain]`: renders the operator graph every
 /// verification path executes — stage list, preallocated buffer shapes
-/// and the chosen [`ExecBackend`] — without touching any traces.
+/// and the pool's worker count — without touching any traces.
 fn plan(args: &Args) -> Result<String, CliError> {
     let base = if args.has("paper") {
         CorrelationParams::paper()
@@ -615,21 +614,12 @@ fn plan(args: &Args) -> Result<String, CliError> {
     let params = CorrelationParams { n1, n2, k, m };
     params.validate()?;
 
-    let label = match args.get("backend")?.unwrap_or("auto") {
-        "auto" | "default" => default_backend().label(),
-        "seq" | "sequential" => Sequential.label(),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown backend `{other}` (auto|sequential)"
-            )))
-        }
-    };
     // `--explain` is the command's only mode; the flag is accepted for
     // discoverability and symmetry with future planning modes.
     Ok(explain_graph(
         &params,
         trace_len,
-        &label,
+        default_backend().threads(),
         args.has("streaming"),
     ))
 }
@@ -1276,7 +1266,7 @@ mod tests {
         ] {
             assert!(out.contains(stage), "missing `{stage}` in:\n{out}");
         }
-        // Explicit parameters and the sequential backend flow through.
+        // Explicit parameters flow through.
         let out = run(&[
             "plan",
             "--explain",
@@ -1290,21 +1280,14 @@ mod tests {
             "8",
             "--trace-len",
             "1024",
-            "--backend",
-            "sequential",
         ])
         .unwrap();
         assert!(out.contains("k=10"), "output:\n{out}");
-        assert!(out.contains("Sequential"), "output:\n{out}");
         // The streaming variant names the resumable ingestion stage.
         let out = run(&["plan", "--explain", "--streaming"]).unwrap();
         assert!(out.contains("streaming"), "output:\n{out}");
         // Bad configurations are rejected, not rendered.
         assert!(run(&["plan", "--n2", "0"]).is_err());
-        assert!(matches!(
-            run(&["plan", "--backend", "quantum"]),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]

@@ -73,8 +73,7 @@ pub use key::WatermarkKey;
 pub use matrix::{ExperimentConfig, IdentificationMatrix};
 pub use params::{choose_m, f_alpha, f_limit, p_zeta, ParameterPlan};
 pub use pipeline::{
-    default_backend, AcquireStage, CorrelateStage, DecideStage, ExecBackend, KAverageStage, Plan,
-    Pooled, ResumablePlan, Sequential,
+    default_backend, AcquireStage, CorrelateStage, DecideStage, KAverageStage, Plan, ResumablePlan,
 };
 pub use report::{CandidateReport, VerificationReport};
 pub use screen::{CounterfeitScreen, ReferenceBank, ScreeningVerdict};

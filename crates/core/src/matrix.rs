@@ -18,7 +18,7 @@ use ipmark_power::SimulatedAcquisition;
 use crate::distinguisher::{delta_mean, delta_v, Decision, Distinguisher};
 use crate::error::CoreError;
 use crate::ip::{default_chain, FabricatedDevice, IpSpec, DEFAULT_CYCLES};
-use crate::pipeline::{default_backend, ExecBackend, Plan, Sequential};
+use crate::pipeline::Plan;
 use crate::verify::{CorrelationParams, CorrelationSet};
 
 /// Everything that defines one verification campaign.
@@ -99,7 +99,32 @@ impl IdentificationMatrix {
         dut_specs: &[IpSpec],
         config: &ExperimentConfig,
     ) -> Result<Self, CoreError> {
-        Self::run_with_backend(refd_specs, dut_specs, config, &default_backend())
+        Self::run_with_pool(
+            refd_specs,
+            dut_specs,
+            config,
+            &ipmark_parallel::Pool::from_env(),
+        )
+    }
+
+    /// [`IdentificationMatrix::run`] on a one-worker pool: every fan-out,
+    /// including the k-averaging inside each cell, runs as a plain loop on
+    /// the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`IdentificationMatrix::run`].
+    pub fn run_seq(
+        refd_specs: &[IpSpec],
+        dut_specs: &[IpSpec],
+        config: &ExperimentConfig,
+    ) -> Result<Self, CoreError> {
+        Self::run_with_pool(
+            refd_specs,
+            dut_specs,
+            config,
+            &ipmark_parallel::Pool::with_threads(1),
+        )
     }
 
     /// [`IdentificationMatrix::run`] with an explicit worker pool, for
@@ -108,6 +133,8 @@ impl IdentificationMatrix {
     /// The pool governs the acquisition and cell fan-out and the
     /// k-averaging inside each cell, so a cell's pool nests inside the
     /// cell fan-out. Every stage is thread-count invariant by construction.
+    /// This is the one campaign body: [`IdentificationMatrix::run`] and
+    /// [`IdentificationMatrix::run_seq`] only choose its pool.
     ///
     /// # Errors
     ///
@@ -118,60 +145,23 @@ impl IdentificationMatrix {
         config: &ExperimentConfig,
         pool: &ipmark_parallel::Pool,
     ) -> Result<Self, CoreError> {
-        Self::run_with_backend(
-            refd_specs,
-            dut_specs,
-            config,
-            &crate::pipeline::Pooled::new(*pool),
-        )
-    }
-
-    /// The sequential reference implementation of
-    /// [`IdentificationMatrix::run`]: every fan-out, including the
-    /// k-averaging inside each cell, runs as a plain loop on the calling
-    /// thread.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IdentificationMatrix::run`].
-    pub fn run_seq(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-    ) -> Result<Self, CoreError> {
-        Self::run_with_backend(refd_specs, dut_specs, config, &Sequential)
-    }
-
-    /// The single campaign body behind [`IdentificationMatrix::run`],
-    /// [`IdentificationMatrix::run_with_pool`] and
-    /// [`IdentificationMatrix::run_seq`]: `backend` runs the acquisition
-    /// and cell fan-out and each cell's [`Plan::execute`]. Backends are
-    /// bit-identical, so every variant is too.
-    fn run_with_backend<B: ExecBackend + ?Sized>(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-        backend: &B,
-    ) -> Result<Self, CoreError> {
         Self::validate_panels(refd_specs, dut_specs, config)?;
 
         // Fabricate and measure the DUT boards once; the same boards serve
         // every reference row (as in the paper).
-        let dut_acqs: Vec<SimulatedAcquisition> = backend
-            .try_map_indexed(dut_specs.len(), |j| {
-                Self::dut_acquisition(&dut_specs[j], j, config)
-            })?;
-        let refd_acqs: Vec<SimulatedAcquisition> = backend
-            .try_map_indexed(refd_specs.len(), |i| {
-                Self::refd_acquisition(&refd_specs[i], i, config)
-            })?;
+        let dut_acqs: Vec<SimulatedAcquisition> = pool.try_map_indexed(dut_specs.len(), |j| {
+            Self::dut_acquisition(&dut_specs[j], j, config)
+        })?;
+        let refd_acqs: Vec<SimulatedAcquisition> = pool.try_map_indexed(refd_specs.len(), |i| {
+            Self::refd_acquisition(&refd_specs[i], i, config)
+        })?;
 
         let duts = dut_specs.len();
-        let cells = backend.try_map_indexed(refd_specs.len() * duts, |idx| {
+        let cells = pool.try_map_indexed(refd_specs.len() * duts, |idx| {
             let (i, j) = (idx / duts, idx % duts);
             let mut rng = Self::cell_rng(config, i, j, duts);
             let mut plan = Plan::correlation(&config.params, &mut rng)?;
-            plan.execute(&refd_acqs[i], &dut_acqs[j], backend)
+            plan.execute(&refd_acqs[i], &dut_acqs[j], pool)
         })?;
         let mut cells = cells.into_iter();
         let sets: Vec<Vec<CorrelationSet>> = (0..refd_specs.len())

@@ -22,15 +22,14 @@
 //! * [`DecideStage`] — wraps the coefficients into the validated
 //!   [`CorrelationSet`] the distinguishers consume.
 //!
-//! How the graph runs is a separate, pluggable axis: the [`ExecBackend`]
-//! trait. [`Sequential`] executes every fan-out as a plain index-ordered
-//! loop; [`Pooled`] partitions it across an [`ipmark_parallel::Pool`].
-//! Both collect results in index order with the lowest-index error
-//! winning, so every backend — at every thread count, on every
-//! instruction set the kernels select — produces bit-identical output
-//! (DESIGN.md §7/§11). The streaming twin, [`ResumablePlan`], holds
-//! the same stages in incremental form and is chunk-size invariant
-//! (DESIGN.md §9).
+//! Every data-parallel stage runs on an [`ipmark_parallel::Pool`], the one
+//! executor: it collects results in index order with the lowest-index
+//! error winning, and at one worker it runs the plain index-ordered loop
+//! on the calling thread. So every thread count produces bit-identical
+//! output (DESIGN.md §7/§11). [`AcquireStage::draw`] is the one place
+//! selections are drawn: the streaming twin, [`ResumablePlan`], opens
+//! through it too, holds the same stages in incremental form and is
+//! chunk-size invariant (DESIGN.md §9).
 //!
 //! The legacy entry points ([`correlation_process`](crate::correlation_process),
 //! [`VerificationSession`](crate::session::VerificationSession),
@@ -41,6 +40,7 @@
 
 use rand::Rng;
 
+use ipmark_parallel::Pool;
 use ipmark_traces::average::{mean_of_indices_into, mean_of_indices_into_sum, StreamingKAverager};
 use ipmark_traces::select::uniform_distinct_indices;
 use ipmark_traces::stats::{PearsonRef, PrefixStats};
@@ -49,191 +49,10 @@ use ipmark_traces::{StatsError, TraceBlock, TraceChunk, TraceError, TraceSource}
 use crate::error::CoreError;
 use crate::verify::{validate_sources, CorrelationParams, CorrelationSet};
 
-// ---------------------------------------------------------------------------
-// Execution backends
-// ---------------------------------------------------------------------------
-
-/// How a [`Plan`]'s data-parallel stages execute.
-///
-/// A backend chooses scheduling only — never results. Implementations must
-/// uphold the DESIGN.md §7 determinism contract: results are collected in
-/// index order, and when several indices fail the **lowest** index's error
-/// is returned. Under that contract every backend (and every thread count)
-/// is bit-identical to [`Sequential`], which is the executable definition
-/// of the semantics.
-pub trait ExecBackend: Sync {
-    /// Human-readable backend label (thread count included), for
-    /// [`Plan::explain`] and diagnostics.
-    fn label(&self) -> String;
-
-    /// Applies `f` to every index in `0..n`, collecting results in index
-    /// order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest failing index.
-    fn try_map_indexed<U, E, F>(&self, n: usize, f: F) -> Result<Vec<U>, E>
-    where
-        U: Send,
-        E: Send,
-        F: Fn(usize) -> Result<U, E> + Sync;
-
-    /// Fills `data`, viewed as consecutive `row_len`-sized rows, by calling
-    /// `f(row_index, row)` for every complete row. A `row_len` of zero is a
-    /// no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest failing row.
-    fn try_fill_rows<E, F>(&self, data: &mut [f64], row_len: usize, f: F) -> Result<(), E>
-    where
-        E: Send,
-        F: Fn(usize, &mut [f64]) -> Result<(), E> + Sync;
-
-    /// Like [`ExecBackend::try_fill_rows`], but additionally collects the
-    /// value each row's closure returns, in row order — the escape hatch
-    /// the fused k-average path uses to carry per-row sums out of the fill
-    /// without a second sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error of the lowest failing row.
-    fn try_fill_rows_map<U, E, F>(
-        &self,
-        data: &mut [f64],
-        row_len: usize,
-        f: F,
-    ) -> Result<Vec<U>, E>
-    where
-        U: Send,
-        E: Send,
-        F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync;
-}
-
-/// The reference backend: plain index-ordered loops on the calling thread.
-///
-/// Equivalence tests pit every other backend, at every thread count,
-/// against it.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sequential;
-
-impl ExecBackend for Sequential {
-    fn label(&self) -> String {
-        "Sequential".to_string()
-    }
-
-    fn try_map_indexed<U, E, F>(&self, n: usize, f: F) -> Result<Vec<U>, E>
-    where
-        U: Send,
-        E: Send,
-        F: Fn(usize) -> Result<U, E> + Sync,
-    {
-        (0..n).map(f).collect()
-    }
-
-    fn try_fill_rows<E, F>(&self, data: &mut [f64], row_len: usize, f: F) -> Result<(), E>
-    where
-        E: Send,
-        F: Fn(usize, &mut [f64]) -> Result<(), E> + Sync,
-    {
-        if row_len == 0 {
-            return Ok(());
-        }
-        for (i, row) in data.chunks_exact_mut(row_len).enumerate() {
-            f(i, row)?;
-        }
-        Ok(())
-    }
-
-    fn try_fill_rows_map<U, E, F>(
-        &self,
-        data: &mut [f64],
-        row_len: usize,
-        f: F,
-    ) -> Result<Vec<U>, E>
-    where
-        U: Send,
-        E: Send,
-        F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
-    {
-        if row_len == 0 {
-            return Ok(Vec::new());
-        }
-        data.chunks_exact_mut(row_len)
-            .enumerate()
-            .map(|(i, row)| f(i, row))
-            .collect()
-    }
-}
-
-/// Fork-join execution over an [`ipmark_parallel::Pool`] (scoped threads,
-/// index-ordered collection, lowest-index error — DESIGN.md §7). At one
-/// worker the pool runs [`Sequential`]'s plain loop on the calling thread.
-#[derive(Debug, Clone, Copy)]
-pub struct Pooled {
-    pool: ipmark_parallel::Pool,
-}
-
-impl Pooled {
-    /// Wraps an explicit pool.
-    pub fn new(pool: ipmark_parallel::Pool) -> Self {
-        Self { pool }
-    }
-
-    /// A pool sized from `RAYON_NUM_THREADS` / available parallelism, like
-    /// [`ipmark_parallel::Pool::from_env`].
-    pub fn from_env() -> Self {
-        Self::new(ipmark_parallel::Pool::from_env())
-    }
-
-    /// The wrapped pool.
-    pub fn pool(&self) -> &ipmark_parallel::Pool {
-        &self.pool
-    }
-}
-
-impl ExecBackend for Pooled {
-    fn label(&self) -> String {
-        format!("Pooled({} threads)", self.pool.threads())
-    }
-
-    fn try_map_indexed<U, E, F>(&self, n: usize, f: F) -> Result<Vec<U>, E>
-    where
-        U: Send,
-        E: Send,
-        F: Fn(usize) -> Result<U, E> + Sync,
-    {
-        self.pool.try_map_indexed(n, f)
-    }
-
-    fn try_fill_rows<E, F>(&self, data: &mut [f64], row_len: usize, f: F) -> Result<(), E>
-    where
-        E: Send,
-        F: Fn(usize, &mut [f64]) -> Result<(), E> + Sync,
-    {
-        self.pool.try_fill_rows(data, row_len, f)
-    }
-
-    fn try_fill_rows_map<U, E, F>(
-        &self,
-        data: &mut [f64],
-        row_len: usize,
-        f: F,
-    ) -> Result<Vec<U>, E>
-    where
-        U: Send,
-        E: Send,
-        F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
-    {
-        self.pool.try_fill_rows_map(data, row_len, f)
-    }
-}
-
-/// The backend the legacy entry points run on: a [`Pooled`] backend sized
-/// from `RAYON_NUM_THREADS` / available parallelism
-/// ([`Pooled::from_env`]).
-pub fn default_backend() -> Pooled {
-    Pooled::from_env()
+/// The pool the legacy entry points run on, sized from
+/// `RAYON_NUM_THREADS` / available parallelism ([`Pool::from_env`]).
+pub fn default_backend() -> Pool {
+    Pool::from_env()
 }
 
 // ---------------------------------------------------------------------------
@@ -301,7 +120,7 @@ impl AcquireStage {
 /// Holds the 1 × `trace_len` reference average and the `m` × `trace_len`
 /// DUT arena. Filling a buffer zeroes it, accumulates the selected traces
 /// lowest-index-first and scales by `1/k` — the canonical
-/// [`mean_of_indices_into`] sequence, identical for every backend.
+/// [`mean_of_indices_into`] sequence, identical at every thread count.
 ///
 /// The fused [`KAverageStage::fill`] additionally carries each DUT row's
 /// sample sum out of the scaling sweep ([`mean_of_indices_into_sum`]), so
@@ -356,7 +175,7 @@ impl KAverageStage {
     }
 
     /// Fills the reference buffer, then fans the `m` DUT rows out over
-    /// `backend` with the fused scale-and-sum sweep: each row's sample sum
+    /// `pool` with the fused scale-and-sum sweep: each row's sample sum
     /// falls out of the `1/k` scaling pass and is stored for
     /// [`KAverageStage::dut_sums`], saving the correlation stage one full
     /// arena sweep. Row contents are bit-identical to the staged
@@ -365,25 +184,24 @@ impl KAverageStage {
     /// # Errors
     ///
     /// Propagates trace errors from the sources; when several rows fail,
-    /// the lowest row's error wins (backend contract).
-    pub fn fill<SR, SD, B>(
+    /// the lowest row's error wins (the pool's determinism contract).
+    pub fn fill<SR, SD>(
         &mut self,
         refd: &SR,
         dut: &SD,
         acquire: &AcquireStage,
-        backend: &B,
+        pool: &Pool,
     ) -> Result<(), CoreError>
     where
         SR: TraceSource + ?Sized,
         SD: TraceSource + Sync + ?Sized,
-        B: ExecBackend + ?Sized,
     {
         self.dut_sums.clear();
         mean_of_indices_into(refd, &acquire.refd_selection, &mut self.a_refd)
             .map_err(CoreError::Trace)?;
         let trace_len = self.a_duts.trace_len();
         let selections = &acquire.dut_selections;
-        let sums = backend
+        let sums = pool
             .try_fill_rows_map(self.a_duts.samples_mut(), trace_len, |i, row| {
                 let selection = selections.get(i).ok_or(TraceError::IndexOutOfRange {
                     index: i,
@@ -399,8 +217,8 @@ impl KAverageStage {
     /// [`KAverageStage::fill`] specialized to an in-place sequential loop,
     /// for DUT sources that are not [`Sync`]. Performs the identical
     /// floating-point operation sequence (one [`mean_of_indices_into`] per
-    /// row, rows in index order), so the output is bit-identical to any
-    /// backend's.
+    /// row, rows in index order), so the output is bit-identical to
+    /// [`KAverageStage::fill`] on any pool.
     ///
     /// # Errors
     ///
@@ -608,14 +426,15 @@ impl DecideStage {
 /// execution), and the correlate/decide tail.
 ///
 /// A plan is built from parameters and an RNG only — no trace data — and
-/// then executed against sources on any [`ExecBackend`]. Executing the same
-/// plan twice against the same sources is idempotent and bit-identical, on
-/// every backend and at every thread count.
+/// then executed against sources on a [`Pool`]. Executing the same plan
+/// twice against the same sources is idempotent and bit-identical at every
+/// thread count.
 ///
 /// # Examples
 ///
 /// ```
-/// use ipmark_core::pipeline::{default_backend, Plan, Sequential};
+/// use ipmark_core::pipeline::{default_backend, Plan};
+/// use ipmark_parallel::Pool;
 /// use ipmark_core::CorrelationParams;
 /// use ipmark_traces::{Trace, TraceSet};
 /// use rand::SeedableRng;
@@ -637,8 +456,8 @@ impl DecideStage {
 /// let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
 /// let mut plan = Plan::correlation(&params, &mut rng)?;
 /// let pooled = plan.execute(&refd, &dut, &default_backend())?;
-/// let sequential = plan.execute(&refd, &dut, &Sequential)?;
-/// assert_eq!(pooled, sequential); // backends are bit-identical
+/// let one_worker = plan.execute(&refd, &dut, &Pool::with_threads(1))?;
+/// assert_eq!(pooled, one_worker); // every thread count is bit-identical
 /// # Ok(())
 /// # }
 /// ```
@@ -690,7 +509,7 @@ impl Plan {
         Ok((acquire, buffers.insert(stage)))
     }
 
-    /// Runs the graph end to end on `backend`: validate sources, fill the
+    /// Runs the graph end to end on `pool`: validate sources, fill the
     /// k-average buffers, correlate, decide.
     ///
     /// # Errors
@@ -700,20 +519,19 @@ impl Plan {
     /// mismatched sources, [`CoreError::Trace`] from averaging and
     /// [`CoreError::Stats`] from correlation (lowest-index row error
     /// winning).
-    pub fn execute<SR, SD, B>(
+    pub fn execute<SR, SD>(
         &mut self,
         refd: &SR,
         dut: &SD,
-        backend: &B,
+        pool: &Pool,
     ) -> Result<CorrelationSet, CoreError>
     where
         SR: TraceSource + ?Sized,
         SD: TraceSource + Sync + ?Sized,
-        B: ExecBackend + ?Sized,
     {
         validate_sources(refd, dut, &self.acquire.params)?;
         let (acquire, stage) = self.stages(refd.trace_len())?;
-        stage.fill(refd, dut, acquire, backend)?;
+        stage.fill(refd, dut, acquire, pool)?;
         let correlate = CorrelateStage::center(stage.reference())?;
         // Fused path: the per-row sums captured by the fill replace the
         // correlation's sum sweep. `execute_seq` keeps the staged
@@ -725,7 +543,7 @@ impl Plan {
     /// Runs the graph with an in-place sequential k-average loop and the
     /// staged (unfused) correlation, for DUT sources that are not [`Sync`]
     /// and as the reference the fused [`Plan::execute`] is tested against.
-    /// Bit-identical to [`Plan::execute`] on any backend.
+    /// Bit-identical to [`Plan::execute`] on any pool.
     ///
     /// # Errors
     ///
@@ -743,10 +561,10 @@ impl Plan {
         DecideStage.finish(coefficients)
     }
 
-    /// Renders the stage graph — stages, buffer shapes, chosen backend and
-    /// kernel backend — for `ipmark plan --explain` and debugging.
-    pub fn explain<B: ExecBackend + ?Sized>(&self, trace_len: usize, backend: &B) -> String {
-        explain_graph(&self.acquire.params, trace_len, &backend.label(), false)
+    /// Renders the stage graph — stages, buffer shapes, the pool's worker
+    /// count and the kernels — for `ipmark plan --explain` and debugging.
+    pub fn explain(&self, trace_len: usize, pool: &Pool) -> String {
+        explain_graph(&self.acquire.params, trace_len, pool.threads(), false)
     }
 }
 
@@ -756,7 +574,7 @@ impl Plan {
 pub fn explain_graph(
     params: &CorrelationParams,
     trace_len: usize,
-    backend_label: &str,
+    threads: usize,
     streaming: bool,
 ) -> String {
     let CorrelationParams { n1, n2, k, m } = *params;
@@ -785,7 +603,7 @@ pub fn explain_graph(
         "  DecideStage     CorrelationSet { mean, variance } -> distinguisher (higher mean / lower variance)\n",
     );
     out.push_str(&format!(
-        "  backend: {backend_label}; kernels: {}\n",
+        "  backend: Pool({threads} threads); kernels: {}\n",
         ipmark_traces::kernels::isa_name(),
     ));
     out
@@ -798,9 +616,10 @@ pub fn explain_graph(
 /// The incremental twin of [`Plan`]: the same acquire → k-average →
 /// correlate stages, resumable across chunked DUT delivery.
 ///
-/// Construction draws the reference selection and fuses `A_RefD` into a
-/// [`CorrelateStage`], then pre-draws the `m` DUT selections into a
-/// [`StreamingKAverager`] — consuming the RNG in exactly the batch order.
+/// Construction draws every selection with [`AcquireStage::draw`] — the
+/// same draw, in the same RNG order, as [`Plan::correlation`] — fuses
+/// `A_RefD` into a [`CorrelateStage`], and hands the `m` DUT selections to
+/// a [`StreamingKAverager`].
 /// Each ingested chunk advances the partial sums; slots that complete are
 /// correlated in one batched sweep and committed to the contiguous finished
 /// prefix, whose running statistics are bit-identical to the batch
@@ -827,8 +646,9 @@ pub struct ResumablePlan {
 
 impl ResumablePlan {
     /// Opens a resumable plan: validates `params` against the reference
-    /// source, k-averages the reference (one selection from `0..n1`), and
-    /// pre-draws the `m` streaming DUT selections.
+    /// source, draws the selections ([`AcquireStage::draw`]), k-averages
+    /// the reference over its selection and sets up the `m` streaming DUT
+    /// averages.
     ///
     /// # Errors
     ///
@@ -850,11 +670,17 @@ impl ResumablePlan {
                 ),
             });
         }
-        let trace_len = refd.trace_len();
-        let a_refd = crate::verify::k_average_bounded(refd, params.n1, params.k, rng)?;
-        let correlate = CorrelateStage::center(a_refd.samples())?;
-        let averager = StreamingKAverager::new(params.n2, trace_len, params.k, params.m, rng)
+        let acquire = AcquireStage::draw(params, rng)?;
+        let mut a_refd = vec![0.0; refd.trace_len()];
+        mean_of_indices_into(refd, acquire.refd_selection(), &mut a_refd)
             .map_err(CoreError::Trace)?;
+        let correlate = CorrelateStage::center(&a_refd)?;
+        let averager = StreamingKAverager::new(
+            params.n2,
+            refd.trace_len(),
+            acquire.dut_selections().to_vec(),
+        )
+        .map_err(CoreError::Trace)?;
         Ok(Self {
             correlate,
             averager,
@@ -1010,7 +836,7 @@ mod tests {
     }
 
     #[test]
-    fn sequential_backend_matches_default_backend_bitwise() {
+    fn one_worker_pool_matches_default_backend_bitwise() {
         let refd = noisy_set("r", 50, 1);
         let dut = noisy_set("d", 240, 2);
         let p = params();
@@ -1018,14 +844,14 @@ mod tests {
             let mut plan_a = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
             let mut plan_b = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
             let a = plan_a.execute(&refd, &dut, &default_backend()).unwrap();
-            let b = plan_b.execute(&refd, &dut, &Sequential).unwrap();
+            let b = plan_b.execute(&refd, &dut, &Pool::with_threads(1)).unwrap();
             let bits = |s: &CorrelationSet| -> Vec<u64> {
                 s.coefficients().iter().map(|c| c.to_bits()).collect()
             };
             assert_eq!(bits(&a), bits(&b), "seed {seed}");
             // Re-executing the same plan reuses its buffers and reproduces
             // the result exactly.
-            let again = plan_a.execute(&refd, &dut, &Sequential).unwrap();
+            let again = plan_a.execute(&refd, &dut, &Pool::with_threads(1)).unwrap();
             assert_eq!(bits(&a), bits(&again));
             // The non-Sync sequential specialization is the same graph.
             let seq = plan_b.execute_seq(&refd, &dut).unwrap();
@@ -1034,18 +860,19 @@ mod tests {
     }
 
     #[test]
-    fn pooled_backend_is_thread_count_invariant() {
+    fn pool_is_thread_count_invariant() {
         let refd = noisy_set("r", 50, 1);
         let dut = noisy_set("d", 240, 2);
         let p = params();
         let reference = {
             let mut plan = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
-            plan.execute(&refd, &dut, &Sequential).unwrap()
+            plan.execute(&refd, &dut, &Pool::with_threads(1)).unwrap()
         };
         for threads in [1usize, 2, 3, 8] {
-            let backend = Pooled::new(ipmark_parallel::Pool::with_threads(threads));
             let mut plan = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
-            let got = plan.execute(&refd, &dut, &backend).unwrap();
+            let got = plan
+                .execute(&refd, &dut, &Pool::with_threads(threads))
+                .unwrap();
             assert_eq!(
                 got.coefficients()
                     .iter()
@@ -1106,7 +933,7 @@ mod tests {
         let p = params();
         let mut plan_a = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(11)).unwrap();
         let mut plan_b = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(11)).unwrap();
-        let fused = plan_a.execute(&refd, &dut, &Sequential).unwrap();
+        let fused = plan_a.execute(&refd, &dut, &Pool::with_threads(1)).unwrap();
         let staged = plan_b.execute_seq(&refd, &dut).unwrap();
         assert_eq!(
             fused
@@ -1140,11 +967,11 @@ mod tests {
         let p = params(); // n1 = 50 > 10 available
         let mut plan = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(0)).unwrap();
         assert!(matches!(
-            plan.execute(&dut, &refd, &Sequential),
+            plan.execute(&dut, &refd, &Pool::with_threads(1)),
             Err(CoreError::InvalidParams { .. })
         ));
         assert!(matches!(
-            plan.execute(&refd, &dut, &Sequential),
+            plan.execute(&refd, &dut, &Pool::with_threads(1)),
             Err(CoreError::InvalidParams { .. })
         ));
     }
@@ -1153,18 +980,18 @@ mod tests {
     fn explain_names_every_stage_and_the_backend() {
         let p = params();
         let plan = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(0)).unwrap();
-        let text = plan.explain(96, &Sequential);
+        let text = plan.explain(96, &Pool::with_threads(3));
         for needle in [
             "AcquireStage",
             "KAverageStage",
             "CorrelateStage",
             "DecideStage",
-            "Sequential",
+            "Pool(3 threads)",
             "kernels:",
         ] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
-        let streaming = explain_graph(&p, 96, "Sequential", true);
+        let streaming = explain_graph(&p, 96, 1, true);
         assert!(streaming.contains("streaming"), "{streaming}");
     }
 }

@@ -14,7 +14,7 @@ use ipmark_traces::stats::PearsonRef;
 use ipmark_traces::{TraceBlock, TraceSource};
 
 use crate::error::CoreError;
-use crate::pipeline::{default_backend, ExecBackend, Plan};
+use crate::pipeline::{default_backend, Plan};
 use crate::verify::{CorrelationParams, CorrelationSet};
 
 /// A cache of centered Pearson reference kernels for the
@@ -249,12 +249,12 @@ impl CounterfeitScreen {
         SR: TraceSource + Sync + ?Sized,
         SD: TraceSource + Sync,
     {
-        let backend = default_backend();
-        backend.try_map_indexed(duts.len(), |j| {
+        let pool = default_backend();
+        pool.try_map_indexed(duts.len(), |j| {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(Self::panel_seed(base_seed, j));
             crate::verify::validate_sources(refd, &duts[j], params)?;
             let mut plan = Plan::correlation(params, &mut rng)?;
-            let set = plan.execute(refd, &duts[j], &backend)?;
+            let set = plan.execute(refd, &duts[j], &pool)?;
             Ok(self.judge(&set))
         })
     }

@@ -245,10 +245,12 @@ pub struct VerificationSession {
 
 impl VerificationSession {
     /// Opens a session: draws per-candidate reference and DUT selections
-    /// from `rng` in exactly the order the batch pipeline would (one
-    /// reference `k`-average then `m` DUT selections per candidate,
+    /// from `rng` with the batch pipeline's own [`AcquireStage::draw`]
+    /// (one reference selection then `m` DUT selections per candidate,
     /// candidates in index order), and fuses each `A_RefD` into a Pearson
     /// kernel.
+    ///
+    /// [`AcquireStage::draw`]: crate::pipeline::AcquireStage::draw
     ///
     /// # Errors
     ///
@@ -273,20 +275,12 @@ impl VerificationSession {
                 provided: candidates,
             });
         }
-        if refd.num_traces() < options.params.n1 {
-            return Err(CoreError::InvalidParams {
-                reason: format!(
-                    "reference source holds {} traces, n1 = {}",
-                    refd.num_traces(),
-                    options.params.n1
-                ),
-            });
-        }
         let params = options.params;
         let mut cands = Vec::with_capacity(candidates);
         for _ in 0..candidates {
             // One resumable plan per candidate, drawn in index order — the
-            // exact RNG consumption order of the batch pipeline.
+            // exact RNG consumption order of the batch pipeline. The first
+            // plan checks the reference holds `n1` traces before any draw.
             cands.push(ResumablePlan::new(refd, &params, rng)?);
         }
         Ok(Self {
@@ -657,6 +651,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Opening a session draws exactly what one `Plan::correlation` per
+    /// candidate draws: from clones of one RNG, both leave it in the same
+    /// state.
+    #[test]
+    fn session_consumes_rng_like_batch_plans() {
+        use rand::RngCore as _;
+        let refd = noisy_set("r", 0.0, 50, 1);
+        let p = params();
+        let mut batch = ChaCha8Rng::seed_from_u64(8);
+        let mut streaming = batch.clone();
+        for _ in 0..3 {
+            Plan::correlation(&p, &mut batch).unwrap();
+        }
+        VerificationSession::new(&refd, 3, SessionOptions::new(p), &mut streaming).unwrap();
+        assert_eq!(batch.next_u64(), streaming.next_u64());
     }
 
     #[test]

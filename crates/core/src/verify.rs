@@ -12,7 +12,6 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use ipmark_traces::average::k_average;
 use ipmark_traces::stats::{mean, variance_population};
 use ipmark_traces::TraceSource;
 
@@ -233,7 +232,7 @@ where
     // Thin shim over the operator graph (see `crate::pipeline`): validate
     // before drawing so a failing call leaves the caller's RNG untouched,
     // exactly like the pre-graph implementation, then run the plan on the
-    // environment-sized default backend. The drawn selections, buffer fill
+    // environment-sized default pool. The drawn selections, buffer fill
     // order and batched correlation are bit-identical to the historical
     // hand-rolled body (pinned by the tier-2 golden suites).
     validate_sources(refd, dut, params)?;
@@ -279,67 +278,6 @@ where
         });
     }
     Ok(())
-}
-
-/// A view restricting a [`TraceSource`] to its first `limit` traces, so that
-/// `n1`/`n2` can be smaller than the backing campaign.
-struct BoundedSource<'a, S: TraceSource + ?Sized> {
-    inner: &'a S,
-    limit: usize,
-}
-
-impl<S: TraceSource + ?Sized> TraceSource for BoundedSource<'_, S> {
-    fn num_traces(&self) -> usize {
-        self.limit
-    }
-
-    fn trace_len(&self) -> usize {
-        self.inner.trace_len()
-    }
-
-    fn accumulate(&self, index: usize, acc: &mut [f64]) -> Result<(), ipmark_traces::TraceError> {
-        if index >= self.limit {
-            return Err(ipmark_traces::TraceError::IndexOutOfRange {
-                index,
-                available: self.limit,
-            });
-        }
-        self.inner.accumulate(index, acc)
-    }
-
-    /// Forwards the indices before the first one at or past `limit` as one
-    /// batch, so the inner source keeps its batched fill, then fails on
-    /// that index. An error of the batch comes first, so the error is the
-    /// per-index loop's.
-    fn accumulate_indices(
-        &self,
-        indices: &[usize],
-        acc: &mut [f64],
-    ) -> Result<(), ipmark_traces::TraceError> {
-        let within = indices.iter().take_while(|&&i| i < self.limit).count();
-        let (head, tail) = indices.split_at(within);
-        self.inner.accumulate_indices(head, acc)?;
-        match tail.first() {
-            None => Ok(()),
-            Some(&index) => Err(ipmark_traces::TraceError::IndexOutOfRange {
-                index,
-                available: self.limit,
-            }),
-        }
-    }
-}
-
-pub(crate) fn k_average_bounded<S: TraceSource + ?Sized, R: Rng + ?Sized>(
-    source: &S,
-    limit: usize,
-    k: usize,
-    rng: &mut R,
-) -> Result<ipmark_traces::Trace, CoreError> {
-    let bounded = BoundedSource {
-        inner: source,
-        limit,
-    };
-    k_average(&bounded, k, rng).map_err(CoreError::Trace)
 }
 
 #[cfg(test)]
@@ -561,68 +499,5 @@ mod tests {
         let c2 =
             correlation_process(&refd, &dut, &params, &mut ChaCha8Rng::seed_from_u64(5)).unwrap();
         assert_eq!(c1, c2);
-    }
-
-    /// The per-index loop `BoundedSource::accumulate_indices` must match:
-    /// the trait's default body, spelled out.
-    fn per_index_loop<S: TraceSource + ?Sized>(
-        source: &S,
-        indices: &[usize],
-        acc: &mut [f64],
-    ) -> Result<(), ipmark_traces::TraceError> {
-        for &i in indices {
-            source.accumulate(i, acc)?;
-        }
-        Ok(())
-    }
-
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
-    }
-
-    #[test]
-    fn bounded_batch_fill_equals_the_per_index_loop() {
-        use crate::ip::{default_chain, ip_b, FabricatedDevice};
-        use ipmark_power::ProcessVariation;
-
-        let set = noisy_set("r", &wave_a(), 12, 3);
-        let mut die =
-            FabricatedDevice::fabricate(&ip_b(), &ProcessVariation::default(), 1).unwrap();
-        let acq = die
-            .acquisition(&default_chain().unwrap(), 16, 12, 2014)
-            .unwrap();
-        let inners: [&dyn TraceSource; 2] = [&set, &acq];
-        let cases: [&[usize]; 9] = [
-            &[],
-            &[3],
-            &[0, 4, 7],
-            &[1, 2, 5, 7],
-            &[8],
-            &[2, 8, 1],
-            &[2, 5, 11, 0],
-            &[9, 3],
-            &[6, 3, 20],
-        ];
-        for inner in inners {
-            let bounded = BoundedSource { inner, limit: 8 };
-            let len = inner.trace_len();
-            for indices in cases {
-                for acc_len in [len, len - 1] {
-                    let start: Vec<f64> = (0..acc_len).map(|i| i as f64 * 0.25).collect();
-                    let mut want = start.clone();
-                    let want_result = per_index_loop(&bounded, indices, &mut want);
-                    let mut got = start;
-                    let got_result = bounded.accumulate_indices(indices, &mut got);
-                    assert_eq!(
-                        format!("{got_result:?}"),
-                        format!("{want_result:?}"),
-                        "{indices:?}, acc {acc_len}"
-                    );
-                    if want_result.is_ok() {
-                        assert_eq!(bits(&got), bits(&want), "{indices:?}");
-                    }
-                }
-            }
-        }
     }
 }

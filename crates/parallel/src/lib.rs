@@ -19,7 +19,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 /// The default worker count: `RAYON_NUM_THREADS` when set to a positive
 /// number (the conventional knob, honored for familiarity), otherwise the
@@ -100,29 +102,10 @@ impl Pool {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        if self.threads <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
+        match self.fan_out(n, &mut [], 0, |i, _| Ok::<U, Infallible>(f(i))) {
+            Ok(out) => out,
+            Err(never) => match never {},
         }
-        let chunks = self.chunks(n);
-        let f = &f;
-        let mut parts: Vec<Vec<U>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(start, end)| scope.spawn(move || (start..end).map(f).collect::<Vec<U>>()))
-                .collect();
-            handles
-                .into_iter()
-                // A worker can only panic if `f` panicked; re-raise that
-                // panic on the caller's thread instead of a fresh
-                // expect-panic, so no new panic site is introduced here.
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(n);
-        for part in &mut parts {
-            out.append(part);
-        }
-        out
     }
 
     /// Fallibly maps `f` over `0..n`.
@@ -143,49 +126,7 @@ impl Pool {
         E: Send,
         F: Fn(usize) -> Result<U, E> + Sync,
     {
-        if self.threads <= 1 || n <= 1 {
-            return (0..n).map(f).collect();
-        }
-        let chunks = self.chunks(n);
-        let f = &f;
-        let parts: Vec<Result<Vec<U>, (usize, E)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&(start, end)| {
-                    scope.spawn(move || {
-                        let mut out = Vec::with_capacity(end - start);
-                        for i in start..end {
-                            match f(i) {
-                                Ok(v) => out.push(v),
-                                Err(e) => return Err((i, e)),
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // See map_indexed: propagate `f`'s own panic payload.
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(n);
-        let mut first_error: Option<(usize, E)> = None;
-        for part in parts {
-            match part {
-                Ok(mut vs) => out.append(&mut vs),
-                Err((i, e)) => {
-                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_error = Some((i, e));
-                    }
-                }
-            }
-        }
-        match first_error {
-            Some((_, e)) => Err(e),
-            None => Ok(out),
-        }
+        self.fan_out(n, &mut [], 0, |i, _| f(i))
     }
 
     /// Fallibly fills the rows of one contiguous row-major buffer:
@@ -213,51 +154,8 @@ impl Pool {
         E: Send,
         F: Fn(usize, &mut [f64]) -> Result<(), E> + Sync,
     {
-        if row_len == 0 {
-            return Ok(());
-        }
-        let rows = data.len() / row_len;
-        if self.threads <= 1 || rows <= 1 {
-            for (i, row) in data.chunks_exact_mut(row_len).enumerate() {
-                f(i, row)?;
-            }
-            return Ok(());
-        }
-        let chunks = self.chunks(rows);
-        let f = &f;
-        let results: Vec<Result<(), (usize, E)>> = std::thread::scope(|scope| {
-            let mut rest = &mut data[..rows * row_len];
-            let mut handles = Vec::with_capacity(chunks.len());
-            for &(start, end) in &chunks {
-                let (part, tail) = rest.split_at_mut((end - start) * row_len);
-                rest = tail;
-                handles.push(scope.spawn(move || {
-                    for (offset, row) in part.chunks_exact_mut(row_len).enumerate() {
-                        if let Err(e) = f(start + offset, row) {
-                            return Err((start + offset, e));
-                        }
-                    }
-                    Ok(())
-                }));
-            }
-            handles
-                .into_iter()
-                // See map_indexed: propagate `f`'s own panic payload.
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut first_error: Option<(usize, E)> = None;
-        for result in results {
-            if let Err((i, e)) = result {
-                if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                    first_error = Some((i, e));
-                }
-            }
-        }
-        match first_error {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        // `Vec<()>` never allocates.
+        self.try_fill_rows_map(data, row_len, f).map(drop)
     }
 
     /// [`Pool::try_fill_rows`] that also collects one value per row — the
@@ -286,111 +184,80 @@ impl Pool {
         E: Send,
         F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
     {
-        if row_len == 0 {
-            return Ok(Vec::new());
+        let rows = data.len().checked_div(row_len).unwrap_or(0);
+        self.fan_out(rows, data, row_len, f)
+    }
+
+    /// The one fan-out body behind every primitive: calls `f(i, row)` once
+    /// for each `i` in `0..n`, where `row` is the `i`-th `row_len`-sample
+    /// row of `data` (empty when `row_len == 0`; `data` holds at least
+    /// `n * row_len` samples), and collects the values in index order.
+    ///
+    /// At one worker, or for at most one index, this is the plain loop on
+    /// the calling thread. Otherwise `0..n` is split into contiguous chunks
+    /// (with `data` split along the same boundaries), one scoped worker per
+    /// chunk. Each worker stops at its chunk's first error; the chunks are
+    /// joined in index order and every chunk before the first failing one
+    /// succeeded whole, so the first error met is the lowest-index one.
+    fn fan_out<U, E, F>(
+        &self,
+        n: usize,
+        data: &mut [f64],
+        row_len: usize,
+        f: F,
+    ) -> Result<Vec<U>, E>
+    where
+        U: Send,
+        E: Send,
+        F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
+    {
+        if self.threads <= 1 || n <= 1 {
+            return run_range(&f, 0..n, data, row_len);
         }
-        let rows = data.len() / row_len;
-        if self.threads <= 1 || rows <= 1 {
-            let mut out = Vec::with_capacity(rows);
-            for (i, row) in data.chunks_exact_mut(row_len).enumerate() {
-                out.push(f(i, row)?);
-            }
-            return Ok(out);
-        }
-        let chunks = self.chunks(rows);
         let f = &f;
-        let parts: Vec<Result<Vec<U>, (usize, E)>> = std::thread::scope(|scope| {
-            let mut rest = &mut data[..rows * row_len];
-            let mut handles = Vec::with_capacity(chunks.len());
-            for &(start, end) in &chunks {
+        let parts: Vec<Result<Vec<U>, E>> = std::thread::scope(|scope| {
+            let mut rest = data;
+            let mut handles = Vec::new();
+            for (start, end) in self.chunks(n) {
                 let (part, tail) = rest.split_at_mut((end - start) * row_len);
                 rest = tail;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::with_capacity(end - start);
-                    for (offset, row) in part.chunks_exact_mut(row_len).enumerate() {
-                        match f(start + offset, row) {
-                            Ok(v) => out.push(v),
-                            Err(e) => return Err((start + offset, e)),
-                        }
-                    }
-                    Ok(out)
-                }));
+                handles.push(scope.spawn(move || run_range(f, start..end, part, row_len)));
             }
             handles
                 .into_iter()
-                // See map_indexed: propagate `f`'s own panic payload.
+                // A worker can only panic if `f` panicked; re-raise that
+                // panic on the caller's thread instead of a fresh
+                // expect-panic, so no new panic site is introduced here.
                 .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
                 .collect()
         });
-        let mut out = Vec::with_capacity(rows);
-        let mut first_error: Option<(usize, E)> = None;
+        let mut out = Vec::with_capacity(n);
         for part in parts {
-            match part {
-                Ok(mut vs) => out.append(&mut vs),
-                Err((i, e)) => {
-                    if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                        first_error = Some((i, e));
-                    }
-                }
-            }
+            out.append(&mut part?);
         }
-        match first_error {
-            Some((_, e)) => Err(e),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 }
 
-/// Maps over `0..n` with the environment-derived thread count.
-pub fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
+/// The sequential loop over one contiguous index range: `f(i, row)` for
+/// each `i` in `range`, rows taken in order from the front of `rows`,
+/// stopping at the first error.
+fn run_range<U, E, F>(
+    f: &F,
+    range: Range<usize>,
+    mut rows: &mut [f64],
+    row_len: usize,
+) -> Result<Vec<U>, E>
 where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
+    F: Fn(usize, &mut [f64]) -> Result<U, E>,
 {
-    Pool::from_env().map_indexed(n, f)
-}
-
-/// Fallible map over `0..n` with the environment-derived thread count.
-///
-/// # Errors
-///
-/// Propagates the lowest-index error from `f`.
-pub fn par_try_map_indexed<U, E, F>(n: usize, f: F) -> Result<Vec<U>, E>
-where
-    U: Send,
-    E: Send,
-    F: Fn(usize) -> Result<U, E> + Sync,
-{
-    Pool::from_env().try_map_indexed(n, f)
-}
-
-/// Fallible arena row fill with the environment-derived thread count (see
-/// [`Pool::try_fill_rows`]).
-///
-/// # Errors
-///
-/// Propagates the lowest-row-index error from `f`.
-pub fn par_try_fill_rows<E, F>(data: &mut [f64], row_len: usize, f: F) -> Result<(), E>
-where
-    E: Send,
-    F: Fn(usize, &mut [f64]) -> Result<(), E> + Sync,
-{
-    Pool::from_env().try_fill_rows(data, row_len, f)
-}
-
-/// Fallible arena row fill collecting one value per row, with the
-/// environment-derived thread count (see [`Pool::try_fill_rows_map`]).
-///
-/// # Errors
-///
-/// Propagates the lowest-row-index error from `f`.
-pub fn par_try_fill_rows_map<U, E, F>(data: &mut [f64], row_len: usize, f: F) -> Result<Vec<U>, E>
-where
-    U: Send,
-    E: Send,
-    F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
-{
-    Pool::from_env().try_fill_rows_map(data, row_len, f)
+    let mut out = Vec::with_capacity(range.len());
+    for i in range {
+        let (row, tail) = std::mem::take(&mut rows).split_at_mut(row_len);
+        rows = tail;
+        out.push(f(i, row)?);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

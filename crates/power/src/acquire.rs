@@ -203,7 +203,8 @@ impl SimulatedAcquisition {
     ///
     /// Propagates container errors (cannot occur for a valid campaign).
     pub fn acquire_all(&self) -> Result<TraceSet, TraceError> {
-        let traces = ipmark_parallel::par_try_map_indexed(self.num_traces, |i| self.trace(i))?;
+        let traces = ipmark_parallel::Pool::from_env()
+            .try_map_indexed(self.num_traces, |i| self.trace(i))?;
         let mut set = TraceSet::new(self.device_name.clone());
         for t in traces {
             set.push(t)?;
@@ -244,9 +245,11 @@ impl SimulatedAcquisition {
         let mut block =
             TraceBlock::zeros(self.device_name.clone(), self.num_traces, self.clean.len())?;
         let trace_len = self.clean.len();
-        ipmark_parallel::par_try_fill_rows(block.samples_mut(), trace_len, |i, row| {
-            self.trace_into(i, row)
-        })?;
+        ipmark_parallel::Pool::from_env().try_fill_rows(
+            block.samples_mut(),
+            trace_len,
+            |i, row| self.trace_into(i, row),
+        )?;
         Ok(block)
     }
 }

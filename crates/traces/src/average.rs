@@ -7,7 +7,7 @@
 use rand::Rng;
 
 use crate::block::{TraceBlock, TraceChunk};
-use crate::error::TraceError;
+use crate::error::{SelectError, TraceError};
 use crate::kernels;
 use crate::select::uniform_distinct_indices;
 use crate::trace::{Trace, TraceSource};
@@ -112,18 +112,19 @@ pub fn k_average<S: TraceSource + ?Sized, R: Rng + ?Sized>(
 /// Builds the `m` `k`-averaged traces of one device from a stream of traces
 /// arriving in index order, without materializing the backing population.
 ///
-/// The constructor pre-draws the `m` index selections in order, consuming
-/// the RNG exactly as `m` successive [`k_average`] calls over the same
-/// population would. Because [`uniform_distinct_indices`] returns
-/// selections in ascending order, the batch path accumulates each average
-/// lowest-index-first — which is
-/// precisely the order the stream delivers traces. Each arriving trace is
+/// The caller draws the `m` index selections (in the verification pipeline,
+/// `AcquireStage::draw` in `ipmark-core`, the one place selections are
+/// drawn) and hands them over at construction; the averager itself never
+/// touches an RNG. Each selection must be strictly ascending — the order
+/// [`uniform_distinct_indices`] returns — so the batch path, which
+/// accumulates each average lowest-index-first, adds the selected traces in
+/// precisely the order the stream delivers them. Each arriving trace is
 /// added into every partial average that selected it (`acc[j] += s[j]`,
 /// the same element-wise addition [`mean_of_indices`] performs), and a
-/// slot that receives its `k`-th trace is finalized by the same `× 1/k`
-/// scaling. The finished averages are therefore **bit-identical** to the
-/// batch result, while memory stays at `O(m × trace_len)` instead of
-/// `O(n2 × trace_len)`.
+/// slot that receives its last selected trace is finalized by the same
+/// `× 1/k` scaling. The finished averages are therefore **bit-identical**
+/// to [`mean_of_indices`] over the same selections, while memory stays at
+/// `O(m × trace_len)` instead of `O(n2 × trace_len)`.
 ///
 /// The `m` partial sums live in **one preallocated [`TraceBlock`]** (row
 /// `i` = slot `i`), allocated once at construction: ingestion performs no
@@ -152,34 +153,47 @@ pub struct StreamingKAverager {
 }
 
 impl StreamingKAverager {
-    /// Draws the `m` selections over a population of `population` traces of
-    /// `trace_len` samples each.
-    ///
-    /// Consumes `rng` exactly as `m` successive [`k_average`] calls over
-    /// the same population do, so a batch and a streaming run from clones
-    /// of one seeded RNG average identical subsets.
+    /// Sets up one slot per selection over a population of `population`
+    /// traces of `trace_len` samples each.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::EmptyTrace`] for `trace_len == 0`,
-    /// [`TraceError::EmptySet`] for `m == 0` and a selection error when `k`
-    /// is zero or exceeds `population`.
-    pub fn new<R: Rng + ?Sized>(
+    /// [`TraceError::EmptySet`] for no selections,
+    /// [`SelectError::EmptySelection`] for an empty selection,
+    /// [`SelectError::NotAscending`] for a selection that is not strictly
+    /// ascending (both wrapped in [`TraceError::Select`]), and
+    /// [`TraceError::IndexOutOfRange`] for an index at or past
+    /// `population`.
+    pub fn new(
         population: usize,
         trace_len: usize,
-        k: usize,
-        m: usize,
-        rng: &mut R,
+        selections: Vec<Vec<usize>>,
     ) -> Result<Self, TraceError> {
         if trace_len == 0 {
             return Err(TraceError::EmptyTrace);
         }
-        if m == 0 {
+        if selections.is_empty() {
             return Err(TraceError::EmptySet);
         }
-        let selections: Vec<Vec<usize>> = (0..m)
-            .map(|_| Ok(uniform_distinct_indices(population, k, rng)?))
-            .collect::<Result<_, TraceError>>()?;
+        for selection in &selections {
+            let Some(&last) = selection.last() else {
+                return Err(SelectError::EmptySelection.into());
+            };
+            if let Some(position) = selection.windows(2).position(|w| w[0] >= w[1]) {
+                return Err(SelectError::NotAscending {
+                    position: position + 1,
+                }
+                .into());
+            }
+            if last >= population {
+                return Err(TraceError::IndexOutOfRange {
+                    index: last,
+                    available: population,
+                });
+            }
+        }
+        let m = selections.len();
         let slots = TraceBlock::zeros("", m, trace_len)?;
         Ok(Self {
             selections,
@@ -468,6 +482,15 @@ mod tests {
         set
     }
 
+    /// `m` selections of `k` from `0..population`, drawn in order from one
+    /// seeded RNG — the draw `m` successive [`k_average`] calls make.
+    fn drawn(population: usize, k: usize, m: usize, seed: u64) -> Vec<Vec<usize>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..m)
+            .map(|_| uniform_distinct_indices(population, k, &mut rng).unwrap())
+            .collect()
+    }
+
     #[test]
     fn streaming_averager_is_bitwise_equal_to_batch() {
         // The batch reference is m interleaved draw-then-average
@@ -480,8 +503,7 @@ mod tests {
                 .map(|_| k_average(&set, 9, &mut rng).unwrap())
                 .collect();
             let mut streamer =
-                StreamingKAverager::new(set.len(), 16, 9, 7, &mut ChaCha8Rng::seed_from_u64(seed))
-                    .unwrap();
+                StreamingKAverager::new(set.len(), 16, drawn(set.len(), 9, 7, seed)).unwrap();
             let mut streamed: Vec<Option<Vec<f64>>> = vec![None; 7];
             for trace in set.iter() {
                 for (slot, sum) in streamer.ingest(trace.samples()).unwrap() {
@@ -527,22 +549,8 @@ mod tests {
     }
 
     #[test]
-    fn streaming_averager_consumes_rng_like_batch() {
-        use rand::RngCore as _;
-        let set = noisy_test_set(50, 4, 1);
-        let mut r1 = ChaCha8Rng::seed_from_u64(8);
-        let mut r2 = ChaCha8Rng::seed_from_u64(8);
-        for _ in 0..6 {
-            k_average(&set, 5, &mut r1).unwrap();
-        }
-        StreamingKAverager::new(50, 4, 5, 6, &mut r2).unwrap();
-        assert_eq!(r1.next_u64(), r2.next_u64());
-    }
-
-    #[test]
     fn streaming_averager_rejects_bad_input_without_consuming() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut s = StreamingKAverager::new(10, 3, 2, 2, &mut rng).unwrap();
+        let mut s = StreamingKAverager::new(10, 3, drawn(10, 2, 2, 3)).unwrap();
         assert!(matches!(
             s.ingest(&[1.0, 2.0]),
             Err(TraceError::LengthMismatch {
@@ -577,8 +585,7 @@ mod tests {
     fn chunk_ingest_equals_row_ingest() {
         let set = noisy_test_set(60, 8, 2);
         let traces: Vec<Trace> = set.iter().cloned().collect();
-        let mut by_row =
-            StreamingKAverager::new(60, 8, 5, 4, &mut ChaCha8Rng::seed_from_u64(1)).unwrap();
+        let mut by_row = StreamingKAverager::new(60, 8, drawn(60, 5, 4, 1)).unwrap();
         let mut by_chunk = by_row.clone();
         let mut row_finished = Vec::new();
         for trace in &traces {
@@ -607,8 +614,7 @@ mod tests {
     #[test]
     fn chunk_ingest_rejects_the_whole_chunk_without_consuming() {
         let row = |v: &[f64]| Trace::from_samples(v.to_vec());
-        let mut s =
-            StreamingKAverager::new(10, 3, 2, 2, &mut ChaCha8Rng::seed_from_u64(3)).unwrap();
+        let mut s = StreamingKAverager::new(10, 3, drawn(10, 2, 2, 3)).unwrap();
         assert!(matches!(
             s.ingest_chunk(&Vec::<Trace>::new()),
             Err(TraceError::EmptyChunk)
@@ -648,22 +654,54 @@ mod tests {
 
     #[test]
     fn streaming_averager_rejects_degenerate_construction() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(matches!(
-            StreamingKAverager::new(10, 0, 2, 2, &mut rng),
+            StreamingKAverager::new(10, 0, drawn(10, 2, 2, 0)),
             Err(TraceError::EmptyTrace)
         ));
         assert!(matches!(
-            StreamingKAverager::new(10, 3, 2, 0, &mut rng),
+            StreamingKAverager::new(10, 3, Vec::new()),
             Err(TraceError::EmptySet)
         ));
-        assert!(StreamingKAverager::new(3, 3, 4, 1, &mut rng).is_err());
+    }
+
+    #[test]
+    fn streaming_averager_rejects_an_empty_selection() {
+        assert!(matches!(
+            StreamingKAverager::new(10, 3, vec![vec![1, 4], Vec::new()]),
+            Err(TraceError::Select(SelectError::EmptySelection))
+        ));
+    }
+
+    #[test]
+    fn streaming_averager_rejects_a_selection_that_is_not_strictly_ascending() {
+        for selection in [vec![3, 2], vec![0, 5, 5], vec![1, 2, 7, 4]] {
+            let position = selection.windows(2).position(|w| w[0] >= w[1]).unwrap() + 1;
+            assert!(
+                matches!(
+                    StreamingKAverager::new(10, 3, vec![vec![0, 1], selection.clone()]),
+                    Err(TraceError::Select(SelectError::NotAscending { position: p })) if p == position
+                ),
+                "{selection:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_averager_rejects_an_index_past_the_population() {
+        assert!(matches!(
+            StreamingKAverager::new(10, 3, vec![vec![0, 9], vec![2, 10]]),
+            Err(TraceError::IndexOutOfRange {
+                index: 10,
+                available: 10
+            })
+        ));
+        // The last index of the population is in range.
+        assert!(StreamingKAverager::new(10, 3, vec![vec![9]]).is_ok());
     }
 
     #[test]
     fn traces_required_predicts_completion_exactly() {
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let mut s = StreamingKAverager::new(40, 2, 6, 5, &mut rng).unwrap();
+        let mut s = StreamingKAverager::new(40, 2, drawn(40, 6, 5, 21)).unwrap();
         let required: Vec<usize> = (0..=5).map(|r| s.traces_required_for_slots(r)).collect();
         assert_eq!(required[0], 0);
         assert!(required.windows(2).all(|w| w[0] <= w[1]));

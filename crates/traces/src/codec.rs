@@ -641,8 +641,8 @@ fn decode_batch(arena: &mut [f64], trace_len: usize, rows: &[(usize, RowPayload)
         }
     };
     if arena.len() >= PARALLEL_MIN_SAMPLES {
-        let filled: Result<(), std::convert::Infallible> =
-            ipmark_parallel::par_try_fill_rows(arena, trace_len, |i, row| {
+        let filled: Result<(), std::convert::Infallible> = ipmark_parallel::Pool::from_env()
+            .try_fill_rows(arena, trace_len, |i, row| {
                 decode(i, row);
                 Ok(())
             });

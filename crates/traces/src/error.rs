@@ -54,6 +54,11 @@ pub enum SelectError {
     },
     /// Zero elements were requested.
     EmptySelection,
+    /// A selection handed to a consumer was not strictly ascending.
+    NotAscending {
+        /// Position of the first index not greater than its predecessor.
+        position: usize,
+    },
 }
 
 impl fmt::Display for SelectError {
@@ -63,6 +68,12 @@ impl fmt::Display for SelectError {
                 write!(f, "cannot select {k} distinct traces from a set of {n}")
             }
             SelectError::EmptySelection => write!(f, "selection of zero traces requested"),
+            SelectError::NotAscending { position } => {
+                write!(
+                    f,
+                    "selection is not strictly ascending at position {position}"
+                )
+            }
         }
     }
 }
@@ -191,6 +202,7 @@ mod tests {
             Box::new(StatsError::ZeroVariance),
             Box::new(SelectError::KExceedsN { k: 5, n: 2 }),
             Box::new(SelectError::EmptySelection),
+            Box::new(SelectError::NotAscending { position: 1 }),
             Box::new(TraceError::LengthMismatch {
                 expected: 10,
                 provided: 9,

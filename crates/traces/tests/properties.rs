@@ -436,12 +436,12 @@ proptest! {
 
         let k = ((k_frac * n2 as f64) as usize).clamp(1, n2);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut streamer = StreamingKAverager::new(n2, trace_len, k, m, &mut rng).unwrap();
-        // The selections are m successive draws from the stream.
-        let mut rng_ref = ChaCha8Rng::seed_from_u64(seed);
-        for selection in streamer.selections() {
-            prop_assert_eq!(selection, &uniform_distinct_indices(n2, k, &mut rng_ref).unwrap());
-        }
+        let drawn: Vec<Vec<usize>> = (0..m)
+            .map(|_| uniform_distinct_indices(n2, k, &mut rng).unwrap())
+            .collect();
+        let mut streamer = StreamingKAverager::new(n2, trace_len, drawn.clone()).unwrap();
+        // The averager keeps the selections it was handed.
+        prop_assert_eq!(streamer.selections(), drawn.as_slice());
 
         let set = TraceSet::from_traces(
             "stream",

@@ -109,7 +109,9 @@ fn cells_rerun_in_reverse_order_match_the_sharded_report() {
     let report = campaign.run(&Pool::from_env()).expect("campaign run");
     let cells = campaign.grid().cells().expect("cells");
     for coord in cells.iter().rev() {
-        let outcome = campaign.run_cell(coord).expect("cell rerun");
+        let outcome = campaign
+            .run_cell(coord, &Pool::with_threads(1))
+            .expect("cell rerun");
         let via_report = &report.outcomes()[coord.index as usize];
         assert_eq!(
             outcome, *via_report,

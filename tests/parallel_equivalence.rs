@@ -6,7 +6,7 @@
 
 use ipmark::core::matrix::{ExperimentConfig, IdentificationMatrix};
 use ipmark::core::verify::{correlation_process, CorrelationParams};
-use ipmark::core::{AcquireStage, CounterfeitScreen, KAverageStage, Plan, Pooled};
+use ipmark::core::{AcquireStage, CounterfeitScreen, KAverageStage, Plan};
 use ipmark::parallel::Pool;
 use ipmark::traces::average::k_average;
 use ipmark::traces::{Trace, TraceSet};
@@ -134,9 +134,8 @@ fn k_averaging_selects_identical_traces() {
         assert_eq!(rng_par.next_u64(), rng_seq.next_u64(), "seed {seed}");
         for threads in [1, 2, 8] {
             let mut stage = KAverageStage::allocate(params.m, set.trace_len()).expect("buffers");
-            let backend = Pooled::new(Pool::with_threads(threads));
             stage
-                .fill(&set, &set, &acquire, &backend)
+                .fill(&set, &set, &acquire, &Pool::with_threads(threads))
                 .expect("parallel averages");
             assert_eq!(stage.reference(), seq[0].samples(), "seed {seed}");
             for (i, row) in stage.duts().rows().enumerate() {

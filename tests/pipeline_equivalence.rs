@@ -1,9 +1,9 @@
 //! Operator-graph equivalence: every legacy entry point must be
-//! **bit-identical** to the explicit [`Plan`]/[`ExecBackend`] graph it now
-//! shims to — across backends, thread counts and chunk sizes.
+//! **bit-identical** to the explicit [`Plan`] graph it now shims to —
+//! across thread counts and chunk sizes.
 
 use ipmark::core::verify::{correlation_process, CorrelationParams};
-use ipmark::core::{default_backend, CorrelationSet, Plan, Pooled, ResumablePlan, Sequential};
+use ipmark::core::{default_backend, CorrelationSet, Plan, ResumablePlan};
 use ipmark::parallel::Pool;
 use ipmark::traces::{Trace, TraceSet};
 use proptest::prelude::*;
@@ -33,8 +33,8 @@ fn bits(set: &CorrelationSet) -> Vec<u64> {
 
 proptest! {
     /// `correlation_process` (the legacy fused entry point) is bitwise the
-    /// explicit plan on the default backend, on the sequential backend, and
-    /// on the `Sync`-free `execute_seq` path — and all four leave the RNG
+    /// explicit plan on the default pool, on a one-worker pool, and on the
+    /// `Sync`-free `execute_seq` path — and all four leave the RNG
     /// in the same post-state (same draws, same order).
     #[test]
     fn legacy_process_equals_plan_on_every_backend(
@@ -63,8 +63,8 @@ proptest! {
         let mut rng_seq = ChaCha8Rng::seed_from_u64(seed);
         let mut plan_seq = Plan::correlation(&params, &mut rng_seq).expect("plan");
         let on_sequential = plan_seq
-            .execute(&refd, &dut, &Sequential)
-            .expect("sequential backend");
+            .execute(&refd, &dut, &Pool::with_threads(1))
+            .expect("one-worker pool");
 
         let mut rng_staged = ChaCha8Rng::seed_from_u64(seed);
         let mut plan_staged = Plan::correlation(&params, &mut rng_staged).expect("plan");
@@ -160,7 +160,7 @@ fn screen_panel_equals_explicit_plans() {
 }
 
 /// The three matrix variants — env pool, explicit pools of several sizes,
-/// and sequential — are one body parameterized by backend, so they must be
+/// and one worker — are one body parameterized by pool, so they must be
 /// identical to the bit.
 #[test]
 fn matrix_variants_are_bitwise_identical() {
@@ -188,8 +188,8 @@ fn matrix_variants_are_bitwise_identical() {
     }
 }
 
-/// Pooled execution of one plan is thread-count invariant and equal to the
-/// sequential backend — the §7 contract surfaced at the graph level.
+/// Executing one plan on a pool is thread-count invariant and equal to the
+/// one-worker pool — the §7 contract surfaced at the graph level.
 #[test]
 fn pooled_plan_is_thread_count_invariant() {
     let params = CorrelationParams {
@@ -203,12 +203,15 @@ fn pooled_plan_is_thread_count_invariant() {
 
     let mut rng = ChaCha8Rng::seed_from_u64(4);
     let mut plan = Plan::correlation(&params, &mut rng).expect("plan");
-    let baseline = plan.execute(&refd, &dut, &Sequential).expect("sequential");
+    let baseline = plan
+        .execute(&refd, &dut, &Pool::with_threads(1))
+        .expect("one worker");
     for threads in [1, 2, 3, 8] {
-        let backend = Pooled::new(Pool::with_threads(threads));
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let mut plan = Plan::correlation(&params, &mut rng).expect("plan");
-        let set = plan.execute(&refd, &dut, &backend).expect("pooled");
+        let set = plan
+            .execute(&refd, &dut, &Pool::with_threads(threads))
+            .expect("pooled");
         assert_eq!(bits(&set), bits(&baseline), "threads = {threads}");
     }
 }
