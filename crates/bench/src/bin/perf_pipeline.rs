@@ -7,14 +7,15 @@
 //!   sweep it wraps (the X9 `correlate-rows` comparison, re-run against
 //!   the stage seam);
 //! * a full correlation process as the hand-rolled pre-refactor body
-//!   (select → `mean_of_indices_into` → `correlate_rows`) vs
-//!   `Plan::execute` over the same sources and seed;
+//!   (select → `mean_of_indices_into` → `correlate_rows`, one thread) vs
+//!   `Plan::execute` over the same sources and seed, on a one-worker pool
+//!   and on the environment's pool;
 //! * `Plan` buffer reuse: re-executing one plan against fresh selections,
 //!   which skips the per-call arena allocation.
 //!
 //! Both comparisons are asserted bit-identical before timing, and the run
 //! FAILS (exit 1) if the plan path drops below 0.95x the throughput of its
-//! direct counterpart. Results go to stdout and `BENCH_8.json`.
+//! direct counterpart at either pool size. Results go to stdout and `BENCH_8.json`.
 //! Set `IPMARK_QUICK=1` to shrink the repetition counts.
 
 // Benchmark binary: measuring wall-clock time is the whole point here.
@@ -28,6 +29,7 @@ use rand_chacha::ChaCha8Rng;
 
 use ipmark_core::verify::CorrelationParams;
 use ipmark_core::{default_backend, CorrelationSet, Plan};
+use ipmark_parallel::Pool;
 use ipmark_traces::average::mean_of_indices_into;
 use ipmark_traces::select::uniform_distinct_indices;
 use ipmark_traces::stats::PearsonRef;
@@ -154,6 +156,44 @@ fn direct_process(refd: &TraceSet, dut: &TraceSet, seed: u64) -> CorrelationSet 
     CorrelationSet::new(coefficients).expect("m coefficients")
 }
 
+/// One pool's full-process comparison.
+struct ProcessParity {
+    threads: usize,
+    direct_ns: f64,
+    plan_ns: f64,
+    reused_ns: f64,
+    parity: f64,
+}
+
+/// Times the hand-rolled body against `Plan::execute` on `pool`, paired,
+/// and a warm plan re-executing against fresh selections.
+fn process_parity(reps: usize, pool: &Pool, refd: &TraceSet, dut: &TraceSet) -> ProcessParity {
+    let (direct_ns, plan_ns, parity) = paired_parity_ns(
+        reps,
+        || direct_process(refd, dut, SEED).mean(),
+        || {
+            let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+            let mut plan = Plan::correlation(&PARAMS, &mut rng).expect("plan");
+            plan.execute(refd, dut, pool).expect("execute").mean()
+        },
+    );
+    // Buffer reuse: one plan, fresh selections per call, arena kept warm.
+    let mut reused = {
+        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+        Plan::correlation(&PARAMS, &mut rng).expect("plan")
+    };
+    let (reused_ns, _) = median_ns(reps, || {
+        reused.execute(refd, dut, pool).expect("execute").mean()
+    });
+    ProcessParity {
+        threads: pool.threads(),
+        direct_ns,
+        plan_ns,
+        reused_ns,
+        parity,
+    }
+}
+
 fn main() {
     let quick = std::env::var("IPMARK_QUICK").is_ok_and(|v| v == "1");
     let reps = if quick { 11 } else { 101 };
@@ -234,31 +274,28 @@ fn main() {
         "Plan::execute diverged from the hand-rolled process"
     );
 
-    let (proc_direct_ns, proc_plan_ns, proc_parity) = paired_parity_ns(
-        reps,
-        || direct_process(&refd, &dut, SEED).mean(),
-        || {
-            let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-            let mut plan = Plan::correlation(&PARAMS, &mut rng).expect("plan");
-            plan.execute(&refd, &dut, &pool).expect("execute").mean()
-        },
-    );
-    // Buffer reuse: one plan, fresh selections per call, arena kept warm.
-    let mut reused = {
-        let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-        Plan::correlation(&PARAMS, &mut rng).expect("plan")
-    };
-    let (proc_reused_ns, _) = median_ns(reps, || {
-        reused.execute(&refd, &dut, &pool).expect("execute").mean()
-    });
+    // The process comparison runs on one worker and on the environment's
+    // pool: the direct body is sequential either way, so the pooled figure
+    // prices what the fan-out buys as well as what the graph costs.
     println!(
         "full correlation process (n1 = {}, n2 = {}, k = {}, m = {}):",
         PARAMS.n1, PARAMS.n2, PARAMS.k, PARAMS.m
     );
-    println!("  hand-rolled direct body {proc_direct_ns:>10.0} ns");
-    println!("  Plan::correlation+exec  {proc_plan_ns:>10.0} ns");
-    println!("  Plan re-execute (warm)  {proc_reused_ns:>10.0} ns");
-    println!("  parity                  {proc_parity:>10.3}x (gate >= {MIN_PARITY})");
+    let processes: Vec<ProcessParity> = [Pool::with_threads(1), pool]
+        .iter()
+        .map(|pool| {
+            let process = process_parity(reps, pool, &refd, &dut);
+            println!("  on {} pool thread(s):", process.threads);
+            println!("    hand-rolled direct body {:>10.0} ns", process.direct_ns);
+            println!("    Plan::correlation+exec  {:>10.0} ns", process.plan_ns);
+            println!("    Plan re-execute (warm)  {:>10.0} ns", process.reused_ns);
+            println!(
+                "    parity                  {:>10.3}x (gate >= {MIN_PARITY})",
+                process.parity
+            );
+            process
+        })
+        .collect();
 
     let peak_rss_kib = vm_hwm_kib();
     if let Some(kib) = peak_rss_kib {
@@ -285,13 +322,17 @@ fn main() {
             "parity": rows_parity,
             "bit_identical": true,
         },
-        "correlation_process": {
-            "direct_median_ns": proc_direct_ns,
-            "plan_median_ns": proc_plan_ns,
-            "plan_reused_median_ns": proc_reused_ns,
-            "parity": proc_parity,
-            "bit_identical": true,
-        },
+        "correlation_process": processes
+            .iter()
+            .map(|p| serde_json::json!({
+                "threads": p.threads,
+                "direct_median_ns": p.direct_ns,
+                "plan_median_ns": p.plan_ns,
+                "plan_reused_median_ns": p.reused_ns,
+                "parity": p.parity,
+                "bit_identical": true,
+            }))
+            .collect::<Vec<_>>(),
         "peak_rss_kib": peak_rss_kib,
     });
     let out_path = "BENCH_8.json";
@@ -306,12 +347,20 @@ fn main() {
         }
     }
 
-    if rows_parity < MIN_PARITY || proc_parity < MIN_PARITY {
+    let process_figures = processes
+        .iter()
+        .map(|p| format!("{:.3}x at {} thread(s)", p.parity, p.threads))
+        .collect::<Vec<_>>()
+        .join(", ");
+    if rows_parity < MIN_PARITY || processes.iter().any(|p| p.parity < MIN_PARITY) {
         eprintln!(
             "FAIL: operator-graph throughput parity below {MIN_PARITY} \
-             (correlate-rows {rows_parity:.3}x, process {proc_parity:.3}x)"
+             (correlate-rows {rows_parity:.3}x, process {process_figures})"
         );
         std::process::exit(1);
     }
-    println!("parity gate passed ({rows_parity:.3}x / {proc_parity:.3}x >= {MIN_PARITY})");
+    println!(
+        "parity gate passed (correlate-rows {rows_parity:.3}x, process {process_figures}; \
+         all >= {MIN_PARITY})"
+    );
 }

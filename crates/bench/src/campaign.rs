@@ -335,9 +335,10 @@ impl Campaign {
     }
 
     /// Runs every cell of the grid, sharded over `pool`, and aggregates the
-    /// outcomes. Each cell's k-averaging runs on the same `pool`, nested
-    /// inside the cell fan-out. The result is bit-identical for every
-    /// thread count.
+    /// outcomes. Each cell's k-averaging runs on the same `pool`; once the
+    /// grid has a cell for every worker it runs inline on the cell's
+    /// thread (DESIGN.md §7). The result is bit-identical for every thread
+    /// count.
     ///
     /// # Errors
     ///
@@ -362,7 +363,9 @@ impl Campaign {
     /// Runs one cell: fabricates the reference die and both DUT dies under
     /// the cell's corner, measures them through the cell's chain (the DUTs
     /// additionally through the drift/jitter scenario), and scores both
-    /// correlation processes, k-averaging on `pool`.
+    /// correlation processes, k-averaging on `pool`. Called from a
+    /// saturated [`Campaign::run`] fan-out, that k-averaging runs inline on
+    /// the cell's thread; called on its own, it fans out over `pool`.
     ///
     /// Public so determinism tests can re-run cells in arbitrary orders.
     ///

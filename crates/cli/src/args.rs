@@ -66,6 +66,11 @@ impl Args {
         self.flags.contains_key(name)
     }
 
+    /// The names of every flag given, in sorted order.
+    pub fn flag_names(&self) -> impl Iterator<Item = &str> {
+        self.flags.keys().map(String::as_str)
+    }
+
     /// All values of a repeatable flag.
     pub fn all(&self, name: &str) -> &[String] {
         self.flags.get(name).map_or(&[], Vec::as_slice)

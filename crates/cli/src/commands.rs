@@ -40,7 +40,7 @@ USAGE: ipmark <command> [--flag value]...
 COMMANDS
   simulate   Simulate a watermarked IP netlist.
              --ip A|B|C|D | --counter binary|gray [--key 0xNN | --unmarked]
-             [--cycles N=256] [--vcd out.vcd]
+             [--identity] [--cycles N=256] [--vcd out.vcd]
   acquire    Measure a trace campaign on a fabricated die (Pw(device, n)).
              <ip flags as above> [--die-seed N=1] [--traces N=400]
              [--cycles N=256] [--seed N=0] --out FILE
@@ -66,7 +66,7 @@ COMMANDS
              [--trace-len N=2048] [--streaming]
   cpa        Recover the watermark key from a trace campaign.
              --traces FILE --counter binary|gray [--spc N=8] [--limit N]
-             [--identity] [--phase-robust]
+             [--identity] [--phase-robust] [--true-key 0xNN]
   collision  Pairwise key-collision analysis of the leakage sequences.
              [--counter gray] [--keys N=32] [--cycles N=256]
              [--threshold F=0.5] [--identity]
@@ -90,30 +90,91 @@ binary campaigns zero-copy from a memory-mapped file."
         .to_owned()
 }
 
+/// A subcommand: its name, its body and the flags it accepts, separated by
+/// spaces.
+type Command = (
+    &'static str,
+    fn(&Args) -> Result<String, CliError>,
+    &'static str,
+);
+
+/// Every subcommand with the flags it reads; any other flag is a usage
+/// error, so a typo'd flag never runs silently with the default.
+const COMMANDS: &[Command] = &[
+    ("help", |_| Ok(help()), ""),
+    (
+        "simulate",
+        simulate,
+        "ip counter key unmarked identity cycles vcd",
+    ),
+    (
+        "acquire",
+        acquire,
+        "ip counter key unmarked identity die-seed traces cycles seed out format adc",
+    ),
+    ("convert", convert, "in out format adc mapped"),
+    ("verify", verify, "refd dut k m n1 n2 seed json"),
+    (
+        "session",
+        session,
+        "refd dut k m n1 n2 seed chunk stability confidence distinguisher no-early-stop \
+         mapped json",
+    ),
+    ("params", params, "alpha band k n1"),
+    ("plan", plan, "explain paper k m n1 n2 trace-len streaming"),
+    (
+        "cpa",
+        cpa,
+        "traces counter spc limit identity phase-robust true-key",
+    ),
+    (
+        "collision",
+        collision,
+        "counter keys cycles threshold identity",
+    ),
+    (
+        "screen",
+        screen,
+        "refd dut genuine threshold margin k m n1 n2 seed",
+    ),
+    ("campaign", campaign, "full threads cells"),
+];
+
 /// Dispatches one parsed command line.
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for usage mistakes, I/O failures and library
-/// errors; the caller prints the message and sets the exit code.
+/// Returns [`CliError`] for usage mistakes (an unknown command or flag
+/// among them), I/O failures and library errors; the caller prints the
+/// message and sets the exit code.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
-    match args.command.as_str() {
-        "help" | "--help" | "-h" => Ok(help()),
-        "simulate" => simulate(args),
-        "acquire" => acquire(args),
-        "convert" => convert(args),
-        "verify" => verify(args),
-        "session" => session(args),
-        "params" => params(args),
-        "plan" => plan(args),
-        "cpa" => cpa(args),
-        "collision" => collision(args),
-        "screen" => screen(args),
-        "campaign" => campaign(args),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`; try `ipmark help`"
-        ))),
+    let name = match args.command.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    let Some(&(name, run, accepted)) = COMMANDS.iter().find(|(n, _, _)| *n == name) else {
+        return Err(CliError::Usage(format!(
+            "unknown command `{name}`; try `ipmark help`"
+        )));
+    };
+    if let Some(flag) = args
+        .flag_names()
+        .find(|f| !accepted.split_whitespace().any(|a| a == *f))
+    {
+        let accepted: Vec<String> = accepted
+            .split_whitespace()
+            .map(|f| format!("--{f}"))
+            .collect();
+        let accepted = if accepted.is_empty() {
+            "none".to_owned()
+        } else {
+            accepted.join(", ")
+        };
+        return Err(CliError::Usage(format!(
+            "unknown flag --{flag} for `{name}`; accepted: {accepted}"
+        )));
     }
+    run(args)
 }
 
 fn parse_counter(s: &str) -> Result<CounterKind, CliError> {
@@ -818,6 +879,7 @@ fn campaign(args: &Args) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipmark_traces::stats::wilson_interval;
 
     fn run(tokens: &[&str]) -> Result<String, CliError> {
         dispatch(&Args::parse(tokens.iter().copied()).unwrap())
@@ -849,6 +911,49 @@ mod tests {
     #[test]
     fn unknown_command_is_a_usage_error() {
         assert!(matches!(run(&["frobnicate"]), Err(CliError::Usage(_))));
+    }
+
+    #[test]
+    fn every_command_rejects_unknown_flags() {
+        for &(name, _, accepted) in COMMANDS {
+            match run(&[name, "--bogus", "3"]) {
+                Err(CliError::Usage(msg)) => {
+                    assert!(msg.contains("--bogus"), "`{name}`: {msg}");
+                    for flag in accepted.split_whitespace() {
+                        assert!(msg.contains(&format!("--{flag}")), "`{name}`: {msg}");
+                    }
+                }
+                other => panic!("`{name} --bogus 3` must be a usage error, got {other:?}"),
+            }
+        }
+        // The typo and the removed flag from before flags were checked.
+        for tokens in [
+            &["params", "--kk", "5"][..],
+            &["plan", "--backend", "sequential"],
+        ] {
+            assert!(matches!(run(tokens), Err(CliError::Usage(_))), "{tokens:?}");
+        }
+    }
+
+    #[test]
+    fn every_accepted_flag_is_in_help() {
+        let h = help();
+        let documented: Vec<&str> = h
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|token| token.strip_prefix("--"))
+            .collect();
+        for &(name, _, accepted) in COMMANDS {
+            assert!(
+                name == "help" || h.contains(name),
+                "help is missing `{name}`"
+            );
+            for flag in accepted.split_whitespace() {
+                assert!(
+                    documented.contains(&flag),
+                    "help is missing `--{flag}` of `{name}`"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1185,13 +1290,6 @@ mod tests {
         ));
     }
 
-    /// Lower end of the 95 % Wilson interval of `hits` successes in `n`.
-    fn wilson_lower(hits: u64, n: u64) -> f64 {
-        let (p, n, z) = (hits as f64 / n as f64, n as f64, 1.96_f64);
-        let z2n = z * z / n;
-        (p + z2n / 2.0 - z * (p * (1.0 - p) / n + z2n / (4.0 * n)).sqrt()) / (1.0 + z2n)
-    }
-
     #[test]
     fn mapped_session_agrees_with_owned_session() {
         let refd = tmp("map_sess_refd.bin");
@@ -1241,7 +1339,7 @@ mod tests {
             }
         }
         assert!(
-            wilson_lower(genuine_wins, sets) > 0.5,
+            wilson_interval(genuine_wins, sets, 1.96).unwrap().0 > 0.5,
             "genuine DUT won {genuine_wins}/{sets} sessions"
         );
     }

@@ -131,8 +131,11 @@ impl IdentificationMatrix {
     /// callers (and tests) that must not depend on `RAYON_NUM_THREADS`.
     ///
     /// The pool governs the acquisition and cell fan-out and the
-    /// k-averaging inside each cell, so a cell's pool nests inside the
-    /// cell fan-out. Every stage is thread-count invariant by construction.
+    /// k-averaging inside each cell. With at least as many cells as
+    /// workers, the cell fan-out is saturated and each cell's k-averaging
+    /// runs inline on the cell's thread, so the matrix is one flat fan-out
+    /// over cells (DESIGN.md §7). Every stage is thread-count invariant by
+    /// construction.
     /// This is the one campaign body: [`IdentificationMatrix::run`] and
     /// [`IdentificationMatrix::run_seq`] only choose its pool.
     ///
@@ -319,6 +322,7 @@ mod tests {
     use super::*;
     use crate::distinguisher::{HigherMean, LowerVariance};
     use crate::ip::{ip_a, ip_b};
+    use ipmark_traces::stats::wilson_interval;
 
     fn tiny_config() -> ExperimentConfig {
         let mut c = ExperimentConfig::reduced().unwrap();
@@ -353,13 +357,6 @@ mod tests {
         assert_eq!(m.variances()[1].len(), 2);
     }
 
-    /// Lower end of the 95 % Wilson interval of `hits` successes in `n`.
-    fn wilson_lower(hits: u64, n: u64) -> f64 {
-        let (p, n, z) = (hits as f64 / n as f64, n as f64, 1.96_f64);
-        let z2n = z * z / n;
-        (p + z2n / 2.0 - z * (p * (1.0 - p) / n + z2n / (4.0 * n)).sqrt()) / (1.0 + z2n)
-    }
-
     #[test]
     fn two_ip_matrix_identifies_correctly() {
         let mut config = tiny_config();
@@ -383,7 +380,7 @@ mod tests {
             })
             .count() as u64;
         assert!(
-            wilson_lower(all_correct, seeds) > 0.5,
+            wilson_interval(all_correct, seeds, 1.96).unwrap().0 > 0.5,
             "variance verdicts all correct in {all_correct}/{seeds} realizations"
         );
     }

@@ -174,8 +174,10 @@ impl KAverageStage {
         &self.dut_sums
     }
 
-    /// Fills the reference buffer, then fans the `m` DUT rows out over
-    /// `pool` with the fused scale-and-sum sweep: each row's sample sum
+    /// Fills the reference buffer on the calling thread while the `m` DUT
+    /// rows fan out over `pool`, then the caller joins the DUT rows
+    /// ([`Pool::try_fill_rows_map_with_lead`]). The DUT rows use the fused
+    /// scale-and-sum sweep: each row's sample sum
     /// falls out of the `1/k` scaling pass and is stored for
     /// [`KAverageStage::dut_sums`], saving the correlation stage one full
     /// arena sweep. Row contents are bit-identical to the staged
@@ -183,8 +185,9 @@ impl KAverageStage {
     ///
     /// # Errors
     ///
-    /// Propagates trace errors from the sources; when several rows fail,
-    /// the lowest row's error wins (the pool's determinism contract).
+    /// Propagates trace errors from the sources: a reference error wins,
+    /// and when several DUT rows fail, the lowest row's error wins (the
+    /// pool's determinism contract).
     pub fn fill<SR, SD>(
         &mut self,
         refd: &SR,
@@ -197,18 +200,22 @@ impl KAverageStage {
         SD: TraceSource + Sync + ?Sized,
     {
         self.dut_sums.clear();
-        mean_of_indices_into(refd, &acquire.refd_selection, &mut self.a_refd)
-            .map_err(CoreError::Trace)?;
+        let a_refd = &mut self.a_refd;
         let trace_len = self.a_duts.trace_len();
         let selections = &acquire.dut_selections;
         let sums = pool
-            .try_fill_rows_map(self.a_duts.samples_mut(), trace_len, |i, row| {
-                let selection = selections.get(i).ok_or(TraceError::IndexOutOfRange {
-                    index: i,
-                    available: selections.len(),
-                })?;
-                mean_of_indices_into_sum(dut, selection, row)
-            })
+            .try_fill_rows_map_with_lead(
+                self.a_duts.samples_mut(),
+                trace_len,
+                || mean_of_indices_into(refd, &acquire.refd_selection, a_refd),
+                |i, row| {
+                    let selection = selections.get(i).ok_or(TraceError::IndexOutOfRange {
+                        index: i,
+                        available: selections.len(),
+                    })?;
+                    mean_of_indices_into_sum(dut, selection, row)
+                },
+            )
             .map_err(CoreError::Trace)?;
         self.dut_sums = sums;
         Ok(())

@@ -233,7 +233,9 @@ impl CounterfeitScreen {
     /// Each device gets its own ChaCha8 stream seeded with
     /// [`CounterfeitScreen::panel_seed`]`(base_seed, index)`, so verdict
     /// `j` equals a standalone [`CounterfeitScreen::screen`] call with that
-    /// seed — at any worker count, including one.
+    /// seed — at any worker count, including one. The devices fan out over
+    /// the default pool; with at least one device per worker, each
+    /// device's k-averaging runs inline on its thread (DESIGN.md §7).
     ///
     /// # Errors
     ///

@@ -12,16 +12,29 @@
 //!   what a sequential `for` loop returning on first error would produce,
 //!   so error behaviour is thread-count-invariant too.
 //!
-//! Worker threads are spawned per call. The workspace fans out over coarse
-//! units (k-average builds, identification-matrix cells, key-guess
-//! hypotheses), where a few microseconds of spawn overhead is noise.
+//! Every fan-out schedules itself: the calling thread spawns `threads − 1`
+//! scoped workers for the call and then works beside them, each
+//! participant claiming the next index from a shared atomic counter. A
+//! fan-out started inside a task of a fan-out that already has a task for
+//! every worker runs inline on that task's thread, so nested fan-outs do
+//! not multiply the thread count. The workspace fans out over coarse units
+//! (k-average rows, identification-matrix cells, key-guess hypotheses),
+//! where a few microseconds of spawn overhead per call is noise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::convert::Infallible;
 use std::num::NonZeroUsize;
-use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
+
+thread_local! {
+    /// Set while this thread runs tasks of a saturated fan-out, one with a
+    /// task for every worker: a fan-out started under it runs inline.
+    static SATURATED: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The default worker count: `RAYON_NUM_THREADS` when set to a positive
 /// number (the conventional knob, honored for familiarity), otherwise the
@@ -55,6 +68,9 @@ impl Default for Pool {
     }
 }
 
+/// The `lead` argument of a fan-out that has none.
+type NoLead<E> = fn() -> Result<(), E>;
+
 impl Pool {
     /// A pool sized from the environment (see [`max_threads`]).
     #[must_use]
@@ -78,22 +94,6 @@ impl Pool {
         self.threads
     }
 
-    /// Splits `0..n` into at most `self.threads` contiguous, balanced
-    /// chunks: `(start, end)` pairs covering the range in order.
-    fn chunks(&self, n: usize) -> Vec<(usize, usize)> {
-        let workers = self.threads.min(n).max(1);
-        let base = n / workers;
-        let rem = n % workers;
-        let mut bounds = Vec::with_capacity(workers);
-        let mut start = 0;
-        for w in 0..workers {
-            let len = base + usize::from(w < rem);
-            bounds.push((start, start + len));
-            start += len;
-        }
-        bounds
-    }
-
     /// Maps `f` over `0..n`, collecting results in index order.
     ///
     /// Equivalent to `(0..n).map(f).collect()` for every thread count.
@@ -102,7 +102,10 @@ impl Pool {
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        match self.fan_out(n, &mut [], 0, |i, _| Ok::<U, Infallible>(f(i))) {
+        let mapped = self.fan_out(n, &mut [], 0, None::<NoLead<Infallible>>, |i, _| {
+            Ok::<U, Infallible>(f(i))
+        });
+        match mapped {
             Ok(out) => out,
             Err(never) => match never {},
         }
@@ -112,10 +115,10 @@ impl Pool {
     ///
     /// On success returns all results in index order; on failure returns
     /// the error produced at the **lowest failing index**, exactly as the
-    /// sequential early-return loop would. Workers stop at their chunk's
-    /// first error, so later chunks may still be fully evaluated — only the
-    /// reported error is normalized, matching sequential *observable*
-    /// behaviour for side-effect-free `f`.
+    /// sequential early-return loop would. Claiming stops above the lowest
+    /// failed index, so every index below the reported one has run; indices
+    /// above it may have run too — only the reported error is normalized,
+    /// matching sequential *observable* behaviour for side-effect-free `f`.
     ///
     /// # Errors
     ///
@@ -126,7 +129,7 @@ impl Pool {
         E: Send,
         F: Fn(usize) -> Result<U, E> + Sync,
     {
-        self.fan_out(n, &mut [], 0, |i, _| f(i))
+        self.fan_out(n, &mut [], 0, None::<NoLead<E>>, |i, _| f(i))
     }
 
     /// Fallibly fills the rows of one contiguous row-major buffer:
@@ -135,12 +138,12 @@ impl Pool {
     ///
     /// This is the arena-writing counterpart of
     /// [`Pool::try_map_indexed`]: instead of collecting per-index
-    /// allocations, all workers write into disjoint row ranges of a single
-    /// caller-owned allocation (safe — the buffer is partitioned with
-    /// `split_at_mut` along the same contiguous chunk boundaries the map
-    /// primitives use). Row order and error normalization follow the
-    /// determinism contract: `f` runs once per row, and the reported error
-    /// is the one with the **lowest row index**, as in the sequential loop.
+    /// allocations, all workers write into disjoint rows of a single
+    /// caller-owned allocation (safe — each row sits behind its own lock,
+    /// taken once by the participant that claims the row). Row order and
+    /// error normalization follow the determinism contract: `f` runs once
+    /// per row, and the reported error is the one with the **lowest row
+    /// index**, as in the sequential loop.
     ///
     /// Rows past `data.len() / row_len * row_len` samples do not exist; a
     /// trailing partial row is ignored (callers pass exact-multiple
@@ -154,7 +157,6 @@ impl Pool {
         E: Send,
         F: Fn(usize, &mut [f64]) -> Result<(), E> + Sync,
     {
-        // `Vec<()>` never allocates.
         self.try_fill_rows_map(data, row_len, f).map(drop)
     }
 
@@ -166,9 +168,9 @@ impl Pool {
     /// `f(i, row)` runs exactly once per row; on success the returned
     /// vector holds `f`'s values in row order for every thread count, and
     /// on failure the reported error is the one with the **lowest row
-    /// index**, as in the sequential loop. Partitioning, trailing-row and
-    /// `row_len == 0` behavior match [`Pool::try_fill_rows`] (`row_len ==
-    /// 0` yields an empty vector).
+    /// index**, as in the sequential loop. Trailing-row and `row_len == 0`
+    /// behavior match [`Pool::try_fill_rows`] (`row_len == 0` yields an
+    /// empty vector).
     ///
     /// # Errors
     ///
@@ -185,74 +187,221 @@ impl Pool {
         F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
     {
         let rows = data.len().checked_div(row_len).unwrap_or(0);
-        self.fan_out(rows, data, row_len, f)
+        self.fan_out(rows, data, row_len, None::<NoLead<E>>, f)
     }
 
-    /// The one fan-out body behind every primitive: calls `f(i, row)` once
-    /// for each `i` in `0..n`, where `row` is the `i`-th `row_len`-sample
-    /// row of `data` (empty when `row_len == 0`; `data` holds at least
-    /// `n * row_len` samples), and collects the values in index order.
+    /// [`Pool::try_fill_rows_map`] with one extra task for the calling
+    /// thread: `lead` runs on the caller while the workers start on the
+    /// rows, then the caller joins the row queue.
     ///
-    /// At one worker, or for at most one index, this is the plain loop on
-    /// the calling thread. Otherwise `0..n` is split into contiguous chunks
-    /// (with `data` split along the same boundaries), one scoped worker per
-    /// chunk. Each worker stops at its chunk's first error; the chunks are
-    /// joined in index order and every chunk before the first failing one
-    /// succeeded whole, so the first error met is the lowest-index one.
-    fn fan_out<U, E, F>(
+    /// `lead` needs neither `Send` nor `Sync`, so it may borrow state the
+    /// rows cannot (a reference source that is not `Sync`, say). It runs
+    /// exactly once, before the caller claims any row; where the fan-out
+    /// runs inline it runs before row 0. An error from `lead` wins over any
+    /// row error, and stops the row claims.
+    ///
+    /// # Errors
+    ///
+    /// Propagates `lead`'s error, else the lowest-row-index error from `f`.
+    pub fn try_fill_rows_map_with_lead<U, E, G, F>(
         &self,
-        n: usize,
         data: &mut [f64],
         row_len: usize,
+        lead: G,
         f: F,
     ) -> Result<Vec<U>, E>
     where
         U: Send,
         E: Send,
+        G: FnOnce() -> Result<(), E>,
         F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
     {
-        if self.threads <= 1 || n <= 1 {
-            return run_range(&f, 0..n, data, row_len);
-        }
-        let f = &f;
-        let parts: Vec<Result<Vec<U>, E>> = std::thread::scope(|scope| {
-            let mut rest = data;
-            let mut handles = Vec::new();
-            for (start, end) in self.chunks(n) {
-                let (part, tail) = rest.split_at_mut((end - start) * row_len);
-                rest = tail;
-                handles.push(scope.spawn(move || run_range(f, start..end, part, row_len)));
+        let rows = data.len().checked_div(row_len).unwrap_or(0);
+        self.fan_out(rows, data, row_len, Some(lead), f)
+    }
+
+    /// The one fan-out body behind every primitive: runs `lead` (if any) on
+    /// the calling thread, calls `f(i, row)` once for each `i` in `0..n`,
+    /// where `row` is the `i`-th `row_len`-sample row of `data` (empty when
+    /// `row_len == 0`; `data` holds at least `n * row_len` samples), and
+    /// collects the values in index order.
+    ///
+    /// It runs as the plain loop on the calling thread at one worker, for
+    /// at most one task, or inside a task of a saturated fan-out. Otherwise
+    /// the caller spawns one scoped worker per further task, up to
+    /// `threads − 1`, runs `lead`, and joins the workers in claiming
+    /// indices from the shared [`Queue`].
+    fn fan_out<U, E, G, F>(
+        &self,
+        n: usize,
+        data: &mut [f64],
+        row_len: usize,
+        lead: Option<G>,
+        f: F,
+    ) -> Result<Vec<U>, E>
+    where
+        U: Send,
+        E: Send,
+        G: FnOnce() -> Result<(), E>,
+        F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
+    {
+        let tasks = n + usize::from(lead.is_some());
+        if self.threads <= 1 || tasks <= 1 || SATURATED.get() {
+            if let Some(lead) = lead {
+                lead()?;
             }
-            handles
-                .into_iter()
-                // A worker can only panic if `f` panicked; re-raise that
-                // panic on the caller's thread instead of a fresh
-                // expect-panic, so no new panic site is introduced here.
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(n);
-        for part in parts {
-            out.append(&mut part?);
+            return run_inline(&f, n, data, row_len);
         }
-        Ok(out)
+        let saturated = tasks >= self.threads;
+        let queue = Queue::new(n, data, row_len, &f);
+        let (led, parts) = std::thread::scope(|scope| {
+            let queue = &queue;
+            let workers: Vec<_> = (1..self.threads.min(tasks))
+                .map(|_| scope.spawn(move || as_task(saturated, || queue.drain())))
+                .collect();
+            let (led, mine) = as_task(saturated, || {
+                let led = lead.map_or(Ok(()), |lead| lead());
+                if led.is_err() {
+                    queue.close();
+                }
+                (led, queue.drain())
+            });
+            let mut parts = vec![mine];
+            // A worker can only panic if `f` panicked; re-raise that panic
+            // on the caller's thread instead of a fresh expect-panic, so no
+            // new panic site is introduced here.
+            parts.extend(
+                workers
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+            );
+            (led, parts)
+        });
+        led?;
+        assemble(n, parts)
     }
 }
 
-/// The sequential loop over one contiguous index range: `f(i, row)` for
-/// each `i` in `range`, rows taken in order from the front of `rows`,
-/// stopping at the first error.
-fn run_range<U, E, F>(
-    f: &F,
-    range: Range<usize>,
-    mut rows: &mut [f64],
-    row_len: usize,
-) -> Result<Vec<U>, E>
+/// Runs `body` as a task of a fan-out, with the thread marked saturated or
+/// not for any fan-out `body` starts; the mark is restored on return and
+/// on unwind.
+fn as_task<T>(saturated: bool, body: impl FnOnce() -> T) -> T {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SATURATED.set(self.0);
+        }
+    }
+    let _restore = Restore(SATURATED.replace(saturated));
+    body()
+}
+
+/// What one participant of a fan-out hands back: the `(index, value)`
+/// pairs it produced in ascending index order, or its first error.
+type Claimed<U, E> = Result<Vec<(usize, U)>, (usize, E)>;
+
+/// The shared state of one self-scheduling fan-out.
+///
+/// Both counters are `Relaxed`: they publish no data. A claim's
+/// uniqueness comes from `fetch_add` alone, rows reach their claimer
+/// through their locks, and values reach the caller through the scoped
+/// joins.
+struct Queue<'a, F> {
+    /// The next unclaimed index.
+    next: AtomicUsize,
+    /// Claims at or above this index are refused: `n`, lowered to the
+    /// lowest failed index, or to 0 when the lead fails.
+    end: AtomicUsize,
+    /// Row `i` of the buffer, locked only by the participant that claims
+    /// `i`, and only once; empty when the fan-out writes no rows.
+    rows: Vec<Mutex<&'a mut [f64]>>,
+    f: &'a F,
+}
+
+impl<'a, F> Queue<'a, F> {
+    fn new(n: usize, data: &'a mut [f64], row_len: usize, f: &'a F) -> Self {
+        let rows = if row_len == 0 {
+            Vec::new()
+        } else {
+            data.chunks_exact_mut(row_len)
+                .take(n)
+                .map(Mutex::new)
+                .collect()
+        };
+        Self {
+            next: AtomicUsize::new(0),
+            end: AtomicUsize::new(n),
+            rows,
+            f,
+        }
+    }
+
+    /// Refuses every further claim.
+    fn close(&self) {
+        self.end.store(0, Relaxed);
+    }
+
+    /// Claims and runs indices until the queue refuses a claim or `f`
+    /// fails. Claims are handed out in increasing order, so when the
+    /// lowest failed index is `e`, every index below `e` was claimed before
+    /// `end` dropped to `e` and has run.
+    fn drain<U, E>(&self) -> Claimed<U, E>
+    where
+        F: Fn(usize, &mut [f64]) -> Result<U, E>,
+    {
+        let mut done = Vec::new();
+        loop {
+            let i = self.next.fetch_add(1, Relaxed);
+            if i >= self.end.load(Relaxed) {
+                return Ok(done);
+            }
+            let out = match self.rows.get(i) {
+                // Each row is locked once, so no earlier holder can have
+                // poisoned it.
+                Some(row) => (self.f)(i, &mut row.lock().unwrap_or_else(PoisonError::into_inner)),
+                None => (self.f)(i, &mut []),
+            };
+            match out {
+                Ok(value) => done.push((i, value)),
+                Err(e) => {
+                    self.end.fetch_min(i, Relaxed);
+                    return Err((i, e));
+                }
+            }
+        }
+    }
+}
+
+/// Puts the participants' results together in index order, or picks the
+/// lowest-index error among them.
+fn assemble<U, E>(n: usize, parts: Vec<Claimed<U, E>>) -> Result<Vec<U>, E> {
+    let mut done = Vec::with_capacity(n);
+    let mut failed: Option<(usize, E)> = None;
+    for part in parts {
+        match part {
+            Ok(mut values) => done.append(&mut values),
+            Err((i, e)) => {
+                if failed.as_ref().is_none_or(|&(lowest, _)| i < lowest) {
+                    failed = Some((i, e));
+                }
+            }
+        }
+    }
+    if let Some((_, e)) = failed {
+        return Err(e);
+    }
+    done.sort_unstable_by_key(|&(i, _)| i);
+    Ok(done.into_iter().map(|(_, value)| value).collect())
+}
+
+/// The sequential loop: `f(i, row)` for each `i` in `0..n`, rows taken in
+/// order from the front of `rows`, stopping at the first error.
+fn run_inline<U, E, F>(f: &F, n: usize, mut rows: &mut [f64], row_len: usize) -> Result<Vec<U>, E>
 where
     F: Fn(usize, &mut [f64]) -> Result<U, E>,
 {
-    let mut out = Vec::with_capacity(range.len());
-    for i in range {
+    let mut out = Vec::with_capacity(n);
+    for i in 0..n {
         let (row, tail) = std::mem::take(&mut rows).split_at_mut(row_len);
         rows = tail;
         out.push(f(i, row)?);
@@ -274,22 +423,6 @@ mod tests {
                 expected,
                 "threads = {threads}"
             );
-        }
-    }
-
-    #[test]
-    fn chunk_boundaries_cover_range_in_order() {
-        for n in [0usize, 1, 2, 5, 97, 100] {
-            for threads in [1usize, 2, 3, 7, 100] {
-                let chunks = Pool::with_threads(threads).chunks(n);
-                let mut expect_start = 0;
-                for &(start, end) in &chunks {
-                    assert_eq!(start, expect_start);
-                    assert!(end >= start);
-                    expect_start = end;
-                }
-                assert_eq!(expect_start, n, "n = {n}, threads = {threads}");
-            }
         }
     }
 

@@ -20,6 +20,7 @@ use ipmark_power::{
     ComponentWeights, DeviceModel, MeasurementChain, NoiseProfile, NoiseRng, PulseShape,
     SimulatedAcquisition, WeightedComponentModel,
 };
+use ipmark_traces::stats::wilson_interval;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -143,20 +144,16 @@ fn lag1_correlation(rng: &mut dyn RngCore) -> Result<(), String> {
 /// The mass of `xs` beyond `±t` lies inside a Wilson interval around
 /// N(0, 1)'s.
 fn tail_mass(xs: &[f64], t: f64) -> Result<(), String> {
-    let n = xs.len() as f64;
-    let hits = xs.iter().filter(|x| x.abs() > t).count() as f64;
-    let p_hat = hits / n;
-    let z2 = Z * Z;
-    let centre = (p_hat + z2 / (2.0 * n)) / (1.0 + z2 / n);
-    let half = Z / (1.0 + z2 / n) * (p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)).sqrt();
+    let n = xs.len() as u64;
+    let hits = xs.iter().filter(|x| x.abs() > t).count() as u64;
+    let p_hat = hits as f64 / n as f64;
+    let (lower, upper) = wilson_interval(hits, n, Z).map_err(|e| e.to_string())?;
     let p_true = 2.0 * (1.0 - normal_cdf(t));
-    (centre - half..=centre + half)
+    (lower..=upper)
         .contains(&p_true)
         .then_some(())
         .ok_or(format!(
-            "P(|z| > {t:.3}) = {p_hat:.6}, Wilson [{:.6}, {:.6}], N(0, 1) {p_true:.6}",
-            centre - half,
-            centre + half
+            "P(|z| > {t:.3}) = {p_hat:.6}, Wilson [{lower:.6}, {upper:.6}], N(0, 1) {p_true:.6}"
         ))
 }
 

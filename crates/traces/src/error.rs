@@ -21,6 +21,15 @@ pub enum StatsError {
     },
     /// A correlation was requested against a constant (zero-variance) series.
     ZeroVariance,
+    /// A binomial interval was requested over zero trials.
+    NoTrials,
+    /// A binomial interval was requested for more successes than trials.
+    HitsExceedTrials {
+        /// Number of successes given.
+        hits: u64,
+        /// Number of trials given.
+        trials: u64,
+    },
 }
 
 impl fmt::Display for StatsError {
@@ -36,6 +45,10 @@ impl fmt::Display for StatsError {
                 )
             }
             StatsError::ZeroVariance => write!(f, "series has zero variance"),
+            StatsError::NoTrials => write!(f, "binomial interval over zero trials"),
+            StatsError::HitsExceedTrials { hits, trials } => {
+                write!(f, "{hits} successes in only {trials} trials")
+            }
         }
     }
 }

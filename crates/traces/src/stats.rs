@@ -622,9 +622,58 @@ pub fn two_smallest(xs: &[f64]) -> Result<(f64, f64), StatsError> {
     Ok((best, second))
 }
 
+/// The Wilson score interval `(lower, upper)` for a binomial proportion:
+/// `hits` successes in `n` trials, at two-sided normal quantile `z`
+/// (1.96 for 95 %). Unlike the Wald interval it stays inside `[0, 1]` and
+/// keeps its coverage near 0 and 1, which is where the workspace's rates
+/// (all-correct panels, in-band realizations, tail masses) live.
+///
+/// # Errors
+///
+/// Returns [`StatsError::NoTrials`] for `n == 0` and
+/// [`StatsError::HitsExceedTrials`] for `hits > n`.
+pub fn wilson_interval(hits: u64, n: u64, z: f64) -> Result<(f64, f64), StatsError> {
+    if n == 0 {
+        return Err(StatsError::NoTrials);
+    }
+    if hits > n {
+        return Err(StatsError::HitsExceedTrials { hits, trials: n });
+    }
+    let (p, n) = (hits as f64 / n as f64, n as f64);
+    let z2n = z * z / n;
+    let centre = (p + z2n / 2.0) / (1.0 + z2n);
+    let half = z / (1.0 + z2n) * (p * (1.0 - p) / n + z2n / (4.0 * n)).sqrt();
+    Ok((centre - half, centre + half))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wilson_interval_matches_published_rates() {
+        // The 400-seed rates quoted in the report and EXPERIMENTS.md.
+        for (hits, lower, upper) in [(264, 0.6123, 0.7047), (390, 0.9546, 0.9864)] {
+            let (lo, hi) = wilson_interval(hits, 400, 1.96).unwrap();
+            assert!((lo - lower).abs() < 5e-5, "{hits}/400: lower {lo}");
+            assert!((hi - upper).abs() < 5e-5, "{hits}/400: upper {hi}");
+        }
+        let (lo, hi) = wilson_interval(0, 10, 1.96).unwrap();
+        assert!(lo.abs() < 1e-12);
+        assert!(hi > 0.0 && hi < 1.0);
+        let (lo, hi) = wilson_interval(10, 10, 1.96).unwrap();
+        assert!(lo > 0.0 && lo < 1.0);
+        assert!((hi - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn wilson_interval_rejects_empty_and_overfull_counts() {
+        assert_eq!(wilson_interval(0, 0, 1.96), Err(StatsError::NoTrials));
+        assert_eq!(
+            wilson_interval(5, 4, 1.96),
+            Err(StatsError::HitsExceedTrials { hits: 5, trials: 4 })
+        );
+    }
 
     #[test]
     fn mean_of_empty_errors() {
