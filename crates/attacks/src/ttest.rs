@@ -143,14 +143,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipmark_traces::{Trace, TraceSet};
+    use ipmark_traces::TraceBlock;
 
-    fn population(center: f64, jitter: f64, n: usize, len: usize) -> TraceSet {
-        let mut set = TraceSet::new("p");
+    fn population(center: f64, jitter: f64, n: usize, len: usize) -> TraceBlock {
+        let mut set = TraceBlock::new("p");
         for i in 0..n {
             let d = jitter * (((i * 2654435761) % 1000) as f64 / 1000.0 - 0.5);
-            set.push(Trace::from_samples(vec![center + d; len]))
-                .unwrap();
+            set.push_row(&vec![center + d; len]).unwrap();
         }
         set
     }

@@ -33,7 +33,7 @@ use ipmark_parallel::Pool;
 use ipmark_traces::average::mean_of_indices_into;
 use ipmark_traces::select::uniform_distinct_indices;
 use ipmark_traces::stats::PearsonRef;
-use ipmark_traces::{Trace, TraceBlock, TraceSet};
+use ipmark_traces::TraceBlock;
 
 /// The X8/X9 acceptance shape: paper-grade trace length, m = 20 rows.
 const TRACE_LEN: usize = 8192;
@@ -67,16 +67,11 @@ fn series(len: usize, salt: u64) -> Vec<f64> {
         .collect()
 }
 
-fn synthetic_set(device: &str, n: usize, salt: u64) -> TraceSet {
-    let mut set = TraceSet::new(device);
-    for i in 0..n {
-        set.push(Trace::from_samples(series(
-            TRACE_LEN,
-            salt.wrapping_add(i as u64),
-        )))
-        .expect("same length");
-    }
-    set
+fn synthetic_block(device: &str, n: usize, salt: u64) -> TraceBlock {
+    let samples = (0..n)
+        .flat_map(|i| series(TRACE_LEN, salt.wrapping_add(i as u64)))
+        .collect();
+    TraceBlock::from_data(device, TRACE_LEN, samples).expect("whole rows")
 }
 
 /// Median wall time of `reps` runs of `f`, in nanoseconds.
@@ -134,7 +129,7 @@ where
 /// primitives the stages wrap: draw the reference selection, k-average it,
 /// draw and k-average the m DUT selections into a fresh arena, then run
 /// the batched Pearson sweep. Same draws, same FLOPs, no stage structs.
-fn direct_process(refd: &TraceSet, dut: &TraceSet, seed: u64) -> CorrelationSet {
+fn direct_process(refd: &TraceBlock, dut: &TraceBlock, seed: u64) -> CorrelationSet {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let refd_sel =
         uniform_distinct_indices(PARAMS.n1, PARAMS.k, &mut rng).expect("valid selection");
@@ -167,7 +162,7 @@ struct ProcessParity {
 
 /// Times the hand-rolled body against `Plan::execute` on `pool`, paired,
 /// and a warm plan re-executing against fresh selections.
-fn process_parity(reps: usize, pool: &Pool, refd: &TraceSet, dut: &TraceSet) -> ProcessParity {
+fn process_parity(reps: usize, pool: &Pool, refd: &TraceBlock, dut: &TraceBlock) -> ProcessParity {
     let (direct_ns, plan_ns, parity) = paired_parity_ns(
         reps,
         || direct_process(refd, dut, SEED).mean(),
@@ -253,8 +248,8 @@ fn main() {
     println!("  parity                  {rows_parity:>10.3}x (gate >= {MIN_PARITY})");
 
     // --- Full process: hand-rolled legacy body vs Plan::execute. ----------
-    let refd = synthetic_set("refd", PARAMS.n1, 1_000);
-    let dut = synthetic_set("dut", PARAMS.n2, 2_000);
+    let refd = synthetic_block("refd", PARAMS.n1, 1_000);
+    let dut = synthetic_block("dut", PARAMS.n2, 2_000);
 
     let want = direct_process(&refd, &dut, SEED);
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);

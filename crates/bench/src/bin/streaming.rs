@@ -136,7 +136,7 @@ fn main() {
         let sets: Vec<CorrelationSet> = duts
             .iter()
             .map(|dut| {
-                let campaign = dut.acquire_all().expect("campaign materialization");
+                let campaign = dut.acquire_block().expect("campaign materialization");
                 correlation_process(refd, &campaign, &params, &mut rng).expect("correlation")
             })
             .collect();

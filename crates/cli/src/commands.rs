@@ -248,7 +248,7 @@ fn load_traces(path: &str) -> Result<TraceBlock, CliError> {
     let file = File::open(path)?;
     let reader = BufReader::new(file);
     let block = if path.ends_with(".csv") {
-        trace_io::read_csv_block(&device, reader)?
+        trace_io::read_csv(&device, reader)?
     } else {
         trace_io::read_block_any(&device, reader)?
     };
@@ -297,7 +297,7 @@ fn save_traces(
     let file = File::create(path)?;
     let writer = BufWriter::new(file);
     match format {
-        "csv" => trace_io::write_block_csv(block, writer)?,
+        "csv" => trace_io::write_csv(block, writer)?,
         "bin" | "binary" => trace_io::write_block(block, writer)?,
         "trc3" => match domain {
             Some(d) => trace_io::write_block_v3_with_domain(block, d, writer)?,

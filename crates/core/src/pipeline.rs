@@ -443,20 +443,18 @@ impl DecideStage {
 /// use ipmark_core::pipeline::{default_backend, Plan};
 /// use ipmark_parallel::Pool;
 /// use ipmark_core::CorrelationParams;
-/// use ipmark_traces::{Trace, TraceSet};
+/// use ipmark_traces::TraceBlock;
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), ipmark_core::CoreError> {
-/// let make = |seed: u64| -> TraceSet {
-///     let mut set = TraceSet::new(format!("dev{seed}"));
+/// let make = |seed: u64| -> TraceBlock {
+///     let mut block = TraceBlock::new(format!("dev{seed}"));
 ///     for t in 0..100 {
 ///         let noise = ((t as f64 + seed as f64) * 13.37).sin() * 0.1;
-///         set.push(Trace::from_samples(
-///             (0..64).map(|i| (i as f64 * 0.7).sin() + noise).collect(),
-///         ))
-///         .unwrap();
+///         let row: Vec<f64> = (0..64).map(|i| (i as f64 * 0.7).sin() + noise).collect();
+///         block.push_row(&row).unwrap();
 ///     }
-///     set
+///     block
 /// };
 /// let (refd, dut) = (make(1), make(2));
 /// let params = CorrelationParams { n1: 100, n2: 100, k: 10, m: 5 };
@@ -815,20 +813,20 @@ impl ResumablePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipmark_traces::{Trace, TraceSet};
+    use ipmark_traces::streaming::ChunkedSource;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn noisy_set(device: &str, n: usize, seed: u64) -> TraceSet {
+    fn noisy_set(device: &str, n: usize, seed: u64) -> TraceBlock {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut set = TraceSet::new(device);
+        let mut set = TraceBlock::new(device);
         for _ in 0..n {
             let samples: Vec<f64> = (0..96)
                 .map(|i| {
                     (i as f64 * 0.31).sin() + ipmark_power::device::gaussian(&mut rng, 0.0, 0.4)
                 })
                 .collect();
-            set.push(Trace::from_samples(samples)).unwrap();
+            set.push_row(&samples).unwrap();
         }
         set
     }
@@ -908,14 +906,9 @@ mod tests {
         };
         for chunk in [1usize, 7, 53, 240] {
             let mut rp = ResumablePlan::new(&refd, &p, &mut ChaCha8Rng::seed_from_u64(7)).unwrap();
-            let mut delivered = 0;
-            while delivered < p.n2 {
-                let take = chunk.min(p.n2 - delivered);
-                let traces: Vec<Trace> = (delivered..delivered + take)
-                    .map(|i| dut.trace(i).unwrap().clone())
-                    .collect();
+            let mut chunks = ChunkedSource::with_limit(&dut, chunk, p.n2).unwrap();
+            while let Some(traces) = chunks.next_chunk().unwrap() {
                 rp.ingest(&traces).unwrap();
-                delivered += take;
             }
             assert_eq!(rp.completed_prefix(), p.m, "chunk {chunk}");
             for (slot, &expected) in batch.coefficients().iter().enumerate() {

@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn screen_panel_matches_per_device_screens() {
-        use ipmark_traces::{Trace, TraceSet};
+        use ipmark_traces::TraceBlock;
 
         // Cheap synthetic panel: one genuine twin of the reference and one
         // device with an unrelated waveform.
@@ -344,13 +344,13 @@ mod tests {
         let wave_b: Vec<f64> = (0..96).map(|i| (i as f64 * 0.83 + 0.4).cos()).collect();
         let noisy = |name: &str, wave: &[f64], n: usize, seed: u64| {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let mut set = TraceSet::new(name);
+            let mut set = TraceBlock::new(name);
             for _ in 0..n {
                 let samples: Vec<f64> = wave
                     .iter()
                     .map(|&w| w + ipmark_power::device::gaussian(&mut rng, 0.0, 0.4))
                     .collect();
-                set.push(Trace::from_samples(samples)).unwrap();
+                set.push_row(&samples).unwrap();
             }
             set
         };

@@ -31,14 +31,14 @@
 //! use ipmark_core::session::{EarlyStopRule, SessionOptions, SessionStatus, VerificationSession};
 //! use ipmark_core::CorrelationParams;
 //! use ipmark_traces::streaming::ChunkedSource;
-//! use ipmark_traces::{Trace, TraceSet};
+//! use ipmark_traces::TraceBlock;
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), ipmark_core::CoreError> {
 //! let wave = |i: usize, phase: f64| ((i as f64) * 0.3 + phase).sin();
-//! let make = |phase: f64, n: usize, seed: u64| -> TraceSet {
+//! let make = |phase: f64, n: usize, seed: u64| -> TraceBlock {
 //!     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-//!     let mut set = TraceSet::new("dev");
+//!     let mut block = TraceBlock::new("dev");
 //!     for _ in 0..n {
 //!         // Per-sample noise: a per-trace constant offset would be
 //!         // removed exactly by Pearson centering, leaving the variance
@@ -46,9 +46,9 @@
 //!         let samples: Vec<f64> = (0..64)
 //!             .map(|i| wave(i, phase) + ipmark_power::device::gaussian(&mut rng, 0.0, 0.3))
 //!             .collect();
-//!         set.push(Trace::from_samples(samples)).unwrap();
+//!         block.push_row(&samples).unwrap();
 //!     }
-//!     set
+//!     block
 //! };
 //! let refd = make(0.0, 60, 1);
 //! let duts = [make(0.0, 200, 2), make(1.6, 200, 3)]; // candidate 0 matches
@@ -59,7 +59,7 @@
 //! let mut session = VerificationSession::new(&refd, 2, options, &mut rng)?;
 //! // Each DUT streams as contiguous `TraceBlock` chunks — one arena
 //! // allocation per chunk, no per-trace clones.
-//! let mut streams: Vec<ChunkedSource<'_, TraceSet>> = duts
+//! let mut streams: Vec<ChunkedSource<'_, TraceBlock>> = duts
 //!     .iter()
 //!     .map(|dut| ChunkedSource::new(dut, 16))
 //!     .collect::<Result<_, _>>()?;
@@ -299,9 +299,9 @@ impl VerificationSession {
     ///
     /// The chunk may be any [`TraceChunk`] container — the contiguous
     /// [`TraceBlock`](ipmark_traces::TraceBlock) a
-    /// [`ChunkedSource`](ipmark_traces::streaming::ChunkedSource) delivers
-    /// (the allocation-free path), or an owned `Vec<Trace>` / `[Trace]` /
-    /// `TraceSet`. All containers flow through identical validation and
+    /// [`ChunkedSource`](ipmark_traces::streaming::ChunkedSource) delivers,
+    /// or a [`MappedBlock`](ipmark_traces::MappedBlock) read straight from
+    /// a corpus file. Both flow through identical validation and
     /// accumulation code, so the produced coefficients are bit-identical.
     ///
     /// A rejected chunk is atomic: the whole chunk is validated before any
@@ -526,13 +526,13 @@ mod tests {
     use crate::pipeline::Plan;
     use crate::verify::correlation_process;
     use ipmark_traces::streaming::ChunkedSource;
-    use ipmark_traces::{Trace, TraceSet};
+    use ipmark_traces::TraceBlock;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn noisy_set(device: &str, phase: f64, n: usize, seed: u64) -> TraceSet {
+    fn noisy_set(device: &str, phase: f64, n: usize, seed: u64) -> TraceBlock {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut set = TraceSet::new(device);
+        let mut set = TraceBlock::new(device);
         for _ in 0..n {
             let samples: Vec<f64> = (0..96)
                 .map(|i| {
@@ -540,9 +540,15 @@ mod tests {
                         + ipmark_power::device::gaussian(&mut rng, 0.0, 0.4)
                 })
                 .collect();
-            set.push(Trace::from_samples(samples)).unwrap();
+            set.push_row(&samples).unwrap();
         }
         set
+    }
+
+    /// Rows `0..n` of `block` as a chunk of their own.
+    fn head(block: &TraceBlock, n: usize) -> TraceBlock {
+        let len = block.trace_len();
+        TraceBlock::from_data("chunk", len, block.samples()[..n * len].to_vec()).unwrap()
     }
 
     fn params() -> CorrelationParams {
@@ -558,11 +564,11 @@ mod tests {
     /// candidate by candidate per wave, until a verdict or stream end.
     fn drive(
         session: &mut VerificationSession,
-        duts: &[&TraceSet],
+        duts: &[&TraceBlock],
         chunk: usize,
         n2: usize,
     ) -> Option<Verdict> {
-        let mut streams: Vec<ChunkedSource<'_, TraceSet>> = duts
+        let mut streams: Vec<ChunkedSource<'_, TraceBlock>> = duts
             .iter()
             .map(|dut| ChunkedSource::with_limit(*dut, chunk, n2).unwrap())
             .collect();
@@ -706,7 +712,7 @@ mod tests {
         let mut session =
             VerificationSession::new(&refd, 2, SessionOptions::new(p), &mut rng).unwrap();
 
-        let chunk: Vec<Trace> = (0..4).map(|i| dut.trace(i).unwrap().clone()).collect();
+        let chunk = head(&dut, 4);
         assert!(matches!(
             session.ingest_chunk(5, &chunk),
             Err(CoreError::Session(SessionError::UnknownCandidate {
@@ -715,13 +721,12 @@ mod tests {
             }))
         ));
         assert!(matches!(
-            session.ingest_chunk(0, &Vec::<Trace>::new()),
+            session.ingest_chunk(0, &TraceBlock::new("empty")),
             Err(CoreError::Trace(TraceError::EmptyChunk))
         ));
 
         // Oversized delivery: budget is n2 per candidate.
-        let all: Vec<Trace> = (0..240).map(|i| dut.trace(i).unwrap().clone()).collect();
-        session.ingest_chunk(0, &all).unwrap();
+        session.ingest_chunk(0, &dut).unwrap();
         assert!(matches!(
             session.ingest_chunk(0, &chunk),
             Err(CoreError::Session(SessionError::TooManyTraces {
@@ -732,14 +737,13 @@ mod tests {
 
         // Malformed chunks are rejected atomically: nothing consumed.
         let before = session.traces_ingested(1);
-        let mut bad = chunk.clone();
-        bad[2] = Trace::from_samples(vec![1.0, f64::NAN]);
+        let bad = TraceBlock::from_data("bad", 2, [1.0, f64::NAN].repeat(4)).unwrap();
         assert!(matches!(
             session.ingest_chunk(1, &bad),
             Err(CoreError::Trace(TraceError::LengthMismatch { .. }))
         ));
         let mut nan = chunk.clone();
-        nan[1] = Trace::from_samples(vec![f64::NAN; 96]);
+        nan.row_mut(1).unwrap().fill(f64::NAN);
         assert!(matches!(
             session.ingest_chunk(1, &nan),
             Err(CoreError::Trace(TraceError::NonFiniteSample {
@@ -763,7 +767,7 @@ mod tests {
             VerificationSession::new(&refd, 2, SessionOptions::new(p), &mut rng).unwrap();
         drive(&mut session, &[&duts[0], &duts[1]], 240, p.n2).unwrap();
         assert!(session.is_decided());
-        let chunk: Vec<Trace> = vec![duts[0].trace(0).unwrap().clone()];
+        let chunk = head(&duts[0], 1);
         assert!(matches!(
             session.ingest_chunk(0, &chunk),
             Err(CoreError::Session(SessionError::AlreadyDecided))
@@ -779,8 +783,7 @@ mod tests {
         let mut session =
             VerificationSession::new(&refd, 2, SessionOptions::new(p), &mut rng).unwrap();
         // Candidate 1 never receives a trace: prefix 0 → typed error.
-        let chunk: Vec<Trace> = (0..240).map(|i| dut.trace(i).unwrap().clone()).collect();
-        session.ingest_chunk(0, &chunk).unwrap();
+        session.ingest_chunk(0, &dut).unwrap();
         assert!(matches!(
             session.finalize(),
             Err(CoreError::NotEnoughCoefficients {
@@ -811,7 +814,8 @@ mod tests {
         let mut next = 0;
         while session.completed_prefix(0) < 4 || session.completed_prefix(1) < 4 {
             for (candidate, dut) in duts.iter().enumerate() {
-                let chunk = vec![dut.trace(next).unwrap().clone()];
+                let row = dut.row(next).unwrap().samples().to_vec();
+                let chunk = TraceBlock::from_data("chunk", row.len(), row).unwrap();
                 session.ingest_chunk(candidate, &chunk).unwrap();
             }
             next += 1;
@@ -877,10 +881,9 @@ mod tests {
         // Feeding exactly the hinted number of traces to every candidate
         // must unlock round 2 (prefix ≥ 2 everywhere).
         for (candidate, dut) in duts.iter().enumerate() {
-            let chunk: Vec<Trace> = (0..traces_needed_hint)
-                .map(|i| dut.trace(i).unwrap().clone())
-                .collect();
-            session.ingest_chunk(candidate, &chunk).unwrap();
+            session
+                .ingest_chunk(candidate, &head(dut, traces_needed_hint))
+                .unwrap();
         }
         assert!(session.completed_prefix(0) >= 2);
         assert!(session.completed_prefix(1) >= 2);

@@ -192,21 +192,20 @@ impl CorrelationSet {
 ///
 /// ```
 /// use ipmark_core::{correlation_process, CorrelationParams};
-/// use ipmark_traces::{Trace, TraceSet};
+/// use ipmark_traces::TraceBlock;
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Two devices with the same deterministic waveform + noise.
 /// let wave = |i: usize| (i as f64 * 0.7).sin();
-/// let make = |seed: u64| -> TraceSet {
-///     let mut set = TraceSet::new(format!("dev{seed}"));
+/// let make = |seed: u64| -> TraceBlock {
+///     let mut block = TraceBlock::new(format!("dev{seed}"));
 ///     for t in 0..100 {
 ///         let noise = ((t as f64 + seed as f64) * 13.37).sin() * 0.1;
-///         set.push(Trace::from_samples(
-///             (0..64).map(|i| wave(i) + noise).collect(),
-///         )).unwrap();
+///         let row: Vec<f64> = (0..64).map(|i| wave(i) + noise).collect();
+///         block.push_row(&row).unwrap();
 ///     }
-///     set
+///     block
 /// };
 /// let refd = make(1);
 /// let dut = make(2);
@@ -283,19 +282,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipmark_traces::{Trace, TraceSet};
+    use ipmark_traces::TraceBlock;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn noisy_set(device: &str, wave: &[f64], n: usize, seed: u64) -> TraceSet {
+    fn noisy_set(device: &str, wave: &[f64], n: usize, seed: u64) -> TraceBlock {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut set = TraceSet::new(device);
+        let mut set = TraceBlock::new(device);
         for _ in 0..n {
             let samples: Vec<f64> = wave
                 .iter()
                 .map(|&w| w + ipmark_power::device::gaussian(&mut rng, 0.0, 0.5))
                 .collect();
-            set.push(Trace::from_samples(samples)).unwrap();
+            set.push_row(&samples).unwrap();
         }
         set
     }
@@ -447,7 +446,7 @@ mod tests {
         // Traces beyond n2 are poisoned with NaN; the process must not
         // touch them.
         let mut dut = noisy_set("d", &wave_a(), 100, 2);
-        dut.push(Trace::from_samples(vec![f64::NAN; 128])).unwrap();
+        dut.push_row(&[f64::NAN; 128]).unwrap();
         let refd = noisy_set("r", &wave_a(), 50, 1);
         let params = CorrelationParams {
             n1: 50,

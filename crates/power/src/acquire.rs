@@ -16,7 +16,7 @@
 use rand::SeedableRng;
 
 use ipmark_netlist::Circuit;
-use ipmark_traces::{Trace, TraceBlock, TraceError, TraceSet, TraceSource};
+use ipmark_traces::{Trace, TraceBlock, TraceError, TraceSource};
 
 use crate::chain::MeasurementChain;
 use crate::device::DeviceModel;
@@ -191,32 +191,11 @@ impl SimulatedAcquisition {
         }
     }
 
-    /// Materializes the whole campaign as an in-memory [`TraceSet`] — the
-    /// paper's `T_device = Pw(device, n)`.
-    ///
-    /// Every trace regenerates from its own per-index seed, so the
-    /// materialization fans out across threads; index-order collection
-    /// keeps trace `i` identical to [`SimulatedAcquisition::trace`]`(i)` for
-    /// every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates container errors (cannot occur for a valid campaign).
-    pub fn acquire_all(&self) -> Result<TraceSet, TraceError> {
-        let traces = ipmark_parallel::Pool::from_env()
-            .try_map_indexed(self.num_traces, |i| self.trace(i))?;
-        let mut set = TraceSet::new(self.device_name.clone());
-        for t in traces {
-            set.push(t)?;
-        }
-        Ok(set)
-    }
-
     /// Streams the campaign as fixed-size chunks — the delivery shape a
     /// streaming verification session (backed by
     /// [`StreamingKAverager`](ipmark_traces::average::StreamingKAverager))
     /// consumes. Traces arrive in campaign index order, so the stream is
-    /// bit-identical to what [`SimulatedAcquisition::acquire_all`] would
+    /// bit-identical to what [`SimulatedAcquisition::acquire_block`] would
     /// have materialized.
     ///
     /// # Errors
@@ -230,8 +209,8 @@ impl SimulatedAcquisition {
     }
 
     /// Materializes the whole campaign into one contiguous [`TraceBlock`]
-    /// — the arena-native form of [`SimulatedAcquisition::acquire_all`],
-    /// performing exactly one allocation for all `num_traces` traces.
+    /// — the paper's `T_device = Pw(device, n)` — performing exactly one
+    /// allocation for all `num_traces` traces.
     ///
     /// Each trace regenerates from its own per-index seed directly into its
     /// arena row, so the workers write disjoint row ranges of the shared
@@ -327,24 +306,6 @@ fn into_trace_error(e: PowerError) -> TraceError {
     }
 }
 
-/// Convenience wrapper matching the paper's notation: measure `n` traces on
-/// `device` and return them as a set.
-///
-/// # Errors
-///
-/// Propagates acquisition errors.
-pub fn pw(
-    circuit: &mut Circuit,
-    device: &DeviceModel,
-    chain: &MeasurementChain,
-    cycles: usize,
-    n: usize,
-    seed: u64,
-) -> Result<TraceSet, PowerError> {
-    let acq = SimulatedAcquisition::prepare(circuit, device, chain, cycles, n, seed)?;
-    Ok(acq.acquire_all()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,21 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn acquire_all_matches_indexed_traces() {
-        let mut circuit = test_circuit();
-        let device = test_device();
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.8, 0.05, None).unwrap();
-        let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 6, 3).unwrap();
-        let set = acq.acquire_all().unwrap();
-        assert_eq!(set.len(), 6);
-        assert_eq!(set.device(), "dev");
-        for i in 0..6 {
-            assert_eq!(set.trace(i).unwrap(), &acq.trace(i).unwrap());
-        }
-    }
-
-    #[test]
     fn trace_source_accumulate_matches_trace() {
         let mut circuit = test_circuit();
         let device = test_device();
@@ -456,20 +402,6 @@ mod tests {
     }
 
     #[test]
-    fn acquire_all_matches_per_index_traces() {
-        let mut circuit = test_circuit();
-        let device = test_device();
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.15, None).unwrap();
-        let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 17, 5).unwrap();
-        let set = acq.acquire_all().unwrap();
-        assert_eq!(set.len(), 17);
-        for i in 0..17 {
-            assert_eq!(set.trace(i).unwrap(), &acq.trace(i).unwrap(), "trace {i}");
-        }
-    }
-
-    #[test]
     fn chunked_stream_matches_materialized_campaign() {
         let mut circuit = test_circuit();
         let device = test_device();
@@ -481,10 +413,10 @@ mod tests {
         while let Some(chunk) = chunks.next_chunk().unwrap() {
             streamed.extend(chunk.rows().map(|r| r.samples().to_vec()));
         }
-        let batch = acq.acquire_all().unwrap();
+        let batch = acq.acquire_block().unwrap();
         assert_eq!(streamed.len(), batch.len());
         for (i, samples) in streamed.iter().enumerate() {
-            assert_eq!(samples.as_slice(), batch.trace(i).unwrap().samples());
+            assert_eq!(samples.as_slice(), batch.row(i).unwrap().samples());
         }
         assert!(acq.chunked(0).is_err());
     }
@@ -520,16 +452,6 @@ mod tests {
         let mut bad = vec![0.0; 3];
         assert!(acq.trace_into(0, &mut bad).is_err());
         assert!(acq.trace_into(13, &mut vec![0.0; acq.trace_len()]).is_err());
-    }
-
-    #[test]
-    fn pw_produces_n_traces() {
-        let mut circuit = test_circuit();
-        let device = test_device();
-        let chain = MeasurementChain::ideal(1).unwrap();
-        let set = pw(&mut circuit, &device, &chain, 16, 12, 0).unwrap();
-        assert_eq!(set.len(), 12);
-        assert_eq!(set.trace_len(), 16);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!    needed to reproduce the paper's CMOS-variation-insensitivity claim;
 //! 3. [`chain`] — the measurement chain: pulse shaping, analog bandwidth,
 //!    Gaussian noise, ADC quantization;
-//! 4. [`acquire`] — the paper's `Pw(device, n)`: `n` measured traces
+//! 4. [`acquire`] — the paper's `Pw(device, n)`
+//!    ([`SimulatedAcquisition::acquire_block`]): `n` measured traces
 //!    sharing the device's deterministic waveform with independent noise.
 //!
 //! [`acquire::SimulatedAcquisition`] serves traces on demand
@@ -31,7 +32,7 @@ pub mod leakage;
 pub mod noise;
 pub mod thermal;
 
-pub use acquire::{cycle_powers, pw, SimulatedAcquisition};
+pub use acquire::{cycle_powers, SimulatedAcquisition};
 pub use chain::{AdcConfig, MeasurementChain, PulseShape};
 pub use device::{DeviceModel, ProcessVariation};
 pub use error::PowerError;

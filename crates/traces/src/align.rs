@@ -7,9 +7,10 @@
 //! best matches a reference — plus the SNR metric used to calibrate the
 //! measurement model.
 
+use crate::block::TraceBlock;
 use crate::error::{StatsError, TraceError};
 use crate::stats::{pearson, RunningStats};
-use crate::trace::{Trace, TraceSet};
+use crate::trace::{Trace, TraceSource};
 
 /// The integer shift of `trace` (within `±max_shift`) that maximizes its
 /// Pearson correlation with `reference` over the overlapping window.
@@ -130,44 +131,38 @@ pub fn jitter_offset(stream_seed: u64, index: u64, max_shift: usize) -> isize {
 /// The widest trigger-jitter window [`jitter_offset`] draws from.
 const MAX_JITTER_SHIFT: usize = usize::MAX >> 2;
 
-/// Aligns every trace of `set` to the set's first trace by
+/// Aligns every trace of `block` to the block's first trace by
 /// cross-correlation within `±max_shift` samples.
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::EmptySet`] for an empty set and propagates
+/// Returns [`TraceError::EmptySet`] for an empty block and propagates
 /// statistic errors from degenerate traces.
-pub fn align_to_first(set: &TraceSet, max_shift: usize) -> Result<TraceSet, TraceError> {
-    let reference = set.trace(0).map_err(|_| TraceError::EmptySet)?;
-    let mut aligned = TraceSet::new(set.device().to_owned());
-    for trace in set {
-        let shift = best_shift(reference.samples(), trace.samples(), max_shift)
-            .map_err(TraceError::Stats)?;
-        aligned.push(Trace::from_samples(shifted(trace.samples(), shift)))?;
-    }
-    Ok(aligned)
+pub fn align_to_first(block: &TraceBlock, max_shift: usize) -> Result<TraceBlock, TraceError> {
+    let reference = block.row(0).map_err(|_| TraceError::EmptySet)?;
+    align_to_reference(block, reference.samples(), max_shift)
 }
 
-/// Aligns every trace of `set` to an external reference waveform — e.g.
+/// Aligns every trace of `block` to an external reference waveform — e.g.
 /// the mean trace of the *reference device*, so that a jittered DUT
 /// campaign lands in the reference's time frame before correlation.
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::EmptySet`] for an empty set and propagates
+/// Returns [`TraceError::EmptySet`] for an empty block and propagates
 /// statistic errors from degenerate traces.
 pub fn align_to_reference(
-    set: &TraceSet,
+    block: &TraceBlock,
     reference: &[f64],
     max_shift: usize,
-) -> Result<TraceSet, TraceError> {
-    if set.is_empty() {
+) -> Result<TraceBlock, TraceError> {
+    if block.is_empty() {
         return Err(TraceError::EmptySet);
     }
-    let mut aligned = TraceSet::new(set.device().to_owned());
-    for trace in set {
-        let shift = best_shift(reference, trace.samples(), max_shift).map_err(TraceError::Stats)?;
-        aligned.push(Trace::from_samples(shifted(trace.samples(), shift)))?;
+    let mut aligned = block.clone();
+    for mut row in aligned.rows_mut() {
+        let shift = best_shift(reference, row.samples(), max_shift).map_err(TraceError::Stats)?;
+        shift_in_place(row.samples_mut(), shift);
     }
     Ok(aligned)
 }
@@ -178,22 +173,22 @@ pub fn align_to_reference(
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::EmptySet`] for sets with fewer than two traces.
-pub fn snr(set: &TraceSet) -> Result<f64, TraceError> {
-    if set.len() < 2 {
+/// Returns [`TraceError::EmptySet`] for blocks with fewer than two traces.
+pub fn snr(block: &TraceBlock) -> Result<f64, TraceError> {
+    if block.len() < 2 {
         return Err(TraceError::EmptySet);
     }
-    let len = set.trace_len();
+    let len = block.trace_len();
     let mut per_sample = vec![RunningStats::new(); len];
-    for trace in set {
-        for (s, &x) in per_sample.iter_mut().zip(trace.samples()) {
+    for row in block.rows() {
+        for (s, &x) in per_sample.iter_mut().zip(row.samples()) {
             s.push(x);
         }
     }
     let mut signal = RunningStats::new();
     let mut noise = 0.0;
     for s in &per_sample {
-        // Every per-sample accumulator has seen `set.len() >= 2` pushes,
+        // Every per-sample accumulator has seen `block.len() >= 2` pushes,
         // so mean/variance are always present; EmptySet covers the
         // impossible path without a panic.
         let (Some(m), Some(v)) = (s.mean(), s.variance_sample()) else {
@@ -212,14 +207,14 @@ pub fn snr(set: &TraceSet) -> Result<f64, TraceError> {
     Ok(signal_var / noise_power)
 }
 
-/// The grand mean trace of a set.
+/// The grand mean trace of a source.
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::EmptySet`] for an empty set.
-pub fn mean_trace(set: &TraceSet) -> Result<Trace, TraceError> {
-    let indices: Vec<usize> = (0..set.len()).collect();
-    crate::average::mean_of_indices(set, &indices)
+/// Returns [`TraceError::EmptySet`] for an empty source.
+pub fn mean_trace<S: TraceSource + ?Sized>(source: &S) -> Result<Trace, TraceError> {
+    let indices: Vec<usize> = (0..source.num_traces()).collect();
+    crate::average::mean_of_indices(source, &indices)
 }
 
 #[cfg(test)]
@@ -331,13 +326,12 @@ mod tests {
     #[test]
     fn align_to_first_undoes_jitter() {
         let base = wave(300, 0.0);
-        let mut set = TraceSet::new("jittery");
+        let mut block = TraceBlock::new("jittery");
         for inject in [0isize, 3, -2, 5, -4] {
-            set.push(Trace::from_samples(shifted(&base, inject)))
-                .unwrap();
+            block.push_row(&shifted(&base, inject)).unwrap();
         }
-        let before = snr(&set).unwrap();
-        let aligned = align_to_first(&set, 8).unwrap();
+        let before = snr(&block).unwrap();
+        let aligned = align_to_first(&block, 8).unwrap();
         let after = snr(&aligned).unwrap();
         assert!(
             after > before * 10.0,
@@ -348,66 +342,62 @@ mod tests {
     #[test]
     fn align_to_reference_lands_in_the_reference_frame() {
         let reference = wave(300, 0.0);
-        let mut set = TraceSet::new("shifted");
+        let mut block = TraceBlock::new("shifted");
         for inject in [3isize, 3, 3] {
-            // Whole set offset by the same amount: align_to_first cannot
+            // Whole block offset by the same amount: align_to_first cannot
             // fix this, align_to_reference must.
-            set.push(Trace::from_samples(shifted(&reference, inject)))
-                .unwrap();
+            block.push_row(&shifted(&reference, inject)).unwrap();
         }
-        let aligned = align_to_reference(&set, &reference, 8).unwrap();
-        for t in &aligned {
+        let aligned = align_to_reference(&block, &reference, 8).unwrap();
+        assert_eq!(aligned.device(), "shifted");
+        for t in aligned.rows() {
             let rho = pearson(&reference[8..292], &t.samples()[8..292]).unwrap();
             assert!(rho > 0.999, "rho = {rho}");
         }
-        assert!(align_to_reference(&TraceSet::new("e"), &reference, 4).is_err());
+        assert!(align_to_reference(&TraceBlock::new("e"), &reference, 4).is_err());
     }
 
     #[test]
     fn align_rejects_empty_set() {
-        let set = TraceSet::new("empty");
-        assert!(matches!(align_to_first(&set, 4), Err(TraceError::EmptySet)));
+        let block = TraceBlock::new("empty");
+        assert!(matches!(
+            align_to_first(&block, 4),
+            Err(TraceError::EmptySet)
+        ));
     }
 
     #[test]
     fn snr_matches_construction() {
         // Signal: alternating ±1 (variance 1). Noise: ±0.1 per trace
         // (variance 0.01). Expected SNR ≈ 100.
-        let mut set = TraceSet::new("s");
+        let mut block = TraceBlock::new("s");
         for t in 0..100 {
             let noise = if t % 2 == 0 { 0.1 } else { -0.1 };
             let samples: Vec<f64> = (0..64)
                 .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 } + noise)
                 .collect();
-            set.push(Trace::from_samples(samples)).unwrap();
+            block.push_row(&samples).unwrap();
         }
-        let r = snr(&set).unwrap();
+        let r = snr(&block).unwrap();
         assert!((r - 99.0).abs() < 5.0, "snr = {r}");
     }
 
     #[test]
     fn snr_requires_two_traces_and_nonzero_noise() {
-        let mut set = TraceSet::new("s");
-        set.push(Trace::from_samples(vec![1.0, 2.0])).unwrap();
-        assert!(snr(&set).is_err());
-        set.push(Trace::from_samples(vec![1.0, 2.0])).unwrap();
+        let mut block = TraceBlock::new("s");
+        block.push_row(&[1.0, 2.0]).unwrap();
+        assert!(snr(&block).is_err());
+        block.push_row(&[1.0, 2.0]).unwrap();
         assert!(matches!(
-            snr(&set),
+            snr(&block),
             Err(TraceError::Stats(StatsError::ZeroVariance))
         ));
     }
 
     #[test]
     fn mean_trace_averages_elementwise() {
-        let set = TraceSet::from_traces(
-            "m",
-            vec![
-                Trace::from_samples(vec![1.0, 3.0]),
-                Trace::from_samples(vec![3.0, 5.0]),
-            ],
-        )
-        .unwrap();
-        assert_eq!(mean_trace(&set).unwrap().samples(), &[2.0, 4.0]);
-        assert!(mean_trace(&TraceSet::new("e")).is_err());
+        let block = TraceBlock::from_data("m", 2, vec![1.0, 3.0, 3.0, 5.0]).unwrap();
+        assert_eq!(mean_trace(&block).unwrap().samples(), &[2.0, 4.0]);
+        assert!(mean_trace(&TraceBlock::new("e")).is_err());
     }
 }

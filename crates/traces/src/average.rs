@@ -420,30 +420,27 @@ fn chunk_row<C: TraceChunk + ?Sized>(chunk: &C, offset: usize) -> Result<&[f64],
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceSet;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    fn set_of(vals: &[&[f64]]) -> TraceSet {
-        TraceSet::from_traces(
-            "d",
-            vals.iter()
-                .map(|v| Trace::from_samples(v.to_vec()))
-                .collect(),
-        )
-        .unwrap()
+    fn block_of(vals: &[&[f64]]) -> TraceBlock {
+        let mut block = TraceBlock::new("d");
+        for v in vals {
+            block.push_row(v).unwrap();
+        }
+        block
     }
 
     #[test]
     fn mean_of_indices_averages() {
-        let set = set_of(&[&[1.0, 2.0], &[3.0, 6.0], &[5.0, 10.0]]);
+        let set = block_of(&[&[1.0, 2.0], &[3.0, 6.0], &[5.0, 10.0]]);
         let avg = mean_of_indices(&set, &[0, 2]).unwrap();
         assert_eq!(avg.samples(), &[3.0, 6.0]);
     }
 
     #[test]
     fn mean_of_indices_rejects_empty_and_bad_index() {
-        let set = set_of(&[&[1.0]]);
+        let set = block_of(&[&[1.0]]);
         assert!(matches!(
             mean_of_indices(&set, &[]),
             Err(TraceError::EmptySet)
@@ -453,7 +450,7 @@ mod tests {
 
     #[test]
     fn k_average_of_full_set_is_grand_mean() {
-        let set = set_of(&[&[0.0, 4.0], &[2.0, 0.0], &[4.0, 2.0]]);
+        let set = block_of(&[&[0.0, 4.0], &[2.0, 0.0], &[4.0, 2.0]]);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let avg = k_average(&set, 3, &mut rng).unwrap();
         assert_eq!(avg.samples(), &[2.0, 2.0]);
@@ -461,23 +458,21 @@ mod tests {
 
     #[test]
     fn k_average_rejects_k_larger_than_set() {
-        let set = set_of(&[&[1.0], &[2.0]]);
+        let set = block_of(&[&[1.0], &[2.0]]);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         assert!(k_average(&set, 3, &mut rng).is_err());
         assert!(k_average(&set, 0, &mut rng).is_err());
     }
 
-    fn noisy_test_set(n: usize, len: usize, seed: u64) -> TraceSet {
+    fn noisy_test_set(n: usize, len: usize, seed: u64) -> TraceBlock {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut set = TraceSet::new("stream");
+        let mut set = TraceBlock::new("stream");
         use rand::Rng as _;
         for _ in 0..n {
-            set.push(Trace::from_samples(
-                (0..len)
-                    .map(|i| (i as f64 * 0.31).sin() + rng.gen_range(-0.5..0.5))
-                    .collect(),
-            ))
-            .unwrap();
+            let row: Vec<f64> = (0..len)
+                .map(|i| (i as f64 * 0.31).sin() + rng.gen_range(-0.5..0.5))
+                .collect();
+            set.push_row(&row).unwrap();
         }
         set
     }
@@ -505,7 +500,7 @@ mod tests {
             let mut streamer =
                 StreamingKAverager::new(set.len(), 16, drawn(set.len(), 9, 7, seed)).unwrap();
             let mut streamed: Vec<Option<Vec<f64>>> = vec![None; 7];
-            for trace in set.iter() {
+            for trace in set.rows() {
                 for (slot, sum) in streamer.ingest(trace.samples()).unwrap() {
                     assert!(streamed[slot].is_none(), "slot {slot} completed twice");
                     let avg = streamer.average(slot).expect("slot just finished");
@@ -530,7 +525,7 @@ mod tests {
 
     #[test]
     fn mean_of_indices_into_validates_the_buffer() {
-        let set = set_of(&[&[1.0, 2.0], &[3.0, 6.0]]);
+        let set = block_of(&[&[1.0, 2.0], &[3.0, 6.0]]);
         let mut bad = vec![0.0; 3];
         assert!(matches!(
             mean_of_indices_into(&set, &[0], &mut bad),
@@ -584,16 +579,16 @@ mod tests {
     #[test]
     fn chunk_ingest_equals_row_ingest() {
         let set = noisy_test_set(60, 8, 2);
-        let traces: Vec<Trace> = set.iter().cloned().collect();
         let mut by_row = StreamingKAverager::new(60, 8, drawn(60, 5, 4, 1)).unwrap();
         let mut by_chunk = by_row.clone();
         let mut row_finished = Vec::new();
-        for trace in &traces {
+        for trace in set.rows() {
             row_finished.extend(by_row.ingest(trace.samples()).unwrap());
         }
         let mut chunk_finished = Vec::new();
-        for chunk in traces.chunks(7) {
-            chunk_finished.extend(by_chunk.ingest_chunk(chunk).unwrap());
+        for rows in set.samples().chunks(7 * 8) {
+            let chunk = TraceBlock::from_data("chunk", 8, rows.to_vec()).unwrap();
+            chunk_finished.extend(by_chunk.ingest_chunk(&chunk).unwrap());
         }
         let bits = |f: &[(usize, f64)]| -> Vec<(usize, u64)> {
             f.iter().map(|&(slot, sum)| (slot, sum.to_bits())).collect()
@@ -613,22 +608,21 @@ mod tests {
 
     #[test]
     fn chunk_ingest_rejects_the_whole_chunk_without_consuming() {
-        let row = |v: &[f64]| Trace::from_samples(v.to_vec());
         let mut s = StreamingKAverager::new(10, 3, drawn(10, 2, 2, 3)).unwrap();
         assert!(matches!(
-            s.ingest_chunk(&Vec::<Trace>::new()),
+            s.ingest_chunk(&TraceBlock::new("empty")),
             Err(TraceError::EmptyChunk)
         ));
         // A bad second row rejects the clean first row with it.
         assert!(matches!(
-            s.ingest_chunk(&vec![row(&[0.0, 1.0, 2.0]), row(&[1.0, f64::NAN, 2.0])]),
+            s.ingest_chunk(&block_of(&[&[0.0, 1.0, 2.0], &[1.0, f64::NAN, 2.0]])),
             Err(TraceError::NonFiniteSample {
                 trace_index: 1,
                 sample_index: 1
             })
         ));
         assert!(matches!(
-            s.ingest_chunk(&vec![row(&[0.0, 1.0, 2.0]), row(&[1.0, 2.0])]),
+            s.ingest_chunk(&block_of(&[&[0.0, 1.0], &[1.0, 2.0]])),
             Err(TraceError::LengthMismatch {
                 expected: 3,
                 provided: 2
@@ -636,10 +630,11 @@ mod tests {
         ));
         assert_eq!(s.ingested(), 0);
         assert!(s.output_block().samples().iter().all(|&x| x == 0.0));
-        let nine: Vec<Trace> = (0..9).map(|i| row(&[f64::from(i), 1.0, 2.0])).collect();
-        s.ingest_chunk(&nine).unwrap();
+        let nine: Vec<f64> = (0..9).flat_map(|i| [f64::from(i), 1.0, 2.0]).collect();
+        s.ingest_chunk(&TraceBlock::from_data("nine", 3, nine).unwrap())
+            .unwrap();
         // A chunk that runs past the population is rejected whole.
-        let two = vec![row(&[9.0, 1.0, 2.0]), row(&[10.0, 1.0, 2.0])];
+        let two = block_of(&[&[9.0, 1.0, 2.0], &[10.0, 1.0, 2.0]]);
         assert!(matches!(
             s.ingest_chunk(&two),
             Err(TraceError::IndexOutOfRange {
@@ -648,7 +643,7 @@ mod tests {
             })
         ));
         assert_eq!(s.ingested(), 9);
-        s.ingest_chunk(&two[..1]).unwrap();
+        s.ingest_chunk(&block_of(&[&[9.0, 1.0, 2.0]])).unwrap();
         assert!(s.is_complete());
     }
 
@@ -736,10 +731,10 @@ mod tests {
         // the true mean than a single trace is on average.
         let mut rng = ChaCha8Rng::seed_from_u64(99);
         use rand::Rng as _;
-        let mut set = TraceSet::new("noisy");
+        let mut set = TraceBlock::new("noisy");
         for _ in 0..200 {
             let v: f64 = rng.gen_range(-1.0..1.0);
-            set.push(Trace::from_samples(vec![5.0 + v])).unwrap();
+            set.push_row(&[5.0 + v]).unwrap();
         }
         let avg = k_average(&set, 50, &mut rng).unwrap();
         assert!((avg.samples()[0] - 5.0).abs() < 0.2);

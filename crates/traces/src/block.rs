@@ -8,10 +8,10 @@
 //! `data[i * trace_len .. (i + 1) * trace_len]`.
 //!
 //! Rows are exposed as borrowed views ([`TraceView`] / [`TraceViewMut`]):
-//! thin wrappers over `&[f64]` / `&mut [f64]` that never copy samples. The
-//! owned [`Trace`] / [`TraceSet`] types remain available as conversion
-//! boundaries (serde, ad-hoc construction); [`TraceBlock::from`] and
-//! [`TraceBlock::to_set`] bridge the two representations.
+//! thin wrappers over `&[f64]` / `&mut [f64]` that never copy samples.
+//! [`TraceBlock`] is the only owned multi-trace container; the owned
+//! single-row [`Trace`](crate::Trace) remains for one-off rows such as a
+//! k-average.
 //!
 //! Row-major order is what makes the arena compatible with the determinism
 //! contract (DESIGN.md §7/§9/§10): selections are ascending, so averaging
@@ -20,7 +20,7 @@
 
 use crate::error::TraceError;
 use crate::kernels;
-use crate::trace::{Trace, TraceSet, TraceSource};
+use crate::trace::TraceSource;
 
 /// A contiguous row-major arena of `count` equal-length traces.
 ///
@@ -237,37 +237,6 @@ impl TraceBlock {
             remaining: self.count,
         }
     }
-
-    /// Converts to the owned per-trace representation — a serde/display
-    /// boundary, not a hot-path operation (copies every sample).
-    ///
-    /// # Errors
-    ///
-    /// Propagates container errors (cannot occur for a valid block).
-    pub fn to_set(&self) -> Result<TraceSet, TraceError> {
-        let mut set = TraceSet::new(self.device.clone());
-        for row in self.rows() {
-            set.push(row.to_trace())?;
-        }
-        Ok(set)
-    }
-}
-
-impl From<&TraceSet> for TraceBlock {
-    /// Copies a per-trace set into one contiguous arena (conversion
-    /// boundary; the set's uniform-length invariant makes this total).
-    fn from(set: &TraceSet) -> Self {
-        let mut data = Vec::with_capacity(set.len() * set.trace_len());
-        for trace in set {
-            data.extend_from_slice(trace.samples());
-        }
-        Self {
-            device: set.device().to_owned(),
-            trace_len: if set.is_empty() { 0 } else { set.trace_len() },
-            count: set.len(),
-            data,
-        }
-    }
 }
 
 impl TraceSource for TraceBlock {
@@ -319,11 +288,6 @@ impl<'a> TraceView<'a> {
     /// Whether the view has zero samples.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Copies the row into an owned [`Trace`] (conversion boundary).
-    pub fn to_trace(&self) -> Trace {
-        Trace::from_samples(self.samples.to_owned())
     }
 }
 
@@ -445,13 +409,13 @@ impl<'a> Iterator for RowsMut<'a> {
 impl ExactSizeIterator for RowsMut<'_> {}
 
 /// Uniform read access to a delivered chunk of traces, however it is
-/// stored — a contiguous [`TraceBlock`] (the streaming pipeline's native
-/// shape) or the owned per-trace containers.
+/// stored — an owned [`TraceBlock`] (the streaming pipeline's native
+/// shape) or a [`MappedBlock`](crate::MappedBlock) over a corpus file.
 ///
 /// Streaming consumers (`VerificationSession::ingest_chunk` in
 /// `ipmark-core`) are generic over this trait, so a chunk produced by
-/// `ChunkedSource::next_chunk` and a hand-built `Vec<Trace>` flow through
-/// the identical validation and accumulation code.
+/// `ChunkedSource::next_chunk` and a mapped file flow through the
+/// identical validation and accumulation code.
 pub trait TraceChunk {
     /// Number of traces in the chunk.
     fn chunk_len(&self) -> usize;
@@ -471,36 +435,6 @@ impl TraceChunk for TraceBlock {
         }
         self.data
             .get(index * self.trace_len..(index + 1) * self.trace_len)
-    }
-}
-
-impl TraceChunk for [Trace] {
-    fn chunk_len(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk_row(&self, index: usize) -> Option<&[f64]> {
-        self.get(index).map(Trace::samples)
-    }
-}
-
-impl TraceChunk for Vec<Trace> {
-    fn chunk_len(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk_row(&self, index: usize) -> Option<&[f64]> {
-        self.as_slice().chunk_row(index)
-    }
-}
-
-impl TraceChunk for TraceSet {
-    fn chunk_len(&self) -> usize {
-        self.len()
-    }
-
-    fn chunk_row(&self, index: usize) -> Option<&[f64]> {
-        self.trace(index).ok().map(Trace::samples)
     }
 }
 
@@ -567,7 +501,6 @@ mod tests {
         assert_eq!(deferred.rows().len(), 0);
         assert!(deferred.rows().next().is_none());
         assert!(deferred.rows_mut().next().is_none());
-        assert!(deferred.to_set().unwrap().is_empty());
         // Zero-row block with a declared length: still yields no rows.
         let mut empty = TraceBlock::zeros("d", 0, 7).unwrap();
         assert_eq!(empty.rows().len(), 0);
@@ -658,7 +591,7 @@ mod tests {
         // `samples` outlives the view: it borrows from the block itself.
         assert_eq!(samples, &[1.0, 2.0]);
         let standalone = TraceView::from_samples(&[1.5, 2.5]);
-        assert_eq!(standalone.to_trace().samples(), &[1.5, 2.5]);
+        assert_eq!(standalone.samples(), &[1.5, 2.5]);
     }
 
     #[test]
@@ -676,27 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn conversions_round_trip() {
-        let set = TraceSet::from_traces(
-            "dev",
-            vec![
-                Trace::from_samples(vec![1.0, -2.5]),
-                Trace::from_samples(vec![0.0, 1e-9]),
-            ],
-        )
-        .unwrap();
-        let block = TraceBlock::from(&set);
-        assert_eq!(block.device(), "dev");
-        assert_eq!(block.samples(), &[1.0, -2.5, 0.0, 1e-9]);
-        let back = block.to_set().unwrap();
-        assert_eq!(back, set);
-        // Empty round trip.
-        let empty = TraceBlock::from(&TraceSet::new("e"));
-        assert!(empty.is_empty());
-        assert!(empty.to_set().unwrap().is_empty());
-    }
-
-    #[test]
     fn into_samples_returns_the_arena() {
         let mut b = block_123();
         b.samples_mut()[0] = 100.0;
@@ -704,25 +616,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_chunk_is_uniform_over_containers() {
+    fn trace_chunk_reads_block_rows() {
         let block = block_123();
-        let set = block.to_set().unwrap();
-        let vec: Vec<Trace> = set.iter().cloned().collect();
-        let slice: &[Trace] = &vec;
         assert_eq!(block.chunk_len(), 3);
-        assert_eq!(set.chunk_len(), 3);
-        assert_eq!(vec.chunk_len(), 3);
-        assert_eq!(slice.chunk_len(), 3);
         for i in 0..3 {
-            let expected = block.row(i).unwrap().samples();
-            assert_eq!(block.chunk_row(i), Some(expected));
-            assert_eq!(set.chunk_row(i), Some(expected));
-            assert_eq!(vec.chunk_row(i), Some(expected));
-            assert_eq!(slice.chunk_row(i), Some(expected));
+            assert_eq!(block.chunk_row(i), Some(block.row(i).unwrap().samples()));
         }
         assert_eq!(block.chunk_row(3), None);
-        assert_eq!(set.chunk_row(3), None);
-        assert_eq!(vec.chunk_row(3), None);
-        assert_eq!(slice.chunk_row(3), None);
+        assert_eq!(TraceBlock::new("d").chunk_row(0), None);
     }
 }

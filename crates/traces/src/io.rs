@@ -5,7 +5,8 @@
 //! * **CSV** — one trace per line, samples comma-separated; interoperable
 //!   with spreadsheet tools and the plotting scripts of side-channel suites.
 //! * **`IPMKTRC1`** — the legacy compact little-endian format (magic, trace
-//!   count, trace length, raw `f64` samples, trace by trace).
+//!   count, trace length, raw `f64` samples, trace by trace). It is read,
+//!   no longer written.
 //! * **`IPMKTRC2`** — the arena-native block format. Its payload is
 //!   **byte-identical** to `IPMKTRC1` (writing traces contiguously *is*
 //!   row-major order); only the magic differs. The payload therefore maps
@@ -26,7 +27,6 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use crate::block::TraceBlock;
 use crate::codec::{self, AdcDomain};
 use crate::error::TraceError;
-use crate::trace::{Trace, TraceSet};
 
 /// Magic bytes opening the legacy (v1) binary trace format.
 pub const BINARY_MAGIC: &[u8; 8] = b"IPMKTRC1";
@@ -80,17 +80,17 @@ impl From<TraceError> for IoError {
     }
 }
 
-/// Writes a trace set as CSV, one trace per line. A mutable reference may be
-/// passed as the writer.
+/// Writes a trace block as CSV, one trace per line. A mutable reference may
+/// be passed as the writer.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_csv<W: Write>(set: &TraceSet, writer: W) -> Result<(), IoError> {
+pub fn write_csv<W: Write>(block: &TraceBlock, writer: W) -> Result<(), IoError> {
     let mut w = BufWriter::new(writer);
-    for trace in set {
+    for row in block.rows() {
         let mut first = true;
-        for s in trace.samples() {
+        for s in row.samples() {
             if !first {
                 w.write_all(b",")?;
             }
@@ -103,16 +103,17 @@ pub fn write_csv<W: Write>(set: &TraceSet, writer: W) -> Result<(), IoError> {
     Ok(())
 }
 
-/// Reads a CSV trace set written by [`write_csv`]. A mutable reference may
-/// be passed as the reader.
+/// Reads a CSV campaign written by [`write_csv`] straight into a
+/// contiguous [`TraceBlock`]. A mutable reference may be passed as the
+/// reader.
 ///
 /// # Errors
 ///
 /// Returns [`IoError::Format`] for unparsable numbers and
 /// [`IoError::Trace`] when lines have inconsistent lengths.
-pub fn read_csv<R: Read>(device: &str, reader: R) -> Result<TraceSet, IoError> {
+pub fn read_csv<R: Read>(device: &str, reader: R) -> Result<TraceBlock, IoError> {
     let r = BufReader::new(reader);
-    let mut set = TraceSet::new(device);
+    let mut block = TraceBlock::new(device);
     for (lineno, line) in r.lines().enumerate() {
         // `lines()` reports non-UTF-8 input as an I/O error; for this
         // reader that is a malformed *file*, not a failing reader — keep
@@ -132,42 +133,9 @@ pub fn read_csv<R: Read>(device: &str, reader: R) -> Result<TraceSet, IoError> {
             .map(|tok| tok.trim().parse::<f64>())
             .collect();
         let samples = samples.map_err(|e| IoError::Format(format!("line {}: {e}", lineno + 1)))?;
-        set.push(Trace::from_samples(samples))?;
+        block.push_row(&samples)?;
     }
-    Ok(set)
-}
-
-/// Writes a trace set in the compact binary format. A mutable reference may
-/// be passed as the writer.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_binary<W: Write>(set: &TraceSet, writer: W) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(BINARY_MAGIC)?;
-    w.write_all(&(set.len() as u64).to_le_bytes())?;
-    w.write_all(&(set.trace_len() as u64).to_le_bytes())?;
-    for trace in set {
-        for s in trace.samples() {
-            w.write_all(&s.to_le_bytes())?;
-        }
-    }
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads a binary trace set written by [`write_binary`]. A mutable
-/// reference may be passed as the reader.
-///
-/// Only the legacy `IPMKTRC1` magic is accepted; use [`read_block_any`] to
-/// load either binary version (into a [`TraceBlock`]).
-///
-/// # Errors
-///
-/// Returns [`IoError::Format`] for a bad magic or truncated payload.
-pub fn read_binary<R: Read>(device: &str, reader: R) -> Result<TraceSet, IoError> {
-    Ok(read_block_magics(device, reader, &[BINARY_MAGIC])?.to_set()?)
+    Ok(block)
 }
 
 /// Writes a trace block in the arena-native `IPMKTRC2` format. A mutable
@@ -388,62 +356,39 @@ fn read_block_magics<R: Read>(
     Ok(TraceBlock::from_data(device, len, data)?)
 }
 
-/// Writes a trace block as CSV (conversion boundary — copies through the
-/// owned per-trace representation).
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_block_csv<W: Write>(block: &TraceBlock, writer: W) -> Result<(), IoError> {
-    write_csv(&block.to_set()?, writer)
-}
-
-/// Reads a CSV campaign straight into a contiguous [`TraceBlock`].
-///
-/// # Errors
-///
-/// Same as [`read_csv`].
-pub fn read_csv_block<R: Read>(device: &str, reader: R) -> Result<TraceBlock, IoError> {
-    Ok(TraceBlock::from(&read_csv(device, reader)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_set() -> TraceSet {
-        TraceSet::from_traces(
-            "dev",
-            vec![
-                Trace::from_samples(vec![1.0, -2.5, 3.25]),
-                Trace::from_samples(vec![0.0, 1e-9, 7.0]),
-            ],
-        )
-        .unwrap()
+    fn sample_block() -> TraceBlock {
+        TraceBlock::from_data("dev", 3, vec![1.0, -2.5, 3.25, 0.0, 1e-9, 7.0]).unwrap()
+    }
+
+    /// An `IPMKTRC1` file: the v2 writer's bytes under the v1 magic (the
+    /// payloads are byte-identical).
+    fn v1_bytes(block: &TraceBlock) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_block(block, &mut buf).unwrap();
+        buf[..8].copy_from_slice(BINARY_MAGIC);
+        buf
     }
 
     #[test]
     fn csv_round_trip() {
-        let set = sample_set();
+        let block = sample_block();
         let mut buf = Vec::new();
-        write_csv(&set, &mut buf).unwrap();
+        write_csv(&block, &mut buf).unwrap();
         let back = read_csv("dev", buf.as_slice()).unwrap();
         assert_eq!(back.len(), 2);
-        assert_eq!(
-            back.trace(0).unwrap().samples(),
-            set.trace(0).unwrap().samples()
-        );
-        assert_eq!(
-            back.trace(1).unwrap().samples(),
-            set.trace(1).unwrap().samples()
-        );
+        assert_eq!(back.trace_len(), block.trace_len());
+        assert_eq!(back.samples(), block.samples());
     }
 
     #[test]
     fn csv_skips_blank_lines_and_reports_bad_numbers() {
         let text = "1.0,2.0\n\n3.0,4.0\n";
-        let set = read_csv("d", text.as_bytes()).unwrap();
-        assert_eq!(set.len(), 2);
+        let block = read_csv("d", text.as_bytes()).unwrap();
+        assert_eq!(block.len(), 2);
         let err = read_csv("d", "1.0,zzz\n".as_bytes()).unwrap_err();
         assert!(matches!(err, IoError::Format(_)));
     }
@@ -464,57 +409,47 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip_exact() {
-        let set = sample_set();
-        let mut buf = Vec::new();
-        write_binary(&set, &mut buf).unwrap();
-        let back = read_binary("dev", buf.as_slice()).unwrap();
-        assert_eq!(
-            back,
-            TraceSet::from_traces("dev", set.iter().cloned().collect()).unwrap()
-        );
+    fn v1_reads_exact() {
+        let block = sample_block();
+        let back = read_block_any("dev", v1_bytes(&block).as_slice()).unwrap();
+        assert_eq!(back, block);
     }
 
     #[test]
     fn binary_rejects_bad_magic() {
-        let err = read_binary("d", b"NOTMAGIC".as_slice()).unwrap_err();
+        let err = read_block_any("d", b"NOTMAGIC".as_slice()).unwrap_err();
         assert!(matches!(err, IoError::Format(_)));
     }
 
     #[test]
-    fn binary_rejects_truncation() {
-        let set = sample_set();
-        let mut buf = Vec::new();
-        write_binary(&set, &mut buf).unwrap();
+    fn v1_rejects_truncation() {
+        let mut buf = v1_bytes(&sample_block());
         buf.truncate(buf.len() - 4);
-        let err = read_binary("d", buf.as_slice()).unwrap_err();
+        let err = read_block_any("d", buf.as_slice()).unwrap_err();
         assert!(matches!(err, IoError::Format(_)));
     }
 
     #[test]
-    fn binary_rejects_hostile_headers_without_allocating() {
+    fn v1_rejects_hostile_headers_without_allocating() {
         // A crafted header declaring 2^40 traces of 2^40 samples must fail
         // fast (truncation or overflow), not attempt a giant allocation.
         let mut buf = Vec::new();
         buf.extend_from_slice(BINARY_MAGIC);
         buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
         buf.extend_from_slice(&(1u64 << 40).to_le_bytes());
-        let err = read_binary("d", buf.as_slice()).unwrap_err();
+        let err = read_block_any("d", buf.as_slice()).unwrap_err();
         assert!(matches!(err, IoError::Format(_)), "{err}");
     }
 
     #[test]
-    fn binary_empty_set_round_trips() {
-        let set = TraceSet::new("empty");
-        let mut buf = Vec::new();
-        write_binary(&set, &mut buf).unwrap();
-        let back = read_binary("empty", buf.as_slice()).unwrap();
+    fn v1_empty_campaign_reads() {
+        let back = read_block_any("empty", v1_bytes(&TraceBlock::new("empty")).as_slice()).unwrap();
         assert!(back.is_empty());
     }
 
     #[test]
     fn block_round_trip_exact_bits() {
-        let block = TraceBlock::from_data("dev", 3, vec![1.0, -2.5, 3.25, 0.0, 1e-9, 7.0]).unwrap();
+        let block = sample_block();
         let mut buf = Vec::new();
         write_block(&block, &mut buf).unwrap();
         assert_eq!(&buf[..8], BLOCK_MAGIC);
@@ -526,28 +461,19 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_payloads_are_byte_identical() {
-        let set = sample_set();
-        let block = TraceBlock::from(&set);
-        let mut v1 = Vec::new();
-        write_binary(&set, &mut v1).unwrap();
+    fn v1_and_v2_load_into_the_same_arena() {
+        let block = sample_block();
         let mut v2 = Vec::new();
         write_block(&block, &mut v2).unwrap();
-        assert_eq!(&v1[8..], &v2[8..], "payloads after the magic must match");
-        // Either version loads into the same arena.
-        let from_v1 = read_block_any("dev", v1.as_slice()).unwrap();
+        let from_v1 = read_block_any("dev", v1_bytes(&block).as_slice()).unwrap();
         let from_v2 = read_block_any("dev", v2.as_slice()).unwrap();
         assert_eq!(from_v1, from_v2);
         assert_eq!(from_v1, block);
-        // And a block file converts back to the same set.
-        assert_eq!(from_v2.to_set().unwrap(), set);
     }
 
     #[test]
     fn strict_block_reader_rejects_v1_magic() {
-        let mut v1 = Vec::new();
-        write_binary(&sample_set(), &mut v1).unwrap();
-        let err = read_block("dev", v1.as_slice()).unwrap_err();
+        let err = read_block("dev", v1_bytes(&sample_block()).as_slice()).unwrap_err();
         assert!(matches!(err, IoError::Format(_)), "{err}");
         assert!(matches!(
             read_block("d", b"NOTMAGIC".as_slice()).unwrap_err(),
@@ -557,7 +483,7 @@ mod tests {
 
     #[test]
     fn block_rejects_truncation_and_hostile_headers() {
-        let block = TraceBlock::from(&sample_set());
+        let block = sample_block();
         let mut buf = Vec::new();
         write_block(&block, &mut buf).unwrap();
         buf.truncate(buf.len() - 4);
@@ -588,17 +514,6 @@ mod tests {
         write_block(&empty, &mut buf).unwrap();
         let back = read_block("empty", buf.as_slice()).unwrap();
         assert!(back.is_empty());
-    }
-
-    #[test]
-    fn block_csv_round_trips_through_conversion() {
-        let block = TraceBlock::from(&sample_set());
-        let mut buf = Vec::new();
-        write_block_csv(&block, &mut buf).unwrap();
-        let back = read_csv_block("dev", buf.as_slice()).unwrap();
-        assert_eq!(back.len(), block.len());
-        assert_eq!(back.trace_len(), block.trace_len());
-        assert_eq!(back.samples(), block.samples());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! The paper's correlation computation process (§III) is a pipeline of three
 //! primitives, all of which live here:
 //!
-//! 1. trace sets `T_device` ([`TraceSet`], or any [`TraceSource`]),
+//! 1. trace sets `T_device` ([`TraceBlock`], or any [`TraceSource`]),
 //! 2. uniform random distinct selection `U_X(k)` and `k`-averaging
 //!    `mean(U_T(k))` ([`select`], [`average`]),
 //! 3. the Pearson coefficient ρ ([`stats::pearson`]).
@@ -17,18 +17,18 @@
 //! ## Example
 //!
 //! ```
-//! use ipmark_traces::{average::k_average, stats::pearson, Trace, TraceSet};
+//! use ipmark_traces::{average::k_average, stats::pearson, TraceBlock};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut set = TraceSet::new("RefD");
+//! let mut refd = TraceBlock::new("RefD");
 //! for i in 0..100 {
 //!     let jitter = (i as f64 * 0.37).sin() * 0.01;
-//!     set.push(Trace::from_samples(vec![1.0 + jitter, 2.0, 3.0 - jitter]))?;
+//!     refd.push_row(&[1.0 + jitter, 2.0, 3.0 - jitter])?;
 //! }
 //! let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-//! let a = k_average(&set, 50, &mut rng)?;
-//! let b = k_average(&set, 50, &mut rng)?;
+//! let a = k_average(&refd, 50, &mut rng)?;
+//! let b = k_average(&refd, 50, &mut rng)?;
 //! let rho = pearson(a.samples(), b.samples())?;
 //! assert!(rho > 0.99); // same device: near-perfect correlation
 //! # Ok(())
@@ -51,7 +51,6 @@ pub mod error;
 pub mod io;
 pub mod kernels;
 pub mod mmap;
-pub mod preprocess;
 pub mod select;
 pub mod stats;
 pub mod streaming;
@@ -62,4 +61,4 @@ pub use codec::AdcDomain;
 pub use error::{SelectError, StatsError, TraceError};
 pub use io::IoError;
 pub use mmap::{read_block_mapped, MappedBlock};
-pub use trace::{Trace, TraceSet, TraceSource};
+pub use trace::{Trace, TraceSource};

@@ -455,8 +455,7 @@ fn owned_fallback(device: &str, path: &Path) -> Result<MappedBlock, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::io::{write_binary, write_block, write_block_v3};
-    use crate::trace::{Trace, TraceSet};
+    use crate::io::{write_block, write_block_v3, BINARY_MAGIC};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -506,17 +505,11 @@ mod tests {
     #[test]
     fn mapped_reader_accepts_v1_and_decodes_v3_owned() {
         let block = sample_block();
-        let set = TraceSet::from_traces(
-            "dev",
-            block
-                .rows()
-                .map(|r| Trace::from_samples(r.samples().to_vec()))
-                .collect(),
-        )
-        .unwrap();
         let v1 = tmp("map_v1.trc1");
+        // An IPMKTRC1 file is the v2 payload under the v1 magic.
         let mut buf = Vec::new();
-        write_binary(&set, &mut buf).unwrap();
+        write_block(&block, &mut buf).unwrap();
+        buf[..8].copy_from_slice(BINARY_MAGIC);
         std::fs::write(&v1, &buf).unwrap();
         let mapped = read_block_mapped("dev", &v1).unwrap();
         assert_eq!(mapped.samples(), block.samples());

@@ -23,14 +23,14 @@ use crate::trace::TraceSource;
 ///
 /// ```
 /// use ipmark_traces::streaming::ChunkedSource;
-/// use ipmark_traces::{Trace, TraceSet};
+/// use ipmark_traces::TraceBlock;
 ///
 /// # fn main() -> Result<(), ipmark_traces::TraceError> {
-/// let mut set = TraceSet::new("dut");
+/// let mut block = TraceBlock::new("dut");
 /// for i in 0..10 {
-///     set.push(Trace::from_samples(vec![i as f64, 1.0]))?;
+///     block.push_row(&[i as f64, 1.0])?;
 /// }
-/// let mut chunks = ChunkedSource::new(&set, 4)?;
+/// let mut chunks = ChunkedSource::new(&block, 4)?;
 /// let sizes: Vec<usize> = std::iter::from_fn(|| chunks.next_chunk().transpose())
 ///     .map(|c| c.map(|traces| traces.len()))
 ///     .collect::<Result<_, _>>()?;
@@ -132,20 +132,18 @@ impl<'a, S: TraceSource + ?Sized> ChunkedSource<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Trace, TraceSet};
 
-    fn set_of(n: usize) -> TraceSet {
-        let mut set = TraceSet::new("d");
+    fn block_of(n: usize) -> TraceBlock {
+        let mut block = TraceBlock::new("d");
         for i in 0..n {
-            set.push(Trace::from_samples(vec![i as f64, 10.0 + i as f64]))
-                .unwrap();
+            block.push_row(&[i as f64, 10.0 + i as f64]).unwrap();
         }
-        set
+        block
     }
 
     #[test]
     fn chunks_cover_the_source_in_order() {
-        let set = set_of(10);
+        let set = block_of(10);
         let mut chunks = ChunkedSource::new(&set, 3).unwrap();
         assert_eq!(chunks.chunk_size(), 3);
         assert_eq!(chunks.trace_len(), 2);
@@ -163,7 +161,7 @@ mod tests {
 
     #[test]
     fn limit_bounds_delivery() {
-        let set = set_of(10);
+        let set = block_of(10);
         let mut chunks = ChunkedSource::with_limit(&set, 4, 6).unwrap();
         assert_eq!(chunks.remaining(), 6);
         assert_eq!(chunks.next_chunk().unwrap().unwrap().len(), 4);
@@ -174,7 +172,7 @@ mod tests {
 
     #[test]
     fn rejects_zero_chunk_and_oversized_limit() {
-        let set = set_of(3);
+        let set = block_of(3);
         assert!(matches!(
             ChunkedSource::new(&set, 0),
             Err(TraceError::EmptyChunk)

@@ -13,14 +13,23 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use ipmark_traces::io::{
-    read_block_any, read_block_v3, write_binary, write_block, write_block_v3,
-    write_block_v3_with_domain, IoError, BLOCK_V3_MAGIC,
+    read_block_any, read_block_v3, write_block, write_block_v3, write_block_v3_with_domain,
+    IoError, BINARY_MAGIC, BLOCK_V3_MAGIC,
 };
 use ipmark_traces::streaming::ChunkedSource;
-use ipmark_traces::{read_block_mapped, AdcDomain, Trace, TraceBlock, TraceSet};
+use ipmark_traces::{read_block_mapped, AdcDomain, TraceBlock};
 
 fn bits_of(block: &TraceBlock) -> Vec<u64> {
     block.samples().iter().map(|s| s.to_bits()).collect()
+}
+
+/// An `IPMKTRC1` file: the v2 writer's bytes under the v1 magic (the
+/// payloads are byte-identical).
+fn v1_bytes(block: &TraceBlock) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_block(block, &mut buf).unwrap();
+    buf[..8].copy_from_slice(BINARY_MAGIC);
+    buf
 }
 
 fn assert_bits_equal(decoded: &TraceBlock, original: &TraceBlock) {
@@ -313,17 +322,8 @@ proptest! {
     ) {
         let (_, block) = adc_block(bits, 0.0, span, 24, &rows);
 
-        // v1 (per-trace IPMKTRC1) -> any-reader -> v3 -> decode.
-        let set = TraceSet::from_traces(
-            "prop",
-            block
-                .rows()
-                .map(|r| Trace::from_samples(r.samples().to_vec()))
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let mut v1 = Vec::new();
-        write_binary(&set, &mut v1).unwrap();
+        // v1 (IPMKTRC1) -> any-reader -> v3 -> decode.
+        let v1 = v1_bytes(&block);
         let from_v1 = read_block_any("prop", v1.as_slice()).unwrap();
         assert_bits_equal(&v3_round_trip(&from_v1, None), &block);
 
@@ -373,15 +373,7 @@ proptest! {
         let mut buf = Vec::new();
         let name = match which {
             0 => {
-                let set = TraceSet::from_traces(
-                    "prop",
-                    block
-                        .rows()
-                        .map(|r| Trace::from_samples(r.samples().to_vec()))
-                        .collect::<Vec<_>>(),
-                )
-                .unwrap();
-                write_binary(&set, &mut buf).unwrap();
+                buf = v1_bytes(&block);
                 "prop.trc1"
             }
             1 => {

@@ -5,7 +5,7 @@ use ipmark_traces::select::uniform_distinct_indices;
 use ipmark_traces::stats::{
     mean, pearson, two_largest, two_smallest, variance_population, PearsonRef, RunningStats,
 };
-use ipmark_traces::{io, Trace, TraceBlock, TraceSet};
+use ipmark_traces::{io, TraceBlock};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -151,10 +151,7 @@ proptest! {
 
     #[test]
     fn k_average_lies_within_sample_hull(seed: u64, vals in prop::collection::vec(0.0f64..10.0, 4..40)) {
-        let set = TraceSet::from_traces(
-            "d",
-            vals.iter().map(|&v| Trace::from_samples(vec![v])).collect(),
-        ).unwrap();
+        let set = TraceBlock::from_data("d", 1, vals.clone()).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let k = vals.len() / 2 + 1;
         let avg = k_average(&set, k, &mut rng).unwrap();
@@ -165,10 +162,7 @@ proptest! {
 
     #[test]
     fn mean_of_all_indices_is_grand_mean(vals in prop::collection::vec(-5.0f64..5.0, 2..20)) {
-        let set = TraceSet::from_traces(
-            "d",
-            vals.iter().map(|&v| Trace::from_samples(vec![v])).collect(),
-        ).unwrap();
+        let set = TraceBlock::from_data("d", 1, vals.clone()).unwrap();
         let indices: Vec<usize> = (0..vals.len()).collect();
         let avg = mean_of_indices(&set, &indices).unwrap();
         let grand = mean(&vals).unwrap();
@@ -177,34 +171,24 @@ proptest! {
 
     #[test]
     fn csv_round_trip_preserves_values(rows in prop::collection::vec(prop::collection::vec(-1e3f64..1e3, 3), 1..10)) {
-        let set = TraceSet::from_traces(
-            "d",
-            rows.iter().map(|r| Trace::from_samples(r.clone())).collect(),
-        ).unwrap();
+        let block = TraceBlock::from_data("d", 3, rows.concat()).unwrap();
         let mut buf = Vec::new();
-        ipmark_traces::io::write_csv(&set, &mut buf).unwrap();
-        let back = ipmark_traces::io::read_csv("d", buf.as_slice()).unwrap();
-        prop_assert_eq!(back.len(), set.len());
-        for i in 0..set.len() {
-            for (a, b) in back.trace(i).unwrap().samples().iter()
-                .zip(set.trace(i).unwrap().samples()) {
-                prop_assert!((a - b).abs() < 1e-9);
-            }
+        io::write_csv(&block, &mut buf).unwrap();
+        let back = io::read_csv("d", buf.as_slice()).unwrap();
+        prop_assert_eq!(back.len(), block.len());
+        prop_assert_eq!(back.trace_len(), block.trace_len());
+        for (a, b) in back.samples().iter().zip(block.samples()) {
+            prop_assert!((a - b).abs() < 1e-9);
         }
     }
 
     #[test]
     fn binary_round_trip_is_bit_exact(rows in prop::collection::vec(prop::collection::vec(-1e30f64..1e30, 2), 1..8)) {
-        let set = TraceSet::from_traces(
-            "d",
-            rows.iter().map(|r| Trace::from_samples(r.clone())).collect(),
-        ).unwrap();
+        let block = TraceBlock::from_data("d", 2, rows.concat()).unwrap();
         let mut buf = Vec::new();
-        ipmark_traces::io::write_binary(&set, &mut buf).unwrap();
-        let back = ipmark_traces::io::read_binary("d", buf.as_slice()).unwrap();
-        for i in 0..set.len() {
-            prop_assert_eq!(back.trace(i).unwrap().samples(), set.trace(i).unwrap().samples());
-        }
+        io::write_block(&block, &mut buf).unwrap();
+        let back = io::read_block("d", buf.as_slice()).unwrap();
+        prop_assert_eq!(back, block);
     }
 
     #[test]
@@ -224,16 +208,17 @@ proptest! {
         ).unwrap();
 
         let mut csv = Vec::new();
-        io::write_block_csv(&block, &mut csv).unwrap();
-        let via_csv = io::read_csv_block("d", csv.as_slice()).unwrap();
-
-        let mut v1 = Vec::new();
-        io::write_binary(&block.to_set().unwrap(), &mut v1).unwrap();
-        let via_v1 = io::read_block_any("d", v1.as_slice()).unwrap();
+        io::write_csv(&block, &mut csv).unwrap();
+        let via_csv = io::read_csv("d", csv.as_slice()).unwrap();
 
         let mut v2 = Vec::new();
         io::write_block(&block, &mut v2).unwrap();
         let via_v2 = io::read_block("d", v2.as_slice()).unwrap();
+
+        // An IPMKTRC1 file is the v2 payload under the v1 magic.
+        let mut v1 = v2.clone();
+        v1[..8].copy_from_slice(io::BINARY_MAGIC);
+        let via_v1 = io::read_block_any("d", v1.as_slice()).unwrap();
 
         for other in [&via_csv, &via_v1, &via_v2] {
             prop_assert_eq!(other.len(), block.len());
@@ -242,8 +227,6 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
-        // The v1 and v2 payloads behind the 8-byte magic are byte-identical.
-        prop_assert_eq!(&v1[8..], &v2[8..]);
     }
 
     #[test]
@@ -443,23 +426,18 @@ proptest! {
         // The averager keeps the selections it was handed.
         prop_assert_eq!(streamer.selections(), drawn.as_slice());
 
-        let set = TraceSet::from_traces(
+        let set = TraceBlock::from_data(
             "stream",
-            (0..n2)
-                .map(|i| {
-                    Trace::from_samples(
-                        (0..trace_len)
-                            .map(|j| ((i * trace_len + j) as f64 * 0.37 + (seed % 97) as f64).sin() * 1e3)
-                            .collect(),
-                    )
-                })
+            trace_len,
+            (0..n2 * trace_len)
+                .map(|ij| (ij as f64 * 0.37 + (seed % 97) as f64).sin() * 1e3)
                 .collect(),
         ).unwrap();
         // Each finished average is bitwise the staged batch average of its
         // selection, completed by the selection's last index, and carries
         // the canonical sum of that average.
         let mut completed = 0;
-        for (i, trace) in set.iter().enumerate() {
+        for (i, trace) in set.rows().enumerate() {
             for (slot, sum) in streamer.ingest(trace.samples()).unwrap() {
                 let selection = &streamer.selections()[slot];
                 prop_assert_eq!(selection.last().copied(), Some(i));

@@ -13,11 +13,12 @@ use ipmark_traces::io::{read_csv, write_csv, IoError};
 
 fuzz_target!(|data: &[u8]| {
     match read_csv("fuzz", data) {
-        Ok(set) => {
+        Ok(block) => {
             let mut out = Vec::new();
-            write_csv(&set, &mut out).expect("in-memory write cannot fail");
+            write_csv(&block, &mut out).expect("in-memory write cannot fail");
             let back = read_csv("fuzz", out.as_slice()).expect("own output re-reads");
-            assert_eq!(back.len(), set.len(), "row count must survive a round trip");
+            assert_eq!(back.len(), block.len(), "row count must survive a round trip");
+            assert_eq!(back.trace_len(), block.trace_len(), "column count must survive too");
         }
         Err(IoError::Format(_) | IoError::Trace(_)) => {}
         Err(IoError::Io(e)) => panic!("reader leaked a transport error for in-memory input: {e}"),

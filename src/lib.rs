@@ -74,6 +74,6 @@ pub mod prelude {
     pub use ipmark_power::{MeasurementChain, ProcessVariation};
     pub use ipmark_traces::streaming::ChunkedSource;
     pub use ipmark_traces::{
-        Trace, TraceBlock, TraceChunk, TraceError, TraceSet, TraceSource, TraceView, TraceViewMut,
+        Trace, TraceBlock, TraceChunk, TraceError, TraceSource, TraceView, TraceViewMut,
     };
 }

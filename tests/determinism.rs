@@ -88,9 +88,13 @@ fn trace_serialization_round_trips_campaign_output() {
     let mut die =
         FabricatedDevice::fabricate(&ip_a(), &ProcessVariation::typical(), 4).expect("die");
     let acq = die.acquisition(&chain, 16, 8, 12).expect("campaign");
-    let set = acq.acquire_all().expect("materialize");
+    let block = acq.acquire_block().expect("materialize");
     let mut buf = Vec::new();
-    ipmark::traces::io::write_binary(&set, &mut buf).expect("write");
-    let back = ipmark::traces::io::read_binary(set.device(), buf.as_slice()).expect("read");
-    assert_eq!(set, back);
+    ipmark::traces::io::write_block(&block, &mut buf).expect("write");
+    let back = ipmark::traces::io::read_block(block.device(), buf.as_slice()).expect("read");
+    assert_eq!(block, back);
+    // Legacy IPMKTRC1 archives carry the same payload under the v1 magic.
+    buf[..8].copy_from_slice(ipmark::traces::io::BINARY_MAGIC);
+    let from_v1 = ipmark::traces::io::read_block_any(block.device(), buf.as_slice()).expect("v1");
+    assert_eq!(block, from_v1);
 }

@@ -137,9 +137,9 @@ fn comparative_decisions_require_a_panel() {
 }
 
 /// A small synthetic campaign for session failure tests.
-fn session_set(device: &str, phase: f64, n: usize, seed: u64) -> TraceSet {
+fn session_set(device: &str, phase: f64, n: usize, seed: u64) -> TraceBlock {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut set = TraceSet::new(device);
+    let mut set = TraceBlock::new(device);
     for _ in 0..n {
         let samples: Vec<f64> = (0..32)
             .map(|i| {
@@ -147,10 +147,15 @@ fn session_set(device: &str, phase: f64, n: usize, seed: u64) -> TraceSet {
                     + ipmark::power::device::gaussian(&mut rng, 0.0, 0.3)
             })
             .collect();
-        set.push(Trace::from_samples(samples))
-            .expect("finite trace");
+        set.push_row(&samples).expect("finite trace");
     }
     set
+}
+
+/// Rows `0..n` of `block` as a chunk of their own.
+fn head(block: &TraceBlock, n: usize) -> TraceBlock {
+    let len = block.trace_len();
+    TraceBlock::from_data("chunk", len, block.samples()[..n * len].to_vec()).expect("whole rows")
 }
 
 fn session_params() -> CorrelationParams {
@@ -171,13 +176,10 @@ fn streaming_sessions_reject_malformed_chunks_atomically() {
     let mut session =
         VerificationSession::new(&refd, 2, SessionOptions::new(p), &mut rng).expect("session");
 
-    let clean: Vec<Trace> = (0..5)
-        .map(|i| dut.trace(i).expect("in range").clone())
-        .collect();
+    let clean = head(&dut, 5);
 
-    // Truncated trace inside a chunk: typed length mismatch, not a panic.
-    let mut truncated = clean.clone();
-    truncated[3] = Trace::from_samples(vec![0.5; 16]);
+    // A chunk of truncated traces: typed length mismatch, not a panic.
+    let truncated = TraceBlock::from_data("truncated", 16, vec![0.5; 5 * 16]).expect("rows");
     assert!(matches!(
         session.ingest_chunk(0, &truncated),
         Err(CoreError::Trace(TraceError::LengthMismatch { .. }))
@@ -185,11 +187,11 @@ fn streaming_sessions_reject_malformed_chunks_atomically() {
 
     // NaN sample: typed error naming the offending trace and sample.
     let mut poisoned = clean.clone();
-    poisoned[2] = {
-        let mut samples = vec![0.25; 32];
-        samples[7] = f64::NAN;
-        Trace::from_samples(samples)
-    };
+    {
+        let mut row = poisoned.row_mut(2).expect("in range");
+        row.fill(0.25);
+        row.samples_mut()[7] = f64::NAN;
+    }
     assert!(matches!(
         session.ingest_chunk(0, &poisoned),
         Err(CoreError::Trace(TraceError::NonFiniteSample {
@@ -200,7 +202,7 @@ fn streaming_sessions_reject_malformed_chunks_atomically() {
 
     // Infinity is rejected the same way.
     let mut infinite = clean.clone();
-    infinite[0] = Trace::from_samples(vec![f64::INFINITY; 32]);
+    infinite.row_mut(0).expect("in range").fill(f64::INFINITY);
     assert!(matches!(
         session.ingest_chunk(0, &infinite),
         Err(CoreError::Trace(TraceError::NonFiniteSample {
@@ -225,9 +227,7 @@ fn streaming_session_misuse_is_typed_not_panicking() {
     let mut session =
         VerificationSession::new(&refd, 2, SessionOptions::new(p), &mut rng).expect("session");
 
-    let chunk: Vec<Trace> = (0..4)
-        .map(|i| duts[0].trace(i).expect("in range").clone())
-        .collect();
+    let chunk = head(&duts[0], 4);
     assert!(matches!(
         session.ingest_chunk(7, &chunk),
         Err(CoreError::Session(SessionError::UnknownCandidate {
@@ -236,15 +236,13 @@ fn streaming_session_misuse_is_typed_not_panicking() {
         }))
     ));
     assert!(matches!(
-        session.ingest_chunk(0, &Vec::<Trace>::new()),
+        session.ingest_chunk(0, &TraceBlock::new("empty")),
         Err(CoreError::Trace(TraceError::EmptyChunk))
     ));
 
     // Delivering past the per-candidate budget n2 is refused up front.
-    let all: Vec<Trace> = (0..p.n2)
-        .map(|i| duts[0].trace(i).expect("in range").clone())
-        .collect();
-    session.ingest_chunk(0, &all).expect("exact budget");
+    assert_eq!(duts[0].len(), p.n2);
+    session.ingest_chunk(0, &duts[0]).expect("exact budget");
     assert!(matches!(
         session.ingest_chunk(0, &chunk),
         Err(CoreError::Session(SessionError::TooManyTraces {
@@ -264,11 +262,8 @@ fn streaming_session_misuse_is_typed_not_panicking() {
     ));
 
     // Completing the campaign decides; any further delivery is refused.
-    let all: Vec<Trace> = (0..p.n2)
-        .map(|i| duts[1].trace(i).expect("in range").clone())
-        .collect();
     assert!(matches!(
-        session.ingest_chunk(1, &all),
+        session.ingest_chunk(1, &duts[1]),
         Ok(SessionStatus::Decided(_))
     ));
     assert!(matches!(

@@ -105,10 +105,8 @@ fn trc2_fixture_rewrites_byte_identical() {
     io::write_block(&loaded, &mut rewritten).expect("rewrite");
     assert_eq!(rewritten, bytes, "IPMKTRC2 writer is not byte-stable");
 
-    // The lenient reader accepts the same file; the strict v1 reader
-    // refuses it (the two generations differ only in magic).
+    // The lenient reader accepts the same file.
     assert!(io::read_block_any("campaign_b", bytes).is_ok());
-    assert!(io::read_binary("campaign_b", bytes).is_err());
 }
 
 #[test]

@@ -135,10 +135,9 @@ fn trc3_fixture_reencodes_byte_identical_and_beats_v2_four_fold() {
         v2.len()
     );
 
-    // The lenient reader accepts the same file; strict v1/v2 readers
-    // refuse it; the mmap entry point (owned fallback for v3) agrees.
+    // The lenient reader accepts the same file; the strict v2 reader
+    // refuses it; the mmap entry point (owned fallback for v3) agrees.
     assert!(io::read_block_any("block", bytes).is_ok());
-    assert!(io::read_binary("block", bytes).is_err());
     assert!(io::read_block("block", bytes).is_err());
     let mapped =
         ipmark::traces::read_block_mapped("block", &fixture_path("block.trc3")).expect("mapped");

@@ -8,7 +8,7 @@
 use ipmark::core::{correlation_process, CorrelationParams};
 use ipmark::prelude::*;
 use ipmark::traces::align::{align_to_first, align_to_reference, mean_trace, snr};
-use ipmark::traces::{Trace, TraceSet};
+use ipmark::traces::TraceBlock;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -21,14 +21,14 @@ fn jittered_campaign(
     n: usize,
     max_jitter: usize,
     rng: &mut ChaCha8Rng,
-) -> TraceSet {
+) -> TraceBlock {
     let chain = default_chain().expect("built-in");
     let mut die =
         FabricatedDevice::fabricate(spec, &ProcessVariation::typical(), die_seed).expect("die");
     let acq = die
         .acquisition(&chain, 128, n, die_seed * 7 + 5)
         .expect("campaign");
-    let mut set = TraceSet::new(format!("jittered-{die_seed}"));
+    let mut block = TraceBlock::new(format!("jittered-{die_seed}"));
     for i in 0..n {
         let trace = acq.trace(i).expect("in range");
         let shift = rng.gen_range(0..=2 * max_jitter) as isize - max_jitter as isize;
@@ -37,10 +37,9 @@ fn jittered_campaign(
         let rotated: Vec<f64> = (0..len)
             .map(|j| samples[(j as isize + shift).rem_euclid(len as isize) as usize])
             .collect();
-        set.push(Trace::from_samples(rotated))
-            .expect("uniform length");
+        block.push_row(&rotated).expect("uniform length");
     }
-    set
+    block
 }
 
 #[test]
@@ -78,8 +77,7 @@ fn alignment_rescues_verification_under_jitter() {
     // Align the DUT captures to the *reference* time frame (aligning to
     // the DUT's own first trace would leave a common offset against the
     // reference).
-    let refd_set = refd.acquire_all().expect("materialize");
-    let refd_mean = mean_trace(&refd_set).expect("non-empty");
+    let refd_mean = mean_trace(&refd).expect("non-empty");
     let dut_aligned = align_to_reference(&dut_jittered, refd_mean.samples(), 8).expect("alignable");
 
     let mut prng = ChaCha8Rng::seed_from_u64(3);

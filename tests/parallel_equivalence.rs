@@ -9,7 +9,7 @@ use ipmark::core::verify::{correlation_process, CorrelationParams};
 use ipmark::core::{AcquireStage, CounterfeitScreen, KAverageStage, Plan};
 use ipmark::parallel::Pool;
 use ipmark::traces::average::k_average;
-use ipmark::traces::{Trace, TraceSet};
+use ipmark::traces::{Trace, TraceBlock};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -25,14 +25,14 @@ fn small_config() -> ExperimentConfig {
     c
 }
 
-fn noisy_set(device: &str, n: usize, seed: u64) -> TraceSet {
+fn noisy_set(device: &str, n: usize, seed: u64) -> TraceBlock {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut set = TraceSet::new(device);
+    let mut set = TraceBlock::new(device);
     for _ in 0..n {
         let samples: Vec<f64> = (0..96)
             .map(|i| (i as f64 * 0.29).sin() + ipmark::power::device::gaussian(&mut rng, 0.0, 0.4))
             .collect();
-        set.push(Trace::from_samples(samples)).expect("same length");
+        set.push_row(&samples).expect("same length");
     }
     set
 }

@@ -6,36 +6,35 @@
 
 use ipmark::core::verify::{correlation_process, CorrelationParams};
 use ipmark::core::{CoreError, Plan};
-use ipmark::traces::{StatsError, Trace, TraceSet};
+use ipmark::traces::{StatsError, TraceBlock};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-fn varying_set(device: &str, n: usize, seed: u64) -> TraceSet {
+fn varying_set(device: &str, n: usize, seed: u64) -> TraceBlock {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut set = TraceSet::new(device);
+    let mut set = TraceBlock::new(device);
     for _ in 0..n {
         let samples: Vec<f64> = (0..64)
             .map(|i| (i as f64 * 0.4).cos() + ipmark::power::device::gaussian(&mut rng, 0.0, 0.3))
             .collect();
-        set.push(Trace::from_samples(samples)).expect("same length");
+        set.push_row(&samples).expect("same length");
     }
     set
 }
 
 /// Every trace identical — k-averages are flat, so correlation is
 /// undefined (zero variance).
-fn flat_set(device: &str, n: usize) -> TraceSet {
-    let mut set = TraceSet::new(device);
+fn flat_set(device: &str, n: usize) -> TraceBlock {
+    let mut set = TraceBlock::new(device);
     for _ in 0..n {
-        set.push(Trace::from_samples(vec![1.5; 64]))
-            .expect("same length");
+        set.push_row(&[1.5; 64]).expect("same length");
     }
     set
 }
 
 fn both_paths(
-    refd: &TraceSet,
-    dut: &TraceSet,
+    refd: &TraceBlock,
+    dut: &TraceBlock,
     params: &CorrelationParams,
 ) -> (Result<usize, String>, Result<usize, String>) {
     let par = correlation_process(refd, dut, params, &mut ChaCha8Rng::seed_from_u64(1))

@@ -5,15 +5,16 @@
 use ipmark::core::verify::{correlation_process, CorrelationParams};
 use ipmark::core::{default_backend, CorrelationSet, Plan, ResumablePlan};
 use ipmark::parallel::Pool;
-use ipmark::traces::{Trace, TraceSet};
+use ipmark::traces::streaming::ChunkedSource;
+use ipmark::traces::TraceBlock;
 use proptest::prelude::*;
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// A cheap synthetic campaign: device-specific sinusoid plus Gaussian noise.
-fn synthetic_set(device: &str, phase: f64, trace_len: usize, n: usize, seed: u64) -> TraceSet {
+fn synthetic_set(device: &str, phase: f64, trace_len: usize, n: usize, seed: u64) -> TraceBlock {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut set = TraceSet::new(device);
+    let mut set = TraceBlock::new(device);
     for _ in 0..n {
         let samples: Vec<f64> = (0..trace_len)
             .map(|i| {
@@ -21,8 +22,7 @@ fn synthetic_set(device: &str, phase: f64, trace_len: usize, n: usize, seed: u64
                     + ipmark::power::device::gaussian(&mut rng, 0.0, 0.4)
             })
             .collect();
-        set.push(Trace::from_samples(samples))
-            .expect("finite trace");
+        set.push_row(&samples).expect("finite trace");
     }
     set
 }
@@ -108,14 +108,9 @@ proptest! {
         let mut rng_stream = ChaCha8Rng::seed_from_u64(seed);
         let mut resumable = ResumablePlan::new(&refd, &params, &mut rng_stream)
             .expect("resumable plan");
-        let mut start = 0;
-        while start < n2 {
-            let end = (start + chunk).min(n2);
-            let traces: Vec<Trace> = (start..end)
-                .map(|i| dut.trace(i).expect("in range").clone())
-                .collect();
+        let mut chunks = ChunkedSource::new(&dut, chunk).expect("chunked source");
+        while let Some(traces) = chunks.next_chunk().expect("chunk") {
             resumable.ingest(&traces).expect("ingest");
-            start = end;
         }
         prop_assert_eq!(resumable.completed_prefix(), m);
         for (slot, expected) in batch.coefficients().iter().enumerate() {

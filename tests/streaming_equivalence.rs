@@ -42,10 +42,10 @@ fn pipeline_panel(
 }
 
 /// A cheap synthetic campaign for the property tests: a device-specific
-/// sinusoid plus Gaussian noise, materialized as a [`TraceSet`].
-fn synthetic_set(device: &str, phase: f64, trace_len: usize, n: usize, seed: u64) -> TraceSet {
+/// sinusoid plus Gaussian noise, materialized as a [`TraceBlock`].
+fn synthetic_set(device: &str, phase: f64, trace_len: usize, n: usize, seed: u64) -> TraceBlock {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut set = TraceSet::new(device);
+    let mut set = TraceBlock::new(device);
     for _ in 0..n {
         let samples: Vec<f64> = (0..trace_len)
             .map(|i| {
@@ -53,10 +53,16 @@ fn synthetic_set(device: &str, phase: f64, trace_len: usize, n: usize, seed: u64
                     + ipmark::power::device::gaussian(&mut rng, 0.0, 0.4)
             })
             .collect();
-        set.push(Trace::from_samples(samples))
-            .expect("finite trace");
+        set.push_row(&samples).expect("finite trace");
     }
     set
+}
+
+/// Rows `start..end` of `block` as a chunk of their own.
+fn rows(block: &TraceBlock, start: usize, end: usize) -> TraceBlock {
+    let len = block.trace_len();
+    let samples = block.samples()[start * len..end * len].to_vec();
+    TraceBlock::from_data("chunk", len, samples).expect("whole rows")
 }
 
 /// The batch reference: the CLI `verify` shape — one RNG threaded through
@@ -263,9 +269,7 @@ proptest! {
         'stream: while start < n2 {
             let end = (start + chunk).min(n2);
             for (candidate, dut) in duts.iter().enumerate() {
-                let traces: Vec<Trace> = (start..end)
-                    .map(|i| dut.trace(i).expect("in range").clone())
-                    .collect();
+                let traces = rows(dut, start, end);
                 let status = session.ingest_chunk(candidate, &traces).expect("ingest");
                 assert_prefixes_match(&session, &par_sets, "random sweep (par)");
                 assert_prefixes_match(&session, &seq_sets, "random sweep (seq)");
@@ -319,9 +323,7 @@ proptest! {
             'stream: while start < params.n2 {
                 let end = (start + chunk).min(params.n2);
                 for (candidate, dut) in duts.iter().enumerate() {
-                    let traces: Vec<Trace> = (start..end)
-                        .map(|i| dut.trace(i).expect("in range").clone())
-                        .collect();
+                    let traces = rows(dut, start, end);
                     if let SessionStatus::Decided(v) =
                         session.ingest_chunk(candidate, &traces).expect("ingest")
                     {

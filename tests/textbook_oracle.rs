@@ -227,9 +227,8 @@ fn check_against_oracle<SR: Samples, SD: Samples>(
     let mut start = 0;
     while start < params.n2 {
         let end = (start + chunk).min(params.n2);
-        let traces: Vec<Trace> = (start..end)
-            .map(|i| Trace::from_samples(dut.samples_of(i)))
-            .collect();
+        let samples = (start..end).flat_map(|i| dut.samples_of(i)).collect();
+        let traces = TraceBlock::from_data("chunk", dut.trace_len(), samples).expect("rows");
         resumable.ingest(&traces).expect("ingest");
         start = end;
         for slot in 0..params.m {
