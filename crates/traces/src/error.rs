@@ -136,6 +136,17 @@ pub enum TraceError {
         /// Declared samples per trace.
         trace_len: usize,
     },
+    /// A positioned read of a stored trace failed — for example because
+    /// the file was truncated after it was opened.
+    ///
+    /// Rows added before the failing one stay added, as for
+    /// [`TraceError::IndexOutOfRange`].
+    RowRead {
+        /// Index of the trace whose read failed.
+        index: usize,
+        /// What the operating system reported.
+        kind: std::io::ErrorKind,
+    },
     /// An underlying statistics error.
     Stats(StatsError),
     /// An underlying selection error.
@@ -171,6 +182,9 @@ impl fmt::Display for TraceError {
                     f,
                     "trace block dimensions {count} x {trace_len} samples overflow"
                 )
+            }
+            TraceError::RowRead { index, kind } => {
+                write!(f, "reading trace {index} failed: {kind}")
             }
             TraceError::Stats(e) => write!(f, "statistics error: {e}"),
             TraceError::Select(e) => write!(f, "selection error: {e}"),
@@ -234,6 +248,10 @@ mod tests {
             Box::new(TraceError::DimensionOverflow {
                 count: usize::MAX,
                 trace_len: 2,
+            }),
+            Box::new(TraceError::RowRead {
+                index: 4,
+                kind: std::io::ErrorKind::UnexpectedEof,
             }),
             Box::new(TraceError::Stats(StatsError::ZeroVariance)),
             Box::new(TraceError::Select(SelectError::EmptySelection)),

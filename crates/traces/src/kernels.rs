@@ -248,6 +248,19 @@ mod scalar {
         }
     }
 
+    /// Element-wise accumulate of little-endian encoded samples:
+    /// `accᵢ += f64::from_le_bytes(wordᵢ)` over the common prefix of `acc`
+    /// and the whole 8-byte words of `bytes`. Per element this is the
+    /// [`accumulate`] add, so a row read as bytes sums to the same bits as
+    /// the same row read as `f64`s.
+    #[cfg(any(test, all(unix, target_endian = "little")))]
+    pub fn accumulate_le_bytes(acc: &mut [f64], bytes: &[u8]) {
+        let (words, _) = bytes.as_chunks::<8>();
+        for (a, w) in acc.iter_mut().zip(words) {
+            *a += f64::from_le_bytes(*w);
+        }
+    }
+
     /// Element-wise scale `accᵢ *= factor` — the k-average divide step.
     pub fn scale(acc: &mut [f64], factor: f64) {
         for a in acc {
@@ -391,6 +404,10 @@ mod scalar {
     }
 }
 
+// Used by the mapped source's positioned reads, which only the targets
+// that map files have.
+#[cfg(any(test, all(unix, target_endian = "little")))]
+pub(crate) use scalar::accumulate_le_bytes;
 pub use scalar::{
     accumulate, accumulate_scale_sum, centered_sum_sq, dot, scale, scale_sum, sum, sum_x4, sxy,
     sxy_refs_x4, sxy_syy, sxy_syy_x4,
@@ -545,6 +562,15 @@ mod tests {
                 *a += x;
             }
             assert_eq!(blocked, plain, "accumulate n={n}");
+            let bytes: Vec<u8> = xs.iter().flat_map(|x| x.to_le_bytes()).collect();
+            let mut from_bytes = series(n, 7);
+            accumulate_le_bytes(&mut from_bytes, &bytes);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&from_bytes),
+                bits(&blocked),
+                "accumulate_le_bytes n={n}"
+            );
             let mut plain2 = blocked.clone();
             scale(&mut blocked, 1.0 / 3.0);
             for a in &mut plain2 {

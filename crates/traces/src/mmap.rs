@@ -8,18 +8,33 @@
 //! is already the row-major little-endian f64 arena, and the page cache
 //! becomes the storage.
 //!
-//! [`MappedBlock`] implements [`TraceSource`] and [`TraceChunk`], so every
-//! consumer that is generic over those seams runs off the mapping.
-//! `correlation_process` and the k-average fills read the mapped rows in
-//! place. [`ChunkedSource`](crate::streaming::ChunkedSource) does not:
-//! `next_chunk` copies every chunk into a fresh [`TraceBlock`], so a
-//! streaming session over two paper-scale candidates (2 × 10 000 rows of
-//! 2 048 samples) copies about 310 MiB per verification. A zero-copy chunk
-//! view measured only about 1.2× on such a session, because reading the
-//! mapped pages, not the copy, dominates; spending fewer of those reads is
-//! the larger lever. `IPMKTRC3` files (bit-packed, not layout-identical)
-//! and non-Unix or big-endian targets transparently fall back to an owned
-//! decode behind the same type, so callers stay portable.
+//! [`MappedBlock`] implements [`TraceSource`] and [`TraceChunk`], and the
+//! two kinds of API read the file in different ways:
+//!
+//! * The borrowed-slice APIs ([`MappedBlock::samples`], [`MappedBlock::row`],
+//!   [`MappedBlock::rows`], [`TraceChunk::chunk_row`] and the
+//!   [`MappedBlock::to_block`] copy) serve the mapping in place.
+//! * The [`TraceSource`] reads (`accumulate`, `accumulate_indices`) are
+//!   positioned reads of the file (`FileExt::read_exact_at`) into a fixed
+//!   on-stack scratch, added into the caller's buffer from there. The
+//!   k-average fills of `correlation_process` and `Plan::execute`, and
+//!   [`ChunkedSource`](crate::streaming::ChunkedSource), read this way.
+//!
+//! A §III verification reads about a tenth of a paper-scale corpus, one
+//! scattered 16 KiB row at a time. Through the mapping, each such row cost
+//! about one page fault, and dropping the mapping then had to clear every
+//! page-table entry those faults created: on `verify-mapped` the two took
+//! about half of each verification. A positioned read takes no fault and
+//! leaves nothing to unmap, and the page-cache pages it reads do not count
+//! toward the process's resident set. [`MappedBlock`] keeps its `File` open
+//! for its lifetime to serve these reads.
+//!
+//! `ChunkedSource::next_chunk` still copies every chunk into a fresh
+//! [`TraceBlock`]; a zero-copy chunk view measured only about 1.2× on a
+//! streaming session, because reading the rows, not the copy, dominates.
+//! `IPMKTRC3` files (bit-packed, not layout-identical) and non-Unix or
+//! big-endian targets transparently fall back to an owned decode behind
+//! the same type, so callers stay portable.
 //!
 //! The module also owns the crate's sample-arena allocator,
 //! `zeroed_arena`: [`TraceBlock::zeros`] and the `IPMKTRC3` decoder take
@@ -50,8 +65,11 @@
 //! * the mapping is unmapped exactly once, on drop.
 //!
 //! The one hazard that cannot be checked up front is another process
-//! truncating the file mid-read (`SIGBUS`) — the standard mmap caveat;
-//! corpora under verification are treated as immutable inputs.
+//! truncating the file while a borrowed view reads it (`SIGBUS`) — the
+//! standard mmap caveat; corpora under verification are treated as
+//! immutable inputs. The [`TraceSource`] reads do not pass through the
+//! island: they are safe `std` positioned reads of the open file, so a
+//! file truncated under them gives [`TraceError::RowRead`] instead.
 
 use std::fs::File;
 use std::io::Read;
@@ -223,9 +241,11 @@ pub(crate) fn zeroed_arena(total: usize) -> Vec<f64> {
 /// How a [`MappedBlock`] holds its samples.
 #[derive(Debug)]
 enum Backing {
-    /// Zero-copy: the samples live in the page cache.
+    /// Zero-copy: the samples live in the page cache. The borrowed views
+    /// read them through `map`; the [`TraceSource`] rows are positioned
+    /// reads of `file`, which stays open for the block's lifetime.
     #[cfg(all(unix, target_endian = "little"))]
-    Mapped(sys::Map),
+    Mapped { map: sys::Map, file: File },
     /// Portable fallback (v3 files, non-Unix, big-endian): an owned arena
     /// decoded through the streaming readers.
     Owned(Vec<f64>),
@@ -234,8 +254,10 @@ enum Backing {
 /// A read-only trace campaign backed by a memory-mapped file (or an owned
 /// arena where mapping is unavailable — same API either way).
 ///
-/// Rows are exposed exactly like [`TraceBlock`] rows; the block never
-/// copies the payload unless [`MappedBlock::to_block`] is called.
+/// Rows are exposed exactly like [`TraceBlock`] rows. The borrowed views
+/// read the mapping in place, and only [`MappedBlock::to_block`] copies the
+/// whole payload; the [`TraceSource`] reads copy just the rows they are
+/// asked for, straight from the file.
 #[derive(Debug)]
 pub struct MappedBlock {
     device: String,
@@ -265,12 +287,13 @@ impl MappedBlock {
         &self.device
     }
 
-    /// Whether the samples are served zero-copy from a live mapping (false
-    /// for the owned decode fallback).
+    /// Whether the borrowed views are served zero-copy from a live mapping
+    /// and the [`TraceSource`] reads go to the file (false for the owned
+    /// decode fallback).
     pub fn is_zero_copy(&self) -> bool {
         match &self.backing {
             #[cfg(all(unix, target_endian = "little"))]
-            Backing::Mapped(_) => true,
+            Backing::Mapped { .. } => true,
             Backing::Owned(_) => false,
         }
     }
@@ -279,7 +302,7 @@ impl MappedBlock {
     pub fn samples(&self) -> &[f64] {
         match &self.backing {
             #[cfg(all(unix, target_endian = "little"))]
-            Backing::Mapped(map) => map.samples(HEADER_BYTES, self.count * self.trace_len),
+            Backing::Mapped { map, .. } => map.samples(HEADER_BYTES, self.count * self.trace_len),
             Backing::Owned(data) => data,
         }
     }
@@ -309,6 +332,24 @@ impl MappedBlock {
             .map(TraceView::from_samples)
     }
 
+    /// The checks a [`TraceSource`] read makes before it adds row `index`
+    /// into `acc`: [`TraceBlock`]'s, in its order.
+    fn check_row(&self, index: usize, acc: &[f64]) -> Result<(), TraceError> {
+        if index >= self.count {
+            return Err(TraceError::IndexOutOfRange {
+                index,
+                available: self.count,
+            });
+        }
+        if acc.len() != self.trace_len {
+            return Err(TraceError::LengthMismatch {
+                expected: self.trace_len,
+                provided: acc.len(),
+            });
+        }
+        Ok(())
+    }
+
     /// Materializes an owned [`TraceBlock`] (one full copy of the
     /// payload) — the bridge to APIs that need ownership.
     pub fn to_block(&self) -> TraceBlock {
@@ -336,17 +377,66 @@ impl TraceSource for MappedBlock {
     }
 
     fn accumulate(&self, index: usize, acc: &mut [f64]) -> Result<(), TraceError> {
-        let row = self.row(index)?;
-        let samples = row.samples();
-        if acc.len() != samples.len() {
-            return Err(TraceError::LengthMismatch {
-                expected: samples.len(),
-                provided: acc.len(),
-            });
+        self.accumulate_indices(std::slice::from_ref(&index), acc)
+    }
+
+    /// Adds each row to `acc` in list order. A mapped file's rows are read
+    /// with positioned reads into an on-stack scratch, never through the
+    /// mapping, so the fill takes no page faults and leaves no page-table
+    /// entries to clear when the block is dropped. The checks come in
+    /// [`TraceBlock`]'s order, index then length, so every error matches
+    /// the per-index loop's; a failed read is [`TraceError::RowRead`]. A
+    /// row longer than the scratch is read in pieces, so a read that fails
+    /// partway through it leaves that row's earlier pieces added.
+    fn accumulate_indices(&self, indices: &[usize], acc: &mut [f64]) -> Result<(), TraceError> {
+        match &self.backing {
+            #[cfg(all(unix, target_endian = "little"))]
+            Backing::Mapped { file, .. } => {
+                let mut scratch = [0u8; SCRATCH_BYTES];
+                for &index in indices {
+                    self.check_row(index, acc)?;
+                    let offset = HEADER_BYTES + index * self.trace_len * 8;
+                    read_row_into(file, offset as u64, acc, &mut scratch).map_err(|e| {
+                        TraceError::RowRead {
+                            index,
+                            kind: e.kind(),
+                        }
+                    })?;
+                }
+            }
+            Backing::Owned(_) => {
+                for &index in indices {
+                    self.check_row(index, acc)?;
+                    kernels::accumulate(acc, self.row(index)?.samples());
+                }
+            }
         }
-        kernels::accumulate(acc, samples);
         Ok(())
     }
+}
+
+/// Bytes of the on-stack scratch a positioned read fills: one row at the
+/// paper's 2 048-sample trace length. Longer rows are read in pieces.
+#[cfg(all(unix, target_endian = "little"))]
+const SCRATCH_BYTES: usize = 16 << 10;
+
+/// Reads the `acc.len()` little-endian samples at byte `offset` of `file`
+/// and adds them into `acc`, one scratch-sized piece at a time.
+#[cfg(all(unix, target_endian = "little"))]
+fn read_row_into(
+    file: &File,
+    mut offset: u64,
+    acc: &mut [f64],
+    scratch: &mut [u8; SCRATCH_BYTES],
+) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    for piece in acc.chunks_mut(SCRATCH_BYTES / 8) {
+        let (bytes, _) = scratch.split_at_mut(piece.len() * 8);
+        file.read_exact_at(bytes, offset)?;
+        kernels::accumulate_le_bytes(piece, bytes);
+        offset += bytes.len() as u64;
+    }
+    Ok(())
 }
 
 impl TraceChunk for MappedBlock {
@@ -431,7 +521,7 @@ pub fn read_block_mapped(device: &str, path: &Path) -> Result<MappedBlock, IoErr
             device: device.to_owned(),
             trace_len,
             count,
-            backing: Backing::Mapped(map),
+            backing: Backing::Mapped { map, file },
         })
     }
     #[cfg(not(all(unix, target_endian = "little")))]
@@ -545,6 +635,10 @@ mod tests {
         let mut bad = vec![0.0; 3];
         assert!(mapped.accumulate(0, &mut bad).is_err());
         assert!(mapped.accumulate(9, &mut acc).is_err());
+        let indices = [3, 0, 3, 1];
+        mapped.accumulate_indices(&indices, &mut acc).unwrap();
+        block.accumulate_indices(&indices, &mut want).unwrap();
+        assert_eq!(acc, want);
 
         // TraceChunk: rows come back in place.
         assert_eq!(mapped.chunk_len(), 4);
@@ -559,6 +653,62 @@ mod tests {
         }
         let want: Vec<Vec<f64>> = block.rows().map(|r| r.samples().to_vec()).collect();
         assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn reads_from_a_file_truncated_after_open_fail_as_typed_errors() {
+        let block = sample_block();
+        let path = tmp("map_truncated_after_open.trc2");
+        let mut buf = Vec::new();
+        write_block(&block, &mut buf).unwrap();
+        std::fs::write(&path, &buf).unwrap();
+        let mapped = read_block_mapped("dev", &path).unwrap();
+        if !mapped.is_zero_copy() {
+            return; // the owned fallback holds its samples in memory
+        }
+        // Rows 0 and 1 stay whole, row 2 keeps one of its two samples and
+        // row 3 is gone. The borrowed views must not be touched from here
+        // on: the mapping now reaches past the end of the file.
+        let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len((HEADER_BYTES + 5 * 8) as u64).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+        let mut acc = vec![0.0; 2];
+        mapped.accumulate(1, &mut acc).unwrap();
+        assert_eq!(acc, block.row(1).unwrap().samples());
+        for index in [2, 3] {
+            let mut acc = vec![0.0; 2];
+            match mapped.accumulate(index, &mut acc) {
+                Err(TraceError::RowRead { index: i, kind }) => {
+                    assert_eq!((i, kind), (index, std::io::ErrorKind::UnexpectedEof));
+                }
+                other => panic!("row {index}: expected a read error, got {other:?}"),
+            }
+            assert_eq!(bits(&acc), bits(&[0.0, 0.0]), "row {index} added nothing");
+        }
+
+        // Rows before the failing index stay added, as an owned block
+        // leaves them before an out-of-range index.
+        let mut got = vec![0.0; 2];
+        match mapped.accumulate_indices(&[1, 0, 1, 3, 0], &mut got) {
+            Err(TraceError::RowRead { index: 3, .. }) => {}
+            other => panic!("expected a read error for row 3, got {other:?}"),
+        }
+        let mut want = vec![0.0; 2];
+        assert!(matches!(
+            block.accumulate_indices(&[1, 0, 1, 9, 0], &mut want),
+            Err(TraceError::IndexOutOfRange { index: 9, .. })
+        ));
+        assert_eq!(bits(&got), bits(&want));
+        // Index and length checks still come before any read.
+        assert!(matches!(
+            mapped.accumulate_indices(&[9, 3], &mut got),
+            Err(TraceError::IndexOutOfRange { index: 9, .. })
+        ));
+        assert!(matches!(
+            mapped.accumulate_indices(&[3], &mut [0.0; 3]),
+            Err(TraceError::LengthMismatch { .. })
+        ));
     }
 
     #[test]

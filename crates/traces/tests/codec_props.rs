@@ -5,8 +5,8 @@
 //! offset, or hostile rows full of NaN/±inf/subnormals — the decoder
 //! reconstructs every sample's exact bit pattern. These properties drive
 //! randomized blocks through every write/read surface (v3 direct, v1→v3
-//! and v2→v3 cross-format, mmap-backed reads) and compare `to_bits` per
-//! sample, never values.
+//! and v2→v3 cross-format, mmap-backed views, the mapped source's
+//! positioned row reads) and compare `to_bits` per sample, never values.
 
 use std::path::PathBuf;
 
@@ -17,7 +17,7 @@ use ipmark_traces::io::{
     IoError, BINARY_MAGIC, BLOCK_V3_MAGIC,
 };
 use ipmark_traces::streaming::ChunkedSource;
-use ipmark_traces::{read_block_mapped, AdcDomain, TraceBlock};
+use ipmark_traces::{read_block_mapped, AdcDomain, TraceBlock, TraceError, TraceSource};
 
 fn bits_of(block: &TraceBlock) -> Vec<u64> {
     block.samples().iter().map(|s| s.to_bits()).collect()
@@ -79,6 +79,23 @@ fn special(sel: u64, raw: f64) -> f64 {
         6 => f64::from_bits(0x7ff8_dead_beef_0001), // payload NaN
         _ => raw,
     }
+}
+
+/// A sample with an arbitrary bit pattern: a random word (NaN payloads,
+/// infinities, subnormals), a special value (-0.0 among them), or an
+/// ordinary value in [-0.5, 0.5).
+fn arbitrary_sample(state: &mut u64) -> f64 {
+    let bits = splitmix(state);
+    match bits % 4 {
+        0 => f64::from_bits(splitmix(state)),
+        1 => special(bits >> 2, 1.5),
+        _ => (bits >> 11) as f64 / (1u64 << 53) as f64 - 0.5,
+    }
+}
+
+/// Bit patterns of a sample buffer, for comparisons that NaN survives.
+fn bits_of_slice(samples: &[f64]) -> Vec<u64> {
+    samples.iter().map(|s| s.to_bits()).collect()
 }
 
 /// SplitMix64: the hand-built files below draw their contents from one
@@ -411,5 +428,69 @@ proptest! {
             .map(|r| r.samples().iter().map(|s| s.to_bits()).collect())
             .collect();
         prop_assert_eq!(streamed, direct);
+    }
+
+    #[test]
+    fn mapped_rows_accumulate_like_owned_rows(
+        len_sel in 0usize..8,
+        count in 1usize..5,
+        seed in any::<u64>(),
+        picks in prop::collection::vec(0usize..64, 0..12),
+        bad in any::<u64>(),
+        v1 in any::<bool>(),
+    ) {
+        // The mapped source reads rows through a 2 048-sample scratch:
+        // lengths below it, at it, just past it, at twice it and at a
+        // length that is not a multiple of it.
+        let trace_len = [1, 7, 2047, 2048, 2049, 3001, 4096, 5000][len_sel];
+        let mut state = seed;
+        let mut block = TraceBlock::zeros("prop", count, trace_len).unwrap();
+        for s in block.samples_mut() {
+            *s = arbitrary_sample(&mut state);
+        }
+        let buf = if v1 {
+            v1_bytes(&block)
+        } else {
+            let mut buf = Vec::new();
+            write_block(&block, &mut buf).unwrap();
+            buf
+        };
+        let dir = std::env::temp_dir().join("ipmark-codec-props");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path: PathBuf = dir.join("accumulate.trc");
+        std::fs::write(&path, &buf).unwrap();
+        let mapped = read_block_mapped("prop", &path).unwrap();
+        prop_assert!(mapped.is_zero_copy() || !cfg!(all(unix, target_endian = "little")));
+
+        // Every row, added into a start value that is not zero.
+        let start: Vec<f64> = (0..trace_len).map(|_| arbitrary_sample(&mut state)).collect();
+        for index in 0..count {
+            let mut got = start.clone();
+            let mut want = start.clone();
+            mapped.accumulate(index, &mut got).unwrap();
+            block.accumulate(index, &mut want).unwrap();
+            prop_assert_eq!(bits_of_slice(&got), bits_of_slice(&want), "row {}", index);
+        }
+
+        // An index list with repeats, in list order.
+        let indices: Vec<usize> = picks.iter().map(|p| p % count).collect();
+        let mut got = start.clone();
+        let mut want = start.clone();
+        mapped.accumulate_indices(&indices, &mut got).unwrap();
+        block.accumulate_indices(&indices, &mut want).unwrap();
+        prop_assert_eq!(bits_of_slice(&got), bits_of_slice(&want));
+
+        // One out-of-range index: the same error, and the same partial sum
+        // of the rows before it.
+        let mut hostile = indices.clone();
+        let at = (bad % (indices.len() as u64 + 1)) as usize;
+        hostile.insert(at, count + (bad >> 32) as usize % 3);
+        let mut got = start.clone();
+        let mut want = start;
+        let got_err = mapped.accumulate_indices(&hostile, &mut got).unwrap_err();
+        let want_err = block.accumulate_indices(&hostile, &mut want).unwrap_err();
+        prop_assert!(matches!(want_err, TraceError::IndexOutOfRange { .. }));
+        prop_assert_eq!(format!("{got_err:?}"), format!("{want_err:?}"));
+        prop_assert_eq!(bits_of_slice(&got), bits_of_slice(&want));
     }
 }

@@ -8,7 +8,9 @@
 //!
 //! The contract under test: [`read_block_any`] / [`read_csv`] on arbitrary
 //! bytes either return a decoded container or a structured [`IoError`] —
-//! never a panic, an abort, or an unbounded allocation.
+//! never a panic, an abort, or an unbounded allocation. Files opened with
+//! [`read_block_mapped`] either fail the same way or serve, through
+//! `accumulate_indices`, exactly the rows [`read_block_any`] decodes.
 
 use std::path::Path;
 
@@ -17,7 +19,9 @@ use rand::{Rng, SeedableRng};
 
 use ipmark_traces::io::{
     read_block, read_block_any, read_block_v3, read_csv, write_block, write_block_v3, IoError,
+    BINARY_MAGIC,
 };
+use ipmark_traces::{read_block_mapped, TraceSource};
 
 /// Iterations per strategy; override with `FUZZ_SMOKE_ITERS` for longer
 /// local soaks. The default keeps the job inside a few hundred ms.
@@ -109,6 +113,78 @@ fn mutated_fixture_never_panics_the_block_reader() {
         }
         assert_contained(read_block_any("fuzz", buf.as_slice()), "mutated fixture");
     }
+}
+
+/// The mapped leg of the block-reader wall: mutated `IPMKTRC1`/`IPMKTRC2`
+/// fixtures go through a file, as a stored corpus does. Opening must fail
+/// exactly when the streaming reader fails, and an opened file's rows, read
+/// back with `accumulate_indices`, must match the streaming decode bit for
+/// bit.
+#[test]
+fn mutated_fixture_reads_back_through_the_mapped_source() {
+    let seed = fixture_bytes();
+    let dir = std::env::temp_dir().join("ipmark-fuzz-smoke");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("mutant.trc");
+    let mut rng = SmallRng::seed_from_u64(0x3a99_ed5e);
+    let mut opened = 0usize;
+    for _ in 0..iters() {
+        let mut buf = seed.clone();
+        if rng.gen::<bool>() {
+            buf[..8].copy_from_slice(BINARY_MAGIC);
+        }
+        for _ in 0..rng.gen_range(1usize..4) {
+            match rng.gen_range(0u32..4) {
+                0 => {
+                    let i = rng.gen_range(0..buf.len());
+                    buf[i] ^= 1 << rng.gen_range(0u32..8);
+                }
+                1 => {
+                    let i = rng.gen_range(0..buf.len().min(64));
+                    buf[i] = rng.gen::<u8>();
+                }
+                2 => {
+                    let keep = rng.gen_range(0..buf.len());
+                    buf.truncate(keep);
+                    if buf.is_empty() {
+                        break;
+                    }
+                }
+                _ => {
+                    let extra = rng.gen_range(1usize..64);
+                    buf.extend(std::iter::repeat_with(|| rng.gen::<u8>()).take(extra));
+                }
+            }
+        }
+        std::fs::write(&path, &buf).expect("write mutant");
+        let streamed = read_block_any("fuzz", buf.as_slice());
+        let mapped = match read_block_mapped("fuzz", &path) {
+            Ok(mapped) => mapped,
+            Err(e) => {
+                assert_contained::<()>(Err(e), "mutated fixture (mapped)");
+                assert!(
+                    streamed.is_err(),
+                    "the mapped reader refused a file read_block_any decodes"
+                );
+                continue;
+            }
+        };
+        let streamed = streamed.expect("read_block_any refused a file the mapped reader opened");
+        opened += 1;
+        assert_eq!(mapped.len(), streamed.len());
+        let mut rows = Vec::with_capacity(streamed.samples().len());
+        let mut row = vec![0.0; mapped.trace_len()];
+        for i in 0..mapped.len() {
+            row.fill(0.0);
+            mapped
+                .accumulate_indices(&[i], &mut row)
+                .expect("an opened file serves every row");
+            rows.extend(row.iter().map(|s| s.to_bits()));
+        }
+        let want: Vec<u64> = streamed.samples().iter().map(|s| s.to_bits()).collect();
+        assert_eq!(rows, want, "mapped rows must match the streaming decode");
+    }
+    assert!(opened > 0, "payload mutations should usually open");
 }
 
 #[test]

@@ -9,7 +9,7 @@ use ipmark::core::verify::{correlation_process, CorrelationParams};
 use ipmark::core::{AcquireStage, CounterfeitScreen, KAverageStage, Plan};
 use ipmark::parallel::Pool;
 use ipmark::traces::average::k_average;
-use ipmark::traces::{Trace, TraceBlock};
+use ipmark::traces::{Trace, TraceBlock, TraceSource};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -147,6 +147,66 @@ fn k_averaging_selects_identical_traces() {
             }
         }
     }
+}
+
+/// `Plan::execute` over two stored campaigns opened with
+/// `read_block_mapped` must not depend on the worker count. The k-average
+/// fill's workers read their DUT rows concurrently from one shared file
+/// handle, so the environment's pool (pinned to several workers in CI) is
+/// compared bit for bit with a one-worker pool, and both with the owned
+/// blocks the files were written from.
+#[test]
+fn mapped_sources_execute_identically_across_thread_counts() {
+    use ipmark::traces::io::write_block;
+    use ipmark::traces::read_block_mapped;
+
+    let refd = noisy_set("ref", 60, 6);
+    let dut = noisy_set("dut", 500, 7);
+    let dir = std::env::temp_dir().join("ipmark-parallel-equivalence");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let mut paths = Vec::new();
+    for (block, name) in [(&refd, "mapped_ref.trc2"), (&dut, "mapped_dut.trc2")] {
+        let mut bytes = Vec::new();
+        write_block(block, &mut bytes).expect("in-memory write");
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write campaign");
+        paths.push(path);
+    }
+    let mapped_refd = read_block_mapped("ref", &paths[0]).expect("open reference");
+    let mapped_dut = read_block_mapped("dut", &paths[1]).expect("open dut");
+    let params = CorrelationParams {
+        n1: 60,
+        n2: 500,
+        k: 10,
+        m: 16,
+    };
+    let env_pool = Pool::from_env();
+    let one_pool = Pool::with_threads(1);
+    for seed in [0u64, 2014] {
+        let owned = execute_bits(&refd, &dut, &params, seed, &env_pool);
+        let one = execute_bits(&mapped_refd, &mapped_dut, &params, seed, &one_pool);
+        let many = execute_bits(&mapped_refd, &mapped_dut, &params, seed, &env_pool);
+        assert_eq!(one, many, "seed {seed}, {} workers", env_pool.threads());
+        assert_eq!(one, owned, "seed {seed}: mapped against owned");
+    }
+}
+
+/// The coefficient bits of one seeded `Plan::execute` on `pool`.
+fn execute_bits<SR, SD>(
+    refd: &SR,
+    dut: &SD,
+    params: &CorrelationParams,
+    seed: u64,
+    pool: &Pool,
+) -> Vec<u64>
+where
+    SR: TraceSource,
+    SD: TraceSource + Sync,
+{
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut plan = Plan::correlation(params, &mut rng).expect("plan");
+    let set = plan.execute(refd, dut, pool).expect("execute");
+    set.coefficients().iter().map(|c| c.to_bits()).collect()
 }
 
 /// Panel screening must reproduce standalone screens at the documented
