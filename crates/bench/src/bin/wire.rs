@@ -10,9 +10,7 @@
 //!   data moved (the gate is ≥ 1 GiB/s each way), and the minor page
 //!   faults each decode takes;
 //! * the same at paper scale (10 000 × 2 048, one stored DUT campaign),
-//!   reported without a gate;
-//! * the `IPMKTRC2` zero-copy seam: `read_block_mapped` open time and
-//!   scan throughput over the mapping vs a full streamed decode.
+//!   reported without a gate.
 //!
 //! Every timed encode/decode pair is asserted bit-identical before any
 //! number is reported. Results go to stdout and to `BENCH_7.json` in
@@ -25,7 +23,7 @@
 use std::time::Instant;
 
 use ipmark_traces::io;
-use ipmark_traces::{read_block_mapped, AdcDomain, TraceBlock};
+use ipmark_traces::{AdcDomain, TraceBlock};
 use serde_json::json;
 
 /// Median and minimum wall time of `reps` runs of `f`, in nanoseconds.
@@ -210,41 +208,6 @@ fn main() {
          is under the 1 GiB/s gate"
     );
 
-    // --- Zero-copy seam: mmap open + scan vs streamed decode (IPMKTRC2). --
-    let (count, trace_len) = *sizes.last().expect("sizes");
-    let block = campaign_like_block(count, trace_len, &adc);
-    let payload_bytes = count * trace_len * 8;
-    let dir = std::env::temp_dir().join("ipmark-bench-wire");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("wire.trc2");
-    {
-        let mut buf = Vec::new();
-        io::write_block(&block, &mut buf).expect("v2 encode");
-        std::fs::write(&path, &buf).expect("write temp file");
-    }
-    let mapped = read_block_mapped("bench", &path).expect("map");
-    assert!(mapped.is_zero_copy(), "unix LE host should map v2 files");
-    assert_eq!(mapped.samples().len(), block.samples().len());
-
-    let (open_ns, _) = timed_ns(reps, || {
-        let m = read_block_mapped("bench", std::hint::black_box(&path)).expect("map");
-        m.samples()[0]
-    });
-    let (scan_ns, _) = timed_ns(reps, || {
-        std::hint::black_box(mapped.samples()).iter().sum::<f64>()
-    });
-    let (streamed_ns, _) = timed_ns(reps, || {
-        let bytes = std::fs::read(std::hint::black_box(&path)).expect("read");
-        let b = io::read_block("bench", bytes.as_slice()).expect("decode");
-        b.samples()[0]
-    });
-    let scan_gibps = gibps(payload_bytes, scan_ns);
-    println!("IPMKTRC2 zero-copy seam ({count} x {trace_len}):");
-    println!("  mapped open      {open_ns:>10.0} ns");
-    println!("  mapped scan      {scan_ns:>10.0} ns   {scan_gibps:>6.2} GiB/s");
-    println!("  streamed decode  {streamed_ns:>10.0} ns");
-    let _ = std::fs::remove_file(&path);
-
     let report = json!({
         "experiment": "X11-wire-format",
         "config": {
@@ -254,14 +217,6 @@ fn main() {
         },
         "blocks": size_reports,
         "paper_scale": paper.report,
-        "mmap_v2": {
-            "count": count,
-            "trace_len": trace_len,
-            "open_median_ns": open_ns,
-            "scan_median_ns": scan_ns,
-            "scan_gib_per_s": scan_gibps,
-            "streamed_decode_median_ns": streamed_ns,
-        },
     });
     let text = serde_json::to_string_pretty(&report).expect("json");
     std::fs::write("BENCH_7.json", &text).expect("write BENCH_7.json");

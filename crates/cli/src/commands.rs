@@ -24,7 +24,7 @@ use ipmark_core::{
 };
 use ipmark_netlist::vcd::dump_vcd;
 use ipmark_power::ProcessVariation;
-use ipmark_traces::{io as trace_io, AdcDomain, MappedBlock, TraceBlock, TraceSource};
+use ipmark_traces::{io as trace_io, read_block_mapped, AdcDomain, TraceBlock, TraceSource};
 
 use crate::args::Args;
 use crate::error::CliError;
@@ -47,7 +47,7 @@ COMMANDS
              [--format bin|csv|trc3] [--adc BITS:VMIN:VMAX]
   convert    Re-encode a trace campaign between wire formats.
              --in FILE --out FILE [--format bin|csv|trc3]
-             [--adc BITS:VMIN:VMAX] [--mapped]
+             [--adc BITS:VMIN:VMAX]
   verify     Verify which DUT campaign matches a reference campaign.
              --refd FILE --dut FILE [--dut FILE]... [--k N=50] [--m N=20]
              [--n1 N] [--n2 N] [--seed N=0] [--json]
@@ -56,8 +56,7 @@ COMMANDS
              --refd FILE --dut FILE --dut FILE... [--k N=50] [--m N=20]
              [--n1 N] [--n2 N] [--seed N=0] [--chunk N=k]
              [--stability N=3] [--confidence F=50]
-             [--distinguisher mean|variance] [--no-early-stop]
-             [--mapped] [--json]
+             [--distinguisher mean|variance] [--no-early-stop] [--json]
   params     Plan (alpha, m, k, n2) from a reselection-probability target.
              [--alpha X=10] [--band F=0.05] [--k N=50] [--n1 N=400]
   plan       Explain the verification operator graph: stages, buffer
@@ -85,8 +84,8 @@ compact binary formats. `acquire` writes the contiguous IPMKTRC2 block
 format by default (`--format trc3` for the quantized + delta-encoded
 IPMKTRC3 wire format; `--adc BITS:VMIN:VMAX` snaps samples onto an ADC
 code grid first, which is what makes trc3 small). Readers accept
-IPMKTRC1, IPMKTRC2 and IPMKTRC3 transparently; `--mapped` streams
-binary campaigns zero-copy from a memory-mapped file."
+IPMKTRC1, IPMKTRC2 and IPMKTRC3 transparently. `session` reads each
+binary DUT campaign row by row from the file instead of loading it."
         .to_owned()
 }
 
@@ -112,13 +111,12 @@ const COMMANDS: &[Command] = &[
         acquire,
         "ip counter key unmarked identity die-seed traces cycles seed out format adc",
     ),
-    ("convert", convert, "in out format adc mapped"),
+    ("convert", convert, "in out format adc"),
     ("verify", verify, "refd dut k m n1 n2 seed json"),
     (
         "session",
         session,
-        "refd dut k m n1 n2 seed chunk stability confidence distinguisher no-early-stop \
-         mapped json",
+        "refd dut k m n1 n2 seed chunk stability confidence distinguisher no-early-stop json",
     ),
     ("params", params, "alpha band k n1"),
     ("plan", plan, "explain paper k m n1 n2 trace-len streaming"),
@@ -232,9 +230,7 @@ fn parse_ip(args: &Args) -> Result<IpSpec, CliError> {
     ))
 }
 
-/// Loads a campaign as one contiguous [`TraceBlock`] arena. CSV parses
-/// row by row; binary files (IPMKTRC1 or IPMKTRC2 — the payloads are
-/// byte-identical) stream straight into the arena.
+/// The device label of a campaign file: its file stem.
 fn device_of(path: &str) -> String {
     Path::new(path)
         .file_stem()
@@ -243,6 +239,9 @@ fn device_of(path: &str) -> String {
         .to_owned()
 }
 
+/// Loads a campaign as one contiguous [`TraceBlock`] arena. CSV parses
+/// row by row; binary files (IPMKTRC1 or IPMKTRC2 — the payloads are
+/// byte-identical) stream straight into the arena.
 fn load_traces(path: &str) -> Result<TraceBlock, CliError> {
     let device = device_of(path);
     let file = File::open(path)?;
@@ -253,18 +252,6 @@ fn load_traces(path: &str) -> Result<TraceBlock, CliError> {
         trace_io::read_block_any(&device, reader)?
     };
     Ok(block)
-}
-
-fn load_mapped(path: &str) -> Result<MappedBlock, CliError> {
-    if path.ends_with(".csv") {
-        return Err(CliError::Usage(
-            "--mapped needs a binary campaign file (CSV has no mappable layout)".into(),
-        ));
-    }
-    Ok(ipmark_traces::read_block_mapped(
-        &device_of(path),
-        Path::new(path),
-    )?)
 }
 
 /// Parses `--adc BITS:VMIN:VMAX` (e.g. `12:0.0:3.3`) into a domain.
@@ -408,11 +395,7 @@ fn convert(args: &Args) -> Result<String, CliError> {
     let format = args.get("format")?.unwrap_or(default_format).to_owned();
     let domain = args.get("adc")?.map(parse_adc).transpose()?;
 
-    let mut block = if args.has("mapped") {
-        load_mapped(in_path)?.to_block()
-    } else {
-        load_traces(in_path)?
-    };
+    let mut block = load_traces(in_path)?;
     if let Some(d) = &domain {
         d.quantize_block(&mut block);
     }
@@ -496,29 +479,21 @@ fn session(args: &Args) -> Result<String, CliError> {
         ));
     }
     let refd = load_traces(refd_path)?;
-    // `--mapped` streams each DUT campaign zero-copy off a memory-mapped
-    // file; otherwise campaigns are decoded into owned arenas. Both feed
-    // the same `ChunkedSource` seam through `&dyn TraceSource`.
-    let mut owned_duts: Vec<TraceBlock> = Vec::new();
-    let mut mapped_duts: Vec<MappedBlock> = Vec::new();
-    let mut names: Vec<String> = Vec::new();
-    if args.has("mapped") {
-        for p in dut_paths {
-            mapped_duts.push(load_mapped(p)?);
-            names.push(device_of(p));
-        }
-    } else {
-        for p in dut_paths {
-            let block = load_traces(p)?;
-            names.push(block.device().to_owned());
-            owned_duts.push(block);
-        }
-    }
-    let duts: Vec<&dyn TraceSource> = if args.has("mapped") {
-        mapped_duts.iter().map(|d| d as &dyn TraceSource).collect()
-    } else {
-        owned_duts.iter().map(|d| d as &dyn TraceSource).collect()
-    };
+    // A binary DUT campaign stays in its file and serves each row the
+    // session reads with a positioned read; a CSV campaign has no row
+    // layout to read from, so it is decoded whole. Both feed the same
+    // `ChunkedSource` seam.
+    let duts: Vec<Box<dyn TraceSource>> = dut_paths
+        .iter()
+        .map(|p| -> Result<Box<dyn TraceSource>, CliError> {
+            Ok(if p.ends_with(".csv") {
+                Box::new(load_traces(p)?)
+            } else {
+                Box::new(read_block_mapped(&device_of(p), Path::new(p))?)
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    let names: Vec<String> = dut_paths.iter().map(|p| device_of(p)).collect();
 
     let k: usize = args.get_or("k", 50)?;
     let m: usize = args.get_or("m", 20)?;
@@ -551,7 +526,7 @@ fn session(args: &Args) -> Result<String, CliError> {
     let mut session = VerificationSession::new(&refd, duts.len(), options, &mut rng)?;
     let mut streams: Vec<_> = duts
         .iter()
-        .map(|d| ipmark_traces::streaming::ChunkedSource::with_limit(*d, chunk, n2))
+        .map(|d| ipmark_traces::streaming::ChunkedSource::with_limit(&**d, chunk, n2))
         .collect::<Result<_, _>>()?;
 
     // Interleave candidates wave by wave, the way a verification service
@@ -1252,10 +1227,10 @@ mod tests {
             "trc3 {packed_bytes} bytes vs bin {raw_bytes}: under 4x"
         );
 
-        // trc3 -> bin (via --mapped input) reproduces the quantized block
-        // bit-exactly through the generic loader.
+        // trc3 -> bin reproduces the quantized block bit-exactly through
+        // the generic loader.
         let back = tmp("conv_back.bin");
-        run(&["convert", "--in", &packed, "--out", &back, "--mapped"]).unwrap();
+        run(&["convert", "--in", &packed, "--out", &back]).unwrap();
         let from_trc3 = load_traces(&packed).unwrap();
         let from_bin = load_traces(&back).unwrap();
         assert_eq!(from_trc3.len(), 40);
@@ -1263,7 +1238,7 @@ mod tests {
         let b: Vec<u64> = from_bin.samples().iter().map(|s| s.to_bits()).collect();
         assert_eq!(a, b);
 
-        // Usage errors: missing input, bad ADC spec, mapped CSV.
+        // Usage errors: missing input, bad ADC spec, the retired mapped flag.
         assert!(matches!(
             run(&["convert", "--out", &back]),
             Err(CliError::Usage(_))
@@ -1284,10 +1259,10 @@ mod tests {
             ]),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            run(&["convert", "--in", "nope.csv", "--out", &back, "--mapped"]),
-            Err(CliError::Usage(_))
-        ));
+        match run(&["convert", "--in", "nope.csv", "--out", &back, "--mapped"]) {
+            Err(CliError::Usage(msg)) => assert!(msg.starts_with("unknown flag --mapped"), "{msg}"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1295,9 +1270,27 @@ mod tests {
         let refd = tmp("map_sess_refd.bin");
         let dut_good = tmp("map_sess_good.trc3");
         let dut_bad = tmp("map_sess_bad.bin");
+        // CSV copies of the same campaigns, in a directory of their own
+        // under the same file stems, so the device names match.
+        let csv_dir = std::env::temp_dir().join("ipmark-cli-tests").join("csv");
+        std::fs::create_dir_all(&csv_dir).unwrap();
+        let csv = |stem: &str| {
+            csv_dir
+                .join(format!("{stem}.csv"))
+                .to_str()
+                .unwrap()
+                .to_owned()
+        };
+        let (csv_refd, csv_good, csv_bad) = (
+            csv("map_sess_refd"),
+            csv("map_sess_good"),
+            csv("map_sess_bad"),
+        );
         // At k = 15 one session names the genuine DUT only about four
         // times in five, so the winner is checked as a rate over 64
-        // realizations; owned and mapped must agree on every one.
+        // realizations; the binary files (positioned reads for bin, the
+        // owned fallback for trc3) and their decoded CSV copies must agree
+        // on every one.
         let sets = 64;
         let mut genuine_wins = 0;
         for set in 0..sets {
@@ -1323,13 +1316,23 @@ mod tests {
                 ])
                 .unwrap();
             }
+            for (from, to) in [
+                (&refd, &csv_refd),
+                (&dut_good, &csv_good),
+                (&dut_bad, &csv_bad),
+            ] {
+                run(&["convert", "--in", from, "--out", to]).unwrap();
+            }
             let seed = (7 + set).to_string();
-            let common = [
-                "--refd", &refd, "--dut", &dut_good, "--dut", &dut_bad, "--k", "15", "--m", "10",
-                "--seed", &seed, "--json",
-            ];
-            let owned = run(&[&["session"], &common[..]].concat()).unwrap();
-            let mapped = run(&[&["session"], &common[..], &["--mapped"]].concat()).unwrap();
+            let session = |refd: &str, good: &str, bad: &str| {
+                run(&[
+                    "session", "--refd", refd, "--dut", good, "--dut", bad, "--k", "15", "--m",
+                    "10", "--seed", &seed, "--json",
+                ])
+                .unwrap()
+            };
+            let mapped = session(&refd, &dut_good, &dut_bad);
+            let owned = session(&csv_refd, &csv_good, &csv_bad);
             // Same campaigns, same seed: the session is source-agnostic, so
             // the two runs must agree verbatim (scores included).
             assert_eq!(owned, mapped, "realization {set}");

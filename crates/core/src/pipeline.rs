@@ -44,7 +44,7 @@ use ipmark_parallel::Pool;
 use ipmark_traces::average::{mean_of_indices_into, mean_of_indices_into_sum, StreamingKAverager};
 use ipmark_traces::select::uniform_distinct_indices;
 use ipmark_traces::stats::{PearsonRef, PrefixStats};
-use ipmark_traces::{StatsError, TraceBlock, TraceChunk, TraceError, TraceSource};
+use ipmark_traces::{StatsError, TraceBlock, TraceError, TraceSource};
 
 use crate::error::CoreError;
 use crate::verify::{validate_sources, CorrelationParams, CorrelationSet};
@@ -711,7 +711,7 @@ impl ResumablePlan {
     /// [`TraceError::NonFiniteSample`], and [`TraceError::IndexOutOfRange`]
     /// for a chunk that runs past the DUT population) and
     /// [`CoreError::Stats`] when a completed average cannot be correlated.
-    pub fn ingest<C: TraceChunk + ?Sized>(&mut self, chunk: &C) -> Result<(), CoreError> {
+    pub fn ingest(&mut self, chunk: &TraceBlock) -> Result<(), CoreError> {
         // The averager checks every row of the chunk (length, finiteness)
         // before any sample touches a partial sum, then finalizes each
         // completing slot with one `accumulate_scale_sum` sweep (accumulate

@@ -79,7 +79,7 @@
 
 use rand::Rng;
 
-use ipmark_traces::{TraceChunk, TraceError, TraceSource};
+use ipmark_traces::{TraceBlock, TraceError, TraceSource};
 
 use crate::distinguisher::DistinguisherKind;
 use crate::error::{CoreError, SessionError};
@@ -297,12 +297,9 @@ impl VerificationSession {
     /// campaign index order), updates every finished coefficient, and
     /// evaluates any rounds the new contiguous prefixes unlock.
     ///
-    /// The chunk may be any [`TraceChunk`] container — the contiguous
-    /// [`TraceBlock`](ipmark_traces::TraceBlock) a
-    /// [`ChunkedSource`](ipmark_traces::streaming::ChunkedSource) delivers,
-    /// or a [`MappedBlock`](ipmark_traces::MappedBlock) read straight from
-    /// a corpus file. Both flow through identical validation and
-    /// accumulation code, so the produced coefficients are bit-identical.
+    /// The chunk is a contiguous [`TraceBlock`], such as the one a
+    /// [`ChunkedSource`](ipmark_traces::streaming::ChunkedSource) delivers
+    /// from any [`TraceSource`], a stored corpus file included.
     ///
     /// A rejected chunk is atomic: the whole chunk is validated before any
     /// sample touches a partial sum, so on error nothing was consumed and
@@ -322,10 +319,10 @@ impl VerificationSession {
     /// [`CoreError::Trace`] for malformed chunks
     /// ([`TraceError::EmptyChunk`], [`TraceError::LengthMismatch`],
     /// [`TraceError::NonFiniteSample`]).
-    pub fn ingest_chunk<C: TraceChunk + ?Sized>(
+    pub fn ingest_chunk(
         &mut self,
         candidate: usize,
-        chunk: &C,
+        chunk: &TraceBlock,
     ) -> Result<SessionStatus, CoreError> {
         if self.verdict.is_some() {
             return Err(SessionError::AlreadyDecided.into());
@@ -338,7 +335,7 @@ impl VerificationSession {
                 candidate,
                 candidates: total,
             })?;
-        let chunk_len = chunk.chunk_len();
+        let chunk_len = chunk.len();
         if chunk_len == 0 {
             return Err(CoreError::Trace(TraceError::EmptyChunk));
         }

@@ -6,7 +6,7 @@
 
 use rand::Rng;
 
-use crate::block::{TraceBlock, TraceChunk};
+use crate::block::TraceBlock;
 use crate::error::{SelectError, TraceError};
 use crate::kernels;
 use crate::select::uniform_distinct_indices;
@@ -244,7 +244,7 @@ impl StreamingKAverager {
         Ok(finished)
     }
 
-    /// Ingests the next `chunk.chunk_len()` traces of the stream at once and
+    /// Ingests the next `chunk.len()` traces of the stream at once and
     /// returns a `(slot, sum)` pair for every slot the chunk completed, in
     /// completion order.
     ///
@@ -262,26 +262,22 @@ impl StreamingKAverager {
     /// [`TraceError::NonFiniteSample`] (with its stream index as
     /// `trace_index`), and [`TraceError::IndexOutOfRange`] when the chunk
     /// runs past the population.
-    pub fn ingest_chunk<C: TraceChunk + ?Sized>(
-        &mut self,
-        chunk: &C,
-    ) -> Result<Vec<(usize, f64)>, TraceError> {
-        let chunk_len = chunk.chunk_len();
-        if chunk_len == 0 {
+    pub fn ingest_chunk(&mut self, chunk: &TraceBlock) -> Result<Vec<(usize, f64)>, TraceError> {
+        if chunk.is_empty() {
             return Err(TraceError::EmptyChunk);
         }
-        for offset in 0..chunk_len {
-            self.check_row(self.next_index + offset, chunk_row(chunk, offset)?)?;
+        for (offset, row) in chunk.rows().enumerate() {
+            self.check_row(self.next_index + offset, row.samples())?;
         }
-        if chunk_len > self.population - self.next_index {
+        if chunk.len() > self.population - self.next_index {
             return Err(TraceError::IndexOutOfRange {
                 index: self.population,
                 available: self.population,
             });
         }
         let mut finished = Vec::new();
-        for offset in 0..chunk_len {
-            self.ingest_row(chunk_row(chunk, offset)?, &mut finished);
+        for row in chunk.rows() {
+            self.ingest_row(row.samples(), &mut finished);
         }
         Ok(finished)
     }
@@ -406,15 +402,6 @@ impl StreamingKAverager {
             .max()
             .unwrap_or(0)
     }
-}
-
-/// Row `offset` of `chunk`; a chunk that has no row below its own
-/// `chunk_len` reports it as out of range.
-fn chunk_row<C: TraceChunk + ?Sized>(chunk: &C, offset: usize) -> Result<&[f64], TraceError> {
-    chunk.chunk_row(offset).ok_or(TraceError::IndexOutOfRange {
-        index: offset,
-        available: chunk.chunk_len(),
-    })
 }
 
 #[cfg(test)]

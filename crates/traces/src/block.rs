@@ -408,36 +408,6 @@ impl<'a> Iterator for RowsMut<'a> {
 
 impl ExactSizeIterator for RowsMut<'_> {}
 
-/// Uniform read access to a delivered chunk of traces, however it is
-/// stored — an owned [`TraceBlock`] (the streaming pipeline's native
-/// shape) or a [`MappedBlock`](crate::MappedBlock) over a corpus file.
-///
-/// Streaming consumers (`VerificationSession::ingest_chunk` in
-/// `ipmark-core`) are generic over this trait, so a chunk produced by
-/// `ChunkedSource::next_chunk` and a mapped file flow through the
-/// identical validation and accumulation code.
-pub trait TraceChunk {
-    /// Number of traces in the chunk.
-    fn chunk_len(&self) -> usize;
-
-    /// The samples of trace `index`, or `None` past the end.
-    fn chunk_row(&self, index: usize) -> Option<&[f64]>;
-}
-
-impl TraceChunk for TraceBlock {
-    fn chunk_len(&self) -> usize {
-        self.count
-    }
-
-    fn chunk_row(&self, index: usize) -> Option<&[f64]> {
-        if index >= self.count {
-            return None;
-        }
-        self.data
-            .get(index * self.trace_len..(index + 1) * self.trace_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,16 +583,5 @@ mod tests {
         let mut b = block_123();
         b.samples_mut()[0] = 100.0;
         assert_eq!(b.into_samples(), vec![100.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn trace_chunk_reads_block_rows() {
-        let block = block_123();
-        assert_eq!(block.chunk_len(), 3);
-        for i in 0..3 {
-            assert_eq!(block.chunk_row(i), Some(block.row(i).unwrap().samples()));
-        }
-        assert_eq!(block.chunk_row(3), None);
-        assert_eq!(TraceBlock::new("d").chunk_row(0), None);
     }
 }

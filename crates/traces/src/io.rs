@@ -12,8 +12,9 @@
 //!   row-major order); only the magic differs. The payload therefore maps
 //!   1:1 onto a [`TraceBlock`]'s sample arena, and [`read_block_any`] loads
 //!   either version straight into one contiguous allocation. Multi-GB v1/v2
-//!   corpora can additionally be consumed zero-copy through
-//!   [`read_block_mapped`](crate::mmap::read_block_mapped).
+//!   corpora can instead stay on disk behind
+//!   [`read_block_mapped`](crate::mmap::read_block_mapped), which reads
+//!   only the rows a verification selects.
 //! * **`IPMKTRC3`** — the quantized wire format ([`crate::codec`]): per-row
 //!   scale/offset metadata plus delta-encoded, bit-packed integer ADC
 //!   codes, with a verbatim raw-f64 fallback for rows off the code grid.
@@ -255,7 +256,7 @@ pub fn read_block_any<R: Read>(device: &str, reader: R) -> Result<TraceBlock, Io
 /// accepted magic and the `(count, trace_len)` pair, with the sample count
 /// guaranteed representable in bytes.
 ///
-/// Shared by the streaming readers here and the zero-copy mapped reader
+/// Shared by the streaming readers here and the stored-file reader
 /// ([`crate::mmap`]), so every entry point enforces the identical
 /// overflow/shape guards.
 pub(crate) fn validate_header(

@@ -37,10 +37,9 @@
 
 #![warn(missing_docs)]
 // `deny` rather than `forbid`: the mmap module is the workspace's single
-// audited unsafe island (raw mmap(2) FFI for zero-copy corpus reads and
-// madvise(2) huge-page advice for large sample arenas) and carries its own
-// scoped `allow` with per-call safety comments. Everything else still
-// refuses unsafe code at compile time.
+// audited unsafe island (one raw madvise(2) call, huge-page advice for
+// large sample arenas) and carries its own scoped `allow` with a safety
+// comment. Everything else still refuses unsafe code at compile time.
 #![deny(unsafe_code)]
 
 pub mod align;
@@ -56,7 +55,7 @@ pub mod stats;
 pub mod streaming;
 pub mod trace;
 
-pub use block::{TraceBlock, TraceChunk, TraceView, TraceViewMut};
+pub use block::{TraceBlock, TraceView, TraceViewMut};
 pub use codec::AdcDomain;
 pub use error::{SelectError, StatsError, TraceError};
 pub use io::IoError;

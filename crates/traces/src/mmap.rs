@@ -1,40 +1,30 @@
-//! Zero-copy memory-mapped reads for multi-GB binary trace corpora.
+//! Positioned reads of stored `IPMKTRC1`/`IPMKTRC2` corpora, and the
+//! crate's sample-arena allocator.
 //!
 //! `read_block_magics` streams a campaign file through a scratch buffer
-//! into a fresh arena — a full copy of the payload. For campaign-scale
-//! reruns over multi-GB `IPMKTRC1`/`IPMKTRC2` corpora that copy dominates
-//! start-up time and doubles peak memory. [`read_block_mapped`] instead
-//! maps the file and hands out the payload *in place*: the v1/v2 payload
-//! is already the row-major little-endian f64 arena, and the page cache
-//! becomes the storage.
+//! into a fresh arena — a full copy of the payload. A §III verification
+//! reads only about a tenth of a paper-scale corpus, one scattered 16 KiB
+//! row at a time, so [`read_block_mapped`] copies nothing up front: it
+//! checks the header and the file length and keeps the file open. The
+//! v1/v2 payload is already the row-major little-endian f64 arena, so each
+//! row is one contiguous byte range of the file.
 //!
-//! [`MappedBlock`] implements [`TraceSource`] and [`TraceChunk`], and the
-//! two kinds of API read the file in different ways:
+//! [`MappedBlock`] serves its rows only through [`TraceSource`]
+//! (`accumulate`, `accumulate_indices`): each requested row is a
+//! positioned read of the file (`FileExt::read_exact_at`) into a fixed
+//! on-stack scratch, added into the caller's buffer from there. The
+//! k-average fills of `correlation_process` and `Plan::execute`, and
+//! [`ChunkedSource`](crate::streaming::ChunkedSource), read this way. A
+//! positioned read takes no page fault, leaves nothing to unmap, and the
+//! page-cache pages it reads do not count toward the process's resident
+//! set. A file truncated under it gives [`TraceError::RowRead`].
 //!
-//! * The borrowed-slice APIs ([`MappedBlock::samples`], [`MappedBlock::row`],
-//!   [`MappedBlock::rows`], [`TraceChunk::chunk_row`] and the
-//!   [`MappedBlock::to_block`] copy) serve the mapping in place.
-//! * The [`TraceSource`] reads (`accumulate`, `accumulate_indices`) are
-//!   positioned reads of the file (`FileExt::read_exact_at`) into a fixed
-//!   on-stack scratch, added into the caller's buffer from there. The
-//!   k-average fills of `correlation_process` and `Plan::execute`, and
-//!   [`ChunkedSource`](crate::streaming::ChunkedSource), read this way.
-//!
-//! A §III verification reads about a tenth of a paper-scale corpus, one
-//! scattered 16 KiB row at a time. Through the mapping, each such row cost
-//! about one page fault, and dropping the mapping then had to clear every
-//! page-table entry those faults created: on `verify-mapped` the two took
-//! about half of each verification. A positioned read takes no fault and
-//! leaves nothing to unmap, and the page-cache pages it reads do not count
-//! toward the process's resident set. [`MappedBlock`] keeps its `File` open
-//! for its lifetime to serve these reads.
-//!
-//! `ChunkedSource::next_chunk` still copies every chunk into a fresh
+//! `ChunkedSource::next_chunk` copies every chunk into a fresh
 //! [`TraceBlock`]; a zero-copy chunk view measured only about 1.2× on a
 //! streaming session, because reading the rows, not the copy, dominates.
 //! `IPMKTRC3` files (bit-packed, not layout-identical) and non-Unix or
-//! big-endian targets transparently fall back to an owned decode behind
-//! the same type, so callers stay portable.
+//! big-endian targets fall back to an owned decode behind the same type,
+//! so callers stay portable.
 //!
 //! The module also owns the crate's sample-arena allocator,
 //! `zeroed_arena`: [`TraceBlock::zeros`] and the `IPMKTRC3` decoder take
@@ -46,83 +36,47 @@
 //! ## Safety boundary
 //!
 //! This is the workspace's single unsafe island (the crate is otherwise
-//! `deny(unsafe_code)` with no allows). It makes three foreign calls:
-//! `mmap` and `munmap` for file mappings, and `madvise` for arena advice.
-//! The advice is `MADV_HUGEPAGE` only, over a range inside a live, zeroed
-//! allocation that the caller holds by `&mut`; it changes how the kernel
-//! backs those pages, never their contents or their validity. The
-//! file-mapping invariants, checked before the pointer is ever formed:
-//!
-//! * the mapping is `PROT_READ`/`MAP_PRIVATE` over a regular file whose
-//!   length was just validated to cover `24 + count·trace_len·8` bytes
-//!   (dimension arithmetic goes through the shared overflow-checked
-//!   [`validate_header`](crate::io) guard);
-//! * the payload starts at byte 24 of a page-aligned base, so the `f64`
-//!   view is 8-byte aligned;
-//! * every byte pattern is a valid `f64`, and the target is little-endian
-//!   (compile-time gate), so reinterpretation cannot produce invalid
-//!   values;
-//! * the mapping is unmapped exactly once, on drop.
-//!
-//! The one hazard that cannot be checked up front is another process
-//! truncating the file while a borrowed view reads it (`SIGBUS`) — the
-//! standard mmap caveat; corpora under verification are treated as
-//! immutable inputs. The [`TraceSource`] reads do not pass through the
-//! island: they are safe `std` positioned reads of the open file, so a
-//! file truncated under them gives [`TraceError::RowRead`] instead.
+//! `deny(unsafe_code)` with no allows). It makes one foreign call,
+//! `madvise`, for arena advice. The advice is `MADV_HUGEPAGE` only, over a
+//! range inside a live, zeroed allocation that the caller holds by `&mut`;
+//! it changes how the kernel backs those pages, never their contents or
+//! their validity. Reads of stored corpora do not pass through the island:
+//! they are safe `std` positioned reads of the open file.
 
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
 
-use crate::block::{TraceBlock, TraceChunk, TraceView};
+use crate::block::TraceBlock;
 use crate::error::TraceError;
 use crate::io::{self, IoError};
-use crate::kernels;
 use crate::trace::TraceSource;
 
 /// Byte offset of the sample payload in the v1/v2 layout (magic + two
-/// u64 dimension words). A multiple of 8, so the mapped payload view is
-/// f64-aligned on any page-aligned base.
+/// u64 dimension words).
 const HEADER_BYTES: usize = 24;
 
-#[cfg(all(unix, target_endian = "little"))]
+#[cfg(all(target_os = "linux", target_endian = "little"))]
 #[allow(unsafe_code)]
 mod sys {
-    //! Minimal raw `mmap(2)`/`madvise(2)` bindings — the build has no
-    //! registry access, so no `libc`/`memmap2`; these three prototypes are
-    //! the entire FFI surface, with the constants taken from the Linux/BSD
-    //! ABI (`MADV_HUGEPAGE` from Linux's generic `mman-common.h`).
+    //! A minimal raw `madvise(2)` binding — the build has no registry
+    //! access, so no `libc`; this one prototype is the entire FFI surface,
+    //! with `MADV_HUGEPAGE` taken from Linux's generic `mman-common.h`.
 
     use std::ffi::{c_int, c_void};
 
-    pub const PROT_READ: c_int = 1;
-    pub const MAP_PRIVATE: c_int = 2;
-    #[cfg(target_os = "linux")]
     const MADV_HUGEPAGE: c_int = 14;
 
     /// Transparent huge-page size on the Linux targets this builds for.
-    #[cfg(target_os = "linux")]
     const HUGE_PAGE: usize = 2 << 20;
 
     unsafe extern "C" {
-        pub fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            offset: i64,
-        ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        #[cfg(target_os = "linux")]
         fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
     }
 
     /// Advises the kernel to back the 2 MiB-aligned interior of `arena`
     /// with transparent huge pages. Advice only: where THP is `always` or
     /// `never`, or the call fails, nothing changes.
-    #[cfg(target_os = "linux")]
     pub fn advise_huge_pages(arena: &mut [f64]) {
         let bytes = std::mem::size_of_val(arena);
         let base = arena.as_mut_ptr().cast::<u8>();
@@ -138,82 +92,6 @@ mod sys {
         // contents or unmap them, so no Rust-visible state changes. The
         // result is ignored because the advice is optional.
         let _ = unsafe { madvise(base.wrapping_add(lead).cast(), len, MADV_HUGEPAGE) };
-    }
-
-    /// An owned read-only mapping; unmapped on drop.
-    #[derive(Debug)]
-    pub struct Map {
-        base: *const u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is immutable (PROT_READ, MAP_PRIVATE) for its
-    // whole lifetime and carries no interior mutability, so shared access
-    // from any thread is sound — the same reasoning that makes `&[u8]`
-    // Send + Sync.
-    unsafe impl Send for Map {}
-    unsafe impl Sync for Map {}
-
-    impl Map {
-        /// Maps `len` readable bytes of an open file. `len` must be
-        /// non-zero (zero-length mappings are an `EINVAL`) and no larger
-        /// than the file, which the caller has just measured.
-        pub fn new(file: &std::fs::File, len: usize) -> std::io::Result<Self> {
-            use std::os::unix::io::AsRawFd;
-            // SAFETY: fd is a valid open descriptor borrowed for the
-            // duration of the call; a NULL addr lets the kernel choose the
-            // placement; the prot/flags request a private read-only view,
-            // which cannot alias any Rust-visible mutable state.
-            let base = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if std::ptr::eq(base, usize::MAX as *mut c_void) {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(Self {
-                base: base.cast_const().cast(),
-                len,
-            })
-        }
-
-        /// The mapped bytes.
-        pub fn bytes(&self) -> &[u8] {
-            // SAFETY: base/len describe a live PROT_READ mapping owned by
-            // self; the borrow cannot outlive the mapping (unmapped only
-            // in Drop, after every borrow ends).
-            unsafe { std::slice::from_raw_parts(self.base, self.len) }
-        }
-
-        /// The payload reinterpreted as `count` little-endian f64s
-        /// starting at `offset` (which the caller keeps 8-aligned).
-        pub fn samples(&self, offset: usize, count: usize) -> &[f64] {
-            debug_assert!(offset.is_multiple_of(8), "payload must stay f64-aligned");
-            debug_assert!(offset + count * 8 <= self.len, "payload bounds");
-            // SAFETY: the region [offset, offset + count*8) is in bounds
-            // (validated against the measured file length before
-            // construction), 8-aligned (page-aligned base + offset 24 ≡ 0
-            // mod 8), lives as long as self, and every bit pattern is a
-            // valid f64 whose in-memory layout on this little-endian
-            // target equals the file's LE encoding.
-            unsafe { std::slice::from_raw_parts(self.base.add(offset).cast::<f64>(), count) }
-        }
-    }
-
-    impl Drop for Map {
-        fn drop(&mut self) {
-            // SAFETY: base/len came from a successful mmap and are
-            // unmapped exactly once. munmap can only fail for invalid
-            // arguments, which the invariant rules out; the result is
-            // ignored because drop has no error channel.
-            let _ = unsafe { munmap(self.base.cast_mut().cast(), self.len) };
-        }
     }
 }
 
@@ -241,23 +119,19 @@ pub(crate) fn zeroed_arena(total: usize) -> Vec<f64> {
 /// How a [`MappedBlock`] holds its samples.
 #[derive(Debug)]
 enum Backing {
-    /// Zero-copy: the samples live in the page cache. The borrowed views
-    /// read them through `map`; the [`TraceSource`] rows are positioned
-    /// reads of `file`, which stays open for the block's lifetime.
+    /// The samples stay in the file, which stays open for the block's
+    /// lifetime; each row is read on demand.
     #[cfg(all(unix, target_endian = "little"))]
-    Mapped { map: sys::Map, file: File },
-    /// Portable fallback (v3 files, non-Unix, big-endian): an owned arena
+    File(File),
+    /// Portable fallback (v3 files, non-Unix, big-endian): an owned block
     /// decoded through the streaming readers.
-    Owned(Vec<f64>),
+    Owned(TraceBlock),
 }
 
-/// A read-only trace campaign backed by a memory-mapped file (or an owned
-/// arena where mapping is unavailable — same API either way).
-///
-/// Rows are exposed exactly like [`TraceBlock`] rows. The borrowed views
-/// read the mapping in place, and only [`MappedBlock::to_block`] copies the
-/// whole payload; the [`TraceSource`] reads copy just the rows they are
-/// asked for, straight from the file.
+/// A read-only trace campaign stored in a binary file, served row by row
+/// through [`TraceSource`] without loading the payload (or, where
+/// positioned reads do not apply, from an owned decode behind the same
+/// API).
 #[derive(Debug)]
 pub struct MappedBlock {
     device: String,
@@ -287,53 +161,9 @@ impl MappedBlock {
         &self.device
     }
 
-    /// Whether the borrowed views are served zero-copy from a live mapping
-    /// and the [`TraceSource`] reads go to the file (false for the owned
-    /// decode fallback).
-    pub fn is_zero_copy(&self) -> bool {
-        match &self.backing {
-            #[cfg(all(unix, target_endian = "little"))]
-            Backing::Mapped { .. } => true,
-            Backing::Owned(_) => false,
-        }
-    }
-
-    /// The whole row-major arena: `len() * trace_len()` samples.
-    pub fn samples(&self) -> &[f64] {
-        match &self.backing {
-            #[cfg(all(unix, target_endian = "little"))]
-            Backing::Mapped { map, .. } => map.samples(HEADER_BYTES, self.count * self.trace_len),
-            Backing::Owned(data) => data,
-        }
-    }
-
-    /// Borrows row `index`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::IndexOutOfRange`] when `index >= len()`.
-    pub fn row(&self, index: usize) -> Result<TraceView<'_>, TraceError> {
-        if index >= self.count {
-            return Err(TraceError::IndexOutOfRange {
-                index,
-                available: self.count,
-            });
-        }
-        let start = index * self.trace_len;
-        Ok(TraceView::from_samples(
-            &self.samples()[start..start + self.trace_len],
-        ))
-    }
-
-    /// Iterates over the rows as borrowed views.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = TraceView<'_>> {
-        self.samples()
-            .chunks_exact(self.trace_len.max(1))
-            .map(TraceView::from_samples)
-    }
-
-    /// The checks a [`TraceSource`] read makes before it adds row `index`
-    /// into `acc`: [`TraceBlock`]'s, in its order.
+    /// The checks a positioned read makes before it adds row `index` into
+    /// `acc`: [`TraceBlock`]'s, in its order.
+    #[cfg(all(unix, target_endian = "little"))]
     fn check_row(&self, index: usize, acc: &[f64]) -> Result<(), TraceError> {
         if index >= self.count {
             return Err(TraceError::IndexOutOfRange {
@@ -348,22 +178,6 @@ impl MappedBlock {
             });
         }
         Ok(())
-    }
-
-    /// Materializes an owned [`TraceBlock`] (one full copy of the
-    /// payload) — the bridge to APIs that need ownership.
-    pub fn to_block(&self) -> TraceBlock {
-        let mut block = TraceBlock::new(self.device.clone());
-        if self.count > 0 {
-            // A mapped campaign always satisfies the block invariants
-            // (validated dimensions, len > 0), so this cannot fail.
-            if let Ok(b) =
-                TraceBlock::from_data(self.device.clone(), self.trace_len, self.samples().to_vec())
-            {
-                block = b;
-            }
-        }
-        block
     }
 }
 
@@ -380,10 +194,8 @@ impl TraceSource for MappedBlock {
         self.accumulate_indices(std::slice::from_ref(&index), acc)
     }
 
-    /// Adds each row to `acc` in list order. A mapped file's rows are read
-    /// with positioned reads into an on-stack scratch, never through the
-    /// mapping, so the fill takes no page faults and leaves no page-table
-    /// entries to clear when the block is dropped. The checks come in
+    /// Adds each row to `acc` in list order. A stored file's rows are read
+    /// with positioned reads into an on-stack scratch. The checks come in
     /// [`TraceBlock`]'s order, index then length, so every error matches
     /// the per-index loop's; a failed read is [`TraceError::RowRead`]. A
     /// row longer than the scratch is read in pieces, so a read that fails
@@ -391,7 +203,7 @@ impl TraceSource for MappedBlock {
     fn accumulate_indices(&self, indices: &[usize], acc: &mut [f64]) -> Result<(), TraceError> {
         match &self.backing {
             #[cfg(all(unix, target_endian = "little"))]
-            Backing::Mapped { file, .. } => {
+            Backing::File(file) => {
                 let mut scratch = [0u8; SCRATCH_BYTES];
                 for &index in indices {
                     self.check_row(index, acc)?;
@@ -403,15 +215,10 @@ impl TraceSource for MappedBlock {
                         }
                     })?;
                 }
+                Ok(())
             }
-            Backing::Owned(_) => {
-                for &index in indices {
-                    self.check_row(index, acc)?;
-                    kernels::accumulate(acc, self.row(index)?.samples());
-                }
-            }
+            Backing::Owned(block) => block.accumulate_indices(indices, acc),
         }
-        Ok(())
     }
 }
 
@@ -433,36 +240,23 @@ fn read_row_into(
     for piece in acc.chunks_mut(SCRATCH_BYTES / 8) {
         let (bytes, _) = scratch.split_at_mut(piece.len() * 8);
         file.read_exact_at(bytes, offset)?;
-        kernels::accumulate_le_bytes(piece, bytes);
+        crate::kernels::accumulate_le_bytes(piece, bytes);
         offset += bytes.len() as u64;
     }
     Ok(())
 }
 
-impl TraceChunk for MappedBlock {
-    fn chunk_len(&self) -> usize {
-        self.count
-    }
-
-    fn chunk_row(&self, index: usize) -> Option<&[f64]> {
-        if index >= self.count {
-            return None;
-        }
-        self.samples()
-            .get(index * self.trace_len..(index + 1) * self.trace_len)
-    }
-}
-
-/// Opens a binary campaign file for zero-copy reading.
+/// Opens a binary campaign file for row-by-row reading.
 ///
-/// `IPMKTRC1`/`IPMKTRC2` files on little-endian Unix targets are
-/// memory-mapped and served in place (the payload *is* the arena);
+/// `IPMKTRC1`/`IPMKTRC2` files on little-endian Unix targets stay on disk
+/// and serve each row with a positioned read (the payload *is* the arena);
 /// `IPMKTRC3` files and other targets decode through the streaming
-/// readers into an owned arena behind the same [`MappedBlock`] API.
+/// readers into an owned block behind the same [`MappedBlock`] API.
 ///
 /// The header is validated with the same overflow/shape guards as the
-/// streaming readers before any mapping or allocation is attempted; like
-/// them, trailing bytes beyond the declared payload are tolerated.
+/// streaming readers, and the file length against the declared payload,
+/// before anything is read or allocated; like the streaming readers,
+/// trailing bytes beyond the declared payload are tolerated.
 ///
 /// # Errors
 ///
@@ -489,8 +283,8 @@ pub fn read_block_mapped(device: &str, path: &Path) -> Result<MappedBlock, IoErr
     )?;
 
     if &magic == io::BLOCK_V3_MAGIC {
-        // Bit-packed payload: not layout-identical, so no zero-copy view
-        // exists; decode into an owned arena behind the same API.
+        // Bit-packed payload: rows are not byte ranges of the file, so
+        // decode into an owned block behind the same API.
         return owned_fallback(device, path);
     }
 
@@ -505,23 +299,11 @@ pub fn read_block_mapped(device: &str, path: &Path) -> Result<MappedBlock, IoErr
 
     #[cfg(all(unix, target_endian = "little"))]
     {
-        if count == 0 {
-            // Zero-length mappings are invalid; an empty campaign needs no
-            // payload anyway.
-            return Ok(MappedBlock {
-                device: device.to_owned(),
-                trace_len: 0,
-                count: 0,
-                backing: Backing::Owned(Vec::new()),
-            });
-        }
-        let map = sys::Map::new(&file, HEADER_BYTES + payload_bytes)?;
-        debug_assert_eq!(&map.bytes()[0..8], &magic);
         Ok(MappedBlock {
             device: device.to_owned(),
-            trace_len,
+            trace_len: if count == 0 { 0 } else { trace_len },
             count,
-            backing: Backing::Mapped { map, file },
+            backing: Backing::File(file),
         })
     }
     #[cfg(not(all(unix, target_endian = "little")))]
@@ -538,7 +320,7 @@ fn owned_fallback(device: &str, path: &Path) -> Result<MappedBlock, IoError> {
         device: device.to_owned(),
         trace_len: block.trace_len(),
         count: block.len(),
-        backing: Backing::Owned(block.into_samples()),
+        backing: Backing::Owned(block),
     })
 }
 
@@ -546,6 +328,7 @@ fn owned_fallback(device: &str, path: &Path) -> Result<MappedBlock, IoError> {
 mod tests {
     use super::*;
     use crate::io::{write_block, write_block_v3, BINARY_MAGIC};
+    use crate::streaming::ChunkedSource;
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -563,60 +346,86 @@ mod tests {
         .unwrap()
     }
 
+    fn bits(samples: &[f64]) -> Vec<u64> {
+        samples.iter().map(|s| s.to_bits()).collect()
+    }
+
+    /// Every row of `source`, each read through `accumulate_indices` into a
+    /// buffer of −0.0: the IEEE additive identity, so the sum is the row,
+    /// bit for bit, for every sample but a NaN.
+    fn row_bits(source: &MappedBlock) -> Vec<u64> {
+        let mut out = Vec::new();
+        for index in 0..source.num_traces() {
+            let mut acc = vec![-0.0; source.trace_len()];
+            source.accumulate_indices(&[index], &mut acc).unwrap();
+            out.extend(bits(&acc));
+        }
+        out
+    }
+
+    /// Whether `mapped` holds an owned decode rather than the open file.
+    fn is_owned(mapped: &MappedBlock) -> bool {
+        matches!(mapped.backing, Backing::Owned(_))
+    }
+
+    /// Writes `bytes` to `name` and opens it with both readers.
+    fn open_both(name: &str, bytes: &[u8]) -> (MappedBlock, TraceBlock) {
+        let path = tmp(name);
+        std::fs::write(&path, bytes).unwrap();
+        let mapped = read_block_mapped("dev", &path).unwrap();
+        (mapped, io::read_block_any("dev", bytes).unwrap())
+    }
+
     #[test]
     fn mapped_v2_matches_streamed_read_bit_exactly() {
         let block = sample_block();
-        let path = tmp("map_v2.trc2");
         let mut buf = Vec::new();
         write_block(&block, &mut buf).unwrap();
-        std::fs::write(&path, &buf).unwrap();
-
-        let mapped = read_block_mapped("dev", &path).unwrap();
+        let (mapped, streamed) = open_both("map_v2.trc2", &buf);
         assert_eq!(mapped.len(), block.len());
         assert_eq!(mapped.trace_len(), block.trace_len());
         assert_eq!(mapped.device(), "dev");
         assert!(!mapped.is_empty());
-        if cfg!(all(unix, target_endian = "little")) {
-            assert!(mapped.is_zero_copy());
-        }
-        let bits: Vec<u64> = mapped.samples().iter().map(|s| s.to_bits()).collect();
-        let want: Vec<u64> = block.samples().iter().map(|s| s.to_bits()).collect();
-        assert_eq!(bits, want);
-        // Row views and the owned bridge agree too.
         assert_eq!(
-            mapped.row(1).unwrap().samples(),
-            block.row(1).unwrap().samples()
+            is_owned(&mapped),
+            !cfg!(all(unix, target_endian = "little"))
         );
-        assert!(mapped.row(4).is_err());
-        assert_eq!(mapped.rows().len(), 4);
-        assert_eq!(mapped.to_block(), block);
+        assert_eq!(row_bits(&mapped), bits(streamed.samples()));
+        assert_eq!(bits(streamed.samples()), bits(block.samples()));
+        assert!(matches!(
+            mapped.accumulate(4, &mut [0.0; 2]),
+            Err(TraceError::IndexOutOfRange {
+                index: 4,
+                available: 4
+            })
+        ));
     }
 
     #[test]
     fn mapped_reader_accepts_v1_and_decodes_v3_owned() {
         let block = sample_block();
-        let v1 = tmp("map_v1.trc1");
         // An IPMKTRC1 file is the v2 payload under the v1 magic.
         let mut buf = Vec::new();
         write_block(&block, &mut buf).unwrap();
         buf[..8].copy_from_slice(BINARY_MAGIC);
-        std::fs::write(&v1, &buf).unwrap();
-        let mapped = read_block_mapped("dev", &v1).unwrap();
-        assert_eq!(mapped.samples(), block.samples());
+        let (mapped, streamed) = open_both("map_v1.trc1", &buf);
+        assert_eq!(
+            is_owned(&mapped),
+            !cfg!(all(unix, target_endian = "little"))
+        );
+        assert_eq!(row_bits(&mapped), bits(streamed.samples()));
+        assert_eq!(bits(streamed.samples()), bits(block.samples()));
 
-        let v3 = tmp("map_v3.trc3");
         let mut buf = Vec::new();
         write_block_v3(&block, &mut buf).unwrap();
-        std::fs::write(&v3, &buf).unwrap();
-        let mapped = read_block_mapped("dev", &v3).unwrap();
-        assert!(!mapped.is_zero_copy(), "v3 is bit-packed, not mappable");
-        let bits: Vec<u64> = mapped.samples().iter().map(|s| s.to_bits()).collect();
-        let want: Vec<u64> = block.samples().iter().map(|s| s.to_bits()).collect();
-        assert_eq!(bits, want);
+        let (mapped, streamed) = open_both("map_v3.trc3", &buf);
+        assert!(is_owned(&mapped), "v3 rows are bit-packed");
+        assert_eq!(row_bits(&mapped), bits(streamed.samples()));
+        assert_eq!(bits(streamed.samples()), bits(block.samples()));
     }
 
     #[test]
-    fn mapped_source_and_chunk_seams_work() {
+    fn mapped_source_seams_work() {
         let block = sample_block();
         let path = tmp("map_seams.trc2");
         let mut buf = Vec::new();
@@ -640,13 +449,8 @@ mod tests {
         block.accumulate_indices(&indices, &mut want).unwrap();
         assert_eq!(acc, want);
 
-        // TraceChunk: rows come back in place.
-        assert_eq!(mapped.chunk_len(), 4);
-        assert_eq!(mapped.chunk_row(1), Some(block.row(1).unwrap().samples()));
-        assert_eq!(mapped.chunk_row(4), None);
-
-        // ChunkedSource streams straight off the mapping.
-        let mut chunks = crate::streaming::ChunkedSource::new(&mapped, 3).unwrap();
+        // ChunkedSource streams the file's rows.
+        let mut chunks = ChunkedSource::new(&mapped, 3).unwrap();
         let mut seen = Vec::new();
         while let Some(chunk) = chunks.next_chunk().unwrap() {
             seen.extend(chunk.rows().map(|r| r.samples().to_vec()));
@@ -657,21 +461,19 @@ mod tests {
 
     #[test]
     fn reads_from_a_file_truncated_after_open_fail_as_typed_errors() {
+        if !cfg!(all(unix, target_endian = "little")) {
+            return; // the owned fallback holds its samples in memory
+        }
         let block = sample_block();
         let path = tmp("map_truncated_after_open.trc2");
         let mut buf = Vec::new();
         write_block(&block, &mut buf).unwrap();
         std::fs::write(&path, &buf).unwrap();
         let mapped = read_block_mapped("dev", &path).unwrap();
-        if !mapped.is_zero_copy() {
-            return; // the owned fallback holds its samples in memory
-        }
         // Rows 0 and 1 stay whole, row 2 keeps one of its two samples and
-        // row 3 is gone. The borrowed views must not be touched from here
-        // on: the mapping now reaches past the end of the file.
+        // row 3 is gone.
         let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
         file.set_len((HEADER_BYTES + 5 * 8) as u64).unwrap();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
 
         let mut acc = vec![0.0; 2];
         mapped.accumulate(1, &mut acc).unwrap();
@@ -709,6 +511,24 @@ mod tests {
             mapped.accumulate_indices(&[3], &mut [0.0; 3]),
             Err(TraceError::LengthMismatch { .. })
         ));
+
+        // A chunk that reaches a lost row fails and is not consumed: the
+        // stream stays at the chunk's first row, however often it retries.
+        let mut chunks = ChunkedSource::new(&mapped, 2).unwrap();
+        let first = chunks
+            .next_chunk()
+            .unwrap()
+            .expect("rows 0 and 1 are whole");
+        assert_eq!(bits(first.samples()), bits(&block.samples()[..4]));
+        for _ in 0..2 {
+            match chunks.next_chunk() {
+                Err(TraceError::RowRead { index: 2, kind }) => {
+                    assert_eq!(kind, std::io::ErrorKind::UnexpectedEof);
+                }
+                other => panic!("expected a read error for row 2, got {other:?}"),
+            }
+            assert_eq!(chunks.position(), 2);
+        }
     }
 
     #[test]
@@ -724,7 +544,8 @@ mod tests {
         let err = read_block_mapped("d", &path).unwrap_err();
         assert!(matches!(err, IoError::Format(_)), "{err}");
 
-        // usize::MAX-adjacent dimension product must not reach mmap.
+        // A usize::MAX-adjacent dimension product is refused before the
+        // file length is compared with it.
         let path = tmp("map_overflow.trc2");
         let mut buf = Vec::new();
         buf.extend_from_slice(io::BLOCK_MAGIC);
@@ -862,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_campaign_maps_as_empty() {
+    fn empty_campaign_opens_as_empty() {
         let path = tmp("map_empty.trc2");
         let mut buf = Vec::new();
         write_block(&TraceBlock::new("empty"), &mut buf).unwrap();
@@ -870,8 +691,15 @@ mod tests {
         let mapped = read_block_mapped("empty", &path).unwrap();
         assert!(mapped.is_empty());
         assert_eq!(mapped.trace_len(), 0);
-        assert!(mapped.samples().is_empty());
-        assert_eq!(mapped.rows().len(), 0);
-        assert!(mapped.to_block().is_empty());
+        assert!(row_bits(&mapped).is_empty());
+        assert!(matches!(
+            mapped.accumulate(0, &mut []),
+            Err(TraceError::IndexOutOfRange {
+                index: 0,
+                available: 0
+            })
+        ));
+        let mut chunks = ChunkedSource::new(&mapped, 1).unwrap();
+        assert!(chunks.next_chunk().unwrap().is_none());
     }
 }

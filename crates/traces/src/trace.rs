@@ -96,7 +96,7 @@ impl AsRef<[f64]> for Trace {
 /// Anything that can serve traces by index.
 ///
 /// Implemented by the in-memory [`TraceBlock`](crate::TraceBlock), the
-/// mapped [`MappedBlock`](crate::MappedBlock) and, in `ipmark-power`, by
+/// stored-file [`MappedBlock`](crate::MappedBlock) and, in `ipmark-power`, by
 /// the on-demand simulated acquisition source — which lets the verification
 /// process draw from a population of `n2 = 10 000` traces without ever
 /// materializing all of them.

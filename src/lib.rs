@@ -73,7 +73,5 @@ pub mod prelude {
     };
     pub use ipmark_power::{MeasurementChain, ProcessVariation};
     pub use ipmark_traces::streaming::ChunkedSource;
-    pub use ipmark_traces::{
-        Trace, TraceBlock, TraceChunk, TraceError, TraceSource, TraceView, TraceViewMut,
-    };
+    pub use ipmark_traces::{Trace, TraceBlock, TraceError, TraceSource, TraceView, TraceViewMut};
 }
