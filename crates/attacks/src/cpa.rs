@@ -186,11 +186,11 @@ pub fn recover_key<S: TraceSource + ?Sized>(
         )));
     }
 
-    // Predictions fan out across threads; the correlation itself runs as
-    // one batched sweep with the centered profile cache-resident, scoring
-    // four hypotheses per pass. Bit-identical to per-guess
-    // `score_hypothesis` calls (the stage wraps `PearsonRef`), including
-    // the zero-score convention for constant predictions.
+    // Predictions fan out across threads; the correlation itself runs
+    // against the profile centered once, one fused sweep per hypothesis.
+    // Bit-identical to per-guess `score_hypothesis` calls (the stage wraps
+    // `PearsonRef`), including the zero-score convention for constant
+    // predictions.
     let reference = center_profile(&profile)?;
     let predictions: Vec<Vec<f64>> =
         guess_map(|g| predicted_leakage(counter, substitution, WatermarkKey::new(g), cycles))?;

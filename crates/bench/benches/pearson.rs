@@ -5,7 +5,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ipmark_traces::stats::{pearson, PearsonRef};
-use ipmark_traces::TraceBlock;
 use std::hint::black_box;
 
 fn bench_pearson(c: &mut Criterion) {
@@ -69,57 +68,5 @@ fn bench_fused_reference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The ISSUE-5 acceptance comparison: the single-sweep batched sweep
-/// (`correlate_rows`) over an m = 20 arena of long traces against m
-/// independent per-row `correlate` calls. The batched sweep's tiled group
-/// kernels must come in at least 1.5× faster (results are pinned
-/// bit-identical by the equivalence suites).
-fn bench_batched_rows(c: &mut Criterion) {
-    let trace_len = 8192usize;
-    let m = 20usize;
-    let reference: Vec<f64> = (0..trace_len).map(|i| (i as f64 * 0.17).sin()).collect();
-    let mut block = TraceBlock::zeros("bench", m, trace_len).expect("arena");
-    for (j, mut row) in block.rows_mut().enumerate() {
-        let data: Vec<f64> = (0..trace_len)
-            .map(|i| (i as f64 * 0.17 + 0.01 * j as f64).sin())
-            .collect();
-        row.copy_from_slice(&data).expect("row length");
-    }
-    let kernel = PearsonRef::new(&reference).expect("valid");
-
-    let mut group = c.benchmark_group("correlate-rows-m20-len8192");
-    group.bench_with_input(
-        BenchmarkId::from_parameter("per-row-correlate"),
-        &block,
-        |b, block| {
-            b.iter(|| {
-                block
-                    .rows()
-                    .map(|row| kernel.correlate(black_box(row.samples())).expect("valid"))
-                    .sum::<f64>()
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter("batched-correlate-rows"),
-        &block,
-        |b, block| {
-            b.iter(|| {
-                kernel
-                    .correlate_rows(black_box(block))
-                    .into_iter()
-                    .map(|r| r.expect("valid"))
-                    .sum::<f64>()
-            })
-        },
-    );
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_pearson,
-    bench_fused_reference,
-    bench_batched_rows
-);
+criterion_group!(benches, bench_pearson, bench_fused_reference);
 criterion_main!(benches);

@@ -1,25 +1,18 @@
-//! Fused-ingest and multi-reference screening benchmark (experiment X13).
+//! Fused-ingest benchmark (experiment X13).
 //!
-//! Gates the two ISSUE-10 fusions at the acceptance configuration
-//! (`trace_len = 8192`, `m = 20`, `refs = 8`):
-//!
-//! * **fused ingest** — slot finalization as one
-//!   `accumulate_scale_sum` sweep against the staged
-//!   `accumulate` → `scale` → `sum` sequence it replaces; gate: fused
-//!   ≥ 1.3× staged;
-//! * **multi-reference screening** — `PearsonRef::correlate_refs`
-//!   sweeping one DUT `TraceBlock` against 8 cached references against
-//!   the baseline of 8 independent `correlate_rows` calls; gate:
-//!   batched ≥ 1.5× looped. The underlying 4-row kernel (`sxy_refs_x4`
-//!   vs looped `sxy`) is also reported.
+//! Gates the fused ingest at the acceptance configuration
+//! (`trace_len = 8192`, `m = 20`): slot finalization as one
+//! `accumulate_scale_sum` sweep against the staged
+//! `accumulate` → `scale` → `sum` sequence it replaces; gate: fused
+//! ≥ 1.3× staged.
 //!
 //! The kernels run on the instruction set they are compiled for, reported
 //! as `isa`.
 //!
-//! Every timed pair is asserted bit-identical before any timing is
+//! The timed pair is asserted bit-identical before any timing is
 //! reported — fusion is a scheduling change, never a numeric one
 //! (DESIGN.md §16). Results go to stdout and to `BENCH_6.json` in the
-//! current directory; the process exits non-zero if a speedup gate
+//! current directory; the process exits non-zero if the speedup gate
 //! misses. Set `IPMARK_QUICK=1` to shrink the repetition counts.
 
 // Benchmark binary: measuring wall-clock time is the whole point here.
@@ -29,17 +22,13 @@
 use std::time::Instant;
 
 use ipmark_traces::kernels;
-use ipmark_traces::stats::PearsonRef;
-use ipmark_traces::TraceBlock;
 
 /// The acceptance configuration from ISSUE 10.
 const TRACE_LEN: usize = 8192;
 const M: usize = 20;
-const REFS: usize = 8;
 
-/// Speedup gates from the ISSUE-10 acceptance criteria.
+/// Minimum speedup of the fused finalization over the staged sequence.
 const FUSED_INGEST_GATE: f64 = 1.3;
-const MULTI_REF_GATE: f64 = 1.5;
 
 fn vm_hwm_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -132,47 +121,13 @@ fn bench_fused_ingest(reps: usize) -> (f64, f64) {
     (staged_ns, fused_ns)
 }
 
-/// Measures the 4-row multi-reference kernel: four independent `sxy`
-/// sweeps versus one `sxy_refs_x4` group sweep. Returns
-/// `(looped_ns, batched_ns)`.
-fn bench_sxy_refs_kernel(reps: usize) -> (f64, f64) {
-    let refs: Vec<Vec<f64>> = (0..4).map(|i| series(TRACE_LEN, 500 + i as u64)).collect();
-    let y = series(TRACE_LEN, 600);
-    let my = kernels::sum(&y) / TRACE_LEN as f64;
-    let group: [&[f64]; 4] = [&refs[0], &refs[1], &refs[2], &refs[3]];
-
-    // Correctness gate before timing.
-    let batched = kernels::sxy_refs_x4(group, &y, my);
-    for (r, want) in refs.iter().zip(batched) {
-        let got = kernels::sxy(r, &y, my);
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "sxy_refs_x4 diverged from single-reference sxy"
-        );
-    }
-
-    let (looped_ns, s1) = median_ns(reps, || {
-        refs.iter()
-            .map(|r| kernels::sxy(std::hint::black_box(r.as_slice()), &y, my))
-            .sum()
-    });
-    let (batched_ns, s2) = median_ns(reps, || {
-        kernels::sxy_refs_x4(std::hint::black_box(group), &y, my)
-            .iter()
-            .sum()
-    });
-    std::hint::black_box((s1, s2));
-    (looped_ns, batched_ns)
-}
-
 fn main() {
     let quick = std::env::var("IPMARK_QUICK").is_ok_and(|v| v == "1");
     let reps = if quick { 11 } else { 201 };
     let isa = kernels::isa_name();
     eprintln!(
         "fusion benchmark: isa = {isa}, trace_len = {TRACE_LEN}, m = {M}, \
-         refs = {REFS}, {reps} repetitions (median reported)"
+         {reps} repetitions (median reported)"
     );
 
     // --- Fused ingest finalization. ----------------------------------------
@@ -186,70 +141,6 @@ fn main() {
         if fused_pass { "PASS" } else { "FAIL" }
     );
 
-    // --- 4-row multi-reference kernel. -------------------------------------
-    let (looped_x4_ns, batched_x4_ns) = bench_sxy_refs_kernel(reps);
-    let x4_speedup = looped_x4_ns / batched_x4_ns;
-    println!("sxy_refs_x4 kernel (trace_len = {TRACE_LEN}, 4 references):");
-    println!(
-        "  looped {looped_x4_ns:>10.0} ns   batched {batched_x4_ns:>10.0} ns   \
-         speedup {x4_speedup:>5.2}x"
-    );
-
-    // --- Multi-reference screening sweep, compiled backend. ---------------
-    let references: Vec<Vec<f64>> = (0..REFS)
-        .map(|i| series(TRACE_LEN, 700 + i as u64))
-        .collect();
-    let kernels_vec: Vec<PearsonRef> = references
-        .iter()
-        .map(|r| PearsonRef::new(r).expect("non-degenerate reference"))
-        .collect();
-    let mut block = TraceBlock::zeros("bench", M, TRACE_LEN).expect("arena");
-    for (i, mut row) in block.rows_mut().enumerate() {
-        let data = series(TRACE_LEN, 800 + i as u64);
-        row.copy_from_slice(&data).expect("row length");
-    }
-
-    // Correctness gate before timing: batched ≡ per-reference, bitwise.
-    let batched_cols = PearsonRef::correlate_refs(&kernels_vec, &block);
-    for (kernel, col) in kernels_vec.iter().zip(&batched_cols) {
-        for (want, got) in col.iter().zip(kernel.correlate_rows(&block)) {
-            assert_eq!(
-                got.as_ref().expect("well-formed rows").to_bits(),
-                want.as_ref().expect("well-formed rows").to_bits(),
-                "correlate_refs diverged from per-reference correlate_rows"
-            );
-        }
-    }
-
-    let (looped_ns, s1) = median_ns(reps, || {
-        kernels_vec
-            .iter()
-            .map(|k| {
-                k.correlate_rows(std::hint::black_box(&block))
-                    .into_iter()
-                    .map(|r| r.expect("well-formed rows"))
-                    .sum::<f64>()
-            })
-            .sum()
-    });
-    let (batched_ns, s2) = median_ns(reps, || {
-        PearsonRef::correlate_refs(&kernels_vec, std::hint::black_box(&block))
-            .into_iter()
-            .flatten()
-            .map(|r| r.expect("well-formed rows"))
-            .sum()
-    });
-    std::hint::black_box((s1, s2));
-    let multi_ref_speedup = looped_ns / batched_ns;
-    let multi_ref_pass = multi_ref_speedup >= MULTI_REF_GATE;
-    println!("multi-reference screening (trace_len = {TRACE_LEN}, m = {M}, refs = {REFS}):");
-    println!("  per-ref correlate_rows x{REFS}  {looped_ns:>10.0} ns");
-    println!("  correlate_refs (batched)      {batched_ns:>10.0} ns");
-    println!(
-        "  speedup                       {multi_ref_speedup:>10.2}x   gate >= {MULTI_REF_GATE}x  {}",
-        if multi_ref_pass { "PASS" } else { "FAIL" }
-    );
-
     let peak_rss_kib = vm_hwm_kib();
     if let Some(kib) = peak_rss_kib {
         println!("peak RSS (VmHWM): {kib} KiB");
@@ -261,7 +152,6 @@ fn main() {
         "config": {
             "trace_len": TRACE_LEN,
             "m": M,
-            "refs": REFS,
             "repetitions": reps,
             "quick": quick,
         },
@@ -271,20 +161,6 @@ fn main() {
             "speedup": fused_speedup,
             "gate": FUSED_INGEST_GATE,
             "pass": fused_pass,
-            "bit_identical": true,
-        },
-        "sxy_refs_kernel": {
-            "looped_median_ns": looped_x4_ns,
-            "batched_median_ns": batched_x4_ns,
-            "speedup": x4_speedup,
-            "bit_identical": true,
-        },
-        "multi_ref_screening": {
-            "looped_median_ns": looped_ns,
-            "batched_median_ns": batched_ns,
-            "speedup": multi_ref_speedup,
-            "gate": MULTI_REF_GATE,
-            "pass": multi_ref_pass,
             "bit_identical": true,
         },
         "peak_rss_kib": peak_rss_kib,
@@ -300,7 +176,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if !(fused_pass && multi_ref_pass) {
+    if !fused_pass {
         eprintln!("speedup gate missed; see the FAIL lines above");
         std::process::exit(1);
     }

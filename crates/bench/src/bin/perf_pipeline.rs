@@ -3,11 +3,10 @@
 //! Every verification path runs through one typed `Plan` graph, executed on
 //! an `ipmark_parallel::Pool`. This binary proves the abstraction is free:
 //!
-//! * `CorrelateStage::rows` vs the direct `PearsonRef::correlate_rows`
-//!   sweep it wraps (the X9 `correlate-rows` comparison, re-run against
-//!   the stage seam);
+//! * `CorrelateStage::rows` vs the direct per-row `PearsonRef::correlate`
+//!   loop it wraps;
 //! * a full correlation process as the hand-rolled pre-refactor body
-//!   (select → `mean_of_indices_into` → `correlate_rows`, one thread) vs
+//!   (select → `mean_of_indices_into` → per-row `correlate`, one thread) vs
 //!   `Plan::execute` over the same sources and seed, on a one-worker pool
 //!   and on the environment's pool;
 //! * `Plan` buffer reuse: re-executing one plan against fresh selections,
@@ -127,8 +126,8 @@ where
 
 /// The pre-refactor correlation-process body, hand-rolled from the same
 /// primitives the stages wrap: draw the reference selection, k-average it,
-/// draw and k-average the m DUT selections into a fresh arena, then run
-/// the batched Pearson sweep. Same draws, same FLOPs, no stage structs.
+/// draw and k-average the m DUT selections into a fresh arena, then
+/// correlate each row. Same draws, same FLOPs, no stage structs.
 fn direct_process(refd: &TraceBlock, dut: &TraceBlock, seed: u64) -> CorrelationSet {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let refd_sel =
@@ -143,10 +142,9 @@ fn direct_process(refd: &TraceBlock, dut: &TraceBlock, seed: u64) -> Correlation
         mean_of_indices_into(dut, &dut_sels[i], row.samples_mut()).expect("DUT average");
     }
     let kernel = PearsonRef::new(&a_refd).expect("non-degenerate reference");
-    let coefficients: Vec<f64> = kernel
-        .correlate_rows(&block)
-        .into_iter()
-        .map(|r| r.expect("well-formed rows"))
+    let coefficients: Vec<f64> = block
+        .rows()
+        .map(|row| kernel.correlate(row.samples()).expect("well-formed row"))
         .collect();
     CorrelationSet::new(coefficients).expect("m coefficients")
 }
@@ -200,7 +198,7 @@ fn main() {
         pool.threads(),
     );
 
-    // --- Stage seam: CorrelateStage::rows vs direct correlate_rows. -------
+    // --- Stage seam: CorrelateStage::rows vs the direct per-row loop. -----
     let reference = series(TRACE_LEN, 100);
     let mut block = TraceBlock::zeros("bench", PARAMS.m, TRACE_LEN).expect("arena");
     for (i, mut row) in block.rows_mut().enumerate() {
@@ -210,25 +208,23 @@ fn main() {
     let kernel = PearsonRef::new(&reference).expect("non-degenerate reference");
     let stage = ipmark_core::CorrelateStage::center(&reference).expect("stage");
 
-    let direct: Vec<f64> = kernel
-        .correlate_rows(&block)
-        .into_iter()
-        .map(|r| r.expect("well-formed rows"))
+    let direct: Vec<f64> = block
+        .rows()
+        .map(|row| kernel.correlate(row.samples()).expect("well-formed row"))
         .collect();
     let staged = stage.rows(&block).expect("staged rows");
     assert_eq!(
         direct.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
         staged.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
-        "CorrelateStage::rows diverged from correlate_rows"
+        "CorrelateStage::rows diverged from per-row correlate"
     );
 
     let (rows_direct_ns, rows_staged_ns, rows_parity) = paired_parity_ns(
         reps,
         || {
-            kernel
-                .correlate_rows(std::hint::black_box(&block))
-                .into_iter()
-                .map(|r| r.expect("well-formed rows"))
+            std::hint::black_box(&block)
+                .rows()
+                .map(|row| kernel.correlate(row.samples()).expect("well-formed row"))
                 .sum::<f64>()
         },
         || {
@@ -243,7 +239,7 @@ fn main() {
         "correlate-rows seam (trace_len = {TRACE_LEN}, m = {}):",
         PARAMS.m
     );
-    println!("  direct correlate_rows   {rows_direct_ns:>10.0} ns");
+    println!("  direct per-row loop     {rows_direct_ns:>10.0} ns");
     println!("  CorrelateStage::rows    {rows_staged_ns:>10.0} ns");
     println!("  parity                  {rows_parity:>10.3}x (gate >= {MIN_PARITY})");
 

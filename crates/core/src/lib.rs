@@ -76,6 +76,6 @@ pub use pipeline::{
     default_backend, AcquireStage, CorrelateStage, DecideStage, KAverageStage, Plan, ResumablePlan,
 };
 pub use report::{CandidateReport, VerificationReport};
-pub use screen::{CounterfeitScreen, ReferenceBank, ScreeningVerdict};
+pub use screen::{CounterfeitScreen, ScreeningVerdict};
 pub use session::{EarlyStopRule, SessionOptions, SessionStatus, Verdict, VerificationSession};
 pub use verify::{correlation_process, CorrelationParams, CorrelationSet};

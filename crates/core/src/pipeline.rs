@@ -17,7 +17,7 @@
 //!   [`TraceBlock`] arena of DUT averages, filled row-by-row through
 //!   [`mean_of_indices_into`] (zero per-row allocation).
 //! * [`CorrelateStage`] — the centered [`PearsonRef`] kernel producing the
-//!   `m` coefficients in one batched sweep, bit-identical to per-pair
+//!   `m` coefficients, one fused sweep per row, bit-identical to per-pair
 //!   [`pearson`](ipmark_traces::stats::pearson) calls (DESIGN.md §11).
 //! * [`DecideStage`] — wraps the coefficients into the validated
 //!   [`CorrelationSet`] the distinguishers consume.
@@ -268,10 +268,10 @@ impl KAverageStage {
 /// Stage 3 — the centered Pearson kernel.
 ///
 /// Centers and normalizes the reference once; every correlation against it
-/// is then a single fused sweep. Batched evaluation is bit-identical to
-/// per-pair [`pearson`](ipmark_traces::stats::pearson) calls (DESIGN.md
-/// §11), which is why one stage serves the fused, sequential-reference and
-/// streaming paths alike.
+/// is then a single fused sweep per row, bit-identical to a per-pair
+/// [`pearson`](ipmark_traces::stats::pearson) call (DESIGN.md §11), which
+/// is why one stage serves the fused, sequential-reference and streaming
+/// paths alike.
 #[derive(Debug, Clone)]
 pub struct CorrelateStage {
     kernel: PearsonRef,
@@ -319,35 +319,36 @@ impl CorrelateStage {
     /// Returns [`CoreError::Stats`] when a row is flat or of mismatched
     /// length.
     pub fn rows(&self, block: &TraceBlock) -> Result<Vec<f64>, CoreError> {
-        self.kernel
-            .correlate_rows(block)
-            .into_iter()
-            .map(|r| r.map_err(CoreError::Stats))
+        block
+            .rows()
+            .map(|row| {
+                self.kernel
+                    .correlate(row.samples())
+                    .map_err(CoreError::Stats)
+            })
             .collect()
     }
 
     /// Like [`CorrelateStage::rows`], but consumes precomputed per-row
     /// sample sums carried out of the fused k-average fill
-    /// ([`KAverageStage::dut_sums`]), skipping the batched sum sweep.
+    /// ([`KAverageStage::dut_sums`]), skipping a sum sweep per row.
     /// Bit-identical to [`CorrelateStage::rows`] whenever `sums[i]` equals
     /// the canonical `kernels::sum` over row `i` — which the fused
-    /// `scale_sum` kernel guarantees (DESIGN.md §16).
+    /// `scale_sum` kernel guarantees (DESIGN.md §16). Rows past the end of
+    /// `sums` take a fresh sum.
     ///
     /// # Errors
     ///
     /// Same as [`CorrelateStage::rows`].
     pub fn rows_with_sums(&self, block: &TraceBlock, sums: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.kernel
-            .correlate_rows_with_sums(block, sums)
-            .into_iter()
-            .map(|r| r.map_err(CoreError::Stats))
-            .collect()
+        self.many_with_sums(block.rows().map(|row| row.samples()), sums)
     }
 
-    /// Like [`CorrelateStage::many`], but with precomputed per-row sample
-    /// sums — the streaming counterpart of
+    /// Correlates the reference against each slice with precomputed
+    /// per-row sample sums — the streaming counterpart of
     /// [`CorrelateStage::rows_with_sums`], fed by
-    /// [`StreamingKAverager::ingest`].
+    /// [`StreamingKAverager::ingest`], with the same error contract and
+    /// the same fresh sum for rows past the end of `sums`.
     ///
     /// # Errors
     ///
@@ -356,32 +357,22 @@ impl CorrelateStage {
     where
         I: IntoIterator<Item = &'a [f64]>,
     {
-        self.kernel
-            .correlate_many_with_sums(rows, sums)
-            .into_iter()
-            .map(|r| r.map_err(CoreError::Stats))
-            .collect()
-    }
-
-    /// Correlates the reference against each slice, first error winning.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CorrelateStage::rows`].
-    pub fn many<'a, I>(&self, rows: I) -> Result<Vec<f64>, CoreError>
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        self.kernel
-            .correlate_many(rows)
-            .into_iter()
-            .map(|r| r.map_err(CoreError::Stats))
+        rows.into_iter()
+            .enumerate()
+            .map(|(i, y)| {
+                match sums.get(i) {
+                    Some(&sum) => self.kernel.correlate_with_sum(y, sum),
+                    None => self.kernel.correlate(y),
+                }
+                .map_err(CoreError::Stats)
+            })
             .collect()
     }
 
     /// Correlates the reference against each slice, scoring flat rows as
     /// `0.0` (the CPA convention: a constant hypothesis carries no
-    /// evidence) and propagating every other error.
+    /// evidence) and propagating every other error, first (lowest-index)
+    /// one winning.
     ///
     /// # Errors
     ///
@@ -391,10 +382,8 @@ impl CorrelateStage {
     where
         I: IntoIterator<Item = &'a [f64]>,
     {
-        self.kernel
-            .correlate_many(rows)
-            .into_iter()
-            .map(|r| match r {
+        rows.into_iter()
+            .map(|y| match self.kernel.correlate(y) {
                 Ok(c) => Ok(c),
                 Err(StatsError::ZeroVariance) => Ok(0.0),
                 Err(e) => Err(CoreError::Stats(e)),
@@ -602,7 +591,7 @@ pub fn explain_graph(
         ));
     }
     out.push_str(&format!(
-        "  CorrelateStage  PearsonRef centered over {trace_len} samples -> {m} coefficients (batched rows kernel)\n",
+        "  CorrelateStage  PearsonRef centered over {trace_len} samples -> {m} coefficients (one fused sweep per row)\n",
     ));
     out.push_str(
         "  DecideStage     CorrelationSet { mean, variance } -> distinguisher (higher mean / lower variance)\n",
@@ -626,7 +615,7 @@ pub fn explain_graph(
 /// `A_RefD` into a [`CorrelateStage`], and hands the `m` DUT selections to
 /// a [`StreamingKAverager`].
 /// Each ingested chunk advances the partial sums; slots that complete are
-/// correlated in one batched sweep and committed to the contiguous finished
+/// correlated with their carried sums and committed to the contiguous finished
 /// prefix, whose running statistics are bit-identical to the batch
 /// statistics over the same coefficients, for every chunk partition
 /// (DESIGN.md §9).
@@ -993,5 +982,84 @@ mod tests {
         }
         let streaming = explain_graph(&p, 96, 1, true);
         assert!(streaming.contains("streaming"), "{streaming}");
+    }
+
+    #[test]
+    fn correlate_stage_loops_keep_the_row_error_contract() {
+        // The row error a stage call fails with.
+        fn err(r: Result<Vec<f64>, CoreError>) -> StatsError {
+            match r {
+                Err(CoreError::Stats(e)) => e,
+                other => panic!("expected a row error, got {other:?}"),
+            }
+        }
+        let reference = noisy_set("r", 1, 21).row(0).unwrap().samples().to_vec();
+        let n = reference.len();
+        let stage = CorrelateStage::center(&reference).unwrap();
+        let good = noisy_set("d", 8, 22);
+        let mut rows: Vec<Vec<f64>> = good.rows().map(|r| r.samples().to_vec()).collect();
+        rows[2].truncate(n - 1);
+        rows[5] = vec![0.5; n];
+        let sums: Vec<f64> = rows
+            .iter()
+            .map(|y| ipmark_traces::kernels::sum(y))
+            .collect();
+        let short = StatsError::LengthMismatch {
+            left: n,
+            right: n - 1,
+        };
+
+        // The short row at index 2 wins over the flat row at index 5, with
+        // full, partial and no carried sums alike.
+        for k in [sums.len(), 3, 0] {
+            assert_eq!(
+                err(stage.many_with_sums(rows.iter().map(Vec::as_slice), &sums[..k])),
+                short,
+                "{k} sums"
+            );
+        }
+        // `many_or_zero` still propagates the length error ...
+        assert_eq!(
+            err(stage.many_or_zero(rows.iter().map(Vec::as_slice))),
+            short
+        );
+        // ... and scores the flat row as 0.0 once the short row is gone.
+        rows[2] = good.row(2).unwrap().samples().to_vec();
+        let scored = stage.many_or_zero(rows.iter().map(Vec::as_slice)).unwrap();
+        assert_eq!(scored[5].to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            err(stage.many_with_sums(rows.iter().map(Vec::as_slice), &[])),
+            StatsError::ZeroVariance
+        );
+
+        // A block's rows share one length, so its short row is a short
+        // block: the length error wins over the flat row there too.
+        let flat = TraceBlock::from_data("d", n, rows.concat()).unwrap();
+        assert_eq!(err(stage.rows(&flat)), StatsError::ZeroVariance);
+        assert_eq!(
+            err(stage.rows_with_sums(&flat, &sums)),
+            StatsError::ZeroVariance
+        );
+        let cut: Vec<f64> = rows.iter().flat_map(|y| y[..n - 1].to_vec()).collect();
+        let short_block = TraceBlock::from_data("d", n - 1, cut).unwrap();
+        assert_eq!(err(stage.rows(&short_block)), short);
+        assert_eq!(err(stage.rows_with_sums(&short_block, &sums)), short);
+
+        // Rows past a short `sums` slice take a fresh sum: same bits as
+        // `rows`, which sums every row itself.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let want = bits(stage.rows(&good).unwrap());
+        let good_sums: Vec<f64> = good
+            .rows()
+            .map(|r| ipmark_traces::kernels::sum(r.samples()))
+            .collect();
+        for k in [good_sums.len(), 3, 0] {
+            let got = stage.rows_with_sums(&good, &good_sums[..k]).unwrap();
+            assert_eq!(bits(got), want, "{k} sums");
+        }
+        let all_scored = stage
+            .many_or_zero(good.rows().map(|r| r.samples()))
+            .unwrap();
+        assert_eq!(bits(all_scored), want);
     }
 }

@@ -10,106 +10,11 @@
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use ipmark_traces::stats::PearsonRef;
-use ipmark_traces::{TraceBlock, TraceSource};
+use ipmark_traces::TraceSource;
 
 use crate::error::CoreError;
 use crate::pipeline::{default_backend, Plan};
 use crate::verify::{CorrelationParams, CorrelationSet};
-
-/// A cache of centered Pearson reference kernels for the
-/// verification-as-a-service hot loop: center each reference average once,
-/// then screen every incoming DUT block against the whole bank in a single
-/// batched sweep ([`CounterfeitScreen::screen_refs`]).
-///
-/// With `R` cached references and a DUT block of `m` rows, the batched
-/// sweep reads each row once for its shared statistics (`sum`, `syy`) and
-/// streams the references through the tiled `sxy_refs_x4` kernel —
-/// `R + 2` row sweeps instead of the `3R` a per-reference
-/// [`PearsonRef::correlate_rows`] loop costs — while staying bit-identical
-/// to that loop (DESIGN.md §16).
-#[derive(Debug, Clone)]
-pub struct ReferenceBank {
-    kernels: Vec<PearsonRef>,
-    trace_len: usize,
-}
-
-impl ReferenceBank {
-    /// Centers every reference average into a cached kernel. All
-    /// references must share one trace length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParams`] for an empty bank or mismatched
-    /// lengths, and [`CoreError::Stats`] for a flat (zero-variance) or
-    /// too-short reference.
-    pub fn new<I, S>(references: I) -> Result<Self, CoreError>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<[f64]>,
-    {
-        let mut kernels = Vec::new();
-        let mut trace_len = None;
-        for reference in references {
-            let reference = reference.as_ref();
-            match trace_len {
-                None => trace_len = Some(reference.len()),
-                Some(expected) if expected != reference.len() => {
-                    return Err(CoreError::InvalidParams {
-                        reason: format!(
-                            "bank references must share one trace length ({} vs {})",
-                            expected,
-                            reference.len()
-                        ),
-                    });
-                }
-                Some(_) => {}
-            }
-            kernels.push(PearsonRef::new(reference).map_err(CoreError::Stats)?);
-        }
-        let trace_len = trace_len.ok_or(CoreError::InvalidParams {
-            reason: "a reference bank needs at least one reference".into(),
-        })?;
-        Ok(Self { kernels, trace_len })
-    }
-
-    /// Number of cached references.
-    pub fn len(&self) -> usize {
-        self.kernels.len()
-    }
-
-    /// `true` when the bank holds no references (unreachable through
-    /// [`ReferenceBank::new`], which rejects empty banks).
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty()
-    }
-
-    /// The shared reference trace length.
-    pub fn trace_len(&self) -> usize {
-        self.trace_len
-    }
-
-    /// The cached centered kernels, bank order.
-    pub fn kernels(&self) -> &[PearsonRef] {
-        &self.kernels
-    }
-
-    /// Correlates every cached reference against every row of `block` in
-    /// one batched multi-reference sweep — `out[r][j]` is reference `r`
-    /// against row `j`, bit-identical to
-    /// `self.kernels()[r].correlate_rows(block)[j]`.
-    ///
-    /// # Errors
-    ///
-    /// Per-cell: a flat or length-mismatched row yields an error in that
-    /// cell only.
-    pub fn correlate_block(
-        &self,
-        block: &TraceBlock,
-    ) -> Vec<Vec<Result<f64, ipmark_traces::StatsError>>> {
-        PearsonRef::correlate_refs(&self.kernels, block)
-    }
-}
 
 /// The verdict for one screened device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -260,39 +165,6 @@ impl CounterfeitScreen {
             Ok(self.judge(&set))
         })
     }
-
-    /// Screens one block of `m` k-averaged DUT traces against every cached
-    /// reference in `bank` — the verification-as-a-service hot loop, where
-    /// the DUT data is swept once per request regardless of how many
-    /// references are banked.
-    ///
-    /// Verdict `r` is bit-identical to centering reference `r` alone,
-    /// correlating it against the block rows and judging the resulting
-    /// [`CorrelationSet`] — the batched sweep changes scheduling, never
-    /// results.
-    ///
-    /// # Errors
-    ///
-    /// For each reference, the lowest-index row error wins
-    /// ([`CoreError::Stats`]); an empty or non-finite coefficient set is
-    /// [`CoreError::InvalidParams`]. The first (lowest-index) failing
-    /// reference's error is returned.
-    pub fn screen_refs(
-        &self,
-        bank: &ReferenceBank,
-        duts: &TraceBlock,
-    ) -> Result<Vec<ScreeningVerdict>, CoreError> {
-        bank.correlate_block(duts)
-            .into_iter()
-            .map(|row| {
-                let coefficients = row
-                    .into_iter()
-                    .map(|r| r.map_err(CoreError::Stats))
-                    .collect::<Result<Vec<f64>, CoreError>>()?;
-                Ok(self.judge(&CorrelationSet::new(coefficients)?))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -387,72 +259,6 @@ mod tests {
             let lone = screen.screen(&refd, dut, &params, &mut rng).unwrap();
             assert_eq!(verdicts[j], lone, "panel index {j}");
         }
-    }
-
-    #[test]
-    fn screen_refs_matches_per_reference_screening_bitwise() {
-        use ipmark_traces::stats::PearsonRef;
-        use ipmark_traces::TraceBlock;
-
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(42);
-        let trace_len = 96;
-        let mut wave = |phase: f64| -> Vec<f64> {
-            (0..trace_len)
-                .map(|i| {
-                    (i as f64 * 0.31 + phase).sin()
-                        + ipmark_power::device::gaussian(&mut rng, 0.0, 0.2)
-                })
-                .collect()
-        };
-        // 9 cached references (odd count exercises the x4 remainder) and a
-        // DUT block of 6 k-averaged rows.
-        let references: Vec<Vec<f64>> = (0..9).map(|r| wave(r as f64 * 0.1)).collect();
-        let mut duts = TraceBlock::zeros("dut", 6, trace_len).unwrap();
-        for row in duts.samples_mut().chunks_exact_mut(trace_len) {
-            row.copy_from_slice(&wave(0.05));
-        }
-
-        let bank = ReferenceBank::new(&references).unwrap();
-        assert_eq!(bank.len(), 9);
-        assert_eq!(bank.trace_len(), trace_len);
-        let screen = CounterfeitScreen::with_threshold(1e-3).unwrap();
-        let batched = screen.screen_refs(&bank, &duts).unwrap();
-        assert_eq!(batched.len(), references.len());
-
-        // The documented contract: verdict r is bit-identical to centering
-        // reference r alone and judging its correlate_rows output.
-        for (r, reference) in references.iter().enumerate() {
-            let kernel = PearsonRef::new(reference).unwrap();
-            let coefficients: Vec<f64> = kernel
-                .correlate_rows(&duts)
-                .into_iter()
-                .collect::<Result<_, _>>()
-                .unwrap();
-            let lone = screen.judge(&CorrelationSet::new(coefficients).unwrap());
-            assert_eq!(
-                batched[r].variance.to_bits(),
-                lone.variance.to_bits(),
-                "reference {r}"
-            );
-            assert_eq!(
-                batched[r].mean.to_bits(),
-                lone.mean.to_bits(),
-                "reference {r}"
-            );
-            assert_eq!(batched[r], lone, "reference {r}");
-        }
-    }
-
-    #[test]
-    fn reference_bank_validation() {
-        let empty: Vec<Vec<f64>> = Vec::new();
-        assert!(ReferenceBank::new(&empty).is_err());
-        // Mismatched lengths are rejected up front.
-        let mixed = [vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 2.0]];
-        assert!(ReferenceBank::new(&mixed).is_err());
-        // A flat reference cannot be centered.
-        let flat = [vec![1.0; 8]];
-        assert!(ReferenceBank::new(&flat).is_err());
     }
 
     #[test]

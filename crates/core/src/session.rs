@@ -307,7 +307,7 @@ impl VerificationSession {
     ///
     /// Ingestion runs the fused single-sweep path: each slot a chunk
     /// completes is finalized by one `accumulate_scale_sum` kernel pass
-    /// whose carried sample sum also feeds the batched correlation,
+    /// whose carried sample sum also feeds the slot's correlation,
     /// bit-identical to the staged accumulate → scale → sum sequence
     /// (DESIGN.md §16).
     ///
@@ -343,7 +343,7 @@ impl VerificationSession {
         if cand.ingested() + chunk_len > budget {
             return Err(SessionError::TooManyTraces { candidate, budget }.into());
         }
-        // Validation, ingestion, batched correlation and prefix advance are
+        // Validation, ingestion, correlation and prefix advance are
         // the resumable plan's job (see `crate::pipeline::ResumablePlan`);
         // the session only layers the budget/round state machine on top.
         cand.ingest(chunk)?;

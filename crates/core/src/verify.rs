@@ -232,7 +232,7 @@ where
     // before drawing so a failing call leaves the caller's RNG untouched,
     // exactly like the pre-graph implementation, then run the plan on the
     // environment-sized default pool. The drawn selections, buffer fill
-    // order and batched correlation are bit-identical to the historical
+    // order and per-row correlation are bit-identical to the historical
     // hand-rolled body (pinned by the tier-2 golden suites).
     validate_sources(refd, dut, params)?;
     let mut plan = Plan::correlation(params, rng)?;

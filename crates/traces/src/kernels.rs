@@ -35,13 +35,6 @@
 /// Number of independent accumulator lanes in the canonical blocked order.
 pub const LANES: usize = 8;
 
-/// Elements per row processed between accumulator spills in the `_x4` group
-/// kernels (4 KiB of f64 — a row tile stays L1-resident while the four rows
-/// of a group are swept). Tiling only re-orders *scheduling across rows*;
-/// each row's lane sequence is untouched, so results stay bit-identical to
-/// the single-row kernels.
-const TILE: usize = 512;
-
 /// Combines the eight lane accumulators in the canonical fixed tree:
 /// `((l0+l1) + (l2+l3)) + ((l4+l5) + (l6+l7))`.
 #[inline]
@@ -63,7 +56,7 @@ fn fold_remainder(lanes: &mut [f64; LANES], rem: &[f64]) {
 
 /// Scalar blocked implementation (auto-vectorized) — the only one.
 mod scalar {
-    use super::{combine, fold_remainder, LANES, TILE};
+    use super::{combine, fold_remainder, LANES};
 
     /// Blocked sum of a series in the canonical lane order.
     #[must_use]
@@ -77,44 +70,6 @@ mod scalar {
         }
         fold_remainder(&mut lanes, chunks.remainder());
         combine(lanes)
-    }
-
-    /// Blocked sums of four equal-length series in one tiled sweep.
-    ///
-    /// Each row's lane sequence is identical to [`sum`] over that row
-    /// alone, so the results are bit-identical to four separate calls. The
-    /// sweep is tiled (`TILE` = 512 elements per row between spills):
-    /// within a tile a single row runs with register-resident accumulators,
-    /// and the four rows of the group share the tile's cache footprint.
-    /// Rows longer than the shortest are truncated to its length.
-    #[must_use]
-    pub fn sum_x4(ys: [&[f64]; 4]) -> [f64; 4] {
-        let n = ys.iter().fold(ys[0].len(), |n, y| n.min(y.len()));
-        let mut lanes = [[0.0; LANES]; 4];
-        let full = n - n % LANES;
-        let mut base = 0;
-        while base < full {
-            let end = (base + TILE).min(full);
-            for (row, y) in lanes.iter_mut().zip(ys) {
-                let mut acc = *row;
-                for chunk in y[base..end].chunks_exact(LANES) {
-                    for j in 0..LANES {
-                        acc[j] += chunk[j];
-                    }
-                }
-                *row = acc;
-            }
-            base = end;
-        }
-        for (row, y) in lanes.iter_mut().zip(ys) {
-            fold_remainder(row, &y[full..n]);
-        }
-        [
-            combine(lanes[0]),
-            combine(lanes[1]),
-            combine(lanes[2]),
-            combine(lanes[3]),
-        ]
     }
 
     /// Blocked dot product `Σ xᵢ·yᵢ` over the common prefix of the two
@@ -136,24 +91,6 @@ mod scalar {
             .zip(xc.remainder().iter().zip(yc.remainder()))
         {
             *lane += x * y;
-        }
-        combine(lanes)
-    }
-
-    /// Blocked `Σ (xᵢ − mean)²` in the canonical lane order.
-    #[must_use]
-    pub fn centered_sum_sq(xs: &[f64], mean: f64) -> f64 {
-        let mut lanes = [0.0; LANES];
-        let mut chunks = xs.chunks_exact(LANES);
-        for chunk in chunks.by_ref() {
-            for (lane, &x) in lanes.iter_mut().zip(chunk) {
-                let d = x - mean;
-                *lane += d * d;
-            }
-        }
-        for (lane, &x) in lanes.iter_mut().zip(chunks.remainder()) {
-            let d = x - mean;
-            *lane += d * d;
         }
         combine(lanes)
     }
@@ -182,62 +119,6 @@ mod scalar {
             syy[j] += dy * dy;
         }
         (combine(sxy), combine(syy))
-    }
-
-    /// Four [`sxy_syy`] reductions in one tiled sweep: the centered
-    /// reference tile is loaded once and reused against four DUT rows while
-    /// it is cache-hot.
-    ///
-    /// Each row's per-lane operation sequence is identical to a standalone
-    /// [`sxy_syy`] call, so every `(sxy, syy)` pair is bit-identical to the
-    /// single-row kernel — the tiling only changes scheduling across rows,
-    /// never the per-row accumulation order. Within a tile a row's sixteen
-    /// accumulators live in registers; they spill to the `sxy`/`syy` arrays
-    /// only at tile boundaries. Rows longer than the reference are
-    /// truncated to its length.
-    #[must_use]
-    pub fn sxy_syy_x4(centered: &[f64], ys: [&[f64]; 4], mys: [f64; 4]) -> [(f64, f64); 4] {
-        let n = ys.iter().fold(centered.len(), |n, y| n.min(y.len()));
-        let centered = &centered[..n];
-        let mut sxy = [[0.0; LANES]; 4];
-        let mut syy = [[0.0; LANES]; 4];
-        let full = n - n % LANES;
-        let mut base = 0;
-        while base < full {
-            let end = (base + TILE).min(full);
-            for r in 0..4 {
-                let my = mys[r];
-                let mut lx = sxy[r];
-                let mut ly = syy[r];
-                let ctile = centered[base..end].chunks_exact(LANES);
-                let ytile = ys[r][base..end].chunks_exact(LANES);
-                for (cx, cy) in ctile.zip(ytile) {
-                    for j in 0..LANES {
-                        let dy = cy[j] - my;
-                        lx[j] += cx[j] * dy;
-                        ly[j] += dy * dy;
-                    }
-                }
-                sxy[r] = lx;
-                syy[r] = ly;
-            }
-            base = end;
-        }
-        let cx = &centered[full..n];
-        for r in 0..4 {
-            let cy = &ys[r][full..n];
-            for j in 0..cx.len() {
-                let dy = cy[j] - mys[r];
-                sxy[r][j] += cx[j] * dy;
-                syy[r][j] += dy * dy;
-            }
-        }
-        [
-            (combine(sxy[0]), combine(syy[0])),
-            (combine(sxy[1]), combine(syy[1])),
-            (combine(sxy[2]), combine(syy[2])),
-            (combine(sxy[3]), combine(syy[3])),
-        ]
     }
 
     /// Element-wise accumulate `accᵢ += xsᵢ` over the common prefix — the
@@ -330,88 +211,13 @@ mod scalar {
         }
         combine(lanes)
     }
-
-    /// Blocked Pearson numerator `Σ cxᵢ·(yᵢ − my)` alone — the
-    /// multi-reference remainder kernel. Per lane it performs exactly the
-    /// `sxy` half of [`sxy_syy`] (same `dy`, same multiply, same order),
-    /// so the value is bit-identical to `sxy_syy(..).0`.
-    #[must_use]
-    pub fn sxy(centered: &[f64], y: &[f64], my: f64) -> f64 {
-        let n = centered.len().min(y.len());
-        let (centered, y) = (&centered[..n], &y[..n]);
-        let mut lanes = [0.0; LANES];
-        let mut cc = centered.chunks_exact(LANES);
-        let mut yc = y.chunks_exact(LANES);
-        for (cx, cy) in cc.by_ref().zip(yc.by_ref()) {
-            for (j, (&x, &b)) in cx.iter().zip(cy).enumerate() {
-                let dy = b - my;
-                lanes[j] += x * dy;
-            }
-        }
-        for (j, (&x, &b)) in cc.remainder().iter().zip(yc.remainder()).enumerate() {
-            let dy = b - my;
-            lanes[j] += x * dy;
-        }
-        combine(lanes)
-    }
-
-    /// Four Pearson numerators of one DUT row against four centered
-    /// references in a single tiled sweep — the multi-reference screening
-    /// group kernel (the transpose of [`sxy_syy_x4`]: one `y` stream, four
-    /// reference streams). The DUT tile stays cache-hot across the four
-    /// references, and the reference-independent `Σ (yᵢ − my)²` term is
-    /// left to one [`centered_sum_sq`] call per row instead of being
-    /// recomputed per reference.
-    ///
-    /// Each reference's per-lane operation sequence is identical to a
-    /// standalone [`sxy`] call, so every numerator is bit-identical to the
-    /// single-reference kernel. References longer than the row are
-    /// truncated to the common length.
-    #[must_use]
-    pub fn sxy_refs_x4(centereds: [&[f64]; 4], y: &[f64], my: f64) -> [f64; 4] {
-        let n = centereds.iter().fold(y.len(), |n, c| n.min(c.len()));
-        let y = &y[..n];
-        let mut sxy = [[0.0; LANES]; 4];
-        let full = n - n % LANES;
-        let mut base = 0;
-        while base < full {
-            let end = (base + TILE).min(full);
-            for (row, c) in sxy.iter_mut().zip(centereds) {
-                let mut lx = *row;
-                let ctile = c[base..end].chunks_exact(LANES);
-                let ytile = y[base..end].chunks_exact(LANES);
-                for (cx, cy) in ctile.zip(ytile) {
-                    for j in 0..LANES {
-                        let dy = cy[j] - my;
-                        lx[j] += cx[j] * dy;
-                    }
-                }
-                *row = lx;
-            }
-            base = end;
-        }
-        let cy = &y[full..n];
-        let mut out = [0.0; 4];
-        for ((o, row), c) in out.iter_mut().zip(&mut sxy).zip(centereds) {
-            let cx = &c[full..n];
-            for j in 0..cx.len() {
-                let dy = cy[j] - my;
-                row[j] += cx[j] * dy;
-            }
-            *o = combine(*row);
-        }
-        out
-    }
 }
 
 // Used by the mapped source's positioned reads, which only the targets
 // that map files have.
 #[cfg(any(test, all(unix, target_endian = "little")))]
 pub(crate) use scalar::accumulate_le_bytes;
-pub use scalar::{
-    accumulate, accumulate_scale_sum, centered_sum_sq, dot, scale, scale_sum, sum, sum_x4, sxy,
-    sxy_refs_x4, sxy_syy, sxy_syy_x4,
-};
+pub use scalar::{accumulate, accumulate_scale_sum, dot, scale, scale_sum, sum, sxy_syy};
 
 /// Names the widest vector instruction set the kernels are compiled for:
 /// `avx512f`, `avx2`, `neon`, or `portable` for the target's baseline
@@ -456,40 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn sum_x4_rows_match_single_row_sum() {
-        for n in [0, 5, 8, 64, 257] {
-            let rows: Vec<Vec<f64>> = (0..4).map(|r| series(n, 10 + r)).collect();
-            let batched = sum_x4([&rows[0], &rows[1], &rows[2], &rows[3]]);
-            for (r, row) in rows.iter().enumerate() {
-                assert_eq!(batched[r].to_bits(), sum(row).to_bits(), "n={n} r={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn sxy_syy_x4_rows_match_single_row_kernel() {
-        for n in [2, 8, 31, 200] {
-            let centered = series(n, 5);
-            let rows: Vec<Vec<f64>> = (0..4).map(|r| series(n, 20 + r)).collect();
-            let mys = [0.1, -0.3, 0.0, 0.7];
-            let batched = sxy_syy_x4(&centered, [&rows[0], &rows[1], &rows[2], &rows[3]], mys);
-            for (r, row) in rows.iter().enumerate() {
-                let single = sxy_syy(&centered, row, mys[r]);
-                assert_eq!(
-                    batched[r].0.to_bits(),
-                    single.0.to_bits(),
-                    "sxy n={n} r={r}"
-                );
-                assert_eq!(
-                    batched[r].1.to_bits(),
-                    single.1.to_bits(),
-                    "syy n={n} r={r}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn fused_scale_sum_matches_staged_scale_then_sum() {
         for n in [0, 1, 7, 8, 9, 100, 1025] {
             let base = series(n, 8);
@@ -520,34 +292,6 @@ mod tests {
             let got = accumulate_scale_sum(&mut fused, &xs, factor);
             assert_eq!(got.to_bits(), want.to_bits(), "na={na} nx={nx}");
             assert_eq!(fused, staged, "buffer na={na} nx={nx}");
-        }
-    }
-
-    #[test]
-    fn sxy_alone_matches_the_sxy_half_of_sxy_syy() {
-        for n in [0, 2, 8, 31, 513] {
-            let centered = series(n, 11);
-            let y = series(n, 12);
-            let my = 0.125;
-            let want = sxy_syy(&centered, &y, my).0;
-            assert_eq!(sxy(&centered, &y, my).to_bits(), want.to_bits());
-        }
-    }
-
-    #[test]
-    fn sxy_refs_x4_matches_single_reference_sxy() {
-        for n in [0, 2, 8, 31, 200, 1200] {
-            let refs: Vec<Vec<f64>> = (0..4).map(|r| series(n, 30 + r)).collect();
-            let y = series(n, 40);
-            let my = -0.375;
-            let batched = sxy_refs_x4([&refs[0], &refs[1], &refs[2], &refs[3]], &y, my);
-            for (r, c) in refs.iter().enumerate() {
-                assert_eq!(
-                    batched[r].to_bits(),
-                    sxy(c, &y, my).to_bits(),
-                    "n={n} r={r}"
-                );
-            }
         }
     }
 

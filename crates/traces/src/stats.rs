@@ -9,7 +9,6 @@
 //! the canonical fixed-lane blocked order of [`crate::kernels`] — see
 //! DESIGN.md §11 for why that order is deterministic everywhere.
 
-use crate::block::TraceBlock;
 use crate::error::StatsError;
 use crate::kernels;
 
@@ -244,7 +243,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     }
     // Delegating to the fused kernel keeps exactly one Pearson operation
     // sequence in the workspace: every path — one-shot, reference-hoisted,
-    // batched — reduces in the canonical blocked order of `kernels`.
+    // fused-ingest — reduces in the canonical blocked order of `kernels`.
     PearsonRef::new(x)?.correlate(y)
 }
 
@@ -320,7 +319,8 @@ impl PearsonRef {
     }
 
     /// Correlates the pre-processed reference against `y`, bitwise equal to
-    /// `pearson(x, y)`.
+    /// `pearson(x, y)`: [`PearsonRef::correlate_with_sum`] with `y`'s
+    /// blocked sum.
     ///
     /// # Errors
     ///
@@ -328,95 +328,18 @@ impl PearsonRef {
     /// from the reference and [`StatsError::ZeroVariance`] when `y` is
     /// constant.
     pub fn correlate(&self, y: &[f64]) -> Result<f64, StatsError> {
-        if y.len() != self.centered.len() {
-            return Err(StatsError::LengthMismatch {
-                left: self.centered.len(),
-                right: y.len(),
-            });
-        }
-        let my = kernels::sum(y) / y.len() as f64;
-        let (sxy, syy) = kernels::sxy_syy(&self.centered, y, my);
-        self.finish(sxy, syy)
-    }
-
-    /// Shared tail of every correlate path: reject a constant DUT, else
-    /// form the coefficient.
-    fn finish(&self, sxy: f64, syy: f64) -> Result<f64, StatsError> {
-        if syy == 0.0 {
-            return Err(StatsError::ZeroVariance);
-        }
-        Ok(sxy / (self.sxx * syy).sqrt())
-    }
-
-    /// Correlates the reference against many rows in one batched sweep.
-    ///
-    /// Valid-length rows are processed four at a time: their means come
-    /// from one [`kernels::sum_x4`] pass and their `(sxy, syy)` pairs from
-    /// one [`kernels::sxy_syy_x4`] pass, which keeps the centered
-    /// reference cache-resident across the group and fills the FP pipeline
-    /// with independent accumulator chains. Every coefficient is
-    /// **bit-identical** to a standalone [`PearsonRef::correlate`] call on
-    /// that row — the group kernels reproduce the single-row per-lane
-    /// operation order exactly.
-    ///
-    /// Each row yields its own `Result`, in input order: rows whose length
-    /// differs from the reference report [`StatsError::LengthMismatch`],
-    /// constant rows report [`StatsError::ZeroVariance`], and neither
-    /// disturbs neighboring rows.
-    pub fn correlate_many<'a, I>(&self, rows: I) -> Vec<Result<f64, StatsError>>
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        let rows: Vec<&[f64]> = rows.into_iter().collect();
-        let n = self.centered.len();
-        let mut out: Vec<Result<f64, StatsError>> = rows
-            .iter()
-            .map(|y| {
-                if y.len() == n {
-                    Ok(f64::NAN) // placeholder, overwritten below
-                } else {
-                    Err(StatsError::LengthMismatch {
-                        left: n,
-                        right: y.len(),
-                    })
-                }
-            })
-            .collect();
-        let valid: Vec<usize> = (0..rows.len()).filter(|&i| out[i].is_ok()).collect();
-        let nf = n as f64;
-        let mut groups = valid.chunks_exact(4);
-        for g in groups.by_ref() {
-            let ys = [rows[g[0]], rows[g[1]], rows[g[2]], rows[g[3]]];
-            let sums = kernels::sum_x4(ys);
-            let mys = [sums[0] / nf, sums[1] / nf, sums[2] / nf, sums[3] / nf];
-            let pairs = kernels::sxy_syy_x4(&self.centered, ys, mys);
-            for (&slot, &(sxy, syy)) in g.iter().zip(pairs.iter()) {
-                out[slot] = self.finish(sxy, syy);
-            }
-        }
-        for &i in groups.remainder() {
-            out[i] = self.correlate(rows[i]);
-        }
-        out
-    }
-
-    /// Correlates the reference against every row of a [`TraceBlock`] in
-    /// one batched sweep — see [`PearsonRef::correlate_many`] for the
-    /// blocking scheme and the per-row bit-identity guarantee.
-    pub fn correlate_rows(&self, block: &TraceBlock) -> Vec<Result<f64, StatsError>> {
-        self.correlate_many(block.rows().map(|row| row.samples()))
+        self.correlate_with_sum(y, kernels::sum(y))
     }
 
     /// [`PearsonRef::correlate`] with the row's blocked sum already known
-    /// — the fused-ingest fast path (DESIGN.md §16).
+    /// — the fused-ingest fast path (DESIGN.md §16), and the one
+    /// correlation body in the workspace.
     ///
     /// `sum` must be the canonical blocked sum of `y` (what
     /// [`kernels::sum`] returns; the fused ingest kernels produce exactly
     /// that value while they sweep the row for other reasons). Given that,
-    /// the mean division and every downstream operation are the ones
-    /// [`PearsonRef::correlate`] performs, so the coefficient is
-    /// bit-identical — the row is just not swept an extra time for its
-    /// sum.
+    /// the coefficient is the one [`PearsonRef::correlate`] returns — the
+    /// row is just not swept an extra time for its sum.
     ///
     /// # Errors
     ///
@@ -430,141 +353,10 @@ impl PearsonRef {
         }
         let my = sum / y.len() as f64;
         let (sxy, syy) = kernels::sxy_syy(&self.centered, y, my);
-        self.finish(sxy, syy)
-    }
-
-    /// [`PearsonRef::correlate_many`] with per-row blocked sums already
-    /// known: the `sum_x4` sweep is skipped and the means come from
-    /// `sums[i] / n` — the same division the staged path performs on the
-    /// same bits, so every coefficient stays bit-identical to a standalone
-    /// [`PearsonRef::correlate`] call.
-    ///
-    /// `sums[i]` must be the canonical blocked sum of row `i`; rows
-    /// without a provided sum (when `sums` is shorter than the row list)
-    /// fall back to [`PearsonRef::correlate`], which re-sweeps but returns
-    /// the same bits. Error behavior is exactly
-    /// [`PearsonRef::correlate_many`]'s.
-    pub fn correlate_many_with_sums<'a, I>(
-        &self,
-        rows: I,
-        sums: &[f64],
-    ) -> Vec<Result<f64, StatsError>>
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        let rows: Vec<&[f64]> = rows.into_iter().collect();
-        let n = self.centered.len();
-        let mut out: Vec<Result<f64, StatsError>> = rows
-            .iter()
-            .map(|y| {
-                if y.len() == n {
-                    Ok(f64::NAN) // placeholder, overwritten below
-                } else {
-                    Err(StatsError::LengthMismatch {
-                        left: n,
-                        right: y.len(),
-                    })
-                }
-            })
-            .collect();
-        let valid: Vec<usize> = (0..rows.len())
-            .filter(|&i| out[i].is_ok() && i < sums.len())
-            .collect();
-        let nf = n as f64;
-        let mut groups = valid.chunks_exact(4);
-        for g in groups.by_ref() {
-            let ys = [rows[g[0]], rows[g[1]], rows[g[2]], rows[g[3]]];
-            let mys = [
-                sums[g[0]] / nf,
-                sums[g[1]] / nf,
-                sums[g[2]] / nf,
-                sums[g[3]] / nf,
-            ];
-            let pairs = kernels::sxy_syy_x4(&self.centered, ys, mys);
-            for (&slot, &(sxy, syy)) in g.iter().zip(pairs.iter()) {
-                out[slot] = self.finish(sxy, syy);
-            }
+        if syy == 0.0 {
+            return Err(StatsError::ZeroVariance);
         }
-        for &i in groups.remainder() {
-            out[i] = self.correlate_with_sum(rows[i], sums[i]);
-        }
-        // Rows past the provided sums: re-sweep (same bits, one more pass).
-        for i in sums.len()..rows.len() {
-            if out[i].as_ref().is_ok_and(|v| v.is_nan()) {
-                out[i] = self.correlate(rows[i]);
-            }
-        }
-        out
-    }
-
-    /// [`PearsonRef::correlate_rows`] with per-row blocked sums already
-    /// known — see [`PearsonRef::correlate_many_with_sums`].
-    pub fn correlate_rows_with_sums(
-        &self,
-        block: &TraceBlock,
-        sums: &[f64],
-    ) -> Vec<Result<f64, StatsError>> {
-        self.correlate_many_with_sums(block.rows().map(|row| row.samples()), sums)
-    }
-
-    /// Correlates **many cached references** against every row of one DUT
-    /// block in a single sweep — the multi-reference screening kernel
-    /// (DESIGN.md §16): `out[r][j]` is reference `r` against row `j`.
-    ///
-    /// Per row, the reference-independent work is done once — one blocked
-    /// sum for the mean and one [`kernels::centered_sum_sq`] pass for
-    /// `syy = Σ (yⱼ − my)²` (per lane exactly the `syy` half of
-    /// [`kernels::sxy_syy`]) — and the per-reference numerators then come
-    /// from [`kernels::sxy_refs_x4`] four references at a time, with the
-    /// row tile cache-hot across the group. Per-reference
-    /// [`PearsonRef::correlate_rows`] sweeps the row `3R` times for `R`
-    /// references; this path sweeps it `R + 2` times, and every
-    /// coefficient (and every error) is **bit-identical** to the
-    /// per-reference call — pinned by the property suite.
-    pub fn correlate_refs(refs: &[Self], block: &TraceBlock) -> Vec<Vec<Result<f64, StatsError>>> {
-        let rows: Vec<&[f64]> = block.rows().map(|row| row.samples()).collect();
-        let mut out: Vec<Vec<Result<f64, StatsError>>> = refs
-            .iter()
-            .map(|kernel| {
-                rows.iter()
-                    .map(|y| {
-                        Err(StatsError::LengthMismatch {
-                            left: kernel.len(),
-                            right: y.len(),
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        for (j, &y) in rows.iter().enumerate() {
-            let valid: Vec<usize> = (0..refs.len())
-                .filter(|&r| refs[r].len() == y.len())
-                .collect();
-            if valid.is_empty() {
-                continue;
-            }
-            // Reference lengths are at least 2, so a matching row is too.
-            let my = kernels::sum(y) / y.len() as f64;
-            let syy = kernels::centered_sum_sq(y, my);
-            let mut groups = valid.chunks_exact(4);
-            for g in groups.by_ref() {
-                let cs = [
-                    refs[g[0]].centered.as_slice(),
-                    refs[g[1]].centered.as_slice(),
-                    refs[g[2]].centered.as_slice(),
-                    refs[g[3]].centered.as_slice(),
-                ];
-                let sxys = kernels::sxy_refs_x4(cs, y, my);
-                for (&r, &sxy) in g.iter().zip(sxys.iter()) {
-                    out[r][j] = refs[r].finish(sxy, syy);
-                }
-            }
-            for &r in groups.remainder() {
-                let sxy = kernels::sxy(&refs[r].centered, y, my);
-                out[r][j] = refs[r].finish(sxy, syy);
-            }
-        }
-        out
+        Ok(sxy / (self.sxx * syy).sqrt())
     }
 }
 

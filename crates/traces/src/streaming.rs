@@ -107,8 +107,10 @@ impl<'a, S: TraceSource + ?Sized> ChunkedSource<'a, S> {
     ///
     /// The chunk is a single arena allocation; each row is zeroed and then
     /// accumulated from the source — the same element-wise zero-then-add
-    /// sequence a per-trace materialization performs, so the delivered
-    /// sample bits are unchanged.
+    /// sequence a per-trace materialization performs. Every sample arrives
+    /// as `+0.0 + s`, which is `s` bit for bit except for a stored `-0.0`:
+    /// it arrives as `+0.0`. The two compare equal, and a k-average, a sum
+    /// that starts from `+0.0`, gives the same bits for either.
     ///
     /// # Errors
     ///
@@ -157,6 +159,19 @@ mod tests {
         }
         assert!(chunks.next_chunk().unwrap().is_none());
         assert_eq!(chunks.remaining(), 0);
+    }
+
+    #[test]
+    fn a_stored_negative_zero_arrives_as_positive_zero() {
+        let mut block = TraceBlock::new("d");
+        block.push_row(&[-0.0, 1.0]).unwrap();
+        let chunk = ChunkedSource::new(&block, 1)
+            .unwrap()
+            .next_chunk()
+            .unwrap()
+            .unwrap();
+        let bits: Vec<u64> = chunk.samples().iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, [0.0f64.to_bits(), 1.0f64.to_bits()]);
     }
 
     #[test]

@@ -173,9 +173,11 @@ fn mutated_fixture_reads_back_through_the_mapped_source() {
         opened += 1;
         assert_eq!(mapped.len(), streamed.len());
         let mut rows = Vec::with_capacity(streamed.samples().len());
-        let mut row = vec![0.0; mapped.trace_len()];
+        // `-0.0` is the additive identity: the row reads back every stored
+        // sample bit, the sign of a stored zero included.
+        let mut row = vec![-0.0; mapped.trace_len()];
         for i in 0..mapped.len() {
-            row.fill(0.0);
+            row.fill(-0.0);
             mapped
                 .accumulate_indices(&[i], &mut row)
                 .expect("an opened file serves every row");

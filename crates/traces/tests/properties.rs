@@ -293,45 +293,9 @@ proptest! {
     }
 
     #[test]
-    fn group_kernels_match_their_single_row_forms(
-        rows in prop::collection::vec(prop::collection::vec(-1e6f64..1e6, 16), 4),
-        reference in prop::collection::vec(-1e6f64..1e6, 16),
-        mys in prop::collection::vec(-1e3f64..1e3, 4),
-    ) {
-        let refs: [&[f64]; 4] = [&rows[0], &rows[1], &rows[2], &rows[3]];
-        let mys4 = [mys[0], mys[1], mys[2], mys[3]];
-        let grouped_sums = kernels::sum_x4(refs);
-        let grouped_sxy = kernels::sxy_syy_x4(&reference, refs, mys4);
-        for i in 0..4 {
-            prop_assert_eq!(grouped_sums[i].to_bits(), kernels::sum(&rows[i]).to_bits());
-            let (sxy, syy) = kernels::sxy_syy(&reference, &rows[i], mys4[i]);
-            prop_assert_eq!(grouped_sxy[i].0.to_bits(), sxy.to_bits());
-            prop_assert_eq!(grouped_sxy[i].1.to_bits(), syy.to_bits());
-        }
-    }
-
-    #[test]
-    fn correlate_many_is_bit_identical_to_per_row_correlate(
-        reference in prop::collection::vec(-1e6f64..1e6, 8),
-        rows in prop::collection::vec(prop::collection::vec(-1e6f64..1e6, 8), 0..11),
-    ) {
-        let kernel = PearsonRef::new(&reference).unwrap();
-        let batched = kernel.correlate_many(rows.iter().map(Vec::as_slice));
-        prop_assert_eq!(batched.len(), rows.len());
-        for (row, got) in rows.iter().zip(&batched) {
-            match (kernel.correlate(row), got) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a.to_bits(), b.to_bits()),
-                (Err(a), Err(b)) => prop_assert_eq!(format!("{a:?}"), format!("{b:?}")),
-                (a, b) => prop_assert!(false, "per-row {:?} vs batched {:?}", a, b),
-            }
-        }
-    }
-
-    #[test]
     fn fused_kernels_match_their_staged_forms(
         x in kernel_series(),
         y in kernel_series(),
-        m in -1e3f64..1e3,
         f in -1e3f64..1e3,
     ) {
         // scale_sum ≡ scale → sum, bit for bit — including the scaled
@@ -357,53 +321,6 @@ proptest! {
         prop_assert_eq!(total.to_bits(), staged_total.to_bits());
         for (a, b) in fused_acc.iter().zip(&staged_acc) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        // sxy alone ≡ the sxy half of the fused pair kernel.
-        let (sxy_ref, _) = kernels::sxy_syy(&x[..n], &y[..n], m);
-        prop_assert_eq!(kernels::sxy(&x[..n], &y[..n], m).to_bits(), sxy_ref.to_bits());
-    }
-
-    #[test]
-    fn sxy_refs_x4_matches_single_reference_sxy(
-        centereds in prop::collection::vec(prop::collection::vec(-1e6f64..1e6, 16), 4),
-        y in prop::collection::vec(-1e6f64..1e6, 16),
-        my in -1e3f64..1e3,
-    ) {
-        let refs: [&[f64]; 4] = [&centereds[0], &centereds[1], &centereds[2], &centereds[3]];
-        let grouped = kernels::sxy_refs_x4(refs, &y, my);
-        for i in 0..4 {
-            let single = kernels::sxy(&centereds[i], &y, my);
-            prop_assert_eq!(grouped[i].to_bits(), single.to_bits(), "ref {}", i);
-        }
-    }
-
-    #[test]
-    fn correlate_refs_is_bit_identical_to_per_reference_correlate_rows(
-        refs in prop::collection::vec(prop::collection::vec(-1e6f64..1e6, 16), 1..10),
-        rows in prop::collection::vec(prop::collection::vec(-1e6f64..1e6, 16), 1..7),
-    ) {
-        // Odd reference counts exercise the x4 remainder path; flat
-        // references are skipped at construction like any caller would.
-        let bank: Vec<PearsonRef> = refs.iter().filter_map(|r| PearsonRef::new(r).ok()).collect();
-        prop_assume!(!bank.is_empty());
-        let block = TraceBlock::from_data(
-            "d",
-            16,
-            rows.iter().flatten().copied().collect::<Vec<f64>>(),
-        ).unwrap();
-        let batched = PearsonRef::correlate_refs(&bank, &block);
-        prop_assert_eq!(batched.len(), bank.len());
-        for (r, kernel) in bank.iter().enumerate() {
-            let per_ref = kernel.correlate_rows(&block);
-            prop_assert_eq!(batched[r].len(), per_ref.len());
-            for (j, (a, b)) in batched[r].iter().zip(&per_ref).enumerate() {
-                match (a, b) {
-                    (Ok(x), Ok(y)) => prop_assert_eq!(x.to_bits(), y.to_bits(), "cell ({}, {})", r, j),
-                    (Err(x), Err(y)) => prop_assert_eq!(format!("{x:?}"), format!("{y:?}")),
-                    (a, b) => prop_assert!(false, "batched {:?} vs per-ref {:?}", a, b),
-                }
-            }
         }
     }
 

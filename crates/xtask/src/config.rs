@@ -235,6 +235,7 @@ pub fn apply_allowlist(
         kept,
         suppressed,
         unused,
+        stale_entry_points: Vec::new(),
     }
 }
 
@@ -246,6 +247,17 @@ pub struct AllowlistOutcome {
     pub suppressed: Vec<crate::rules::Finding>,
     /// Entries that suppressed nothing — stale, also fails the run.
     pub unused: Vec<AllowEntry>,
+    /// `[contract] entry_points` patterns that match no function — stale,
+    /// also fails the run.
+    pub stale_entry_points: Vec<String>,
+}
+
+impl AllowlistOutcome {
+    /// `true` when the run passes: no kept finding and nothing stale.
+    #[must_use]
+    pub fn is_clean(&self) -> bool {
+        self.kept.is_empty() && self.unused.is_empty() && self.stale_entry_points.is_empty()
+    }
 }
 
 fn strip_comment(line: &str) -> &str {

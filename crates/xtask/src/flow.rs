@@ -1,9 +1,10 @@
 //! Reachability ("flow") queries over the [`crate::graph`] call graph: the
 //! contract rules CC001–CC003.
 //!
-//! The determinism contract (DESIGN.md §7/§9/§11/§12) is anchored at four
-//! entry points — batch correlation, the batched row kernel, streaming
-//! chunk ingestion and campaign cell evaluation. Everything those functions
+//! The determinism contract (DESIGN.md §7/§9/§11/§12) is anchored at its
+//! entry points — batch correlation, the correlate stage's row loops,
+//! streaming chunk ingestion, panel screening and campaign cell
+//! evaluation. Everything those functions
 //! can reach *is* the contract surface, whether or not the line-local rules
 //! of [`crate::rules`] apply to its crate. The flow pass walks that surface
 //! and enforces:
@@ -199,13 +200,13 @@ mod tests {
     fn cc001_exempts_the_canonical_kernels() {
         let g = graph(&[(
             "crates/traces/src/kernels.rs",
-            "pub fn correlate_rows() -> f64 {\n\
+            "pub fn blocked_sum() -> f64 {\n\
                  let mut acc = 0.0;\n\
                  for x in [1.0] { acc += x; }\n\
                  acc\n\
              }",
         )]);
-        let out = analyze(&g, &contract(&["correlate_rows"]), &[], &[]);
+        let out = analyze(&g, &contract(&["blocked_sum"]), &[], &[]);
         assert!(out.findings.is_empty());
     }
 

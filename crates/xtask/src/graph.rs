@@ -65,9 +65,9 @@ pub struct FnFacts {
 /// One function definition in the workspace.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Bare name (`correlate_rows`).
+    /// Bare name (`correlate`).
     pub name: String,
-    /// Fully qualified name (`ipmark_traces::stats::PearsonRef::correlate_rows`).
+    /// Fully qualified name (`ipmark_traces::stats::PearsonRef::correlate`).
     pub qual: String,
     /// Enclosing `impl`/`trait` type name, if this is an associated fn.
     pub impl_type: Option<String>,
@@ -132,8 +132,8 @@ impl SymbolGraph {
 
     /// Indices of the functions whose qualified name matches one of the
     /// `entry_points` patterns. A pattern matches when it equals the
-    /// qualified name or a `::`-aligned suffix of it (`correlate_rows`,
-    /// `PearsonRef::correlate_rows`, …).
+    /// qualified name or a `::`-aligned suffix of it (`correlate`,
+    /// `PearsonRef::correlate`, …).
     #[must_use]
     pub fn entry_indices(&self, entry_points: &[String]) -> Vec<usize> {
         let mut out = Vec::new();
@@ -143,6 +143,18 @@ impl SymbolGraph {
             }
         }
         out
+    }
+
+    /// The `entry_points` patterns that match no function. A stale pattern
+    /// would silently shrink the contract surface, so the lint run fails
+    /// on it as it does on a stale `[[allow]]` entry.
+    #[must_use]
+    pub fn unmatched_entry_points(&self, entry_points: &[String]) -> Vec<String> {
+        entry_points
+            .iter()
+            .filter(|p| !self.fns.iter().any(|f| qual_matches(&f.qual, p)))
+            .cloned()
+            .collect()
     }
 
     /// The set of function indices reachable from `entries` (inclusive),
@@ -960,7 +972,9 @@ impl<'a> Resolver<'a> {
     }
 
     /// Follows one level of `pub use` re-export: for `a::b::f`, if module
-    /// `a::b` re-exports `f` from somewhere, resolve the target path.
+    /// `a::b` re-exports `f` from somewhere, resolve the target path —
+    /// absolute, or relative to `a::b` (`pub use inner::f;` names a child
+    /// module).
     fn resolve_reexport(&self, segs: &[String]) -> Option<Vec<usize>> {
         let name = segs.last()?;
         let module = segs[..segs.len() - 1].join("::");
@@ -968,7 +982,12 @@ impl<'a> Resolver<'a> {
             for im in imports {
                 if im.reexport && im.module == module && im.alias == *name {
                     let qual = im.path.join("::");
-                    if let Some(ids) = self.by_qual.get(qual.as_str()) {
+                    let relative = format!("{module}::{qual}");
+                    if let Some(ids) = self
+                        .by_qual
+                        .get(qual.as_str())
+                        .or_else(|| self.by_qual.get(relative.as_str()))
+                    {
                         return Some(ids.clone());
                     }
                 }
@@ -1138,5 +1157,50 @@ mod tests {
             g.entry_indices(&["Session::ingest_chunk".to_owned()]).len(),
             0
         );
+    }
+
+    #[test]
+    fn reexports_from_a_child_module_resolve() {
+        let g = build(&[
+            (
+                "crates/traces/src/kernels.rs",
+                "mod scalar {\n    pub fn sum() {}\n}\npub use scalar::sum;",
+            ),
+            (
+                "crates/traces/src/stats.rs",
+                "use crate::kernels;\npub fn mean() { kernels::sum(); }",
+            ),
+        ]);
+        let entries = g.entry_indices(&["stats::mean".to_owned()]);
+        let reach = g.reachable_from(&entries);
+        let quals: Vec<&str> = reach.iter().map(|&i| g.fns[i].qual.as_str()).collect();
+        assert_eq!(
+            quals,
+            vec![
+                "ipmark_traces::kernels::scalar::sum",
+                "ipmark_traces::stats::mean"
+            ]
+        );
+    }
+
+    #[test]
+    fn entry_patterns_that_match_no_function_are_reported() {
+        let g = build(&[(
+            "crates/core/src/session.rs",
+            "pub struct VerificationSession;\nimpl VerificationSession {\n    pub fn ingest_chunk(&mut self) {}\n}",
+        )]);
+        let patterns = [
+            "VerificationSession::ingest_chunk".to_owned(),
+            "PearsonRef::retired".to_owned(),
+            "Session::ingest_chunk".to_owned(),
+        ];
+        assert_eq!(
+            g.unmatched_entry_points(&patterns),
+            vec![
+                "PearsonRef::retired".to_owned(),
+                "Session::ingest_chunk".to_owned()
+            ]
+        );
+        assert!(g.unmatched_entry_points(&patterns[..1]).is_empty());
     }
 }

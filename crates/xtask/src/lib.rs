@@ -145,13 +145,16 @@ pub fn lint_files(
 ) -> Result<(AllowlistOutcome, RunStats), XtaskError> {
     let sources = read_sources(root, files)?;
     let mut findings = local_findings(&sources, cfg);
+    let mut stale_entry_points = Vec::new();
     if !cfg.contract.entry_points.is_empty() {
         let g = graph::SymbolGraph::build(&sources);
         let flow = flow::analyze(&g, &cfg.contract, &cfg.allow, &findings);
         findings.extend(flow.findings);
+        stale_entry_points = g.unmatched_entry_points(&cfg.contract.entry_points);
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    let outcome = config::apply_allowlist(findings, &cfg.allow);
+    let mut outcome = config::apply_allowlist(findings, &cfg.allow);
+    outcome.stale_entry_points = stale_entry_points;
     let stats = RunStats {
         files: files.len(),
         suppressed: outcome.suppressed.len(),

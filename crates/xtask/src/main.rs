@@ -103,7 +103,7 @@ fn lint(args: &[String]) -> ExitCode {
     match xtask::run_lint(&root) {
         Ok((outcome, stats)) => {
             print!("{}", render(&outcome, &stats, format));
-            if outcome.kept.is_empty() && outcome.unused.is_empty() {
+            if outcome.is_clean() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)

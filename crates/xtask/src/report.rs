@@ -45,15 +45,22 @@ fn render_text(outcome: &AllowlistOutcome, stats: &RunStats) -> String {
             a.rule, a.path
         );
     }
-    let _ =
-        writeln!(
+    for p in &outcome.stale_entry_points {
+        let _ = writeln!(
+            s,
+            "lint.toml: stale [contract] entry point `{p}` matches no function — remove it",
+        );
+    }
+    let _ = writeln!(
         s,
-        "{} file(s) checked, {} finding(s), {} suppressed by lint.toml, {} stale allowlist entr{}",
+        "{} file(s) checked, {} finding(s), {} suppressed by lint.toml, {} stale allowlist entr{}, \
+         {} stale entry point(s)",
         stats.files,
         outcome.kept.len(),
         stats.suppressed,
         outcome.unused.len(),
         if outcome.unused.len() == 1 { "y" } else { "ies" },
+        outcome.stale_entry_points.len(),
     );
     s
 }
@@ -85,6 +92,13 @@ fn render_json(outcome: &AllowlistOutcome, stats: &RunStats) -> String {
             json_str(&a.rule),
             json_str(&a.path)
         );
+    }
+    s.push_str("],\"stale_entry_points\":[");
+    for (i, p) in outcome.stale_entry_points.iter().enumerate() {
+        if i > 0 {
+            s.push(',');
+        }
+        s.push_str(&json_str(p));
     }
     let _ = write!(
         s,
@@ -145,23 +159,29 @@ fn render_sarif(outcome: &AllowlistOutcome) -> String {
         );
     }
     s.push_str("],\"invocations\":[{\"executionSuccessful\":");
-    s.push_str(if outcome.kept.is_empty() && outcome.unused.is_empty() {
-        "true"
-    } else {
-        "false"
-    });
+    s.push_str(if outcome.is_clean() { "true" } else { "false" });
     s.push_str(",\"toolExecutionNotifications\":[");
-    for (i, a) in outcome.unused.iter().enumerate() {
+    let stale =
+        outcome
+            .unused
+            .iter()
+            .map(|a| {
+                format!(
+                    "stale lint.toml [[allow]] entry: {} in {} matched no finding",
+                    a.rule, a.path
+                )
+            })
+            .chain(outcome.stale_entry_points.iter().map(|p| {
+                format!("stale lint.toml [contract] entry point `{p}` matches no function")
+            }));
+    for (i, text) in stale.enumerate() {
         if i > 0 {
             s.push(',');
         }
         let _ = write!(
             s,
             "{{\"level\":\"error\",\"message\":{{\"text\":{}}}}}",
-            json_str(&format!(
-                "stale lint.toml [[allow]] entry: {} in {} matched no finding",
-                a.rule, a.path
-            ))
+            json_str(&text)
         );
     }
     s.push_str("]}]}]}\n");
@@ -205,6 +225,7 @@ mod tests {
             }],
             suppressed: Vec::new(),
             unused: Vec::new(),
+            stale_entry_points: vec!["Gone::entry".into()],
         };
         let stats = RunStats {
             files: 1,
@@ -215,5 +236,7 @@ mod tests {
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("x\\ny"));
         assert!(j.contains("\"files_checked\":1"));
+        assert!(j.contains("\"stale_entry_points\":[\"Gone::entry\"]"));
+        assert!(!outcome.is_clean());
     }
 }

@@ -168,7 +168,8 @@ fn lint_toml_requires_a_reason_for_every_exception() {
 }
 
 /// The acceptance gate: the real workspace, filtered through the real
-/// `lint.toml`, is clean — no findings and no stale allowlist entries.
+/// `lint.toml`, is clean — no findings, no stale allowlist entries and
+/// every contract entry point resolving to a function.
 #[test]
 fn workspace_is_lint_clean_under_the_committed_allowlist() {
     let root: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -195,6 +196,11 @@ fn workspace_is_lint_clean_under_the_committed_allowlist() {
             .iter()
             .map(|a| format!("{} in {}", a.rule, a.path))
             .collect::<Vec<_>>()
+    );
+    assert!(
+        outcome.stale_entry_points.is_empty(),
+        "stale lint.toml entry points: {:?}",
+        outcome.stale_entry_points
     );
     // The committed allowlist is exercised (not vacuous).
     assert!(stats.suppressed > 0);

@@ -38,6 +38,7 @@ fn sample_outcome() -> AllowlistOutcome {
         ],
         suppressed: Vec::new(),
         unused: Vec::new(),
+        stale_entry_points: Vec::new(),
     }
 }
 
@@ -146,6 +147,7 @@ fn clean_run_is_marked_successful_and_stale_entries_fail_it() {
         kept: Vec::new(),
         suppressed: Vec::new(),
         unused: Vec::new(),
+        stale_entry_points: Vec::new(),
     });
     let run = &clean.get("runs").and_then(Value::as_array).unwrap()[0];
     assert_eq!(
@@ -170,6 +172,7 @@ fn clean_run_is_marked_successful_and_stale_entries_fail_it() {
             path: "gone.rs".into(),
             reason: "stale".into(),
         }],
+        stale_entry_points: vec!["Gone::entry".into()],
     });
     let run = &stale.get("runs").and_then(Value::as_array).unwrap()[0];
     let inv = &run.get("invocations").and_then(Value::as_array).unwrap()[0];
@@ -178,11 +181,17 @@ fn clean_run_is_marked_successful_and_stale_entries_fail_it() {
         .get("toolExecutionNotifications")
         .and_then(Value::as_array)
         .expect("notifications");
-    assert!(notes[0]
-        .get("message")
-        .and_then(|m| m.get("text"))
-        .and_then(Value::as_str)
-        .is_some_and(|t| t.contains("stale")));
+    let text = |i: usize| {
+        notes[i]
+            .get("message")
+            .and_then(|m| m.get("text"))
+            .and_then(Value::as_str)
+            .unwrap_or_default()
+            .to_owned()
+    };
+    assert_eq!(notes.len(), 2);
+    assert!(text(0).contains("stale") && text(0).contains("NS004"));
+    assert!(text(1).contains("stale") && text(1).contains("Gone::entry"));
 }
 
 /// The real workspace's SARIF output parses and round-trips: guards the

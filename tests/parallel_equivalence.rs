@@ -234,17 +234,17 @@ fn screen_panel_equals_standalone_screens() {
     }
 }
 
-/// The batched arena sweep (`PearsonRef::correlate_rows`) must be
-/// bit-identical to m independent per-row `correlate` calls, for every
-/// worker count — the 4-row register blocking may change scheduling but
-/// never the per-row operation sequence.
+/// The stage's row loop (`CorrelateStage::rows`) must be bit-identical to
+/// m independent per-row `correlate` calls, to the same loop fed carried
+/// row sums, and to an index-ordered pooled per-row pass at every worker
+/// count.
 #[test]
 fn correlate_rows_equals_per_row_correlate() {
-    use ipmark::traces::stats::PearsonRef;
-    use ipmark::traces::TraceBlock;
+    use ipmark::core::CorrelateStage;
+    use ipmark::traces::kernels;
 
     let mut rng = ChaCha8Rng::seed_from_u64(41);
-    let trace_len = 257; // odd, so both the x4 groups and the remainder run
+    let trace_len = 257; // odd, so the blocked kernels' remainder runs
     let reference: Vec<f64> = (0..trace_len)
         .map(|i| (i as f64 * 0.17).sin() + ipmark::power::device::gaussian(&mut rng, 0.0, 0.2))
         .collect();
@@ -255,26 +255,32 @@ fn correlate_rows_equals_per_row_correlate() {
         }
     }
 
-    let kernel = PearsonRef::new(&reference).expect("non-degenerate reference");
-    let batched = kernel.correlate_rows(&block);
-    assert_eq!(batched.len(), block.len());
-    for (row, got) in block.rows().zip(&batched) {
+    let stage = CorrelateStage::center(&reference).expect("non-degenerate reference");
+    let kernel = stage.kernel();
+    let staged = stage.rows(&block).expect("well-formed rows");
+    assert_eq!(staged.len(), block.len());
+    for (row, got) in block.rows().zip(&staged) {
         let lone = kernel.correlate(row.samples()).expect("per-row");
-        let got = *got.as_ref().expect("batched row");
         assert_eq!(lone.to_bits(), got.to_bits());
     }
+    let sums: Vec<f64> = block
+        .rows()
+        .map(|row| kernels::sum(row.samples()))
+        .collect();
+    let with_sums = stage
+        .rows_with_sums(&block, &sums)
+        .expect("well-formed rows");
+    let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&with_sums), bits(&staged));
 
-    // The single-sweep batch must also match an index-ordered parallel
-    // per-row pass, for every worker count.
+    // The stage's loop must also match an index-ordered parallel per-row
+    // pass, for every worker count.
     for threads in [1, 2, 8] {
         let pool = Pool::with_threads(threads);
         let per_row = pool.map_indexed(block.len(), |i| {
             let row = block.row(i).expect("in range");
             kernel.correlate(row.samples()).expect("per-row")
         });
-        for (lone, got) in per_row.iter().zip(&batched) {
-            let got = *got.as_ref().expect("batched row");
-            assert_eq!(lone.to_bits(), got.to_bits(), "threads = {threads}");
-        }
+        assert_eq!(bits(&per_row), bits(&staged), "threads = {threads}");
     }
 }
