@@ -341,28 +341,13 @@ impl CorrelateStage {
     ///
     /// Same as [`CorrelateStage::rows`].
     pub fn rows_with_sums(&self, block: &TraceBlock, sums: &[f64]) -> Result<Vec<f64>, CoreError> {
-        self.many_with_sums(block.rows().map(|row| row.samples()), sums)
-    }
-
-    /// Correlates the reference against each slice with precomputed
-    /// per-row sample sums — the streaming counterpart of
-    /// [`CorrelateStage::rows_with_sums`], fed by
-    /// [`StreamingKAverager::ingest`], with the same error contract and
-    /// the same fresh sum for rows past the end of `sums`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CorrelateStage::rows`].
-    pub fn many_with_sums<'a, I>(&self, rows: I, sums: &[f64]) -> Result<Vec<f64>, CoreError>
-    where
-        I: IntoIterator<Item = &'a [f64]>,
-    {
-        rows.into_iter()
+        block
+            .rows()
             .enumerate()
-            .map(|(i, y)| {
+            .map(|(i, row)| {
                 match sums.get(i) {
-                    Some(&sum) => self.kernel.correlate_with_sum(y, sum),
-                    None => self.kernel.correlate(y),
+                    Some(&sum) => self.kernel.correlate_with_sum(row.samples(), sum),
+                    None => self.kernel.correlate(row.samples()),
                 }
                 .map_err(CoreError::Stats)
             })
@@ -615,7 +600,8 @@ pub fn explain_graph(
 /// `A_RefD` into a [`CorrelateStage`], and hands the `m` DUT selections to
 /// a [`StreamingKAverager`].
 /// Each ingested chunk advances the partial sums; slots that complete are
-/// correlated with their carried sums and committed to the contiguous finished
+/// finished as the batch path finishes an average, correlated with
+/// [`PearsonRef::correlate`] and committed to the contiguous finished
 /// prefix, whose running statistics are bit-identical to the batch
 /// statistics over the same coefficients, for every chunk partition
 /// (DESIGN.md §9).
@@ -689,9 +675,14 @@ impl ResumablePlan {
     /// index order), updates every coefficient the chunk completes, and
     /// advances the contiguous finished prefix.
     ///
-    /// A rejected chunk is atomic: the whole chunk is validated before any
-    /// sample touches a partial sum, so on error nothing was consumed and
-    /// the caller may re-supply a corrected chunk for the same indices.
+    /// A malformed chunk is rejected atomically: the whole chunk is
+    /// validated before any sample touches a partial sum, so on a
+    /// [`CoreError::Trace`] error nothing was consumed and the caller may
+    /// re-supply a corrected chunk for the same indices. A
+    /// [`CoreError::Stats`] error comes after the chunk was consumed: a
+    /// finished average could not be correlated, none of the chunk's
+    /// coefficients is committed, and the contiguous prefix stops there
+    /// for good.
     ///
     /// # Errors
     ///
@@ -702,29 +693,28 @@ impl ResumablePlan {
     /// [`CoreError::Stats`] when a completed average cannot be correlated.
     pub fn ingest(&mut self, chunk: &TraceBlock) -> Result<(), CoreError> {
         // The averager checks every row of the chunk (length, finiteness)
-        // before any sample touches a partial sum, then finalizes each
-        // completing slot with one `accumulate_scale_sum` sweep (accumulate
-        // + 1/k scale + sample sum in a single pass); the carried sums then
-        // replace the correlation's sum sweep. A finished slot's average
-        // lives as a borrowed row of the averager's preallocated output
-        // arena.
+        // before any sample touches a partial sum, then finishes each
+        // completing slot as `mean_of_indices_into` does (accumulate, then
+        // the 1/k scale). A finished slot's average lives as a borrowed
+        // row of the averager's preallocated output arena.
         let finished = self
             .averager
             .ingest_chunk(chunk)
             .map_err(CoreError::Trace)?;
-
-        let averages: Vec<&[f64]> = finished
+        let coefficients = finished
             .iter()
-            .map(|&(slot, _)| {
-                self.averager
+            .map(|&slot| {
+                let average = self
+                    .averager
                     .average(slot)
-                    .ok_or(CoreError::Invariant("finished slot holds an average"))
+                    .ok_or(CoreError::Invariant("finished slot holds an average"))?;
+                self.correlate
+                    .kernel()
+                    .correlate(average)
+                    .map_err(CoreError::Stats)
             })
-            .collect::<Result<_, CoreError>>()?;
-        let sums: Vec<f64> = finished.iter().map(|&(_, sum)| sum).collect();
-        let coefficients = self.correlate.many_with_sums(averages, &sums)?;
-        let slots: Vec<usize> = finished.into_iter().map(|(slot, _)| slot).collect();
-        self.commit(&slots, coefficients)
+            .collect::<Result<Vec<f64>, CoreError>>()?;
+        self.commit(&finished, coefficients)
     }
 
     /// Writes the chunk's freshly correlated coefficients into their slots
@@ -777,25 +767,10 @@ impl ResumablePlan {
         self.averager.population()
     }
 
-    /// The stream's trace length.
-    pub fn trace_len(&self) -> usize {
-        self.averager.trace_len()
-    }
-
-    /// Number of coefficient slots (`m`).
-    pub fn num_slots(&self) -> usize {
-        self.averager.num_slots()
-    }
-
     /// Minimum number of stream traces needed to finish the first `slots`
     /// coefficients — exact, because selections are fixed at construction.
     pub fn traces_required_for_slots(&self, slots: usize) -> usize {
         self.averager.traces_required_for_slots(slots)
-    }
-
-    /// The centered reference kernel.
-    pub fn correlate_stage(&self) -> &CorrelateStage {
-        &self.correlate
     }
 }
 
@@ -884,8 +859,8 @@ mod tests {
 
     #[test]
     fn resumable_plan_matches_batch_plan_for_every_chunk_size() {
-        // `ingest` runs the fused streaming finalization and sum-reusing
-        // correlation; `execute_seq` is the staged batch reference.
+        // `ingest` finishes and correlates each slot as it completes;
+        // `execute_seq` is the staged batch reference.
         let refd = noisy_set("r", 50, 1);
         let dut = noisy_set("d", 240, 2);
         let p = params();
@@ -1009,41 +984,37 @@ mod tests {
             right: n - 1,
         };
 
-        // The short row at index 2 wins over the flat row at index 5, with
-        // full, partial and no carried sums alike.
-        for k in [sums.len(), 3, 0] {
-            assert_eq!(
-                err(stage.many_with_sums(rows.iter().map(Vec::as_slice), &sums[..k])),
-                short,
-                "{k} sums"
-            );
-        }
-        // `many_or_zero` still propagates the length error ...
+        // The short row at index 2 wins over the flat row at index 5 in
+        // `many_or_zero` ...
         assert_eq!(
             err(stage.many_or_zero(rows.iter().map(Vec::as_slice))),
             short
         );
-        // ... and scores the flat row as 0.0 once the short row is gone.
+        // ... which scores the flat row as 0.0 once the short row is gone.
         rows[2] = good.row(2).unwrap().samples().to_vec();
         let scored = stage.many_or_zero(rows.iter().map(Vec::as_slice)).unwrap();
         assert_eq!(scored[5].to_bits(), 0.0f64.to_bits());
-        assert_eq!(
-            err(stage.many_with_sums(rows.iter().map(Vec::as_slice), &[])),
-            StatsError::ZeroVariance
-        );
 
         // A block's rows share one length, so its short row is a short
-        // block: the length error wins over the flat row there too.
+        // block: the length error wins over the flat row there too, with
+        // full, partial and no carried sums alike.
         let flat = TraceBlock::from_data("d", n, rows.concat()).unwrap();
         assert_eq!(err(stage.rows(&flat)), StatsError::ZeroVariance);
-        assert_eq!(
-            err(stage.rows_with_sums(&flat, &sums)),
-            StatsError::ZeroVariance
-        );
         let cut: Vec<f64> = rows.iter().flat_map(|y| y[..n - 1].to_vec()).collect();
         let short_block = TraceBlock::from_data("d", n - 1, cut).unwrap();
         assert_eq!(err(stage.rows(&short_block)), short);
-        assert_eq!(err(stage.rows_with_sums(&short_block, &sums)), short);
+        for k in [sums.len(), 3, 0] {
+            assert_eq!(
+                err(stage.rows_with_sums(&flat, &sums[..k])),
+                StatsError::ZeroVariance,
+                "{k} sums"
+            );
+            assert_eq!(
+                err(stage.rows_with_sums(&short_block, &sums[..k])),
+                short,
+                "{k} sums"
+            );
+        }
 
         // Rows past a short `sums` slice take a fresh sum: same bits as
         // `rows`, which sums every row itself.

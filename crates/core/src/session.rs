@@ -79,7 +79,7 @@
 
 use rand::Rng;
 
-use ipmark_traces::{TraceBlock, TraceError, TraceSource};
+use ipmark_traces::{StatsError, TraceBlock, TraceError, TraceSource};
 
 use crate::distinguisher::DistinguisherKind;
 use crate::error::{CoreError, SessionError};
@@ -232,10 +232,17 @@ pub enum SessionStatus {
 /// [`Plan::execute_seq`](crate::pipeline::Plan::execute_seq)
 /// produce from clones of the same seeded RNG, regardless of chunk size or
 /// thread count (see DESIGN.md §9 and `tests/streaming_equivalence.rs`).
+///
+/// The session fails closed: once a finished average cannot be correlated
+/// (a flat, dead-device average, say), every later
+/// [`ingest_chunk`](Self::ingest_chunk) and [`finalize`](Self::finalize)
+/// returns that error and changes nothing.
 #[derive(Debug, Clone)]
 pub struct VerificationSession {
     options: SessionOptions,
     candidates: Vec<ResumablePlan>,
+    /// The first correlation error, which ended the session.
+    failed: Option<StatsError>,
     /// Next round to evaluate (rounds run `2..=m`).
     next_round: usize,
     streak_winner: Option<usize>,
@@ -286,6 +293,7 @@ impl VerificationSession {
         Ok(Self {
             options,
             candidates: cands,
+            failed: None,
             next_round: 2,
             streak_winner: None,
             streak: 0,
@@ -301,29 +309,36 @@ impl VerificationSession {
     /// [`ChunkedSource`](ipmark_traces::streaming::ChunkedSource) delivers
     /// from any [`TraceSource`], a stored corpus file included.
     ///
-    /// A rejected chunk is atomic: the whole chunk is validated before any
-    /// sample touches a partial sum, so on error nothing was consumed and
-    /// the caller may re-supply a corrected chunk for the same indices.
+    /// Malformed chunks are rejected atomically: the whole chunk is
+    /// validated before any sample touches a partial sum, so on such an
+    /// error nothing was consumed and the caller may re-supply a corrected
+    /// chunk for the same indices. A finished average that cannot be
+    /// correlated ends the session instead: its chunk was consumed, and
+    /// this and every later call, on any candidate, returns the same
+    /// [`CoreError::Stats`] and changes nothing.
     ///
-    /// Ingestion runs the fused single-sweep path: each slot a chunk
-    /// completes is finalized by one `accumulate_scale_sum` kernel pass
-    /// whose carried sample sum also feeds the slot's correlation,
-    /// bit-identical to the staged accumulate → scale → sum sequence
-    /// (DESIGN.md §16).
+    /// Each slot a chunk completes is finished as the batch path finishes
+    /// an average (accumulate, then the `1/k` scale), so its coefficient is
+    /// bit-identical to the batch coefficient (DESIGN.md §9).
     ///
     /// # Errors
     ///
     /// Returns [`SessionError::AlreadyDecided`] /
     /// [`SessionError::UnknownCandidate`] / [`SessionError::TooManyTraces`]
-    /// (wrapped in [`CoreError::Session`]) for state-machine misuse, and
+    /// (wrapped in [`CoreError::Session`]) for state-machine misuse,
     /// [`CoreError::Trace`] for malformed chunks
     /// ([`TraceError::EmptyChunk`], [`TraceError::LengthMismatch`],
-    /// [`TraceError::NonFiniteSample`]).
+    /// [`TraceError::NonFiniteSample`]), and [`CoreError::Stats`] once a
+    /// finished average could not be correlated (e.g.
+    /// [`StatsError::ZeroVariance`] for a flat average).
     pub fn ingest_chunk(
         &mut self,
         candidate: usize,
         chunk: &TraceBlock,
     ) -> Result<SessionStatus, CoreError> {
+        if let Some(e) = self.failed {
+            return Err(CoreError::Stats(e));
+        }
         if self.verdict.is_some() {
             return Err(SessionError::AlreadyDecided.into());
         }
@@ -346,7 +361,14 @@ impl VerificationSession {
         // Validation, ingestion, correlation and prefix advance are
         // the resumable plan's job (see `crate::pipeline::ResumablePlan`);
         // the session only layers the budget/round state machine on top.
-        cand.ingest(chunk)?;
+        // A correlation error comes after the chunk was consumed, so it
+        // ends the session.
+        if let Err(e) = cand.ingest(chunk) {
+            if let CoreError::Stats(stats) = e {
+                self.failed = Some(stats);
+            }
+            return Err(e);
+        }
 
         self.evaluate_rounds()?;
         Ok(self.status())
@@ -377,8 +399,13 @@ impl VerificationSession {
     /// # Errors
     ///
     /// Returns [`CoreError::NotEnoughCoefficients`] when some candidate has
-    /// fewer than two finished coefficients in its contiguous prefix.
+    /// fewer than two finished coefficients in its contiguous prefix, and
+    /// the [`CoreError::Stats`] that ended the session once a finished
+    /// average could not be correlated.
     pub fn finalize(&mut self) -> Result<Verdict, CoreError> {
+        if let Some(e) = self.failed {
+            return Err(CoreError::Stats(e));
+        }
         if let Some(v) = &self.verdict {
             return Ok(v.clone());
         }

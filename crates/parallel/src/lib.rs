@@ -157,42 +157,20 @@ impl Pool {
         E: Send,
         F: Fn(usize, &mut [f64]) -> Result<(), E> + Sync,
     {
-        self.try_fill_rows_map(data, row_len, f).map(drop)
-    }
-
-    /// [`Pool::try_fill_rows`] that also collects one value per row — the
-    /// arena-writing counterpart of [`Pool::try_map_indexed`], for fused
-    /// fills whose per-row sweep produces a by-product (e.g. the row's
-    /// blocked sum in the fused k-average path, DESIGN.md §16).
-    ///
-    /// `f(i, row)` runs exactly once per row; on success the returned
-    /// vector holds `f`'s values in row order for every thread count, and
-    /// on failure the reported error is the one with the **lowest row
-    /// index**, as in the sequential loop. Trailing-row and `row_len == 0`
-    /// behavior match [`Pool::try_fill_rows`] (`row_len == 0` yields an
-    /// empty vector).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-row-index error from `f`.
-    pub fn try_fill_rows_map<U, E, F>(
-        &self,
-        data: &mut [f64],
-        row_len: usize,
-        f: F,
-    ) -> Result<Vec<U>, E>
-    where
-        U: Send,
-        E: Send,
-        F: Fn(usize, &mut [f64]) -> Result<U, E> + Sync,
-    {
         let rows = data.len().checked_div(row_len).unwrap_or(0);
         self.fan_out(rows, data, row_len, None::<NoLead<E>>, f)
+            .map(drop)
     }
 
-    /// [`Pool::try_fill_rows_map`] with one extra task for the calling
-    /// thread: `lead` runs on the caller while the workers start on the
-    /// rows, then the caller joins the row queue.
+    /// [`Pool::try_fill_rows`] that also collects one value per row, with
+    /// one extra task for the calling thread: `lead` runs on the caller
+    /// while the workers start on the rows, then the caller joins the row
+    /// queue.
+    ///
+    /// `f(i, row)` runs exactly once per row; on success the returned
+    /// vector holds `f`'s values in row order for every thread count.
+    /// Trailing-row and `row_len == 0` behavior match
+    /// [`Pool::try_fill_rows`] (`row_len == 0` yields an empty vector).
     ///
     /// `lead` needs neither `Send` nor `Sync`, so it may borrow state the
     /// rows cannot (a reference source that is not `Sync`, say). It runs
@@ -518,12 +496,17 @@ mod tests {
         for threads in [1, 2, 3, 8, 64] {
             let pool = Pool::with_threads(threads);
             let mut got = vec![0.0; rows * row_len];
-            let vals: Result<Vec<f64>, ()> = pool.try_fill_rows_map(&mut got, row_len, |i, row| {
-                for (j, s) in row.iter_mut().enumerate() {
-                    *s = (i * 100 + j) as f64;
-                }
-                Ok(row.iter().sum::<f64>())
-            });
+            let vals: Result<Vec<f64>, ()> = pool.try_fill_rows_map_with_lead(
+                &mut got,
+                row_len,
+                || Ok(()),
+                |i, row| {
+                    for (j, s) in row.iter_mut().enumerate() {
+                        *s = (i * 100 + j) as f64;
+                    }
+                    Ok(row.iter().sum::<f64>())
+                },
+            );
             assert_eq!(got, expected, "threads = {threads}");
             assert_eq!(vals.unwrap(), expected_vals, "threads = {threads}");
         }
@@ -534,13 +517,18 @@ mod tests {
         for threads in [1, 4] {
             let pool = Pool::with_threads(threads);
             let mut data = vec![0.0; 100 * 3];
-            let result: Result<Vec<usize>, usize> = pool.try_fill_rows_map(&mut data, 3, |i, _| {
-                if i % 13 == 0 && i > 0 {
-                    Err(i)
-                } else {
-                    Ok(i)
-                }
-            });
+            let result: Result<Vec<usize>, usize> = pool.try_fill_rows_map_with_lead(
+                &mut data,
+                3,
+                || Ok(()),
+                |i, _| {
+                    if i % 13 == 0 && i > 0 {
+                        Err(i)
+                    } else {
+                        Ok(i)
+                    }
+                },
+            );
             assert_eq!(result.unwrap_err(), 13, "threads = {threads}");
         }
     }
@@ -549,12 +537,18 @@ mod tests {
     fn fill_rows_map_degenerate_shapes() {
         let pool = Pool::with_threads(4);
         let mut some = vec![1.0; 6];
-        let vals: Result<Vec<usize>, ()> = pool.try_fill_rows_map(&mut some, 0, |_, _| Err(()));
+        let vals: Result<Vec<usize>, ()> =
+            pool.try_fill_rows_map_with_lead(&mut some, 0, || Ok(()), |_, _| Err(()));
         assert!(vals.unwrap().is_empty());
-        let vals: Result<Vec<usize>, ()> = pool.try_fill_rows_map(&mut some, 6, |i, row| {
-            row.fill(3.0);
-            Ok(i + 41)
-        });
+        let vals: Result<Vec<usize>, ()> = pool.try_fill_rows_map_with_lead(
+            &mut some,
+            6,
+            || Ok(()),
+            |i, row| {
+                row.fill(3.0);
+                Ok(i + 41)
+            },
+        );
         assert_eq!(vals.unwrap(), vec![41]);
         assert_eq!(some, vec![3.0; 6]);
     }
@@ -609,11 +603,16 @@ mod tests {
         filled.unwrap();
         assert_eq!(data[9..], [3.0; 3]);
 
-        let sums: Result<Vec<f64>, ()> = pool.try_fill_rows_map(&mut data, 3, |i, row| {
-            on_caller();
-            row.fill(1.0 + i as f64);
-            Ok(row.iter().sum())
-        });
+        let sums: Result<Vec<f64>, ()> = pool.try_fill_rows_map_with_lead(
+            &mut data,
+            3,
+            || Ok(()),
+            |i, row| {
+                on_caller();
+                row.fill(1.0 + i as f64);
+                Ok(row.iter().sum())
+            },
+        );
         assert_eq!(sums.unwrap(), vec![3.0, 6.0, 9.0, 12.0]);
     }
 }

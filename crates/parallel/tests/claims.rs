@@ -147,15 +147,20 @@ fn random_failures_report_the_lowest_index_after_every_lower_index_ran() {
 
             let runs = counters(n);
             let mut data = vec![0.0; n * 2];
-            let got: Result<Vec<()>, usize> = pool.try_fill_rows_map(&mut data, 2, |i, row| {
-                runs[i].fetch_add(1, SeqCst);
-                row.fill(1.0);
-                if fails(i) {
-                    Err(i)
-                } else {
-                    Ok(())
-                }
-            });
+            let got: Result<Vec<()>, usize> = pool.try_fill_rows_map_with_lead(
+                &mut data,
+                2,
+                || Ok(()),
+                |i, row| {
+                    runs[i].fetch_add(1, SeqCst);
+                    row.fill(1.0);
+                    if fails(i) {
+                        Err(i)
+                    } else {
+                        Ok(())
+                    }
+                },
+            );
             assert_eq!(got.unwrap_err(), lowest, "fill, threads = {threads}");
             let ran = counts(&runs);
             assert!(

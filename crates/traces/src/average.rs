@@ -47,8 +47,7 @@ pub fn mean_of_indices_into<S: TraceSource + ?Sized>(
 }
 
 /// [`mean_of_indices_into`] that also returns the blocked sum of the
-/// finished average — the batch-path half of the fused ingest
-/// (DESIGN.md §16).
+/// finished average — the batch path's fused fill (DESIGN.md §16).
 ///
 /// The final `1/len` scale and the row sum the correlation stage needs for
 /// its mean are fused into one [`kernels::scale_sum`] sweep, where the
@@ -122,9 +121,11 @@ pub fn k_average<S: TraceSource + ?Sized, R: Rng + ?Sized>(
 /// added into every partial average that selected it (`acc[j] += s[j]`,
 /// the same element-wise addition [`mean_of_indices`] performs), and a
 /// slot that receives its last selected trace is finalized by the same
-/// `× 1/k` scaling. The finished averages are therefore **bit-identical**
-/// to [`mean_of_indices`] over the same selections, while memory stays at
-/// `O(m × trace_len)` instead of `O(n2 × trace_len)`.
+/// `× 1/k` scaling ([`kernels::accumulate`] then [`kernels::scale`], the
+/// sequence of [`mean_of_indices_into`]). The finished averages are
+/// therefore **bit-identical** to [`mean_of_indices`] over the same
+/// selections, while memory stays at `O(m × trace_len)` instead of
+/// `O(n2 × trace_len)`.
 ///
 /// The `m` partial sums live in **one preallocated [`TraceBlock`]** (row
 /// `i` = slot `i`), allocated once at construction: ingestion performs no
@@ -132,24 +133,22 @@ pub fn k_average<S: TraceSource + ?Sized, R: Rng + ?Sized>(
 /// as a borrowed row via [`StreamingKAverager::average`].
 ///
 /// Slots complete out of slot order (slot completion is governed by each
-/// selection's *largest* index); [`StreamingKAverager::ingest`] reports
-/// which slots finished so the caller can maintain contiguous-prefix
-/// semantics.
+/// selection's *largest* index); [`StreamingKAverager::ingest_chunk`]
+/// reports which slots finished so the caller can maintain
+/// contiguous-prefix semantics.
 #[derive(Debug, Clone)]
 pub struct StreamingKAverager {
     /// Ascending index selection per slot, drawn up front.
     selections: Vec<Vec<usize>>,
-    /// Next unmatched position in each slot's selection.
+    /// Next unmatched position in each slot's selection; a slot whose
+    /// cursor reached the selection's end holds its finished average.
     cursors: Vec<usize>,
     /// The preallocated `m × trace_len` output arena: partial sums while a
     /// slot accumulates, the finished average once it completes.
     slots: TraceBlock,
-    /// Whether each slot's average is finished (scaled by `1/k`).
-    finished: Vec<bool>,
     trace_len: usize,
     population: usize,
     next_index: usize,
-    completed: usize,
 }
 
 impl StreamingKAverager {
@@ -199,61 +198,28 @@ impl StreamingKAverager {
             selections,
             cursors: vec![0; m],
             slots,
-            finished: vec![false; m],
             trace_len,
             population,
             next_index: 0,
-            completed: 0,
         })
     }
 
-    /// Ingests the next trace of the stream (index [`Self::ingested`]) and
-    /// returns a `(slot, sum)` pair for every slot it completed; the
-    /// finished averages are readable through
-    /// [`StreamingKAverager::average`].
+    /// Ingests the next `chunk.len()` traces of the stream (from index
+    /// [`Self::ingested`] on) and returns the index of every slot the chunk
+    /// completed, in completion order; the finished averages are readable
+    /// through [`StreamingKAverager::average`]. A live trace is a one-row
+    /// chunk.
     ///
-    /// A slot completed by this trace is finalized with one
-    /// [`kernels::accumulate_scale_sum`] sweep that folds the final
-    /// accumulate, the `1/k` scale **and** the finished row's blocked sum
-    /// (DESIGN.md §16). The finished average is bit-identical to
-    /// [`mean_of_indices`] over the slot's selection, and `sum` is
-    /// bit-identical to [`kernels::sum`] over that row, which is what the
-    /// correlation stage needs for its mean.
-    ///
-    /// A rejected trace is **not** consumed: the stream index does not
-    /// advance and no partial sum is touched, so the caller can re-supply a
-    /// corrected measurement for the same index.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::IndexOutOfRange`] once `population` traces
-    /// have been ingested, [`TraceError::LengthMismatch`] for a wrong
-    /// sample count and [`TraceError::NonFiniteSample`] for NaN/infinite
-    /// samples.
-    pub fn ingest(&mut self, samples: &[f64]) -> Result<Vec<(usize, f64)>, TraceError> {
-        let index = self.next_index;
-        if index >= self.population {
-            return Err(TraceError::IndexOutOfRange {
-                index,
-                available: self.population,
-            });
-        }
-        self.check_row(index, samples)?;
-        let mut finished = Vec::new();
-        self.ingest_row(samples, &mut finished);
-        Ok(finished)
-    }
-
-    /// Ingests the next `chunk.len()` traces of the stream at once and
-    /// returns a `(slot, sum)` pair for every slot the chunk completed, in
-    /// completion order.
+    /// A slot completed by a trace is finalized as [`mean_of_indices`]
+    /// finishes an average: [`kernels::accumulate`] of its last trace, then
+    /// [`kernels::scale`] by `1/k`. The finished average is therefore
+    /// bit-identical to [`mean_of_indices`] over the slot's selection, for
+    /// every partition of the stream into chunks.
     ///
     /// The chunk is atomic: every row is checked before any row touches a
     /// partial sum, so on error nothing was consumed and the caller may
-    /// re-supply a corrected chunk for the same indices. Each row is then
-    /// accumulated by the same step as [`StreamingKAverager::ingest`], so
-    /// the result is bit-identical to ingesting the rows one at a time, and
-    /// each sample is scanned for finiteness exactly once.
+    /// re-supply a corrected chunk for the same indices. Each sample is
+    /// scanned for finiteness exactly once.
     ///
     /// # Errors
     ///
@@ -262,7 +228,7 @@ impl StreamingKAverager {
     /// [`TraceError::NonFiniteSample`] (with its stream index as
     /// `trace_index`), and [`TraceError::IndexOutOfRange`] when the chunk
     /// runs past the population.
-    pub fn ingest_chunk(&mut self, chunk: &TraceBlock) -> Result<Vec<(usize, f64)>, TraceError> {
+    pub fn ingest_chunk(&mut self, chunk: &TraceBlock) -> Result<Vec<usize>, TraceError> {
         if chunk.is_empty() {
             return Err(TraceError::EmptyChunk);
         }
@@ -310,29 +276,22 @@ impl StreamingKAverager {
     /// Adds a checked trace (stream index [`Self::ingested`], below the
     /// population) into every slot that selected it, finalizing and
     /// reporting into `finished` each slot it completes.
-    fn ingest_row(&mut self, samples: &[f64], finished: &mut Vec<(usize, f64)>) {
+    fn ingest_row(&mut self, samples: &[f64], finished: &mut Vec<usize>) {
         let index = self.next_index;
         let slots = self
             .selections
             .iter()
             .zip(&mut self.cursors)
-            .zip(&mut self.finished)
             .zip(self.slots.samples_mut().chunks_exact_mut(self.trace_len));
-        for (slot_idx, (((selection, cursor), done), acc)) in slots.enumerate() {
+        for (slot_idx, ((selection, cursor), acc)) in slots.enumerate() {
             if selection.get(*cursor) != Some(&index) {
                 continue;
             }
             *cursor += 1;
+            kernels::accumulate(acc, samples);
             if *cursor == selection.len() {
-                // One sweep for the final accumulate, the
-                // `mean_of_indices` reciprocal scale, and the row sum the
-                // correlate stage would otherwise recompute.
-                let sum = kernels::accumulate_scale_sum(acc, samples, 1.0 / selection.len() as f64);
-                *done = true;
-                finished.push((slot_idx, sum));
-                self.completed += 1;
-            } else {
-                kernels::accumulate(acc, samples);
+                kernels::scale(acc, 1.0 / selection.len() as f64);
+                finished.push(slot_idx);
             }
         }
         self.next_index += 1;
@@ -342,17 +301,10 @@ impl StreamingKAverager {
     /// arena — or `None` while the slot is still accumulating (its row
     /// holds an unscaled partial sum) or out of range.
     pub fn average(&self, slot: usize) -> Option<&[f64]> {
-        if !*self.finished.get(slot)? {
+        if *self.cursors.get(slot)? < self.selections.get(slot)?.len() {
             return None;
         }
         self.slots.row(slot).ok().map(|row| row.samples())
-    }
-
-    /// The preallocated `m × trace_len` output arena. Row `i` is slot `i`'s
-    /// finished average once [`StreamingKAverager::average`] returns
-    /// `Some`; before that it holds the slot's running partial sum.
-    pub fn output_block(&self) -> &TraceBlock {
-        &self.slots
     }
 
     /// Number of traces ingested so far (= the index of the next trace).
@@ -363,31 +315,6 @@ impl StreamingKAverager {
     /// Size of the backing population (`n2`).
     pub fn population(&self) -> usize {
         self.population
-    }
-
-    /// Samples per trace.
-    pub fn trace_len(&self) -> usize {
-        self.trace_len
-    }
-
-    /// Number of slots (`m`).
-    pub fn num_slots(&self) -> usize {
-        self.selections.len()
-    }
-
-    /// Number of slots whose average is finished.
-    pub fn completed_slots(&self) -> usize {
-        self.completed
-    }
-
-    /// Whether every slot has finished.
-    pub fn is_complete(&self) -> bool {
-        self.completed == self.selections.len()
-    }
-
-    /// The ascending index selection of every slot.
-    pub fn selections(&self) -> &[Vec<usize>] {
-        &self.selections
     }
 
     /// How many stream traces must be ingested before the first `slots`
@@ -464,6 +391,16 @@ mod tests {
         set
     }
 
+    /// Bits of every slot's finished average, `None` for an unfinished slot.
+    fn average_bits(s: &StreamingKAverager, m: usize) -> Vec<Option<Vec<u64>>> {
+        (0..m)
+            .map(|slot| {
+                s.average(slot)
+                    .map(|avg| avg.iter().map(|x| x.to_bits()).collect())
+            })
+            .collect()
+    }
+
     /// `m` selections of `k` from `0..population`, drawn in order from one
     /// seeded RNG — the draw `m` successive [`k_average`] calls make.
     fn drawn(population: usize, k: usize, m: usize, seed: u64) -> Vec<Vec<usize>> {
@@ -476,8 +413,7 @@ mod tests {
     #[test]
     fn streaming_averager_is_bitwise_equal_to_batch() {
         // The batch reference is m interleaved draw-then-average
-        // `k_average` calls on one RNG: no pre-drawn selections and no
-        // fused finalization.
+        // `k_average` calls on one RNG: no pre-drawn selections.
         let set = noisy_test_set(120, 16, 5);
         for seed in 0..4u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -488,24 +424,22 @@ mod tests {
                 StreamingKAverager::new(set.len(), 16, drawn(set.len(), 9, 7, seed)).unwrap();
             let mut streamed: Vec<Option<Vec<f64>>> = vec![None; 7];
             for trace in set.rows() {
-                for (slot, sum) in streamer.ingest(trace.samples()).unwrap() {
+                for slot in streamer
+                    .ingest_chunk(&block_of(&[trace.samples()]))
+                    .unwrap()
+                {
                     assert!(streamed[slot].is_none(), "slot {slot} completed twice");
                     let avg = streamer.average(slot).expect("slot just finished");
-                    // The carried sum is the canonical sum of the average.
-                    assert_eq!(sum.to_bits(), kernels::sum(avg).to_bits(), "slot {slot}");
                     streamed[slot] = Some(avg.to_vec());
                 }
             }
-            assert!(streamer.is_complete());
             for (slot, avg) in streamed.iter().enumerate() {
                 let got = avg.as_ref().expect("every slot completes");
                 let got_bits: Vec<u64> = got.iter().map(|s| s.to_bits()).collect();
                 let want_bits: Vec<u64> =
                     batch[slot].samples().iter().map(|s| s.to_bits()).collect();
                 assert_eq!(got_bits, want_bits, "seed {seed}, slot {slot}");
-                // The output arena holds the same finished rows.
-                let row = streamer.output_block().row(slot).unwrap();
-                assert_eq!(row.samples(), got.as_slice());
+                assert_eq!(streamer.average(slot), Some(got.as_slice()));
             }
         }
     }
@@ -534,14 +468,14 @@ mod tests {
     fn streaming_averager_rejects_bad_input_without_consuming() {
         let mut s = StreamingKAverager::new(10, 3, drawn(10, 2, 2, 3)).unwrap();
         assert!(matches!(
-            s.ingest(&[1.0, 2.0]),
+            s.ingest_chunk(&block_of(&[&[1.0, 2.0]])),
             Err(TraceError::LengthMismatch {
                 expected: 3,
                 provided: 2
             })
         ));
         assert!(matches!(
-            s.ingest(&[1.0, f64::NAN, 2.0]),
+            s.ingest_chunk(&block_of(&[&[1.0, f64::NAN, 2.0]])),
             Err(TraceError::NonFiniteSample {
                 trace_index: 0,
                 sample_index: 1
@@ -551,11 +485,11 @@ mod tests {
         // same index is accepted.
         assert_eq!(s.ingested(), 0);
         for i in 0..10 {
-            s.ingest(&[i as f64, 1.0, 2.0]).unwrap();
+            s.ingest_chunk(&block_of(&[&[i as f64, 1.0, 2.0]])).unwrap();
         }
-        assert!(s.is_complete());
+        assert!(average_bits(&s, 2).iter().all(Option::is_some));
         assert!(matches!(
-            s.ingest(&[0.0, 0.0, 0.0]),
+            s.ingest_chunk(&block_of(&[&[0.0, 0.0, 0.0]])),
             Err(TraceError::IndexOutOfRange {
                 index: 10,
                 available: 10
@@ -565,32 +499,26 @@ mod tests {
 
     #[test]
     fn chunk_ingest_equals_row_ingest() {
+        // One-row chunks (a live stream) against one whole-set chunk, with
+        // a ragged partition in between: the same slots finish in the same
+        // order, with the same bits.
         let set = noisy_test_set(60, 8, 2);
-        let mut by_row = StreamingKAverager::new(60, 8, drawn(60, 5, 4, 1)).unwrap();
-        let mut by_chunk = by_row.clone();
-        let mut row_finished = Vec::new();
-        for trace in set.rows() {
-            row_finished.extend(by_row.ingest(trace.samples()).unwrap());
-        }
-        let mut chunk_finished = Vec::new();
-        for rows in set.samples().chunks(7 * 8) {
-            let chunk = TraceBlock::from_data("chunk", 8, rows.to_vec()).unwrap();
-            chunk_finished.extend(by_chunk.ingest_chunk(&chunk).unwrap());
-        }
-        let bits = |f: &[(usize, f64)]| -> Vec<(usize, u64)> {
-            f.iter().map(|&(slot, sum)| (slot, sum.to_bits())).collect()
+        let fresh = StreamingKAverager::new(60, 8, drawn(60, 5, 4, 1)).unwrap();
+        let run = |rows_per_chunk: usize| {
+            let mut s = fresh.clone();
+            let mut finished = Vec::new();
+            for rows in set.samples().chunks(rows_per_chunk * 8) {
+                let chunk = TraceBlock::from_data("chunk", 8, rows.to_vec()).unwrap();
+                finished.extend(s.ingest_chunk(&chunk).unwrap());
+            }
+            (finished, average_bits(&s, 4))
         };
-        assert_eq!(bits(&row_finished), bits(&chunk_finished));
-        assert!(by_chunk.is_complete());
-        assert_eq!(by_chunk.completed_slots(), 4);
-        let arena_bits = |s: &StreamingKAverager| -> Vec<u64> {
-            s.output_block()
-                .samples()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect()
-        };
-        assert_eq!(arena_bits(&by_row), arena_bits(&by_chunk));
+        let (by_row, row_bits) = run(1);
+        assert_eq!(by_row.len(), 4);
+        assert!(row_bits.iter().all(Option::is_some));
+        for rows_per_chunk in [7, 60] {
+            assert_eq!(run(rows_per_chunk), (by_row.clone(), row_bits.clone()));
+        }
     }
 
     #[test]
@@ -616,9 +544,8 @@ mod tests {
             })
         ));
         assert_eq!(s.ingested(), 0);
-        assert!(s.output_block().samples().iter().all(|&x| x == 0.0));
         let nine: Vec<f64> = (0..9).flat_map(|i| [f64::from(i), 1.0, 2.0]).collect();
-        s.ingest_chunk(&TraceBlock::from_data("nine", 3, nine).unwrap())
+        s.ingest_chunk(&TraceBlock::from_data("nine", 3, nine.clone()).unwrap())
             .unwrap();
         // A chunk that runs past the population is rejected whole.
         let two = block_of(&[&[9.0, 1.0, 2.0], &[10.0, 1.0, 2.0]]);
@@ -631,7 +558,15 @@ mod tests {
         ));
         assert_eq!(s.ingested(), 9);
         s.ingest_chunk(&block_of(&[&[9.0, 1.0, 2.0]])).unwrap();
-        assert!(s.is_complete());
+        // The rejected chunks touched no partial sum: the averages match a
+        // stream that never saw them.
+        let mut clean = StreamingKAverager::new(10, 3, drawn(10, 2, 2, 3)).unwrap();
+        let ten = [nine, vec![9.0, 1.0, 2.0]].concat();
+        clean
+            .ingest_chunk(&TraceBlock::from_data("ten", 3, ten).unwrap())
+            .unwrap();
+        assert!(average_bits(&s, 2).iter().all(Option::is_some));
+        assert_eq!(average_bits(&s, 2), average_bits(&clean, 2));
     }
 
     #[test]
@@ -691,7 +626,8 @@ mod tests {
         // slots must all be complete (and not one trace earlier).
         let mut done = [false; 5];
         for i in 0..40 {
-            for (slot, _) in s.ingest(&[i as f64, 2.0 * i as f64 + 1.0]).unwrap() {
+            let trace = block_of(&[&[i as f64, 2.0 * i as f64 + 1.0]]);
+            for slot in s.ingest_chunk(&trace).unwrap() {
                 done[slot] = true;
             }
             let fed = i + 1;
@@ -704,12 +640,9 @@ mod tests {
                 );
             }
         }
-        assert!(s.is_complete());
-        assert_eq!(s.completed_slots(), 5);
-        assert_eq!(s.num_slots(), 5);
+        assert!(average_bits(&s, 5).iter().all(Option::is_some));
+        assert_eq!(s.average(5), None);
         assert_eq!(s.population(), 40);
-        assert_eq!(s.trace_len(), 2);
-        assert_eq!(s.selections().len(), 5);
     }
 
     #[test]

@@ -172,52 +172,13 @@ mod scalar {
         }
         combine(lanes)
     }
-
-    /// Fused k-average finalize: `accᵢ = (accᵢ + xsᵢ)·factor` over the
-    /// common prefix (any excess of `acc` is scaled without an addend,
-    /// exactly as the staged path leaves it), returning the blocked sum of
-    /// the updated `acc` in the canonical lane order — one sweep where the
-    /// staged path ([`accumulate`], [`scale`], then [`sum`]) takes three.
-    /// Per element `(a + x)·factor` is the staged add-then-multiply and
-    /// the sum reads the same updated values in the same lane order, so
-    /// the fusion is bit-identical to the staged calls.
-    #[must_use]
-    pub fn accumulate_scale_sum(acc: &mut [f64], xs: &[f64], factor: f64) -> f64 {
-        let n = acc.len().min(xs.len());
-        let full = n - n % LANES;
-        let mut lanes = [0.0; LANES];
-        {
-            let mut ac = acc[..full].chunks_exact_mut(LANES);
-            let mut xc = xs[..full].chunks_exact(LANES);
-            for (ca, cx) in ac.by_ref().zip(xc.by_ref()) {
-                for (j, (a, &x)) in ca.iter_mut().zip(cx).enumerate() {
-                    let v = (*a + x) * factor;
-                    *a = v;
-                    lanes[j] += v;
-                }
-            }
-        }
-        // Tail: the paired remainder (global index `full + j`, lane
-        // `j % LANES` because `full` is a multiple of LANES) plus any
-        // excess of `acc` past `xs`, which is scaled and summed only.
-        for (j, a) in acc[full..].iter_mut().enumerate() {
-            let v = if full + j < n {
-                (*a + xs[full + j]) * factor
-            } else {
-                *a * factor
-            };
-            *a = v;
-            lanes[j % LANES] += v;
-        }
-        combine(lanes)
-    }
 }
 
 // Used by the mapped source's positioned reads, which only the targets
 // that map files have.
 #[cfg(any(test, all(unix, target_endian = "little")))]
 pub(crate) use scalar::accumulate_le_bytes;
-pub use scalar::{accumulate, accumulate_scale_sum, dot, scale, scale_sum, sum, sxy_syy};
+pub use scalar::{accumulate, dot, scale, scale_sum, sum, sxy_syy};
 
 /// Names the widest vector instruction set the kernels are compiled for:
 /// `avx512f`, `avx2`, `neon`, or `portable` for the target's baseline
@@ -273,25 +234,6 @@ mod tests {
             let got = scale_sum(&mut fused, factor);
             assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
             assert_eq!(fused, staged, "buffer n={n}");
-        }
-    }
-
-    #[test]
-    fn fused_accumulate_scale_sum_matches_staged_path() {
-        // Equal lengths (the workspace case) plus a longer-acc tail, which
-        // the staged path scales and sums without an addend.
-        for (na, nx) in [(0, 0), (8, 8), (77, 77), (513, 513), (20, 13), (13, 20)] {
-            let xs = series(nx, 9);
-            let base = series(na, 10);
-            let factor = 0.25;
-            let mut staged = base.clone();
-            accumulate(&mut staged, &xs);
-            scale(&mut staged, factor);
-            let want = sum(&staged);
-            let mut fused = base.clone();
-            let got = accumulate_scale_sum(&mut fused, &xs, factor);
-            assert_eq!(got.to_bits(), want.to_bits(), "na={na} nx={nx}");
-            assert_eq!(fused, staged, "buffer na={na} nx={nx}");
         }
     }
 

@@ -243,7 +243,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64, StatsError> {
     }
     // Delegating to the fused kernel keeps exactly one Pearson operation
     // sequence in the workspace: every path — one-shot, reference-hoisted,
-    // fused-ingest — reduces in the canonical blocked order of `kernels`.
+    // fused-fill, streaming — reduces in the canonical blocked order of `kernels`.
     PearsonRef::new(x)?.correlate(y)
 }
 

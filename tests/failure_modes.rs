@@ -219,6 +219,50 @@ fn streaming_sessions_reject_malformed_chunks_atomically() {
 }
 
 #[test]
+fn streaming_sessions_fail_closed_once_an_average_cannot_be_correlated() {
+    let refd = session_set("r", 0.0, 12, 1);
+    let live = session_set("d0", 0.0, 60, 2);
+    let flat = TraceBlock::from_data("dead", 32, vec![0.5; 60 * 32]).expect("rows");
+    let p = session_params();
+    let mut rng = ChaCha8Rng::seed_from_u64(5);
+    let mut session =
+        VerificationSession::new(&refd, 2, SessionOptions::new(p), &mut rng).expect("session");
+    session
+        .ingest_chunk(0, &head(&live, 30))
+        .expect("live chunk");
+
+    // Stream the dead candidate one trace at a time until its first
+    // finished average, which is flat, fails to correlate.
+    let row = |block: &TraceBlock, i: usize| {
+        let len = block.trace_len();
+        TraceBlock::from_data("row", len, block.samples()[i * len..(i + 1) * len].to_vec())
+            .expect("one row")
+    };
+    let failing = (0..p.n2)
+        .find(|&i| session.ingest_chunk(1, &row(&flat, i)).is_err())
+        .expect("a flat average fails to correlate");
+    // The failing chunk was consumed.
+    assert_eq!(session.traces_ingested(1), failing + 1);
+
+    // The session is closed: re-supplying the chunk, feeding the live
+    // candidate and finalizing all return the flat average's error and
+    // change nothing.
+    let closed = |r: Result<(), CoreError>| {
+        assert!(
+            matches!(r, Err(CoreError::Stats(StatsError::ZeroVariance))),
+            "{r:?}"
+        );
+    };
+    closed(session.ingest_chunk(1, &row(&flat, failing)).map(drop));
+    assert_eq!(session.traces_ingested(1), failing + 1);
+    closed(session.ingest_chunk(0, &row(&live, 30)).map(drop));
+    assert_eq!(session.traces_ingested(0), 30);
+    closed(session.finalize().map(drop));
+    assert!(!session.is_decided());
+    assert_eq!(session.completed_prefix(1), 0);
+}
+
+#[test]
 fn streaming_session_misuse_is_typed_not_panicking() {
     let refd = session_set("r", 0.0, 12, 1);
     let duts = [session_set("d0", 0.0, 60, 2), session_set("d1", 1.2, 60, 3)];

@@ -1,9 +1,11 @@
 //! A textbook oracle for the §III correlation computation process.
 //!
-//! The production path k-averages through `mean_of_indices_into_sum` and
-//! the blocked `ipmark_traces::kernels`, and correlates through the
-//! centered `PearsonRef` kernel with sums carried out of the fill. This
-//! file recomputes the same numbers with the plainest arithmetic there is
+//! The batch path k-averages through `mean_of_indices_into_sum` and the
+//! blocked `ipmark_traces::kernels`, and correlates through the centered
+//! `PearsonRef` kernel with sums carried out of the fill. The streaming
+//! path finishes each average with the same accumulate-then-scale
+//! sequence as `mean_of_indices_into` and correlates it with a fresh
+//! `PearsonRef::correlate`. This file recomputes the same numbers with the plainest arithmetic there is
 //! and shares none of that code: it reads trace samples only through
 //! `SimulatedAcquisition::trace(i)` or `TraceBlock` rows, and it takes only
 //! the drawn selections from `plan.acquire()` — after checking their shape.
