@@ -262,7 +262,7 @@ impl StreamingKAverager {
         // that depends on where the build places it in the binary: unrelated
         // code growth elsewhere has slowed the session's ingest by a fifth
         // or more.
-        if !samples.iter().fold(true, |ok, s| ok & s.is_finite()) {
+        if !all_finite(samples) {
             if let Some(sample_index) = samples.iter().position(|s| !s.is_finite()) {
                 return Err(TraceError::NonFiniteSample {
                     trace_index: index,
@@ -329,6 +329,28 @@ impl StreamingKAverager {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Whether no sample of `samples` is NaN or infinite, in one branch-free
+/// integer pass over eight `u64` lanes. Masking a sample's bits to its
+/// exponent field and adding one exponent step carries into bit 63 exactly
+/// when that field is all ones, which is what `!is_finite` means; the
+/// lanes OR those words together.
+fn all_finite(samples: &[f64]) -> bool {
+    const EXPONENT: u64 = 0x7ff0_0000_0000_0000;
+    const STEP: u64 = 0x0010_0000_0000_0000;
+    let flag = |s: &f64| (s.to_bits() & EXPONENT) + STEP;
+    let mut lanes = [0u64; 8];
+    let (words, rest) = samples.as_chunks::<8>();
+    for word in words {
+        for (lane, s) in lanes.iter_mut().zip(word) {
+            *lane |= flag(s);
+        }
+    }
+    for (lane, s) in lanes.iter_mut().zip(rest) {
+        *lane |= flag(s);
+    }
+    lanes.iter().fold(0, |any, lane| any | lane) >> 63 == 0
 }
 
 #[cfg(test)]

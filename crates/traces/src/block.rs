@@ -20,7 +20,7 @@
 
 use crate::error::TraceError;
 use crate::kernels;
-use crate::trace::TraceSource;
+use crate::trace::{check_rows, TraceSource};
 
 /// A contiguous row-major arena of `count` equal-length traces.
 ///
@@ -258,6 +258,21 @@ impl TraceSource for TraceBlock {
             });
         }
         kernels::accumulate(acc, samples);
+        Ok(())
+    }
+
+    /// One range check, then one copy of the rows' contiguous samples.
+    fn append_rows(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), TraceError> {
+        check_rows(start, count, self.count)?;
+        if count > 0 {
+            let len = self.trace_len;
+            out.extend_from_slice(&self.data[start * len..(start + count) * len]);
+        }
         Ok(())
     }
 }

@@ -142,6 +142,14 @@ mod scalar {
         }
     }
 
+    /// Appends `f64::from_le_bytes(wordᵢ)` for every whole 8-byte word of
+    /// `bytes` to `out`: the bit-for-bit copy of a row read as bytes.
+    #[cfg(any(test, all(unix, target_endian = "little")))]
+    pub fn extend_le_bytes(out: &mut Vec<f64>, bytes: &[u8]) {
+        let (words, _) = bytes.as_chunks::<8>();
+        out.extend(words.iter().map(|w| f64::from_le_bytes(*w)));
+    }
+
     /// Element-wise scale `accᵢ *= factor` — the k-average divide step.
     pub fn scale(acc: &mut [f64], factor: f64) {
         for a in acc {
@@ -174,11 +182,11 @@ mod scalar {
     }
 }
 
-// Used by the mapped source's positioned reads, which only the targets
-// that map files have.
-#[cfg(any(test, all(unix, target_endian = "little")))]
-pub(crate) use scalar::accumulate_le_bytes;
 pub use scalar::{accumulate, dot, scale, scale_sum, sum, sxy_syy};
+// Used by the stored source's positioned reads, which only the targets
+// that read files in place have.
+#[cfg(any(test, all(unix, target_endian = "little")))]
+pub(crate) use scalar::{accumulate_le_bytes, extend_le_bytes};
 
 /// Names the widest vector instruction set the kernels are compiled for:
 /// `avx512f`, `avx2`, `neon`, or `portable` for the target's baseline

@@ -9,22 +9,23 @@
 //! v1/v2 payload is already the row-major little-endian f64 arena, so each
 //! row is one contiguous byte range of the file.
 //!
-//! [`MappedBlock`] serves its rows only through [`TraceSource`]
-//! (`accumulate`, `accumulate_indices`): each requested row is a
-//! positioned read of the file (`FileExt::read_exact_at`) into a fixed
-//! on-stack scratch, added into the caller's buffer from there. The
-//! k-average fills of `correlation_process` and `Plan::execute`, and
-//! [`ChunkedSource`](crate::streaming::ChunkedSource), read this way. A
+//! [`MappedBlock`] serves its rows only through [`TraceSource`]: each
+//! requested row is a positioned read of the file
+//! (`FileExt::read_exact_at`) into a fixed on-stack scratch. The k-average
+//! fills of `correlation_process` and `Plan::execute` (`accumulate`,
+//! `accumulate_indices`) add it into the caller's buffer from there;
+//! [`ChunkedSource`](crate::streaming::ChunkedSource) (`append_rows`)
+//! decodes it straight onto the end of the chunk's arena, bit for bit. A
 //! positioned read takes no page fault, leaves nothing to unmap, and the
 //! page-cache pages it reads do not count toward the process's resident
 //! set. A file truncated under it gives [`TraceError::RowRead`].
 //!
 //! `ChunkedSource::next_chunk` copies every chunk into a fresh
-//! [`TraceBlock`]; a zero-copy chunk view measured only about 1.2× on a
-//! streaming session, because reading the rows, not the copy, dominates.
-//! `IPMKTRC3` files (bit-packed, not layout-identical) and non-Unix or
-//! big-endian targets fall back to an owned decode behind the same type,
-//! so callers stay portable.
+//! [`TraceBlock`], one positioned read per row: reading several rows per
+//! call through a larger heap scratch measured slower, because that
+//! scratch no longer fits in L1. `IPMKTRC3` files (bit-packed, not
+//! layout-identical) and non-Unix or big-endian targets fall back to an
+//! owned decode behind the same type, so callers stay portable.
 //!
 //! The module also owns the crate's sample-arena allocator,
 //! `zeroed_arena`: [`TraceBlock::zeros`] and the `IPMKTRC3` decoder take
@@ -50,6 +51,8 @@ use std::path::Path;
 use crate::block::TraceBlock;
 use crate::error::TraceError;
 use crate::io::{self, IoError};
+#[cfg(all(unix, target_endian = "little"))]
+use crate::trace::check_rows;
 use crate::trace::TraceSource;
 
 /// Byte offset of the sample payload in the v1/v2 layout (magic + two
@@ -220,6 +223,43 @@ impl TraceSource for MappedBlock {
             Backing::Owned(block) => block.accumulate_indices(indices, acc),
         }
     }
+
+    /// Appends the rows bit for bit. After one range check, a stored
+    /// file's rows are read one positioned read each into the on-stack
+    /// scratch and decoded from there into `out`; a failed read is
+    /// [`TraceError::RowRead`] for its row, and `out` is cut back to its
+    /// length on entry.
+    fn append_rows(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<(), TraceError> {
+        match &self.backing {
+            #[cfg(all(unix, target_endian = "little"))]
+            Backing::File(file) => {
+                check_rows(start, count, self.count)?;
+                let before = out.len();
+                // Representable: the file holds `count × trace_len` samples.
+                out.reserve(count * self.trace_len);
+                let mut scratch = [0u8; SCRATCH_BYTES];
+                for index in start..start + count {
+                    let offset = HEADER_BYTES + index * self.trace_len * 8;
+                    if let Err(e) =
+                        append_row(file, offset as u64, self.trace_len, out, &mut scratch)
+                    {
+                        out.truncate(before);
+                        return Err(TraceError::RowRead {
+                            index,
+                            kind: e.kind(),
+                        });
+                    }
+                }
+                Ok(())
+            }
+            Backing::Owned(block) => block.append_rows(start, count, out),
+        }
+    }
 }
 
 /// Bytes of the on-stack scratch a positioned read fills: one row at the
@@ -242,6 +282,29 @@ fn read_row_into(
         file.read_exact_at(bytes, offset)?;
         crate::kernels::accumulate_le_bytes(piece, bytes);
         offset += bytes.len() as u64;
+    }
+    Ok(())
+}
+
+/// Reads the `samples` little-endian samples at byte `offset` of `file`
+/// and appends them to `out`, one scratch-sized piece at a time.
+#[cfg(all(unix, target_endian = "little"))]
+fn append_row(
+    file: &File,
+    mut offset: u64,
+    samples: usize,
+    out: &mut Vec<f64>,
+    scratch: &mut [u8; SCRATCH_BYTES],
+) -> std::io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    let mut left = samples;
+    while left > 0 {
+        let piece = left.min(SCRATCH_BYTES / 8);
+        let bytes = &mut scratch[..piece * 8];
+        file.read_exact_at(bytes, offset)?;
+        crate::kernels::extend_le_bytes(out, bytes);
+        offset += bytes.len() as u64;
+        left -= piece;
     }
     Ok(())
 }
@@ -329,6 +392,7 @@ mod tests {
     use super::*;
     use crate::io::{write_block, write_block_v3, BINARY_MAGIC};
     use crate::streaming::ChunkedSource;
+    use crate::trace::{assert_append_rows_contract, SPECIAL_ROWS};
     use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
@@ -449,14 +513,38 @@ mod tests {
         block.accumulate_indices(&indices, &mut want).unwrap();
         assert_eq!(acc, want);
 
-        // ChunkedSource streams the file's rows.
+        // ChunkedSource streams the file's rows bit for bit.
         let mut chunks = ChunkedSource::new(&mapped, 3).unwrap();
         let mut seen = Vec::new();
         while let Some(chunk) = chunks.next_chunk().unwrap() {
-            seen.extend(chunk.rows().map(|r| r.samples().to_vec()));
+            seen.extend(bits(chunk.samples()));
         }
-        let want: Vec<Vec<f64>> = block.rows().map(|r| r.samples().to_vec()).collect();
-        assert_eq!(seen, want);
+        assert_eq!(seen, bits(block.samples()));
+    }
+
+    #[test]
+    fn append_rows_copies_stored_rows_bit_for_bit() {
+        let block = TraceBlock::from_data("dev", 4, SPECIAL_ROWS.to_vec()).unwrap();
+        let mut v2 = Vec::new();
+        write_block(&block, &mut v2).unwrap();
+        let mut v1 = v2.clone();
+        v1[..8].copy_from_slice(BINARY_MAGIC);
+        let mut v3 = Vec::new();
+        write_block_v3(&block, &mut v3).unwrap();
+        let files = [
+            ("append_v1.trc1", v1),
+            ("append_v2.trc2", v2),
+            ("append_v3.trc3", v3),
+        ];
+        for (name, bytes) in files {
+            let (mapped, streamed) = open_both(name, &bytes);
+            assert_eq!(bits(streamed.samples()), bits(&SPECIAL_ROWS), "{name}");
+            assert_eq!(
+                is_owned(&mapped),
+                name.ends_with("trc3") || !cfg!(all(unix, target_endian = "little"))
+            );
+            assert_append_rows_contract(&mapped, &SPECIAL_ROWS);
+        }
     }
 
     #[test]
@@ -511,6 +599,28 @@ mod tests {
             mapped.accumulate_indices(&[3], &mut [0.0; 3]),
             Err(TraceError::LengthMismatch { .. })
         ));
+
+        // A range append fails at the first lost row and keeps `out` as it
+        // was; its range check still comes before any read.
+        let mut out = vec![-0.0];
+        for (start, count) in [(0, 4), (2, 1), (3, 1)] {
+            match mapped.append_rows(start, count, &mut out) {
+                Err(TraceError::RowRead { index, kind }) => {
+                    assert_eq!(
+                        (index, kind),
+                        (start.max(2), std::io::ErrorKind::UnexpectedEof)
+                    );
+                }
+                other => panic!("rows {start}+{count}: expected a read error, got {other:?}"),
+            }
+            assert_eq!(bits(&out), bits(&[-0.0]), "rows {start}+{count}");
+        }
+        assert!(matches!(
+            mapped.append_rows(1, 9, &mut out),
+            Err(TraceError::IndexOutOfRange { index: 4, .. })
+        ));
+        mapped.append_rows(0, 2, &mut out).unwrap();
+        assert_eq!(bits(&out[1..]), bits(&block.samples()[..4]));
 
         // A chunk that reaches a lost row fails and is not consumed: the
         // stream stays at the chunk's first row, however often it retries.

@@ -105,27 +105,32 @@ impl<'a, S: TraceSource + ?Sized> ChunkedSource<'a, S> {
     /// source trace `position() + i`), or `Ok(None)` once the limit is
     /// reached.
     ///
-    /// The chunk is a single arena allocation; each row is zeroed and then
-    /// accumulated from the source — the same element-wise zero-then-add
-    /// sequence a per-trace materialization performs. Every sample arrives
-    /// as `+0.0 + s`, which is `s` bit for bit except for a stored `-0.0`:
-    /// it arrives as `+0.0`. The two compare equal, and a k-average, a sum
-    /// that starts from `+0.0`, gives the same bits for either.
+    /// The chunk is a single arena allocation that
+    /// [`TraceSource::append_rows`] fills: each row is the source's samples
+    /// bit for bit, a stored `-0.0` included.
     ///
     /// # Errors
     ///
-    /// Propagates the source's per-trace errors; a failed chunk is not
-    /// consumed (the position only advances on success).
+    /// Returns [`TraceError::EmptyTrace`] for a zero-length source and
+    /// [`TraceError::DimensionOverflow`] when the chunk's sample count
+    /// cannot be represented, and propagates the source's per-trace errors;
+    /// a failed chunk is not consumed (the position only advances on
+    /// success).
     pub fn next_chunk(&mut self) -> Result<Option<TraceBlock>, TraceError> {
         if self.next >= self.limit {
             return Ok(None);
         }
         let end = (self.next + self.chunk_size).min(self.limit);
-        let mut chunk = TraceBlock::zeros("", end - self.next, self.source.trace_len())?;
-        for (offset, mut row) in chunk.rows_mut().enumerate() {
-            self.source
-                .accumulate(self.next + offset, row.samples_mut())?;
+        let (count, trace_len) = (end - self.next, self.source.trace_len());
+        if trace_len == 0 {
+            return Err(TraceError::EmptyTrace);
         }
+        let total = count
+            .checked_mul(trace_len)
+            .ok_or(TraceError::DimensionOverflow { count, trace_len })?;
+        let mut data = Vec::with_capacity(total);
+        self.source.append_rows(self.next, count, &mut data)?;
+        let chunk = TraceBlock::from_data("", trace_len, data)?;
         self.next = end;
         Ok(Some(chunk))
     }
@@ -134,6 +139,7 @@ impl<'a, S: TraceSource + ?Sized> ChunkedSource<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::SPECIAL_ROWS;
 
     fn block_of(n: usize) -> TraceBlock {
         let mut block = TraceBlock::new("d");
@@ -161,17 +167,46 @@ mod tests {
         assert_eq!(chunks.remaining(), 0);
     }
 
+    fn bits(samples: &[f64]) -> Vec<u64> {
+        samples.iter().map(|s| s.to_bits()).collect()
+    }
+
+    fn streamed_bits<S: TraceSource + ?Sized>(source: &S, chunk_size: usize) -> Vec<u64> {
+        let mut chunks = ChunkedSource::new(source, chunk_size).unwrap();
+        let mut out = Vec::new();
+        while let Some(chunk) = chunks.next_chunk().unwrap() {
+            out.extend(bits(chunk.samples()));
+        }
+        out
+    }
+
     #[test]
-    fn a_stored_negative_zero_arrives_as_positive_zero() {
-        let mut block = TraceBlock::new("d");
-        block.push_row(&[-0.0, 1.0]).unwrap();
-        let chunk = ChunkedSource::new(&block, 1)
-            .unwrap()
-            .next_chunk()
-            .unwrap()
-            .unwrap();
-        let bits: Vec<u64> = chunk.samples().iter().map(|s| s.to_bits()).collect();
-        assert_eq!(bits, [0.0f64.to_bits(), 1.0f64.to_bits()]);
+    fn a_stored_negative_zero_arrives_bit_for_bit() {
+        let block = TraceBlock::from_data("d", 4, SPECIAL_ROWS.to_vec()).unwrap();
+        for chunk_size in [1, 2, 5] {
+            assert_eq!(
+                streamed_bits(&block, chunk_size),
+                bits(block.samples()),
+                "TraceBlock, chunks of {chunk_size}"
+            );
+        }
+
+        let path = std::env::temp_dir().join(format!(
+            "ipmark-streaming-negative-zero-{}.trc2",
+            std::process::id()
+        ));
+        let mut buf = Vec::new();
+        crate::io::write_block(&block, &mut buf).unwrap();
+        std::fs::write(&path, &buf).unwrap();
+        let stored = crate::mmap::read_block_mapped("d", &path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        for chunk_size in [1, 2, 5] {
+            assert_eq!(
+                streamed_bits(&stored, chunk_size),
+                bits(block.samples()),
+                "stored IPMKTRC2, chunks of {chunk_size}"
+            );
+        }
     }
 
     #[test]

@@ -354,3 +354,97 @@ proptest! {
         prop_assert!((0..m).all(|slot| streamer.average(slot).is_some()));
     }
 }
+
+/// Samples on both sides of the finiteness boundary: infinities, quiet and
+/// signalling NaNs with payloads, the largest and smallest normals,
+/// subnormals and both zeros.
+const BOUNDARY_SAMPLES: [f64; 17] = [
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    f64::from_bits(0xfff8_0000_0000_0000),
+    f64::from_bits(0x7ff8_dead_beef_0001),
+    f64::from_bits(0x7ff0_0000_0000_0001),
+    f64::from_bits(0xfff4_dead_beef_0000),
+    f64::MAX,
+    -f64::MAX,
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+    5e-324,
+    -5e-324,
+    f64::from_bits(0x000f_ffff_ffff_ffff),
+    0.0,
+    -0.0,
+    1.5,
+];
+
+/// What `ingest_chunk` must say about a one-row chunk at stream index 1:
+/// the first sample that `is_finite` rejects, or nothing.
+fn ingest_outcome(row: &[f64]) -> Result<(), ipmark_traces::TraceError> {
+    use ipmark_traces::average::StreamingKAverager;
+    let mut streamer = StreamingKAverager::new(3, row.len(), vec![vec![0, 1, 2]]).unwrap();
+    let lead = TraceBlock::from_data("lead", row.len(), vec![0.25; row.len()]).unwrap();
+    streamer.ingest_chunk(&lead).unwrap();
+    let chunk = TraceBlock::from_data("row", row.len(), row.to_vec()).unwrap();
+    let outcome = streamer.ingest_chunk(&chunk).map(|_| ());
+    // A rejected chunk consumes nothing.
+    assert_eq!(streamer.ingested(), if outcome.is_ok() { 2 } else { 1 });
+    outcome
+}
+
+fn expected_outcome(row: &[f64]) -> Result<(), ipmark_traces::TraceError> {
+    match row.iter().position(|s| !s.is_finite()) {
+        Some(sample_index) => Err(ipmark_traces::TraceError::NonFiniteSample {
+            trace_index: 1,
+            sample_index,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Every boundary sample at every position of rows of 1 to 17 samples
+/// (two whole eight-lane words and every remainder): the session rejects
+/// exactly the rows `is_finite` rejects. A zero-sample row never reaches
+/// the scan: the averager refuses that length.
+#[test]
+fn finiteness_scan_rejects_exactly_what_is_finite_rejects() {
+    use ipmark_traces::average::StreamingKAverager;
+    assert!(matches!(
+        StreamingKAverager::new(3, 0, vec![vec![0]]),
+        Err(ipmark_traces::TraceError::EmptyTrace)
+    ));
+    for len in 1..=17 {
+        for position in 0..len {
+            for &sample in &BOUNDARY_SAMPLES {
+                let mut row = vec![-1.0; len];
+                row[position] = sample;
+                assert_eq!(
+                    format!("{:?}", ingest_outcome(&row)),
+                    format!("{:?}", expected_outcome(&row)),
+                    "len {len}, sample {:#x} at {position}",
+                    sample.to_bits()
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn finiteness_scan_reports_the_first_non_finite_sample(
+        picks in prop::collection::vec(0usize..BOUNDARY_SAMPLES.len(), 1..=17),
+        raw in prop::collection::vec(any::<u64>(), 17),
+    ) {
+        // Boundary samples, with each third one an arbitrary bit pattern.
+        let row: Vec<f64> = picks
+            .iter()
+            .zip(&raw)
+            .enumerate()
+            .map(|(i, (&p, &bits))| if i % 3 == 2 { f64::from_bits(bits) } else { BOUNDARY_SAMPLES[p] })
+            .collect();
+        prop_assert_eq!(
+            format!("{:?}", ingest_outcome(&row)),
+            format!("{:?}", expected_outcome(&row))
+        );
+    }
+}

@@ -233,6 +233,135 @@ fn early_stop_verdict_is_invariant_to_chunk_size() {
     }
 }
 
+/// What a chunked session over `duts` leaves behind: per candidate, the
+/// bits of every completed coefficient, the completed prefix and the
+/// traces ingested; and the verdict.
+type SessionRun = (Vec<Vec<u64>>, Vec<usize>, Vec<usize>, Verdict);
+
+fn run_session<S: TraceSource>(
+    refd: &S,
+    duts: &[S],
+    options: SessionOptions,
+    chunk: usize,
+    seed: u64,
+) -> SessionRun {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut session =
+        VerificationSession::new(refd, duts.len(), options, &mut rng).expect("session");
+    let n2 = options.params.n2;
+    let mut streams: Vec<ChunkedSource<'_, S>> = duts
+        .iter()
+        .map(|dut| ChunkedSource::with_limit(dut, chunk, n2).expect("chunked source"))
+        .collect();
+    let mut verdict = None;
+    'stream: loop {
+        let mut delivered = false;
+        for (candidate, stream) in streams.iter_mut().enumerate() {
+            let Some(traces) = stream.next_chunk().expect("read") else {
+                continue;
+            };
+            delivered = true;
+            if let SessionStatus::Decided(v) =
+                session.ingest_chunk(candidate, &traces).expect("ingest")
+            {
+                verdict = Some(v);
+                break 'stream;
+            }
+        }
+        if !delivered {
+            break;
+        }
+    }
+    let verdict = verdict.unwrap_or_else(|| session.finalize().expect("verdict"));
+    let candidates = 0..duts.len();
+    let prefixes: Vec<usize> = candidates
+        .clone()
+        .map(|c| session.completed_prefix(c))
+        .collect();
+    let coefficients = candidates
+        .clone()
+        .map(|c| {
+            (0..prefixes[c])
+                .map(|slot| session.coefficient(c, slot).expect("completed").to_bits())
+                .collect()
+        })
+        .collect();
+    let ingested = candidates.map(|c| session.traces_ingested(c)).collect();
+    (coefficients, prefixes, ingested, verdict)
+}
+
+/// Sessions over stored `IPMKTRC2` files read through positioned reads
+/// match sessions over the same campaigns in memory: the same coefficient
+/// bits, completed prefixes, traces ingested and verdict, for every chunk
+/// size.
+#[test]
+fn stored_file_sessions_match_in_memory_sessions() {
+    let params = CorrelationParams {
+        n1: 18,
+        n2: 150,
+        k: 6,
+        m: 8,
+    };
+    let trace_len = 40;
+    let dir = std::env::temp_dir().join(format!("ipmark-stored-sessions-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let store = |block: &TraceBlock, name: &str| {
+        let path = dir.join(name);
+        let mut buf = Vec::new();
+        ipmark::traces::io::write_block(block, &mut buf).expect("write");
+        std::fs::write(&path, &buf).expect("store");
+        ipmark::traces::read_block_mapped(block.device(), &path).expect("open")
+    };
+    for seed in [3u64, 29, 511] {
+        let refd = synthetic_set("r", 0.0, trace_len, params.n1, seed);
+        let mut duts = vec![
+            synthetic_set("d0", 0.0, trace_len, params.n2, seed + 1),
+            synthetic_set("d1", 1.3, trace_len, params.n2, seed + 2),
+            synthetic_set("d2", 2.9, trace_len, params.n2, seed + 3),
+        ];
+        // A stored -0.0 travels like any other sample.
+        duts[1].samples_mut()[(seed as usize * 7) % (params.n2 * trace_len)] = -0.0;
+        let stored_refd = store(&refd, "refd.trc2");
+        let stored_duts: Vec<_> = duts
+            .iter()
+            .enumerate()
+            .map(|(i, dut)| store(dut, &format!("dut{i}.trc2")))
+            .collect();
+        let stopping = SessionOptions::new(params).with_early_stop(EarlyStopRule {
+            stability: 2,
+            min_confidence_percent: 5.0,
+        });
+        for options in [SessionOptions::new(params), stopping] {
+            for chunk in [1, 7, params.k] {
+                let context = format!("seed {seed}, chunk {chunk}, {:?}", options.early_stop);
+                let (coefs, prefixes, ingested, verdict) =
+                    run_session(&refd, &duts, options, chunk, seed);
+                let (s_coefs, s_prefixes, s_ingested, s_verdict) =
+                    run_session(&stored_refd, &stored_duts, options, chunk, seed);
+                assert!(prefixes.iter().all(|&p| p >= 2), "{context}");
+                assert_eq!(s_coefs, coefs, "{context}");
+                assert_eq!(s_prefixes, prefixes, "{context}");
+                assert_eq!(s_ingested, ingested, "{context}");
+                assert_eq!(s_verdict.best, verdict.best, "{context}");
+                assert_eq!(
+                    s_verdict.confidence_percent.to_bits(),
+                    verdict.confidence_percent.to_bits(),
+                    "{context}"
+                );
+                let bits = |v: &Verdict| v.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&s_verdict), bits(&verdict), "{context}");
+                assert_eq!(s_verdict.rounds_used, verdict.rounds_used, "{context}");
+                assert_eq!(s_verdict.early_stopped, verdict.early_stopped, "{context}");
+                assert_eq!(
+                    s_verdict.traces_required, verdict.traces_required,
+                    "{context}"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).expect("clean up");
+}
+
 proptest! {
     /// Random `(k, m, n2, chunk, seed)` sweeps over synthetic campaigns:
     /// the streamed prefix is bitwise the batch prefix at every boundary,
