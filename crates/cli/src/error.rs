@@ -55,8 +55,7 @@ from_library!(
     ipmark_traces::TraceError,
     ipmark_traces::IoError,
     ipmark_netlist::NetlistError,
-    ipmark_attacks::AttackError,
-    ipmark_fsm::FsmError
+    ipmark_attacks::AttackError
 );
 
 #[cfg(test)]

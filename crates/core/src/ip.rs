@@ -416,7 +416,6 @@ impl FabricatedDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipmark_power::leakage::LeakageModel;
     use ipmark_traces::TraceSource;
 
     #[test]
@@ -464,7 +463,7 @@ mod tests {
             let mut c = spec.circuit().unwrap();
             let expected = spec.sbox_output_sequence(32).unwrap();
             for (cycle, &e) in expected.iter().enumerate() {
-                let out = c.step(&[]).unwrap().outputs[0].value() as u8;
+                let out = c.step().unwrap().outputs[0].value() as u8;
                 assert_eq!(out, e, "{} cycle {cycle}", spec.name());
             }
         }

@@ -14,7 +14,7 @@ use ipmark_traces::TraceSource;
 
 use crate::error::CoreError;
 use crate::pipeline::{default_backend, Plan};
-use crate::verify::{CorrelationParams, CorrelationSet};
+use crate::verify::{correlation_process, CorrelationParams, CorrelationSet};
 
 /// The verdict for one screened device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -117,9 +117,7 @@ impl CounterfeitScreen {
         SD: TraceSource + Sync + ?Sized,
         R: Rng + ?Sized,
     {
-        crate::verify::validate_sources(refd, dut, params)?;
-        let mut plan = Plan::correlation(params, rng)?;
-        let set = plan.execute(refd, dut, &default_backend())?;
+        let set = correlation_process(refd, dut, params, rng)?;
         Ok(self.judge(&set))
     }
 

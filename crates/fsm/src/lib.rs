@@ -47,18 +47,14 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod dot;
 pub mod embed;
 pub mod error;
 pub mod generate;
 pub mod machine;
-pub mod moore;
 pub mod netlist_adapter;
 
-pub use dot::{to_dot, DotOptions};
 pub use embed::{EmbeddedWatermark, IncompleteFsm, WatermarkProof};
 pub use error::FsmError;
 pub use generate::{random_fsm, RandomFsmConfig};
 pub use machine::{Fsm, FsmBuilder};
-pub use moore::MooreFsm;
 pub use netlist_adapter::{FsmComponent, StateEncoding};

@@ -247,7 +247,7 @@ mod tests {
         // lags the direct run by one cycle.
         let mut outs = Vec::new();
         for _ in 0..21 {
-            outs.push(circuit.step(&[]).unwrap().outputs[0].value());
+            outs.push(circuit.step().unwrap().outputs[0].value());
         }
         assert_eq!(outs[0], 0, "reset value before any transition");
         assert_eq!(&outs[1..], &expected[..]);

@@ -40,81 +40,9 @@ impl ActivityRecord {
         self.components.iter().map(|c| c.state_hd).sum()
     }
 
-    /// Sum of registered-state Hamming weights over all components.
-    pub fn total_state_hw(&self) -> u32 {
-        self.components.iter().map(|c| c.state_hw).sum()
-    }
-
     /// Sum of output-net toggles over all components.
     pub fn total_output_hd(&self) -> u32 {
         self.components.iter().map(|c| c.output_hd).sum()
-    }
-
-    /// Sum of output Hamming weights over all components.
-    pub fn total_output_hw(&self) -> u32 {
-        self.components.iter().map(|c| c.output_hw).sum()
-    }
-}
-
-/// Aggregate switching statistics of one component over a whole run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ComponentProfile {
-    /// Total state-bit toggles over the run.
-    pub total_state_hd: u64,
-    /// Mean state-bit toggles per cycle.
-    pub mean_state_hd: f64,
-    /// Largest single-cycle state toggle count.
-    pub peak_state_hd: u32,
-    /// Total output-net toggles over the run.
-    pub total_output_hd: u64,
-    /// Mean output-net toggles per cycle.
-    pub mean_output_hd: f64,
-}
-
-/// Aggregate switching statistics of a whole run — what a power-estimation
-/// report summarizes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ActivityProfile {
-    /// Number of cycles profiled.
-    pub cycles: usize,
-    /// Per-component aggregates, indexed by component id.
-    pub components: Vec<ComponentProfile>,
-}
-
-impl ActivityProfile {
-    /// Builds the profile from a run's activity records.
-    pub fn from_records(records: &[ActivityRecord]) -> Self {
-        let cycles = records.len();
-        let n = records.first().map_or(0, |r| r.components.len());
-        let mut components = vec![ComponentProfile::default(); n];
-        for r in records {
-            for (p, a) in components.iter_mut().zip(&r.components) {
-                p.total_state_hd += u64::from(a.state_hd);
-                p.total_output_hd += u64::from(a.output_hd);
-                p.peak_state_hd = p.peak_state_hd.max(a.state_hd);
-            }
-        }
-        if cycles > 0 {
-            for p in &mut components {
-                p.mean_state_hd = p.total_state_hd as f64 / cycles as f64;
-                p.mean_output_hd = p.total_output_hd as f64 / cycles as f64;
-            }
-        }
-        Self { cycles, components }
-    }
-
-    /// Total register toggles over the whole run and all components.
-    pub fn total_state_hd(&self) -> u64 {
-        self.components.iter().map(|c| c.total_state_hd).sum()
-    }
-
-    /// The component with the most register toggles (index, profile), or
-    /// `None` for an empty profile.
-    pub fn hottest_component(&self) -> Option<(usize, &ComponentProfile)> {
-        self.components
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| c.total_state_hd)
     }
 }
 
@@ -142,9 +70,7 @@ mod tests {
             ],
         };
         assert_eq!(rec.total_state_hd(), 11);
-        assert_eq!(rec.total_state_hw(), 22);
         assert_eq!(rec.total_output_hd(), 33);
-        assert_eq!(rec.total_output_hw(), 44);
     }
 
     #[test]
@@ -152,44 +78,5 @@ mod tests {
         let rec = ActivityRecord::default();
         assert_eq!(rec.total_state_hd(), 0);
         assert!(rec.components.is_empty());
-    }
-
-    fn rec(state_hds: &[u32]) -> ActivityRecord {
-        ActivityRecord {
-            cycle: 0,
-            components: state_hds
-                .iter()
-                .map(|&h| ComponentActivity {
-                    state_hd: h,
-                    output_hd: h * 2,
-                    ..Default::default()
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn profile_aggregates_and_finds_hotspot() {
-        let records = vec![rec(&[1, 4]), rec(&[3, 0]), rec(&[2, 2])];
-        let p = ActivityProfile::from_records(&records);
-        assert_eq!(p.cycles, 3);
-        assert_eq!(p.components[0].total_state_hd, 6);
-        assert_eq!(p.components[1].total_state_hd, 6);
-        assert_eq!(p.components[0].peak_state_hd, 3);
-        assert_eq!(p.components[1].peak_state_hd, 4);
-        assert!((p.components[0].mean_state_hd - 2.0).abs() < 1e-12);
-        assert_eq!(p.components[0].total_output_hd, 12);
-        assert_eq!(p.total_state_hd(), 12);
-        let (_, hottest) = p.hottest_component().unwrap();
-        assert_eq!(hottest.total_state_hd, 6);
-    }
-
-    #[test]
-    fn profile_of_empty_run() {
-        let p = ActivityProfile::from_records(&[]);
-        assert_eq!(p.cycles, 0);
-        assert!(p.components.is_empty());
-        assert!(p.hottest_component().is_none());
-        assert_eq!(p.total_state_hd(), 0);
     }
 }

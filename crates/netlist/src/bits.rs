@@ -70,13 +70,6 @@ pub enum BitsError {
         /// Width of the right operand.
         right: u16,
     },
-    /// A bit index is out of range for the vector width.
-    BitOutOfRange {
-        /// Requested bit index.
-        index: u16,
-        /// Vector width.
-        width: u16,
-    },
 }
 
 impl fmt::Display for BitsError {
@@ -93,9 +86,6 @@ impl fmt::Display for BitsError {
             }
             BitsError::WidthMismatch { left, right } => {
                 write!(f, "bit-vector width mismatch: {left} vs {right}")
-            }
-            BitsError::BitOutOfRange { index, width } => {
-                write!(f, "bit index {index} out of range for width {width}")
             }
         }
     }
@@ -179,44 +169,6 @@ impl BitVec {
         self.width
     }
 
-    /// Reads the bit at `index` (bit 0 is the least significant).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::BitOutOfRange`] if `index >= width`.
-    pub fn bit(&self, index: u16) -> Result<bool, BitsError> {
-        if index >= self.width {
-            return Err(BitsError::BitOutOfRange {
-                index,
-                width: self.width,
-            });
-        }
-        Ok((self.value >> index) & 1 == 1)
-    }
-
-    /// Returns a copy with the bit at `index` set to `bit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::BitOutOfRange`] if `index >= width`.
-    pub fn with_bit(&self, index: u16, bit: bool) -> Result<Self, BitsError> {
-        if index >= self.width {
-            return Err(BitsError::BitOutOfRange {
-                index,
-                width: self.width,
-            });
-        }
-        let value = if bit {
-            self.value | (1u64 << index)
-        } else {
-            self.value & !(1u64 << index)
-        };
-        Ok(Self {
-            value,
-            width: self.width,
-        })
-    }
-
     /// Number of set bits (Hamming weight).
     #[inline]
     pub fn hamming_weight(&self) -> u32 {
@@ -246,53 +198,6 @@ impl BitVec {
         })
     }
 
-    /// Bitwise AND.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::WidthMismatch`] if the widths differ.
-    pub fn and(&self, other: &Self) -> Result<Self, BitsError> {
-        self.check_width(other)?;
-        Ok(Self {
-            value: self.value & other.value,
-            width: self.width,
-        })
-    }
-
-    /// Bitwise OR.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::WidthMismatch`] if the widths differ.
-    pub fn or(&self, other: &Self) -> Result<Self, BitsError> {
-        self.check_width(other)?;
-        Ok(Self {
-            value: self.value | other.value,
-            width: self.width,
-        })
-    }
-
-    /// Bitwise complement within the vector width.
-    pub fn not(&self) -> Self {
-        Self {
-            value: !self.value & mask(self.width),
-            width: self.width,
-        }
-    }
-
-    /// Wrapping addition modulo `2^width`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::WidthMismatch`] if the widths differ.
-    pub fn wrapping_add(&self, other: &Self) -> Result<Self, BitsError> {
-        self.check_width(other)?;
-        Ok(Self {
-            value: self.value.wrapping_add(other.value) & mask(self.width),
-            width: self.width,
-        })
-    }
-
     /// Wrapping increment modulo `2^width`.
     pub fn wrapping_incr(&self) -> Self {
         Self {
@@ -316,33 +221,6 @@ impl BitVec {
             value: (self.value << low.width) | low.value,
             width,
         })
-    }
-
-    /// Extracts bits `[lo, lo+width)` as a new vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BitsError::BitOutOfRange`] if the slice does not fit, or
-    /// [`BitsError::InvalidWidth`] if `width` is zero.
-    pub fn slice(&self, lo: u16, width: u16) -> Result<Self, BitsError> {
-        if width == 0 {
-            return Err(BitsError::InvalidWidth { width });
-        }
-        if u32::from(lo) + u32::from(width) > u32::from(self.width) {
-            return Err(BitsError::BitOutOfRange {
-                index: lo.saturating_add(width).saturating_sub(1),
-                width: self.width,
-            });
-        }
-        Ok(Self {
-            value: (self.value >> lo) & mask(width),
-            width,
-        })
-    }
-
-    /// Iterator over bits from least significant to most significant.
-    pub fn iter_bits(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.width).map(move |i| (self.value >> i) & 1 == 1)
     }
 
     #[inline]
@@ -467,18 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_access_and_update() {
-        let v = BitVec::new(0b0100, 4).unwrap();
-        assert!(!v.bit(0).unwrap());
-        assert!(v.bit(2).unwrap());
-        assert!(v.bit(4).is_err());
-        let w = v.with_bit(0, true).unwrap();
-        assert_eq!(w.value(), 0b0101);
-        let x = w.with_bit(2, false).unwrap();
-        assert_eq!(x.value(), 0b0001);
-    }
-
-    #[test]
     fn hamming_weight_counts_ones() {
         assert_eq!(BitVec::new(0b1011, 4).unwrap().hamming_weight(), 3);
         assert_eq!(BitVec::zero(8).hamming_weight(), 0);
@@ -501,36 +367,22 @@ mod tests {
             a.xor(&b),
             Err(BitsError::WidthMismatch { left: 4, right: 8 })
         ));
-        assert!(a.and(&b).is_err());
-        assert!(a.or(&b).is_err());
-        assert!(a.wrapping_add(&b).is_err());
         assert!(a.hamming_distance(&b).is_err());
     }
 
     #[test]
-    fn not_stays_in_width() {
-        let v = BitVec::new(0b0101, 4).unwrap().not();
-        assert_eq!(v.value(), 0b1010);
-        assert_eq!(v.width(), 4);
-    }
-
-    #[test]
-    fn wrapping_add_wraps_at_width() {
+    fn wrapping_incr_wraps_at_width() {
         let a = BitVec::new(0xff, 8).unwrap();
-        let b = BitVec::new(0x01, 8).unwrap();
-        assert_eq!(a.wrapping_add(&b).unwrap().value(), 0);
         assert_eq!(a.wrapping_incr().value(), 0);
     }
 
     #[test]
-    fn concat_and_slice_round_trip() {
+    fn concat_places_high_above_low() {
         let hi = BitVec::new(0b101, 3).unwrap();
         let lo = BitVec::new(0b0011, 4).unwrap();
         let joined = hi.concat(&lo).unwrap();
         assert_eq!(joined.width(), 7);
         assert_eq!(joined.value(), 0b101_0011);
-        assert_eq!(joined.slice(4, 3).unwrap(), hi);
-        assert_eq!(joined.slice(0, 4).unwrap(), lo);
     }
 
     #[test]
@@ -541,39 +393,9 @@ mod tests {
     }
 
     #[test]
-    fn slice_bounds_checked() {
-        let v = BitVec::new(0xab, 8).unwrap();
-        assert!(v.slice(5, 4).is_err());
-        assert!(v.slice(0, 0).is_err());
-        assert_eq!(v.slice(0, 8).unwrap(), v);
-    }
-
-    #[test]
-    fn slice_rejects_u16_overflowing_ranges() {
-        // lo + width would overflow u16; the check must still fire instead
-        // of wrapping (panicking in debug, silently passing in release).
-        let v = BitVec::zero(64);
-        assert!(matches!(
-            v.slice(u16::MAX, 10),
-            Err(BitsError::BitOutOfRange { .. })
-        ));
-        assert!(matches!(
-            v.slice(65_530, 10),
-            Err(BitsError::BitOutOfRange { .. })
-        ));
-    }
-
-    #[test]
     fn display_pads_to_width() {
         let v = BitVec::new(0b101, 8).unwrap();
         assert_eq!(v.to_string(), "00000101");
-    }
-
-    #[test]
-    fn iter_bits_lsb_first() {
-        let v = BitVec::new(0b0110, 4).unwrap();
-        let bits: Vec<bool> = v.iter_bits().collect();
-        assert_eq!(bits, vec![false, true, true, false]);
     }
 
     #[test]
@@ -591,7 +413,6 @@ mod tests {
             BitsError::InvalidWidth { width: 0 },
             BitsError::ValueTooWide { value: 9, width: 3 },
             BitsError::WidthMismatch { left: 1, right: 2 },
-            BitsError::BitOutOfRange { index: 8, width: 8 },
         ] {
             assert!(!e.to_string().is_empty());
         }

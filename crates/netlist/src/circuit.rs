@@ -1,7 +1,7 @@
 //! Circuit construction and cycle-accurate simulation.
 //!
 //! A [`Circuit`] is built with [`CircuitBuilder`]: add component instances,
-//! wire ports together, declare external inputs and observable outputs, then
+//! wire ports together, declare observable outputs, then
 //! [`CircuitBuilder::build`] validates the netlist (everything connected,
 //! widths agree, no combinational loops) and computes a static evaluation
 //! schedule. [`Circuit::step`] then simulates one clock cycle and returns
@@ -23,18 +23,12 @@ impl ComponentId {
     }
 }
 
-/// Where an input port takes its value from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Source {
-    /// One of the circuit's declared external inputs.
-    External(usize),
-    /// An output port of another component.
-    Port {
-        /// Driving component.
-        component: ComponentId,
-        /// Output port index on the driving component.
-        port: usize,
-    },
+/// Where an input port takes its value from: an output port of another
+/// component.
+#[derive(Debug, Clone, Copy)]
+struct Source {
+    component: ComponentId,
+    port: usize,
 }
 
 /// Static description of a component instance (name, type, sequential flag).
@@ -73,9 +67,9 @@ struct Instance {
 /// b.connect_ports(cnt, 0, reg, 0)?;
 /// b.expose(cnt, 0, "count")?;
 /// let mut circuit = b.build()?;
-/// let step = circuit.step(&[])?;
+/// let step = circuit.step()?;
 /// assert_eq!(step.outputs[0].value(), 0);
-/// let step = circuit.step(&[])?;
+/// let step = circuit.step()?;
 /// assert_eq!(step.outputs[0].value(), 1);
 /// # Ok(())
 /// # }
@@ -83,7 +77,6 @@ struct Instance {
 #[derive(Default)]
 pub struct CircuitBuilder {
     instances: Vec<Instance>,
-    external_inputs: Vec<(String, u16)>,
     outputs: Vec<(String, ComponentId, usize)>,
 }
 
@@ -106,12 +99,6 @@ impl CircuitBuilder {
             output_widths,
         });
         ComponentId(self.instances.len() - 1)
-    }
-
-    /// Declares an external input of the given width; returns its index.
-    pub fn external_input(&mut self, name: &str, width: u16) -> usize {
-        self.external_inputs.push((name.to_owned(), width));
-        self.external_inputs.len() - 1
     }
 
     /// Connects output `src_port` of `src` to input `dst_port` of `dst`.
@@ -138,44 +125,10 @@ impl CircuitBuilder {
                 dest_width: dst_width,
             });
         }
-        self.instances[dst.0].inputs[dst_port] = Some(Source::Port {
+        self.instances[dst.0].inputs[dst_port] = Some(Source {
             component: src,
             port: src_port,
         });
-        Ok(())
-    }
-
-    /// Connects external input `input` to input `dst_port` of `dst`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the input index, component id or port is
-    /// unknown, or the widths disagree.
-    pub fn connect_external(
-        &mut self,
-        input: usize,
-        dst: ComponentId,
-        dst_port: usize,
-    ) -> Result<(), NetlistError> {
-        let (ext_name, ext_width) =
-            self.external_inputs
-                .get(input)
-                .cloned()
-                .ok_or(NetlistError::UnknownExternalInput {
-                    index: input,
-                    available: self.external_inputs.len(),
-                })?;
-        let (dst_width, dst_name) = self.input_width(dst, dst_port)?;
-        if ext_width != dst_width {
-            return Err(NetlistError::ConnectionWidthMismatch {
-                source: format!("external `{ext_name}`"),
-                dest: dst_name,
-                port: dst_port,
-                source_width: ext_width,
-                dest_width: dst_width,
-            });
-        }
-        self.instances[dst.0].inputs[dst_port] = Some(Source::External(input));
         Ok(())
     }
 
@@ -213,7 +166,6 @@ impl CircuitBuilder {
         let n = self.instances.len();
         Ok(Circuit {
             instances: self.instances,
-            external_inputs: self.external_inputs,
             outputs: self.outputs,
             eval_order: order,
             prev_outputs: vec![None; n],
@@ -236,10 +188,8 @@ impl CircuitBuilder {
                 continue;
             }
             for src in inst.inputs.iter().flatten() {
-                if let Source::Port { component, .. } = *src {
-                    successors[component.0].push(dst);
-                    indegree[dst] += 1;
-                }
+                successors[src.component.0].push(dst);
+                indegree[dst] += 1;
             }
         }
         let mut queue: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
@@ -315,7 +265,6 @@ pub struct StepResult {
 /// power measurement).
 pub struct Circuit {
     instances: Vec<Instance>,
-    external_inputs: Vec<(String, u16)>,
     outputs: Vec<(String, ComponentId, usize)>,
     eval_order: Vec<usize>,
     prev_outputs: Vec<Option<Vec<BitVec>>>,
@@ -354,11 +303,6 @@ impl Circuit {
             .collect()
     }
 
-    /// Names and widths of the declared external inputs.
-    pub fn external_input_decls(&self) -> &[(String, u16)] {
-        &self.external_inputs
-    }
-
     /// Names of the declared circuit outputs, in declaration order.
     pub fn output_names(&self) -> Vec<&str> {
         self.outputs.iter().map(|(n, _, _)| n.as_str()).collect()
@@ -381,7 +325,7 @@ impl Circuit {
         self.cycle = 0;
     }
 
-    /// Simulates one clock cycle with the given external input values.
+    /// Simulates one clock cycle.
     ///
     /// Combinational logic is evaluated in dependency order, circuit outputs
     /// and switching activity are recorded, then every sequential component
@@ -389,28 +333,8 @@ impl Circuit {
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::ExternalInputCount`] when the wrong number of
-    /// input values is supplied, a width-mismatch error when a value has the
-    /// wrong width, and propagates component evaluation errors.
-    pub fn step(&mut self, external: &[BitVec]) -> Result<StepResult, NetlistError> {
-        if external.len() != self.external_inputs.len() {
-            return Err(NetlistError::ExternalInputCount {
-                provided: external.len(),
-                expected: self.external_inputs.len(),
-            });
-        }
-        for (value, (name, width)) in external.iter().zip(&self.external_inputs) {
-            if value.width() != *width {
-                return Err(NetlistError::ConnectionWidthMismatch {
-                    source: format!("external `{name}` value"),
-                    dest: "circuit".to_owned(),
-                    port: 0,
-                    source_width: value.width(),
-                    dest_width: *width,
-                });
-            }
-        }
-
+    /// Propagates component evaluation errors.
+    pub fn step(&mut self) -> Result<StepResult, NetlistError> {
         let n = self.instances.len();
         let mut values: Vec<Option<Vec<BitVec>>> = vec![None; n];
 
@@ -425,7 +349,7 @@ impl Circuit {
                     .map(|&w| BitVec::zero(w))
                     .collect()
             } else {
-                self.resolve_inputs(idx, external, &values)?
+                Self::resolve_inputs(&self.instances[idx].inputs, &values)?
             };
             let mut outs = Vec::with_capacity(self.instances[idx].output_widths.len());
             self.instances[idx].component.eval(&inputs, &mut outs)?;
@@ -471,8 +395,7 @@ impl Circuit {
             let output_hw = outs.iter().map(BitVec::hamming_weight).sum();
 
             let (state_hd, state_hw) = if self.instances[idx].component.is_sequential() {
-                let inputs =
-                    Self::resolve_inputs_static(&self.instances[idx].inputs, external, &values)?;
+                let inputs = Self::resolve_inputs(&self.instances[idx].inputs, &values)?;
                 let inst = &mut self.instances[idx];
                 let before = inst.component.state().ok_or(NetlistError::Invariant {
                     what: "sequential components expose their state",
@@ -508,65 +431,29 @@ impl Circuit {
         })
     }
 
-    /// Simulates `cycles` clock cycles with no external inputs, collecting
-    /// the activity records.
+    /// Simulates `cycles` clock cycles, collecting the activity records.
     ///
     /// # Errors
     ///
-    /// Returns [`NetlistError::ExternalInputCount`] if the circuit declares
-    /// external inputs, plus any simulation error.
+    /// Propagates simulation errors.
     pub fn run_free(&mut self, cycles: usize) -> Result<Vec<ActivityRecord>, NetlistError> {
         let mut records = Vec::with_capacity(cycles);
         for _ in 0..cycles {
-            records.push(self.step(&[])?.activity);
+            records.push(self.step()?.activity);
         }
         Ok(records)
     }
 
-    /// Simulates `cycles` clock cycles, asking `inputs` for the external
-    /// input values of each cycle, and collecting the full step results.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors, including wrong input counts/widths
-    /// returned by the provider.
-    pub fn run_with<F>(
-        &mut self,
-        cycles: usize,
-        mut inputs: F,
-    ) -> Result<Vec<StepResult>, NetlistError>
-    where
-        F: FnMut(u64) -> Vec<BitVec>,
-    {
-        let mut results = Vec::with_capacity(cycles);
-        for _ in 0..cycles {
-            let values = inputs(self.cycle);
-            results.push(self.step(&values)?);
-        }
-        Ok(results)
-    }
-
-    fn resolve_inputs(
-        &self,
-        idx: usize,
-        external: &[BitVec],
-        values: &[Option<Vec<BitVec>>],
-    ) -> Result<Vec<BitVec>, NetlistError> {
-        Self::resolve_inputs_static(&self.instances[idx].inputs, external, values)
-    }
-
     /// Resolves the input values of one instance against the per-cycle value
     /// snapshot.
-    fn resolve_inputs_static(
+    fn resolve_inputs(
         inputs: &[Option<Source>],
-        external: &[BitVec],
         values: &[Option<Vec<BitVec>>],
     ) -> Result<Vec<BitVec>, NetlistError> {
         inputs
             .iter()
             .map(|src| match src {
-                Some(Source::External(i)) => Ok(external[*i]),
-                Some(Source::Port { component, port }) => values[component.0]
+                Some(Source { component, port }) => values[component.0]
                     .as_ref()
                     .and_then(|outs| outs.get(*port))
                     .copied()
@@ -585,7 +472,6 @@ impl std::fmt::Debug for Circuit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Circuit")
             .field("components", &self.component_infos())
-            .field("external_inputs", &self.external_inputs)
             .field("cycle", &self.cycle)
             .finish()
     }
@@ -675,9 +561,9 @@ mod tests {
         b.expose(reg, 0, "q").unwrap();
         let mut circuit = b.build().unwrap();
         // q follows q ^ 1 each cycle: 0, 1, 0, 1, ...
-        assert_eq!(circuit.step(&[]).unwrap().outputs[0].value(), 0);
-        assert_eq!(circuit.step(&[]).unwrap().outputs[0].value(), 1);
-        assert_eq!(circuit.step(&[]).unwrap().outputs[0].value(), 0);
+        assert_eq!(circuit.step().unwrap().outputs[0].value(), 0);
+        assert_eq!(circuit.step().unwrap().outputs[0].value(), 1);
+        assert_eq!(circuit.step().unwrap().outputs[0].value(), 0);
     }
 
     #[test]
@@ -685,7 +571,7 @@ mod tests {
         let mut circuit = counter_register_circuit();
         let mut pairs = Vec::new();
         for _ in 0..6 {
-            let s = circuit.step(&[]).unwrap();
+            let s = circuit.step().unwrap();
             pairs.push((s.outputs[0].value(), s.outputs[1].value()));
         }
         assert_eq!(pairs, vec![(0, 0), (1, 0), (2, 1), (3, 2), (4, 3), (5, 4)]);
@@ -694,11 +580,11 @@ mod tests {
     #[test]
     fn activity_records_state_toggles() {
         let mut circuit = counter_register_circuit();
-        let r0 = circuit.step(&[]).unwrap().activity;
+        let r0 = circuit.step().unwrap().activity;
         // Counter 0 -> 1: one toggle. Register 0 -> 0: zero toggles.
         assert_eq!(r0.components[0].state_hd, 1);
         assert_eq!(r0.components[1].state_hd, 0);
-        let r1 = circuit.step(&[]).unwrap().activity;
+        let r1 = circuit.step().unwrap().activity;
         // Counter 1 -> 2: two toggles. Register 0 -> 1: one toggle.
         assert_eq!(r1.components[0].state_hd, 2);
         assert_eq!(r1.components[1].state_hd, 1);
@@ -710,48 +596,14 @@ mod tests {
     #[test]
     fn reset_restores_power_on_behaviour() {
         let mut circuit = counter_register_circuit();
-        let first: Vec<_> = (0..5)
-            .map(|_| circuit.step(&[]).unwrap().activity)
-            .collect();
+        let first: Vec<_> = (0..5).map(|_| circuit.step().unwrap().activity).collect();
         circuit.reset();
         assert_eq!(circuit.cycle(), 0);
-        let second: Vec<_> = (0..5)
-            .map(|_| circuit.step(&[]).unwrap().activity)
-            .collect();
+        let second: Vec<_> = (0..5).map(|_| circuit.step().unwrap().activity).collect();
         assert_eq!(
             first, second,
             "simulation must be deterministic after reset"
         );
-    }
-
-    #[test]
-    fn external_inputs_are_validated() {
-        let mut b = CircuitBuilder::new();
-        let inp = b.external_input("d", 4);
-        let reg = b.add("reg", Register::new(BitVec::zero(4)));
-        b.connect_external(inp, reg, 0).unwrap();
-        b.expose(reg, 0, "q").unwrap();
-        let mut circuit = b.build().unwrap();
-        assert!(matches!(
-            circuit.step(&[]),
-            Err(NetlistError::ExternalInputCount { .. })
-        ));
-        assert!(circuit.step(&[BitVec::zero(8)]).is_err());
-        let s = circuit.step(&[BitVec::truncated(0xf, 4)]).unwrap();
-        assert_eq!(s.outputs[0].value(), 0);
-        let s = circuit.step(&[BitVec::truncated(0x0, 4)]).unwrap();
-        assert_eq!(s.outputs[0].value(), 0xf);
-    }
-
-    #[test]
-    fn external_width_mismatch_at_connect_time() {
-        let mut b = CircuitBuilder::new();
-        let inp = b.external_input("d", 8);
-        let reg = b.add("reg", Register::new(BitVec::zero(4)));
-        assert!(matches!(
-            b.connect_external(inp, reg, 0),
-            Err(NetlistError::ConnectionWidthMismatch { .. })
-        ));
     }
 
     #[test]
@@ -764,27 +616,9 @@ mod tests {
         b.connect_ports(cnt, 0, rom, 0).unwrap();
         b.expose(rom, 0, "q").unwrap();
         let mut circuit = b.build().unwrap();
-        assert_eq!(circuit.step(&[]).unwrap().outputs[0].value(), 0); // init
-        assert_eq!(circuit.step(&[]).unwrap().outputs[0].value(), 15); // table[0]
-        assert_eq!(circuit.step(&[]).unwrap().outputs[0].value(), 14); // table[1]
-    }
-
-    #[test]
-    fn run_with_drives_inputs_per_cycle() {
-        let mut b = CircuitBuilder::new();
-        let inp = b.external_input("d", 4);
-        let reg = b.add("reg", Register::new(BitVec::zero(4)));
-        b.connect_external(inp, reg, 0).unwrap();
-        b.expose(reg, 0, "q").unwrap();
-        let mut circuit = b.build().unwrap();
-        let results = circuit
-            .run_with(5, |cycle| vec![BitVec::truncated(cycle, 4)])
-            .unwrap();
-        // The register lags the driven cycle index by one.
-        let outs: Vec<u64> = results.iter().map(|r| r.outputs[0].value()).collect();
-        assert_eq!(outs, vec![0, 0, 1, 2, 3]);
-        // A provider returning the wrong arity errors out.
-        assert!(circuit.run_with(1, |_| vec![]).is_err());
+        assert_eq!(circuit.step().unwrap().outputs[0].value(), 0); // init
+        assert_eq!(circuit.step().unwrap().outputs[0].value(), 15); // table[0]
+        assert_eq!(circuit.step().unwrap().outputs[0].value(), 14); // table[1]
     }
 
     #[test]

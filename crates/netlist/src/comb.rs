@@ -1,4 +1,4 @@
-//! Combinational components: constants, gates, multiplexers, slicing.
+//! Combinational components: constants, the key XOR and concatenation.
 
 use crate::bits::BitVec;
 use crate::component::{check_arity, Component};
@@ -53,105 +53,40 @@ impl Component for Constant {
     }
 }
 
-macro_rules! binary_gate {
-    ($(#[$doc:meta])* $name:ident, $label:literal, $op:ident) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            width: u16,
-        }
-
-        impl $name {
-            /// Creates a gate operating on two `width`-bit inputs.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `width` is zero or exceeds
-            /// [`MAX_WIDTH`](crate::bits::MAX_WIDTH); widths are design-time
-            /// constants.
-            pub fn new(width: u16) -> Self {
-                // Reuse BitVec's width validation.
-                let _ = BitVec::zero(width);
-                Self { width }
-            }
-
-            /// Operand width in bits.
-            pub fn width(&self) -> u16 {
-                self.width
-            }
-        }
-
-        impl Component for $name {
-            fn type_name(&self) -> &'static str {
-                $label
-            }
-
-            fn input_widths(&self) -> Vec<u16> {
-                vec![self.width, self.width]
-            }
-
-            fn output_widths(&self) -> Vec<u16> {
-                vec![self.width]
-            }
-
-            fn eval(
-                &self,
-                inputs: &[BitVec],
-                outputs: &mut Vec<BitVec>,
-            ) -> Result<(), NetlistError> {
-                check_arity(self.type_name(), inputs, 2)?;
-                outputs.push(inputs[0].$op(&inputs[1])?);
-                Ok(())
-            }
-        }
-    };
-}
-
-binary_gate!(
-    /// Bitwise XOR of two equal-width inputs. This is the gate that mixes the
-    /// watermark key into the FSM state in the leakage component.
-    Xor2,
-    "xor",
-    xor
-);
-binary_gate!(
-    /// Bitwise AND of two equal-width inputs.
-    And2,
-    "and",
-    and
-);
-binary_gate!(
-    /// Bitwise OR of two equal-width inputs.
-    Or2,
-    "or",
-    or
-);
-
-/// Bitwise complement of one input.
+/// Bitwise XOR of two equal-width inputs. This is the gate that mixes the
+/// watermark key into the FSM state in the leakage component.
 #[derive(Debug, Clone)]
-pub struct Not {
+pub struct Xor2 {
     width: u16,
 }
 
-impl Not {
-    /// Creates an inverter for `width`-bit values.
+impl Xor2 {
+    /// Creates a gate operating on two `width`-bit inputs.
     ///
     /// # Panics
     ///
-    /// Panics if `width` is zero or exceeds [`MAX_WIDTH`](crate::bits::MAX_WIDTH).
+    /// Panics if `width` is zero or exceeds
+    /// [`MAX_WIDTH`](crate::bits::MAX_WIDTH); widths are design-time
+    /// constants.
     pub fn new(width: u16) -> Self {
+        // Reuse BitVec's width validation.
         let _ = BitVec::zero(width);
         Self { width }
     }
+
+    /// Operand width in bits.
+    pub fn width(&self) -> u16 {
+        self.width
+    }
 }
 
-impl Component for Not {
+impl Component for Xor2 {
     fn type_name(&self) -> &'static str {
-        "not"
+        "xor"
     }
 
     fn input_widths(&self) -> Vec<u16> {
-        vec![self.width]
+        vec![self.width, self.width]
     }
 
     fn output_widths(&self) -> Vec<u16> {
@@ -159,95 +94,8 @@ impl Component for Not {
     }
 
     fn eval(&self, inputs: &[BitVec], outputs: &mut Vec<BitVec>) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 1)?;
-        outputs.push(inputs[0].not());
-        Ok(())
-    }
-}
-
-/// Two-way multiplexer: output = `sel ? b : a`.
-///
-/// Port order: `sel` (1 bit), `a`, `b`.
-#[derive(Debug, Clone)]
-pub struct Mux2 {
-    width: u16,
-}
-
-impl Mux2 {
-    /// Creates a multiplexer over `width`-bit data inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero or exceeds [`MAX_WIDTH`](crate::bits::MAX_WIDTH).
-    pub fn new(width: u16) -> Self {
-        let _ = BitVec::zero(width);
-        Self { width }
-    }
-}
-
-impl Component for Mux2 {
-    fn type_name(&self) -> &'static str {
-        "mux2"
-    }
-
-    fn input_widths(&self) -> Vec<u16> {
-        vec![1, self.width, self.width]
-    }
-
-    fn output_widths(&self) -> Vec<u16> {
-        vec![self.width]
-    }
-
-    fn eval(&self, inputs: &[BitVec], outputs: &mut Vec<BitVec>) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 3)?;
-        let sel = inputs[0].bit(0)?;
-        outputs.push(if sel { inputs[2] } else { inputs[1] });
-        Ok(())
-    }
-}
-
-/// Extracts bits `[lo, lo + width)` of its input.
-#[derive(Debug, Clone)]
-pub struct Slice {
-    input_width: u16,
-    lo: u16,
-    width: u16,
-}
-
-impl Slice {
-    /// Creates a slice of `width` bits starting at `lo` out of an
-    /// `input_width`-bit input.
-    ///
-    /// # Errors
-    ///
-    /// Returns a bit-vector error when the slice does not fit in the input.
-    pub fn new(input_width: u16, lo: u16, width: u16) -> Result<Self, NetlistError> {
-        // Validate eagerly with a dummy value.
-        BitVec::zero(input_width).slice(lo, width)?;
-        Ok(Self {
-            input_width,
-            lo,
-            width,
-        })
-    }
-}
-
-impl Component for Slice {
-    fn type_name(&self) -> &'static str {
-        "slice"
-    }
-
-    fn input_widths(&self) -> Vec<u16> {
-        vec![self.input_width]
-    }
-
-    fn output_widths(&self) -> Vec<u16> {
-        vec![self.width]
-    }
-
-    fn eval(&self, inputs: &[BitVec], outputs: &mut Vec<BitVec>) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 1)?;
-        outputs.push(inputs[0].slice(self.lo, self.width)?);
+        check_arity(self.type_name(), inputs, 2)?;
+        outputs.push(inputs[0].xor(&inputs[1])?);
         Ok(())
     }
 }
@@ -323,15 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn and_or_not_gates() {
-        let a = BitVec::from(0b1100u8);
-        let b = BitVec::from(0b1010u8);
-        assert_eq!(eval1(&And2::new(8), &[a, b]).value(), 0b1000);
-        assert_eq!(eval1(&Or2::new(8), &[a, b]).value(), 0b1110);
-        assert_eq!(eval1(&Not::new(8), &[a]).value(), 0xf3);
-    }
-
-    #[test]
     fn gates_reject_wrong_arity() {
         let g = Xor2::new(4);
         let mut out = Vec::new();
@@ -348,22 +187,6 @@ mod tests {
         assert!(g
             .eval(&[BitVec::zero(4), BitVec::zero(8)], &mut out)
             .is_err());
-    }
-
-    #[test]
-    fn mux_selects() {
-        let m = Mux2::new(8);
-        let a = BitVec::from(1u8);
-        let b = BitVec::from(2u8);
-        assert_eq!(eval1(&m, &[BitVec::from(false), a, b]).value(), 1);
-        assert_eq!(eval1(&m, &[BitVec::from(true), a, b]).value(), 2);
-    }
-
-    #[test]
-    fn slice_extracts_bits() {
-        let s = Slice::new(8, 4, 4).unwrap();
-        assert_eq!(eval1(&s, &[BitVec::from(0xabu8)]).value(), 0xa);
-        assert!(Slice::new(8, 6, 4).is_err());
     }
 
     #[test]

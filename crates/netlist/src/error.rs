@@ -23,13 +23,6 @@ pub enum NetlistError {
         /// Number of ports of that direction on the component.
         available: usize,
     },
-    /// An external input index is out of range.
-    UnknownExternalInput {
-        /// Offending input index.
-        index: usize,
-        /// Number of declared external inputs.
-        available: usize,
-    },
     /// An input port was left unconnected at build time.
     UnconnectedInput {
         /// Component with the dangling input.
@@ -39,7 +32,7 @@ pub enum NetlistError {
     },
     /// A connection joins ports of different widths.
     ConnectionWidthMismatch {
-        /// Source description (component/port or external input).
+        /// Source description (component and port).
         source: String,
         /// Destination component name.
         dest: String,
@@ -54,13 +47,6 @@ pub enum NetlistError {
     CombinationalLoop {
         /// Names of the components on the unresolvable cycle.
         involved: Vec<String>,
-    },
-    /// `step` was called with the wrong number of external input values.
-    ExternalInputCount {
-        /// Number of values provided.
-        provided: usize,
-        /// Number of values expected.
-        expected: usize,
     },
     /// A component received an unexpected number of input values.
     ArityMismatch {
@@ -97,9 +83,6 @@ impl fmt::Display for NetlistError {
                 f,
                 "component `{component}` has no port {port} (has {available})"
             ),
-            NetlistError::UnknownExternalInput { index, available } => {
-                write!(f, "unknown external input {index} (declared {available})")
-            }
             NetlistError::UnconnectedInput { component, port } => {
                 write!(f, "input port {port} of `{component}` is unconnected")
             }
@@ -116,10 +99,6 @@ impl fmt::Display for NetlistError {
             NetlistError::CombinationalLoop { involved } => {
                 write!(f, "combinational loop through: {}", involved.join(", "))
             }
-            NetlistError::ExternalInputCount { provided, expected } => write!(
-                f,
-                "expected {expected} external input values, got {provided}"
-            ),
             NetlistError::ArityMismatch {
                 component,
                 provided,
@@ -165,10 +144,6 @@ mod tests {
                 port: 1,
                 available: 0,
             },
-            NetlistError::UnknownExternalInput {
-                index: 2,
-                available: 1,
-            },
             NetlistError::UnconnectedInput {
                 component: "x".into(),
                 port: 0,
@@ -182,10 +157,6 @@ mod tests {
             },
             NetlistError::CombinationalLoop {
                 involved: vec!["a".into(), "b".into()],
-            },
-            NetlistError::ExternalInputCount {
-                provided: 0,
-                expected: 1,
             },
             NetlistError::ArityMismatch {
                 component: "x".into(),

@@ -7,9 +7,10 @@
 //!
 //! The paper implements its watermarked IPs on Altera Cyclone-III FPGAs and
 //! measures their power consumption. This crate replaces the FPGA: circuits
-//! are built from [`Component`]s (registers, counters, gates, memories),
-//! wired with [`CircuitBuilder`], and simulated one clock cycle at a time
-//! with [`Circuit::step`]. Every step reports an
+//! are built from the [`Component`]s those IPs need (registers, binary and
+//! Gray counters, constants, the key XOR, concatenation and the synchronous
+//! S-Box ROM), wired with [`CircuitBuilder`], and simulated one clock cycle
+//! at a time with [`Circuit::step`]. Every step reports an
 //! [`ActivityRecord`] — the per-component Hamming
 //! distances and weights that the `ipmark-power` crate converts into a
 //! simulated power trace.
@@ -51,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod activity;
-pub mod arith;
 pub mod bits;
 pub mod circuit;
 pub mod codes;
@@ -62,8 +62,8 @@ pub mod memory;
 pub mod seq;
 pub mod vcd;
 
-pub use activity::{ActivityProfile, ActivityRecord, ComponentActivity, ComponentProfile};
+pub use activity::{ActivityRecord, ComponentActivity};
 pub use bits::{BitVec, BitsError};
-pub use circuit::{Circuit, CircuitBuilder, ComponentId, ComponentInfo, Source, StepResult};
+pub use circuit::{Circuit, CircuitBuilder, ComponentId, ComponentInfo, StepResult};
 pub use component::Component;
 pub use error::NetlistError;

@@ -1,4 +1,4 @@
-//! Memory components: combinational ROM and synchronous-read ROM.
+//! The synchronous-read ROM that holds the leakage component's S-Box.
 //!
 //! The paper stores the AES S-Box "in memory"; on an FPGA that is a block RAM
 //! with a registered read port, which [`SyncRom`] models: the addressed word
@@ -35,72 +35,6 @@ fn validate_table(table: &[u64], data_width: u16) -> Result<u16, NetlistError> {
         }
     }
     Ok(addr_width)
-}
-
-/// A combinational (asynchronous-read) lookup table.
-///
-/// The table length must be a power of two; the address width is derived
-/// from it.
-#[derive(Debug, Clone)]
-pub struct Rom {
-    table: Vec<u64>,
-    addr_width: u16,
-    data_width: u16,
-}
-
-impl Rom {
-    /// Creates a ROM from `table` with `data_width`-bit words.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InvalidMemory`] when the table is empty, not a
-    /// power of two in length, or contains a word wider than `data_width`.
-    pub fn new(table: Vec<u64>, data_width: u16) -> Result<Self, NetlistError> {
-        let addr_width = validate_table(&table, data_width)?;
-        Ok(Self {
-            table,
-            addr_width,
-            data_width,
-        })
-    }
-
-    /// Word stored at `addr`, if in range.
-    pub fn word(&self, addr: usize) -> Option<u64> {
-        self.table.get(addr).copied()
-    }
-
-    /// Address width in bits.
-    pub fn addr_width(&self) -> u16 {
-        self.addr_width
-    }
-
-    /// Data width in bits.
-    pub fn data_width(&self) -> u16 {
-        self.data_width
-    }
-}
-
-impl Component for Rom {
-    fn type_name(&self) -> &'static str {
-        "rom"
-    }
-
-    fn input_widths(&self) -> Vec<u16> {
-        vec![self.addr_width]
-    }
-
-    fn output_widths(&self) -> Vec<u16> {
-        vec![self.data_width]
-    }
-
-    fn eval(&self, inputs: &[BitVec], outputs: &mut Vec<BitVec>) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 1)?;
-        let addr = inputs[0].value() as usize;
-        // The address width is checked at connection time; a masked
-        // out-of-range address cannot occur because table length is 2^addr_width.
-        outputs.push(BitVec::truncated(self.table[addr], self.data_width));
-        Ok(())
-    }
 }
 
 /// A synchronous-read ROM: block-RAM style lookup with a registered output.
@@ -199,22 +133,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rom_rejects_bad_tables() {
-        assert!(Rom::new(vec![], 8).is_err());
-        assert!(Rom::new(vec![0, 1, 2], 8).is_err()); // not a power of two
-        assert!(Rom::new(vec![0x100, 0], 8).is_err()); // word too wide
-        assert!(Rom::new(vec![1], 8).is_err()); // single entry: zero addr width
-    }
-
-    #[test]
-    fn rom_looks_up_combinationally() {
-        let rom = Rom::new(vec![10, 20, 30, 40], 8).unwrap();
-        assert_eq!(rom.addr_width(), 2);
-        let mut out = Vec::new();
-        rom.eval(&[BitVec::truncated(2, 2)], &mut out).unwrap();
-        assert_eq!(out[0].value(), 30);
-        assert_eq!(rom.word(3), Some(40));
-        assert_eq!(rom.word(4), None);
+    fn sync_rom_rejects_bad_tables() {
+        assert!(SyncRom::new(vec![], 8, 0).is_err());
+        assert!(SyncRom::new(vec![0, 1, 2], 8, 0).is_err()); // not a power of two
+        assert!(SyncRom::new(vec![0x100, 0], 8, 0).is_err()); // word too wide
+        assert!(SyncRom::new(vec![1], 8, 0).is_err()); // single entry: zero addr width
     }
 
     #[test]

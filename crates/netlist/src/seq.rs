@@ -1,4 +1,4 @@
-//! Sequential components: registers, counters and LFSRs.
+//! Sequential components: registers and the binary and Gray counters.
 //!
 //! All sequential components are Moore-style: outputs depend only on the
 //! registered state, never combinationally on the inputs, so the circuit
@@ -249,180 +249,6 @@ impl Component for GrayCounter {
     }
 }
 
-/// A Johnson (twisted-ring) counter: a shift register feeding back the
-/// complement of its last bit. Period is `2 × width`; exactly one bit toggles
-/// per cycle.
-#[derive(Debug, Clone)]
-pub struct JohnsonCounter {
-    width: u16,
-    init: u64,
-    state: u64,
-}
-
-impl JohnsonCounter {
-    /// Creates a `width`-bit Johnson counter starting from `init`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a bit-vector error when `init` does not fit in `width` bits.
-    pub fn new(width: u16, init: u64) -> Result<Self, NetlistError> {
-        BitVec::new(init, width)?;
-        Ok(Self {
-            width,
-            init,
-            state: init,
-        })
-    }
-
-    /// The counter period when started from the all-zero state.
-    pub fn period(&self) -> u64 {
-        2 * u64::from(self.width)
-    }
-}
-
-impl Component for JohnsonCounter {
-    fn type_name(&self) -> &'static str {
-        "johnson-counter"
-    }
-
-    fn input_widths(&self) -> Vec<u16> {
-        Vec::new()
-    }
-
-    fn output_widths(&self) -> Vec<u16> {
-        vec![self.width]
-    }
-
-    fn eval(&self, inputs: &[BitVec], outputs: &mut Vec<BitVec>) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 0)?;
-        outputs.push(BitVec::truncated(self.state, self.width));
-        Ok(())
-    }
-
-    fn clock(&mut self, inputs: &[BitVec]) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 0)?;
-        let msb = (self.state >> (self.width - 1)) & 1;
-        self.state = BitVec::truncated((self.state << 1) | (msb ^ 1), self.width).value();
-        Ok(())
-    }
-
-    fn state(&self) -> Option<BitVec> {
-        Some(BitVec::truncated(self.state, self.width))
-    }
-
-    fn is_sequential(&self) -> bool {
-        true
-    }
-
-    fn reset(&mut self) {
-        self.state = self.init;
-    }
-}
-
-/// A Fibonacci linear-feedback shift register.
-///
-/// The feedback bit is the XOR of the tapped bit positions; the register
-/// shifts left each cycle. With a primitive-polynomial tap set and a non-zero
-/// seed the sequence has period `2^width − 1`.
-#[derive(Debug, Clone)]
-pub struct Lfsr {
-    width: u16,
-    taps: Vec<u16>,
-    seed: u64,
-    state: u64,
-}
-
-impl Lfsr {
-    /// Creates a `width`-bit LFSR with the given tap positions and non-zero
-    /// seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::InvalidMemory`] when the seed is zero, the tap
-    /// list is empty, or a tap is out of range. (The error variant is reused
-    /// for "invalid configuration table".)
-    pub fn new(width: u16, taps: &[u16], seed: u64) -> Result<Self, NetlistError> {
-        BitVec::new(seed, width)?;
-        if seed == 0 {
-            return Err(NetlistError::InvalidMemory {
-                reason: "LFSR seed must be non-zero".to_owned(),
-            });
-        }
-        if taps.is_empty() {
-            return Err(NetlistError::InvalidMemory {
-                reason: "LFSR requires at least one tap".to_owned(),
-            });
-        }
-        if let Some(&bad) = taps.iter().find(|&&t| t >= width) {
-            return Err(NetlistError::InvalidMemory {
-                reason: format!("LFSR tap {bad} out of range for width {width}"),
-            });
-        }
-        Ok(Self {
-            width,
-            taps: taps.to_vec(),
-            seed,
-            state: seed,
-        })
-    }
-
-    /// A maximal-length 8-bit LFSR (taps for x⁸+x⁶+x⁵+x⁴+1).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `seed` is zero or wider than 8 bits.
-    pub fn maximal_8bit(seed: u64) -> Result<Self, NetlistError> {
-        Self::new(8, &[7, 5, 4, 3], seed)
-    }
-
-    /// The current register contents.
-    pub fn current(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Component for Lfsr {
-    fn type_name(&self) -> &'static str {
-        "lfsr"
-    }
-
-    fn input_widths(&self) -> Vec<u16> {
-        Vec::new()
-    }
-
-    fn output_widths(&self) -> Vec<u16> {
-        vec![self.width]
-    }
-
-    fn eval(&self, inputs: &[BitVec], outputs: &mut Vec<BitVec>) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 0)?;
-        outputs.push(BitVec::truncated(self.state, self.width));
-        Ok(())
-    }
-
-    fn clock(&mut self, inputs: &[BitVec]) -> Result<(), NetlistError> {
-        check_arity(self.type_name(), inputs, 0)?;
-        let fb = self
-            .taps
-            .iter()
-            .fold(0u64, |acc, &t| acc ^ ((self.state >> t) & 1));
-        self.state = BitVec::truncated((self.state << 1) | fb, self.width).value();
-        Ok(())
-    }
-
-    fn state(&self) -> Option<BitVec> {
-        Some(BitVec::truncated(self.state, self.width))
-    }
-
-    fn is_sequential(&self) -> bool {
-        true
-    }
-
-    fn reset(&mut self) {
-        self.state = self.seed;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -507,61 +333,5 @@ mod tests {
         }
         assert_eq!(seen.len(), 16);
         assert_eq!(c.state().unwrap().value(), gray_encode(0));
-    }
-
-    #[test]
-    fn johnson_counter_period_is_twice_width() {
-        let mut c = JohnsonCounter::new(4, 0).unwrap();
-        let start = c.state().unwrap();
-        let mut steps = 0;
-        loop {
-            c.clock(&[]).unwrap();
-            steps += 1;
-            if c.state().unwrap() == start {
-                break;
-            }
-            assert!(steps <= 8, "period exceeded 2*width");
-        }
-        assert_eq!(steps, c.period());
-    }
-
-    #[test]
-    fn johnson_counter_one_toggle_per_cycle() {
-        let mut c = JohnsonCounter::new(8, 0).unwrap();
-        let mut prev = c.state().unwrap();
-        for _ in 0..32 {
-            c.clock(&[]).unwrap();
-            let cur = c.state().unwrap();
-            assert_eq!(prev.hamming_distance(&cur).unwrap(), 1);
-            prev = cur;
-        }
-    }
-
-    #[test]
-    fn lfsr_rejects_zero_seed_and_bad_taps() {
-        assert!(Lfsr::new(8, &[7, 5, 4, 3], 0).is_err());
-        assert!(Lfsr::new(8, &[], 1).is_err());
-        assert!(Lfsr::new(8, &[8], 1).is_err());
-    }
-
-    #[test]
-    fn maximal_lfsr_has_full_period() {
-        let mut l = Lfsr::maximal_8bit(1).unwrap();
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..255 {
-            assert!(seen.insert(l.current()), "state repeated early");
-            l.clock(&[]).unwrap();
-        }
-        assert_eq!(l.current(), 1);
-        assert_eq!(seen.len(), 255);
-        assert!(!seen.contains(&0));
-    }
-
-    #[test]
-    fn lfsr_reset_restores_seed() {
-        let mut l = Lfsr::maximal_8bit(0x3c).unwrap();
-        l.clock(&[]).unwrap();
-        l.reset();
-        assert_eq!(l.current(), 0x3c);
     }
 }

@@ -11,9 +11,9 @@ use crate::bits::BitVec;
 use crate::circuit::Circuit;
 use crate::error::NetlistError;
 
-/// Records the exposed outputs of `circuit` for `cycles` cycles (with no
-/// external inputs) and writes a VCD document to `writer`. A mutable
-/// reference may be passed as the writer.
+/// Records the exposed outputs of `circuit` for `cycles` cycles and writes
+/// a VCD document to `writer`. A mutable reference may be passed as the
+/// writer.
 ///
 /// The circuit is reset first so the dump always starts from the power-on
 /// state. One VCD time unit = one clock cycle.
@@ -47,7 +47,7 @@ pub fn dump_vcd<W: Write>(
 
     circuit.reset();
     // Peek at the first cycle to learn output widths.
-    let first = match circuit.step(&[]) {
+    let first = match circuit.step() {
         Ok(s) => s,
         Err(e) => return Ok(Err(e)),
     };
@@ -97,7 +97,7 @@ pub fn dump_vcd<W: Write>(
 
     emit(&mut w, 0, &first.outputs, &mut prev)?;
     for t in 1..cycles {
-        let step = match circuit.step(&[]) {
+        let step = match circuit.step() {
             Ok(s) => s,
             Err(e) => return Ok(Err(e)),
         };
@@ -174,8 +174,8 @@ mod tests {
     fn vcd_restarts_from_reset() {
         let mut circuit = counter_circuit();
         // Advance the circuit, then dump: the dump must start at count 0.
-        circuit.step(&[]).unwrap();
-        circuit.step(&[]).unwrap();
+        circuit.step().unwrap();
+        circuit.step().unwrap();
         let mut buf = Vec::new();
         dump_vcd(&mut circuit, 2, "top", &mut buf).unwrap().unwrap();
         let text = String::from_utf8(buf).unwrap();

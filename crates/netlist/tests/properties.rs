@@ -2,16 +2,9 @@
 
 use ipmark_netlist::codes::{gray_decode, gray_encode};
 use ipmark_netlist::comb::{Constant, Xor2};
-use ipmark_netlist::seq::{BinaryCounter, GrayCounter, JohnsonCounter, Register};
+use ipmark_netlist::seq::{BinaryCounter, GrayCounter, Register};
 use ipmark_netlist::{BitVec, CircuitBuilder, Component};
 use proptest::prelude::*;
-
-fn bitvec_strategy() -> impl Strategy<Value = BitVec> {
-    (1u16..=64).prop_flat_map(|w| {
-        let max = if w == 64 { u64::MAX } else { (1u64 << w) - 1 };
-        (0..=max).prop_map(move |v| BitVec::new(v, w).unwrap())
-    })
-}
 
 fn bitvec_pair_same_width() -> impl Strategy<Value = (BitVec, BitVec)> {
     (1u16..=64).prop_flat_map(|w| {
@@ -48,24 +41,11 @@ proptest! {
     }
 
     #[test]
-    fn not_involution(v in bitvec_strategy()) {
-        prop_assert_eq!(v.not().not(), v);
-    }
-
-    #[test]
-    fn weight_plus_complement_weight_is_width(v in bitvec_strategy()) {
-        prop_assert_eq!(
-            v.hamming_weight() + v.not().hamming_weight(),
-            u32::from(v.width())
-        );
-    }
-
-    #[test]
-    fn concat_slice_round_trip((a, b) in bitvec_pair_same_width()) {
+    fn concat_places_high_above_low((a, b) in bitvec_pair_same_width()) {
         prop_assume!(a.width() <= 32);
         let joined = a.concat(&b).unwrap();
-        prop_assert_eq!(joined.slice(b.width(), a.width()).unwrap(), a);
-        prop_assert_eq!(joined.slice(0, b.width()).unwrap(), b);
+        prop_assert_eq!(joined.width(), a.width() + b.width());
+        prop_assert_eq!(joined.value(), (a.value() << b.width()) | b.value());
     }
 
     #[test]
@@ -108,18 +88,6 @@ proptest! {
     }
 
     #[test]
-    fn johnson_counter_always_one_toggle(width in 2u16..=32, steps in 1usize..100) {
-        let mut c = JohnsonCounter::new(width, 0).unwrap();
-        let mut prev = c.state().unwrap();
-        for _ in 0..steps {
-            c.clock(&[]).unwrap();
-            let cur = c.state().unwrap();
-            prop_assert_eq!(prev.hamming_distance(&cur).unwrap(), 1);
-            prev = cur;
-        }
-    }
-
-    #[test]
     fn circuit_simulation_is_deterministic_after_reset(
         width in 2u16..=12,
         key in 0u64..256,
@@ -137,9 +105,9 @@ proptest! {
         b.expose(r, 0, "q").unwrap();
         let mut circuit = b.build().unwrap();
 
-        let run1: Vec<_> = (0..cycles).map(|_| circuit.step(&[]).unwrap().activity).collect();
+        let run1: Vec<_> = (0..cycles).map(|_| circuit.step().unwrap().activity).collect();
         circuit.reset();
-        let run2: Vec<_> = (0..cycles).map(|_| circuit.step(&[]).unwrap().activity).collect();
+        let run2: Vec<_> = (0..cycles).map(|_| circuit.step().unwrap().activity).collect();
         prop_assert_eq!(run1, run2);
     }
 
@@ -159,7 +127,7 @@ proptest! {
         b.expose(r, 0, "q").unwrap();
         let mut circuit = b.build().unwrap();
         for c in 0..cycles {
-            let out = circuit.step(&[]).unwrap().outputs[0].value();
+            let out = circuit.step().unwrap().outputs[0].value();
             let expected = if c == 0 { 0 } else { ((c as u64 - 1) ^ key) & 0xff };
             prop_assert_eq!(out, expected, "cycle {}", c);
         }

@@ -18,7 +18,7 @@
 //! sweep is compiled for that shape, so its per-sample step carries no
 //! configuration branch.
 
-use rand::{Rng, RngCore};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
@@ -299,16 +299,6 @@ impl MeasurementChain {
         self.ac_alpha.map(AcCoupling::new)
     }
 
-    /// Applies the analog-bandwidth low-pass filter in place.
-    pub fn filter_in_place(&self, signal: &mut [f64]) {
-        run_in_place(self.low_pass(), signal, &mut NoDraws);
-    }
-
-    /// Applies AC coupling (single-pole high-pass) in place.
-    pub fn ac_couple_in_place(&self, signal: &mut [f64]) {
-        run_in_place(self.ac_coupling(), signal, &mut NoDraws);
-    }
-
     /// Produces one measured trace from the clean expanded waveform:
     /// add the noise mixture, band-limit, AC-couple, quantize.
     pub fn measure<R: Rng + ?Sized>(&self, clean: &[f64], rng: &mut R) -> Vec<f64> {
@@ -497,27 +487,6 @@ impl<A: Stage, B: Stage> Stage for (A, B) {
     }
 }
 
-/// A stage picked per sample: the off-path forms (`add_into`,
-/// `filter_in_place`, `ac_couple_in_place`) use it where the sweep picks a
-/// type once per trace.
-impl<S: Stage> Stage for Option<S> {
-    #[inline(always)]
-    fn first<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
-        match self {
-            Some(stage) => stage.first(x, rng),
-            None => x,
-        }
-    }
-
-    #[inline(always)]
-    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
-        match self {
-            Some(stage) => stage.apply(x, rng),
-            None => x,
-        }
-    }
-}
-
 /// Single-pole low-pass `y ← y + α (x − y)`, its state seeded with the
 /// first input.
 #[derive(Debug, Clone, Copy)]
@@ -586,33 +555,6 @@ impl Stage for AdcConfig {
     #[inline(always)]
     fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
         self.quantize(x)
-    }
-}
-
-/// Runs one stage over `signal` in place.
-pub(crate) fn run_in_place<S: Stage, R: Rng + ?Sized>(
-    mut stage: S,
-    signal: &mut [f64],
-    rng: &mut R,
-) {
-    if let Some((first, rest)) = signal.split_first_mut() {
-        *first = stage.first(*first, rng);
-        for s in rest {
-            *s = stage.apply(*s, rng);
-        }
-    }
-}
-
-/// The stream for stages that draw nothing (the filters).
-struct NoDraws;
-
-impl RngCore for NoDraws {
-    fn next_u32(&mut self) -> u32 {
-        0
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        0
     }
 }
 
@@ -755,10 +697,11 @@ mod tests {
 
     #[test]
     fn filter_smooths_steps() {
+        // No noise and no ADC: the measurement is the low-pass alone.
         let chain =
             MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 0.3, 0.0, None).unwrap();
-        let mut signal = vec![0.0, 0.0, 10.0, 10.0, 10.0];
-        chain.filter_in_place(&mut signal);
+        let clean = [0.0, 0.0, 10.0, 10.0, 10.0];
+        let signal = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(0));
         assert!(signal[2] > 0.0 && signal[2] < 10.0);
         assert!(signal[3] > signal[2]);
         assert!(signal[4] > signal[3]);

@@ -11,7 +11,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
-use crate::leakage::{LeakageModel, WeightedComponentModel};
+use crate::leakage::WeightedComponentModel;
 use crate::noise::standard_normal;
 
 /// Magnitudes of inter-die variation, as relative standard deviations.

@@ -5,7 +5,7 @@ use std::fmt;
 use ipmark_netlist::NetlistError;
 use ipmark_traces::TraceError;
 
-/// Error raised by leakage models, device models and trace acquisition.
+/// Error raised by the leakage model, device models and trace acquisition.
 #[derive(Debug)]
 pub enum PowerError {
     /// The underlying netlist simulation failed.

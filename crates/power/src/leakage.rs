@@ -1,62 +1,16 @@
-//! Leakage models: switching activity → instantaneous power.
+//! The leakage model: switching activity → instantaneous power.
 //!
 //! CMOS dynamic power is dominated by node toggles, so the standard
 //! side-channel simulation models (the same ones underpinning DPA/CPA
 //! literature) map Hamming distances and Hamming weights of registered state
 //! and nets to a per-cycle dissipation figure. [`WeightedComponentModel`]
-//! is the workhorse: a static base term plus per-component weights over the
+//! does so with a static base term plus per-component weights over the
 //! four activity counters the netlist simulator reports.
 
 use ipmark_netlist::ActivityRecord;
 use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
-
-/// Maps one cycle's switching activity to instantaneous power (arbitrary
-/// units; only relative structure matters for correlation analysis).
-pub trait LeakageModel: Send + Sync {
-    /// Power dissipated during the cycle described by `record`.
-    fn cycle_power(&self, record: &ActivityRecord) -> f64;
-
-    /// Checks the model against the number of components of the target
-    /// circuit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::ModelShapeMismatch`] when the model carries
-    /// per-component structure of a different size.
-    fn validate(&self, circuit_components: usize) -> Result<(), PowerError> {
-        let _ = circuit_components;
-        Ok(())
-    }
-}
-
-/// Pure Hamming-distance model: power ∝ total register toggles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HammingDistanceModel {
-    /// Energy per toggled register bit.
-    pub weight: f64,
-}
-
-impl LeakageModel for HammingDistanceModel {
-    fn cycle_power(&self, record: &ActivityRecord) -> f64 {
-        self.weight * f64::from(record.total_state_hd())
-    }
-}
-
-/// Pure Hamming-weight model: power ∝ number of set state bits (models
-/// precharged-bus style leakage).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HammingWeightModel {
-    /// Energy per set register bit.
-    pub weight: f64,
-}
-
-impl LeakageModel for HammingWeightModel {
-    fn cycle_power(&self, record: &ActivityRecord) -> f64 {
-        self.weight * f64::from(record.total_state_hw())
-    }
-}
 
 /// Per-component weights over the four activity counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -134,10 +88,10 @@ impl WeightedComponentModel {
     pub fn weights_mut(&mut self) -> &mut [ComponentWeights] {
         &mut self.weights
     }
-}
 
-impl LeakageModel for WeightedComponentModel {
-    fn cycle_power(&self, record: &ActivityRecord) -> f64 {
+    /// Power dissipated during the cycle described by `record` (arbitrary
+    /// units; only relative structure matters for correlation analysis).
+    pub fn cycle_power(&self, record: &ActivityRecord) -> f64 {
         debug_assert_eq!(record.components.len(), self.weights.len());
         self.base
             + record
@@ -148,7 +102,14 @@ impl LeakageModel for WeightedComponentModel {
                 .sum::<f64>()
     }
 
-    fn validate(&self, circuit_components: usize) -> Result<(), PowerError> {
+    /// Checks the model against the number of components of the target
+    /// circuit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerError::ModelShapeMismatch`] when the model carries a
+    /// weight set per component for a different number of components.
+    pub fn validate(&self, circuit_components: usize) -> Result<(), PowerError> {
         if self.weights.len() != circuit_components {
             return Err(PowerError::ModelShapeMismatch {
                 model_components: self.weights.len(),
@@ -169,33 +130,6 @@ mod tests {
             cycle: 0,
             components: acts,
         }
-    }
-
-    #[test]
-    fn hd_model_sums_state_toggles() {
-        let m = HammingDistanceModel { weight: 2.0 };
-        let r = record(vec![
-            ComponentActivity {
-                state_hd: 3,
-                ..Default::default()
-            },
-            ComponentActivity {
-                state_hd: 1,
-                ..Default::default()
-            },
-        ]);
-        assert_eq!(m.cycle_power(&r), 8.0);
-        assert!(m.validate(99).is_ok());
-    }
-
-    #[test]
-    fn hw_model_sums_state_weights() {
-        let m = HammingWeightModel { weight: 0.5 };
-        let r = record(vec![ComponentActivity {
-            state_hw: 6,
-            ..Default::default()
-        }]);
-        assert_eq!(m.cycle_power(&r), 3.0);
     }
 
     #[test]

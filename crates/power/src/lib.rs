@@ -8,7 +8,7 @@
 //! that bench with a physically grounded simulation pipeline:
 //!
 //! 1. [`leakage`] — switching activity (from `ipmark-netlist`) → per-cycle
-//!    power, via Hamming-distance/weight models;
+//!    power, via a weighted Hamming-distance/weight model;
 //! 2. [`device`] — per-die process variation (gain/offset/weight jitter),
 //!    needed to reproduce the paper's CMOS-variation-insensitivity claim;
 //! 3. [`chain`] — the measurement chain: pulse shaping, analog bandwidth,
@@ -36,9 +36,6 @@ pub use acquire::{cycle_powers, SimulatedAcquisition};
 pub use chain::{AdcConfig, MeasurementChain, PulseShape};
 pub use device::{DeviceModel, ProcessVariation};
 pub use error::PowerError;
-pub use leakage::{
-    ComponentWeights, HammingDistanceModel, HammingWeightModel, LeakageModel,
-    WeightedComponentModel,
-};
-pub use noise::{NoiseProfile, NoiseRng, PinkNoise};
+pub use leakage::{ComponentWeights, WeightedComponentModel};
+pub use noise::{NoiseProfile, NoiseRng};
 pub use thermal::ThermalDrift;

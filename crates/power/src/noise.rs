@@ -12,7 +12,7 @@ use std::sync::OnceLock;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::chain::{run_in_place, Stage};
+use crate::chain::Stage;
 use crate::device::splitmix64;
 use crate::error::PowerError;
 
@@ -65,15 +65,6 @@ impl NoiseProfile {
             }
         }
         Ok(())
-    }
-
-    /// Adds one realization of the noise mixture onto `signal`: per sample
-    /// white, then pink, then drift, each drawn only when its σ is non-zero.
-    /// Runs the measurement chain's own noise stages, picked per sample
-    /// here rather than once per trace.
-    pub fn add_into<R: Rng + ?Sized>(&self, signal: &mut [f64], rng: &mut R) {
-        let stages = ((self.white_stage(), self.pink_stage()), self.drift_stage());
-        run_in_place(stages, signal, rng);
     }
 
     /// The white component as a sweep stage, or `None` when its σ is zero.
@@ -418,18 +409,13 @@ impl RngCore for NoiseRng {
 /// a white input give a close 1/f spectrum, normalized to roughly unit
 /// output variance.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PinkNoise {
+pub(crate) struct PinkNoise {
     b: [f64; 7],
 }
 
 impl PinkNoise {
-    /// A fresh filter (zero state).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Filters one white sample into one pink sample.
-    pub fn next(&mut self, white: f64) -> f64 {
+    pub(crate) fn next(&mut self, white: f64) -> f64 {
         let b = &mut self.b;
         b[0] = 0.99886 * b[0] + white * 0.0555179;
         b[1] = 0.99332 * b[1] + white * 0.0750759;
@@ -447,9 +433,24 @@ impl PinkNoise {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::{MeasurementChain, PulseShape};
     use crate::device::gaussian;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// One realization of `profile` over `clean`: the production sweep of a
+    /// chain whose only stages are that noise mixture.
+    fn measure_noise(profile: NoiseProfile, clean: &[f64], seed: u64) -> Vec<f64> {
+        let chain = MeasurementChain::with_extras(
+            PulseShape::rectangular(1).unwrap(),
+            1.0,
+            profile,
+            None,
+            None,
+        )
+        .unwrap();
+        chain.measure(clean, &mut ChaCha8Rng::seed_from_u64(seed))
+    }
 
     fn variance(xs: &[f64]) -> f64 {
         let m = xs.iter().sum::<f64>() / xs.len() as f64;
@@ -479,17 +480,13 @@ mod tests {
 
     #[test]
     fn silent_profile_is_identity() {
-        let mut signal = vec![1.0, 2.0, 3.0];
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        NoiseProfile::none().add_into(&mut signal, &mut rng);
+        let signal = measure_noise(NoiseProfile::none(), &[1.0, 2.0, 3.0], 0);
         assert_eq!(signal, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn white_component_has_requested_power() {
-        let mut signal = vec![0.0; 50_000];
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        NoiseProfile::white(2.0).add_into(&mut signal, &mut rng);
+        let signal = measure_noise(NoiseProfile::white(2.0), &[0.0; 50_000], 1);
         let v = variance(&signal);
         assert!((v - 4.0).abs() < 0.2, "variance {v}");
     }
@@ -497,7 +494,7 @@ mod tests {
     #[test]
     fn pink_noise_is_roughly_unit_variance_and_low_frequency_heavy() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut pink = PinkNoise::new();
+        let mut pink = PinkNoise::default();
         let xs: Vec<f64> = (0..100_000)
             .map(|_| pink.next(gaussian(&mut rng, 0.0, 1.0)))
             .collect();
@@ -522,14 +519,12 @@ mod tests {
         let mut accumulated = 0;
         let seeds = 7u64;
         for seed in 0..seeds {
-            let mut signal = vec![0.0; 10_000];
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            NoiseProfile {
+            let drift = NoiseProfile {
                 white_sigma: 0.0,
                 pink_sigma: 0.0,
                 drift_sigma: 0.1,
-            }
-            .add_into(&mut signal, &mut rng);
+            };
+            let signal = measure_noise(drift, &[0.0; 10_000], seed);
             let early = variance(&signal[..2500]);
             let late = variance(&signal[7500..]);
             let spread_early = signal[..2500].iter().fold(0.0f64, |m, &x| m.max(x.abs()));

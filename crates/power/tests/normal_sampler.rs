@@ -17,8 +17,8 @@ use ipmark_netlist::seq::BinaryCounter;
 use ipmark_netlist::CircuitBuilder;
 use ipmark_power::noise::standard_normal;
 use ipmark_power::{
-    ComponentWeights, DeviceModel, MeasurementChain, NoiseProfile, NoiseRng, PulseShape,
-    SimulatedAcquisition, WeightedComponentModel,
+    ComponentWeights, DeviceModel, MeasurementChain, NoiseRng, PulseShape, SimulatedAcquisition,
+    WeightedComponentModel,
 };
 use ipmark_traces::stats::wilson_interval;
 use rand::{RngCore, SeedableRng};
@@ -97,11 +97,12 @@ fn ks_of_draws(rng: &mut dyn RngCore) -> Result<(), String> {
         .ok_or(format!("KS D = {d:.5}"))
 }
 
-/// One-sample KS test of the noise sweep's stream: unit white noise onto
-/// zeros is its own stream of normals.
+/// One-sample KS test of the noise sweep's stream: a chain of unit white
+/// noise alone, measuring zeros, gives its own stream of normals.
 fn ks_of_noise_stream(rng: &mut dyn RngCore) -> Result<(), String> {
-    let mut xs = vec![0.0; DRAWS];
-    NoiseProfile::white(1.0).add_into(&mut xs, rng);
+    let chain = MeasurementChain::new(PulseShape::rectangular(1).expect("pulse"), 1.0, 1.0, None)
+        .expect("chain");
+    let xs = chain.measure(&vec![0.0; DRAWS], rng);
     let d = ks_statistic(&xs);
     (d < ks_critical(xs.len()))
         .then_some(())

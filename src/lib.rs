@@ -16,7 +16,7 @@
 //! * [`netlist`] — cycle-accurate RT-level simulator (the "FPGA");
 //! * [`fsm`] — FSM toolkit + classic embedding baselines;
 //! * [`crypto`] — GF(2⁸), the AES S-Box, AES-128 (FIPS-validated);
-//! * [`power`] — leakage models, process variation, measurement chain (the
+//! * [`power`] — leakage model, process variation, measurement chain (the
 //!   "oscilloscope");
 //! * [`traces`] — trace sets, statistics, `U_X(k)` selection, k-averaging;
 //! * [`core`] — the paper's verification scheme itself;

@@ -137,7 +137,7 @@ fn custom_circuit_h_sequence_is_key_dependent_and_deterministic() {
     let mut c3 = watermarked_custom_circuit(0xc4);
     let seq = |c: &mut Circuit| -> Vec<u64> {
         (0..30)
-            .map(|_| c.step(&[]).unwrap().outputs[0].value())
+            .map(|_| c.step().unwrap().outputs[0].value())
             .collect()
     };
     let s1 = seq(&mut c1);
