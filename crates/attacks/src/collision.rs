@@ -116,11 +116,6 @@ pub fn analyze_collisions(
     })
 }
 
-/// All 256 possible keys.
-pub fn all_keys() -> Vec<WatermarkKey> {
-    (0..=255u8).map(WatermarkKey::new).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,12 +181,5 @@ mod tests {
         assert!(
             analyze_collisions(CounterKind::Gray, Substitution::AesSbox, &two, 256, 1.5).is_err()
         );
-    }
-
-    #[test]
-    fn all_keys_covers_the_byte_space() {
-        let keys = all_keys();
-        assert_eq!(keys.len(), 256);
-        assert_eq!(keys[0xa7].value(), 0xa7);
     }
 }

@@ -43,7 +43,7 @@ pub struct CpaResult {
 ///
 /// Returns [`AttackError::Config`] when the trace length is not a multiple
 /// of `samples_per_cycle` and propagates trace errors.
-pub fn per_cycle_profile<S: TraceSource + ?Sized>(
+fn per_cycle_profile<S: TraceSource + ?Sized>(
     traces: &S,
     num_traces: usize,
     samples_per_cycle: usize,
@@ -106,8 +106,8 @@ pub fn predicted_leakage(
 }
 
 /// Ranks 256 per-guess scores: returns (best guess, margin to the runner-up,
-/// rank of `true_key` if supplied). Shared by CPA and the template attack.
-pub(crate) fn rank_guesses(
+/// rank of `true_key` if supplied).
+fn rank_guesses(
     scores: &[f64],
     true_key: Option<WatermarkKey>,
 ) -> (WatermarkKey, f64, Option<usize>) {

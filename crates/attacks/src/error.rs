@@ -1,11 +1,11 @@
-//! Error type for side-channel analysis baselines.
+//! Error type for the side-channel analyses.
 
 use std::fmt;
 
 use ipmark_core::CoreError;
 use ipmark_traces::{StatsError, TraceError};
 
-/// Error raised by the attack/analysis baselines.
+/// Error raised by the side-channel analyses.
 #[derive(Debug)]
 pub enum AttackError {
     /// A statistic could not be computed.

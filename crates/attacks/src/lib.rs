@@ -1,14 +1,12 @@
 //! # ipmark-attacks
 //!
-//! Side-channel analysis baselines and robustness studies for the `ipmark`
+//! Side-channel analyses and robustness studies for the `ipmark`
 //! reproduction of *"IP Watermark Verification Based on Power Consumption
 //! Analysis"* (SOCC 2014).
 //!
 //! * [`cpa`] — ChipWhisperer-style correlation power analysis: recover the
 //!   watermark key `Kw` from traces alone, plus the S-Box ablation showing
 //!   the non-linearity is what keys the signature (extension X4);
-//! * [`ttest`] — Welch t-test (TVLA) leakage detection as an alternative
-//!   distinguisher baseline;
 //! * [`roc`] — ROC/AUC machinery for the single-device counterfeit
 //!   decision (extension X3, the paper's second verification objective);
 //! * [`collision`] — exhaustive key-collision analysis quantifying the
@@ -24,18 +22,10 @@ pub mod adversary;
 pub mod collision;
 pub mod cpa;
 pub mod error;
-pub mod ks;
-pub mod metrics;
 pub mod roc;
-pub mod template;
-pub mod ttest;
 
 pub use adversary::{forged_key, AdversaryModel, DutBuild, KEY_BITS};
 pub use collision::{analyze_collisions, CollisionAnalysis};
 pub use cpa::{recover_key, recover_key_phase_robust, CpaResult};
 pub use error::AttackError;
-pub use ks::{ks_statistic, ks_test, KsResult};
-pub use metrics::{cpa_metric_curve, cpa_metrics, AttackMetrics};
 pub use roc::{RocCurve, RocPoint};
-pub use template::{build_templates, template_attack, PowerTemplates, TemplateAttackResult};
-pub use ttest::{ttest_traces, welch_t, TTestTrace, TVLA_THRESHOLD};

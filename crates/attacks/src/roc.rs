@@ -109,16 +109,6 @@ impl RocCurve {
                 tpr: 0.0,
             })
     }
-
-    /// True-positive rate at the largest threshold whose false-positive
-    /// rate does not exceed `max_fpr`.
-    pub fn tpr_at_fpr(&self, max_fpr: f64) -> f64 {
-        self.points
-            .iter()
-            .filter(|p| p.fpr <= max_fpr)
-            .map(|p| p.tpr)
-            .fold(0.0, f64::max)
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +122,6 @@ mod tests {
         let best = roc.best_youden();
         assert_eq!(best.tpr, 1.0);
         assert_eq!(best.fpr, 0.0);
-        assert_eq!(roc.tpr_at_fpr(0.0), 1.0);
     }
 
     #[test]
@@ -154,8 +143,6 @@ mod tests {
         let neg = [1.0, 2.0, 3.5, 4.5];
         let roc = RocCurve::from_scores(&pos, &neg).unwrap();
         assert!(roc.auc() > 0.5 && roc.auc() < 1.0, "auc = {}", roc.auc());
-        let p = roc.tpr_at_fpr(0.25);
-        assert!(p > 0.0 && p <= 1.0);
     }
 
     #[test]

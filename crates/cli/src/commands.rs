@@ -2,6 +2,7 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::num::NonZeroUsize;
 use std::path::Path;
 
 use rand::SeedableRng;
@@ -302,6 +303,8 @@ fn save_traces(
 fn simulate(args: &Args) -> Result<String, CliError> {
     let spec = parse_ip(args)?;
     let cycles: usize = args.get_or("cycles", DEFAULT_CYCLES)?;
+    let cycles = NonZeroUsize::new(cycles)
+        .ok_or_else(|| CliError::Usage("--cycles must be at least 1".into()))?;
     let mut circuit = spec.circuit()?;
 
     let mut out = String::new();
@@ -335,14 +338,14 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     }
 
     circuit.reset();
-    let records = circuit.run_free(cycles)?;
+    let records = circuit.run_free(cycles.get())?;
     let total_hd: u32 = records.iter().map(|r| r.total_state_hd()).sum();
     let total_out: u32 = records.iter().map(|r| r.total_output_hd()).sum();
     let _ = writeln!(
         out,
         "{cycles} cycles simulated: {} register-bit toggles ({:.3}/cycle), {} net-bit toggles",
         total_hd,
-        f64::from(total_hd) / cycles as f64,
+        f64::from(total_hd) / cycles.get() as f64,
         total_out
     );
     Ok(out)

@@ -33,6 +33,28 @@ fn unknown_command_exits_with_usage_code() {
 }
 
 #[test]
+fn simulate_rejects_zero_cycles_before_creating_the_vcd() {
+    let vcd = tmp("zero-cycles.vcd");
+    let _ = std::fs::remove_file(&vcd);
+    let vcd_arg = vcd.to_str().expect("utf-8 temp path");
+    let out = ipmark()
+        .args(["simulate", "--ip", "A", "--cycles", "0", "--vcd", vcd_arg])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--cycles"), "stderr: {err}");
+    assert!(!vcd.exists(), "no VCD may be created for a usage error");
+
+    let out = ipmark()
+        .args(["simulate", "--ip", "A", "--cycles", "0"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("NaN"));
+}
+
+#[test]
 fn missing_file_exits_with_failure_code() {
     let out = ipmark()
         .args([

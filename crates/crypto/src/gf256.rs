@@ -82,12 +82,6 @@ pub fn inv(a: u8) -> u8 {
     }
 }
 
-/// Multiplies by x (i.e. {02}) — the `xtime` primitive of FIPS-197.
-#[inline]
-pub fn xtime(a: u8) -> u8 {
-    mul(a, 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,12 +167,5 @@ mod tests {
         }
         assert_eq!(v, 1);
         assert_eq!(seen.len(), 255);
-    }
-
-    #[test]
-    fn xtime_matches_mul_by_two() {
-        for a in 0..=255u8 {
-            assert_eq!(xtime(a), mul(a, 2));
-        }
     }
 }

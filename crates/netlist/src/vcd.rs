@@ -6,6 +6,7 @@
 //! real RTL simulation.
 
 use std::io::{self, Write};
+use std::num::NonZeroUsize;
 
 use crate::bits::BitVec;
 use crate::circuit::Circuit;
@@ -16,7 +17,8 @@ use crate::error::NetlistError;
 /// writer.
 ///
 /// The circuit is reset first so the dump always starts from the power-on
-/// state. One VCD time unit = one clock cycle.
+/// state. One VCD time unit = one clock cycle. `cycles` is non-zero
+/// because the dump learns each output's width from the first cycle.
 ///
 /// # Errors
 ///
@@ -24,16 +26,11 @@ use crate::error::NetlistError;
 /// returned through the `io::Result` layer.
 pub fn dump_vcd<W: Write>(
     circuit: &mut Circuit,
-    cycles: usize,
+    cycles: NonZeroUsize,
     module_name: &str,
     writer: W,
 ) -> io::Result<Result<(), NetlistError>> {
     let mut w = io::BufWriter::new(writer);
-    if cycles == 0 {
-        return Ok(Err(NetlistError::InvalidMemory {
-            reason: "VCD dump needs at least one cycle".to_owned(),
-        }));
-    }
     let names: Vec<String> = circuit
         .output_names()
         .iter()
@@ -96,7 +93,7 @@ pub fn dump_vcd<W: Write>(
         };
 
     emit(&mut w, 0, &first.outputs, &mut prev)?;
-    for t in 1..cycles {
+    for t in 1..cycles.get() {
         let step = match circuit.step() {
             Ok(s) => s,
             Err(e) => return Ok(Err(e)),
@@ -126,6 +123,13 @@ mod tests {
     use crate::seq::BinaryCounter;
     use crate::CircuitBuilder;
 
+    fn dump(circuit: &mut Circuit, cycles: usize) -> String {
+        let mut buf = Vec::new();
+        let cycles = NonZeroUsize::new(cycles).unwrap();
+        dump_vcd(circuit, cycles, "top", &mut buf).unwrap().unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
     fn counter_circuit() -> Circuit {
         let mut b = CircuitBuilder::new();
         let cnt = b.add("cnt", BinaryCounter::new(4, 0).unwrap());
@@ -136,9 +140,7 @@ mod tests {
     #[test]
     fn vcd_has_header_vars_and_changes() {
         let mut circuit = counter_circuit();
-        let mut buf = Vec::new();
-        dump_vcd(&mut circuit, 8, "top", &mut buf).unwrap().unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = dump(&mut circuit, 8);
         assert!(text.contains("$timescale"));
         assert!(text.contains("$scope module top $end"));
         assert!(text.contains("$var wire 4 ! count $end"));
@@ -157,9 +159,7 @@ mod tests {
         let c = b.add("k", crate::comb::Constant::new(BitVec::truncated(5, 4)));
         b.expose(c, 0, "k").unwrap();
         let mut circuit = b.build().unwrap();
-        let mut buf = Vec::new();
-        dump_vcd(&mut circuit, 6, "top", &mut buf).unwrap().unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = dump(&mut circuit, 6);
         assert_eq!(text.matches("b0101").count(), 1);
         assert!(!text.contains("#3\n"), "no change should be dumped at t=3");
     }
@@ -176,9 +176,7 @@ mod tests {
         // Advance the circuit, then dump: the dump must start at count 0.
         circuit.step().unwrap();
         circuit.step().unwrap();
-        let mut buf = Vec::new();
-        dump_vcd(&mut circuit, 2, "top", &mut buf).unwrap().unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = dump(&mut circuit, 2);
         let first_change = text.split("#0\n").nth(1).expect("has t=0 section");
         assert!(first_change.starts_with("b0000"), "dump: {text}");
     }

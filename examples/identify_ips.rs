@@ -44,12 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             var_decisions[i].best + 1,
             var_decisions[i].confidence_percent
         );
-        assert_eq!(var_decisions[i].best, i, "variance verdict must be correct");
     }
+    let correct = (0..var_decisions.len())
+        .filter(|&i| var_decisions[i].best == i)
+        .count();
+    println!(
+        "\nlower-variance verdicts: {correct}/{} correct",
+        var_decisions.len()
+    );
 
-    println!("\nthe variance distinguisher identifies every IP correctly, with");
-    println!("confidence distances far above the mean distinguisher — the paper's");
-    println!("central experimental claim.");
+    println!("\nthe paper's claim is a rate: at its scale (n1 = 400, n2 = 10 000,");
+    println!("k = 50, m = 20) the variance distinguisher identifies all four IPs in");
+    println!("390 of 400 seeded panels (EXPERIMENTS.md Table II). At this reduced");
+    println!("scale a single seed can miss; `--bin report` gates the paper scale.");
     Ok(())
 }
 

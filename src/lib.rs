@@ -15,13 +15,13 @@
 //!
 //! * [`netlist`] — cycle-accurate RT-level simulator (the "FPGA");
 //! * [`fsm`] — FSM toolkit + classic embedding baselines;
-//! * [`crypto`] — GF(2⁸), the AES S-Box, AES-128 (FIPS-validated);
+//! * [`crypto`] — GF(2⁸) and the AES S-Box (checked against FIPS-197);
 //! * [`power`] — leakage model, process variation, measurement chain (the
 //!   "oscilloscope");
 //! * [`traces`] — trace sets, statistics, `U_X(k)` selection, k-averaging;
 //! * [`core`] — the paper's verification scheme itself;
-//! * [`attacks`] — CPA key recovery, t-test and ROC baselines, collision
-//!   analysis.
+//! * [`attacks`] — CPA key recovery, ROC analysis, collision analysis and
+//!   adversary models.
 //!
 //! ## Quick start
 //!
