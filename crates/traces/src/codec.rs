@@ -45,12 +45,25 @@
 //! quantized row costs ~`trace_len · 13 / 8` bytes against `trace_len · 8`
 //! raw — a ≥ 4× reduction before the deltas of a smooth trace shrink the
 //! width further (see `ipmark-bench --bin wire`, BENCH_7.json).
+//!
+//! ## Writing
+//!
+//! The encoder takes rows 256 at a time and hands pieces of 16 rows to the
+//! environment's pool; each piece encodes into its own buffer, and the
+//! pieces are written in row order through the 1 MiB buffer of the
+//! writers in [`crate::io`]. A row's bytes depend on that row alone, so
+//! the file is the same at every thread count. Per row, the hinted path
+//! derives and checks the codes and their delta width in one pass over a
+//! reused scratch buffer, then packs each group of eight zigzag deltas
+//! into exactly `width` bytes — the mirror of the decoder's group unpack.
 
 use std::io::{BufRead, Write};
 
+use ipmark_parallel::Pool;
+
 use crate::block::TraceBlock;
 use crate::error::TraceError;
-use crate::io::IoError;
+use crate::io::{ChunkWriter, IoError};
 
 /// Codes are capped below 2⁵³ so `code as f64` is exact and consecutive
 /// deltas fit an `i64`; rows needing larger codes fall back to raw.
@@ -116,72 +129,62 @@ impl AdcDomain {
     /// mapped back through the decoder's reconstruction expression
     /// (`offset + code · scale`), so a quantized value re-quantizes to
     /// itself bit-exactly.
+    ///
+    /// The nearest code rounds half away from zero, as `f64::round` does,
+    /// without a libm call: with `q = (value − offset) / scale`, a `q`
+    /// below ½ (or NaN, or a non-finite `value`) is code 0, a `q` at or
+    /// above `levels − 1.5` is the top code, and any other `q` is its
+    /// truncation `t` plus one when `q − t ≥ ½`. There `½ ≤ q < 2³²`, so
+    /// `t` comes exactly from the 2⁵² rounding constant and `q − t` is
+    /// exact: the test matches `round` bit for bit. The code stays an
+    /// integral `f64` below 2³² throughout, the same value `code as f64`
+    /// would give, so the loop has no integer conversion and vectorizes.
     pub fn quantize(&self, value: f64) -> f64 {
-        let code = if value.is_finite() {
-            let raw = ((value - self.offset) / self.scale).round();
-            if raw <= 0.0 {
-                0
-            } else if raw >= (self.levels - 1) as f64 {
-                self.levels - 1
-            } else {
-                raw as u64
-            }
+        const MAGIC: f64 = 4_503_599_627_370_496.0; // 2^52
+        let q = (value - self.offset) / self.scale;
+        let top = (self.levels - 1) as f64;
+        let nearest = (q + MAGIC) - MAGIC;
+        let t = nearest - if nearest > q { 1.0 } else { 0.0 };
+        let code = if !value.is_finite() || q.is_nan() || q < 0.5 {
+            0.0
+        } else if q >= top - 0.5 {
+            top
         } else {
-            0
+            t + if q - t >= 0.5 { 1.0 } else { 0.0 }
         };
-        self.offset + (code as f64) * self.scale
+        self.offset + code * self.scale
     }
 
-    /// Quantizes every sample of a block in place.
+    /// Quantizes every sample of a block in place, rows fanned out over
+    /// the environment's pool ([`Pool::from_env`]). Each sample is
+    /// quantized on its own, so the result does not depend on the thread
+    /// count.
     pub fn quantize_block(&self, block: &mut TraceBlock) {
-        for s in block.samples_mut() {
-            *s = self.quantize(*s);
-        }
-    }
-}
-
-/// LSB-first bit packer: accumulates fields into a byte stream.
-struct BitPacker {
-    acc: u128,
-    nbits: u32,
-    out: Vec<u8>,
-}
-
-impl BitPacker {
-    /// A packer with `bytes` of output capacity pre-reserved, so hot
-    /// encode loops never reallocate mid-row.
-    fn with_capacity(bytes: usize) -> Self {
-        Self {
-            acc: 0,
-            nbits: 0,
-            out: Vec::with_capacity(bytes),
-        }
+        self.quantize_block_on(&Pool::from_env(), block);
     }
 
-    /// Appends the low `width` bits of `value`.
-    fn push(&mut self, value: u64, width: u32) {
-        debug_assert!(width <= 64);
-        self.acc |= u128::from(value) << self.nbits;
-        self.nbits += width;
-        // Flush whole 64-bit words, not bytes: `nbits < 64` on entry and
-        // `width <= 64` keep the accumulator within u128, and the LE byte
-        // stream is identical to a byte-at-a-time flush.
-        if self.nbits >= 64 {
-            self.out.extend_from_slice(&(self.acc as u64).to_le_bytes());
-            self.acc >>= 64;
-            self.nbits -= 64;
+    /// [`AdcDomain::quantize_block`] on an explicit pool.
+    pub(crate) fn quantize_block_on(&self, pool: &Pool, block: &mut TraceBlock) {
+        let row_len = block.trace_len();
+        // A copy, so the loop keeps the grid in registers instead of
+        // reloading it after every store into the row.
+        let domain = *self;
+        let quantize_row = move |row: &mut [f64]| {
+            for s in row {
+                *s = domain.quantize(*s);
+            }
+        };
+        let samples = block.samples_mut();
+        if samples.len() < PARALLEL_MIN_SAMPLES {
+            quantize_row(samples);
+            return;
         }
-    }
-
-    /// Flushes the trailing partial byte (zero-padded) and returns the
-    /// packed stream.
-    fn finish(mut self) -> Vec<u8> {
-        while self.nbits > 0 {
-            self.out.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits = self.nbits.saturating_sub(8);
-        }
-        self.out
+        let filled: Result<(), std::convert::Infallible> =
+            pool.try_fill_rows(samples, row_len, |_, row| {
+                quantize_row(row);
+                Ok(())
+            });
+        let Ok(()) = filled;
     }
 }
 
@@ -201,14 +204,12 @@ fn bit_width(v: u64) -> u32 {
     64 - v.leading_zeros()
 }
 
-/// A row's quantized representation, or `None` when the row must be
-/// stored raw.
+/// A row's quantization grid and the minimal bit width of its
+/// zigzag-encoded code deltas; the codes themselves are in the caller's
+/// scratch buffer.
 struct QuantizedRow {
     scale: f64,
     offset: f64,
-    codes: Vec<u64>,
-    /// Minimal bit width of the zigzag-encoded code deltas, computed in
-    /// the same pass that derives the codes.
     width: u32,
 }
 
@@ -250,10 +251,11 @@ fn code_for(s: f64, scale: f64, offset: f64) -> Option<u64> {
     }
 }
 
-/// Full-row code derivation for one `(scale, offset)` candidate, with a
-/// cheap strided pre-screen so the many candidates a detection ladder
-/// tries cost O(1) each until one actually fits.
-fn derive_codes(samples: &[f64], scale: f64, offset: f64) -> Option<(Vec<u64>, u32)> {
+/// Full-row code derivation for one `(scale, offset)` candidate into
+/// `codes`, returning the minimal delta width, with a cheap strided
+/// pre-screen so the many candidates a detection ladder tries cost O(1)
+/// each until one actually fits. `codes` is overwritten either way.
+fn derive_codes(samples: &[f64], scale: f64, offset: f64, codes: &mut Vec<u64>) -> Option<u32> {
     let step = (samples.len() / 16).max(1);
     if !samples
         .iter()
@@ -271,32 +273,28 @@ fn derive_codes(samples: &[f64], scale: f64, offset: f64) -> Option<(Vec<u64>, u
     // code off where the division would not; the exactness gate catches
     // that, and the exact pass below retries before giving up on the row.
     let inv = scale.recip();
-    let (&head, tail) = samples.split_first()?;
-    let first = round_nearest((head - offset) * inv);
-    let mut ok = (first >= 0.0)
-        & (first < MAX_CODE as f64)
-        & ((offset + first * scale).to_bits() == head.to_bits());
+    let &head = samples.first()?;
+    let mut ok = true;
     let mut zacc = 0u64; // OR of all zigzag deltas: bit_width(a|b) = max of widths
-    let mut prev = first as i64;
-    let codes: Vec<u64> = std::iter::once(first as u64)
-        .chain(tail.iter().map(|&s| {
-            let raw = round_nearest((s - offset) * inv);
-            // Verify with `raw` itself: when the gates hold, `raw` is
-            // integral and `< 2^53`, so `raw == (raw as u64) as f64` and
-            // this IS the decoder expression over the eventual code.
-            ok &= (raw >= 0.0)
-                & (raw < MAX_CODE as f64)
-                & ((offset + raw * scale).to_bits() == s.to_bits());
-            let code = raw as i64;
-            zacc |= zigzag(code - prev);
-            prev = code;
-            code as u64
-        }))
-        .collect();
+
+    // The first sample's delta against itself is 0, which leaves `zacc` as
+    // it is, so one loop covers the whole row.
+    let mut prev = round_nearest((head - offset) * inv) as i64;
+    codes.clear();
+    codes.extend(samples.iter().map(|&s| {
+        let raw = round_nearest((s - offset) * inv);
+        ok &= (raw >= 0.0)
+            & (raw < MAX_CODE as f64)
+            & ((offset + raw * scale).to_bits() == s.to_bits());
+        let code = raw as i64;
+        zacc |= zigzag(code.wrapping_sub(prev));
+        prev = code;
+        code as u64
+    }));
     if ok {
-        return Some((codes, bit_width(zacc)));
+        return Some(bit_width(zacc));
     }
-    let mut codes = Vec::with_capacity(samples.len());
+    codes.clear();
     let mut width = 0u32;
     let mut prev = 0i64;
     for (j, &s) in samples.iter().enumerate() {
@@ -307,7 +305,7 @@ fn derive_codes(samples: &[f64], scale: f64, offset: f64) -> Option<(Vec<u64>, u
         prev = code as i64;
         codes.push(code);
     }
-    Some((codes, width))
+    Some(width)
 }
 
 /// Moves a positive finite value by `steps` ULPs (identity otherwise).
@@ -342,7 +340,11 @@ fn nudge(x: f64, steps: i64) -> f64 {
 /// Rounding makes `fl(offset + c·scale)` land off the real-number grid,
 /// so no harvesting heuristic can be complete; the gate means a missed
 /// grid only ever costs the raw fallback, never correctness.
-fn quantize_row(samples: &[f64], hint: Option<(f64, f64)>) -> Option<QuantizedRow> {
+fn quantize_row(
+    samples: &[f64],
+    hint: Option<(f64, f64)>,
+    codes: &mut Vec<u64>,
+) -> Option<QuantizedRow> {
     let &head = samples.first()?;
 
     // The hint is tried before any row scan: its verification sweep
@@ -351,11 +353,10 @@ fn quantize_row(samples: &[f64], hint: Option<(f64, f64)>) -> Option<QuantizedRo
     // production encodes does no redundant passes.
     if let Some((scale, offset)) = hint {
         if scale.is_finite() && scale > 0.0 && offset.is_finite() {
-            if let Some((codes, width)) = derive_codes(samples, scale, offset) {
+            if let Some(width) = derive_codes(samples, scale, offset, codes) {
                 return Some(QuantizedRow {
                     scale,
                     offset,
-                    codes,
                     width,
                 });
             }
@@ -374,10 +375,11 @@ fn quantize_row(samples: &[f64], hint: Option<(f64, f64)>) -> Option<QuantizedRo
 
     if samples.iter().all(|s| s.to_bits() == head.to_bits()) {
         if (head + 0.0).to_bits() == head.to_bits() {
+            codes.clear();
+            codes.resize(samples.len(), 0);
             return Some(QuantizedRow {
                 scale: 0.0,
                 offset: head,
-                codes: vec![0; samples.len()],
                 width: 0,
             });
         }
@@ -402,11 +404,10 @@ fn quantize_row(samples: &[f64], hint: Option<(f64, f64)>) -> Option<QuantizedRo
                 if !scale.is_finite() || scale <= 0.0 {
                     continue;
                 }
-                if let Some((codes, width)) = derive_codes(samples, scale, offset) {
+                if let Some(width) = derive_codes(samples, scale, offset, codes) {
                     return Some(QuantizedRow {
                         scale,
                         offset,
-                        codes,
                         width,
                     });
                 }
@@ -424,52 +425,164 @@ fn quantize_row(samples: &[f64], hint: Option<(f64, f64)>) -> Option<QuantizedRo
 /// samples came through. Rows the domain does not reproduce bit-exactly
 /// still go through grid detection and, failing that, the raw fallback.
 ///
+/// Rows are encoded [`BATCH_ROWS`] at a time on `pool`: the batch is
+/// split into pieces of [`ENCODE_ROWS`] rows, each piece is encoded into
+/// its own byte buffer, and the pieces go to `w` in row order. Each row's
+/// bytes are a pure function of its samples and the hint, so the output
+/// does not depend on the thread count.
+///
 /// # Errors
 ///
 /// Propagates I/O failures from the writer.
 pub(crate) fn write_rows<W: Write>(
+    pool: &Pool,
     block: &TraceBlock,
-    w: &mut W,
+    w: &mut ChunkWriter<W>,
     domain: Option<&AdcDomain>,
 ) -> Result<(), IoError> {
     let hint = domain.map(|d| (d.scale(), d.offset()));
-    for row in block.rows() {
-        let samples = row.samples();
-        match quantize_row(samples, hint) {
-            Some(q) => {
-                w.write_all(&[FLAG_QUANTIZED])?;
-                w.write_all(&q.scale.to_le_bytes())?;
-                w.write_all(&q.offset.to_le_bytes())?;
-                // Code derivation already computed the minimal delta width
-                // in its own pass; only the packing sweep remains. Codes
-                // are < 2^53 so the i64 deltas are exact.
-                let first = q.codes.first().copied().unwrap_or(0);
-                let width = q.width;
-                let packed_bytes = (q.codes.len().saturating_sub(1) * width as usize).div_ceil(8);
-                let mut packer = BitPacker::with_capacity(packed_bytes);
-                let mut prev = first as i64;
-                for &code in q.codes.iter().skip(1) {
-                    packer.push(zigzag(code as i64 - prev), width);
-                    prev = code as i64;
-                }
-                w.write_all(&first.to_le_bytes())?;
-                w.write_all(&[width as u8])?;
-                w.write_all(&packer.finish())?;
+    let trace_len = block.trace_len();
+    if trace_len == 0 {
+        return Ok(());
+    }
+    let inline = Pool::with_threads(1);
+    for batch in block.samples().chunks(BATCH_ROWS * trace_len) {
+        let pool = if batch.len() < PARALLEL_MIN_SAMPLES {
+            &inline
+        } else {
+            pool
+        };
+        let pieces: Vec<&[f64]> = batch.chunks(ENCODE_ROWS * trace_len).collect();
+        let encoded = pool.map_indexed(pieces.len(), |p| {
+            let mut out = Vec::new();
+            let mut codes = Vec::with_capacity(trace_len);
+            for row in pieces.get(p).copied().unwrap_or_default().chunks(trace_len) {
+                encode_row(row, hint, &mut codes, &mut out);
             }
-            None => {
-                w.write_all(&[FLAG_RAW])?;
-                for s in samples {
-                    w.write_all(&s.to_le_bytes())?;
-                }
-            }
+            out
+        });
+        for piece in &encoded {
+            w.put(piece)?;
         }
     }
     Ok(())
 }
 
-/// Rows read per decode batch: enough to give every worker a few dozen
-/// rows per spawn, few enough that the batch buffer stays near 1 MB for
-/// paper-scale 12-bit rows (4 MiB for raw 2 048-sample rows).
+/// Appends one row in the `IPMKTRC3` row layout to `out`; `codes` is
+/// scratch.
+fn encode_row(samples: &[f64], hint: Option<(f64, f64)>, codes: &mut Vec<u64>, out: &mut Vec<u8>) {
+    let Some(q) = quantize_row(samples, hint, codes) else {
+        out.push(FLAG_RAW);
+        let at = out.len();
+        out.resize(at + samples.len() * 8, 0);
+        let words = out.get_mut(at..).unwrap_or_default().as_chunks_mut::<8>().0;
+        for (word, s) in words.iter_mut().zip(samples) {
+            *word = s.to_le_bytes();
+        }
+        return;
+    };
+    let first = codes.first().copied().unwrap_or(0);
+    out.push(FLAG_QUANTIZED);
+    out.extend_from_slice(&q.scale.to_le_bytes());
+    out.extend_from_slice(&q.offset.to_le_bytes());
+    out.extend_from_slice(&first.to_le_bytes());
+    out.push(q.width as u8);
+    pack_deltas(codes, q.width, out);
+}
+
+/// Appends the zigzag deltas of `codes` packed LSB-first at `width` bits
+/// each: `ceil((codes.len() − 1) · width / 8)` bytes, zero-padded. Codes
+/// are < 2⁵³, so the deltas are exact.
+///
+/// The mirror of [`fill_quantized`]: eight fields fill exactly `width`
+/// bytes, so group `g` is packed by [`pack8`] at byte `g · width` of a
+/// zeroed tail that ends 8 bytes past the last group, and the tail is then
+/// cut to the payload length. Widths up to 32 get a literal-width body,
+/// as in the decoder.
+fn pack_deltas(codes: &[u64], width: u32, out: &mut Vec<u8>) {
+    let Some((&first, tail)) = codes.split_first() else {
+        return;
+    };
+    let step = width as usize;
+    let at = out.len();
+    out.resize(at + tail.len().div_ceil(8) * step + 8, 0);
+    let dst = out.get_mut(at..).unwrap_or_default();
+    macro_rules! by_width {
+        ($($w:literal)+) => {
+            match width {
+                $($w => pack_groups(dst, first, tail, $w),)+
+                _ => pack_groups(dst, first, tail, width),
+            }
+        };
+    }
+    by_width!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+        17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+    );
+    out.truncate(at + (tail.len() * step).div_ceil(8));
+}
+
+/// Packs the zigzag deltas of `tail` (continuing from code `first`) into
+/// `dst`, which holds `ceil(tail.len() / 8) · width + 8` zero bytes.
+#[inline(always)]
+fn pack_groups(dst: &mut [u8], first: u64, tail: &[u64], width: u32) {
+    let step = width as usize;
+    let mut prev = first;
+    let mut delta = |code: u64| {
+        let field = zigzag(code.wrapping_sub(prev) as i64);
+        prev = code;
+        field
+    };
+    let (groups, rest) = tail.as_chunks::<8>();
+    for (g, group) in groups.iter().enumerate() {
+        pack8(
+            &mut dst[g * step..g * step + step + 8],
+            group.map(&mut delta),
+            width,
+        );
+    }
+    if !rest.is_empty() {
+        // The last, partial group: its missing fields pack as zeros, which
+        // is the zero padding.
+        let mut fields = [0u64; 8];
+        for (field, &code) in fields.iter_mut().zip(rest) {
+            *field = delta(code);
+        }
+        let g = groups.len();
+        pack8(&mut dst[g * step..g * step + step + 8], fields, width);
+    }
+}
+
+/// Packs eight `width`-bit fields LSB-first into the first `width` bytes
+/// of `dst` (`width + 8` bytes): the inverse of [`unpack8`]. Fields go
+/// through a `u128` accumulator and leave it as whole little-endian
+/// words, the last of which may reach 8 bytes past the group; those
+/// bytes hold zeros and the next group overwrites them.
+#[inline(always)]
+fn pack8(dst: &mut [u8], fields: [u64; 8], width: u32) {
+    let mut acc = 0u128;
+    let mut nbits = 0u32;
+    let mut at = 0;
+    for field in fields {
+        acc |= u128::from(field) << nbits;
+        nbits += width;
+        if nbits >= 64 {
+            dst[at..at + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+            at += 8;
+            acc >>= 64;
+            nbits -= 64;
+        }
+    }
+    // `at` is at most `width` here: 8 fields hold `8 · width` bits.
+    dst[at..at + 8].copy_from_slice(&(acc as u64).to_le_bytes());
+}
+
+/// Rows per piece of an encode batch: the unit one worker claims.
+const ENCODE_ROWS: usize = 16;
+
+/// Rows per decode or encode batch: enough to give every worker a few
+/// dozen rows per spawn, few enough that the batch's bytes stay near 1 MB
+/// for paper-scale 12-bit rows (4 MiB for raw 2 048-sample rows).
 const BATCH_ROWS: usize = 256;
 
 /// Zero bytes after every payload in the batch buffer. A row's last
@@ -477,8 +590,9 @@ const BATCH_ROWS: usize = 256;
 /// at most 64 bytes past the payload's end.
 const PAD: usize = 64;
 
-/// Batches smaller than this many samples decode on the calling thread:
-/// a few dozen microseconds of decode do not pay for spawning workers.
+/// Batches (and blocks to quantize) smaller than this many samples run on
+/// the calling thread: a few dozen microseconds of work do not pay for
+/// spawning workers.
 const PARALLEL_MIN_SAMPLES: usize = 1 << 16;
 
 /// Payload bytes requested per `read_exact`: the batch buffer runs at most
@@ -777,13 +891,71 @@ fn window_u128(bytes: &[u8], bit: usize) -> u64 {
 mod tests {
     use super::*;
 
+    /// LSB-first bit packer: accumulates fields into a byte stream, one
+    /// field at a time — the reference the group packer is checked against.
+    struct BitPacker {
+        acc: u128,
+        nbits: u32,
+        out: Vec<u8>,
+    }
+
+    impl BitPacker {
+        /// A packer with `bytes` of output capacity pre-reserved, so hot
+        /// encode loops never reallocate mid-row.
+        fn with_capacity(bytes: usize) -> Self {
+            Self {
+                acc: 0,
+                nbits: 0,
+                out: Vec::with_capacity(bytes),
+            }
+        }
+
+        /// Appends the low `width` bits of `value`.
+        fn push(&mut self, value: u64, width: u32) {
+            debug_assert!(width <= 64);
+            self.acc |= u128::from(value) << self.nbits;
+            self.nbits += width;
+            // Flush whole 64-bit words, not bytes: `nbits < 64` on entry and
+            // `width <= 64` keep the accumulator within u128, and the LE byte
+            // stream is identical to a byte-at-a-time flush.
+            if self.nbits >= 64 {
+                self.out.extend_from_slice(&(self.acc as u64).to_le_bytes());
+                self.acc >>= 64;
+                self.nbits -= 64;
+            }
+        }
+
+        /// Flushes the trailing partial byte (zero-padded) and returns the
+        /// packed stream.
+        fn finish(mut self) -> Vec<u8> {
+            while self.nbits > 0 {
+                self.out.push((self.acc & 0xff) as u8);
+                self.acc >>= 8;
+                self.nbits = self.nbits.saturating_sub(8);
+            }
+            self.out
+        }
+    }
+
     fn grid_row(offset: f64, scale: f64, codes: &[u64]) -> Vec<f64> {
         codes.iter().map(|&c| offset + (c as f64) * scale).collect()
     }
 
-    fn round_trip(block: &TraceBlock) -> TraceBlock {
+    /// The rows of `block` encoded by [`write_rows`] on `pool`.
+    fn encode_on(pool: &Pool, block: &TraceBlock, domain: Option<&AdcDomain>) -> Vec<u8> {
         let mut buf = Vec::new();
-        write_rows(block, &mut buf, None).unwrap();
+        let mut w = ChunkWriter::new(&mut buf, usize::MAX);
+        write_rows(pool, block, &mut w, domain).unwrap();
+        w.finish().unwrap();
+        buf
+    }
+
+    fn encode(block: &TraceBlock, domain: Option<&AdcDomain>) -> Vec<u8> {
+        encode_on(&Pool::from_env(), block, domain)
+    }
+
+    fn round_trip(block: &TraceBlock) -> TraceBlock {
+        let buf = encode(block, None);
         read_rows(
             block.device(),
             &mut buf.as_slice(),
@@ -842,8 +1014,9 @@ mod tests {
     #[test]
     fn grid_rows_take_the_quantized_path() {
         let row = grid_row(0.25, 0.125, &[0, 3, 1, 7, 7, 2]);
-        let q = quantize_row(&row, None).expect("exact grid must quantize");
-        assert_eq!(q.codes, [0, 3, 1, 7, 7, 2]);
+        let mut codes = Vec::new();
+        let q = quantize_row(&row, None, &mut codes).expect("exact grid must quantize");
+        assert_eq!(codes, [0, 3, 1, 7, 7, 2]);
         assert_eq!(q.offset, 0.25);
         assert_eq!(q.scale, 0.125);
     }
@@ -853,27 +1026,27 @@ mod tests {
         // Only even codes present: the min positive delta is 2·scale, which
         // is still an exact divisor of every delta — codes simply halve.
         let row = grid_row(1.0, 0.5, &[0, 4, 2, 8]);
-        let q = quantize_row(&row, None).expect("sub-grid quantizes");
-        assert_eq!(q.codes, [0, 2, 1, 4]);
+        let mut codes = Vec::new();
+        quantize_row(&row, None, &mut codes).expect("sub-grid quantizes");
+        assert_eq!(codes, [0, 2, 1, 4]);
     }
 
     #[test]
     fn hostile_rows_fall_back_to_raw() {
-        assert!(quantize_row(&[0.0, f64::NAN], None).is_none());
-        assert!(quantize_row(&[f64::INFINITY, 1.0], None).is_none());
+        assert!(quantize_row(&[0.0, f64::NAN], None, &mut Vec::new()).is_none());
+        assert!(quantize_row(&[f64::INFINITY, 1.0], None, &mut Vec::new()).is_none());
         assert!(
-            quantize_row(&[-0.0, 1.0], None).is_none(),
+            quantize_row(&[-0.0, 1.0], None, &mut Vec::new()).is_none(),
             "-0.0 offset is inexact"
         );
         // Irrational-ish spacing that is no grid at all.
-        assert!(quantize_row(&[0.0, 0.1, 0.25000001, 0.3], None).is_none());
+        assert!(quantize_row(&[0.0, 0.1, 0.25000001, 0.3], None, &mut Vec::new()).is_none());
     }
 
     #[test]
     fn constant_rows_cost_only_metadata() {
         let block = TraceBlock::from_data("d", 4096, vec![1.5; 4096]).unwrap();
-        let mut buf = Vec::new();
-        write_rows(&block, &mut buf, None).unwrap();
+        let buf = encode(&block, None);
         // flag + scale + offset + first + width, zero packed bytes.
         assert_eq!(buf.len(), 1 + 8 + 8 + 8 + 1);
         assert_bits_equal(&round_trip(&block), &block);
@@ -915,7 +1088,11 @@ mod tests {
     }
 
     fn adc_block(adc: &AdcDomain, span: f64) -> TraceBlock {
-        let mut block = TraceBlock::zeros("d", 8, 2048).unwrap();
+        adc_block_sized(adc, span, 8, 2048)
+    }
+
+    fn adc_block_sized(adc: &AdcDomain, span: f64, rows: usize, len: usize) -> TraceBlock {
+        let mut block = TraceBlock::zeros("d", rows, len).unwrap();
         let mut state = 0x9e3779b97f4a7c15u64;
         for mut row in block.rows_mut() {
             for s in row.samples_mut() {
@@ -935,8 +1112,7 @@ mod tests {
         // which codes happen to be present.
         let adc = AdcDomain::from_range(1.2, 4.5, 12).unwrap();
         let block = adc_block(&adc, 3.3);
-        let mut buf = Vec::new();
-        write_rows(&block, &mut buf, Some(&adc)).unwrap();
+        let buf = encode(&block, Some(&adc));
         let raw_bytes = block.samples().len() * 8;
         assert!(
             buf.len() * 4 <= raw_bytes,
@@ -954,8 +1130,7 @@ mod tests {
         // which the ladder's integer-division + ULP probing reaches.
         let adc = AdcDomain::from_range(0.0, 3.3, 12).unwrap();
         let block = adc_block(&adc, 3.3);
-        let mut buf = Vec::new();
-        write_rows(&block, &mut buf, None).unwrap();
+        let buf = encode(&block, None);
         let raw_bytes = block.samples().len() * 8;
         assert!(
             buf.len() * 4 <= raw_bytes,
@@ -968,8 +1143,7 @@ mod tests {
     #[test]
     fn truncations_and_bad_flags_are_format_errors() {
         let block = TraceBlock::from_data("d", 4, grid_row(0.0, 0.5, &[1, 2, 3, 4])).unwrap();
-        let mut buf = Vec::new();
-        write_rows(&block, &mut buf, None).unwrap();
+        let buf = encode(&block, None);
         for cut in 0..buf.len() {
             let err = read_rows("d", &mut &buf[..cut], 1, 4).unwrap_err();
             assert!(matches!(err, IoError::Format(_)), "cut at {cut}: {err}");
@@ -986,5 +1160,117 @@ mod tests {
             read_rows("d", &mut bad_width.as_slice(), 1, 4).unwrap_err(),
             IoError::Format(_)
         ));
+    }
+
+    /// `rows` rows of 300 samples on a 12-bit grid, with every third row
+    /// holding a NaN (raw under any hint) and every fifth row off the grid
+    /// (raw under the hint, raw or detected without one).
+    fn mixed_block(adc: &AdcDomain, rows: usize) -> TraceBlock {
+        let mut block = adc_block_sized(adc, 2.0, rows, 300);
+        for (i, mut row) in block.rows_mut().enumerate() {
+            if let Some(s) = row.samples_mut().get_mut(i % 300) {
+                if i % 3 == 0 {
+                    *s = f64::from_bits(0x7ff8_0000_0000_0000 | i as u64);
+                } else if i % 5 == 0 {
+                    *s += 1e-9;
+                }
+            }
+        }
+        block
+    }
+
+    /// Header-less row bytes of `block`, one row at a time: each row's
+    /// encoding depends on that row alone.
+    fn per_row_encoding(block: &TraceBlock, domain: Option<&AdcDomain>) -> Vec<u8> {
+        let one = Pool::with_threads(1);
+        let mut want = Vec::new();
+        for row in block.rows() {
+            let single = TraceBlock::from_data("d", block.trace_len(), row.samples().to_vec());
+            want.extend(encode_on(&one, &single.unwrap(), domain));
+        }
+        want
+    }
+
+    #[test]
+    fn pooled_encoding_is_byte_identical_at_every_thread_count_and_batch_edge() {
+        let adc = AdcDomain::from_range(-1.0, 1.0, 12).unwrap();
+        for rows in [BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1] {
+            let block = mixed_block(&adc, rows);
+            assert!(rows * 300 >= PARALLEL_MIN_SAMPLES, "the batches fan out");
+            for domain in [None, Some(&adc)] {
+                let want = per_row_encoding(&block, domain);
+                for threads in [1, 2, 7] {
+                    let got = encode_on(&Pool::with_threads(threads), &block, domain);
+                    assert!(
+                        got == want,
+                        "{rows} rows, {threads} threads, hint {domain:?}"
+                    );
+                }
+                let back = read_rows("d", &mut want.as_slice(), rows, 300).unwrap();
+                assert_bits_equal(&back, &block);
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_quantization_matches_per_sample_quantize() {
+        let adc = AdcDomain::from_range(-1.0, 1.0, 12).unwrap();
+        for rows in [BATCH_ROWS - 1, BATCH_ROWS, BATCH_ROWS + 1] {
+            let mut raw = mixed_block(&adc, rows);
+            for (i, s) in raw.samples_mut().iter_mut().enumerate() {
+                *s = *s * 1.37 + (i % 7) as f64 * 1e-4;
+            }
+            let want: Vec<u64> = raw
+                .samples()
+                .iter()
+                .map(|&s| adc.quantize(s).to_bits())
+                .collect();
+            for threads in [1, 2, 7] {
+                let mut block = raw.clone();
+                adc.quantize_block_on(&Pool::with_threads(threads), &mut block);
+                let got: Vec<u64> = block.samples().iter().map(|s| s.to_bits()).collect();
+                assert!(got == want, "{rows} rows, {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn group_packing_matches_the_bit_at_a_time_packer() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for width in 0..=64u32 {
+            for len in [1usize, 2, 8, 9, 16, 17, 23] {
+                // Codes whose zigzag deltas need at most `width` bits.
+                let half = if width == 0 { 0 } else { 1u64 << (width - 1) };
+                let mut codes = vec![half; len];
+                let mut prev = half as i64;
+                for code in codes.iter_mut().skip(1) {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    let limit = half.saturating_sub(1) as i64;
+                    let step = if limit == 0 {
+                        0
+                    } else {
+                        (state % (limit as u64 + 1)) as i64
+                    };
+                    let delta = if state & 1 == 0 { step } else { -step };
+                    let next = prev.wrapping_add(delta);
+                    *code = next as u64;
+                    prev = next;
+                }
+                let mut want = BitPacker::with_capacity(0);
+                for pair in codes.windows(2) {
+                    want.push(zigzag(pair[1].wrapping_sub(pair[0]) as i64), width);
+                }
+                let mut got = vec![0xa5];
+                pack_deltas(&codes, width, &mut got);
+                assert_eq!(got[0], 0xa5, "prefix kept");
+                assert_eq!(
+                    &got[1..],
+                    want.finish().as_slice(),
+                    "width {width}, {len} codes"
+                );
+            }
+        }
     }
 }

@@ -25,6 +25,8 @@
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
+use ipmark_parallel::Pool;
+
 use crate::block::TraceBlock;
 use crate::codec::{self, AdcDomain};
 use crate::error::TraceError;
@@ -144,21 +146,118 @@ pub fn read_csv<R: Read>(device: &str, reader: R) -> Result<TraceBlock, IoError>
 ///
 /// The payload is the block's row-major sample arena verbatim (little
 /// endian), so [`read_block`] restores it with a single streamed read into
-/// one allocation.
+/// one allocation. The header and samples are copied into one reused
+/// 1 MiB buffer, and each full buffer goes to `writer` in one
+/// `write_all`; the writer is flushed at the end. The write size matters
+/// beyond the write itself: a file written in ≥ 1 MiB pieces sits in the
+/// page cache in large folios, and the positioned row reads of
+/// [`read_block_mapped`](crate::mmap::read_block_mapped) from it measured
+/// ~40 % cheaper (DESIGN.md §14, EXPERIMENTS.md X15).
 ///
 /// # Errors
 ///
-/// Propagates I/O failures.
+/// Propagates I/O failures, including a failing `flush`.
 pub fn write_block<W: Write>(block: &TraceBlock, writer: W) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(BLOCK_MAGIC)?;
-    w.write_all(&(block.len() as u64).to_le_bytes())?;
-    w.write_all(&(block.trace_len() as u64).to_le_bytes())?;
-    for s in block.samples() {
-        w.write_all(&s.to_le_bytes())?;
-    }
-    w.flush()?;
+    let samples = block.samples();
+    let mut w = ChunkWriter::new(writer, HEADER_LEN + samples.len() * 8);
+    w.put(&header(BLOCK_MAGIC, block))?;
+    w.put_samples(samples)?;
+    w.finish()?;
     Ok(())
+}
+
+/// Bytes in a binary header: magic, trace count, trace length.
+const HEADER_LEN: usize = 24;
+
+/// Bytes the corpus writers hand to the caller's writer per `write_all`
+/// (all but the last of a file). Writes of this size and up let the page
+/// cache hold the file in large folios; larger ones gained nothing more
+/// (EXPERIMENTS.md X15).
+pub(crate) const WRITE_CHUNK: usize = 1 << 20;
+
+/// The 24-byte header of a binary trace file.
+fn header(magic: &[u8; 8], block: &TraceBlock) -> [u8; HEADER_LEN] {
+    let mut out = [0u8; HEADER_LEN];
+    let (m, dims) = out.split_at_mut(8);
+    m.copy_from_slice(magic);
+    let (count, len) = dims.split_at_mut(8);
+    count.copy_from_slice(&(block.len() as u64).to_le_bytes());
+    len.copy_from_slice(&(block.trace_len() as u64).to_le_bytes());
+    out
+}
+
+/// The corpus writers' output buffer: bytes collect in one fixed buffer,
+/// and each time it fills, the whole buffer goes to the inner writer in
+/// one `write_all`.
+pub(crate) struct ChunkWriter<W: Write> {
+    inner: W,
+    buf: Vec<u8>,
+    len: usize,
+}
+
+impl<W: Write> ChunkWriter<W> {
+    /// A writer whose buffer holds [`WRITE_CHUNK`] bytes, or `size_hint`
+    /// if that is smaller (but at least one sample).
+    pub(crate) fn new(inner: W, size_hint: usize) -> Self {
+        Self {
+            inner,
+            buf: vec![0; size_hint.clamp(8, WRITE_CHUNK)],
+            len: 0,
+        }
+    }
+
+    /// Appends `bytes`.
+    pub(crate) fn put(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            let free = self.buf.get_mut(self.len..).unwrap_or_default();
+            let n = free.len().min(bytes.len());
+            let (now, later) = bytes.split_at(n);
+            free.get_mut(..n).unwrap_or_default().copy_from_slice(now);
+            self.len += n;
+            bytes = later;
+            self.spill_if_full()?;
+        }
+        Ok(())
+    }
+
+    /// Appends `samples` as little-endian bytes, converted straight into
+    /// the buffer.
+    pub(crate) fn put_samples(&mut self, mut samples: &[f64]) -> io::Result<()> {
+        while !samples.is_empty() {
+            let free = self.buf.get_mut(self.len..).unwrap_or_default();
+            let words = free.as_chunks_mut::<8>().0;
+            if words.is_empty() {
+                // Fewer than 8 bytes left: split one sample across buffers.
+                let (head, rest) = samples.split_at(1);
+                self.put(&head.first().copied().unwrap_or_default().to_le_bytes())?;
+                samples = rest;
+                continue;
+            }
+            let (now, later) = samples.split_at(words.len().min(samples.len()));
+            for (word, s) in words.iter_mut().zip(now) {
+                *word = s.to_le_bytes();
+            }
+            self.len += now.len() * 8;
+            samples = later;
+            self.spill_if_full()?;
+        }
+        Ok(())
+    }
+
+    fn spill_if_full(&mut self) -> io::Result<()> {
+        if self.len == self.buf.len() {
+            self.inner.write_all(&self.buf)?;
+            self.len = 0;
+        }
+        Ok(())
+    }
+
+    /// Writes what is left in the buffer and flushes the inner writer.
+    pub(crate) fn finish(mut self) -> io::Result<()> {
+        self.inner
+            .write_all(self.buf.get(..self.len).unwrap_or_default())?;
+        self.inner.flush()
+    }
 }
 
 /// Reads an `IPMKTRC2` trace block written by [`write_block`]. A mutable
@@ -183,13 +282,18 @@ pub fn read_block<R: Read>(device: &str, reader: R) -> Result<TraceBlock, IoErro
 /// The writer is a pure function of the block's sample bits: re-encoding a
 /// decoded file reproduces it byte for byte.
 ///
+/// Rows are encoded in batches on the environment's pool and written in
+/// row order, so the bytes do not depend on the thread count; they reach
+/// `writer` through the same 1 MiB buffer as [`write_block`]'s, and the
+/// writer is flushed at the end.
+///
 /// Grid *detection* is heuristic; when the ADC the samples came through is
 /// known, [`write_block_v3_with_domain`] compresses robustly for any code
 /// distribution.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures.
+/// Propagates I/O failures, including a failing `flush`.
 pub fn write_block_v3<W: Write>(block: &TraceBlock, writer: W) -> Result<(), IoError> {
     write_v3_inner(block, writer, None)
 }
@@ -203,7 +307,7 @@ pub fn write_block_v3<W: Write>(block: &TraceBlock, writer: W) -> Result<(), IoE
 ///
 /// # Errors
 ///
-/// Propagates I/O failures.
+/// Propagates I/O failures, including a failing `flush`.
 pub fn write_block_v3_with_domain<W: Write>(
     block: &TraceBlock,
     domain: &AdcDomain,
@@ -217,12 +321,12 @@ fn write_v3_inner<W: Write>(
     writer: W,
     domain: Option<&AdcDomain>,
 ) -> Result<(), IoError> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(BLOCK_V3_MAGIC)?;
-    w.write_all(&(block.len() as u64).to_le_bytes())?;
-    w.write_all(&(block.trace_len() as u64).to_le_bytes())?;
-    codec::write_rows(block, &mut w, domain)?;
-    w.flush()?;
+    // The raw-row bound: one flag byte and `trace_len` f64s per row.
+    let bound = HEADER_LEN + block.len() * (1 + block.trace_len() * 8);
+    let mut w = ChunkWriter::new(writer, bound);
+    w.put(&header(BLOCK_V3_MAGIC, block))?;
+    codec::write_rows(&Pool::from_env(), block, &mut w, domain)?;
+    w.finish()?;
     Ok(())
 }
 
@@ -296,8 +400,12 @@ pub(crate) fn validate_header(
 
 /// Shared header + payload reader for every binary version: validates an
 /// untrusted header, then streams the payload into one flat arena — raw
-/// row-major f64s for v1/v2 through a fixed scratch buffer, decoded
-/// quantized rows for v3 ([`codec`]).
+/// row-major f64s for v1/v2, decoded quantized rows for v3 ([`codec`]).
+///
+/// The v1/v2 payload is read in pieces of up to 1 MiB into one scratch
+/// buffer, and each piece is converted onto the arena in one loop. A short
+/// read names the first sample that did not arrive
+/// (`truncated at trace t, sample s`).
 ///
 /// Neither path lets a header commit memory its payload does not back.
 /// The v1/v2 arena starts at no more than 2²⁰ samples and grows only as
@@ -335,17 +443,18 @@ fn read_block_magics<R: Read>(
     // allocation.
     let total = count * len;
     let mut data: Vec<f64> = Vec::with_capacity(total.min(1 << 20));
-    let mut scratch = [0u8; 8192];
+    let mut scratch = vec![0u8; (total * 8).min(WRITE_CHUNK)];
     while data.len() < total {
         let want = ((total - data.len()) * 8).min(scratch.len());
-        r.read_exact(&mut scratch[..want]).map_err(|_| {
+        let piece = scratch.get_mut(..want).unwrap_or_default();
+        let arrived = read_full(&mut r, piece);
+        let words = piece.get(..arrived).unwrap_or_default().as_chunks::<8>().0;
+        data.extend(words.iter().map(|b| f64::from_le_bytes(*b)));
+        if arrived < want {
             let (t, s) = (data.len() / len, data.len() % len);
-            IoError::Format(format!("truncated at trace {t}, sample {s}"))
-        })?;
-        for chunk in scratch[..want].chunks_exact(8) {
-            let mut sample = [0u8; 8];
-            sample.copy_from_slice(chunk);
-            data.push(f64::from_le_bytes(sample));
+            return Err(IoError::Format(format!(
+                "truncated at trace {t}, sample {s}"
+            )));
         }
     }
     if count == 0 {
@@ -355,6 +464,22 @@ fn read_block_magics<R: Read>(
         return Ok(TraceBlock::new(device));
     }
     Ok(TraceBlock::from_data(device, len, data)?)
+}
+
+/// Reads into `buf` until it is full or the reader ends or fails, and
+/// returns how many bytes arrived. Every failure but an interrupt ends the
+/// read: the caller reports a short read as a truncation.
+fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> usize {
+    let mut got = 0;
+    while let Some(rest) = buf.get_mut(got..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    got
 }
 
 #[cfg(test)]
