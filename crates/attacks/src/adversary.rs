@@ -185,13 +185,8 @@ impl DutBuild {
         &self.spec
     }
 
-    /// The scale applied to the S-Box leakage weights (`1` = untouched).
-    pub fn sbox_scale(&self) -> f64 {
-        self.sbox_scale
-    }
-
     /// The nominal power model of this build: the spec's calibrated model,
-    /// with the S-Box component weights scaled by [`DutBuild::sbox_scale`].
+    /// with the S-Box component weights scaled by the build's suppression.
     ///
     /// An unscaled build returns the spec's model bit-identically (no
     /// multiply is applied), so honest builds stay on the unmodified
@@ -310,7 +305,7 @@ mod tests {
         let pos = AdversaryModel::Honest.positive_build(&genuine).unwrap();
         let neg = AdversaryModel::Honest.negative_build(&genuine).unwrap();
         assert_eq!(pos.spec(), &genuine);
-        assert_eq!(pos.sbox_scale(), 1.0);
+        assert_eq!(pos.sbox_scale, 1.0);
         assert!(neg.spec().key().is_none());
         assert_eq!(neg.spec().counter(), genuine.counter());
         // Unscaled builds return the calibrated model untouched.
@@ -338,7 +333,7 @@ mod tests {
         let adv = AdversaryModel::MaskedLeakage { suppression: 0.6 };
         let pos = adv.positive_build(&genuine).unwrap();
         assert_eq!(pos.spec().key(), Some(KW1));
-        assert!((pos.sbox_scale() - 0.4).abs() < 1e-15);
+        assert!((pos.sbox_scale - 0.4).abs() < 1e-15);
         let masked = pos.nominal_model().unwrap();
         let clean = genuine.nominal_model();
         for (i, (m, c)) in masked.weights().iter().zip(clean.weights()).enumerate() {

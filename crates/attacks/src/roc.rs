@@ -83,11 +83,6 @@ impl RocCurve {
         Ok(Self { points, auc })
     }
 
-    /// The operating points, from (0,0) upward.
-    pub fn points(&self) -> &[RocPoint] {
-        &self.points
-    }
-
     /// Area under the curve (1.0 = perfect separation, 0.5 = chance).
     pub fn auc(&self) -> f64 {
         self.auc
@@ -157,7 +152,7 @@ mod tests {
         let pos = [5.0, 6.0, 4.0, 7.0, 5.5];
         let neg = [3.0, 4.5, 2.0, 5.2];
         let roc = RocCurve::from_scores(&pos, &neg).unwrap();
-        for w in roc.points().windows(2) {
+        for w in roc.points.windows(2) {
             assert!(w[1].fpr >= w[0].fpr);
             assert!(w[1].tpr >= w[0].tpr);
         }

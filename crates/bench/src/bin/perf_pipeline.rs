@@ -16,6 +16,12 @@
 //! FAILS (exit 1) if the plan path drops below 0.95x the throughput of its
 //! direct counterpart at either pool size. Results go to stdout and `BENCH_8.json`.
 //! Set `IPMARK_QUICK=1` to shrink the repetition counts.
+//!
+//! Each parity reading carries the host's regime over its timed section,
+//! read from `/proc/stat` and `/proc/self/stat` (read only): the share of
+//! all CPUs' time the hypervisor stole (`host.steal_share`) and the share
+//! other processes kept busy (`host.other_busy_share`). A reading near the
+//! gate under a busy host says the host moved, not the code.
 
 // Benchmark binary: measuring wall-clock time is the whole point here.
 // The disallowed-methods rule protects numeric kernels, not timing code.
@@ -46,6 +52,99 @@ const SEED: u64 = 2014;
 /// The parity gate: the graph path must retain at least this fraction of
 /// the direct path's throughput.
 const MIN_PARITY: f64 = 0.95;
+
+/// Cumulative CPU accounting in clock ticks: every CPU's time, the part
+/// the hypervisor stole, the busy part, and this process's own busy part.
+#[derive(Clone, Copy)]
+struct HostTicks {
+    total: u64,
+    steal: u64,
+    busy: u64,
+    own: u64,
+}
+
+/// Reads the aggregate `cpu` line of `/proc/stat` (user nice system idle
+/// iowait irq softirq steal; guest time is already inside user and nice)
+/// and utime + stime, fields 14 and 15, of `/proc/self/stat`.
+fn host_ticks() -> Option<HostTicks> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    let cpu: Vec<u64> = stat
+        .lines()
+        .next()?
+        .strip_prefix("cpu ")?
+        .split_whitespace()
+        .map(|v| v.parse().ok())
+        .collect::<Option<_>>()?;
+    let field = |i: usize| cpu.get(i).copied().unwrap_or(0);
+    let own_stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesised command name start at field 3.
+    let fields: Vec<&str> = own_stat.rsplit_once(')')?.1.split_whitespace().collect();
+    let ticks = |n: usize| fields.get(n - 3)?.parse::<u64>().ok();
+    Some(HostTicks {
+        total: (0..8).map(field).sum(),
+        steal: field(7),
+        busy: field(0) + field(1) + field(2) + field(5) + field(6),
+        own: ticks(14)? + ticks(15)?,
+    })
+}
+
+/// Fewest clock ticks (summed over CPUs) a section must span for its
+/// shares to mean anything: `/proc` accounts time by the tick.
+const MIN_HOST_TICKS: u64 = 20;
+
+/// The host's regime over one timed section, as shares of all CPUs' time;
+/// `None` where `/proc` is unreadable or fewer than [`MIN_HOST_TICKS`]
+/// ticks elapsed.
+#[derive(Clone, Copy, Default)]
+struct HostShares {
+    ticks: u64,
+    steal: Option<f64>,
+    other_busy: Option<f64>,
+}
+
+impl HostShares {
+    /// Runs `section` and reports the host's regime while it ran.
+    fn around<T>(section: impl FnOnce() -> T) -> (T, HostShares) {
+        let before = host_ticks();
+        let out = section();
+        let shares = before
+            .zip(host_ticks())
+            .map_or_else(HostShares::default, |(b, a)| {
+                let ticks = a.total.saturating_sub(b.total);
+                let share =
+                    |part: u64| (ticks >= MIN_HOST_TICKS).then(|| part as f64 / ticks as f64);
+                let busy = a.busy.saturating_sub(b.busy);
+                HostShares {
+                    ticks,
+                    steal: share(a.steal.saturating_sub(b.steal)),
+                    other_busy: share(busy.saturating_sub(a.own.saturating_sub(b.own))),
+                }
+            });
+        (out, shares)
+    }
+
+    fn json(&self) -> serde_json::Value {
+        serde_json::json!({
+            "ticks": self.ticks,
+            "steal_share": self.steal,
+            "other_busy_share": self.other_busy,
+        })
+    }
+}
+
+impl std::fmt::Display for HostShares {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match (self.steal, self.other_busy) {
+            (Some(steal), Some(busy)) => write!(
+                f,
+                "host steal {:.1}%, other busy {:.1}%",
+                100.0 * steal,
+                100.0 * busy
+            ),
+            _ => write!(f, "host regime n/a over {} ticks", self.ticks),
+        }
+    }
+}
 
 fn vm_hwm_kib() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -156,20 +255,23 @@ struct ProcessParity {
     plan_ns: f64,
     reused_ns: f64,
     parity: f64,
+    host: HostShares,
 }
 
 /// Times the hand-rolled body against `Plan::execute` on `pool`, paired,
 /// and a warm plan re-executing against fresh selections.
 fn process_parity(reps: usize, pool: &Pool, refd: &TraceBlock, dut: &TraceBlock) -> ProcessParity {
-    let (direct_ns, plan_ns, parity) = paired_parity_ns(
-        reps,
-        || direct_process(refd, dut, SEED).mean(),
-        || {
-            let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-            let mut plan = Plan::correlation(&PARAMS, &mut rng).expect("plan");
-            plan.execute(refd, dut, pool).expect("execute").mean()
-        },
-    );
+    let ((direct_ns, plan_ns, parity), host) = HostShares::around(|| {
+        paired_parity_ns(
+            reps,
+            || direct_process(refd, dut, SEED).mean(),
+            || {
+                let mut rng = ChaCha8Rng::seed_from_u64(SEED);
+                let mut plan = Plan::correlation(&PARAMS, &mut rng).expect("plan");
+                plan.execute(refd, dut, pool).expect("execute").mean()
+            },
+        )
+    });
     // Buffer reuse: one plan, fresh selections per call, arena kept warm.
     let mut reused = {
         let mut rng = ChaCha8Rng::seed_from_u64(SEED);
@@ -184,6 +286,7 @@ fn process_parity(reps: usize, pool: &Pool, refd: &TraceBlock, dut: &TraceBlock)
         plan_ns,
         reused_ns,
         parity,
+        host,
     }
 }
 
@@ -219,29 +322,31 @@ fn main() {
         "CorrelateStage::rows diverged from per-row correlate"
     );
 
-    let (rows_direct_ns, rows_staged_ns, rows_parity) = paired_parity_ns(
-        reps,
-        || {
-            std::hint::black_box(&block)
-                .rows()
-                .map(|row| kernel.correlate(row.samples()).expect("well-formed row"))
-                .sum::<f64>()
-        },
-        || {
-            stage
-                .rows(std::hint::black_box(&block))
-                .expect("staged rows")
-                .iter()
-                .sum::<f64>()
-        },
-    );
+    let ((rows_direct_ns, rows_staged_ns, rows_parity), rows_host) = HostShares::around(|| {
+        paired_parity_ns(
+            reps,
+            || {
+                std::hint::black_box(&block)
+                    .rows()
+                    .map(|row| kernel.correlate(row.samples()).expect("well-formed row"))
+                    .sum::<f64>()
+            },
+            || {
+                stage
+                    .rows(std::hint::black_box(&block))
+                    .expect("staged rows")
+                    .iter()
+                    .sum::<f64>()
+            },
+        )
+    });
     println!(
         "correlate-rows seam (trace_len = {TRACE_LEN}, m = {}):",
         PARAMS.m
     );
     println!("  direct per-row loop     {rows_direct_ns:>10.0} ns");
     println!("  CorrelateStage::rows    {rows_staged_ns:>10.0} ns");
-    println!("  parity                  {rows_parity:>10.3}x (gate >= {MIN_PARITY})");
+    println!("  parity                  {rows_parity:>10.3}x (gate >= {MIN_PARITY}; {rows_host})");
 
     // --- Full process: hand-rolled legacy body vs Plan::execute. ----------
     let refd = synthetic_block("refd", PARAMS.n1, 1_000);
@@ -281,8 +386,8 @@ fn main() {
             println!("    Plan::correlation+exec  {:>10.0} ns", process.plan_ns);
             println!("    Plan re-execute (warm)  {:>10.0} ns", process.reused_ns);
             println!(
-                "    parity                  {:>10.3}x (gate >= {MIN_PARITY})",
-                process.parity
+                "    parity                  {:>10.3}x (gate >= {MIN_PARITY}; {})",
+                process.parity, process.host
             );
             process
         })
@@ -312,6 +417,7 @@ fn main() {
             "staged_median_ns": rows_staged_ns,
             "parity": rows_parity,
             "bit_identical": true,
+            "host": rows_host.json(),
         },
         "correlation_process": processes
             .iter()
@@ -322,6 +428,7 @@ fn main() {
                 "plan_reused_median_ns": p.reused_ns,
                 "parity": p.parity,
                 "bit_identical": true,
+                "host": p.host.json(),
             }))
             .collect::<Vec<_>>(),
         "peak_rss_kib": peak_rss_kib,
@@ -340,18 +447,18 @@ fn main() {
 
     let process_figures = processes
         .iter()
-        .map(|p| format!("{:.3}x at {} thread(s)", p.parity, p.threads))
+        .map(|p| format!("{:.3}x at {} thread(s), {}", p.parity, p.threads, p.host))
         .collect::<Vec<_>>()
         .join(", ");
     if rows_parity < MIN_PARITY || processes.iter().any(|p| p.parity < MIN_PARITY) {
         eprintln!(
             "FAIL: operator-graph throughput parity below {MIN_PARITY} \
-             (correlate-rows {rows_parity:.3}x, process {process_figures})"
+             (correlate-rows {rows_parity:.3}x, {rows_host}; process {process_figures})"
         );
         std::process::exit(1);
     }
     println!(
-        "parity gate passed (correlate-rows {rows_parity:.3}x, process {process_figures}; \
-         all >= {MIN_PARITY})"
+        "parity gate passed (correlate-rows {rows_parity:.3}x, {rows_host}; process \
+         {process_figures}; all >= {MIN_PARITY})"
     );
 }

@@ -590,9 +590,7 @@ mod tests {
     fn chain_with_default_sigma_matches_default_chain() {
         let swept = chain_with_noise(DEFAULT_NOISE_SIGMA).unwrap();
         let default = ipmark_core::default_chain().unwrap();
-        assert_eq!(swept.noise_sigma(), default.noise_sigma());
-        assert_eq!(swept.bandwidth_alpha(), default.bandwidth_alpha());
-        assert_eq!(swept.samples_per_cycle(), default.samples_per_cycle());
+        assert_eq!(swept, default);
     }
 
     #[test]

@@ -118,17 +118,6 @@ impl Args {
                 .map_err(|_| CliError::Usage(format!("flag --{name}: cannot parse `{v}`"))),
         }
     }
-
-    /// A required parsed value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CliError::Usage`] when missing or unparsable.
-    pub fn require_parsed<T: std::str::FromStr>(&self, name: &str) -> Result<T, CliError> {
-        let v = self.require(name)?;
-        v.parse()
-            .map_err(|_| CliError::Usage(format!("flag --{name}: cannot parse `{v}`")))
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +151,6 @@ mod tests {
         let a = Args::parse(["cmd", "--n", "abc"]).unwrap();
         assert!(a.get_or("n", 1usize).is_err());
         assert!(a.require("missing").is_err());
-        assert!(a.require_parsed::<usize>("n").is_err());
     }
 
     #[test]

@@ -1046,7 +1046,7 @@ mod tests {
             "10", "--json",
         ])
         .unwrap();
-        assert!(ipmark_core::report::VerificationReport::from_json(&json).is_ok());
+        assert!(serde_json::from_str::<ipmark_core::report::VerificationReport>(&json).is_ok());
     }
 
     #[test]

@@ -131,14 +131,6 @@ impl DistinguisherKind {
         }
     }
 
-    /// The scalar statistic this rule extracts from a correlation set.
-    pub fn statistic(self, set: &CorrelationSet) -> f64 {
-        match self {
-            DistinguisherKind::Mean => HigherMean.statistic(set),
-            DistinguisherKind::Variance => LowerVariance.statistic(set),
-        }
-    }
-
     /// Decides over pre-computed per-candidate scores — the exact logic
     /// the batch [`Distinguisher::decide`] impls run after extracting
     /// their statistics, factored out so the streaming session produces
@@ -318,11 +310,6 @@ mod tests {
         assert_eq!(DistinguisherKind::Mean.name(), "mean");
         assert_eq!(DistinguisherKind::Variance.name(), "variance");
         assert_eq!(DistinguisherKind::default(), DistinguisherKind::Variance);
-        let s = set(&[0.2, 0.4]);
-        assert_eq!(
-            DistinguisherKind::Mean.statistic(&s),
-            HigherMean.statistic(&s)
-        );
     }
 
     #[test]

@@ -114,8 +114,7 @@ pub struct IpSpec {
 pub mod layout {
     /// The counter FSM.
     pub const COUNTER: usize = 0;
-    /// The `Kw` constant driver.
-    pub const KEY: usize = 1;
+    // Index 1 is the `Kw` constant driver; no model weight keys on it.
     /// The XOR mixing stage.
     pub const XOR: usize = 2;
     /// The S-Box RAM with its output register `H`.
@@ -245,14 +244,6 @@ impl IpSpec {
             weights[layout::COUNTER] = ComponentWeights::state_toggle(COUNTER_HD_WEIGHT);
         }
         WeightedComponentModel::new(BASE_POWER, weights)
-    }
-
-    /// The deterministic FSM state sequence over `cycles` cycles, starting
-    /// from the common reset state (position 0).
-    pub fn state_sequence(&self, cycles: usize) -> Vec<u8> {
-        (0..cycles as u64)
-            .map(|c| self.counter.state_at(c))
-            .collect()
     }
 
     /// The deterministic sequence of S-Box output register values `H` over
@@ -442,7 +433,7 @@ mod tests {
         assert_eq!(c.component_count(), layout::WATERMARKED_COMPONENTS);
         let infos = c.component_infos();
         assert_eq!(infos[layout::COUNTER].type_name, "binary-counter");
-        assert_eq!(infos[layout::KEY].type_name, "constant");
+        assert_eq!(infos[1].type_name, "constant");
         assert_eq!(infos[layout::XOR].type_name, "xor");
         assert_eq!(infos[layout::SBOX].type_name, "sync-rom");
         assert_eq!(c.output_names(), vec!["h"]);
@@ -471,8 +462,8 @@ mod tests {
 
     #[test]
     fn state_sequences_differ_between_counters() {
-        let a = ip_a().state_sequence(16);
-        let b = ip_b().state_sequence(16);
+        let states = |ip: IpSpec| (0..16).map(|c| ip.counter.state_at(c)).collect::<Vec<u8>>();
+        let (a, b) = (states(ip_a()), states(ip_b()));
         assert_eq!(a[..4], [0, 1, 2, 3]);
         assert_eq!(b[..4], [0, 1, 3, 2]);
         assert_ne!(a, b);
@@ -520,8 +511,19 @@ mod tests {
     #[test]
     fn default_chain_is_noisy_and_bandlimited() {
         let chain = default_chain().unwrap();
-        assert!(chain.noise_sigma() > 0.0);
-        assert!(chain.bandwidth_alpha() < 1.0);
         assert_eq!(chain.samples_per_cycle(), SAMPLES_PER_CYCLE);
+        let pulse = PulseShape::from_coefficients(
+            (0..SAMPLES_PER_CYCLE)
+                .map(|i| 0.7 + 0.9 * (-(i as f64) / 1.2).exp())
+                .collect(),
+        )
+        .unwrap();
+        let with = |alpha: f64, sigma: f64| {
+            MeasurementChain::new(pulse.clone(), alpha, sigma, None).unwrap()
+        };
+        assert_eq!(chain, with(DEFAULT_BANDWIDTH_ALPHA, DEFAULT_NOISE_SIGMA));
+        assert_ne!(chain, with(1.0, DEFAULT_NOISE_SIGMA), "band-limited");
+        assert_ne!(chain, with(DEFAULT_BANDWIDTH_ALPHA, 0.0), "noisy");
+        const { assert!(DEFAULT_NOISE_SIGMA > 0.0 && DEFAULT_BANDWIDTH_ALPHA < 1.0) };
     }
 }

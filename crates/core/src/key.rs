@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// An 8-bit watermark key `Kw`, XOR-mixed with the FSM state before the
@@ -37,11 +36,6 @@ impl WatermarkKey {
         Self(value)
     }
 
-    /// Draws a uniformly random key.
-    pub fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        Self(rng.gen())
-    }
-
     /// The key byte.
     pub fn value(&self) -> u8 {
         self.0
@@ -69,8 +63,6 @@ impl From<u8> for WatermarkKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn mix_is_self_inverse() {
@@ -78,16 +70,6 @@ mod tests {
         for s in 0..=255u8 {
             assert_eq!(kw.mix(kw.mix(s)), s);
         }
-    }
-
-    #[test]
-    fn random_keys_cover_the_space() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..4096 {
-            seen.insert(WatermarkKey::random(&mut rng).value());
-        }
-        assert!(seen.len() > 250, "only {} distinct keys", seen.len());
     }
 
     #[test]

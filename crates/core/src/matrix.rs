@@ -71,6 +71,11 @@ impl ExperimentConfig {
     }
 }
 
+/// The most reference specs one panel takes. RefD die `i` is fabricated
+/// from `seed·1009 + i` and DUT die `j` from `seed·1009 + 100 + j`, so a
+/// 101st reference would share DUT die 0's process variation.
+const MAX_REFD_SPECS: usize = 100;
+
 /// The 16 (or R×D) correlation sets of one campaign, plus the derived
 /// tables of the paper's §V.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,7 +98,9 @@ impl IdentificationMatrix {
     ///
     /// # Errors
     ///
-    /// Propagates fabrication, acquisition and correlation errors.
+    /// Returns [`CoreError::InvalidParams`] for an empty panel or more than
+    /// 100 reference specs, before any die is fabricated;
+    /// propagates fabrication, acquisition and correlation errors.
     pub fn run(
         refd_specs: &[IpSpec],
         dut_specs: &[IpSpec],
@@ -189,6 +196,15 @@ impl IdentificationMatrix {
                 reason: "need at least one reference and one DUT".into(),
             });
         }
+        if refd_specs.len() > MAX_REFD_SPECS {
+            return Err(CoreError::InvalidParams {
+                reason: format!(
+                    "{} reference specs exceed {MAX_REFD_SPECS}: RefD die {MAX_REFD_SPECS} \
+                     would reuse DUT die 0",
+                    refd_specs.len()
+                ),
+            });
+        }
         Ok(())
     }
 
@@ -197,7 +213,10 @@ impl IdentificationMatrix {
         j: usize,
         config: &ExperimentConfig,
     ) -> Result<SimulatedAcquisition, CoreError> {
-        let die_seed = config.seed.wrapping_mul(1009).wrapping_add(100 + j as u64);
+        let die_seed = config
+            .seed
+            .wrapping_mul(1009)
+            .wrapping_add(MAX_REFD_SPECS as u64 + j as u64);
         let mut die = FabricatedDevice::fabricate(spec, &config.variation, die_seed)?;
         let campaign_seed = config
             .seed
@@ -341,6 +360,16 @@ mod tests {
         let config = tiny_config();
         assert!(IdentificationMatrix::run(&[], &[ip_a()], &config).is_err());
         assert!(IdentificationMatrix::run(&[ip_a()], &[], &config).is_err());
+    }
+
+    #[test]
+    fn run_rejects_reference_panels_that_would_reuse_a_dut_die() {
+        let refds = vec![ip_a(); MAX_REFD_SPECS + 1];
+        let err = IdentificationMatrix::run(&refds, &[ip_b()], &tiny_config()).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::InvalidParams { reason } if reason.contains("101 reference specs")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -21,26 +21,6 @@ use serde::{Deserialize, Serialize};
 use crate::error::CoreError;
 use crate::verify::CorrelationParams;
 
-/// Probability that one fixed DUT trace appears in a single `k`-selection:
-/// `P(tᵢ) = k / n2`.
-///
-/// # Errors
-///
-/// Returns [`CoreError::InvalidParams`] when `n2` is zero or `k > n2`.
-pub fn single_selection_probability(k: usize, n2: usize) -> Result<f64, CoreError> {
-    if n2 == 0 {
-        return Err(CoreError::InvalidParams {
-            reason: "n2 must be positive".into(),
-        });
-    }
-    if k > n2 {
-        return Err(CoreError::InvalidParams {
-            reason: format!("k = {k} exceeds n2 = {n2}"),
-        });
-    }
-    Ok(k as f64 / n2 as f64)
-}
-
 /// The paper's `f_α(m)`: probability that a fixed trace is selected more
 /// than once over `m` independent `k`-selections, with `n2 = α·k·m`.
 ///
@@ -258,13 +238,6 @@ mod tests {
         assert!(f_limit(0.0).is_err());
         assert!(choose_m(10.0, 0.0).is_err());
         assert!(choose_m(10.0, -1.0).is_err());
-        assert!(single_selection_probability(5, 0).is_err());
-        assert!(single_selection_probability(10, 5).is_err());
-    }
-
-    #[test]
-    fn single_selection_probability_matches_formula() {
-        assert_eq!(single_selection_probability(50, 10_000).unwrap(), 0.005);
     }
 
     #[test]

@@ -539,17 +539,11 @@ impl Plan {
         let coefficients = correlate.rows(stage.duts())?;
         DecideStage.finish(coefficients)
     }
-
-    /// Renders the stage graph — stages, buffer shapes, the pool's worker
-    /// count and the kernels — for `ipmark plan --explain` and debugging.
-    pub fn explain(&self, trace_len: usize, pool: &Pool) -> String {
-        explain_graph(&self.acquire.params, trace_len, pool.threads(), false)
-    }
 }
 
 /// Renders the stage graph of a correlation plan without constructing one —
-/// shared by [`Plan::explain`] and the CLI's streaming (session) variant,
-/// which has no batch plan to call it on.
+/// stages, buffer shapes, the pool's worker count and the kernels — for
+/// `ipmark plan --explain` (batch and session variants) and debugging.
 pub fn explain_graph(
     params: &CorrelationParams,
     trace_len: usize,
@@ -943,8 +937,7 @@ mod tests {
     #[test]
     fn explain_names_every_stage_and_the_backend() {
         let p = params();
-        let plan = Plan::correlation(&p, &mut ChaCha8Rng::seed_from_u64(0)).unwrap();
-        let text = plan.explain(96, &Pool::with_threads(3));
+        let text = explain_graph(&p, 96, 3, false);
         for needle in [
             "AcquireStage",
             "KAverageStage",

@@ -175,17 +175,6 @@ impl VerificationReport {
             reason: format!("JSON serialization failed: {e}"),
         })
     }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParams`] for malformed input.
-    pub fn from_json(json: &str) -> Result<Self, CoreError> {
-        serde_json::from_str(json).map_err(|e| CoreError::InvalidParams {
-            reason: format!("JSON parse failed: {e}"),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -249,9 +238,8 @@ mod tests {
             VerificationReport::new("IP_X", CorrelationParams::paper(), &names, &s).unwrap();
         let json = report.to_json().unwrap();
         assert!(json.contains("\"reference\": \"IP_X\""));
-        let back = VerificationReport::from_json(&json).unwrap();
+        let back: VerificationReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
-        assert!(VerificationReport::from_json("{nope").is_err());
     }
 
     #[test]

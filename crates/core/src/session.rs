@@ -439,16 +439,6 @@ impl VerificationSession {
         self.verdict.is_some()
     }
 
-    /// The session's configuration.
-    pub fn options(&self) -> &SessionOptions {
-        &self.options
-    }
-
-    /// Number of candidates.
-    pub fn num_candidates(&self) -> usize {
-        self.candidates.len()
-    }
-
     /// A candidate's finished coefficient for `slot`, if complete.
     pub fn coefficient(&self, candidate: usize, slot: usize) -> Option<f64> {
         self.candidates

@@ -5,8 +5,8 @@
 //!
 //! The paper's leakage component stores the AES substitution table in RAM
 //! and feeds the key-mixed FSM state through it. This crate derives that
-//! S-Box from first principles — GF(2⁸) inversion ([`gf256`]) followed by
-//! the FIPS-197 affine map ([`sbox`]) — and its tests check every entry
+//! S-Box at compile time from first principles — GF(2⁸) inversion followed
+//! by the FIPS-197 affine map ([`sbox`]) — and its tests check every entry
 //! against the FIPS-197 Figure 7 table, written out independently of the
 //! construction.
 //!
@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod gf256;
 pub mod sbox;
 
 pub use sbox::{sbox_table_u64, AES_SBOX};

@@ -10,34 +10,6 @@
 //! and checked in the test suite against the FIPS-197 Figure 7 table,
 //! written out there as a 256-byte literal.
 
-use crate::gf256;
-
-/// The affine constant of the AES S-Box ({63}).
-pub const AFFINE_CONST: u8 = 0x63;
-
-/// Applies the AES affine transformation to `x`:
-/// `b'_i = b_i ⊕ b_{(i+4)%8} ⊕ b_{(i+5)%8} ⊕ b_{(i+6)%8} ⊕ b_{(i+7)%8} ⊕ c_i`.
-#[inline]
-pub fn affine(x: u8) -> u8 {
-    let mut out = 0u8;
-    for i in 0..8 {
-        let bit = ((x >> i) & 1)
-            ^ ((x >> ((i + 4) % 8)) & 1)
-            ^ ((x >> ((i + 5) % 8)) & 1)
-            ^ ((x >> ((i + 6) % 8)) & 1)
-            ^ ((x >> ((i + 7) % 8)) & 1)
-            ^ ((AFFINE_CONST >> i) & 1);
-        out |= bit << i;
-    }
-    out
-}
-
-/// Computes one S-Box entry from the algebraic definition.
-#[inline]
-pub fn sbox_entry(x: u8) -> u8 {
-    affine(gf256::inv(x))
-}
-
 const fn build_sbox() -> [u8; 256] {
     // const-compatible reimplementation of inv + affine.
     const fn cmul(mut a: u8, mut b: u8) -> u8 {
@@ -153,13 +125,6 @@ mod tests {
         assert_eq!(AES_SBOX, FIPS197_FIGURE7);
         for x in 0..=255u8 {
             assert_eq!(sub_byte(x), FIPS197_FIGURE7[x as usize], "x = {x:#04x}");
-        }
-    }
-
-    #[test]
-    fn const_table_matches_runtime_definition() {
-        for x in 0..=255u8 {
-            assert_eq!(AES_SBOX[x as usize], sbox_entry(x), "x = {x:#x}");
         }
     }
 

@@ -1,42 +1,15 @@
-//! Structural analysis of FSMs: reachability, periodicity, minimization and
-//! equivalence.
+//! Structural analysis of FSMs: periodicity.
 //!
-//! The paper leans on two structural facts about its FSMs: they are
-//! *cyclic* with a known periodicity ("it is possible to know exactly the
+//! The paper leans on a structural fact about its FSMs: they are *cyclic*
+//! with a known periodicity ("it is possible to know exactly the
 //! periodicity of the designed FSM"), and verification needs a state
 //! sequence longer than that period. [`periodicity`] computes the
-//! (tail, period) decomposition; [`equivalent`] and [`minimize`] support
-//! the embedding baselines (an embedded watermark must not change observable
-//! behaviour on the original input space).
+//! (tail, period) decomposition.
 
 use std::collections::HashMap;
 
 use crate::error::FsmError;
 use crate::machine::Fsm;
-
-/// States reachable from the reset state, in BFS order.
-///
-/// # Errors
-///
-/// Propagates range errors (cannot occur on a validated machine).
-pub fn reachable_states(fsm: &Fsm) -> Result<Vec<usize>, FsmError> {
-    let mut seen = vec![false; fsm.num_states()];
-    let mut order = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    seen[fsm.initial()] = true;
-    queue.push_back(fsm.initial());
-    while let Some(s) = queue.pop_front() {
-        order.push(s);
-        for i in 0..fsm.num_inputs() {
-            let (next, _) = fsm.step(s, i)?;
-            if !seen[next] {
-                seen[next] = true;
-                queue.push_back(next);
-            }
-        }
-    }
-    Ok(order)
-}
 
 /// The eventual cycle of the machine under a fixed input symbol:
 /// returns `(tail_length, period)` where the state trajectory is
@@ -67,292 +40,15 @@ pub fn periodicity(fsm: &Fsm, input: usize) -> Result<(usize, usize), FsmError> 
     }
 }
 
-/// Partition-refinement minimization (Moore's algorithm on the Mealy
-/// machine): returns the minimal machine accepting-equivalent to `fsm`,
-/// restricted to reachable states.
-///
-/// # Errors
-///
-/// Propagates range errors (cannot occur on a validated machine).
-pub fn minimize(fsm: &Fsm) -> Result<Fsm, FsmError> {
-    let reach = reachable_states(fsm)?;
-    let mut index_of = vec![usize::MAX; fsm.num_states()];
-    for (i, &s) in reach.iter().enumerate() {
-        index_of[s] = i;
-    }
-    let n = reach.len();
-    let k = fsm.num_inputs();
-
-    // Initial partition: states with identical output rows.
-    let mut class = vec![0usize; n];
-    {
-        let mut row_class: HashMap<Vec<u64>, usize> = HashMap::new();
-        for (i, &s) in reach.iter().enumerate() {
-            let row: Vec<u64> = (0..k)
-                .map(|a| fsm.step(s, a).map(|t| t.1))
-                .collect::<Result<_, _>>()?;
-            let next_id = row_class.len();
-            class[i] = *row_class.entry(row).or_insert(next_id);
-        }
-    }
-
-    // Refine until stable: two states stay together iff their successor
-    // classes agree on every input.
-    loop {
-        let mut sig_class: HashMap<(usize, Vec<usize>), usize> = HashMap::new();
-        let mut new_class = vec![0usize; n];
-        for (i, &s) in reach.iter().enumerate() {
-            let succ: Vec<usize> = (0..k)
-                .map(|a| fsm.step(s, a).map(|t| class[index_of[t.0]]))
-                .collect::<Result<_, _>>()?;
-            let key = (class[i], succ);
-            let next_id = sig_class.len();
-            new_class[i] = *sig_class.entry(key).or_insert(next_id);
-        }
-        let stable = new_class == class;
-        class = new_class;
-        if stable {
-            break;
-        }
-    }
-
-    let num_classes = class.iter().max().map_or(0, |&m| m + 1);
-    let mut transitions = vec![0usize; num_classes * k];
-    let mut outputs = vec![0u64; num_classes * k];
-    let mut seen = vec![false; num_classes];
-    for (i, &s) in reach.iter().enumerate() {
-        let c = class[i];
-        if seen[c] {
-            continue;
-        }
-        seen[c] = true;
-        for a in 0..k {
-            let (next, out) = fsm.step(s, a)?;
-            transitions[c * k + a] = class[index_of[next]];
-            outputs[c * k + a] = out;
-        }
-    }
-    Ok(Fsm::from_tables(
-        num_classes,
-        k,
-        fsm.output_width(),
-        class[index_of[fsm.initial()]],
-        transitions,
-        outputs,
-    ))
-}
-
-/// Observable I/O equivalence of two machines from their reset states
-/// (product-machine BFS).
-///
-/// # Errors
-///
-/// Returns [`FsmError::IncompatibleMachines`] when the alphabets or output
-/// widths differ.
-pub fn equivalent(a: &Fsm, b: &Fsm) -> Result<bool, FsmError> {
-    if a.num_inputs() != b.num_inputs() {
-        return Err(FsmError::IncompatibleMachines {
-            reason: format!(
-                "input alphabets differ: {} vs {}",
-                a.num_inputs(),
-                b.num_inputs()
-            ),
-        });
-    }
-    if a.output_width() != b.output_width() {
-        return Err(FsmError::IncompatibleMachines {
-            reason: format!(
-                "output widths differ: {} vs {}",
-                a.output_width(),
-                b.output_width()
-            ),
-        });
-    }
-    let mut seen = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::new();
-    let start = (a.initial(), b.initial());
-    seen.insert(start);
-    queue.push_back(start);
-    while let Some((sa, sb)) = queue.pop_front() {
-        for i in 0..a.num_inputs() {
-            let (na, oa) = a.step(sa, i)?;
-            let (nb, ob) = b.step(sb, i)?;
-            if oa != ob {
-                return Ok(false);
-            }
-            if seen.insert((na, nb)) {
-                queue.push_back((na, nb));
-            }
-        }
-    }
-    Ok(true)
-}
-
-/// The shortest input word driving the machine from reset to
-/// `target_state`, or `None` if the state is unreachable.
-///
-/// Used by embedding tooling to navigate to planted transitions.
-///
-/// # Errors
-///
-/// Returns [`FsmError::UnknownState`] for an out-of-range target.
-pub fn shortest_input_sequence(
-    fsm: &Fsm,
-    target_state: usize,
-) -> Result<Option<Vec<usize>>, FsmError> {
-    if target_state >= fsm.num_states() {
-        return Err(FsmError::UnknownState {
-            state: target_state,
-            available: fsm.num_states(),
-        });
-    }
-    let mut pred: Vec<Option<(usize, usize)>> = vec![None; fsm.num_states()];
-    let mut seen = vec![false; fsm.num_states()];
-    let mut queue = std::collections::VecDeque::new();
-    seen[fsm.initial()] = true;
-    queue.push_back(fsm.initial());
-    while let Some(s) = queue.pop_front() {
-        if s == target_state {
-            let mut path = Vec::new();
-            let mut cur = s;
-            while let Some((prev, input)) = pred[cur] {
-                path.push(input);
-                cur = prev;
-            }
-            path.reverse();
-            return Ok(Some(path));
-        }
-        for i in 0..fsm.num_inputs() {
-            let (next, _) = fsm.step(s, i)?;
-            if !seen[next] {
-                seen[next] = true;
-                pred[next] = Some((s, i));
-                queue.push_back(next);
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// The shortest input word on which two machines produce different
-/// outputs, or `None` if they are equivalent (product-machine BFS).
-///
-/// This is the constructive counterpart of [`equivalent`]: when a
-/// watermark *does* change observable behaviour, this returns a concrete
-/// witness.
-///
-/// # Errors
-///
-/// Returns [`FsmError::IncompatibleMachines`] when alphabets or output
-/// widths differ.
-pub fn distinguishing_sequence(a: &Fsm, b: &Fsm) -> Result<Option<Vec<usize>>, FsmError> {
-    if a.num_inputs() != b.num_inputs() {
-        return Err(FsmError::IncompatibleMachines {
-            reason: format!(
-                "input alphabets differ: {} vs {}",
-                a.num_inputs(),
-                b.num_inputs()
-            ),
-        });
-    }
-    if a.output_width() != b.output_width() {
-        return Err(FsmError::IncompatibleMachines {
-            reason: format!(
-                "output widths differ: {} vs {}",
-                a.output_width(),
-                b.output_width()
-            ),
-        });
-    }
-    let mut pred: HashMap<(usize, usize), ((usize, usize), usize)> = HashMap::new();
-    let mut queue = std::collections::VecDeque::new();
-    let start = (a.initial(), b.initial());
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(start);
-    queue.push_back(start);
-    while let Some((sa, sb)) = queue.pop_front() {
-        for i in 0..a.num_inputs() {
-            let (na, oa) = a.step(sa, i)?;
-            let (nb, ob) = b.step(sb, i)?;
-            if oa != ob {
-                // Reconstruct the path to (sa, sb), then append i.
-                let mut path = vec![i];
-                let mut cur = (sa, sb);
-                while cur != start {
-                    let (prev, input) = pred[&cur];
-                    path.push(input);
-                    cur = prev;
-                }
-                path.reverse();
-                return Ok(Some(path));
-            }
-            if seen.insert((na, nb)) {
-                pred.insert((na, nb), ((sa, sb), i));
-                queue.push_back((na, nb));
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// A behavioural digest of the machine: outputs gathered along a
-/// deterministic pseudo-random probe sequence, FNV-hashed. This is the
-/// "extraction of specific FSM properties" identification primitive of the
-/// paper's reference \[14\] in its simplest robust form: two machines with
-/// equal signatures over a long probe agree on that probe's I/O behaviour.
-pub fn signature(fsm: &Fsm, probe_seed: u64, probe_len: usize) -> Result<u64, FsmError> {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |v: u64, hash: &mut u64| {
-        *hash ^= v;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    // Key the digest itself by the probe seed, so that distinct probes give
-    // distinct digests even over a single-symbol alphabet.
-    mix(probe_seed, &mut hash);
-    let mut x = probe_seed | 1;
-    let mut state = fsm.initial();
-    for _ in 0..probe_len {
-        // xorshift64* probe-symbol generator.
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        let sym = (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % fsm.num_inputs() as u64) as usize;
-        let (next, out) = fsm.step(state, sym)?;
-        mix(out, &mut hash);
-        state = next;
-    }
-    Ok(hash)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::FsmBuilder;
 
-    fn toggler() -> Fsm {
-        let mut b = FsmBuilder::new(2, 1, 1).unwrap();
-        b.transition(0, 0, 1, 0).unwrap();
-        b.transition(1, 0, 0, 1).unwrap();
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn reachability_finds_connected_part() {
-        // 3 states, state 2 unreachable.
-        let mut b = FsmBuilder::new(3, 1, 1).unwrap();
-        b.transition(0, 0, 1, 0).unwrap();
-        b.transition(1, 0, 0, 1).unwrap();
-        b.transition(2, 0, 0, 1).unwrap();
-        let fsm = b.build().unwrap();
-        assert_eq!(reachable_states(&fsm).unwrap(), vec![0, 1]);
-    }
-
     #[test]
     fn counter_periodicity_is_full_period_with_no_tail() {
         let fsm = Fsm::binary_counter(6).unwrap();
         assert_eq!(periodicity(&fsm, 0).unwrap(), (0, 64));
-        let gray = Fsm::gray_counter(6).unwrap();
-        assert_eq!(periodicity(&gray, 0).unwrap(), (0, 64));
     }
 
     #[test]
@@ -365,133 +61,5 @@ mod tests {
         let fsm = b.build().unwrap();
         assert_eq!(periodicity(&fsm, 0).unwrap(), (1, 2));
         assert!(periodicity(&fsm, 3).is_err());
-    }
-
-    #[test]
-    fn minimize_collapses_redundant_states() {
-        // A 4-state machine where states 2 and 3 duplicate states 0 and 1.
-        let mut b = FsmBuilder::new(4, 1, 1).unwrap();
-        b.transition(0, 0, 1, 0).unwrap();
-        b.transition(1, 0, 2, 1).unwrap();
-        b.transition(2, 0, 3, 0).unwrap();
-        b.transition(3, 0, 0, 1).unwrap();
-        let fsm = b.build().unwrap();
-        let min = minimize(&fsm).unwrap();
-        assert_eq!(min.num_states(), 2);
-        assert!(equivalent(&fsm, &min).unwrap());
-    }
-
-    #[test]
-    fn minimize_drops_unreachable_states() {
-        let mut b = FsmBuilder::new(3, 1, 1).unwrap();
-        b.transition(0, 0, 1, 0).unwrap();
-        b.transition(1, 0, 0, 1).unwrap();
-        b.transition(2, 0, 2, 1).unwrap();
-        let fsm = b.build().unwrap();
-        let min = minimize(&fsm).unwrap();
-        assert_eq!(min.num_states(), 2);
-    }
-
-    #[test]
-    fn minimal_counter_stays_full_size() {
-        let fsm = Fsm::binary_counter(4).unwrap();
-        assert_eq!(minimize(&fsm).unwrap().num_states(), 16);
-    }
-
-    #[test]
-    fn equivalence_detects_output_differences() {
-        let a = toggler();
-        let mut b = FsmBuilder::new(2, 1, 1).unwrap();
-        b.transition(0, 0, 1, 0).unwrap();
-        b.transition(1, 0, 0, 0).unwrap(); // differs here
-        let c = b.build().unwrap();
-        assert!(equivalent(&a, &a.clone()).unwrap());
-        assert!(!equivalent(&a, &c).unwrap());
-    }
-
-    #[test]
-    fn equivalence_requires_compatible_interfaces() {
-        let a = toggler();
-        let b = Fsm::binary_counter(2).unwrap();
-        assert!(matches!(
-            equivalent(&a, &b),
-            Err(FsmError::IncompatibleMachines { .. })
-        ));
-    }
-
-    #[test]
-    fn equivalent_machines_of_different_sizes() {
-        let fsm = Fsm::binary_counter(3).unwrap();
-        let min = minimize(&fsm).unwrap();
-        assert!(equivalent(&fsm, &min).unwrap());
-    }
-
-    #[test]
-    fn shortest_sequence_reaches_target() {
-        let fsm = Fsm::binary_counter(4).unwrap();
-        let seq = shortest_input_sequence(&fsm, 5).unwrap().unwrap();
-        assert_eq!(seq.len(), 5, "counter reaches state 5 in 5 steps");
-        let traj = fsm.state_trajectory(&seq).unwrap();
-        assert_eq!(*traj.last().unwrap(), 4);
-        // Empty word reaches the initial state.
-        assert_eq!(shortest_input_sequence(&fsm, 0).unwrap().unwrap(), vec![]);
-        assert!(shortest_input_sequence(&fsm, 99).is_err());
-    }
-
-    #[test]
-    fn shortest_sequence_reports_unreachable() {
-        let mut b = FsmBuilder::new(3, 1, 1).unwrap();
-        b.transition(0, 0, 1, 0).unwrap();
-        b.transition(1, 0, 0, 0).unwrap();
-        b.transition(2, 0, 2, 0).unwrap();
-        let fsm = b.build().unwrap();
-        assert_eq!(shortest_input_sequence(&fsm, 2).unwrap(), None);
-    }
-
-    #[test]
-    fn distinguishing_sequence_witnesses_difference() {
-        let a = Fsm::binary_counter(3).unwrap();
-        let g = Fsm::gray_counter(3).unwrap();
-        let w = distinguishing_sequence(&a, &g).unwrap().unwrap();
-        assert_eq!(
-            a.run(&w).unwrap().last(),
-            a.run(&w).unwrap().last() // self-comparison sanity
-        );
-        assert_ne!(a.run(&w).unwrap().last(), g.run(&w).unwrap().last());
-        // Binary and Gray coincide on outputs 0 and 1, diverge at step 3.
-        assert_eq!(w.len(), 3);
-    }
-
-    #[test]
-    fn distinguishing_sequence_none_for_equivalent() {
-        let fsm = Fsm::binary_counter(3).unwrap();
-        let min = minimize(&fsm).unwrap();
-        assert_eq!(distinguishing_sequence(&fsm, &min).unwrap(), None);
-        let other = Fsm::gray_counter(4).unwrap();
-        // Incompatible widths error.
-        assert!(distinguishing_sequence(&fsm, &other).is_err());
-    }
-
-    #[test]
-    fn signature_separates_and_is_stable() {
-        let a = Fsm::binary_counter(4).unwrap();
-        let g = Fsm::gray_counter(4).unwrap();
-        let s1 = signature(&a, 42, 256).unwrap();
-        let s2 = signature(&a, 42, 256).unwrap();
-        let s3 = signature(&g, 42, 256).unwrap();
-        assert_eq!(s1, s2);
-        assert_ne!(s1, s3);
-        // Different probes give different digests.
-        assert_ne!(s1, signature(&a, 43, 256).unwrap());
-    }
-
-    #[test]
-    fn equal_behaviour_gives_equal_signature() {
-        let fsm = Fsm::binary_counter(3).unwrap();
-        let min = minimize(&fsm).unwrap();
-        assert_eq!(
-            signature(&fsm, 7, 512).unwrap(),
-            signature(&min, 7, 512).unwrap()
-        );
     }
 }

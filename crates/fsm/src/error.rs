@@ -1,4 +1,4 @@
-//! Error type for FSM construction, analysis and watermark embedding.
+//! Error type for FSM construction and analysis.
 
 use std::fmt;
 
@@ -35,18 +35,6 @@ pub enum FsmError {
     },
     /// A machine needs at least one state and one input symbol.
     EmptyMachine,
-    /// Embedding could not place the watermark.
-    EmbeddingFailed {
-        /// Human-readable reason.
-        reason: String,
-    },
-    /// The watermark payload is empty.
-    EmptyWatermark,
-    /// Two machines cannot be compared (different interface shapes).
-    IncompatibleMachines {
-        /// Human-readable reason.
-        reason: String,
-    },
 }
 
 impl fmt::Display for FsmError {
@@ -68,13 +56,6 @@ impl fmt::Display for FsmError {
                 write!(f, "state {state} has no transition on input {input}")
             }
             FsmError::EmptyMachine => write!(f, "machine needs at least one state and one input"),
-            FsmError::EmbeddingFailed { reason } => {
-                write!(f, "watermark embedding failed: {reason}")
-            }
-            FsmError::EmptyWatermark => write!(f, "watermark payload is empty"),
-            FsmError::IncompatibleMachines { reason } => {
-                write!(f, "machines are incompatible: {reason}")
-            }
         }
     }
 }
@@ -102,9 +83,6 @@ mod tests {
             },
             FsmError::IncompleteTransition { state: 0, input: 1 },
             FsmError::EmptyMachine,
-            FsmError::EmbeddingFailed { reason: "x".into() },
-            FsmError::EmptyWatermark,
-            FsmError::IncompatibleMachines { reason: "x".into() },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

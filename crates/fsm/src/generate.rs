@@ -82,9 +82,38 @@ pub fn random_fsm<R: Rng + ?Sized>(config: &RandomFsmConfig, rng: &mut R) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::reachable_states;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// States reachable from the reset state, in BFS order.
+    fn reachable_states(fsm: &Fsm) -> Vec<usize> {
+        let mut seen = vec![false; fsm.num_states()];
+        let mut order = Vec::new();
+        let mut queue = std::collections::VecDeque::new();
+        seen[fsm.initial()] = true;
+        queue.push_back(fsm.initial());
+        while let Some(s) = queue.pop_front() {
+            order.push(s);
+            for i in 0..fsm.num_inputs() {
+                let (next, _) = fsm.step(s, i).unwrap();
+                if !seen[next] {
+                    seen[next] = true;
+                    queue.push_back(next);
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn reachability_finds_connected_part() {
+        // 3 states, state 2 unreachable.
+        let mut b = crate::machine::FsmBuilder::new(3, 1, 1).unwrap();
+        b.transition(0, 0, 1, 0).unwrap();
+        b.transition(1, 0, 0, 1).unwrap();
+        b.transition(2, 0, 0, 1).unwrap();
+        assert_eq!(reachable_states(&b.build().unwrap()), vec![0, 1]);
+    }
 
     #[test]
     fn generated_machine_has_requested_shape() {
@@ -114,12 +143,24 @@ mod tests {
             let mut r = ChaCha8Rng::seed_from_u64(seed);
             let fsm = random_fsm(&RandomFsmConfig::default(), &mut r).unwrap();
             assert_eq!(
-                reachable_states(&fsm).unwrap().len(),
+                reachable_states(&fsm).len(),
                 fsm.num_states(),
                 "seed {seed}"
             );
         }
         let _ = &mut rng;
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn connected_random_machines_are_fully_reachable(
+            (num_states, num_inputs, output_width) in (2usize..20, 1usize..4, 1u16..12),
+            seed: u64,
+        ) {
+            let config = RandomFsmConfig { num_states, num_inputs, output_width, connected: true };
+            let fsm = random_fsm(&config, &mut ChaCha8Rng::seed_from_u64(seed)).unwrap();
+            proptest::prop_assert_eq!(reachable_states(&fsm).len(), fsm.num_states());
+        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! \[12\], graph-based schemes \[9\]\[13\]) operates on the state-transition
 //! graph of a Mealy machine: transitions carry outputs, and watermarks are
 //! planted in unspecified transitions. [`Fsm`] is a *complete* machine
-//! (every (state, input) pair defined); [`crate::embed::IncompleteFsm`]
-//! models the partially specified machines embedding starts from.
+//! (every (state, input) pair defined).
 
 use serde::{Deserialize, Serialize};
 
@@ -112,22 +111,6 @@ impl Fsm {
         Ok(out)
     }
 
-    /// Runs the machine from reset, collecting the visited state sequence
-    /// (including the initial state, excluding the final one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates symbol-range errors.
-    pub fn state_trajectory(&self, inputs: &[usize]) -> Result<Vec<usize>, FsmError> {
-        let mut state = self.initial;
-        let mut states = Vec::with_capacity(inputs.len());
-        for &i in inputs {
-            states.push(state);
-            state = self.step(state, i)?.0;
-        }
-        Ok(states)
-    }
-
     fn check(&self, state: usize, input: usize) -> Result<(), FsmError> {
         if state >= self.num_states {
             return Err(FsmError::UnknownState {
@@ -166,20 +149,6 @@ impl Fsm {
         let transitions: Vec<usize> = (0..n).map(|s| (s + 1) % n).collect();
         let outputs: Vec<u64> = (0..n as u64).collect();
         Ok(Self::from_tables(n, 1, bits, 0, transitions, outputs))
-    }
-
-    /// An `n`-bit Gray-code counter as an input-free Mealy machine; outputs
-    /// are the Gray-coded state values.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Fsm::binary_counter`].
-    pub fn gray_counter(bits: u16) -> Result<Self, FsmError> {
-        let mut fsm = Self::binary_counter(bits)?;
-        for o in &mut fsm.outputs {
-            *o = ipmark_netlist::codes::gray_encode(*o);
-        }
-        Ok(fsm)
     }
 }
 
@@ -354,8 +323,6 @@ mod tests {
         let fsm = b.build().unwrap();
         let outs = fsm.run(&[1, 0, 1, 1]).unwrap();
         assert_eq!(outs, vec![1, 2, 3, 1]);
-        let states = fsm.state_trajectory(&[1, 0, 1, 1]).unwrap();
-        assert_eq!(states, vec![0, 1, 1, 0]);
     }
 
     #[test]
@@ -374,16 +341,9 @@ mod tests {
     }
 
     #[test]
-    fn gray_counter_fsm_outputs_gray_codes() {
-        let fsm = Fsm::gray_counter(3).unwrap();
-        let outs = fsm.run(&[0; 8]).unwrap();
-        assert_eq!(outs, vec![0, 1, 3, 2, 6, 7, 5, 4]);
-    }
-
-    #[test]
     fn counter_constructors_validate() {
         assert!(Fsm::binary_counter(0).is_err());
         assert!(Fsm::binary_counter(17).is_err());
-        assert!(Fsm::gray_counter(16).is_ok());
+        assert!(Fsm::binary_counter(16).is_ok());
     }
 }

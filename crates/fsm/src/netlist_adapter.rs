@@ -120,19 +120,9 @@ impl FsmComponent {
         })
     }
 
-    /// The state-register encoding in use.
-    pub fn encoding(&self) -> StateEncoding {
-        self.encoding
-    }
-
     /// The wrapped machine.
     pub fn fsm(&self) -> &Fsm {
         &self.fsm
-    }
-
-    /// The current state index.
-    pub fn current_state(&self) -> usize {
-        self.state
     }
 }
 
@@ -210,8 +200,22 @@ impl Component for FsmComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::FsmBuilder;
+    use ipmark_netlist::codes::gray_encode;
     use ipmark_netlist::comb::Constant;
     use ipmark_netlist::CircuitBuilder;
+
+    /// An input-free `bits`-bit counter whose transition out of state `s`
+    /// outputs `gray_encode(s)`, so its outputs differ from its states.
+    fn gray_counter(bits: u16) -> Fsm {
+        let n = 1usize << bits;
+        let mut b = FsmBuilder::new(n, 1, bits).unwrap();
+        for s in 0..n {
+            b.transition(s, 0, (s + 1) % n, gray_encode(s as u64))
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
 
     #[test]
     fn bits_for_sizes() {
@@ -233,7 +237,7 @@ mod tests {
 
     #[test]
     fn simulation_matches_direct_run() {
-        let fsm = Fsm::gray_counter(4).unwrap();
+        let fsm = gray_counter(4);
         let expected = fsm.run(&[0; 20]).unwrap();
 
         let mut b = CircuitBuilder::new();
@@ -258,9 +262,9 @@ mod tests {
         let mut c = FsmComponent::new(Fsm::binary_counter(3).unwrap()).unwrap();
         c.clock(&[BitVec::zero(1)]).unwrap();
         c.clock(&[BitVec::zero(1)]).unwrap();
-        assert_eq!(c.current_state(), 2);
+        assert_eq!(c.state, 2);
         c.reset();
-        assert_eq!(c.current_state(), 0);
+        assert_eq!(c.state, 0);
     }
 
     #[test]
@@ -297,7 +301,7 @@ mod tests {
             (StateEncoding::OneHot, 16),
         ] {
             let c = FsmComponent::with_encoding(fsm.clone(), encoding).unwrap();
-            assert_eq!(c.encoding(), encoding);
+            assert_eq!(c.encoding, encoding);
             assert_eq!(c.output_widths()[0], width);
         }
         assert_eq!(StateEncoding::default(), StateEncoding::Binary);
@@ -343,7 +347,7 @@ mod tests {
 
     #[test]
     fn encoding_does_not_change_io_behaviour() {
-        let fsm = Fsm::gray_counter(3).unwrap();
+        let fsm = gray_counter(3);
         let run = |encoding: StateEncoding| -> Vec<u64> {
             let mut c = FsmComponent::with_encoding(fsm.clone(), encoding).unwrap();
             let mut outs = Vec::new();

@@ -16,13 +16,6 @@ use crate::error::NetlistError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ComponentId(usize);
 
-impl ComponentId {
-    /// The raw index of this component in the circuit's component list.
-    pub fn index(&self) -> usize {
-        self.0
-    }
-}
-
 /// Where an input port takes its value from: an output port of another
 /// component.
 #[derive(Debug, Clone, Copy)]
@@ -306,11 +299,6 @@ impl Circuit {
     /// Names of the declared circuit outputs, in declaration order.
     pub fn output_names(&self) -> Vec<&str> {
         self.outputs.iter().map(|(n, _, _)| n.as_str()).collect()
-    }
-
-    /// Index of the next cycle to be simulated (0 after reset).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Returns every component to its power-on state and clears activity
@@ -598,7 +586,7 @@ mod tests {
         let mut circuit = counter_register_circuit();
         let first: Vec<_> = (0..5).map(|_| circuit.step().unwrap().activity).collect();
         circuit.reset();
-        assert_eq!(circuit.cycle(), 0);
+        assert_eq!(circuit.cycle, 0);
         let second: Vec<_> = (0..5).map(|_| circuit.step().unwrap().activity).collect();
         assert_eq!(
             first, second,

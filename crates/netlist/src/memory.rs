@@ -72,21 +72,6 @@ impl SyncRom {
             out_reg: init,
         })
     }
-
-    /// The current registered output word.
-    pub fn registered(&self) -> u64 {
-        self.out_reg
-    }
-
-    /// Address width in bits.
-    pub fn addr_width(&self) -> u16 {
-        self.addr_width
-    }
-
-    /// Data width in bits.
-    pub fn data_width(&self) -> u16 {
-        self.data_width
-    }
 }
 
 impl Component for SyncRom {
@@ -164,9 +149,9 @@ mod tests {
     fn sync_rom_reset_restores_init() {
         let mut rom = SyncRom::new(vec![10, 20], 8, 7).unwrap();
         rom.clock(&[BitVec::truncated(1, 1)]).unwrap();
-        assert_eq!(rom.registered(), 20);
+        assert_eq!(rom.out_reg, 20);
         rom.reset();
-        assert_eq!(rom.registered(), 7);
+        assert_eq!(rom.out_reg, 7);
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl Register {
     pub fn new(init: BitVec) -> Self {
         Self { init, state: init }
     }
-
-    /// The current registered value.
-    pub fn current(&self) -> BitVec {
-        self.state
-    }
 }
 
 impl Component for Register {
@@ -117,11 +112,6 @@ impl BinaryCounter {
     /// The current count.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// The counter period (`2^width`).
-    pub fn period(&self) -> u64 {
-        1u64.checked_shl(u32::from(self.width)).unwrap_or(0)
     }
 }
 
@@ -202,11 +192,6 @@ impl GrayCounter {
     pub fn gray(&self) -> u64 {
         gray_encode(self.count) & BitVec::ones(self.width).value()
     }
-
-    /// The counter period (`2^width`).
-    pub fn period(&self) -> u64 {
-        1u64.checked_shl(u32::from(self.width)).unwrap_or(0)
-    }
 }
 
 impl Component for GrayCounter {
@@ -269,9 +254,9 @@ mod tests {
     fn register_reset_restores_init() {
         let mut r = Register::new(BitVec::from(0x11u8));
         r.clock(&[BitVec::from(0x22u8)]).unwrap();
-        assert_eq!(r.current().value(), 0x22);
+        assert_eq!(r.state.value(), 0x22);
         r.reset();
-        assert_eq!(r.current().value(), 0x11);
+        assert_eq!(r.state.value(), 0x11);
     }
 
     #[test]
@@ -283,7 +268,6 @@ mod tests {
     #[test]
     fn binary_counter_counts_and_wraps() {
         let mut c = BinaryCounter::new(4, 14).unwrap();
-        assert_eq!(c.period(), 16);
         c.clock(&[]).unwrap();
         assert_eq!(c.count(), 15);
         c.clock(&[]).unwrap();

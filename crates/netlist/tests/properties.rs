@@ -1,6 +1,6 @@
 //! Property-based tests for the netlist substrate.
 
-use ipmark_netlist::codes::{gray_decode, gray_encode};
+use ipmark_netlist::codes::gray_encode;
 use ipmark_netlist::comb::{Constant, Xor2};
 use ipmark_netlist::seq::{BinaryCounter, GrayCounter, Register};
 use ipmark_netlist::{BitVec, CircuitBuilder, Component};
@@ -46,11 +46,6 @@ proptest! {
         let joined = a.concat(&b).unwrap();
         prop_assert_eq!(joined.width(), a.width() + b.width());
         prop_assert_eq!(joined.value(), (a.value() << b.width()) | b.value());
-    }
-
-    #[test]
-    fn gray_round_trip(n in 0u64..=u32::MAX as u64) {
-        prop_assert_eq!(gray_decode(gray_encode(n)), n);
     }
 
     #[test]

@@ -191,23 +191,6 @@ impl SimulatedAcquisition {
         }
     }
 
-    /// Streams the campaign as fixed-size chunks — the delivery shape a
-    /// streaming verification session (backed by
-    /// [`StreamingKAverager`](ipmark_traces::average::StreamingKAverager))
-    /// consumes. Traces arrive in campaign index order, so the stream is
-    /// bit-identical to what [`SimulatedAcquisition::acquire_block`] would
-    /// have materialized.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::EmptyChunk`] for a zero chunk size.
-    pub fn chunked(
-        &self,
-        chunk_size: usize,
-    ) -> Result<ipmark_traces::streaming::ChunkedSource<'_, Self>, TraceError> {
-        ipmark_traces::streaming::ChunkedSource::new(self, chunk_size)
-    }
-
     /// Materializes the whole campaign into one contiguous [`TraceBlock`]
     /// — the paper's `T_device = Pw(device, n)` — performing exactly one
     /// allocation for all `num_traces` traces.
@@ -313,6 +296,7 @@ mod tests {
     use crate::leakage::{ComponentWeights, WeightedComponentModel};
     use ipmark_netlist::seq::BinaryCounter;
     use ipmark_netlist::CircuitBuilder;
+    use ipmark_traces::streaming::ChunkedSource;
 
     fn test_circuit() -> Circuit {
         let mut b = CircuitBuilder::new();
@@ -396,7 +380,7 @@ mod tests {
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 4, 5, 11).unwrap();
         let mut acc = vec![0.0; acq.trace_len()];
         acq.accumulate(2, &mut acc).unwrap();
-        assert_eq!(acc, acq.trace(2).unwrap().into_samples());
+        assert_eq!(acc, acq.trace(2).unwrap().samples().to_vec());
         let mut bad = vec![0.0; 3];
         assert!(acq.accumulate(2, &mut bad).is_err());
     }
@@ -408,7 +392,7 @@ mod tests {
         let chain =
             MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.1, None).unwrap();
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 11, 9).unwrap();
-        let mut chunks = acq.chunked(4).unwrap();
+        let mut chunks = ChunkedSource::new(&acq, 4).unwrap();
         let mut streamed: Vec<Vec<f64>> = Vec::new();
         while let Some(chunk) = chunks.next_chunk().unwrap() {
             streamed.extend(chunk.rows().map(|r| r.samples().to_vec()));
@@ -418,7 +402,7 @@ mod tests {
         for (i, samples) in streamed.iter().enumerate() {
             assert_eq!(samples.as_slice(), batch.row(i).unwrap().samples());
         }
-        assert!(acq.chunked(0).is_err());
+        assert!(ChunkedSource::new(&acq, 0).is_err());
     }
 
     #[test]

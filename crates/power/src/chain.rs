@@ -63,20 +63,6 @@ impl PulseShape {
         )
     }
 
-    /// A raised-cosine pulse peaking early in the cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::Config`] when `samples_per_cycle` is zero.
-    pub fn raised_cosine(samples_per_cycle: usize) -> Result<Self, PowerError> {
-        let n = samples_per_cycle as f64;
-        Self::from_coefficients(
-            (0..samples_per_cycle)
-                .map(|i| 0.5 * (1.0 + (std::f64::consts::PI * (2.0 * i as f64 / n - 0.25)).cos()))
-                .collect(),
-        )
-    }
-
     /// Builds a pulse from raw coefficients.
     ///
     /// # Errors
@@ -251,31 +237,6 @@ impl MeasurementChain {
         self.pulse.samples_per_cycle()
     }
 
-    /// Per-sample white-noise standard deviation.
-    pub fn noise_sigma(&self) -> f64 {
-        self.noise.white_sigma
-    }
-
-    /// The full noise mixture.
-    pub fn noise_profile(&self) -> &NoiseProfile {
-        &self.noise
-    }
-
-    /// The AC-coupling (high-pass) coefficient, if enabled.
-    pub fn ac_coupling_alpha(&self) -> Option<f64> {
-        self.ac_alpha
-    }
-
-    /// Low-pass coefficient.
-    pub fn bandwidth_alpha(&self) -> f64 {
-        self.bandwidth_alpha
-    }
-
-    /// The ADC, if any.
-    pub fn adc(&self) -> Option<&AdcConfig> {
-        self.adc.as_ref()
-    }
-
     /// Expands per-cycle powers into the clean (noise-free, unfiltered)
     /// sample waveform: each cycle scalar × pulse coefficients.
     pub fn expand(&self, cycle_powers: &[f64]) -> Vec<f64> {
@@ -299,18 +260,10 @@ impl MeasurementChain {
         self.ac_alpha.map(AcCoupling::new)
     }
 
-    /// Produces one measured trace from the clean expanded waveform:
-    /// add the noise mixture, band-limit, AC-couple, quantize.
-    pub fn measure<R: Rng + ?Sized>(&self, clean: &[f64], rng: &mut R) -> Vec<f64> {
-        let mut out = vec![0.0; clean.len()];
-        self.write(clean, &mut out, rng);
-        out
-    }
-
-    /// [`MeasurementChain::measure`] into a caller-provided buffer (e.g. one
-    /// row of a preallocated campaign arena), performing no heap
-    /// allocation. Runs the same sweep, so the produced sample bits match
-    /// `measure` exactly.
+    /// Produces one measured trace from the clean expanded waveform into a
+    /// caller-provided buffer (e.g. one row of a preallocated campaign
+    /// arena): add the noise mixture, band-limit, AC-couple, quantize.
+    /// Performs no heap allocation.
     ///
     /// # Errors
     ///
@@ -329,7 +282,7 @@ impl MeasurementChain {
 
     /// Adds one measured trace onto `acc` without materializing it: the
     /// k-average step of an on-demand source. Bit-identical to
-    /// [`MeasurementChain::measure`] followed by an element-wise `acc += trace`.
+    /// [`MeasurementChain::measure_into`] followed by an element-wise `acc += trace`.
     ///
     /// # Errors
     ///
@@ -609,6 +562,13 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    /// One measured trace of `clean` in a fresh buffer.
+    fn measure<R: Rng + ?Sized>(chain: &MeasurementChain, clean: &[f64], rng: &mut R) -> Vec<f64> {
+        let mut out = vec![0.0; clean.len()];
+        chain.measure_into(clean, &mut out, rng).unwrap();
+        out
+    }
+
     #[test]
     fn pulse_constructors_validate() {
         assert!(PulseShape::rectangular(0).is_err());
@@ -616,7 +576,6 @@ mod tests {
         assert!(PulseShape::exponential(4, -1.0).is_err());
         assert!(PulseShape::from_coefficients(vec![]).is_err());
         assert!(PulseShape::from_coefficients(vec![f64::NAN]).is_err());
-        assert_eq!(PulseShape::raised_cosine(8).unwrap().samples_per_cycle(), 8);
     }
 
     #[test]
@@ -692,7 +651,7 @@ mod tests {
         let chain = MeasurementChain::ideal(3).unwrap();
         let clean = chain.expand(&[1.0, 2.0]);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert_eq!(chain.measure(&clean, &mut rng), clean);
+        assert_eq!(measure(&chain, &clean, &mut rng), clean);
     }
 
     #[test]
@@ -701,7 +660,7 @@ mod tests {
         let chain =
             MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 0.3, 0.0, None).unwrap();
         let clean = [0.0, 0.0, 10.0, 10.0, 10.0];
-        let signal = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(0));
+        let signal = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(0));
         assert!(signal[2] > 0.0 && signal[2] < 10.0);
         assert!(signal[3] > signal[2]);
         assert!(signal[4] > signal[3]);
@@ -713,7 +672,7 @@ mod tests {
             MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 1.0, 0.5, None).unwrap();
         let clean = vec![1.0; 20_000];
         let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let noisy = chain.measure(&clean, &mut rng);
+        let noisy = measure(&chain, &clean, &mut rng);
         let mean = noisy.iter().sum::<f64>() / noisy.len() as f64;
         let var = noisy.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / noisy.len() as f64;
         assert!((mean - 1.0).abs() < 0.02, "mean {mean}");
@@ -764,9 +723,9 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(chain.noise_sigma(), 0.1);
-        assert_eq!(chain.noise_profile().pink_sigma, 0.2);
-        assert_eq!(chain.ac_coupling_alpha(), Some(0.99));
+        assert_eq!(chain.noise.white_sigma, 0.1);
+        assert_eq!(chain.noise.pink_sigma, 0.2);
+        assert_eq!(chain.ac_alpha, Some(0.99));
     }
 
     #[test]
@@ -784,7 +743,7 @@ mod tests {
         // of the tail must be near zero while the ripple survives.
         let clean: Vec<f64> = (0..2000).map(|i| 100.0 + (i as f64 * 0.8).sin()).collect();
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let coupled = chain.measure(&clean, &mut rng);
+        let coupled = measure(&chain, &clean, &mut rng);
         let tail = &coupled[1000..];
         let mean = tail.iter().sum::<f64>() / tail.len() as f64;
         assert!(mean.abs() < 0.5, "residual DC {mean}");
@@ -809,7 +768,7 @@ mod tests {
         .unwrap();
         let clean = vec![0.0; 4000];
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let noisy = chain.measure(&clean, &mut rng);
+        let noisy = measure(&chain, &clean, &mut rng);
         let var = noisy.iter().map(|x| x * x).sum::<f64>() / noisy.len() as f64;
         assert!(var > 0.01, "pink noise missing, var = {var}");
     }
@@ -828,7 +787,7 @@ mod tests {
         )
         .unwrap();
         let clean = chain.expand(&[2.0, 1.0, 0.5]);
-        let owned = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(17));
+        let owned = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(17));
         let mut buf = vec![9.9; clean.len()];
         chain
             .measure_into(&clean, &mut buf, &mut ChaCha8Rng::seed_from_u64(17))
@@ -872,9 +831,9 @@ mod tests {
         )
         .unwrap();
         let clean = chain.expand(&[1.0, 3.0, 2.0]);
-        let a = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(9));
-        let b = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(9));
-        let c = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(10));
+        let a = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(9));
+        let b = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(9));
+        let c = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(10));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

@@ -174,19 +174,9 @@ impl DeviceModel {
         &self.name
     }
 
-    /// Global gain of this die.
-    pub fn gain(&self) -> f64 {
-        self.gain
-    }
-
     /// Static offset of this die.
     pub fn offset(&self) -> f64 {
         self.offset
-    }
-
-    /// The jittered leakage model of this die.
-    pub fn model(&self) -> &WeightedComponentModel {
-        &self.model
     }
 
     /// The per-die routing-fingerprint contribution at a given cycle index:
@@ -252,15 +242,15 @@ mod tests {
         let d2 = DeviceModel::sample("a", &nominal(), &v, 7).unwrap();
         let d3 = DeviceModel::sample("a", &nominal(), &v, 8).unwrap();
         assert_eq!(d1, d2);
-        assert_ne!(d1.gain(), d3.gain());
+        assert_ne!(d1.gain, d3.gain);
     }
 
     #[test]
     fn zero_variation_gives_nominal_device() {
         let d = DeviceModel::sample("a", &nominal(), &ProcessVariation::none(), 3).unwrap();
-        assert_eq!(d.gain(), 1.0);
+        assert_eq!(d.gain, 1.0);
         assert_eq!(d.offset(), 0.0);
-        assert_eq!(d.model(), &nominal());
+        assert_eq!(d.model, nominal());
     }
 
     #[test]
@@ -272,7 +262,7 @@ mod tests {
             fingerprint_sigma: 0.0,
         };
         let gains: Vec<f64> = (0..500)
-            .map(|s| DeviceModel::sample("d", &nominal(), &v, s).unwrap().gain())
+            .map(|s| DeviceModel::sample("d", &nominal(), &v, s).unwrap().gain)
             .collect();
         let mean = gains.iter().sum::<f64>() / gains.len() as f64;
         let var = gains.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gains.len() as f64;

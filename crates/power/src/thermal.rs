@@ -54,11 +54,6 @@ impl ThermalDrift {
         Self { slope: 0.0 }
     }
 
-    /// The end-of-trace relative gain change.
-    pub fn slope(&self) -> f64 {
-        self.slope
-    }
-
     /// Whether this drift is the exact identity.
     pub fn is_none(&self) -> bool {
         self.slope == 0.0

@@ -102,7 +102,10 @@ fn ks_of_draws(rng: &mut dyn RngCore) -> Result<(), String> {
 fn ks_of_noise_stream(rng: &mut dyn RngCore) -> Result<(), String> {
     let chain = MeasurementChain::new(PulseShape::rectangular(1).expect("pulse"), 1.0, 1.0, None)
         .expect("chain");
-    let xs = chain.measure(&vec![0.0; DRAWS], rng);
+    let mut xs = vec![0.0; DRAWS];
+    chain
+        .measure_into(&vec![0.0; DRAWS], &mut xs, rng)
+        .expect("measure");
     let d = ks_statistic(&xs);
     (d < ks_critical(xs.len()))
         .then_some(())
@@ -370,7 +373,8 @@ fn neighbouring_traces_and_dies_draw_independent_streams() {
     let a = white_noise_campaign("die-a", 7);
     let b = white_noise_campaign("die-b", 7);
     assert!(a.clean_waveform().iter().all(|&c| c == 0.0));
-    let trace = |acq: &SimulatedAcquisition, i: usize| acq.trace(i).expect("trace").into_samples();
+    let trace =
+        |acq: &SimulatedAcquisition, i: usize| acq.trace(i).expect("trace").samples().to_vec();
     let bound = Z / (DRAWS as f64).sqrt();
     let pairs = [
         ("trace 0 vs 1", trace(&a, 0), trace(&a, 1)),

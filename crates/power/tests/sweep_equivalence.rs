@@ -19,6 +19,7 @@ use ipmark_power::device::DeviceModel;
 use ipmark_power::leakage::{ComponentWeights, WeightedComponentModel};
 use ipmark_power::noise::standard_normal;
 use ipmark_power::{NoiseProfile, SimulatedAcquisition};
+use ipmark_traces::streaming::ChunkedSource;
 use ipmark_traces::{kernels, TraceError, TraceSource};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -28,9 +29,32 @@ fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The settings of one chain shape.
+#[derive(Debug, Clone)]
+struct ChainParams {
+    noise: NoiseProfile,
+    alpha: f64,
+    ac_alpha: Option<f64>,
+    adc: Option<AdcConfig>,
+    samples_per_cycle: usize,
+}
+
+impl ChainParams {
+    fn chain(&self) -> MeasurementChain {
+        MeasurementChain::with_extras(
+            PulseShape::exponential(self.samples_per_cycle, 1.5).unwrap(),
+            self.alpha,
+            self.noise,
+            self.ac_alpha,
+            self.adc,
+        )
+        .unwrap()
+    }
+}
+
 /// A chain shape: each noise component on or off, α = 1 or below, AC
 /// coupling and ADC each on or off.
-fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
+fn chain_params() -> impl Strategy<Value = ChainParams> {
     (
         (any::<bool>(), any::<bool>(), any::<bool>()),
         (any::<bool>(), 0.05f64..1.0),
@@ -39,27 +63,26 @@ fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
         1usize..5,
     )
         .prop_map(
-            |((white, pink, drift), (full, alpha), (ac, ac_alpha), (adc, bits), spc)| {
-                let noise = NoiseProfile {
+            |((white, pink, drift), (full, alpha), (ac, ac_alpha), (adc, bits), spc)| ChainParams {
+                noise: NoiseProfile {
                     white_sigma: if white { 0.7 } else { 0.0 },
                     pink_sigma: if pink { 0.4 } else { 0.0 },
                     drift_sigma: if drift { 0.02 } else { 0.0 },
-                };
-                let adc = adc.then_some(AdcConfig {
+                },
+                alpha: if full { 1.0 } else { alpha },
+                ac_alpha: ac.then_some(ac_alpha),
+                adc: adc.then_some(AdcConfig {
                     bits,
                     full_scale_min: -4.0,
                     full_scale_max: 12.0,
-                });
-                MeasurementChain::with_extras(
-                    PulseShape::exponential(spc, 1.5).unwrap(),
-                    if full { 1.0 } else { alpha },
-                    noise,
-                    ac.then_some(ac_alpha),
-                    adc,
-                )
-                .unwrap()
+                }),
+                samples_per_cycle: spc,
             },
         )
+}
+
+fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
+    chain_params().prop_map(|p| p.chain())
 }
 
 /// The measurement chain computed the textbook way, each stage a whole-trace
@@ -73,8 +96,8 @@ fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
 /// 3. AC coupling: `yᵢ = α (yᵢ₋₁ + xᵢ − xᵢ₋₁)` with `x₋₁ = x₀`, `y₋₁ = 0`;
 /// 4. the ADC: clamp to full scale, round to the nearest of `2ᵇ` levels,
 ///    return the level's value.
-fn reference_measure<R: Rng>(chain: &MeasurementChain, clean: &[f64], rng: &mut R) -> Vec<f64> {
-    let noise = chain.noise_profile();
+fn reference_measure<R: Rng>(params: &ChainParams, clean: &[f64], rng: &mut R) -> Vec<f64> {
+    let noise = params.noise;
     let mut pink = [0.0; 7];
     let mut drift = 0.0;
     let mut x: Vec<f64> = clean
@@ -94,7 +117,7 @@ fn reference_measure<R: Rng>(chain: &MeasurementChain, clean: &[f64], rng: &mut 
             s
         })
         .collect();
-    let alpha = chain.bandwidth_alpha();
+    let alpha = params.alpha;
     if alpha < 1.0 {
         let mut y = x[0];
         for v in &mut x {
@@ -102,7 +125,7 @@ fn reference_measure<R: Rng>(chain: &MeasurementChain, clean: &[f64], rng: &mut 
             *v = y;
         }
     }
-    if let Some(alpha) = chain.ac_coupling_alpha() {
+    if let Some(alpha) = params.ac_alpha {
         let (mut prev_x, mut prev_y) = (x[0], 0.0);
         for v in &mut x {
             let y = alpha * (prev_y + *v - prev_x);
@@ -111,7 +134,7 @@ fn reference_measure<R: Rng>(chain: &MeasurementChain, clean: &[f64], rng: &mut 
             *v = y;
         }
     }
-    if let Some(adc) = chain.adc() {
+    if let Some(adc) = params.adc {
         let levels = (1u64 << adc.bits) as f64 - 1.0;
         let (lo, hi) = (adc.full_scale_min, adc.full_scale_max);
         let span = hi - lo;
@@ -171,7 +194,10 @@ proptest! {
     ) {
         let row: Vec<f64> = (0..clean.len()).map(|i| start + i as f64 * 0.01).collect();
         let mut want = row.clone();
-        let trace = chain.measure(&clean, &mut ChaCha8Rng::seed_from_u64(seed));
+        let mut trace = vec![0.0; clean.len()];
+        chain
+            .measure_into(&clean, &mut trace, &mut ChaCha8Rng::seed_from_u64(seed))
+            .unwrap();
         kernels::accumulate(&mut want, &trace);
         let mut got = row;
         chain
@@ -182,11 +208,12 @@ proptest! {
 
     #[test]
     fn sweep_equals_the_textbook_reference(
-        chain in chain_shape(),
+        params in chain_params(),
         clean in prop::collection::vec(-3.0f64..9.0, 1..300),
         seed: u64,
     ) {
-        let want = reference_measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(seed));
+        let chain = params.chain();
+        let want = reference_measure(&params, &clean, &mut ChaCha8Rng::seed_from_u64(seed));
         let mut got = vec![0.0; clean.len()];
         chain
             .measure_into(&clean, &mut got, &mut ChaCha8Rng::seed_from_u64(seed))
@@ -273,7 +300,7 @@ proptest! {
     ) {
         let acq = acquisition(&chain, cycles, traces);
         let block = acq.acquire_block().unwrap();
-        let mut chunks = acq.chunked(chunk).unwrap();
+        let mut chunks = ChunkedSource::new(&acq, chunk).unwrap();
         let mut i = 0;
         while let Some(rows) = chunks.next_chunk().unwrap() {
             for row in rows.rows() {

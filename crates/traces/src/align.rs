@@ -47,26 +47,10 @@ pub fn best_shift(reference: &[f64], trace: &[f64], max_shift: usize) -> Result<
     Ok(best)
 }
 
-/// Shifts a trace by `shift` samples (positive = advance the content,
-/// i.e. remove the leading delay found by [`best_shift`]), padding with the
-/// edge value so the length is preserved.
-pub fn shifted(trace: &[f64], shift: isize) -> Vec<f64> {
-    let n = trace.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n as isize {
-        let j = (i + shift).clamp(0, n as isize - 1) as usize;
-        out.push(trace[j]);
-    }
-    out
-}
-
-/// Shifts a trace in place, producing exactly the sample bits of
-/// [`shifted`] without allocating: positive shift advances the content,
-/// negative shift delays it, and the vacated samples are filled with the
-/// edge value.
+/// Shifts a trace in place by `shift` samples without allocating: a
+/// positive shift advances the content (removing the leading delay found by
+/// [`best_shift`]), a negative shift delays it, and the vacated samples are
+/// filled with the edge value, so the length is preserved.
 ///
 /// `shift = 0` returns before touching the buffer, so a zero-jitter
 /// scenario pipeline is bit-identical to one without the shift stage.
@@ -220,6 +204,21 @@ pub fn mean_trace<S: TraceSource + ?Sized>(source: &S) -> Result<Trace, TraceErr
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The allocating reference for [`shift_in_place`]: sample `i` of the
+    /// result is sample `i + shift` of `trace`, clamped to its edges.
+    fn shifted(trace: &[f64], shift: isize) -> Vec<f64> {
+        let n = trace.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut out = Vec::with_capacity(n);
+        for i in 0..n as isize {
+            let j = (i + shift).clamp(0, n as isize - 1) as usize;
+            out.push(trace[j]);
+        }
+        out
+    }
 
     fn wave(len: usize, phase: f64) -> Vec<f64> {
         (0..len).map(|i| (i as f64 * 0.35 + phase).sin()).collect()

@@ -179,11 +179,6 @@ impl TraceBlock {
         &mut self.data
     }
 
-    /// Consumes the block, returning the row-major sample vector.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrows row `index`.
     ///
     /// # Errors
@@ -284,12 +279,6 @@ pub struct TraceView<'a> {
 }
 
 impl<'a> TraceView<'a> {
-    /// Wraps a sample slice as a view (rarely needed directly; usually
-    /// obtained from [`TraceBlock::row`] / [`TraceBlock::rows`]).
-    pub fn from_samples(samples: &'a [f64]) -> Self {
-        Self { samples }
-    }
-
     /// Borrows the samples for the lifetime of the *block*, not the view.
     pub fn samples(&self) -> &'a [f64] {
         self.samples
@@ -575,8 +564,6 @@ mod tests {
         };
         // `samples` outlives the view: it borrows from the block itself.
         assert_eq!(samples, &[1.0, 2.0]);
-        let standalone = TraceView::from_samples(&[1.5, 2.5]);
-        assert_eq!(standalone.samples(), &[1.5, 2.5]);
     }
 
     #[test]
@@ -591,12 +578,5 @@ mod tests {
         let mut bad = vec![0.0; 3];
         assert!(b.accumulate(0, &mut bad).is_err());
         assert!(b.accumulate(9, &mut acc).is_err());
-    }
-
-    #[test]
-    fn into_samples_returns_the_arena() {
-        let mut b = block_123();
-        b.samples_mut()[0] = 100.0;
-        assert_eq!(b.into_samples(), vec![100.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 }

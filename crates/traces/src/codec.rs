@@ -120,11 +120,6 @@ impl AdcDomain {
         self.offset
     }
 
-    /// Number of representable codes (`2^bits`).
-    pub fn levels(&self) -> u64 {
-        self.levels
-    }
-
     /// Snaps one value onto the code grid: the clamped nearest code,
     /// mapped back through the decoder's reconstruction expression
     /// (`offset + code · scale`), so a quantized value re-quantizes to
@@ -733,15 +728,18 @@ fn read_row<R: BufRead>(
 
 /// Appends exactly `n` bytes from `r` to `buf`, [`READ_CHUNK`] at a time,
 /// so the buffer grows only as bytes arrive. On truncation, returns how
-/// many bytes had arrived before the chunk that fell short.
+/// many bytes arrived in all, the short chunk's included.
 fn append_exact<R: BufRead>(r: &mut R, buf: &mut Vec<u8>, n: usize) -> Result<(), usize> {
     let mut arrived = 0;
     while arrived < n {
         let want = (n - arrived).min(READ_CHUNK);
         let at = buf.len();
         buf.resize(at + want, 0);
-        r.read_exact(buf.split_at_mut(at).1).map_err(|_| arrived)?;
-        arrived += want;
+        let got = crate::io::read_full(r, buf.split_at_mut(at).1);
+        arrived += got;
+        if got < want {
+            return Err(arrived);
+        }
     }
     Ok(())
 }
@@ -1078,7 +1076,7 @@ mod tests {
         assert!(AdcDomain::from_range(1.0, 0.0, 12).is_err());
         assert!(AdcDomain::from_range(f64::NAN, 1.0, 12).is_err());
         let adc = AdcDomain::from_range(-1.0, 1.0, 12).unwrap();
-        assert_eq!(adc.levels(), 4096);
+        assert_eq!(adc.levels, 4096);
         assert_eq!(adc.offset(), -1.0);
         for v in [-2.0, -1.0, -0.3337, 0.0, 0.5001, 1.0, 2.0, f64::NAN] {
             let q = adc.quantize(v);

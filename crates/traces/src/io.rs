@@ -469,7 +469,7 @@ fn read_block_magics<R: Read>(
 /// Reads into `buf` until it is full or the reader ends or fails, and
 /// returns how many bytes arrived. Every failure but an interrupt ends the
 /// read: the caller reports a short read as a truncation.
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> usize {
+pub(crate) fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> usize {
     let mut got = 0;
     while let Some(rest) = buf.get_mut(got..).filter(|rest| !rest.is_empty()) {
         match r.read(rest) {

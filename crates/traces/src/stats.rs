@@ -47,22 +47,6 @@ pub fn variance_population(xs: &[f64]) -> Result<f64, StatsError> {
     })
 }
 
-/// Sample variance (divide by `n − 1`) of a series.
-///
-/// # Errors
-///
-/// Returns [`StatsError::TooShort`] for a series with fewer than two points.
-pub fn variance_sample(xs: &[f64]) -> Result<f64, StatsError> {
-    let mut rs = RunningStats::new();
-    for &x in xs {
-        rs.push(x);
-    }
-    rs.variance_sample().ok_or(StatsError::TooShort {
-        provided: xs.len(),
-        required: 2,
-    })
-}
-
 /// Numerically stable streaming mean/variance (Welford's algorithm).
 ///
 /// # Examples
@@ -118,28 +102,6 @@ impl RunningStats {
     /// observations.
     pub fn variance_sample(&self) -> Option<f64> {
         (self.count > 1).then(|| self.m2 / (self.count - 1) as f64)
-    }
-
-    /// Population standard deviation.
-    pub fn stddev_population(&self) -> Option<f64> {
-        self.variance_population().map(f64::sqrt)
-    }
-
-    /// Merges another accumulator into this one (Chan's parallel update).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
     }
 }
 
@@ -477,12 +439,13 @@ mod tests {
     fn variance_matches_textbook() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance_population(&xs).unwrap() - 4.0).abs() < 1e-12);
-        assert!((variance_sample(&xs).unwrap() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn variance_sample_needs_two_points() {
-        assert!(variance_sample(&[1.0]).is_err());
+        let mut rs = RunningStats::new();
+        rs.push(1.0);
+        assert_eq!(rs.variance_sample(), None);
         assert_eq!(variance_population(&[1.0]).unwrap(), 0.0);
     }
 
@@ -494,43 +457,6 @@ mod tests {
         let naive: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64;
         let welford = variance_population(&xs).unwrap();
         assert!((naive - welford).abs() < 1e-6, "{naive} vs {welford}");
-    }
-
-    #[test]
-    fn running_stats_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = RunningStats::new();
-        let mut right = RunningStats::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean().unwrap() - all.mean().unwrap()).abs() < 1e-12);
-        assert!(
-            (left.variance_population().unwrap() - all.variance_population().unwrap()).abs()
-                < 1e-10
-        );
-    }
-
-    #[test]
-    fn running_stats_merge_with_empty() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 
     #[test]

@@ -81,19 +81,9 @@ impl<'a, S: TraceSource + ?Sized> ChunkedSource<'a, S> {
         })
     }
 
-    /// The configured chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size
-    }
-
     /// Samples per trace.
     pub fn trace_len(&self) -> usize {
         self.source.trace_len()
-    }
-
-    /// Traces not yet delivered.
-    pub fn remaining(&self) -> usize {
-        self.limit - self.next
     }
 
     /// Index of the next trace to be delivered.
@@ -153,7 +143,7 @@ mod tests {
     fn chunks_cover_the_source_in_order() {
         let set = block_of(10);
         let mut chunks = ChunkedSource::new(&set, 3).unwrap();
-        assert_eq!(chunks.chunk_size(), 3);
+        assert_eq!(chunks.chunk_size, 3);
         assert_eq!(chunks.trace_len(), 2);
         let mut seen: Vec<Vec<f64>> = Vec::new();
         while let Some(chunk) = chunks.next_chunk().unwrap() {
@@ -164,7 +154,7 @@ mod tests {
             assert_eq!(t.as_slice(), &[i as f64, 10.0 + i as f64]);
         }
         assert!(chunks.next_chunk().unwrap().is_none());
-        assert_eq!(chunks.remaining(), 0);
+        assert_eq!(chunks.limit - chunks.next, 0);
     }
 
     fn bits(samples: &[f64]) -> Vec<u64> {
@@ -213,7 +203,7 @@ mod tests {
     fn limit_bounds_delivery() {
         let set = block_of(10);
         let mut chunks = ChunkedSource::with_limit(&set, 4, 6).unwrap();
-        assert_eq!(chunks.remaining(), 6);
+        assert_eq!(chunks.limit - chunks.next, 6);
         assert_eq!(chunks.next_chunk().unwrap().unwrap().len(), 4);
         assert_eq!(chunks.position(), 4);
         assert_eq!(chunks.next_chunk().unwrap().unwrap().len(), 2);

@@ -27,13 +27,6 @@ impl Trace {
         Self { samples }
     }
 
-    /// An all-zero trace of `len` samples (useful as an accumulator).
-    pub fn zeros(len: usize) -> Self {
-        Self {
-            samples: vec![0.0; len],
-        }
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -52,27 +45,6 @@ impl Trace {
     /// Mutably borrows the samples.
     pub fn samples_mut(&mut self) -> &mut [f64] {
         &mut self.samples
-    }
-
-    /// Consumes the trace, returning the sample vector.
-    pub fn into_samples(self) -> Vec<f64> {
-        self.samples
-    }
-
-    /// Adds `other` element-wise into `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::LengthMismatch`] when the lengths differ.
-    pub fn add_assign(&mut self, other: &Trace) -> Result<(), TraceError> {
-        if self.len() != other.len() {
-            return Err(TraceError::LengthMismatch {
-                expected: self.len(),
-                provided: other.len(),
-            });
-        }
-        crate::kernels::accumulate(&mut self.samples, &other.samples);
-        Ok(())
     }
 
     /// Multiplies every sample by `factor`.
@@ -322,15 +294,5 @@ mod tests {
         assert!(!t.is_empty());
         t.scale(2.0);
         assert_eq!(t.samples(), &[2.0, 4.0]);
-        t.add_assign(&Trace::from_samples(vec![1.0, 1.0])).unwrap();
-        assert_eq!(t.samples(), &[3.0, 5.0]);
-        assert!(t.add_assign(&Trace::from_samples(vec![1.0])).is_err());
-        assert_eq!(t.clone().into_samples(), vec![3.0, 5.0]);
-    }
-
-    #[test]
-    fn zeros_constructor() {
-        let t = Trace::zeros(4);
-        assert_eq!(t.samples(), &[0.0; 4]);
     }
 }

@@ -13,7 +13,7 @@ use std::io::{self, Write};
 use proptest::prelude::*;
 
 use ipmark_traces::io::{
-    read_block, write_block, write_block_v3, write_block_v3_with_domain, IoError,
+    read_block, read_block_v3, write_block, write_block_v3, write_block_v3_with_domain, IoError,
 };
 use ipmark_traces::{AdcDomain, TraceBlock};
 
@@ -220,6 +220,25 @@ fn reads_report_the_first_missing_sample_of_a_truncated_file() {
     assert_eq!(bits(&back), bits(&block));
 }
 
+#[test]
+fn both_formats_name_the_same_sample_when_a_raw_row_is_cut() {
+    // One unquantizable row, cut 1 250 samples and 3 bytes into its
+    // payload: 1 250 lies past the v3 reader's first 8 KiB piece.
+    let block = random_block(1, 2048, 9);
+    let v2 = v2_bytes(&block);
+    let mut v3 = Vec::new();
+    write_block_v3(&block, &mut v3).unwrap();
+    assert_eq!(v3[24], 1, "the row is stored raw");
+    let payload = 1250 * 8 + 3;
+    let message = |read: Result<TraceBlock, IoError>| match read {
+        Err(IoError::Format(msg)) => msg,
+        other => panic!("expected a truncation, got {other:?}"),
+    };
+    let want = "truncated at trace 0, sample 1250";
+    assert_eq!(message(read_block("w", &v2[..24 + payload])), want);
+    assert_eq!(message(read_block_v3("w", &v3[..24 + 1 + payload])), want);
+}
+
 /// The quantizer as it reads with `f64::round`: the clamped nearest code
 /// through the reconstruction expression.
 fn quantize_reference(vmin: f64, vmax: f64, bits: u32, value: f64) -> f64 {
@@ -354,7 +373,7 @@ proptest! {
         let vmax = vmin + mantissa * 2f64.powi(span_exp);
         prop_assume!(vmax > vmin);
         let adc = AdcDomain::from_range(vmin, vmax, bits).unwrap();
-        let top = (adc.levels() - 1) as f64;
+        let top = ((1u64 << bits) - 1) as f64;
         let near = vmin + (frac * top).round() * adc.scale() + 0.5 * adc.scale();
         let values = [
             f64::from_bits(word),

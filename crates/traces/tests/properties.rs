@@ -56,41 +56,6 @@ proptest! {
     }
 
     #[test]
-    fn running_stats_merge_equals_sequential_push(
-        x in series(1),
-        cut in 0.0f64..1.0,
-    ) {
-        // Chunked reduction contract: pushing a prefix and a suffix into
-        // two accumulators and merging must agree with one sequential pass,
-        // for every split point (including the empty sides).
-        let split = ((x.len() as f64) * cut) as usize;
-        let mut left = RunningStats::new();
-        for &v in &x[..split] {
-            left.push(v);
-        }
-        let mut right = RunningStats::new();
-        for &v in &x[split..] {
-            right.push(v);
-        }
-        left.merge(&right);
-
-        let mut sequential = RunningStats::new();
-        for &v in &x {
-            sequential.push(v);
-        }
-        prop_assert_eq!(left.count(), sequential.count());
-        let (m1, m2) = (left.mean().unwrap(), sequential.mean().unwrap());
-        prop_assert!((m1 - m2).abs() <= 1e-9 * m2.abs().max(1.0), "{} vs {}", m1, m2);
-        if x.len() >= 2 {
-            let (v1, v2) = (
-                left.variance_population().unwrap(),
-                sequential.variance_population().unwrap(),
-            );
-            prop_assert!((v1 - v2).abs() <= 1e-6 * v2.abs().max(1.0), "{} vs {}", v1, v2);
-        }
-    }
-
-    #[test]
     fn pearson_affine_invariance_covers_negative_scale(
         x in series(3),
         a in 0.1f64..100.0,

@@ -31,6 +31,30 @@ pub struct AllowEntry {
     pub reason: String,
 }
 
+impl AllowEntry {
+    /// Whether the entry suppresses `f`: same rule and path and, for
+    /// DA001, a reason that names the reported item as a whole word. A
+    /// DA001 entry thus keeps only the items it justifies; another dead
+    /// item in the same file is still reported.
+    #[must_use]
+    pub fn covers(&self, f: &crate::rules::Finding) -> bool {
+        self.rule == f.rule
+            && self.path == f.path
+            && (f.rule != "DA001"
+                || crate::flow::dead_item(f).is_some_and(|name| names_word(&self.reason, name)))
+    }
+}
+
+/// Whether `word` occurs in `text` with no identifier character on
+/// either side.
+fn names_word(text: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(word).any(|(i, _)| {
+        !text[..i].chars().next_back().is_some_and(ident)
+            && !text[i + word.len()..].chars().next().is_some_and(ident)
+    })
+}
+
 /// Contract-analysis configuration: where reachability starts and which
 /// files hold the canonical (exempt) reduction kernels.
 #[derive(Debug, Clone, Default)]
@@ -214,10 +238,7 @@ pub fn apply_allowlist(
     let mut suppressed = Vec::new();
     let mut used: BTreeMap<usize, usize> = BTreeMap::new();
     for f in findings {
-        match allow
-            .iter()
-            .position(|a| a.rule == f.rule && a.path == f.path)
-        {
+        match allow.iter().position(|a| a.covers(&f)) {
             Some(i) => {
                 *used.entry(i).or_insert(0) += 1;
                 suppressed.push(f);
@@ -356,6 +377,31 @@ mod tests {
         let out = apply_allowlist(findings, &allow);
         assert_eq!(out.suppressed.len(), 1);
         assert_eq!(out.kept.len(), 2);
+        assert!(out.unused.is_empty());
+    }
+
+    #[test]
+    fn dead_api_entries_cover_only_the_items_their_reason_names() {
+        let allow = vec![AllowEntry {
+            rule: "DA001".into(),
+            path: "a.rs".into(),
+            reason: "Type::kept waits for a planned caller".into(),
+        }];
+        let dead = |line: u32, qual: &str| Finding {
+            rule: "DA001",
+            path: "a.rs".into(),
+            line,
+            message: format!("public fn `{qual}` has no caller outside test code"),
+        };
+        let findings = vec![
+            dead(1, "c::Type::kept"),
+            dead(2, "c::Type::kept_too"),
+            dead(3, "c::keep"),
+        ];
+        let out = apply_allowlist(findings, &allow);
+        assert_eq!(out.suppressed.len(), 1);
+        let kept: Vec<u32> = out.kept.iter().map(|f| f.line).collect();
+        assert_eq!(kept, [2, 3]);
         assert!(out.unused.is_empty());
     }
 

@@ -19,6 +19,9 @@
 //!   or removed.
 //! * **CC003** — a reachable function branches on `Ordering` obtained from
 //!   raw `partial_cmp`, which silently yields `None` for NaN.
+//!
+//! [`dead_api`] asks the opposite question of the same graph: which public
+//! library items nothing outside test code calls (**DA001**).
 
 use std::collections::BTreeSet;
 
@@ -88,7 +91,7 @@ pub fn analyze(
             continue; // the kernels are everyone's legitimate dependency
         }
         for lf in local_findings {
-            if lf.rule == entry.rule && lf.path == entry.path {
+            if entry.covers(lf) {
                 if let Some(fi) = graph.fn_at(&lf.path, lf.line) {
                     justified.push(fi);
                 }
@@ -150,6 +153,69 @@ pub fn analyze(
     }
 }
 
+/// DA001: every plain-`pub` fn, method and const of an in-scope file that
+/// no non-test code uses.
+///
+/// `graph` must include the caller-only sources. A function
+/// counts as used when an edge from another function reaches it, or when
+/// its name is among the [`crate::graph::NameUses`] the resolver could not
+/// pin down; a const counts as used when its name appears anywhere outside
+/// `use` declarations. Both over-approximate, so the rule under-reports.
+/// Trait-impl methods cannot be `pub` and are never reported.
+#[must_use]
+pub fn dead_api(graph: &SymbolGraph, in_scope: impl Fn(&str) -> bool) -> Vec<Finding> {
+    let mut called = vec![false; graph.fns.len()];
+    for (caller, edges) in graph.edges.iter().enumerate() {
+        for e in edges.iter().filter(|e| e.callee != caller) {
+            called[e.callee] = true;
+        }
+    }
+    let uses = &graph.uses;
+    let mut findings = Vec::new();
+    let mut report = |what: &str, qual: &str, path: &str, line: u32| {
+        findings.push(Finding {
+            rule: "DA001",
+            path: path.to_owned(),
+            line,
+            message: format!(
+                "public {what} `{qual}` has no caller outside test code; delete it, \
+                 or justify keeping it in lint.toml"
+            ),
+        });
+    };
+    for (i, f) in graph.fns.iter().enumerate() {
+        if !f.is_pub || f.caller_only || called[i] || !in_scope(&f.file) {
+            continue;
+        }
+        let named = uses.unresolved_calls.contains(&f.name)
+            || uses.path_refs.contains(&f.name)
+            || (f.impl_type.is_none() && uses.bare_refs.contains(&f.name));
+        if !named {
+            let what = if f.impl_type.is_some() {
+                "method"
+            } else {
+                "fn"
+            };
+            report(what, &f.qual, &f.file, f.line);
+        }
+    }
+    for c in &graph.consts {
+        if in_scope(&c.file) && !uses.idents.contains(&c.name) {
+            report("const", &c.qual, &c.file, c.line);
+        }
+    }
+    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+    findings
+}
+
+/// The bare name of the item a DA001 finding reports: `with_extras` for
+/// `` public method `ipmark_power::chain::MeasurementChain::with_extras` ``.
+#[must_use]
+pub fn dead_item(f: &Finding) -> Option<&str> {
+    let qual = f.message.split('`').nth(1)?;
+    qual.rsplit("::").next()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,7 +227,7 @@ mod tests {
             .iter()
             .map(|(p, s)| ((*p).to_owned(), (*s).to_owned()))
             .collect();
-        SymbolGraph::build(&owned)
+        SymbolGraph::build(&owned, &[])
     }
 
     fn contract(entries: &[&str]) -> Contract {

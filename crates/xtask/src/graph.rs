@@ -26,6 +26,13 @@
 //!
 //! Calls into `std` or the vendored shims simply resolve to nothing.
 //! `#[cfg(test)]` modules are skipped entirely, matching the local rules.
+//!
+//! The same graph serves the dead-API rule (DA001, see
+//! [`crate::flow::dead_api`]): caller-only sources (integration tests,
+//! examples, benches) are nodes that call library items but are never
+//! called, calls made at item level (const initializers) get a
+//! pseudo-caller per file, and every name used without a call the resolver
+//! can pin down is kept in [`NameUses`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -85,6 +92,42 @@ pub struct FnDef {
     pub calls: Vec<CallSite>,
     /// Accumulation/comparison facts for the contract rules.
     pub facts: FnFacts,
+    /// Declared plain `pub` (not `pub(crate)` or narrower).
+    pub is_pub: bool,
+    /// Defined in a caller-only source (a test, example or bench), so it
+    /// can call library items but is never itself reported.
+    pub caller_only: bool,
+}
+
+/// One plain-`pub` const item (free or associated).
+#[derive(Debug, Clone)]
+pub struct ConstDef {
+    /// Bare name (`AES_SBOX`).
+    pub name: String,
+    /// Fully qualified name (`ipmark_crypto::sbox::AES_SBOX`).
+    pub qual: String,
+    /// Workspace-relative file path.
+    pub file: String,
+    /// 1-based line of the `const` keyword.
+    pub line: u32,
+}
+
+/// Names non-test code uses in ways the resolver cannot tie to one
+/// definition. The dead-API rule treats every item of such a name as used,
+/// so it under-reports rather than flags live code.
+#[derive(Debug, Clone, Default)]
+pub struct NameUses {
+    /// Last segments of calls that resolved to nothing: bare calls, and
+    /// path calls through a workspace module or type.
+    pub unresolved_calls: BTreeSet<String>,
+    /// `path::name` mentions not followed by `(`: function pointers
+    /// (`.map(Type::label)`) and qualified consts.
+    pub path_refs: BTreeSet<String>,
+    /// Bare names passed as an argument (`.map(helper)`): pointers to free
+    /// functions.
+    pub bare_refs: BTreeSet<String>,
+    /// Every identifier outside `use` declarations and item names.
+    pub idents: BTreeSet<String>,
 }
 
 /// A resolved call edge: callee function index plus the call-site line.
@@ -103,21 +146,64 @@ pub struct SymbolGraph {
     pub fns: Vec<FnDef>,
     /// Resolved outgoing edges per function (sorted, deduplicated).
     pub edges: Vec<Vec<Edge>>,
+    /// Plain-`pub` consts of the library files.
+    pub consts: Vec<ConstDef>,
+    /// Name uses the resolver could not pin to one definition.
+    pub uses: NameUses,
 }
 
+/// Name of the pseudo-function that owns a file's item-level calls.
+const ITEMS_FN: &str = "{items}";
+
 impl SymbolGraph {
-    /// Builds the graph from `(workspace-relative path, source)` pairs.
-    /// Files whose path does not look like a workspace crate source are
-    /// ignored.
+    /// Builds the graph from the library sources `files` and the
+    /// caller-only sources `callers`, each a `(workspace-relative path,
+    /// source)` pair. Library files whose path does not look like a
+    /// workspace crate source are ignored.
+    ///
+    /// Caller-only functions (integration tests, examples, benches) are
+    /// nodes that call library items, but no call resolves to them, so the
+    /// reachable sets of the contract rules are those of `files` alone.
+    /// Item-level calls (const initializers) get one pseudo-caller per
+    /// file; the `pub` consts and the [`NameUses`] of every file are kept
+    /// for the dead-API rule.
     #[must_use]
-    pub fn build(files: &[(String, String)]) -> SymbolGraph {
+    pub fn build(files: &[(String, String)], callers: &[(String, String)]) -> SymbolGraph {
         let mut fns: Vec<FnDef> = Vec::new();
+        let mut consts = Vec::new();
+        let mut uses = NameUses::default();
         let mut imports_by_file: BTreeMap<String, Vec<Import>> = BTreeMap::new();
-        for (rel, src) in files {
-            let Some((crate_ident, module)) = module_path_of(rel) else {
-                continue;
-            };
-            let parsed = parse_file(rel, src, &crate_ident, &module);
+        let library = files
+            .iter()
+            .filter_map(|(rel, src)| module_path_of(rel).map(|m| (rel, src, m, false)));
+        let caller_only = callers
+            .iter()
+            .map(|(rel, src)| (rel, src, caller_module_path(rel), true));
+        for (rel, src, (crate_ident, module), caller_only) in library.chain(caller_only) {
+            let mut parsed = parse_file(rel, src, &crate_ident, &module);
+            if !parsed.item_calls.is_empty() {
+                parsed.fns.push(FnDef {
+                    name: ITEMS_FN.to_owned(),
+                    qual: format!("{module}::{ITEMS_FN}"),
+                    impl_type: None,
+                    file: rel.clone(),
+                    line: 0,
+                    end_line: 0,
+                    crate_ident: crate_ident.clone(),
+                    module: module.clone(),
+                    calls: std::mem::take(&mut parsed.item_calls),
+                    facts: FnFacts::default(),
+                    is_pub: false,
+                    caller_only,
+                });
+            }
+            for f in &mut parsed.fns {
+                f.caller_only = caller_only;
+            }
+            if !caller_only {
+                consts.extend(parsed.consts);
+            }
+            collect_name_uses(&tokenize(src), &mut uses);
             imports_by_file.insert(rel.clone(), parsed.imports);
             fns.extend(parsed.fns);
         }
@@ -125,9 +211,14 @@ impl SymbolGraph {
         let resolver = Resolver::new(&fns, &imports_by_file);
         let edges = fns
             .iter()
-            .map(|f| resolver.resolve_fn(f))
+            .map(|f| resolver.resolve_fn(f, &mut uses.unresolved_calls))
             .collect::<Vec<_>>();
-        SymbolGraph { fns, edges }
+        SymbolGraph {
+            fns,
+            edges,
+            consts,
+            uses,
+        }
     }
 
     /// Indices of the functions whose qualified name matches one of the
@@ -261,6 +352,18 @@ fn module_path_of(rel: &str) -> Option<(String, String)> {
     Some((crate_ident, module))
 }
 
+/// Maps a caller-only source to `(crate ident, module path)`: each file is
+/// a crate and module of its own, named after its path (`tests/x.rs` →
+/// `tests::x`).
+fn caller_module_path(rel: &str) -> (String, String) {
+    let module = rel
+        .strip_suffix(".rs")
+        .unwrap_or(rel)
+        .replace('-', "_")
+        .replace('/', "::");
+    (module.clone(), module)
+}
+
 /// One `use` declaration entry after flattening `{..}` groups.
 #[derive(Debug, Clone)]
 struct Import {
@@ -278,6 +381,9 @@ struct Import {
 struct ParsedFile {
     fns: Vec<FnDef>,
     imports: Vec<Import>,
+    consts: Vec<ConstDef>,
+    /// Calls outside every fn body (const and static initializers).
+    item_calls: Vec<CallSite>,
 }
 
 /// Scope kinds the item walker tracks while matching braces.
@@ -296,6 +402,8 @@ fn parse_file(rel: &str, src: &str, crate_ident: &str, base_module: &str) -> Par
 
     let mut fns = Vec::new();
     let mut imports = Vec::new();
+    let mut consts = Vec::new();
+    let mut item_calls = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut i = 0usize;
     let n = toks.len();
@@ -400,6 +508,8 @@ fn parse_file(rel: &str, src: &str, crate_ident: &str, base_module: &str) -> Par
                         module,
                         calls,
                         facts,
+                        is_pub: is_plain_pub(&toks, i),
+                        caller_only: false,
                     });
                     i = close.saturating_add(1).max(open + 1);
                     continue;
@@ -412,6 +522,32 @@ fn parse_file(rel: &str, src: &str, crate_ident: &str, base_module: &str) -> Par
                 }
             }
         }
+        if t.is_ident("const")
+            && is_plain_pub(&toks, i)
+            && toks.get(i + 1).is_some_and(|x| x.kind == TokKind::Ident)
+            && next_is_punct(&toks, i + 2, ':')
+        {
+            let name = toks[i + 1].text.clone();
+            let module = module_of(&scopes, base_module);
+            let qual = match impl_type_of(&scopes) {
+                Some(ty) => format!("{module}::{ty}::{name}"),
+                None => format!("{module}::{name}"),
+            };
+            consts.push(ConstDef {
+                name,
+                qual,
+                file: rel.to_owned(),
+                line: t.line,
+            });
+        }
+        if t.kind == TokKind::Ident
+            && next_is_punct(&toks, i + 1, '(')
+            && !CALL_KEYWORDS.contains(&t.text.as_str())
+        {
+            if let (Some(kind), _) = classify_callee(&toks, i) {
+                item_calls.push(CallSite { kind, line: t.line });
+            }
+        }
         if t.is_punct('{') {
             scopes.push(Scope::Block);
         } else if t.is_punct('}') {
@@ -419,7 +555,69 @@ fn parse_file(rel: &str, src: &str, crate_ident: &str, base_module: &str) -> Par
         }
         i += 1;
     }
-    ParsedFile { fns, imports }
+    ParsedFile {
+        fns,
+        imports,
+        consts,
+        item_calls,
+    }
+}
+
+/// Whether the item keyword at `kw` (`fn`, `const`) is declared plain
+/// `pub`, looking back over `const`/`unsafe`/`async`/`extern "abi"`
+/// qualifiers. `pub(crate)` and narrower end in `)` and do not count.
+fn is_plain_pub(toks: &[Tok], kw: usize) -> bool {
+    toks[..kw]
+        .iter()
+        .rev()
+        .find(|t| {
+            !(t.is_ident("const")
+                || t.is_ident("unsafe")
+                || t.is_ident("async")
+                || t.is_ident("extern")
+                || t.kind == TokKind::OtherLit)
+        })
+        .is_some_and(|t| t.is_ident("pub"))
+}
+
+/// Item keywords whose following identifier is a definition, not a use.
+const DEFINING_KEYWORDS: &[&str] = &[
+    "fn", "const", "static", "struct", "enum", "mod", "trait", "type", "union",
+];
+
+/// Records the [`NameUses`] of one file's non-test code outside `use`
+/// declarations.
+fn collect_name_uses(toks: &[Tok], uses: &mut NameUses) {
+    let excluded = cfg_test_ranges(toks);
+    let mut i = 0usize;
+    while i < toks.len() {
+        if let Some(&(_, end)) = excluded.iter().find(|&&(a, b)| i >= a && i < b) {
+            i = end;
+            continue;
+        }
+        let t = &toks[i];
+        if t.is_ident("use") {
+            while i < toks.len() && !toks[i].is_punct(';') {
+                i += 1;
+            }
+            continue;
+        }
+        let defining = i >= 1 && DEFINING_KEYWORDS.iter().any(|k| toks[i - 1].is_ident(k));
+        if t.kind == TokKind::Ident && !defining {
+            uses.idents.insert(t.text.clone());
+            let called = next_is_punct(toks, i + 1, '(') || next_is_punct(toks, i + 1, '!');
+            let prev_is = |c: char| i >= 1 && toks[i - 1].is_punct(c);
+            if !called && i >= 2 && prev_is(':') && toks[i - 2].is_punct(':') {
+                uses.path_refs.insert(t.text.clone());
+            } else if !called
+                && (prev_is('(') || prev_is(','))
+                && (next_is_punct(toks, i + 1, ')') || next_is_punct(toks, i + 1, ','))
+            {
+                uses.bare_refs.insert(t.text.clone());
+            }
+        }
+        i += 1;
+    }
 }
 
 /// From `start` (just past `impl`), extracts the implemented type name and
@@ -647,7 +845,7 @@ fn expand_use(
 /// Keywords that look like calls when followed by `(` but are not.
 const CALL_KEYWORDS: &[&str] = &[
     "if", "while", "for", "match", "return", "loop", "in", "move", "fn", "as", "let", "else",
-    "break", "continue", "await", "where", "impl", "dyn", "mut", "ref",
+    "break", "continue", "await", "where", "impl", "dyn", "mut", "ref", "pub",
 ];
 
 /// Collects the unresolved call sites in a body token range.
@@ -838,6 +1036,9 @@ struct Resolver<'a> {
     by_module_name: BTreeMap<(&'a str, &'a str), Vec<usize>>,
     by_crate_name: BTreeMap<(&'a str, &'a str), Vec<usize>>,
     by_name: BTreeMap<&'a str, Vec<usize>>,
+    /// Library type names and module path segments: a path call through
+    /// one of these that resolves to nothing is a resolver blind spot.
+    qualifiers: BTreeSet<&'a str>,
     imports_by_file: &'a BTreeMap<String, Vec<Import>>,
 }
 
@@ -848,10 +1049,18 @@ impl<'a> Resolver<'a> {
         let mut by_module_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         let mut by_crate_name: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
         let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        let mut qualifiers: BTreeSet<&str> = BTreeSet::new();
         for (i, f) in fns.iter().enumerate() {
-            by_qual.entry(&f.qual).or_default().push(i);
-            if f.impl_type.is_some() {
-                methods.entry(&f.name).or_default().push(i);
+            // A caller-only source is a crate of its own: only bare calls
+            // from within it (same module or crate, below) reach its fns.
+            if !f.caller_only {
+                qualifiers.extend(f.impl_type.as_deref());
+                qualifiers.extend(f.module.split("::"));
+                by_qual.entry(&f.qual).or_default().push(i);
+                if f.impl_type.is_some() {
+                    methods.entry(&f.name).or_default().push(i);
+                }
+                by_name.entry(&f.name).or_default().push(i);
             }
             by_module_name
                 .entry((&f.module, &f.name))
@@ -861,7 +1070,6 @@ impl<'a> Resolver<'a> {
                 .entry((&f.crate_ident, &f.name))
                 .or_default()
                 .push(i);
-            by_name.entry(&f.name).or_default().push(i);
         }
         Resolver {
             fns,
@@ -870,6 +1078,7 @@ impl<'a> Resolver<'a> {
             by_module_name,
             by_crate_name,
             by_name,
+            qualifiers,
             imports_by_file,
         }
     }
@@ -883,7 +1092,10 @@ impl<'a> Resolver<'a> {
         self.imports_of(file).iter().find(|im| im.alias == alias)
     }
 
-    fn resolve_fn(&self, caller: &FnDef) -> Vec<Edge> {
+    /// Resolves `caller`'s calls into edges. The last segment of a bare
+    /// call, or of a path call through a workspace module or type, that
+    /// resolves to nothing goes into `unresolved`.
+    fn resolve_fn(&self, caller: &FnDef, unresolved: &mut BTreeSet<String>) -> Vec<Edge> {
         let mut out: Vec<Edge> = Vec::new();
         for call in &caller.calls {
             let targets = match &call.kind {
@@ -893,6 +1105,20 @@ impl<'a> Resolver<'a> {
                 CallKind::Path(segs) => self.resolve_path(caller, segs),
                 CallKind::Bare(name) => self.resolve_bare(caller, name),
             };
+            if targets.is_empty() {
+                match &call.kind {
+                    CallKind::Bare(name) => {
+                        unresolved.insert(name.clone());
+                    }
+                    CallKind::Path(segs) if segs.len() >= 2 => {
+                        let qualifier = segs[segs.len() - 2].as_str();
+                        if self.qualifiers.contains(qualifier) {
+                            unresolved.insert(segs[segs.len() - 1].clone());
+                        }
+                    }
+                    _ => {}
+                }
+            }
             for t in targets {
                 out.push(Edge {
                     callee: t,
@@ -942,9 +1168,8 @@ impl<'a> Resolver<'a> {
             abs.extend(segs.into_iter().skip(1));
             segs = abs;
         }
-        let qual = segs.join("::");
-        if let Some(ids) = self.by_qual.get(qual.as_str()) {
-            return ids.clone();
+        if let Some(ids) = self.by_expanded_qual(&segs) {
+            return ids;
         }
         // `module::Type::method` and `Type::method` fallbacks: match by
         // (type, name) over all associated fns.
@@ -969,6 +1194,47 @@ impl<'a> Resolver<'a> {
             }
         }
         Vec::new()
+    }
+
+    /// Looks `segs` up as a qualified name, first as written, then with
+    /// re-exported prefixes expanded: the façade's `pub use ipmark_core as
+    /// core;` turns `ipmark::core::ip::ip_a` into `ipmark_core::ip::ip_a`.
+    fn by_expanded_qual(&self, segs: &[String]) -> Option<Vec<usize>> {
+        let mut segs = segs.to_vec();
+        // Each expansion replaces a prefix; the bound stops alias cycles.
+        for _ in 0..4 {
+            if let Some(ids) = self.by_qual.get(segs.join("::").as_str()) {
+                return Some(ids.clone());
+            }
+            segs = self.expand_reexport_prefix(&segs)?;
+        }
+        None
+    }
+
+    /// Replaces the first prefix `m::alias` of `segs` that module `m`
+    /// re-exports (`pub use path as alias;`) with the re-exported path —
+    /// absolute when it names a workspace crate, else relative to `m`.
+    fn expand_reexport_prefix(&self, segs: &[String]) -> Option<Vec<String>> {
+        for k in 1..segs.len() {
+            let module = segs[..k].join("::");
+            let found = self
+                .imports_by_file
+                .values()
+                .flatten()
+                .find(|im| im.reexport && im.module == module && im.alias == segs[k]);
+            if let Some(im) = found {
+                let absolute = im.path.first().is_some_and(|h| h.starts_with("ipmark"));
+                let mut out = if absolute {
+                    Vec::new()
+                } else {
+                    segs[..k].to_vec()
+                };
+                out.extend(im.path.iter().cloned());
+                out.extend(segs[k + 1..].iter().cloned());
+                return Some(out);
+            }
+        }
+        None
     }
 
     /// Follows one level of `pub use` re-export: for `a::b::f`, if module
@@ -1003,9 +1269,8 @@ impl<'a> Resolver<'a> {
         }
         // 2. Imported name.
         if let Some(im) = self.import_target(&caller.file, name) {
-            let qual = im.path.join("::");
-            if let Some(ids) = self.by_qual.get(qual.as_str()) {
-                return ids.clone();
+            if let Some(ids) = self.by_expanded_qual(&im.path) {
+                return ids;
             }
         }
         // 3. Unique match within the caller's crate.
@@ -1038,7 +1303,7 @@ mod tests {
             .iter()
             .map(|(p, s)| ((*p).to_owned(), (*s).to_owned()))
             .collect();
-        SymbolGraph::build(&owned)
+        SymbolGraph::build(&owned, &[])
     }
 
     #[test]
@@ -1181,6 +1446,71 @@ mod tests {
                 "ipmark_traces::stats::mean"
             ]
         );
+    }
+
+    #[test]
+    fn facade_reexports_resolve_caller_paths() {
+        let files = [
+            ("src/lib.rs", "pub use ipmark_core as core;"),
+            ("crates/core/src/ip.rs", "pub fn ip_a() {}"),
+        ];
+        let callers = [(
+            "examples/demo.rs",
+            "use ipmark::core::ip;\nfn main() { ip::ip_a(); }",
+        )];
+        let owned = |v: &[(&str, &str)]| -> Vec<(String, String)> {
+            v.iter()
+                .map(|(p, s)| ((*p).to_owned(), (*s).to_owned()))
+                .collect()
+        };
+        let g = SymbolGraph::build(&owned(&files), &owned(&callers));
+        let main = g.fns.iter().position(|f| f.name == "main").unwrap();
+        assert!(g.fns[main].caller_only);
+        let callees: Vec<&str> = g.edges[main]
+            .iter()
+            .map(|e| g.fns[e.callee].qual.as_str())
+            .collect();
+        assert_eq!(callees, ["ipmark_core::ip::ip_a"]);
+        assert!(g.uses.unresolved_calls.is_empty());
+    }
+
+    #[test]
+    fn library_calls_never_resolve_into_caller_only_sources() {
+        let files = [(
+            "crates/core/src/a.rs".to_owned(),
+            "pub fn run(x: &X) { helper(); x.step(); }".to_owned(),
+        )];
+        let callers = [(
+            "tests/t.rs".to_owned(),
+            "fn helper() {}\nstruct H;\nimpl H { fn step(&self) {} }\n\
+             fn main() { helper(); ipmark_core::a::run(&x); }"
+                .to_owned(),
+        )];
+        let g = SymbolGraph::build(&files, &callers);
+        let at = |name: &str| g.fns.iter().position(|f| f.name == name).unwrap();
+        assert!(g.edges[at("run")].is_empty());
+        let from_main: Vec<&str> = g.edges[at("main")]
+            .iter()
+            .map(|e| g.fns[e.callee].name.as_str())
+            .collect();
+        assert_eq!(from_main, ["run", "helper"]);
+    }
+
+    #[test]
+    fn plain_pub_items_are_told_apart_from_restricted_ones() {
+        let g = SymbolGraph::build(
+            &[(
+                "crates/core/src/a.rs".to_owned(),
+                "pub fn a() {}\npub(crate) fn b() {}\npub const fn c() {}\n\
+                 pub const N: u8 = 1;\nconst M: u8 = 2;\npub(crate) const K: u8 = 3;"
+                    .to_owned(),
+            )],
+            &[],
+        );
+        let pubs: Vec<(&str, bool)> = g.fns.iter().map(|f| (f.name.as_str(), f.is_pub)).collect();
+        assert_eq!(pubs, [("a", true), ("b", false), ("c", true)]);
+        let consts: Vec<&str> = g.consts.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(consts, ["N"]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   benches.
 //! * **Numeric safety** (`NS*`) — trace math stays in f64 and routes
 //!   reductions through the audited kernels.
+//! * **Dead API** (`DA001`) — a public library item that nothing outside
+//!   test code calls is deleted or justified.
 //!
 //! Vetted exceptions live in `lint.toml` with a mandatory justification;
 //! stale entries fail the run so the allowlist tracks reality.
@@ -114,6 +116,44 @@ pub fn workspace_sources(root: &Path) -> Result<Vec<PathBuf>, XtaskError> {
     Ok(out)
 }
 
+/// Trees outside `crates/*/src` whose non-test code calls library items:
+/// the root integration tests (the cross-crate experiments), examples, fuzz
+/// targets and the end-to-end benchmark.
+const CALLER_TREES: &[&str] = &["tests", "examples", "fuzz", "perf_e2e/src"];
+
+/// Collects the `.rs` files that count as callers for DA001 but that no
+/// rule lints: the root `tests/`, `examples/`, `fuzz/`, `perf_e2e/src` and
+/// every crate's `benches/`. The crates' own `tests/` directories are left
+/// out on purpose — a public item that only its crate's tests call has no
+/// caller. Paths are sorted.
+///
+/// # Errors
+///
+/// Returns [`XtaskError::Io`] when a directory cannot be read.
+pub fn caller_sources(root: &Path) -> Result<Vec<PathBuf>, XtaskError> {
+    let mut out = Vec::new();
+    for tree in CALLER_TREES {
+        let dir = root.join(tree);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut out)?;
+        }
+    }
+    let crates = root.join("crates");
+    if crates.is_dir() {
+        for entry in std::fs::read_dir(&crates).map_err(|e| XtaskError::Io(crates.clone(), e))? {
+            let benches = entry
+                .map_err(|e| XtaskError::Io(crates.clone(), e))?
+                .path()
+                .join("benches");
+            if benches.is_dir() {
+                collect_rs(&benches, &mut out)?;
+            }
+        }
+    }
+    out.sort();
+    Ok(out)
+}
+
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), XtaskError> {
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| XtaskError::Io(dir.to_path_buf(), e))?
@@ -133,7 +173,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), XtaskError> {
 /// Lints the files, applying the configuration's scope and allowlist.
 ///
 /// `root` anchors the workspace-relative paths used in findings and
-/// allowlist matching.
+/// allowlist matching. `callers` are read only as callers of `files`'
+/// public items (DA001); no rule lints them.
 ///
 /// # Errors
 ///
@@ -141,13 +182,17 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), XtaskError> {
 pub fn lint_files(
     root: &Path,
     files: &[PathBuf],
+    callers: &[PathBuf],
     cfg: &Config,
 ) -> Result<(AllowlistOutcome, RunStats), XtaskError> {
     let sources = read_sources(root, files)?;
     let mut findings = local_findings(&sources, cfg);
+    let g = graph::SymbolGraph::build(&sources, &read_sources(root, callers)?);
+    findings.extend(flow::dead_api(&g, |path| {
+        classify(path, &cfg.scope).library
+    }));
     let mut stale_entry_points = Vec::new();
     if !cfg.contract.entry_points.is_empty() {
-        let g = graph::SymbolGraph::build(&sources);
         let flow = flow::analyze(&g, &cfg.contract, &cfg.allow, &findings);
         findings.extend(flow.findings);
         stale_entry_points = g.unmatched_entry_points(&cfg.contract.entry_points);
@@ -242,7 +287,7 @@ pub fn contract_graph_dot(root: &Path) -> Result<String, XtaskError> {
     let cfg = config::parse(&text)?;
     let files = workspace_sources(root)?;
     let sources = read_sources(root, &files)?;
-    let g = graph::SymbolGraph::build(&sources);
+    let g = graph::SymbolGraph::build(&sources, &[]);
     let entries = g.entry_indices(&cfg.contract.entry_points);
     let reachable = g.reachable_from(&entries);
     Ok(g.to_dot(&reachable, &entries))
@@ -258,5 +303,6 @@ pub fn run_lint(root: &Path) -> Result<(AllowlistOutcome, RunStats), XtaskError>
     let text = std::fs::read_to_string(&cfg_path).map_err(|e| XtaskError::Io(cfg_path, e))?;
     let cfg = config::parse(&text)?;
     let files = workspace_sources(root)?;
-    lint_files(root, &files, &cfg)
+    let callers = caller_sources(root)?;
+    lint_files(root, &files, &callers, &cfg)
 }

@@ -149,6 +149,13 @@ pub const RULES: &[RuleInfo] = &[
                   yields `None` and silently changes the branch — validate finiteness and \
                   use `total_cmp`",
     },
+    RuleInfo {
+        id: "DA001",
+        scope: "library-public",
+        summary: "public fn, method or const in a library crate that no code outside \
+                  `#[cfg(test)]` and the crates' own `tests/` calls; delete it or justify \
+                  keeping it",
+    },
 ];
 
 /// How many tokens past a `.zip(..)` call NS004 scans for a `+=` update.

@@ -62,7 +62,7 @@ fn conv_allow_and_locals(sources: &[(String, String)]) -> (Vec<AllowEntry>, Vec<
 
 fn analyze() -> Vec<Finding> {
     let sources = fixture_sources();
-    let g = SymbolGraph::build(&sources);
+    let g = SymbolGraph::build(&sources, &[]);
     let (allow, locals) = conv_allow_and_locals(&sources);
     flow::analyze(&g, &contract(), &allow, &locals).findings
 }
@@ -86,7 +86,7 @@ fn cc001_fires_through_the_screen_panel_method_entry_point() {
     // `CounterfeitScreen::screen_panel`; this pins that a method-style
     // entry point reaches float accumulation planted one hop below it.
     let sources = fixture_sources();
-    let g = SymbolGraph::build(&sources);
+    let g = SymbolGraph::build(&sources, &[]);
     let (allow, locals) = conv_allow_and_locals(&sources);
     let contract = Contract {
         entry_points: vec!["CounterfeitScreen::screen_panel".to_owned()],
@@ -163,7 +163,7 @@ fn every_contract_rule_has_a_positive_fixture_case() {
 #[test]
 fn resolved_edges_respect_imports_shadowing_and_reexports() {
     let sources = fixture_sources();
-    let g = SymbolGraph::build(&sources);
+    let g = SymbolGraph::build(&sources, &[]);
     let entry = g
         .fns
         .iter()
@@ -206,7 +206,7 @@ fn resolved_edges_respect_imports_shadowing_and_reexports() {
 #[test]
 fn unreachable_shadow_twin_is_not_in_the_contract_surface() {
     let sources = fixture_sources();
-    let g = SymbolGraph::build(&sources);
+    let g = SymbolGraph::build(&sources, &[]);
     let entries = g.entry_indices(&contract().entry_points);
     let reachable = g.reachable_from(&entries);
     let twin = g
@@ -220,7 +220,7 @@ fn unreachable_shadow_twin_is_not_in_the_contract_surface() {
 #[test]
 fn dot_dump_emits_the_reachable_subgraph_with_entries_highlighted() {
     let sources = fixture_sources();
-    let g = SymbolGraph::build(&sources);
+    let g = SymbolGraph::build(&sources, &[]);
     let entries = g.entry_indices(&contract().entry_points);
     let reachable = g.reachable_from(&entries);
     let dot = g.to_dot(&reachable, &entries);

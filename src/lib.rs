@@ -14,8 +14,8 @@
 //! This crate is a façade re-exporting the workspace:
 //!
 //! * [`netlist`] — cycle-accurate RT-level simulator (the "FPGA");
-//! * [`fsm`] — FSM toolkit + classic embedding baselines;
-//! * [`crypto`] — GF(2⁸) and the AES S-Box (checked against FIPS-197);
+//! * [`fsm`] — FSM toolkit: Mealy machines, periodicity, netlist adapter;
+//! * [`crypto`] — the AES S-Box (checked against FIPS-197);
 //! * [`power`] — leakage model, process variation, measurement chain (the
 //!   "oscilloscope");
 //! * [`traces`] — trace sets, statistics, `U_X(k)` selection, k-averaging;
