@@ -128,8 +128,8 @@ fn median_ns<F: FnMut() -> f64>(reps: usize, mut f: F) -> f64 {
 /// X5c: ns per sample of each synthesis piece over `traces` traces of
 /// `clean.len()` samples, each trace on its own `NoiseRng` stream as in
 /// `SimulatedAcquisition`: one `next_u64` word, one `standard_normal`
-/// draw, and one `accumulate_into` sweep of `chain` (noise, low-pass, AC
-/// coupling, ADC, add). Then the paths a verification runs on `source`, a
+/// draw, and one `accumulate_into` sweep of `chain` (noise, low-pass,
+/// add). Then the paths a verification runs on `source`, a
 /// campaign of the same chain and waveform: its `accumulate` called through
 /// `&dyn TraceSource`, as a non-generic caller does, and one
 /// `mean_of_indices_into` over 50 indices, the k-average fill of §III.

@@ -11,21 +11,7 @@ use ipmark_bench::quick_mode;
 use ipmark_core::matrix::{ExperimentConfig, IdentificationMatrix};
 use ipmark_core::verify::CorrelationParams;
 use ipmark_core::{ip, reference_ips, LowerVariance};
-use ipmark_power::chain::{MeasurementChain, PulseShape};
 use ipmark_power::device::ProcessVariation;
-
-fn chain_with_noise(sigma: f64) -> MeasurementChain {
-    let coefficients = (0..ip::SAMPLES_PER_CYCLE)
-        .map(|i| 0.7 + 0.9 * (-(i as f64) / 1.2).exp())
-        .collect();
-    MeasurementChain::new(
-        PulseShape::from_coefficients(coefficients).expect("non-empty"),
-        ip::DEFAULT_BANDWIDTH_ALPHA,
-        sigma,
-        None,
-    )
-    .expect("valid chain")
-}
 
 fn variation_scaled(factor: f64) -> ProcessVariation {
     let t = ProcessVariation::typical();
@@ -40,7 +26,7 @@ fn variation_scaled(factor: f64) -> ProcessVariation {
 fn run_point(sigma: f64, var_factor: f64, quick: bool) -> (bool, f64) {
     let ips = reference_ips();
     let mut config = ExperimentConfig::paper().expect("built-in");
-    config.chain = chain_with_noise(sigma);
+    config.chain = ip::chain_with_noise(sigma).expect("valid chain");
     config.variation = variation_scaled(var_factor);
     if quick {
         config.cycles = 128;

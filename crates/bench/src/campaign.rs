@@ -36,12 +36,10 @@ use rand_chacha::ChaCha8Rng;
 use ipmark_attacks::roc::RocCurve;
 use ipmark_attacks::{AdversaryModel, AttackError, DutBuild};
 use ipmark_core::campaign::{CampaignConfig, CellCoord, CellOutcome, CellSeeds, ScenarioGrid};
-use ipmark_core::ip::{
-    ip_b, IpSpec, DEFAULT_BANDWIDTH_ALPHA, DEFAULT_NOISE_SIGMA, SAMPLES_PER_CYCLE,
-};
+use ipmark_core::ip::{chain_with_noise, ip_b, IpSpec, DEFAULT_NOISE_SIGMA};
 use ipmark_core::verify::CorrelationParams;
 use ipmark_core::{CoreError, DistinguisherKind, Plan};
-use ipmark_power::chain::{MeasurementChain, PulseShape};
+use ipmark_power::chain::MeasurementChain;
 use ipmark_power::device::{DeviceModel, ProcessVariation};
 use ipmark_power::{SimulatedAcquisition, ThermalDrift};
 use ipmark_traces::align::{jitter_offset, shift_in_place};
@@ -98,26 +96,6 @@ impl From<TraceError> for CampaignError {
     fn from(e: TraceError) -> Self {
         CampaignError::Core(CoreError::Trace(e))
     }
-}
-
-/// The calibrated default measurement chain with the noise σ swept — the
-/// same pulse recipe and bandwidth as [`ipmark_core::ip::default_chain`],
-/// so a σ of [`DEFAULT_NOISE_SIGMA`] reproduces it exactly.
-///
-/// # Errors
-///
-/// Returns a config error for a negative or non-finite σ.
-pub fn chain_with_noise(sigma: f64) -> Result<MeasurementChain, CampaignError> {
-    let coefficients = (0..SAMPLES_PER_CYCLE)
-        .map(|i| 0.7 + 0.9 * (-(i as f64) / 1.2).exp())
-        .collect();
-    let pulse = PulseShape::from_coefficients(coefficients)?;
-    Ok(MeasurementChain::new(
-        pulse,
-        DEFAULT_BANDWIDTH_ALPHA,
-        sigma,
-        None,
-    )?)
 }
 
 /// A [`TraceSource`] decorating a [`SimulatedAcquisition`] with the cell's

@@ -325,12 +325,21 @@ pub fn reference_ips() -> Vec<IpSpec> {
 /// Never fails for the built-in constants; the `Result` is kept so custom
 /// chains built the same way compose with `?`.
 pub fn default_chain() -> Result<MeasurementChain, CoreError> {
+    chain_with_noise(DEFAULT_NOISE_SIGMA)
+}
+
+/// The default chain's pulse and bandwidth with the noise σ swept, so a σ
+/// of [`DEFAULT_NOISE_SIGMA`] reproduces [`default_chain`] exactly.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Power`] for a negative or non-finite σ.
+pub fn chain_with_noise(sigma: f64) -> Result<MeasurementChain, CoreError> {
     let coefficients = (0..SAMPLES_PER_CYCLE)
         .map(|i| 0.7 + 0.9 * (-(i as f64) / 1.2).exp())
         .collect();
     let pulse = PulseShape::from_coefficients(coefficients).map_err(CoreError::Power)?;
-    MeasurementChain::new(pulse, DEFAULT_BANDWIDTH_ALPHA, DEFAULT_NOISE_SIGMA, None)
-        .map_err(CoreError::Power)
+    MeasurementChain::new(pulse, DEFAULT_BANDWIDTH_ALPHA, sigma).map_err(CoreError::Power)
 }
 
 /// One fabricated die carrying one IP: the circuit plus its
@@ -518,9 +527,8 @@ mod tests {
                 .collect(),
         )
         .unwrap();
-        let with = |alpha: f64, sigma: f64| {
-            MeasurementChain::new(pulse.clone(), alpha, sigma, None).unwrap()
-        };
+        let with =
+            |alpha: f64, sigma: f64| MeasurementChain::new(pulse.clone(), alpha, sigma).unwrap();
         assert_eq!(chain, with(DEFAULT_BANDWIDTH_ALPHA, DEFAULT_NOISE_SIGMA));
         assert_ne!(chain, with(1.0, DEFAULT_NOISE_SIGMA), "band-limited");
         assert_ne!(chain, with(DEFAULT_BANDWIDTH_ALPHA, 0.0), "noisy");

@@ -349,8 +349,7 @@ mod tests {
     fn traces_are_deterministic_per_index() {
         let mut circuit = test_circuit();
         let device = test_device();
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 1.0, 0.1, None).unwrap();
+        let chain = MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 1.0, 0.1).unwrap();
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 10, 7).unwrap();
         assert_eq!(acq.trace(3).unwrap(), acq.trace(3).unwrap());
         assert_ne!(
@@ -375,8 +374,7 @@ mod tests {
     fn trace_source_accumulate_matches_trace() {
         let mut circuit = test_circuit();
         let device = test_device();
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 1.0, 0.2, None).unwrap();
+        let chain = MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 1.0, 0.2).unwrap();
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 4, 5, 11).unwrap();
         let mut acc = vec![0.0; acq.trace_len()];
         acq.accumulate(2, &mut acc).unwrap();
@@ -389,8 +387,7 @@ mod tests {
     fn chunked_stream_matches_materialized_campaign() {
         let mut circuit = test_circuit();
         let device = test_device();
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.1, None).unwrap();
+        let chain = MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.1).unwrap();
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 11, 9).unwrap();
         let mut chunks = ChunkedSource::new(&acq, 4).unwrap();
         let mut streamed: Vec<Vec<f64>> = Vec::new();
@@ -409,8 +406,7 @@ mod tests {
     fn acquire_block_is_bitwise_equal_to_per_trace_acquisition() {
         let mut circuit = test_circuit();
         let device = test_device();
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.2, None).unwrap();
+        let chain = MeasurementChain::new(PulseShape::rectangular(2).unwrap(), 0.9, 0.2).unwrap();
         let acq = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 13, 4).unwrap();
         let block = acq.acquire_block().unwrap();
         assert_eq!(block.len(), 13);
@@ -442,8 +438,7 @@ mod tests {
     fn different_campaign_seeds_give_different_noise() {
         let mut circuit = test_circuit();
         let device = test_device();
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 1.0, 0.3, None).unwrap();
+        let chain = MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 1.0, 0.3).unwrap();
         let a = SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 3, 1)
             .unwrap()
             .trace(0)

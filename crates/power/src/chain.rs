@@ -6,27 +6,23 @@
 //!
 //! 1. **pulse shaping** — the current drawn at a clock edge is spread over
 //!    the cycle as a decaying pulse ([`PulseShape`]);
-//! 2. **analog bandwidth** — the probe/scope front-end low-pass filters the
-//!    signal (single-pole IIR);
-//! 3. **additive noise** — thermal + quantization-floor noise, Gaussian per
+//! 2. **additive noise** — thermal + quantization-floor noise, Gaussian per
 //!    sample;
-//! 4. **ADC quantization** — the scope digitizes into `bits` levels over a
-//!    fixed full-scale range ([`AdcConfig`]).
+//! 3. **analog bandwidth** — the probe/scope front-end low-pass filters the
+//!    signal (single-pole IIR).
 //!
-//! [`MeasurementChain`] runs noise, low-pass, AC coupling and ADC as one
-//! per-sample sweep. Which of them run is decided once per call, and the
-//! sweep is compiled for that shape, so its per-sample step carries no
-//! configuration branch.
+//! [`MeasurementChain`] runs noise and low-pass as one per-sample sweep.
+//! Whether each runs is decided once per call, and the sweep is compiled
+//! for that shape, so its per-sample step carries no configuration branch.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
-use crate::noise::NoiseProfile;
+use crate::noise::Ziggurat;
 
 /// How one cycle's energy is distributed over the oscilloscope samples of
 /// that cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PulseShape {
     /// One coefficient per sample within a cycle; the cycle's power scalar
     /// is multiplied by each coefficient in turn.
@@ -94,68 +90,14 @@ impl PulseShape {
     }
 }
 
-/// Oscilloscope ADC configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AdcConfig {
-    /// Resolution in bits (scopes are typically 8–12 bit).
-    pub bits: u8,
-    /// Bottom of the full-scale range.
-    pub full_scale_min: f64,
-    /// Top of the full-scale range.
-    pub full_scale_max: f64,
-}
-
-impl AdcConfig {
-    /// Validates resolution and range.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::Config`] for zero/overwide resolution or an
-    /// empty range.
-    pub fn validate(&self) -> Result<(), PowerError> {
-        if self.bits == 0 || self.bits > 24 {
-            return Err(PowerError::Config(format!(
-                "ADC resolution must be 1..=24 bits, got {}",
-                self.bits
-            )));
-        }
-        // Finiteness first so the comparison below never sees a NaN (a raw
-        // `partial_cmp` here would silently yield `None` — lint CC003).
-        if !self.full_scale_min.is_finite()
-            || !self.full_scale_max.is_finite()
-            || self.full_scale_max <= self.full_scale_min
-        {
-            return Err(PowerError::Config(format!(
-                "ADC full scale [{}, {}] is invalid",
-                self.full_scale_min, self.full_scale_max
-            )));
-        }
-        Ok(())
-    }
-
-    /// Quantizes one sample: clamp to full scale, round to the nearest of
-    /// `2^bits` levels, return the level's center value.
-    pub fn quantize(&self, x: f64) -> f64 {
-        let levels = (1u64 << self.bits) as f64 - 1.0;
-        let span = self.full_scale_max - self.full_scale_min;
-        let clamped = x.clamp(self.full_scale_min, self.full_scale_max);
-        let code = ((clamped - self.full_scale_min) / span * levels).round();
-        self.full_scale_min + code / levels * span
-    }
-}
-
 /// The complete measurement chain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementChain {
     pulse: PulseShape,
     /// Single-pole low-pass coefficient in (0, 1]; 1.0 = no filtering.
     bandwidth_alpha: f64,
-    /// The per-sample noise mixture.
-    noise: NoiseProfile,
-    /// Single-pole high-pass (AC-coupling) coefficient in (0, 1); `None`
-    /// for DC coupling.
-    ac_alpha: Option<f64>,
-    adc: Option<AdcConfig>,
+    /// σ of the white Gaussian noise added to every sample; 0 = noiseless.
+    noise_sigma: f64,
 }
 
 impl MeasurementChain {
@@ -164,13 +106,11 @@ impl MeasurementChain {
     /// # Errors
     ///
     /// Returns [`PowerError::Config`] when `bandwidth_alpha` is outside
-    /// (0, 1], `noise_sigma` is negative/non-finite, or the ADC config is
-    /// invalid.
+    /// (0, 1] or `noise_sigma` is negative/non-finite.
     pub fn new(
         pulse: PulseShape,
         bandwidth_alpha: f64,
         noise_sigma: f64,
-        adc: Option<AdcConfig>,
     ) -> Result<Self, PowerError> {
         if !(bandwidth_alpha > 0.0 && bandwidth_alpha <= 1.0) {
             return Err(PowerError::Config(format!(
@@ -182,54 +122,20 @@ impl MeasurementChain {
                 "noise sigma must be finite and non-negative, got {noise_sigma}"
             )));
         }
-        if let Some(a) = &adc {
-            a.validate()?;
-        }
         Ok(Self {
             pulse,
             bandwidth_alpha,
-            noise: NoiseProfile::white(noise_sigma),
-            ac_alpha: None,
-            adc,
+            noise_sigma,
         })
     }
 
-    /// Creates a chain with a full noise mixture and optional AC coupling
-    /// (high-pass) at the scope input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::Config`] for an out-of-range bandwidth or
-    /// AC-coupling coefficient, an invalid noise profile, or an invalid
-    /// ADC configuration.
-    pub fn with_extras(
-        pulse: PulseShape,
-        bandwidth_alpha: f64,
-        noise: NoiseProfile,
-        ac_coupling_alpha: Option<f64>,
-        adc: Option<AdcConfig>,
-    ) -> Result<Self, PowerError> {
-        let mut chain = Self::new(pulse, bandwidth_alpha, 0.0, adc)?;
-        noise.validate()?;
-        if let Some(a) = ac_coupling_alpha {
-            if !(a > 0.0 && a < 1.0) {
-                return Err(PowerError::Config(format!(
-                    "AC-coupling alpha must be in (0, 1), got {a}"
-                )));
-            }
-        }
-        chain.noise = noise;
-        chain.ac_alpha = ac_coupling_alpha;
-        Ok(chain)
-    }
-
-    /// An ideal chain: rectangular pulse, full bandwidth, no noise, no ADC.
+    /// An ideal chain: rectangular pulse, full bandwidth, no noise.
     ///
     /// # Errors
     ///
     /// Returns [`PowerError::Config`] when `samples_per_cycle` is zero.
     pub fn ideal(samples_per_cycle: usize) -> Result<Self, PowerError> {
-        Self::new(PulseShape::rectangular(samples_per_cycle)?, 1.0, 0.0, None)
+        Self::new(PulseShape::rectangular(samples_per_cycle)?, 1.0, 0.0)
     }
 
     /// Samples per clock cycle.
@@ -250,19 +156,22 @@ impl MeasurementChain {
         out
     }
 
+    /// The white-noise stage, or `None` when σ is zero.
+    fn white(&self) -> Option<White> {
+        (self.noise_sigma > 0.0).then(|| White {
+            sigma: self.noise_sigma,
+            ziggurat: Ziggurat::tables(),
+        })
+    }
+
     /// The low-pass stage, or `None` at full bandwidth.
     fn low_pass(&self) -> Option<LowPass> {
         (self.bandwidth_alpha < 1.0).then(|| LowPass::new(self.bandwidth_alpha))
     }
 
-    /// The AC-coupling stage, or `None` for DC coupling.
-    fn ac_coupling(&self) -> Option<AcCoupling> {
-        self.ac_alpha.map(AcCoupling::new)
-    }
-
     /// Produces one measured trace from the clean expanded waveform into a
     /// caller-provided buffer (e.g. one row of a preallocated campaign
-    /// arena): add the noise mixture, band-limit, AC-couple, quantize.
+    /// arena): add the noise, then band-limit.
     /// Performs no heap allocation.
     ///
     /// # Errors
@@ -341,49 +250,21 @@ impl MeasurementChain {
         });
     }
 
-    /// Resolves the chain's shape — which noise components, and whether
-    /// low-pass, AC coupling and ADC run — into one [`Stage`] type, and
-    /// hands it to `sweep`. Every stage the chain leaves out is a
-    /// [`Through`], so the per-sample step of the resolved type carries no
-    /// configuration branch; the choice is made here, once per call.
+    /// Resolves the chain's shape — whether noise and low-pass run — into
+    /// one [`Stage`] type, and hands it to `sweep`. A stage the chain leaves
+    /// out is a [`Through`], so the per-sample step of the resolved type
+    /// carries no configuration branch; the choice is made here, once per
+    /// call.
     fn with_shape<V: ShapeVisitor>(&self, sweep: V) {
-        match self.noise.white_stage() {
-            Some(white) => self.then_pink(sweep, white),
-            None => self.then_pink(sweep, Through),
-        }
-    }
-
-    fn then_pink<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
-        match self.noise.pink_stage() {
-            Some(pink) => self.then_drift(sweep, (head, pink)),
-            None => self.then_drift(sweep, (head, Through)),
-        }
-    }
-
-    fn then_drift<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
-        match self.noise.drift_stage() {
-            Some(drift) => self.then_low_pass(sweep, (head, drift)),
-            None => self.then_low_pass(sweep, (head, Through)),
+        match self.white() {
+            Some(white) => self.then_low_pass(sweep, white),
+            None => self.then_low_pass(sweep, Through),
         }
     }
 
     fn then_low_pass<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
         match self.low_pass() {
-            Some(low_pass) => self.then_ac(sweep, (head, low_pass)),
-            None => self.then_ac(sweep, (head, Through)),
-        }
-    }
-
-    fn then_ac<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
-        match self.ac_coupling() {
-            Some(ac) => self.then_adc(sweep, (head, ac)),
-            None => self.then_adc(sweep, (head, Through)),
-        }
-    }
-
-    fn then_adc<V: ShapeVisitor, S: Stage>(&self, sweep: V, head: S) {
-        match self.adc {
-            Some(adc) => sweep.visit((head, adc)),
+            Some(low_pass) => sweep.visit((head, low_pass)),
             None => sweep.visit((head, Through)),
         }
     }
@@ -400,10 +281,10 @@ fn check_len(clean: &[f64], buf: &[f64]) -> Result<(), PowerError> {
     }
 }
 
-/// One per-sample stage of the measurement chain: a noise component, the
-/// low-pass, AC coupling or the ADC. A stage sees one trace's samples in
-/// order; stages compose in order as pairs `(A, B)`.
-pub(crate) trait Stage: Copy {
+/// One per-sample stage of the measurement chain: the noise or the
+/// low-pass. A stage sees one trace's samples in order; stages compose in
+/// order as pairs `(A, B)`.
+trait Stage: Copy {
     /// The trace's first sample: seeds any state from this input, then
     /// applies.
     #[inline(always)]
@@ -440,6 +321,22 @@ impl<A: Stage, B: Stage> Stage for (A, B) {
     }
 }
 
+/// White Gaussian noise: `x + σ·z`, one normal `z` per sample. Carries the
+/// ziggurat tables, fetched once per realization rather than once per
+/// sample.
+#[derive(Debug, Clone, Copy)]
+struct White {
+    sigma: f64,
+    ziggurat: &'static Ziggurat,
+}
+
+impl Stage for White {
+    #[inline(always)]
+    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
+        x + self.sigma * self.ziggurat.sample(rng)
+    }
+}
+
 /// Single-pole low-pass `y ← y + α (x − y)`, its state seeded with the
 /// first input.
 #[derive(Debug, Clone, Copy)]
@@ -465,49 +362,6 @@ impl Stage for LowPass {
     fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
         self.y += self.alpha * (x - self.y);
         self.y
-    }
-}
-
-/// Single-pole high-pass `y ← α (y' + x − x')`, starting from `x' = x₀`
-/// and `y' = 0`.
-#[derive(Debug, Clone, Copy)]
-struct AcCoupling {
-    alpha: f64,
-    prev_x: f64,
-    prev_y: f64,
-}
-
-impl AcCoupling {
-    fn new(alpha: f64) -> Self {
-        Self {
-            alpha,
-            prev_x: 0.0,
-            prev_y: 0.0,
-        }
-    }
-}
-
-impl Stage for AcCoupling {
-    #[inline(always)]
-    fn first<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
-        self.prev_x = x;
-        self.prev_y = 0.0;
-        self.apply(x, rng)
-    }
-
-    #[inline(always)]
-    fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
-        let y = self.alpha * (self.prev_y + x - self.prev_x);
-        self.prev_x = x;
-        self.prev_y = y;
-        y
-    }
-}
-
-impl Stage for AdcConfig {
-    #[inline(always)]
-    fn apply<R: Rng + ?Sized>(&mut self, x: f64, _: &mut R) -> f64 {
-        self.quantize(x)
     }
 }
 
@@ -587,51 +441,12 @@ mod tests {
     }
 
     #[test]
-    fn adc_validation() {
-        assert!(AdcConfig {
-            bits: 0,
-            full_scale_min: 0.0,
-            full_scale_max: 1.0
-        }
-        .validate()
-        .is_err());
-        assert!(AdcConfig {
-            bits: 8,
-            full_scale_min: 1.0,
-            full_scale_max: 1.0
-        }
-        .validate()
-        .is_err());
-        assert!(AdcConfig {
-            bits: 8,
-            full_scale_min: 0.0,
-            full_scale_max: 1.0
-        }
-        .validate()
-        .is_ok());
-    }
-
-    #[test]
-    fn adc_quantizes_and_clamps() {
-        let adc = AdcConfig {
-            bits: 3,
-            full_scale_min: 0.0,
-            full_scale_max: 7.0,
-        };
-        // 8 levels over [0,7]: integers are representable exactly.
-        assert_eq!(adc.quantize(3.2), 3.0);
-        assert_eq!(adc.quantize(3.6), 4.0);
-        assert_eq!(adc.quantize(-5.0), 0.0);
-        assert_eq!(adc.quantize(99.0), 7.0);
-    }
-
-    #[test]
     fn chain_validates_parameters() {
         let p = PulseShape::rectangular(2).unwrap();
-        assert!(MeasurementChain::new(p.clone(), 0.0, 0.0, None).is_err());
-        assert!(MeasurementChain::new(p.clone(), 1.5, 0.0, None).is_err());
-        assert!(MeasurementChain::new(p.clone(), 0.5, -1.0, None).is_err());
-        assert!(MeasurementChain::new(p, 0.5, 0.1, None).is_ok());
+        assert!(MeasurementChain::new(p.clone(), 0.0, 0.0).is_err());
+        assert!(MeasurementChain::new(p.clone(), 1.5, 0.0).is_err());
+        assert!(MeasurementChain::new(p.clone(), 0.5, -1.0).is_err());
+        assert!(MeasurementChain::new(p, 0.5, 0.1).is_ok());
     }
 
     #[test]
@@ -640,7 +455,6 @@ mod tests {
             PulseShape::from_coefficients(vec![1.0, 0.5]).unwrap(),
             1.0,
             0.0,
-            None,
         )
         .unwrap();
         assert_eq!(chain.expand(&[2.0, 4.0]), vec![2.0, 1.0, 4.0, 2.0]);
@@ -656,9 +470,8 @@ mod tests {
 
     #[test]
     fn filter_smooths_steps() {
-        // No noise and no ADC: the measurement is the low-pass alone.
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 0.3, 0.0, None).unwrap();
+        // No noise: the measurement is the low-pass alone.
+        let chain = MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 0.3, 0.0).unwrap();
         let clean = [0.0, 0.0, 10.0, 10.0, 10.0];
         let signal = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(0));
         assert!(signal[2] > 0.0 && signal[2] < 10.0);
@@ -668,8 +481,7 @@ mod tests {
 
     #[test]
     fn noise_has_requested_spread() {
-        let chain =
-            MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 1.0, 0.5, None).unwrap();
+        let chain = MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 1.0, 0.5).unwrap();
         let clean = vec![1.0; 20_000];
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let noisy = measure(&chain, &clean, &mut rng);
@@ -680,112 +492,9 @@ mod tests {
     }
 
     #[test]
-    fn with_extras_validates_everything() {
-        use crate::noise::NoiseProfile;
-        let pulse = PulseShape::rectangular(2).unwrap();
-        assert!(MeasurementChain::with_extras(
-            pulse.clone(),
-            0.5,
-            NoiseProfile {
-                white_sigma: -1.0,
-                pink_sigma: 0.0,
-                drift_sigma: 0.0
-            },
-            None,
-            None
-        )
-        .is_err());
-        assert!(MeasurementChain::with_extras(
-            pulse.clone(),
-            0.5,
-            NoiseProfile::none(),
-            Some(0.0),
-            None
-        )
-        .is_err());
-        assert!(MeasurementChain::with_extras(
-            pulse.clone(),
-            0.5,
-            NoiseProfile::none(),
-            Some(1.0),
-            None
-        )
-        .is_err());
-        let chain = MeasurementChain::with_extras(
-            pulse,
-            0.5,
-            NoiseProfile {
-                white_sigma: 0.1,
-                pink_sigma: 0.2,
-                drift_sigma: 0.01,
-            },
-            Some(0.99),
-            None,
-        )
-        .unwrap();
-        assert_eq!(chain.noise.white_sigma, 0.1);
-        assert_eq!(chain.noise.pink_sigma, 0.2);
-        assert_eq!(chain.ac_alpha, Some(0.99));
-    }
-
-    #[test]
-    fn ac_coupling_removes_dc_offset() {
-        use crate::noise::NoiseProfile;
-        let chain = MeasurementChain::with_extras(
-            PulseShape::rectangular(1).unwrap(),
-            1.0,
-            NoiseProfile::none(),
-            Some(0.95),
-            None,
-        )
-        .unwrap();
-        // A large DC level plus a small ripple: after AC coupling the mean
-        // of the tail must be near zero while the ripple survives.
-        let clean: Vec<f64> = (0..2000).map(|i| 100.0 + (i as f64 * 0.8).sin()).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let coupled = measure(&chain, &clean, &mut rng);
-        let tail = &coupled[1000..];
-        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-        assert!(mean.abs() < 0.5, "residual DC {mean}");
-        let spread = tail.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-        assert!(spread > 0.3, "ripple was destroyed: {spread}");
-    }
-
-    #[test]
-    fn pink_and_drift_noise_flow_through_measure() {
-        use crate::noise::NoiseProfile;
-        let chain = MeasurementChain::with_extras(
-            PulseShape::rectangular(1).unwrap(),
-            1.0,
-            NoiseProfile {
-                white_sigma: 0.0,
-                pink_sigma: 0.5,
-                drift_sigma: 0.0,
-            },
-            None,
-            None,
-        )
-        .unwrap();
-        let clean = vec![0.0; 4000];
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let noisy = measure(&chain, &clean, &mut rng);
-        let var = noisy.iter().map(|x| x * x).sum::<f64>() / noisy.len() as f64;
-        assert!(var > 0.01, "pink noise missing, var = {var}");
-    }
-
-    #[test]
     fn measure_into_is_bitwise_equal_to_measure() {
-        let chain = MeasurementChain::new(
-            PulseShape::exponential(3, 1.5).unwrap(),
-            0.6,
-            0.3,
-            Some(AdcConfig {
-                bits: 9,
-                full_scale_min: -1.0,
-                full_scale_max: 5.0,
-            }),
-        )
-        .unwrap();
+        let chain =
+            MeasurementChain::new(PulseShape::exponential(3, 1.5).unwrap(), 0.6, 0.3).unwrap();
         let clean = chain.expand(&[2.0, 1.0, 0.5]);
         let owned = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(17));
         let mut buf = vec![9.9; clean.len()];
@@ -819,17 +528,8 @@ mod tests {
 
     #[test]
     fn measure_is_deterministic_per_rng_seed() {
-        let chain = MeasurementChain::new(
-            PulseShape::exponential(4, 2.0).unwrap(),
-            0.7,
-            0.2,
-            Some(AdcConfig {
-                bits: 10,
-                full_scale_min: -2.0,
-                full_scale_max: 6.0,
-            }),
-        )
-        .unwrap();
+        let chain =
+            MeasurementChain::new(PulseShape::exponential(4, 2.0).unwrap(), 0.7, 0.2).unwrap();
         let clean = chain.expand(&[1.0, 3.0, 2.0]);
         let a = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(9));
         let b = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(9));

@@ -8,14 +8,13 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
 use crate::leakage::WeightedComponentModel;
 use crate::noise::standard_normal;
 
 /// Magnitudes of inter-die variation, as relative standard deviations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessVariation {
     /// Relative σ of the global gain (≈ transistor strength spread).
     pub gain_sigma: f64,
@@ -114,7 +113,7 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
 /// different waveforms. This is what keeps the matched-pair correlation of
 /// the paper's Figure 4 at ≈ 0.94 rather than 1.0 — the reference device
 /// and the device under test are different physical boards.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceModel {
     name: String,
     gain: f64,

@@ -8,12 +8,11 @@
 //! four activity counters the netlist simulator reports.
 
 use ipmark_netlist::ActivityRecord;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PowerError;
 
 /// Per-component weights over the four activity counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ComponentWeights {
     /// Energy per toggled state bit.
     pub state_hd: f64,
@@ -61,7 +60,7 @@ impl ComponentWeights {
 /// the clock/common-mode component that every device shares, which is why
 /// even *mismatched* (RefD, DUT) pairs show substantial mean correlation,
 /// while only matched pairs show low correlation *variance*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedComponentModel {
     base: f64,
     weights: Vec<ComponentWeights>,

@@ -11,8 +11,8 @@
 //!    power, via a weighted Hamming-distance/weight model;
 //! 2. [`device`] — per-die process variation (gain/offset/weight jitter),
 //!    needed to reproduce the paper's CMOS-variation-insensitivity claim;
-//! 3. [`chain`] — the measurement chain: pulse shaping, analog bandwidth,
-//!    Gaussian noise, ADC quantization;
+//! 3. [`chain`] — the measurement chain: pulse shaping, Gaussian noise,
+//!    analog bandwidth;
 //! 4. [`acquire`] — the paper's `Pw(device, n)`
 //!    ([`SimulatedAcquisition::acquire_block`]): `n` measured traces
 //!    sharing the device's deterministic waveform with independent noise.
@@ -33,9 +33,9 @@ pub mod noise;
 pub mod thermal;
 
 pub use acquire::{cycle_powers, SimulatedAcquisition};
-pub use chain::{AdcConfig, MeasurementChain, PulseShape};
+pub use chain::{MeasurementChain, PulseShape};
 pub use device::{DeviceModel, ProcessVariation};
 pub use error::PowerError;
 pub use leakage::{ComponentWeights, WeightedComponentModel};
-pub use noise::{NoiseProfile, NoiseRng};
+pub use noise::NoiseRng;
 pub use thermal::ThermalDrift;

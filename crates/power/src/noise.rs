@@ -1,149 +1,12 @@
-//! Composite measurement-noise models.
-//!
-//! Real oscilloscope captures contain more than white Gaussian noise: the
-//! front-end adds 1/f (*pink*) noise, and supply/temperature wander shows
-//! up as low-frequency *drift*. [`NoiseProfile`] describes the mixture;
-//! the measurement chain applies it per trace as one sweep stage per
-//! non-zero component, drawing from one [`NoiseRng`] stream per trace
-//! through the [`standard_normal`] ziggurat.
+//! The measurement noise: the per-trace [`NoiseRng`] stream and the
+//! [`standard_normal`] ziggurat that turns its words into the chain's
+//! white Gaussian noise.
 
 use std::sync::OnceLock;
 
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-use crate::chain::Stage;
 use crate::device::splitmix64;
-use crate::error::PowerError;
-
-/// Magnitudes of the per-sample noise components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct NoiseProfile {
-    /// σ of the white Gaussian component.
-    pub white_sigma: f64,
-    /// σ of the pink (1/f) component.
-    pub pink_sigma: f64,
-    /// Per-step σ of the random-walk drift component.
-    pub drift_sigma: f64,
-}
-
-impl NoiseProfile {
-    /// White noise only — the measurement model of the main experiments.
-    pub fn white(sigma: f64) -> Self {
-        Self {
-            white_sigma: sigma,
-            pink_sigma: 0.0,
-            drift_sigma: 0.0,
-        }
-    }
-
-    /// A noiseless profile.
-    pub fn none() -> Self {
-        Self::white(0.0)
-    }
-
-    /// Validates that all sigmas are finite and non-negative.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PowerError::Config`] otherwise.
-    pub fn validate(&self) -> Result<(), PowerError> {
-        for (name, v) in [
-            ("white_sigma", self.white_sigma),
-            ("pink_sigma", self.pink_sigma),
-            ("drift_sigma", self.drift_sigma),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(PowerError::Config(format!(
-                    "{name} must be finite and non-negative, got {v}"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// The white component as a sweep stage, or `None` when its σ is zero.
-    pub(crate) fn white_stage(&self) -> Option<White> {
-        (self.white_sigma > 0.0).then(|| White {
-            sigma: self.white_sigma,
-            ziggurat: Ziggurat::tables(),
-        })
-    }
-
-    /// The pink component as a sweep stage, or `None` when its σ is zero.
-    pub(crate) fn pink_stage(&self) -> Option<Pink> {
-        (self.pink_sigma > 0.0).then(|| Pink {
-            sigma: self.pink_sigma,
-            filter: PinkNoise::default(),
-            ziggurat: Ziggurat::tables(),
-        })
-    }
-
-    /// The drift component as a sweep stage, or `None` when its σ is zero.
-    pub(crate) fn drift_stage(&self) -> Option<Drift> {
-        (self.drift_sigma > 0.0).then(|| Drift {
-            sigma: self.drift_sigma,
-            level: 0.0,
-            ziggurat: Ziggurat::tables(),
-        })
-    }
-}
-
-/// White Gaussian noise: `x + σ·z`, one normal `z` per sample. Carries the
-/// ziggurat tables, fetched once per realization rather than once per
-/// sample.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct White {
-    sigma: f64,
-    ziggurat: &'static Ziggurat,
-}
-
-impl Stage for White {
-    #[inline(always)]
-    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
-        x + self.sigma * self.ziggurat.sample(rng)
-    }
-}
-
-/// Pink noise: `x + σ·pink(z)`, one normal `z` per sample through
-/// [`PinkNoise`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Pink {
-    sigma: f64,
-    filter: PinkNoise,
-    ziggurat: &'static Ziggurat,
-}
-
-impl Stage for Pink {
-    #[inline(always)]
-    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
-        let z = self.ziggurat.sample(rng);
-        x + self.sigma * self.filter.next(z)
-    }
-}
-
-/// Random-walk drift: the level takes a step of `σ·z` per sample and is
-/// added to it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Drift {
-    sigma: f64,
-    level: f64,
-    ziggurat: &'static Ziggurat,
-}
-
-impl Stage for Drift {
-    #[inline(always)]
-    fn apply<R: Rng + ?Sized>(&mut self, x: f64, rng: &mut R) -> f64 {
-        self.level += self.sigma * self.ziggurat.sample(rng);
-        x + self.level
-    }
-}
-
-impl Default for NoiseProfile {
-    fn default() -> Self {
-        Self::none()
-    }
-}
 
 /// Right edge `R` of the normal ziggurat's base layer: where Marsaglia &
 /// Tsang's 256-layer table hands over to the exponential tail. The
@@ -400,50 +263,17 @@ impl RngCore for NoiseRng {
     }
 }
 
-/// Paul Kellet's economical pink-noise filter: seven leaky integrators over
-/// a white input give a close 1/f spectrum, normalized to roughly unit
-/// output variance.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct PinkNoise {
-    b: [f64; 7],
-}
-
-impl PinkNoise {
-    /// Filters one white sample into one pink sample.
-    pub(crate) fn next(&mut self, white: f64) -> f64 {
-        let b = &mut self.b;
-        b[0] = 0.99886 * b[0] + white * 0.0555179;
-        b[1] = 0.99332 * b[1] + white * 0.0750759;
-        b[2] = 0.96900 * b[2] + white * 0.1538520;
-        b[3] = 0.86650 * b[3] + white * 0.3104856;
-        b[4] = 0.55000 * b[4] + white * 0.5329522;
-        b[5] = -0.7616 * b[5] - white * 0.0168980;
-        let out = b[0] + b[1] + b[2] + b[3] + b[4] + b[5] + b[6] + white * 0.5362;
-        b[6] = white * 0.115926;
-        // Empirical normalization to ≈ unit variance.
-        out * 0.25
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chain::{MeasurementChain, PulseShape};
-    use crate::device::gaussian;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// One realization of `profile` over `clean`: the production sweep of a
-    /// chain whose only stages are that noise mixture.
-    fn measure_noise(profile: NoiseProfile, clean: &[f64], seed: u64) -> Vec<f64> {
-        let chain = MeasurementChain::with_extras(
-            PulseShape::rectangular(1).unwrap(),
-            1.0,
-            profile,
-            None,
-            None,
-        )
-        .unwrap();
+    /// One realization of white noise of σ `sigma` over `clean`: the
+    /// production sweep of a chain whose only stage is that noise.
+    fn measure_noise(sigma: f64, clean: &[f64], seed: u64) -> Vec<f64> {
+        let chain = MeasurementChain::new(PulseShape::rectangular(1).unwrap(), 1.0, sigma).unwrap();
         let mut out = vec![0.0; clean.len()];
         chain
             .measure_into(clean, &mut out, &mut ChaCha8Rng::seed_from_u64(seed))
@@ -457,83 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn profile_validation() {
-        assert!(NoiseProfile::white(1.0).validate().is_ok());
-        assert!(NoiseProfile {
-            white_sigma: -1.0,
-            pink_sigma: 0.0,
-            drift_sigma: 0.0
-        }
-        .validate()
-        .is_err());
-        assert!(NoiseProfile {
-            white_sigma: 0.0,
-            pink_sigma: f64::NAN,
-            drift_sigma: 0.0
-        }
-        .validate()
-        .is_err());
-    }
-
-    #[test]
-    fn silent_profile_is_identity() {
-        let signal = measure_noise(NoiseProfile::none(), &[1.0, 2.0, 3.0], 0);
+    fn zero_sigma_is_identity() {
+        let signal = measure_noise(0.0, &[1.0, 2.0, 3.0], 0);
         assert_eq!(signal, vec![1.0, 2.0, 3.0]);
     }
 
     #[test]
-    fn white_component_has_requested_power() {
-        let signal = measure_noise(NoiseProfile::white(2.0), &[0.0; 50_000], 1);
+    fn white_noise_has_requested_power() {
+        let signal = measure_noise(2.0, &[0.0; 50_000], 1);
         let v = variance(&signal);
         assert!((v - 4.0).abs() < 0.2, "variance {v}");
-    }
-
-    #[test]
-    fn pink_noise_is_roughly_unit_variance_and_low_frequency_heavy() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let mut pink = PinkNoise::default();
-        let xs: Vec<f64> = (0..100_000)
-            .map(|_| pink.next(gaussian(&mut rng, 0.0, 1.0)))
-            .collect();
-        let v = variance(&xs);
-        assert!((0.4..2.5).contains(&v), "variance {v}");
-        // 1/f: adjacent samples are positively correlated, unlike white.
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let lag1: f64 = xs
-            .windows(2)
-            .map(|w| (w[0] - mean) * (w[1] - mean))
-            .sum::<f64>()
-            / (xs.len() - 1) as f64;
-        assert!(lag1 / v > 0.3, "lag-1 autocorrelation {}", lag1 / v);
-    }
-
-    #[test]
-    fn drift_accumulates() {
-        // A random walk's variance grows with time, so the last quarter
-        // should wander more than the first — but any single walk can
-        // happen to return toward zero, so assert over a population of
-        // seeds rather than one lucky stream.
-        let mut accumulated = 0;
-        let seeds = 7u64;
-        for seed in 0..seeds {
-            let drift = NoiseProfile {
-                white_sigma: 0.0,
-                pink_sigma: 0.0,
-                drift_sigma: 0.1,
-            };
-            let signal = measure_noise(drift, &[0.0; 10_000], seed);
-            let early = variance(&signal[..2500]);
-            let late = variance(&signal[7500..]);
-            let spread_early = signal[..2500].iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-            let spread_late = signal[7500..].iter().fold(0.0f64, |m, &x| m.max(x.abs()));
-            if spread_late > spread_early || late > early {
-                accumulated += 1;
-            }
-        }
-        assert!(
-            accumulated * 2 > seeds as usize,
-            "drift accumulated in only {accumulated}/{seeds} walks"
-        );
     }
 
     /// `∫_a^b exp(−x²/2) dx` by composite Simpson over `n` (even) panels.

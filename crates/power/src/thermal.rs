@@ -12,8 +12,6 @@
 //! filtering and noise), matching where a thermal amplitude drift enters a
 //! real oscilloscope capture.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PowerError;
 
 /// A linear per-trace gain ramp: sample `i` of an `n`-sample trace is
@@ -22,7 +20,7 @@ use crate::error::PowerError;
 /// `slope = 0` is the exact identity — [`ThermalDrift::apply_in_place`]
 /// returns before touching the samples, so a zero-slope scenario is
 /// bit-identical to a pipeline without the drift stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalDrift {
     slope: f64,
 }

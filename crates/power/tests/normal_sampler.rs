@@ -100,8 +100,8 @@ fn ks_of_draws(rng: &mut dyn RngCore) -> Result<(), String> {
 /// One-sample KS test of the noise sweep's stream: a chain of unit white
 /// noise alone, measuring zeros, gives its own stream of normals.
 fn ks_of_noise_stream(rng: &mut dyn RngCore) -> Result<(), String> {
-    let chain = MeasurementChain::new(PulseShape::rectangular(1).expect("pulse"), 1.0, 1.0, None)
-        .expect("chain");
+    let chain =
+        MeasurementChain::new(PulseShape::rectangular(1).expect("pulse"), 1.0, 1.0).expect("chain");
     let mut xs = vec![0.0; DRAWS];
     chain
         .measure_into(&vec![0.0; DRAWS], &mut xs, rng)
@@ -362,8 +362,8 @@ fn white_noise_campaign(name: &str, seed: u64) -> SimulatedAcquisition {
     let mut circuit = b.build().expect("circuit");
     let silent = WeightedComponentModel::new(0.0, vec![ComponentWeights::default()]);
     let device = DeviceModel::nominal(name, silent);
-    let chain = MeasurementChain::new(PulseShape::rectangular(4).expect("pulse"), 1.0, 1.0, None)
-        .expect("chain");
+    let chain =
+        MeasurementChain::new(PulseShape::rectangular(4).expect("pulse"), 1.0, 1.0).expect("chain");
     SimulatedAcquisition::prepare(&mut circuit, &device, &chain, DRAWS / 4, 4, seed)
         .expect("campaign")
 }

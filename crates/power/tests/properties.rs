@@ -2,7 +2,7 @@
 
 use ipmark_netlist::seq::{BinaryCounter, GrayCounter};
 use ipmark_netlist::CircuitBuilder;
-use ipmark_power::chain::{AdcConfig, MeasurementChain, PulseShape};
+use ipmark_power::chain::{MeasurementChain, PulseShape};
 use ipmark_power::device::{DeviceModel, ProcessVariation};
 use ipmark_power::leakage::{ComponentWeights, WeightedComponentModel};
 use ipmark_power::{cycle_powers, SimulatedAcquisition};
@@ -105,30 +105,11 @@ proptest! {
             PulseShape::rectangular(1).unwrap(),
             alpha,
             0.0,
-            None,
         ).unwrap();
-        // No noise and no ADC: the measurement is the low-pass alone.
+        // No noise: the measurement is the low-pass alone.
         let signal = measure(&chain, &[level; 400], &mut ChaCha8Rng::seed_from_u64(0));
         // A constant input passes a single-pole low-pass unchanged.
         prop_assert!((signal[399] - level).abs() < 1e-9);
-    }
-
-    #[test]
-    fn adc_quantization_error_is_bounded(
-        bits in 4u8..14,
-        x in -0.999f64..0.999,
-    ) {
-        let adc = AdcConfig { bits, full_scale_min: -1.0, full_scale_max: 1.0 };
-        let q = adc.quantize(x);
-        let lsb = 2.0 / ((1u64 << bits) as f64 - 1.0);
-        prop_assert!((q - x).abs() <= lsb / 2.0 + 1e-12, "x={x} q={q} lsb={lsb}");
-    }
-
-    #[test]
-    fn adc_is_idempotent(bits in 2u8..12, x in -10.0f64..10.0) {
-        let adc = AdcConfig { bits, full_scale_min: -2.0, full_scale_max: 3.0 };
-        let q = adc.quantize(x);
-        prop_assert_eq!(adc.quantize(q), q);
     }
 
     #[test]
@@ -142,7 +123,6 @@ proptest! {
             PulseShape::rectangular(2).unwrap(),
             0.8,
             0.3,
-            None,
         ).unwrap();
         let acq =
             SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 8, 50, seed).unwrap();
@@ -158,7 +138,6 @@ proptest! {
             PulseShape::rectangular(2).unwrap(),
             1.0,
             1.0,
-            None,
         ).unwrap();
         let acq =
             SimulatedAcquisition::prepare(&mut circuit, &device, &chain, 16, 200, seed).unwrap();
@@ -221,7 +200,6 @@ proptest! {
             PulseShape::exponential(4, 1.5).unwrap(),
             0.6,
             0.4,
-            Some(AdcConfig { bits: 10, full_scale_min: -5.0, full_scale_max: 15.0 }),
         ).unwrap();
         let clean: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin() + 2.0).collect();
         let a = measure(&chain, &clean, &mut ChaCha8Rng::seed_from_u64(seedtrace));

@@ -14,11 +14,11 @@
 
 use ipmark_netlist::seq::BinaryCounter;
 use ipmark_netlist::CircuitBuilder;
-use ipmark_power::chain::{AdcConfig, MeasurementChain, PulseShape};
+use ipmark_power::chain::{MeasurementChain, PulseShape};
 use ipmark_power::device::DeviceModel;
 use ipmark_power::leakage::{ComponentWeights, WeightedComponentModel};
 use ipmark_power::noise::standard_normal;
-use ipmark_power::{NoiseProfile, SimulatedAcquisition};
+use ipmark_power::{NoiseRng, SimulatedAcquisition};
 use ipmark_traces::streaming::ChunkedSource;
 use ipmark_traces::{kernels, TraceError, TraceSource};
 use proptest::prelude::*;
@@ -32,53 +32,26 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 /// The settings of one chain shape.
 #[derive(Debug, Clone)]
 struct ChainParams {
-    noise: NoiseProfile,
+    sigma: f64,
     alpha: f64,
-    ac_alpha: Option<f64>,
-    adc: Option<AdcConfig>,
-    samples_per_cycle: usize,
+    pulse: PulseShape,
 }
 
 impl ChainParams {
     fn chain(&self) -> MeasurementChain {
-        MeasurementChain::with_extras(
-            PulseShape::exponential(self.samples_per_cycle, 1.5).unwrap(),
-            self.alpha,
-            self.noise,
-            self.ac_alpha,
-            self.adc,
-        )
-        .unwrap()
+        MeasurementChain::new(self.pulse.clone(), self.alpha, self.sigma).unwrap()
     }
 }
 
-/// A chain shape: each noise component on or off, α = 1 or below, AC
-/// coupling and ADC each on or off.
+/// A chain shape: white noise on or off, α = 1 or below.
 fn chain_params() -> impl Strategy<Value = ChainParams> {
-    (
-        (any::<bool>(), any::<bool>(), any::<bool>()),
-        (any::<bool>(), 0.05f64..1.0),
-        (any::<bool>(), 0.5f64..0.999),
-        (any::<bool>(), 4u8..14),
-        1usize..5,
+    (any::<bool>(), (any::<bool>(), 0.05f64..1.0), 1usize..5).prop_map(
+        |(white, (full, alpha), spc)| ChainParams {
+            sigma: if white { 0.7 } else { 0.0 },
+            alpha: if full { 1.0 } else { alpha },
+            pulse: PulseShape::exponential(spc, 1.5).unwrap(),
+        },
     )
-        .prop_map(
-            |((white, pink, drift), (full, alpha), (ac, ac_alpha), (adc, bits), spc)| ChainParams {
-                noise: NoiseProfile {
-                    white_sigma: if white { 0.7 } else { 0.0 },
-                    pink_sigma: if pink { 0.4 } else { 0.0 },
-                    drift_sigma: if drift { 0.02 } else { 0.0 },
-                },
-                alpha: if full { 1.0 } else { alpha },
-                ac_alpha: ac.then_some(ac_alpha),
-                adc: adc.then_some(AdcConfig {
-                    bits,
-                    full_scale_min: -4.0,
-                    full_scale_max: 12.0,
-                }),
-                samples_per_cycle: spc,
-            },
-        )
 }
 
 fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
@@ -88,33 +61,19 @@ fn chain_shape() -> impl Strategy<Value = MeasurementChain> {
 /// The measurement chain computed the textbook way, each stage a whole-trace
 /// pass over the previous one's output:
 ///
-/// 1. noise: per sample white `σ_w·z`, then pink `σ_p·pink(z)` through
-///    [`kellet_pink`], then the drift walk `d ← d + σ_d·z`, each `z` a fresh
-///    standard normal from `rng` and each component skipped when its σ is
-///    zero;
-/// 2. low-pass, unless α = 1: `yᵢ = yᵢ₋₁ + α (xᵢ − yᵢ₋₁)` with `y₋₁ = x₀`;
-/// 3. AC coupling: `yᵢ = α (yᵢ₋₁ + xᵢ − xᵢ₋₁)` with `x₋₁ = x₀`, `y₋₁ = 0`;
-/// 4. the ADC: clamp to full scale, round to the nearest of `2ᵇ` levels,
-///    return the level's value.
+/// 1. noise: per sample `σ·z`, each `z` a fresh standard normal from `rng`,
+///    skipped when σ is zero;
+/// 2. low-pass, unless α = 1: `yᵢ = yᵢ₋₁ + α (xᵢ − yᵢ₋₁)` with `y₋₁ = x₀`.
 fn reference_measure<R: Rng>(params: &ChainParams, clean: &[f64], rng: &mut R) -> Vec<f64> {
-    let noise = params.noise;
-    let mut pink = [0.0; 7];
-    let mut drift = 0.0;
+    let sigma = params.sigma;
     let mut x: Vec<f64> = clean
         .iter()
         .map(|&c| {
-            let mut s = c;
-            if noise.white_sigma > 0.0 {
-                s += noise.white_sigma * standard_normal(rng);
+            if sigma > 0.0 {
+                c + sigma * standard_normal(rng)
+            } else {
+                c
             }
-            if noise.pink_sigma > 0.0 {
-                s += noise.pink_sigma * kellet_pink(&mut pink, standard_normal(rng));
-            }
-            if noise.drift_sigma > 0.0 {
-                drift += noise.drift_sigma * standard_normal(rng);
-                s += drift;
-            }
-            s
         })
         .collect();
     let alpha = params.alpha;
@@ -125,39 +84,7 @@ fn reference_measure<R: Rng>(params: &ChainParams, clean: &[f64], rng: &mut R) -
             *v = y;
         }
     }
-    if let Some(alpha) = params.ac_alpha {
-        let (mut prev_x, mut prev_y) = (x[0], 0.0);
-        for v in &mut x {
-            let y = alpha * (prev_y + *v - prev_x);
-            prev_x = *v;
-            prev_y = y;
-            *v = y;
-        }
-    }
-    if let Some(adc) = params.adc {
-        let levels = (1u64 << adc.bits) as f64 - 1.0;
-        let (lo, hi) = (adc.full_scale_min, adc.full_scale_max);
-        let span = hi - lo;
-        for v in &mut x {
-            let code = ((v.clamp(lo, hi) - lo) / span * levels).round();
-            *v = lo + code / levels * span;
-        }
-    }
     x
-}
-
-/// Paul Kellet's economical pink-noise filter: seven leaky integrators
-/// `b` over a white input, the sum scaled by 1/4 to about unit variance.
-fn kellet_pink(b: &mut [f64; 7], white: f64) -> f64 {
-    b[0] = 0.99886 * b[0] + white * 0.0555179;
-    b[1] = 0.99332 * b[1] + white * 0.0750759;
-    b[2] = 0.96900 * b[2] + white * 0.1538520;
-    b[3] = 0.86650 * b[3] + white * 0.3104856;
-    b[4] = 0.55000 * b[4] + white * 0.5329522;
-    b[5] = -0.7616 * b[5] - white * 0.0168980;
-    let out = b[0] + b[1] + b[2] + b[3] + b[4] + b[5] + b[6] + white * 0.5362;
-    b[6] = white * 0.115926;
-    out * 0.25
 }
 
 /// The k-average fill `accumulate_indices` must reproduce: the trait's
@@ -331,4 +258,61 @@ fn length_mismatch_reaches_trace_callers_typed() {
             provided: 5
         })
     ));
+}
+
+/// The chain every production workload runs, its parameters written out
+/// here because this crate sits below `ipmark_core::ip::default_chain`:
+/// σ = 7, α = 0.7 and the pulse `0.7 + 0.9·exp(−i/1.2)` over 8 samples per
+/// cycle.
+fn production_params() -> ChainParams {
+    let coefficients = (0..8)
+        .map(|i| 0.7 + 0.9 * (-(i as f64) / 1.2).exp())
+        .collect();
+    ChainParams {
+        sigma: 7.0,
+        alpha: 0.7,
+        pulse: PulseShape::from_coefficients(coefficients).unwrap(),
+    }
+}
+
+#[test]
+fn production_chain_matches_the_reference_and_the_fused_fills() {
+    let params = production_params();
+    let chain = params.chain();
+    // 256 cycles: the 2 048-sample traces of a paper-scale verification.
+    let acq = acquisition(&chain, 256, 64);
+    let clean = acq.clean_waveform();
+    assert_eq!(clean.len(), 2048);
+    let start: Vec<f64> = (0..clean.len()).map(|i| i as f64 * 0.25 - 100.0).collect();
+    for seed in [0, 2014, u64::MAX] {
+        let want = reference_measure(&params, clean, &mut NoiseRng::seed_from_u64(seed));
+        let mut got = vec![0.0; clean.len()];
+        chain
+            .measure_into(clean, &mut got, &mut NoiseRng::seed_from_u64(seed))
+            .unwrap();
+        assert_eq!(bits(&got), bits(&want), "measure_into, seed {seed}");
+        let mut added = start.clone();
+        for (a, w) in added.iter_mut().zip(&want) {
+            *a += w;
+        }
+        let mut acc = start.clone();
+        chain
+            .accumulate_into(clean, &mut acc, &mut NoiseRng::seed_from_u64(seed))
+            .unwrap();
+        assert_eq!(bits(&acc), bits(&added), "accumulate_into, seed {seed}");
+    }
+    // The k = 50 fill of §III, two traces per pass, and an odd k with a
+    // one-trace tail.
+    let selection: Vec<usize> = (0..51).map(|i| (i * 37) % 64).collect();
+    for k in [50, 51] {
+        let mut want = start.clone();
+        for &i in &selection[..k] {
+            for (a, s) in want.iter_mut().zip(acq.trace(i).unwrap().samples()) {
+                *a += s;
+            }
+        }
+        let mut got = start.clone();
+        acq.accumulate_indices(&selection[..k], &mut got).unwrap();
+        assert_eq!(bits(&got), bits(&want), "accumulate_indices, k = {k}");
+    }
 }

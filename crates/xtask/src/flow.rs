@@ -208,8 +208,8 @@ pub fn dead_api(graph: &SymbolGraph, in_scope: impl Fn(&str) -> bool) -> Vec<Fin
     findings
 }
 
-/// The bare name of the item a DA001 finding reports: `with_extras` for
-/// `` public method `ipmark_power::chain::MeasurementChain::with_extras` ``.
+/// The bare name of the item a DA001 finding reports: `wilson_interval`
+/// for `` public fn `ipmark_traces::stats::wilson_interval` ``.
 #[must_use]
 pub fn dead_item(f: &Finding) -> Option<&str> {
     let qual = f.message.split('`').nth(1)?;

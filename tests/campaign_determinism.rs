@@ -9,11 +9,11 @@ use std::collections::BTreeSet;
 
 use ipmark::attacks::{AdversaryModel, AttackError, DutBuild};
 use ipmark::core::campaign::{cell_seed, CampaignConfig, CellSeeds, ScenarioGrid};
-use ipmark::core::ip::{ip_b, DEFAULT_NOISE_SIGMA};
+use ipmark::core::ip::{chain_with_noise, ip_b, DEFAULT_NOISE_SIGMA};
 use ipmark::core::{CoreError, CorrelationParams, DistinguisherKind};
 use ipmark::power::{DeviceModel, ProcessVariation, SimulatedAcquisition, ThermalDrift};
 use ipmark::traces::TraceSource;
-use ipmark_bench::campaign::{chain_with_noise, Campaign, CampaignError, Pool, ScenarioSource};
+use ipmark_bench::campaign::{Campaign, CampaignError, Pool, ScenarioSource};
 use proptest::prelude::*;
 
 /// A cheap 8-cell campaign (2 corners × 2 drift slopes × 2 jitter windows)

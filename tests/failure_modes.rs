@@ -109,8 +109,8 @@ fn degenerate_measurement_chains_are_rejected() {
     assert!(PulseShape::rectangular(0).is_err());
     assert!(PulseShape::exponential(8, -1.0).is_err());
     let pulse = PulseShape::rectangular(4).expect("valid");
-    assert!(MeasurementChain::new(pulse.clone(), 0.0, 1.0, None).is_err());
-    assert!(MeasurementChain::new(pulse, 0.5, f64::NAN, None).is_err());
+    assert!(MeasurementChain::new(pulse.clone(), 0.0, 1.0).is_err());
+    assert!(MeasurementChain::new(pulse, 0.5, f64::NAN).is_err());
 }
 
 #[test]
